@@ -353,7 +353,6 @@ def _config_from_args(args: argparse.Namespace) -> ServeConfig:
         fault_rate=args.fault_rate,
         fault_seed=args.fault_seed,
         fault_aware=args.fault_aware,
-        retry_budget=args.retry_budget,
         seed=args.seed,
         checkpoint_every=args.checkpoint_every,
         engine=args.engine,
@@ -1164,7 +1163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--fault-rate", type=float, default=0.0)
     p_serve.add_argument("--fault-seed", type=int, default=0)
     p_serve.add_argument("--fault-aware", action="store_true")
-    p_serve.add_argument("--retry-budget", type=int, default=5)
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--engine", choices=("sim", "lsm"), default="sim",
                          help="storage engine behind completions: 'sim' "

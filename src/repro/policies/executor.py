@@ -3,14 +3,19 @@
 Given a list of flushes in a *desired priority order* (e.g. the Lemma 8
 order induced by an MPHTF task schedule), the executor replays them under
 the DAM constraints, producing a schedule that is **valid by
-construction**:
+construction**.  The gate itself — readiness, occupancy against ``B``,
+the ``P`` slots — is written once, in
+:meth:`repro.policies.engine.ShardEngine.step`; this module is the
+*dense-id batch adapter* around it.  :meth:`GatedExecutor.run` seeds one
+engine with the instance's messages, hands it the whole flush list, and
+steps it in a loop, adding the rules only a batch run has:
 
-* a flush is *ready* when all of its messages currently sit at its source;
-* a flush is *admissible* when its destination is a leaf or currently
-  parks at most ``B - size`` messages (so no internal node ever retains
-  more than ``B`` messages across steps);
-* each time step greedily runs up to ``P`` ready-and-admissible flushes in
-  priority order.
+* a step that attempted nothing and is not waiting on a fault is rolled
+  back (an idle step would inflate costs);
+* more than :data:`~repro.policies.engine.MAX_IDLE_STEPS` rolled-back
+  steps in a row is a deadlock (raised here; re-planned by
+  :class:`~repro.policies.resilient.ResilientExecutor`);
+* journal checkpoints carry dense per-message locations.
 
 For laminar flush lists (every flush's messages arrived at its source in
 a single earlier flush — which is exactly what the packed-set reduction
@@ -22,36 +27,35 @@ admissible next flush, because nothing is parked below it.
 realized flush plus a :class:`~repro.dam.trace.CheckpointRecord` every
 ``checkpoint_every`` steps into a crash-consistent journal, so a killed
 process can be resumed exactly (see :mod:`repro.dam.journal`).  With
-``journal=None`` (the default) no journal state is even allocated and
-the realized schedule is byte-for-byte what it always was.
+``journal=None`` (the default) no journal state is even allocated.
 
-**Scan cost.**  The priority scan re-checks the readiness of every
-pending flush each step.  Three observations keep that tractable at
-millions of messages without changing a single decision: a flush whose
-*first* message is elsewhere cannot be ready (O(1) reject covers the
-common front-blocked case); how many of a flush's messages will *park*
-at its destination is a static property, precomputed once; and consumed
-flushes are flagged and compacted away lazily instead of rebuilding the
-pending list every step.
+**Scan cost.**  Fault-free runs of at least
+:data:`VECTOR_SCAN_AUTO_THRESHOLD` flushes install the engine's numpy
+candidate prefilter (:meth:`~repro.policies.engine.ShardEngine.prefilter`);
+the realized schedule is byte-identical either way.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core.worms import WORMSInstance
 from repro.dam.schedule import Flush, FlushSchedule
 from repro.dam.trace import CheckpointRecord
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_EXECUTE
+from repro.policies.engine import MAX_IDLE_STEPS, ShardEngine
 from repro.util.errors import ExecutionStalledError, InvalidInstanceError
-
-#: Safety valve: abort rather than loop forever on a malformed flush list.
-MAX_IDLE_STEPS = 4
 
 #: How many parked messages / pending flushes to list in an error message.
 _DIAG_LIMIT = 5
 
 #: Default checkpoint cadence (steps) when journaling is enabled.
 DEFAULT_CHECKPOINT_EVERY = 32
+
+#: Fault-free runs with at least this many flushes scan through the
+#: engine's numpy prefilter (see :class:`repro.policies.engine._VectorScan`).
+VECTOR_SCAN_AUTO_THRESHOLD = 100_000
 
 
 def stalled_error(
@@ -133,29 +137,35 @@ def record_run_metrics(metrics, schedule: FlushSchedule) -> None:
 class _RunJournal:
     """Per-run journaling state: completion tracking + record emission.
 
-    Instantiated only when journaling is on, so the fault-free,
-    journal-free path allocates nothing.  Flushes the writer at every
-    checkpoint — the durability points recovery resumes from.
+    Instantiated only when journaling is on, so the journal-free path
+    allocates nothing.  ``locate()`` returns the dense per-message
+    locations a checkpoint carries; it is called only at checkpoints.
+    Flushes the writer at every checkpoint — the durability points
+    recovery resumes from.
     """
 
     def __init__(self, writer, owned: bool, targets: "list[int]",
-                 checkpoint_every: int, location: "list[int]") -> None:
+                 checkpoint_every: int, locate) -> None:
         self.writer = writer
         self.owned = owned
         self.targets = targets
         self.every = checkpoint_every
+        self.locate = locate
         self.completion = [0] * len(targets)
-        self._checkpoint(0, location)
+        self._checkpoint(0)
 
-    def _checkpoint(self, step: int, location: "list[int]") -> None:
+    def _checkpoint(self, step: int) -> None:
         from repro.dam.journal import checkpoint_record
 
         self.writer.append(checkpoint_record(CheckpointRecord(
-            step, tuple(int(v) for v in location), tuple(self.completion)
+            step, tuple(int(v) for v in self.locate()),
+            tuple(self.completion),
         )))
         self.writer.flush()
 
-    def record_flush(self, t: int, flush: Flush) -> None:
+    # The engine's journal protocol; a batch run is a single shard, so
+    # the shard id is not recorded.
+    def record_flush(self, t: int, _shard: int, flush: Flush) -> None:
         from repro.dam.journal import flush_record
 
         self.writer.append(flush_record(t, flush))
@@ -165,19 +175,19 @@ class _RunJournal:
             if self.targets[m] == dest and completion[m] == 0:
                 completion[m] = t
 
-    def record_fault(self, t: int, kind: str, src: int, dest: int,
-                     detail: str) -> None:
+    def record_fault(self, t: int, _shard: int, kind: str, src: int,
+                     dest: int, detail: str) -> None:
         from repro.dam.journal import fault_record
 
         self.writer.append(fault_record(t, kind, src, dest, detail))
 
-    def end_step(self, t: int, location: "list[int]") -> None:
+    def end_step(self, t: int) -> None:
         if t % self.every == 0:
-            self._checkpoint(t, location)
+            self._checkpoint(t)
 
-    def finish(self, n_steps: int, location: "list[int]") -> None:
+    def finish(self, n_steps: int) -> None:
         """The run completed: final checkpoint + ``end`` record."""
-        self._checkpoint(n_steps, location)
+        self._checkpoint(n_steps)
         self.writer.append({"type": "end", "t": int(n_steps)})
         self.writer.flush()
         if self.owned:
@@ -207,6 +217,12 @@ class GatedExecutor:
         journal).  Smaller = less replay on recovery, more bytes.
     """
 
+    #: Trace span opened around :meth:`run`.
+    _span_name = "executor.run"
+    #: Fault source and fault-aware admission for the engine (none here).
+    injector = None
+    fault_aware = False
+
     def __init__(
         self,
         instance: WORMSInstance,
@@ -215,9 +231,7 @@ class GatedExecutor:
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     ) -> None:
         self.instance = instance
-        topo = instance.topology
-        self._is_leaf = [topo.is_leaf(v) for v in range(topo.n_nodes)]
-        self._root = topo.root
+        self._targets = instance.targets.tolist()
         if checkpoint_every < 1:
             raise InvalidInstanceError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
@@ -226,8 +240,7 @@ class GatedExecutor:
         self.journal = journal
 
     # ------------------------------------------------------------------
-    def _start_journal(self, location: "list[int]",
-                       targets: "list[int]") -> "_RunJournal | None":
+    def _start_journal(self, engine: ShardEngine) -> "_RunJournal | None":
         """Open per-run journal state (None when journaling is off)."""
         if self.journal is None:
             return None
@@ -247,134 +260,127 @@ class GatedExecutor:
                     "checkpoint_every": self.checkpoint_every,
                 },
             ), True
-        return _RunJournal(writer, owned, targets, self.checkpoint_every,
-                           location)
+        return _RunJournal(writer, owned, self._targets,
+                           self.checkpoint_every,
+                           lambda: self._locations(engine))
 
-    def run(self, flushes: list[Flush]) -> FlushSchedule:
+    def _engine(self, flushes: "list[Flush]") -> ShardEngine:
+        """One engine seeded with the instance's in-flight messages."""
+        inst = self.instance
+        targets = self._targets
+        start = [inst.start_of(m) for m in range(inst.n_messages)]
+        engine = ShardEngine(
+            0, inst.topology, inst.P, inst.B,
+            injector=self.injector, fault_aware=self.fault_aware,
+        )
+        engine.restore_state(
+            {m: v for m, v in enumerate(start) if v != targets[m]}, targets
+        )
+        engine.set_plan(flushes)
+        if (engine.injector is None
+                and len(flushes) >= VECTOR_SCAN_AUTO_THRESHOLD):
+            engine.prefilter(np.asarray(start, dtype=np.int64))
+        return engine
+
+    def _locations(self, engine: ShardEngine) -> "list[int]":
+        """Dense per-message locations (a completed message sits at its
+        target)."""
+        where = engine.location.get
+        return [where(m, v) for m, v in enumerate(self._targets)]
+
+    def run(self, flushes: "list[Flush]") -> FlushSchedule:
         """Replay ``flushes`` in priority order; returns a valid schedule."""
         # Observability is bound once per run: the disabled default makes
-        # every per-step decision and allocation below identical to the
-        # pre-instrumentation executor (pinned by tests/obs).
+        # every per-step decision and allocation below identical to an
+        # uninstrumented run (pinned by tests/obs).
         obs = current_obs()
         span = obs.tracer.span(
-            "executor.run", category="executor", flushes=len(flushes)
+            self._span_name, category="executor", flushes=len(flushes)
         )
         t_wall = obs.profiler.clock() if obs.enabled else 0.0
-        inst = self.instance
-        is_leaf = self._is_leaf
-        root = self._root
-        P, B = inst.P, inst.B
-        targets = inst.targets.tolist()
-        location = [inst.start_of(m) for m in range(inst.n_messages)]
-        occupancy = [0] * inst.topology.n_nodes  # parked msgs per internal node
-        for m in range(inst.n_messages):
-            v = location[m]
-            if v != root and not is_leaf[v] and v != targets[m]:
-                occupancy[v] += 1
-
-        # Static per-flush data: messages that do not complete at dest.
-        parking = [
-            sum(1 for m in f.messages if targets[m] != f.dest)
-            for f in flushes
-        ]
-        journal = self._start_journal(location, targets)
-        pending = list(range(len(flushes)))
-        done = bytearray(len(flushes))
-        n_pending = len(flushes)
-        schedule = FlushSchedule()
-        t = 0
-        idle = 0
+        engine = self._engine(flushes)
+        span.set("scan", "scalar" if engine._vscan is None else "vector")
+        journal = self._start_journal(engine)
         try:
-            while n_pending:
-                t += 1
-                ran: list[int] = []
-                moved: set[int] = set()
-                # One pass over pending flushes in priority order; stop
-                # once P flushes are placed.  Arrivals take effect *after*
-                # the step, so readiness/admission use start-of-step state
-                # plus this step's own departures/arrivals bookkeeping.
-                departed: dict[int, int] = {}
-                arrived: dict[int, int] = {}
-                for idx in pending:
-                    if done[idx]:
-                        continue
-                    if len(ran) >= P:
-                        break
-                    flush = flushes[idx]
-                    src = flush.src
-                    msgs = flush.messages
-                    if location[msgs[0]] != src:
-                        continue  # O(1) reject: first message not here yet
-                    if any(
-                        location[m] != src or m in moved for m in msgs
-                    ):
-                        continue
-                    dest = flush.dest
-                    # Messages completing at dest (a leaf, or their
-                    # internal target under the footnote-3 extension)
-                    # never park there.
-                    park = parking[idx]
-                    if not is_leaf[dest]:
-                        projected = (
-                            occupancy[dest]
-                            - departed.get(dest, 0)
-                            + arrived.get(dest, 0)
-                            + park
-                        )
-                        if projected > B:
-                            continue
-                    ran.append(idx)
-                    done[idx] = 1
-                    moved.update(msgs)
-                    schedule.add(t, flush)
-                    if src != root and not is_leaf[src]:
-                        departed[src] = departed.get(src, 0) + flush.size
-                    if not is_leaf[dest]:
-                        arrived[dest] = arrived.get(dest, 0) + park
-                    for m in msgs:
-                        location[m] = dest
-                if not ran:
-                    idle += 1
-                    if idle > MAX_IDLE_STEPS:
-                        raise stalled_error(
-                            "gated executor deadlocked (flush list is not "
-                            "laminar?)",
-                            step=t,
-                            instance=inst,
-                            location=location,
-                            pending_flushes=[
-                                flushes[i] for i in pending if not done[i]
-                            ],
-                        )
-                    # Nothing ran: roll the step counter back (an idle step
-                    # would inflate costs) and retry; the idle counter above
-                    # turns a genuine no-progress state into an error.
-                    t -= 1
-                    continue
-                idle = 0
-                for v, d in departed.items():
-                    occupancy[v] -= d
-                for v, a in arrived.items():
-                    occupancy[v] += a
-                n_pending -= len(ran)
-                if journal is not None:
-                    for idx in ran:
-                        journal.record_flush(t, flushes[idx])
-                    journal.end_step(t, location)
-                if n_pending and len(pending) > 2 * n_pending:
-                    pending = [i for i in pending if not done[i]]
+            self._drive(engine, journal)
         except ExecutionStalledError:
             if journal is not None:
                 journal.abort()
             span.set("stalled", True)
             span.finish()
             raise
-        schedule = schedule.trim()
+        finally:
+            self._collect(engine)
+        schedule = engine.schedule.trim()
         if journal is not None:
-            journal.finish(schedule.n_steps, location)
+            journal.finish(schedule.n_steps)
         if obs.enabled:
             obs.profiler.add(PHASE_EXECUTE, obs.profiler.clock() - t_wall)
             span.set_steps(1, schedule.n_steps)
             record_run_metrics(obs.metrics, schedule)
+            self._record_metrics(obs.metrics)
         span.finish()
         return schedule
+
+    def _drive(self, engine: ShardEngine, journal) -> None:
+        """Step ``engine`` until its plan is done, under the batch rules."""
+        t = 0
+        idle = 0
+        while engine.pending_flushes:
+            t += 1
+            self._before_step(t, engine)
+            engine.step(t, journal)
+            if engine.attempted == 0:
+                if engine.waiting:
+                    # Blocked on faults (stall window / backoff): time
+                    # genuinely passes; the realized schedule gets an
+                    # idle step.
+                    self._waited()
+                    idle = 0
+                    continue
+                idle += 1
+                if idle > MAX_IDLE_STEPS:
+                    self._deadlocked(t, engine)
+                    idle = 0
+                # Nothing ran: roll the step counter back (an idle step
+                # would inflate costs) and retry; the idle counter above
+                # turns a genuine no-progress state into a deadlock.
+                t -= 1
+                continue
+            idle = 0
+            if journal is not None and engine.ran:
+                journal.end_step(t)
+            self._after_step(t, engine)
+
+    # -- batch rules the resilient executor extends ---------------------
+    def _before_step(self, t: int, engine: ShardEngine) -> None:
+        """Hook run before each step (step-count backstops)."""
+
+    def _waited(self) -> None:
+        """Hook for a step spent waiting on a fault window or backoff."""
+
+    def _after_step(self, t: int, engine: ShardEngine) -> None:
+        """Hook run after each step that attempted a flush."""
+
+    def _collect(self, engine: ShardEngine) -> None:
+        """Hook run when the run ends, completed or stalled."""
+
+    def _record_metrics(self, metrics) -> None:
+        """Hook for executor-specific end-of-run counters."""
+
+    def _deadlocked(self, t: int, engine: ShardEngine) -> None:
+        """No flush could run for too long: the flush list is stuck."""
+        raise self._stalled(
+            "gated executor deadlocked (flush list is not laminar?)",
+            t, engine,
+        )
+
+    def _stalled(self, header: str, t: int,
+                 engine: ShardEngine) -> ExecutionStalledError:
+        return stalled_error(
+            header,
+            step=t,
+            instance=self.instance,
+            location=self._locations(engine),
+            pending_flushes=[pf.flush for pf in engine.pending if not pf.done],
+        )

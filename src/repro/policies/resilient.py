@@ -1,8 +1,10 @@
 """Fault-tolerant execution of priority-ordered flush lists.
 
-:class:`ResilientExecutor` extends the admission-gated executor with the
-recovery semantics a production flusher needs when IOs can fail
-(see :mod:`repro.faults`):
+:class:`ResilientExecutor` is the batch adapter of
+:class:`~repro.policies.executor.GatedExecutor` with a fault source
+attached (see :mod:`repro.faults`).  The per-step recovery semantics
+live in the one flush gate,
+:meth:`repro.policies.engine.ShardEngine.step`:
 
 * **bounded retry with exponential backoff** — a flush that fails (or
   partially applies) stays in the priority order but becomes eligible
@@ -11,6 +13,19 @@ recovery semantics a production flusher needs when IOs can fail
 * **re-admission** — the undelivered remainder of a partial flush
   replaces the original flush at the *same* priority position, so
   redelivery keeps the intended order;
+* **fault-aware admission** (``fault_aware=True``, off by default) — a
+  node observed stalled is remembered until its window closes
+  (:meth:`~repro.faults.injector.FaultInjector.stall_window_end`) and
+  flushes touching it are parked without re-probing; while capacity is
+  degraded (``effective_p < P``) the scarce slots go to *completion*
+  flushes (flushes that park nothing) first, so tail latency degrades
+  before throughput does.  Both only engage while a fault window is
+  active.
+
+This module adds the batch-only rungs of the recovery ladder on top:
+
+* **waiting** — a step where nothing could be attempted because of a
+  stall window or backoff is a real (idle) step, not rolled back;
 * **re-planning** — when some flush exhausts its retry budget, or the
   executor deadlocks outright (non-laminar input), the surviving
   in-flight messages are re-planned from their current locations: the
@@ -18,135 +33,33 @@ recovery semantics a production flusher needs when IOs can fail
   still sits at the root, the density-guided online scheduler (which
   natively handles mid-tree starts) otherwise.  The new flush list
   replaces the pending tail and execution continues;
-* **graceful failure** — if re-planning is also exhausted the executor
-  raises :class:`~repro.util.errors.ExecutionStalledError` carrying the
+* **graceful failure** — if re-planning is also exhausted, or the run
+  passes ``max_steps``, the executor raises
+  :class:`~repro.util.errors.ExecutionStalledError` carrying the
   parked-message state instead of looping forever.
-
-**Fault-aware admission** (``fault_aware=True``, off by default) closes
-the ROADMAP's "fault-blind planning" gap: instead of recovering purely
-reactively, the selection loop consults the injector's *current* fault
-windows —
-
-* a node observed stalled is remembered until its window closes
-  (:meth:`~repro.faults.injector.FaultInjector.stall_window_end`), and
-  flushes touching it are parked without re-probing every step;
-* while capacity is degraded (``effective_p < P``), the scarce slots are
-  offered to *completion* flushes (flushes that park nothing) first, so
-  tail latency degrades before throughput does.
-
-Both behaviors only engage when a fault window is actually active, so
-the fault-free path is untouched with the flag on or off.
 
 **Durability** (``journal=``): like :class:`GatedExecutor`, the realized
 flushes, observed fault outcomes, and periodic checkpoints stream into a
 crash-consistent journal (:mod:`repro.dam.journal`).
 
 Zero-overhead fault path: with ``injector=None`` (or an all-zero
-:class:`~repro.faults.FaultPlan`) the selection logic below makes
-exactly the same decisions as :class:`GatedExecutor.run`, so the
-realized schedule is byte-identical — resilience costs nothing until a
-fault actually fires.
+:class:`~repro.faults.FaultPlan`) the gate makes exactly the decisions
+of :meth:`GatedExecutor.run`, so the realized schedule is byte-identical
+— resilience costs nothing until a fault actually fires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.worms import WORMSInstance
-from repro.dam.schedule import Flush, FlushSchedule
-from repro.faults.injector import (
-    FaultInjector,
-    OUTCOME_FAILED,
-    OUTCOME_PARTIAL,
-)
+from repro.dam.schedule import Flush
+from repro.faults.injector import FaultInjector
 from repro.obs.hooks import current_obs
-from repro.obs.profile import PHASE_EXECUTE
-from repro.policies.executor import (
-    DEFAULT_CHECKPOINT_EVERY,
-    GatedExecutor,
-    MAX_IDLE_STEPS,
-    record_run_metrics,
-    stalled_error,
-)
+from repro.policies.engine import ShardEngine
+from repro.policies.executor import DEFAULT_CHECKPOINT_EVERY, GatedExecutor
 from repro.tree.messages import Message
-from repro.util.errors import (
-    ExecutionStalledError,
-    InvalidInstanceError,
-    ReproError,
-)
-
-#: ``scan="auto"`` switches to the vectorized readiness scan at this many
-#: pending flushes (fault-free runs only; see :class:`_VectorScan`).
-VECTOR_SCAN_AUTO_THRESHOLD = 100_000
-
-
-@dataclass
-class _PendingFlush:
-    """A flush awaiting execution, with its retry bookkeeping."""
-
-    flush: Flush
-    #: messages that do not complete at dest (static admission cost).
-    parking: int = 0
-    attempts: int = 0
-    eligible_at: int = 0  # earliest step this flush may be attempted again
-    done: bool = False
-
-
-class _VectorScan:
-    """Numpy-accelerated candidate prefilter for the priority scan.
-
-    The per-step scan cost of the scalar path is one readiness probe per
-    pending flush; at the ROADMAP's 10^6-message scale that probe — not
-    the flushes themselves — dominates.  This helper keeps three parallel
-    arrays over the pending list (first message id, source node, done
-    flag) and answers "which pending flushes *could* run this step" with
-    one vectorized compare::
-
-        candidates = nonzero(location[first] == src & ~done)
-
-    in priority (ascending-index) order.
-
-    **Why the decisions stay byte-identical** (pinned by
-    ``tests/policies/test_vector_scan.py``): the filter uses
-    start-of-step state, and the two ways mid-step mutation could make it
-    diverge from the scalar scan both cancel out —
-
-    * a flush whose first message *arrives* at its source mid-step is not
-      a candidate, but the scalar scan rejects it too (the message is in
-      ``moved``, and moved messages never flush again in the same step);
-    * a flush whose messages *leave* mid-step is a candidate, but the
-      full scalar readiness/admission checks re-run inside the candidate
-      loop and reject it exactly as the scalar scan would.
-
-    Only fault-free runs (``injector is None``) use the fast path: under
-    faults the scalar scan also visits non-ready flushes to update
-    backoff/stall bookkeeping, which a readiness prefilter would skip.
-    """
-
-    __slots__ = ("first", "src", "done")
-
-    def __init__(self, pending: "list[_PendingFlush]") -> None:
-        self.rebuild(pending)
-
-    def rebuild(self, pending: "list[_PendingFlush]") -> None:
-        """Recompute the arrays (after compaction or a re-plan)."""
-        n = len(pending)
-        self.first = np.fromiter(
-            (pf.flush.messages[0] for pf in pending), dtype=np.int64,
-            count=n,
-        )
-        self.src = np.fromiter(
-            (pf.flush.src for pf in pending), dtype=np.int64, count=n
-        )
-        self.done = np.zeros(n, dtype=bool)
-
-    def candidates(self, location: np.ndarray) -> np.ndarray:
-        """Indices of maybe-ready pending flushes, in priority order."""
-        return np.nonzero(
-            (location[self.first] == self.src) & ~self.done
-        )[0]
+from repro.util.errors import ReproError
 
 
 @dataclass
@@ -218,6 +131,11 @@ def worms_replan(
 class ResilientExecutor(GatedExecutor):
     """Gated executor + retry/backoff/re-planning under fault injection.
 
+    :meth:`run` returns the realized schedule, which records only what
+    *succeeded* (a partial delivery appears as the delivered subset), so
+    it is always a valid schedule of the fault-free model and can be
+    checked with :func:`repro.dam.validator.validate_valid`.
+
     Parameters
     ----------
     instance:
@@ -240,16 +158,11 @@ class ResilientExecutor(GatedExecutor):
     fault_aware:
         Enable fault-aware admission (see module docstring).  Off by
         default; has zero effect while no fault window is active.
-    scan:
-        Readiness-scan strategy: ``"scalar"`` (the classic per-flush
-        probe), ``"vector"`` (numpy candidate prefilter, fault-free runs
-        only — silently falls back to scalar under an injector), or
-        ``"auto"`` (default: vector iff fault-free and the flush list has
-        at least :data:`VECTOR_SCAN_AUTO_THRESHOLD` entries).  The two
-        paths make byte-identical decisions; see :class:`_VectorScan`.
     journal / checkpoint_every:
         Crash-consistent journaling, as in :class:`GatedExecutor`.
     """
+
+    _span_name = "executor.resilient_run"
 
     def __init__(
         self,
@@ -261,17 +174,11 @@ class ResilientExecutor(GatedExecutor):
         replanner=None,
         max_steps: "int | None" = None,
         fault_aware: bool = False,
-        scan: str = "auto",
         journal=None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     ) -> None:
         super().__init__(instance, journal=journal,
                          checkpoint_every=checkpoint_every)
-        if scan not in ("auto", "scalar", "vector"):
-            raise InvalidInstanceError(
-                f"scan must be 'auto', 'scalar' or 'vector', got {scan!r}"
-            )
-        self.scan = scan
         if injector is not None and injector.is_zero_plan:
             injector = None  # zero plan == no injector: skip all fault queries
         self.injector = injector
@@ -284,384 +191,75 @@ class ResilientExecutor(GatedExecutor):
         self.max_steps = max_steps
         self.fault_aware = bool(fault_aware)
         self.stats = ResilienceStats()
+        self._replans = 0
 
-    # ------------------------------------------------------------------
-    def run(self, flushes: "list[Flush]") -> FlushSchedule:
-        """Execute ``flushes`` under faults; returns the realized schedule.
+    # -- batch rules on top of the gate ---------------------------------
+    def _drive(self, engine: ShardEngine, journal) -> None:
+        self._replans = 0
+        super()._drive(engine, journal)
 
-        The realized schedule records only the flushes that *succeeded*
-        (a partial delivery appears as the delivered subset), so it is
-        always a valid schedule of the fault-free model and can be
-        checked with :func:`repro.dam.validator.validate_valid`.
-        """
-        obs = current_obs()
-        span = obs.tracer.span(
-            "executor.resilient_run", category="executor",
-            flushes=len(flushes),
-        )
-        t_wall = obs.profiler.clock() if obs.enabled else 0.0
-        inst = self.instance
-        injector = self.injector
-        is_leaf = self._is_leaf
-        root = self._root
-        P, B = inst.P, inst.B
-        targets = inst.targets.tolist()
-        location = [inst.start_of(m) for m in range(inst.n_messages)]
-        occupancy = [0] * inst.topology.n_nodes
-        for m in range(inst.n_messages):
-            v = location[m]
-            if v != root and not is_leaf[v] and v != targets[m]:
-                occupancy[v] += 1
+    def _before_step(self, t: int, engine: ShardEngine) -> None:
+        if t > self.max_steps:
+            raise self._stalled(
+                f"resilient executor exceeded max_steps={self.max_steps}",
+                t, engine,
+            )
 
-        def make_pending(fs: "list[Flush]") -> "list[_PendingFlush]":
-            return [
-                _PendingFlush(
-                    f,
-                    parking=sum(
-                        1 for m in f.messages if targets[m] != f.dest
-                    ),
-                )
-                for f in fs
-            ]
+    def _waited(self) -> None:
+        self.stats.wait_steps += 1
 
-        journal = self._start_journal(location, targets)
-        fault_aware = self.fault_aware and injector is not None
-        #: node -> last step of its observed stall window (fault-aware).
-        stall_until: dict[int, int] = {}
-        pending = make_pending(flushes)
-        n_pending = len(pending)
-        # Vectorized readiness scan: decided once per run (see the class
-        # docstring of _VectorScan for why only fault-free runs qualify).
-        use_vector = injector is None and (
-            self.scan == "vector"
-            or (self.scan == "auto"
-                and len(pending) >= VECTOR_SCAN_AUTO_THRESHOLD)
-        )
-        vscan: "_VectorScan | None" = None
-        if use_vector:
-            location = np.asarray(location, dtype=np.int64)
-            vscan = _VectorScan(pending)
-        span.set("scan", "vector" if use_vector else "scalar")
-        schedule = FlushSchedule()
-        t = 0
-        idle = 0
-        replans = 0
-        try:
-            while n_pending:
-                t += 1
-                if t > self.max_steps:
-                    raise self._stalled(
-                        f"resilient executor exceeded max_steps="
-                        f"{self.max_steps}",
-                        t, location, pending,
-                    )
-                capacity = P if injector is None else injector.effective_p(
-                    t, P
-                )
-                # Fault-aware triage: while capacity is degraded, offer
-                # the scarce slots to completion flushes (parking == 0)
-                # first, then everyone else.  Never active fault-free.
-                if fault_aware and capacity < P:
-                    self.stats.degraded_triage_steps += 1
-                    passes: "tuple[bool | None, ...]" = (True, False)
-                else:
-                    passes = (None,)
-                ran: list[_PendingFlush] = []
-                attempted = 0
-                waiting = False
-                budget_exhausted = False
-                moved: set[int] = set()
-                departed: dict[int, int] = {}
-                arrived: dict[int, int] = {}
-                if vscan is not None:
-                    # Fault-free fast path: vectorized candidate prefilter
-                    # + the full scalar checks on every candidate, so the
-                    # selected flushes are exactly the scalar scan's (see
-                    # _VectorScan).  Faults never reach here, so none of
-                    # the eligibility/stall/outcome guards are needed.
-                    for i in vscan.candidates(location):
-                        if attempted >= capacity:
-                            break
-                        pf = pending[i]
-                        flush = pf.flush
-                        src = flush.src
-                        msgs = flush.messages
-                        if location[msgs[0]] != src:
-                            continue
-                        if any(
-                            location[m] != src or m in moved for m in msgs
-                        ):
-                            continue
-                        dest = flush.dest
-                        park = pf.parking
-                        if not is_leaf[dest]:
-                            projected = (
-                                occupancy[dest]
-                                - departed.get(dest, 0)
-                                + arrived.get(dest, 0)
-                                + park
-                            )
-                            if projected > B:
-                                continue
-                        attempted += 1
-                        ran.append(pf)
-                        pf.done = True
-                        vscan.done[i] = True
-                        schedule.add(t, flush)
-                        moved.update(msgs)
-                        if journal is not None:
-                            journal.record_flush(t, flush)
-                        if src != root and not is_leaf[src]:
-                            departed[src] = departed.get(src, 0) + flush.size
-                        if not is_leaf[dest]:
-                            arrived[dest] = arrived.get(dest, 0) + park
-                        for m in msgs:
-                            location[m] = dest
-                    passes = ()  # the scalar scan below is skipped
-                # Same one-pass priority scan as GatedExecutor.run; the
-                # extra guards (eligibility, stalls, outcomes) all no-op
-                # when injector is None, keeping the fault-free path
-                # identical.
-                for completions_only in passes:
-                    if attempted >= capacity:
-                        break
-                    for pf in pending:
-                        if pf.done:
-                            continue
-                        if attempted >= capacity:
-                            break
-                        if completions_only is True and pf.parking > 0:
-                            continue
-                        if completions_only is False and pf.parking == 0:
-                            continue  # already offered in the first pass
-                        if pf.eligible_at > t:
-                            waiting = True
-                            continue
-                        flush = pf.flush
-                        src = flush.src
-                        dest = flush.dest
-                        if fault_aware and (
-                            stall_until.get(src, 0) >= t
-                            or stall_until.get(dest, 0) >= t
-                        ):
-                            # Known-stalled window: park without probing.
-                            self.stats.fault_aware_skips += 1
-                            waiting = True
-                            continue
-                        if injector is not None and (
-                            injector.is_stalled(t, src)
-                            or injector.is_stalled(t, dest)
-                        ):
-                            self.stats.stalled_skips += 1
-                            if fault_aware:
-                                for node in (src, dest):
-                                    end = injector.stall_window_end(t, node)
-                                    if end is not None and end > stall_until.get(
-                                        node, 0
-                                    ):
-                                        stall_until[node] = end
-                            waiting = True
-                            continue
-                        msgs = flush.messages
-                        if location[msgs[0]] != src:
-                            continue
-                        if any(
-                            location[m] != src or m in moved for m in msgs
-                        ):
-                            continue
-                        park = pf.parking
-                        if not is_leaf[dest]:
-                            projected = (
-                                occupancy[dest]
-                                - departed.get(dest, 0)
-                                + arrived.get(dest, 0)
-                                + park
-                            )
-                            if projected > B:
-                                continue
-                        # Selected: the IO is attempted and the slot is
-                        # consumed whatever the outcome.
-                        attempted += 1
-                        if injector is None:
-                            delivered: tuple[int, ...] = msgs
-                            status = None
-                        else:
-                            status, delivered = injector.flush_outcome(
-                                t, src, dest, msgs
-                            )
-                            if status == OUTCOME_FAILED:
-                                self.stats.failed_attempts += 1
-                                pf.attempts += 1
-                                pf.eligible_at = t + 1 + (1 << (pf.attempts - 1))
-                                if journal is not None:
-                                    journal.record_fault(
-                                        t, "failed_flush", src, dest,
-                                        f"{len(msgs)} msgs no-oped "
-                                        f"(attempt {pf.attempts})",
-                                    )
-                                if pf.attempts >= self.retry_budget:
-                                    budget_exhausted = True
-                                continue
-                            if status == OUTCOME_PARTIAL:
-                                self.stats.partial_deliveries += 1
-                                remainder = tuple(
-                                    m for m in msgs
-                                    if m not in set(delivered)
-                                )
-                                # Redeliver the remainder at the same
-                                # priority slot.
-                                pf.flush = Flush(src, dest, remainder)
-                                pf.parking = sum(
-                                    1 for m in remainder
-                                    if targets[m] != dest
-                                )
-                                pf.attempts += 1
-                                pf.eligible_at = t + 1 + (1 << (pf.attempts - 1))
-                                if journal is not None:
-                                    journal.record_fault(
-                                        t, "partial_flush", src, dest,
-                                        f"delivered {len(delivered)}/"
-                                        f"{len(msgs)} msgs "
-                                        f"(attempt {pf.attempts})",
-                                    )
-                                if pf.attempts >= self.retry_budget:
-                                    budget_exhausted = True
-                        actual = (
-                            flush
-                            if len(delivered) == len(msgs)
-                            else Flush(src, dest, delivered)
-                        )
-                        if len(delivered) == len(msgs):
-                            ran.append(pf)
-                            pf.done = True
-                        schedule.add(t, actual)
-                        moved.update(delivered)
-                        delivered_parking = (
-                            park
-                            if len(delivered) == len(msgs)
-                            else sum(
-                                1 for m in delivered if targets[m] != dest
-                            )
-                        )
-                        if journal is not None:
-                            journal.record_flush(t, actual)
-                        if src != root and not is_leaf[src]:
-                            departed[src] = departed.get(src, 0) + len(delivered)
-                        if not is_leaf[dest]:
-                            arrived[dest] = arrived.get(dest, 0) + delivered_parking
-                        for m in delivered:
-                            location[m] = dest
+    def _after_step(self, t: int, engine: ShardEngine) -> None:
+        if engine.retries >= self.retry_budget and engine.pending_flushes:
+            self._replan(t, engine, "retry budget exhausted")
 
-                if attempted == 0:
-                    if waiting:
-                        # Blocked on faults (stall window / backoff): time
-                        # genuinely passes; the realized schedule gets an
-                        # idle step.  Bounded because windows and backoffs
-                        # are finite (max_steps backstops pathologies).
-                        self.stats.wait_steps += 1
-                        idle = 0
-                        continue
-                    idle += 1
-                    if idle > MAX_IDLE_STEPS:
-                        t -= 1
-                        pending = self._replan_or_raise(
-                            t, location, pending, replans,
-                            reason="deadlocked (flush list is not laminar?)",
-                            make_pending=make_pending,
-                        )
-                        n_pending = len(pending)
-                        replans += 1
-                        idle = 0
-                        if vscan is not None:
-                            vscan.rebuild(pending)
-                        continue
-                    t -= 1
-                    continue
-                idle = 0
-                for v, d in departed.items():
-                    occupancy[v] -= d
-                for v, a in arrived.items():
-                    occupancy[v] += a
-                n_pending -= len(ran)
-                if journal is not None and moved:
-                    journal.end_step(t, location)
-                if n_pending and len(pending) > 2 * n_pending:
-                    pending = [pf for pf in pending if not pf.done]
-                    if vscan is not None:
-                        vscan.rebuild(pending)
-                if budget_exhausted and n_pending:
-                    pending = self._replan_or_raise(
-                        t, location, pending, replans,
-                        reason="retry budget exhausted",
-                        make_pending=make_pending,
-                    )
-                    n_pending = len(pending)
-                    replans += 1
-                    if vscan is not None:
-                        vscan.rebuild(pending)
-        except ExecutionStalledError:
-            if journal is not None:
-                journal.abort()
-            span.set("stalled", True)
-            span.finish()
-            raise
-        if injector is not None:
-            self.stats.fault_events = list(injector.events)
-        schedule = schedule.trim()
-        if journal is not None:
-            journal.finish(schedule.n_steps, location)
-        if obs.enabled:
-            obs.profiler.add(PHASE_EXECUTE, obs.profiler.clock() - t_wall)
-            span.set_steps(1, schedule.n_steps)
-            record_run_metrics(obs.metrics, schedule)
-            stats = self.stats
-            metrics = obs.metrics
-            metrics.counter(
-                "executor_retries_total", "failed flush attempts retried"
-            ).inc(stats.failed_attempts)
-            metrics.counter(
-                "executor_partial_deliveries_total",
-                "flushes that delivered a strict subset",
-            ).inc(stats.partial_deliveries)
-            metrics.counter(
-                "executor_replans_total", "mid-run re-planning rounds"
-            ).inc(stats.replans)
-            metrics.counter(
-                "executor_wait_steps_total",
-                "steps idled waiting out fault windows/backoff",
-            ).inc(stats.wait_steps)
-            metrics.counter(
-                "executor_stalled_skips_total",
-                "flushes skipped because a node was observed stalled",
-            ).inc(stats.stalled_skips)
-        span.finish()
-        return schedule
+    def _deadlocked(self, t: int, engine: ShardEngine) -> None:
+        # The idle step is rolled back before re-planning.
+        self._replan(t - 1, engine, "deadlocked (flush list is not laminar?)")
 
-    # ------------------------------------------------------------------
-    def _replan_or_raise(
-        self,
-        t: int,
-        location: "list[int]",
-        pending: "list[_PendingFlush]",
-        replans: int,
-        *,
-        reason: str,
-        make_pending,
-    ) -> "list[_PendingFlush]":
+    def _collect(self, engine: ShardEngine) -> None:
+        """Fold the engine's fault counters into :attr:`stats`."""
+        counts, stats = engine.stats, self.stats
+        stats.failed_attempts += counts.failed_attempts
+        stats.partial_deliveries += counts.partial_deliveries
+        stats.stalled_skips += counts.stalled_skips
+        stats.fault_aware_skips += counts.fault_aware_skips
+        stats.degraded_triage_steps += counts.degraded_triage_steps
+        # Only a completed run publishes the injector's event log.
+        if engine.pending_flushes == 0 and self.injector is not None:
+            stats.fault_events = list(self.injector.events)
+
+    def _record_metrics(self, metrics) -> None:
+        stats = self.stats
+        metrics.counter(
+            "executor_retries_total", "failed flush attempts retried"
+        ).inc(stats.failed_attempts)
+        metrics.counter(
+            "executor_partial_deliveries_total",
+            "flushes that delivered a strict subset",
+        ).inc(stats.partial_deliveries)
+        metrics.counter(
+            "executor_replans_total", "mid-run re-planning rounds"
+        ).inc(stats.replans)
+        metrics.counter(
+            "executor_wait_steps_total",
+            "steps idled waiting out fault windows/backoff",
+        ).inc(stats.wait_steps)
+        metrics.counter(
+            "executor_stalled_skips_total",
+            "flushes skipped because a node was observed stalled",
+        ).inc(stats.stalled_skips)
+
+    def _replan(self, t: int, engine: ShardEngine, reason: str) -> None:
         """Re-plan the surviving messages, or raise if out of options."""
-        pending = [pf for pf in pending if not pf.done]
+        replans = self._replans
         if replans >= self.max_replans:
             raise self._stalled(
                 f"resilient executor stalled ({reason}; "
                 f"{replans} replan(s) already used)",
-                t, location, pending,
+                t, engine,
             )
-        targets = self.instance.targets
-        remaining = [
-            m
-            for m in range(self.instance.n_messages)
-            if location[m] != int(targets[m])
-        ]
+        remaining = sorted(engine.location)
+        location = self._locations(engine)
         obs = current_obs()
         with obs.tracer.span(
             "executor.replan", category="executor",
@@ -675,28 +273,14 @@ class ResilientExecutor(GatedExecutor):
                 raise self._stalled(
                     f"resilient executor stalled ({reason}; "
                     f"replan failed: {exc})",
-                    t, location, pending,
+                    t, engine,
                 ) from exc
         if not new_flushes and remaining:
             raise self._stalled(
                 f"resilient executor stalled ({reason}; replanner returned "
                 "no flushes for surviving messages)",
-                t, location, pending,
+                t, engine,
             )
         self.stats.replans += 1
-        return make_pending(new_flushes)
-
-    def _stalled(
-        self,
-        header: str,
-        t: int,
-        location: "list[int]",
-        pending: "list[_PendingFlush]",
-    ) -> ExecutionStalledError:
-        return stalled_error(
-            header,
-            step=t,
-            instance=self.instance,
-            location=location,
-            pending_flushes=[pf.flush for pf in pending if not pf.done],
-        )
+        self._replans += 1
+        engine.set_plan(new_flushes)

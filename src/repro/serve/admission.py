@@ -10,7 +10,7 @@ silently dropped.
 
 The queue drains in FIFO order at the start of every step while the
 shard's root has headroom.  Draining also consults
-:meth:`~repro.serve.router.ShardEngine.root_stalled`, so backpressure
+:meth:`~repro.policies.engine.ShardEngine.root_stalled`, so backpressure
 composes with fault-aware triage: while a shard's ingest node sits in an
 observed stall window the queue holds (messages wait at the door rather
 than piling into a frozen root and then competing with recovery traffic

@@ -43,7 +43,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_EXECUTE, PHASE_RECOVER
-from repro.policies.executor import MAX_IDLE_STEPS
+from repro.policies.engine import MAX_IDLE_STEPS
 from repro.serve.admission import AdmissionController, AdmissionStats
 from repro.serve.arrivals import (
     ArrivalProcess,
@@ -108,7 +108,6 @@ class ServeConfig:
     fault_rate: float = 0.0
     fault_seed: int = 0
     fault_aware: bool = False
-    retry_budget: int = 5
     seed: int = 0
     checkpoint_every: int = 32
     max_steps: int = 0  # 0 = derived
@@ -318,7 +317,7 @@ def build_shard_engine(config: "ServeConfig", spec) -> ShardEngine:
     return ShardEngine(
         spec.shard_id, spec.topology, config.P, config.B,
         injector=injector, fault_aware=config.fault_aware,
-        retry_budget=config.retry_budget, pace=config.pace,
+        pace=config.pace,
     )
 
 

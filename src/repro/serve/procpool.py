@@ -72,7 +72,7 @@ from repro.faults.chaos import CHAOS_DISK_FAULT
 from repro.faults.iofaults import FaultFS, parse_plan
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_EXECUTE
-from repro.policies.executor import MAX_IDLE_STEPS
+from repro.policies.engine import MAX_IDLE_STEPS
 from repro.serve.admission import AdmissionController
 from repro.serve.loop import (
     MAX_FORCED_REPLANS,

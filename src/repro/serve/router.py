@@ -1,452 +1,30 @@
-"""Key-range shard routing and per-shard DAM execution engines.
+"""Key-range shard routing over per-shard DAM machines.
 
 A serving deployment splits the key space ``[0, key_space)`` into
 contiguous ranges, one per shard.  Each shard is an independent
 B^ε-shaped tree with its own DAM machine (``P`` parallel flushes, ``B``
 messages per node/flush): the model of one storage device per shard.
 :class:`ShardRouter` owns the ranges and the key -> (shard, leaf)
-mapping; :class:`ShardEngine` owns one shard's live machine state and
-executes its pending flush list one time step at a time.
-
-:meth:`ShardEngine.step` is the *stepwise* form of the admission gate in
-:class:`repro.policies.executor.GatedExecutor` (same readiness /
-admissibility rules, same priority scan, so a single-shard run with one
-up-front plan realizes the identical schedule — the equivalence property
-``tests/serve/test_equivalence.py`` pins).  On top of that it carries the
-fault semantics of :class:`~repro.policies.resilient.ResilientExecutor`:
-failed/partial flushes retry with exponential backoff, stalled nodes are
-skipped, and with ``fault_aware=True`` degraded capacity is triaged
-toward completion flushes first.  Unlike the batch executors, a serving
-engine never rolls time back: an idle step is a real step of wall-clock
-in a service (arrivals may land during it).
+mapping.  Each shard's machine is a
+:class:`~repro.policies.engine.ShardEngine` (re-exported here): the one
+implementation of the flush gate, shared with the batch executors.
+Serving steps it under its own rule — every step is real time in a
+service, so an idle step is never rolled back (arrivals may land during
+it), and a stuck shard is re-planned once its
+:attr:`~repro.policies.engine.ShardEngine.idle_streak` passes
+:data:`~repro.policies.engine.MAX_IDLE_STEPS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.dam.schedule import Flush, FlushSchedule
-from repro.faults.injector import (
-    FaultInjector,
-    OUTCOME_FAILED,
-    OUTCOME_PARTIAL,
-)
+from repro.policies.engine import ShardEngine, ShardStats
 from repro.tree.builder import balanced_tree, beps_shape_tree
 from repro.tree.topology import TreeTopology
 from repro.util.errors import InvalidInstanceError
 
-
-@dataclass
-class _Pending:
-    """A planned flush awaiting execution, with retry bookkeeping."""
-
-    flush: Flush
-    #: messages that do not complete at dest (static admission cost).
-    parking: int = 0
-    attempts: int = 0
-    eligible_at: int = 0
-    done: bool = False
-
-
-@dataclass
-class ShardStats:
-    """Per-shard counters the serving report surfaces."""
-
-    admitted: int = 0
-    completed: int = 0
-    flushes: int = 0
-    failed_attempts: int = 0
-    partial_deliveries: int = 0
-    stalled_skips: int = 0
-    fault_aware_skips: int = 0
-    degraded_triage_steps: int = 0
-    idle_steps: int = 0
-    busy_steps: int = 0
-    #: steps where the de-amortization pacer held back ready work.
-    paced_holds: int = 0
-    #: oversized flush obligations split to fit the per-step budget.
-    paced_splits: int = 0
-
-
-class ShardEngine:
-    """One shard's live machine state + stepwise gated execution.
-
-    State is sparse (dicts keyed by *global* message id) because a shard
-    only ever holds the in-flight slice of the message stream, not a
-    frozen instance.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        topology: TreeTopology,
-        P: int,
-        B: int,
-        *,
-        injector: "FaultInjector | None" = None,
-        fault_aware: bool = False,
-        retry_budget: int = 5,
-        pace: int = 0,
-    ) -> None:
-        if P < 1 or B < 1:
-            raise InvalidInstanceError(f"need P >= 1 and B >= 1, got {P}, {B}")
-        if pace < 0:
-            raise InvalidInstanceError(f"pace must be >= 0, got {pace}")
-        self.shard_id = int(shard_id)
-        self.topology = topology
-        self.P = int(P)
-        self.B = int(B)
-        if injector is not None and injector.is_zero_plan:
-            injector = None
-        self.injector = injector
-        self.fault_aware = bool(fault_aware) and injector is not None
-        self.retry_budget = max(1, int(retry_budget))
-        #: de-amortization budget: max messages delivered per step (0 =
-        #: unpaced).  Oversized obligations are split, the rest held —
-        #: the engine-level half of :class:`repro.serve.planner.PacedPlanner`.
-        self.pace = int(pace)
-        self._is_leaf = [topology.is_leaf(v) for v in range(topology.n_nodes)]
-        self._root = topology.root
-        #: global message id -> current node (in-flight messages only).
-        self.location: dict[int, int] = {}
-        #: global message id -> target leaf (in-flight messages only).
-        self.targets: dict[int, int] = {}
-        #: parked (non-completed) messages per internal non-root node.
-        self.occupancy = [0] * topology.n_nodes
-        self.pending: "list[_Pending]" = []
-        self.schedule = FlushSchedule()
-        self.stats = ShardStats()
-        #: messages currently at the root (admitted, not yet flushed down).
-        self.root_backlog = 0
-        #: node -> last step of its observed stall window (fault-aware).
-        self._stall_until: dict[int, int] = {}
-        #: consecutive steps with ready work but no progress (deadlock probe).
-        self.idle_streak = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        """Messages admitted to this shard and not yet completed."""
-        return len(self.location)
-
-    @property
-    def pending_flushes(self) -> int:
-        """Planned flushes not yet fully executed."""
-        return sum(1 for pf in self.pending if not pf.done)
-
-    def unplanned(self, planned: "set[int]") -> "list[int]":
-        """In-flight ids not covered by ``planned`` (helper for planners)."""
-        return [m for m in self.location if m not in planned]
-
-    def buffer_occupancy(self) -> "dict[int, int]":
-        """Buffered message count per occupied node (root included).
-
-        The live internal-node memory picture — what per-tenant buffer
-        quotas (:mod:`repro.serve.tenancy`) bound; total equals
-        :attr:`in_flight`."""
-        occ: "dict[int, int]" = {}
-        for node in self.location.values():
-            occ[node] = occ.get(node, 0) + 1
-        return occ
-
-    def admit(self, msg_id: int, target_leaf: int, step: int) -> "int | None":
-        """Place ``msg_id`` at the root; returns the completion step if the
-        root *is* its target (single-node shard), else None."""
-        root = self._root
-        if target_leaf == root:
-            # Degenerate shard (root == leaf): completes on admission.
-            return step
-        self.location[msg_id] = root
-        self.targets[msg_id] = target_leaf
-        self.root_backlog += 1
-        self.stats.admitted += 1
-        return None
-
-    def root_stalled(self, step: int) -> bool:
-        """True iff the root is inside a known/observed stall window.
-
-        Admission control consults this so backpressure composes with
-        fault-aware triage: while the shard's ingest point is stalled the
-        queue holds instead of piling messages into a frozen root.
-        """
-        if self.injector is None:
-            return False
-        if self.fault_aware and self._stall_until.get(self._root, 0) >= step:
-            return True
-        return self.injector.is_stalled(step, self._root)
-
-    def wipe(self) -> None:
-        """Lose all in-flight machine state (a simulated shard crash).
-
-        The chaos harness calls this to model a whole-shard kill: every
-        location, target, buffer occupancy, and pending plan is gone, as
-        if the shard process died.  The realized :attr:`schedule` and
-        :attr:`stats` survive — they belong to the run's accounting, not
-        to the shard's memory — and the supervisor is expected to
-        :meth:`restore_state` from the journal before stepping again.
-        """
-        self.location = {}
-        self.targets = {}
-        self.occupancy = [0] * self.topology.n_nodes
-        self.pending = []
-        self.root_backlog = 0
-        self._stall_until = {}
-        self.idle_streak = 0
-
-    def restore_state(
-        self,
-        locations: "dict[int, int]",
-        targets: "dict[int, int]",
-        *,
-        schedule: "FlushSchedule | None" = None,
-    ) -> None:
-        """Rebuild in-flight state from a recovered snapshot.
-
-        ``locations`` maps every in-flight global message id to its
-        current node; ``targets`` must cover at least those ids.  Buffer
-        occupancy and the root backlog are re-derived from the locations
-        (the journal replay in :mod:`repro.serve.supervisor` produces
-        them), the pending plan is cleared — the caller re-plans from
-        the restored locations — and, when given, ``schedule`` replaces
-        the realized schedule (restarts rebuild it from the journal so
-        the report stays complete across a kill).
-        """
-        root = self._root
-        is_leaf = self._is_leaf
-        self.location = {int(m): int(v) for m, v in locations.items()}
-        self.targets = {int(m): int(targets[m]) for m in locations}
-        occupancy = [0] * self.topology.n_nodes
-        backlog = 0
-        for v in self.location.values():
-            if v == root:
-                backlog += 1
-            elif not is_leaf[v]:
-                occupancy[v] += 1
-        self.occupancy = occupancy
-        self.root_backlog = backlog
-        self.pending = []
-        self._stall_until = {}
-        self.idle_streak = 0
-        if schedule is not None:
-            self.schedule = schedule
-
-    def set_plan(self, flushes: "list[Flush]") -> None:
-        """Replace the pending priority list (epoch full re-plan)."""
-        self.pending = self._make_pending(flushes)
-
-    def append_plan(self, flushes: "list[Flush]") -> None:
-        """Append flushes at the tail of the priority list (incremental)."""
-        self.pending.extend(self._make_pending(flushes))
-
-    def _make_pending(self, flushes: "list[Flush]") -> "list[_Pending]":
-        targets = self.targets
-        return [
-            _Pending(
-                f,
-                parking=sum(1 for m in f.messages if targets.get(m) != f.dest),
-            )
-            for f in flushes
-        ]
-
-    # ------------------------------------------------------------------
-    def step(self, t: int, journal=None) -> "list[tuple[int, int]]":
-        """Run one DAM time step; returns ``(msg_id, step)`` completions.
-
-        Executes up to ``P`` ready-and-admissible pending flushes in
-        priority order under the same gate as the batch executors; with an
-        injector, failed/partial outcomes retry with backoff.  ``journal``
-        (if given) receives shard-tagged flush/fault records.
-        """
-        is_leaf = self._is_leaf
-        root = self._root
-        location = self.location
-        targets = self.targets
-        occupancy = self.occupancy
-        injector = self.injector
-        B = self.B
-        capacity = (
-            self.P if injector is None else injector.effective_p(t, self.P)
-        )
-        if self.fault_aware and capacity < self.P:
-            self.stats.degraded_triage_steps += 1
-            passes: "tuple[bool | None, ...]" = (True, False)
-        else:
-            passes = (None,)
-        pace = self.pace
-        completions: "list[tuple[int, int]]" = []
-        ran = 0
-        attempted = 0
-        work_done = 0
-        waiting = False
-        paced_out = False
-        moved: set[int] = set()
-        departed: dict[int, int] = {}
-        arrived: dict[int, int] = {}
-        for completions_only in passes:
-            if attempted >= capacity or paced_out:
-                break
-            for pf in self.pending:
-                if pf.done:
-                    continue
-                if attempted >= capacity:
-                    break
-                if pace and work_done >= pace:
-                    # Per-step work budget spent: hold the rest of the
-                    # plan for the next step (de-amortization), without
-                    # tripping the deadlock probe.
-                    self.stats.paced_holds += 1
-                    waiting = True
-                    paced_out = True
-                    break
-                if completions_only is True and pf.parking > 0:
-                    continue
-                if completions_only is False and pf.parking == 0:
-                    continue
-                if pf.eligible_at > t:
-                    waiting = True
-                    continue
-                flush = pf.flush
-                src = flush.src
-                dest = flush.dest
-                if self.fault_aware and (
-                    self._stall_until.get(src, 0) >= t
-                    or self._stall_until.get(dest, 0) >= t
-                ):
-                    self.stats.fault_aware_skips += 1
-                    waiting = True
-                    continue
-                if injector is not None and (
-                    injector.is_stalled(t, src) or injector.is_stalled(t, dest)
-                ):
-                    self.stats.stalled_skips += 1
-                    if self.fault_aware:
-                        for node in (src, dest):
-                            end = injector.stall_window_end(t, node)
-                            if end is not None and end > self._stall_until.get(
-                                node, 0
-                            ):
-                                self._stall_until[node] = end
-                    waiting = True
-                    continue
-                full = flush.messages
-                if location.get(full[0]) != src:
-                    continue  # O(1) reject: first message not here yet
-                if any(location.get(m) != src or m in moved for m in full):
-                    continue
-                msgs = full
-                park = pf.parking
-                if pace and len(full) > pace - work_done:
-                    # Oversized obligation: attempt only the prefix that
-                    # fits the remaining step budget; the suffix stays
-                    # pending at the same priority (a paced split).
-                    msgs = full[: pace - work_done]
-                    park = sum(1 for m in msgs if targets.get(m) != dest)
-                if not is_leaf[dest]:
-                    projected = (
-                        occupancy[dest]
-                        - departed.get(dest, 0)
-                        + arrived.get(dest, 0)
-                        + park
-                    )
-                    if projected > B:
-                        continue
-                attempted += 1
-                if injector is None:
-                    delivered: "tuple[int, ...]" = msgs
-                else:
-                    status, delivered = injector.flush_outcome(
-                        t, src, dest, msgs
-                    )
-                    if status == OUTCOME_FAILED:
-                        self.stats.failed_attempts += 1
-                        pf.attempts += 1
-                        pf.eligible_at = t + 1 + (1 << (pf.attempts - 1))
-                        if journal is not None:
-                            journal.record_fault(
-                                t, self.shard_id, "failed_flush", src, dest,
-                                f"{len(msgs)} msgs no-oped "
-                                f"(attempt {pf.attempts})",
-                            )
-                        continue
-                    if status == OUTCOME_PARTIAL:
-                        self.stats.partial_deliveries += 1
-                        remainder = tuple(
-                            m for m in full if m not in set(delivered)
-                        )
-                        pf.flush = Flush(src, dest, remainder)
-                        pf.parking = sum(
-                            1 for m in remainder if targets[m] != dest
-                        )
-                        pf.attempts += 1
-                        pf.eligible_at = t + 1 + (1 << (pf.attempts - 1))
-                        if journal is not None:
-                            journal.record_fault(
-                                t, self.shard_id, "partial_flush", src, dest,
-                                f"delivered {len(delivered)}/{len(msgs)} msgs "
-                                f"(attempt {pf.attempts})",
-                            )
-                actual = (
-                    flush
-                    if len(delivered) == len(full)
-                    else Flush(src, dest, delivered)
-                )
-                if len(delivered) == len(full):
-                    pf.done = True
-                elif msgs is not full and len(delivered) == len(msgs):
-                    # Clean paced split: the untouched suffix becomes the
-                    # pending obligation, immediately eligible, retry
-                    # history preserved.
-                    suffix = full[len(msgs):]
-                    pf.flush = Flush(src, dest, suffix)
-                    pf.parking = sum(
-                        1 for m in suffix if targets[m] != dest
-                    )
-                    self.stats.paced_splits += 1
-                ran += 1
-                work_done += len(delivered)
-                self.schedule.add(t, actual)
-                self.stats.flushes += 1
-                moved.update(delivered)
-                if journal is not None:
-                    journal.record_flush(t, self.shard_id, actual)
-                delivered_parking = sum(
-                    1 for m in delivered if targets[m] != dest
-                )
-                if src != root and not is_leaf[src]:
-                    departed[src] = departed.get(src, 0) + len(delivered)
-                elif src == root:
-                    self.root_backlog -= len(delivered)
-                if not is_leaf[dest]:
-                    arrived[dest] = arrived.get(dest, 0) + delivered_parking
-                for m in delivered:
-                    if targets[m] == dest:
-                        completions.append((m, t))
-                        del location[m]
-                        del targets[m]
-                        self.stats.completed += 1
-                    else:
-                        location[m] = dest
-        for v, d in departed.items():
-            occupancy[v] -= d
-        for v, a in arrived.items():
-            occupancy[v] += a
-        n_pending = self.pending_flushes
-        if n_pending and len(self.pending) > 2 * n_pending:
-            self.pending = [pf for pf in self.pending if not pf.done]
-        if ran:
-            self.stats.busy_steps += 1
-            self.idle_streak = 0
-        else:
-            self.stats.idle_steps += 1
-            if n_pending and not waiting:
-                # Ready work exists but nothing could run: a candidate
-                # deadlock (e.g. two appended plans blocking each other's
-                # buffers).  The loop watches this streak and forces a
-                # full re-plan.
-                self.idle_streak += 1
-            else:
-                self.idle_streak = 0
-        return completions
+__all__ = ["ShardEngine", "ShardRouter", "ShardSpec", "ShardStats"]
 
 
 @dataclass(frozen=True)

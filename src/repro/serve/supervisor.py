@@ -3,7 +3,7 @@
 The plain :class:`~repro.serve.loop.ServiceLoop` executes every shard
 inline, so one wedged shard — a stall burst, a planner deadlock, a
 killed worker — degrades or halts the whole service.  This module wraps
-each :class:`~repro.serve.router.ShardEngine` in a supervision layer:
+each :class:`~repro.policies.engine.ShardEngine` in a supervision layer:
 
 **Health state machine.**  Every shard is ``healthy``, ``degraded``,
 ``quarantined``, or ``recovering``.  At each epoch boundary the

@@ -146,3 +146,30 @@ def test_fuzz_kill_at_every_offset_serve_dense(tmp_path):
             except (JournalCorruptionError, FileNotFoundError):
                 continue
             assert rec.report.completions == report.completions
+
+
+def test_recover_journal_with_retired_retry_budget_key(tmp_path):
+    """Serve journals written while ``ServeConfig`` still had a (never
+    read) ``retry_budget`` field carry it in meta; recovery ignores the
+    key and re-derives the run exactly."""
+    from repro.dam.journal import JournalWriter
+
+    cfg = ServeConfig(arrivals="poisson", rate=6.0, messages=150, shards=2,
+                      seed=21, P=3, B=8, checkpoint_every=4,
+                      fault_rate=0.1, fault_aware=True)
+    fresh = tmp_path / "fresh.journal"
+    report = ServiceLoop(cfg, journal=fresh).run()
+    records = scan_journal(fresh).records
+    assert records[0]["type"] == REC_META
+    meta = {k: v for k, v in records[0].items() if k != "type"}
+    assert "retry_budget" not in meta
+    old = tmp_path / "old.journal"
+    writer = JournalWriter(old, meta={**meta, "retry_budget": 6})
+    for rec in records[1:]:
+        writer.append(rec)
+    writer.close()
+    rec = recover_serve(old)
+    assert rec.run_completed
+    assert rec.report.completions == report.completions
+    assert [list(s.iter_timed()) for s in rec.report.shard_schedules] == \
+        [list(s.iter_timed()) for s in report.shard_schedules]
