@@ -64,6 +64,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import fields as dataclass_fields
 
 from repro.analysis.lower_bounds import worms_lower_bound
 from repro.analysis.npc import (
@@ -391,16 +392,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         config = _config_from_args(args)
         if supervised:
-            sup_config = SupervisorConfig(
-                trip_after=args.trip_after,
-                probe_backoff=args.probe_backoff,
-                max_backoff=args.max_backoff,
-                spill_capacity=args.spill_capacity,
-                restart_budget=args.restart_budget,
-                watchdog_deadline=args.watchdog_deadline,
-                watchdog_budget=args.watchdog_budget,
-                divert=args.divert,
-            )
+            sup_config = SupervisorConfig(**{
+                f.name: getattr(args, f.name)
+                for f in dataclass_fields(SupervisorConfig)
+            })
             if args.processes is not None:
                 loop = ProcPoolLoop(
                     config,
@@ -416,7 +411,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     config,
                     supervisor=sup_config,
                     chaos=_chaos_from_args(args, config),
-                    workers=args.workers,
                     journal=args.journal, sync=args.sync,
                     max_segment_bytes=args.max_segment_bytes,
                     compact_every_rotations=args.compact_every,
@@ -1188,19 +1182,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "tracking, circuit breakers, live restart-from-"
                          "journal (single-shard fault-free runs stay "
                          "byte-identical to the plain loop)")
-    p_serve.add_argument("--workers", type=int, default=0,
-                         help="supervised worker threads (0 = one per shard, "
-                         "1 = sequential)")
     p_serve.add_argument("--processes", type=int, default=None,
                          help="shard-per-process driver: run shards in this "
                          "many shared-nothing worker processes (0 = one per "
                          "shard; implies --supervised; fault-free journals "
                          "stay byte-identical to the plain loop)")
-    p_serve.add_argument("--divert", action="store_true",
-                         help="while a shard's breaker is open, divert its "
-                         "key range to a healthy neighbor via a journal-"
-                         "checkpointed spill handoff, merging back on probe "
-                         "success")
     p_serve.add_argument("--chaos", action="store_true",
                          help="draw a seeded whole-shard chaos drill "
                          "(implies --supervised; composition is a pure "
@@ -1213,7 +1199,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restart-source corruptions in the drill")
     p_serve.add_argument("--chaos-kill-workers", type=int, default=0,
                          help="worker-process SIGKILL events in the drill "
-                         "(a state-loss kill under the thread driver)")
+                         "(a state-loss kill under the in-process driver)")
     p_serve.add_argument("--chaos-disk-faults", type=int, default=0,
                          help="syscall-level I/O fault windows in the "
                          "drill (EIO/ENOSPC/short-write/fsync-fail "
@@ -1226,25 +1212,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--chaos-horizon", type=int, default=0,
                          help="latest step a chaos event may fire "
                          "(0 = derived from the workload)")
-    p_serve.add_argument("--trip-after", type=int, default=2,
-                         help="consecutive stalled epochs that trip a "
-                         "shard's circuit breaker")
-    p_serve.add_argument("--probe-backoff", type=int, default=1,
-                         help="epochs an open breaker waits before its "
-                         "first half-open probe (doubles per trip)")
-    p_serve.add_argument("--max-backoff", type=int, default=8,
-                         help="cap on the probe backoff in epochs")
-    p_serve.add_argument("--spill-capacity", type=int, default=0,
-                         help="arrivals held per quarantined shard before "
-                         "counted shedding (0 = 16*B)")
-    p_serve.add_argument("--restart-budget", type=int, default=3,
-                         help="live restarts per shard before abandonment")
-    p_serve.add_argument("--watchdog-deadline", type=float, default=30.0,
-                         help="seconds per shard-step before the "
-                         "multi-worker watchdog counts a miss")
-    p_serve.add_argument("--watchdog-budget", type=int, default=3,
-                         help="consecutive watchdog misses before the run "
-                         "fails with a stall diagnosis")
+    for f in dataclass_fields(SupervisorConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if isinstance(f.default, bool):
+            p_serve.add_argument(flag, action="store_true",
+                                 help=f.metadata["help"])
+        else:
+            p_serve.add_argument(flag, type=type(f.default),
+                                 default=f.default, help=f.metadata["help"])
     p_serve.add_argument("--tenants", type=int, default=0,
                          help="run N tenants (t0..tN-1) through weighted-"
                          "fair admission; each gets its own seeded arrival "

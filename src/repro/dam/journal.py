@@ -99,6 +99,11 @@ REC_DIVERT = "divert"
 #: a purge whose chunk dispatch died with its process.  Unknown to old
 #: readers — which pass unrecognized types through, like ``divert``.
 REC_SLO = "slo"
+#: The serving driver of a supervised run whose ``meta`` names none,
+#: journaled once at its first breaker trip: before it, the run is the
+#: plain loop's byte for byte; after it, recovery must re-derive under
+#: the named driver.  Passed through by scanning and compaction.
+REC_DRIVER = "driver"
 
 
 #: Smallest permitted rotation threshold: a header plus a tiny record.
@@ -164,6 +169,12 @@ def divert_record(t: int, src_shard: int, dst_shard: int,
     """
     return {"type": REC_DIVERT, "t": int(t), "from": int(src_shard),
             "to": int(dst_shard), "msgs": [int(m) for m in msgs]}
+
+
+def driver_record(t: int, driver: dict) -> dict:
+    """The journal record naming a supervised run's driver at step ``t``
+    (``driver`` is the same payload as a journal meta's ``"driver"``)."""
+    return {"type": REC_DRIVER, "t": int(t), "driver": dict(driver)}
 
 
 def slo_record(t: int, door, purge) -> dict:

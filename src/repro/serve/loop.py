@@ -32,8 +32,10 @@ import numpy as np
 from repro.dam.journal import (
     JournalWriter,
     RecoveryManager,
+    REC_DRIVER,
     REC_FLUSH,
     divert_record,
+    driver_record,
     flush_record,
     fault_record,
     slo_record,
@@ -266,6 +268,9 @@ class _ServeJournal:
     def record_slo(self, t: int, door, purge) -> None:
         self.writer.append(slo_record(t, door, purge))
 
+    def record_driver(self, t: int, driver: dict) -> None:
+        self.writer.append(driver_record(t, driver))
+
     def end_step(self, t: int, arrived: int, completed: int) -> None:
         if t % self.every == 0:
             self.checkpoint(t, arrived, completed)
@@ -466,18 +471,21 @@ class ServiceLoop:
             return _ServeJournal(self._journal_arg, False,
                                  self.config.checkpoint_every)
         writer = JournalWriter(
-            self._journal_arg, meta=self.config.to_meta(), sync=self._sync,
+            self._journal_arg, meta=self._journal_meta(), sync=self._sync,
             max_segment_bytes=self._max_segment_bytes,
             compact_every_rotations=self._compact_every,
         )
         return _ServeJournal(writer, True, self.config.checkpoint_every)
 
+    def _journal_meta(self) -> dict:
+        """The ``meta`` payload a journal this loop opens starts with."""
+        return self.config.to_meta()
+
     # -- overridable step phases ---------------------------------------
     # run() drives these in order each step; SupervisedLoop overrides
-    # individual phases (spill-instead-of-shed, quarantine skips,
-    # threaded execution) without re-stating the loop.  With the base
-    # implementations the step is behavior-identical to the historical
-    # inline loop.
+    # individual phases (spill-instead-of-shed, quarantine skips)
+    # without re-stating the loop.  With the base implementations the
+    # step is behavior-identical to the historical inline loop.
 
     def _durable_step(self) -> int:
         """Newest journal-durable step (-1 when no journal is attached)."""
@@ -545,10 +553,10 @@ class ServiceLoop:
                 # The durable acknowledgment: by the time the loop calls
                 # _complete the message is delivered, so the completion
                 # record must survive any crash after this line.  The
-                # in-process and threaded drivers funnel completions
-                # through here in the parent; the procpool driver's
-                # workers own per-shard stores and write at their own
-                # completion points instead (see repro.serve.procpool).
+                # in-process drivers funnel completions through here;
+                # the procpool driver's workers own per-shard stores and
+                # write at their own completion points instead (see
+                # repro.serve.procpool).
                 self._store_put(
                     str(key), {"gid": int(gid), "step": int(step)}
                 )
@@ -909,11 +917,18 @@ def recover_serve(path, *, repair: bool = True) -> ServeRecoveryReport:
         # engines), so recovery re-derives under the sim engine rather
         # than double-writing completions into the live store.
         config = dataclass_replace(config, engine="sim", data_dir="")
-    if "chaos" in meta or "supervisor" in meta:
-        # A supervised run journaled its scenario and driver topology:
-        # re-derive through the same driver so breaker trips,
+    # A supervised run names its driver in meta (chaos or non-default
+    # supervision) or, failing that, in a record at its first breaker
+    # trip; one that never tripped is the plain loop's run.
+    driver = meta.get("driver") or next(
+        (rec["driver"] for rec in scan.records
+         if rec["type"] == REC_DRIVER), None,
+    )
+    if driver is not None or "chaos" in meta or "supervisor" in meta:
+        # Re-derive through the same driver so breaker trips,
         # quarantines, restarts, and worker respawns replay identically
-        # (they are seeded from the same config).
+        # (they are seeded from the same config).  In-process journals
+        # say "inprocess"; older ones "threads", the same run.
         # Local import: repro.serve.supervisor imports this module.
         from repro.faults.chaos import ChaosPlan
         from repro.serve.supervisor import SupervisedLoop, SupervisorConfig
@@ -925,8 +940,7 @@ def recover_serve(path, *, repair: bool = True) -> ServeRecoveryReport:
             ChaosPlan.from_meta(meta["chaos"])
             if "chaos" in meta else None
         )
-        driver = meta.get("driver") or {}
-        if driver.get("kind") == "procpool":
+        if (driver or {}).get("kind") == "procpool":
             from repro.serve.procpool import ProcPoolLoop
             report = ProcPoolLoop(
                 config, supervisor=supervisor, chaos=chaos,
@@ -935,7 +949,6 @@ def recover_serve(path, *, repair: bool = True) -> ServeRecoveryReport:
         else:
             report = SupervisedLoop(
                 config, supervisor=supervisor, chaos=chaos,
-                workers=int(driver.get("workers", 1) or 1),
             ).run()
     else:
         report = ServiceLoop(config).run()

@@ -10,8 +10,8 @@ shards' engines, admission queues, and a planner, and answer with
 per-step results (admits, completions, sheds, buffered journal records,
 depth samples) plus counter deltas.
 
-The determinism story is the same one that makes the threaded driver
-byte-identical to the sequential loop, pushed across a process boundary:
+The determinism story is the in-process loop's, pushed across a
+process boundary:
 
 * every per-shard decision is a pure function of ``(config, spec)`` —
   :func:`~repro.serve.loop.build_shard_engine` and
@@ -44,16 +44,16 @@ Three behaviors exist only here:
   polls between steps), then ``terminate()`` (SIGTERM), then ``kill()``
   (SIGKILL).  Every rung ends with the worker dead and the standard
   dead-worker path taking over; un-merged chunk results are discarded —
-  the journal and the parent's shadow are the only truth;
+  the journal and the merged schedules are the only truth;
 * **queue mirroring**: the parent mirrors every worker admission queue
   (insert on dispatch, remove on reported admit/shed), so a dead
   worker's queue is reconstructed exactly when its shard restarts.
 
-Known (chaos-only) divergences from the thread driver, all conservation
--exact: a shard that deadlocks mid-chunk is quarantined at the next
-barrier rather than mid-step, its unconsumed chunk arrivals spilling at
-the barrier; depth timelines meter the spill one barrier late.  Fault-
-free runs have none of these.
+Known (chaos-only) divergences from the in-process driver, all
+conservation-exact: a shard that deadlocks mid-chunk is quarantined at
+the next barrier rather than mid-step, its unconsumed chunk arrivals
+spilling at the barrier; depth timelines meter the spill one barrier
+late.  Fault-free runs have none of these.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from repro.dam.journal import REC_FLUSH
-from repro.dam.schedule import FlushSchedule
+from repro.dam.schedule import Flush
 from repro.faults.chaos import CHAOS_DISK_FAULT
 from repro.faults.iofaults import FaultFS, parse_plan
 from repro.obs.hooks import current_obs
@@ -87,7 +87,6 @@ from repro.serve.supervisor import (
     HEALTHY,
     QUARANTINED,
     SupervisedLoop,
-    _ShardJournalBuffer,
     apply_chaos_windows,
 )
 from repro.util.errors import (
@@ -104,6 +103,26 @@ ESCALATION_GRACE = 1.0
 # ---------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------
+class _ShardJournalBuffer:
+    """One shard-step's journal records, shipped to the parent.
+
+    Presents the ``record_flush`` / ``record_fault`` face of the serve
+    journal; the parent merges buffers in (step, shard) order so journal
+    bytes match the in-process loop exactly."""
+
+    __slots__ = ("records",)
+
+    def __init__(self) -> None:
+        self.records: "list[tuple]" = []
+
+    def record_flush(self, t: int, shard: int, flush: Flush) -> None:
+        self.records.append((REC_FLUSH, t, shard, flush))
+
+    def record_fault(self, t: int, shard: int, kind: str, src: int,
+                     dest: int, detail: str) -> None:
+        self.records.append(("fault", t, shard, (kind, src, dest, detail)))
+
+
 class _WorkerShard:
     """One shard's per-process loop state (mirrors the parent's
     ``_fresh`` / ``_replans_left`` bookkeeping)."""
@@ -534,7 +553,7 @@ class ProcPoolLoop(SupervisedLoop):
                 f"processes must be >= 0, got {processes}"
             )
         super().__init__(
-            config, supervisor=supervisor, chaos=chaos, workers=1,
+            config, supervisor=supervisor, chaos=chaos,
             journal=journal, sync=sync,
             max_segment_bytes=max_segment_bytes,
             compact_every_rotations=compact_every_rotations,
@@ -554,8 +573,6 @@ class ProcPoolLoop(SupervisedLoop):
         #: merged per-shard counters (worker deltas accumulate here; the
         #: report reads these, never the parent's inert engines).
         self._acc_stats = [ShardStats() for _ in range(n)]
-        #: realized schedules rebuilt from merged flush records.
-        self._schedules = [FlushSchedule() for _ in range(n)]
         self._last_inflight = [0] * n
         self._last_backlog = [0] * n
         #: journal-checkpointed SLO state (the workers own the queues
@@ -1105,6 +1122,11 @@ class ProcPoolLoop(SupervisedLoop):
             for gid in purged[sid]:
                 self._mirror[sid].pop(gid, None)
                 self._shed(gid, t0)
+        if frozen:
+            # The plain loop would have stopped at the first freeze; the
+            # chunk's later records are supervision's, so the driver
+            # must be journaled ahead of them.
+            self._note_driver(min(frozen.values()))
         order = sorted(per_shard)
         n = len(self.engines)
         end_t = None
@@ -1124,10 +1146,11 @@ class ProcPoolLoop(SupervisedLoop):
                 for rec in data["records"].get(t, ()):
                     rtype, rt, rsid, payload = rec
                     if rtype == REC_FLUSH:
-                        self._schedules[rsid].add(rt, payload)
+                        # The parent's engines never step: their realized
+                        # schedules are rebuilt here from merged records.
+                        self.engines[rsid].schedule.add(rt, payload)
                         if journal is not None:
                             journal.record_flush(rt, rsid, payload)
-                        self._shadow.append((rt, rsid, payload))
                     elif journal is not None:
                         journal.record_fault(rt, rsid, *payload)
                 for gid, step in data["exec"].get(t, ()):
@@ -1241,10 +1264,9 @@ class ProcPoolLoop(SupervisedLoop):
             self._stop_workers()
             self._close_store()
         for s in range(len(self.engines)):
-            self._schedules[s].trim()
+            self.engines[s].schedule.trim()
             # The parent's engines never stepped; the report reads the
-            # merged truth through them.
-            self.engines[s].schedule = self._schedules[s]
+            # merged counters through them.
             self.engines[s].stats = self._acc_stats[s]
         if journal is not None:
             journal.finish(t, self._next_gid, len(metrics.completion_step))

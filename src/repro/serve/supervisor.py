@@ -31,42 +31,40 @@ rebuilt from its own durable history: the loop seals durability with a
 checkpoint (every prior step becomes durable under the journal's
 durable-step rule, confirmed through
 :class:`~repro.dam.journal.RecoveryManager`), then
-:func:`rebuild_shard_state` folds the shard-tagged flush records into
-per-message locations, verifying every record against the admitted /
-completed sets — any inconsistency is a typed
+:func:`rebuild_shard_state` folds the shard's flushes into per-message
+locations, verifying every record against the admitted / completed
+sets — any inconsistency is a typed
 :class:`~repro.util.errors.JournalCorruptionError`, never a silent
-wrong answer.  The fold itself runs over the loop's in-memory mirror of
-the journaled records (byte-for-byte the same fold; the mirror is kept
-precisely so restart composes with segment rotation + auto-compaction,
-which may legitimately drop sealed flush records that a checkpoint
-superseded), while the scan cross-checks that the durable journal holds
-no shard record the mirror doesn't.  A restart consumes one unit of the
+wrong answer.  The fold runs over the shard's realized schedule, which
+holds exactly the flushes the shard journaled and survives a kill (so
+restart composes with segment rotation + auto-compaction, which may
+legitimately drop sealed flush records that a checkpoint superseded),
+while the scan cross-checks that the durable journal holds no shard
+record the schedule doesn't.  A restart consumes one unit of the
 shard's ``restart_budget``; exhaustion (or a corrupt restart source)
 **abandons** the shard: all of its outstanding messages are
 counted-shed and the breaker is locked open.
 
-**Multi-worker driver.**  ``workers > 1`` steps shards concurrently on a
-:class:`~concurrent.futures.ThreadPoolExecutor` (shard-per-worker), with
-a per-step deadline watchdog and bounded miss budget that converts a
-hung worker into a diagnosable ``ExecutionStalledError``.  Engines
-journal into per-shard buffers that the main thread replays in shard-id
-order, so the journal bytes are identical to the sequential loop's — and
-a single-shard, fault-free supervised run is byte-identical to
+**Driver.**  Shards step in-process, in shard-id order, straight into
+the run's journal; :class:`~repro.serve.procpool.ProcPoolLoop` is the
+parallel driver.  A fault-free supervised run is byte-identical to
 :class:`ServiceLoop` (journal bytes and completion times both), which
-the determinism tests pin.
+the determinism tests pin, so a default-config journal names no driver
+in its meta.  Such a run stays the plain loop's until its first breaker
+trip; that trip journals a one-time ``driver`` record, which is how
+:func:`~repro.serve.loop.recover_serve` knows to re-derive it under
+supervision.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
-from repro.dam.journal import JournalWriter, REC_FLUSH, RecoveryManager
+from repro.dam.journal import REC_FLUSH, RecoveryManager
 from repro.dam.schedule import Flush, FlushSchedule
 from repro.faults.chaos import (
     CHAOS_CORRUPT,
@@ -83,16 +81,11 @@ from repro.serve.loop import (
     ServeConfig,
     ServeReport,
     ServiceLoop,
-    _ServeJournal,
     _spawn_seed,
 )
 from repro.serve.router import ShardEngine
 from repro.tree.topology import TreeTopology
-from repro.util.errors import (
-    ExecutionStalledError,
-    InvalidInstanceError,
-    JournalCorruptionError,
-)
+from repro.util.errors import InvalidInstanceError, JournalCorruptionError
 from repro.util.fsio import install
 
 #: Shard health states.
@@ -115,43 +108,32 @@ class SupervisorConfig:
     parameters shape how faults are survived, and the default-valued
     supervised journal stays byte-identical to the plain loop's).
 
-    Attributes
-    ----------
-    trip_after:
-        Consecutive stalled epochs that trip a shard's breaker.
-    probe_backoff:
-        Epochs an open breaker waits before its first half-open probe.
-        Doubles per trip (``probe_backoff * 2**(trips-1)``).
-    max_backoff:
-        Cap on the probe backoff, in epochs.
-    spill_capacity:
-        Bound on each shard's spill queue (0 = derived, ``16 * B``).
-        Arrivals past the bound are counted-shed.
-    restart_budget:
-        Live restarts a shard may consume before it is abandoned.
-    watchdog_deadline:
-        Seconds a worker may take for one shard-step before the
-        watchdog counts a miss (multi-worker driver only).
-    watchdog_budget:
-        Consecutive watchdog misses tolerated before the run fails with
-        a diagnosable :class:`ExecutionStalledError` (thread driver; the
-        process driver escalates cancel → terminate → kill instead).
-    divert:
-        Breaker-aware routing: while a shard's breaker is open, route
-        its key range to a healthy neighbor shard (spill queue handed
-        off with the switch, journal-checkpointed) and merge back on
-        probe success.  Off by default — diversion changes which shard
-        serves which key, so it is an explicit opt-in.
+    Each field's ``help`` metadata documents it; ``serve`` derives one
+    flag per field from them (``trip_after`` -> ``--trip-after``).
     """
 
-    trip_after: int = 2
-    probe_backoff: int = 1
-    max_backoff: int = 8
-    spill_capacity: int = 0
-    restart_budget: int = 3
-    watchdog_deadline: float = 30.0
-    watchdog_budget: int = 3
-    divert: bool = False
+    trip_after: int = field(default=2, metadata={
+        "help": "consecutive stalled epochs that trip a shard's circuit "
+                "breaker"})
+    probe_backoff: int = field(default=1, metadata={
+        "help": "epochs an open breaker waits before its first half-open "
+                "probe (doubles per trip)"})
+    max_backoff: int = field(default=8, metadata={
+        "help": "cap on the probe backoff in epochs"})
+    spill_capacity: int = field(default=0, metadata={
+        "help": "arrivals held per quarantined shard before counted "
+                "shedding (0 = 16*B)"})
+    restart_budget: int = field(default=3, metadata={
+        "help": "live restarts per shard before abandonment"})
+    watchdog_deadline: float = field(default=30.0, metadata={
+        "help": "seconds a --processes worker may take to answer one "
+                "chunk before the watchdog escalates (cancel, then "
+                "SIGTERM, then SIGKILL) and restarts its shards"})
+    divert: bool = field(default=False, metadata={
+        "help": "while a shard's breaker is open, divert its key range "
+                "to a healthy neighbor via a journal-checkpointed spill "
+                "handoff, merging back on probe success (changes which "
+                "shard serves which key, so it is opt-in)"})
 
     def __post_init__(self) -> None:
         if self.trip_after < 1:
@@ -174,10 +156,6 @@ class SupervisorConfig:
         if not self.watchdog_deadline > 0:
             raise InvalidInstanceError(
                 f"watchdog_deadline must be > 0, got {self.watchdog_deadline}"
-            )
-        if self.watchdog_budget < 1:
-            raise InvalidInstanceError(
-                f"watchdog_budget must be >= 1, got {self.watchdog_budget}"
             )
 
     def to_meta(self) -> dict:
@@ -305,8 +283,8 @@ class SupervisorStats:
     corrupt_restarts: int = 0
     abandoned_shards: int = 0
     abandoned_messages: int = 0
+    #: process-driver supervision (always 0 in-process).
     watchdog_timeouts: int = 0
-    #: process-driver supervision (always 0 under the thread driver).
     worker_deaths: int = 0
     worker_respawns: int = 0
     watchdog_cancels: int = 0
@@ -419,35 +397,6 @@ def rebuild_shard_state(
     return locations, schedule
 
 
-class _ShardJournalBuffer:
-    """Per-shard record buffer for one step of (possibly threaded)
-    execution.  Presents the ``record_flush`` / ``record_fault`` face of
-    :class:`_ServeJournal`; the main thread replays buffers in shard-id
-    order so journal bytes match the sequential loop exactly."""
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        self.records: "list[tuple]" = []
-
-    def record_flush(self, t: int, shard: int, flush: Flush) -> None:
-        self.records.append((REC_FLUSH, t, shard, flush))
-
-    def record_fault(self, t: int, shard: int, kind: str, src: int,
-                     dest: int, detail: str) -> None:
-        self.records.append(("fault", t, shard, (kind, src, dest, detail)))
-
-    def replay(self, journal: "_ServeJournal | None",
-               shadow: "list[tuple[int, int, Flush]]") -> None:
-        for rtype, t, shard, payload in self.records:
-            if rtype == REC_FLUSH:
-                if journal is not None:
-                    journal.record_flush(t, shard, payload)
-                shadow.append((t, shard, payload))
-            elif journal is not None:
-                journal.record_fault(t, shard, *payload)
-
-
 def apply_chaos_windows(engine: ShardEngine, chaos: ChaosPlan,
                         config: ServeConfig, sid: int) -> None:
     """Layer a chaos plan's stall windows over one shard's injector.
@@ -468,11 +417,10 @@ def apply_chaos_windows(engine: ShardEngine, chaos: ChaosPlan,
 class SupervisedLoop(ServiceLoop):
     """:class:`ServiceLoop` under supervision (see module docstring).
 
-    ``workers=0`` means shard-per-worker; ``workers=1`` forces the
-    sequential path (which a single-shard run always takes).  ``chaos``
-    drives the scenario; ``supervisor`` tunes the breaker/restart
-    policy.  Journal meta carries the chaos plan and any non-default
-    supervisor config, so :func:`~repro.serve.loop.recover_serve`
+    ``chaos`` drives the scenario; ``supervisor`` tunes the
+    breaker/restart policy.  Journal meta carries the chaos plan and any
+    non-default supervisor config (or, failing both, the first breaker
+    trip journals the driver), so :func:`~repro.serve.loop.recover_serve`
     re-derives the identical supervised run.
     """
 
@@ -482,7 +430,6 @@ class SupervisedLoop(ServiceLoop):
         *,
         supervisor: "SupervisorConfig | None" = None,
         chaos: "ChaosPlan | None" = None,
-        workers: int = 0,
         journal=None,
         sync: bool = False,
         max_segment_bytes: "int | None" = None,
@@ -498,7 +445,6 @@ class SupervisedLoop(ServiceLoop):
         )
         self.chaos = chaos if chaos is not None else ChaosPlan()
         n = len(self.engines)
-        self.workers = min(int(workers), n) if workers else n
         sup = self.supervisor_config
         self._spill_capacity = sup.spill_capacity or 16 * config.B
         self._breakers = [
@@ -519,14 +465,12 @@ class SupervisedLoop(ServiceLoop):
         #: every routed message's target leaf (restart folds need the
         #: targets of completed messages too, which metrics drop).
         self._leaf_of: "dict[int, int]" = {}
-        #: in-memory mirror of journaled flush records (t, shard, flush);
-        #: the restart fold runs on this (see module docstring).
-        self._shadow: "list[tuple[int, int, Flush]]" = []
         self._last_hb = [(0, 0, 0)] * n
         self.sup_stats = SupervisorStats()
         self.health_log: "list[Heartbeat]" = []
         self.worker_log: "list[tuple]" = []
-        self._pool: "ThreadPoolExecutor | None" = None
+        #: set once the driver is named in the journal (see _note_driver).
+        self._driver_noted = False
         #: active chaos disk-fault windows as ``(end_step, rules)``; the
         #: union of their rules is the ambient FaultFS while any is open.
         self._fault_windows: "list[tuple[int, tuple]]" = []
@@ -546,7 +490,7 @@ class SupervisedLoop(ServiceLoop):
         byte-identical to ServiceLoop's.  When supervision *is* in
         play, the driver topology rides along so recovery re-derives
         the run under the identical driver."""
-        meta = self.config.to_meta()
+        meta = super()._journal_meta()
         if not self.chaos.is_zero:
             meta["chaos"] = self.chaos.to_meta()
         if self.supervisor_config != SupervisorConfig():
@@ -556,21 +500,17 @@ class SupervisedLoop(ServiceLoop):
         return meta
 
     def _driver_meta(self) -> dict:
-        return {"kind": "threads", "workers": self.workers}
+        return {"kind": "inprocess"}
 
-    def _open_journal(self) -> "_ServeJournal | None":
-        if self._journal_arg is None:
-            return None
-        if isinstance(self._journal_arg, JournalWriter):
-            return _ServeJournal(self._journal_arg, False,
-                                 self.config.checkpoint_every)
-        meta = self._journal_meta()
-        writer = JournalWriter(
-            self._journal_arg, meta=meta, sync=self._sync,
-            max_segment_bytes=self._max_segment_bytes,
-            compact_every_rotations=self._compact_every,
-        )
-        return _ServeJournal(writer, True, self.config.checkpoint_every)
+    def _note_driver(self, t: int) -> None:
+        """Name the driver in the journal before the run first departs
+        from the plain loop's (a breaker trip), unless the meta already
+        does.  One record per run; compaction keeps it."""
+        if self._driver_noted or self._journal is None:
+            return
+        self._driver_noted = True
+        if "driver" not in self._journal_meta():
+            self._journal.record_driver(t, self._driver_meta())
 
     def run(self) -> "SupervisedReport":
         try:
@@ -579,9 +519,6 @@ class SupervisedLoop(ServiceLoop):
             if self._fault_fs is not None or self._fault_windows:
                 self._fault_windows = []
                 self._refresh_fault_fs()
-            if self._pool is not None:
-                self._pool.shutdown(wait=True, cancel_futures=True)
-                self._pool = None
 
     # -- small helpers -------------------------------------------------
     def _count(self, name: str, desc: str, *, shard: "int | None" = None,
@@ -599,6 +536,7 @@ class SupervisedLoop(ServiceLoop):
         self.arrivals.notify_shed(gid, t)
 
     def _open_breaker(self, sid: int, epoch: int) -> None:
+        self._note_driver(self._clock)
         self._breakers[sid].trip(epoch)
         self._health[sid] = QUARANTINED
         self.sup_stats.trips += 1
@@ -744,8 +682,8 @@ class SupervisedLoop(ServiceLoop):
     def _open_fault_window(self, event, t: int) -> bool:
         """Start one chaos ``disk-fault`` window: for ``duration`` steps
         every storage syscall in this process routes through a
-        :class:`FaultFS` armed with the event's plan.  The thread driver
-        owns every store and journal in-process, so the ambient handle
+        :class:`FaultFS` armed with the event's plan.  The in-process
+        driver owns every store and journal, so the ambient handle
         is the whole fault domain (the process driver additionally arms
         its workers; see :mod:`repro.serve.procpool`)."""
         self._fault_windows.append((t + event.duration,
@@ -785,7 +723,7 @@ class SupervisedLoop(ServiceLoop):
             fs.fired.clear()
 
     def _kill_worker(self, sid: int, t: int) -> None:
-        """``kill-worker`` under a threads-only driver degrades to a
+        """``kill-worker`` under the in-process driver degrades to a
         simulated kill: there is no separate process to SIGKILL, but the
         shard still loses all in-memory state (the process driver
         overrides this with a real signal)."""
@@ -847,61 +785,15 @@ class SupervisedLoop(ServiceLoop):
         return super()._queue_depth(sid) + len(self._spill[sid])
 
     def _execute_shards(self, t: int) -> None:
-        active = [
-            s for s in range(len(self.engines))
-            if self._health[s] != QUARANTINED
-        ]
-        buffers = {s: _ShardJournalBuffer() for s in active}
-        if self.workers > 1 and len(active) > 1:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="shard-worker",
-                )
-            futures = {
-                s: self._pool.submit(self.engines[s].step, t, buffers[s])
-                for s in active
-            }
-            results = {s: self._await(s, futures[s], t) for s in active}
-        else:
-            results = {
-                s: self.engines[s].step(t, buffers[s]) for s in active
-            }
-        for s in active:
-            buffers[s].replay(self._journal, self._shadow)
-            for gid, step in results[s]:
-                self._complete(gid, step)
-
-    def _await(self, sid: int, future, t: int):
-        """Deadline-watchdogged result collection for one shard step."""
-        sup = self.supervisor_config
-        misses = 0
-        while True:
-            try:
-                return future.result(timeout=sup.watchdog_deadline)
-            except FutureTimeoutError:
-                misses += 1
-                self.sup_stats.watchdog_timeouts += 1
-                self._count(
-                    "serve_watchdog_timeouts_total",
-                    "shard-step watchdog deadline misses",
-                    shard=sid,
-                )
-                if misses >= sup.watchdog_budget:
-                    raise ExecutionStalledError(
-                        f"shard {sid} missed {misses} watchdog "
-                        f"deadline(s) of {sup.watchdog_deadline}s at "
-                        f"step {t}",
-                        step=t,
-                        shard_id=sid,
-                        epoch=self.planner.epoch_of(t),
-                        last_durable_step=self._durable_step(),
-                    ) from None
+        for sid, engine in enumerate(self.engines):
+            if self._health[sid] != QUARANTINED:
+                for gid, step in engine.step(t, self._journal):
+                    self._complete(gid, step)
 
     # -- supervision proper --------------------------------------------
     def _vitals(self, sid: int) -> "tuple[int, int, int, int]":
         """Cumulative ``(flushes, completed, failed_attempts, in_flight)``
-        for one shard.  The thread driver reads the live engine; the
+        for one shard.  The in-process driver reads the live engine; the
         process driver overrides this to read its merged mirrors."""
         es = self.engines[sid].stats
         return (es.flushes, es.completed, es.failed_attempts,
@@ -1013,14 +905,14 @@ class SupervisedLoop(ServiceLoop):
         With a journal attached, durability is sealed first (checkpoint
         + flush: every record through step ``t - 1`` becomes durable)
         and the scan cross-checks that the durable journal holds no
-        record for this shard that the in-memory mirror doesn't — the
+        record for this shard that its realized schedule doesn't — the
         detection half of the exact-or-typed-error contract.  The fold
-        itself always runs on the mirror, which survives rotation +
+        itself always runs on the schedule, which survives rotation +
         compaction dropping sealed records a checkpoint superseded.
         """
-        mirror = [
+        realized = [
             (t0, f.src, f.dest, tuple(f.messages))
-            for t0, s, f in self._shadow if s == sid
+            for t0, f in self.engines[sid].schedule.iter_timed()
         ]
         if self._journal is not None:
             self._journal.checkpoint(
@@ -1029,7 +921,7 @@ class SupervisedLoop(ServiceLoop):
             manager = RecoveryManager(self._journal.writer.path)
             scan = manager.scan(refresh=True)
             durable = manager.last_durable_step()
-            mirrored = set(mirror)
+            executed = set(realized)
             for rec in scan.records:
                 if rec["type"] != REC_FLUSH or int(rec.get("shard", 0)) != sid:
                     continue
@@ -1037,13 +929,13 @@ class SupervisedLoop(ServiceLoop):
                     continue
                 key = (int(rec["t"]), int(rec["src"]), int(rec["dest"]),
                        tuple(int(m) for m in rec["msgs"]))
-                if key not in mirrored:
+                if key not in executed:
                     raise JournalCorruptionError(
                         f"shard {sid}: durable journal holds flush "
                         f"{key!r} that this run never executed",
                         reason="schedule-mismatch",
                     )
-        return mirror
+        return realized
 
     def _restart_shard(self, sid: int, t: int) -> bool:
         """Rebuild a quarantined shard from its durable history."""
@@ -1102,7 +994,7 @@ class SupervisedLoop(ServiceLoop):
                        locations: "dict[int, int]") -> None:
         """Install the folded restart state and requeue the spill.
 
-        The thread driver rebuilds the in-process engine; the process
+        The in-process driver rebuilds its engine; the process
         driver overrides this to ship the state to a worker (a fresh
         process when the old one died).  The engine's realized schedule
         and counters survive the wipe (they belong to the run's

@@ -94,7 +94,7 @@ def test_every_acknowledged_completion_is_durable(tmp_path):
 
 def test_supervised_and_procpool_drivers_feed_the_store(tmp_path):
     cfg = serve_config(tmp_path, data_dir=str(tmp_path / "kv-sup"))
-    sup = SupervisedLoop(cfg, workers=2).run()
+    sup = SupervisedLoop(cfg).run()
     items = _store_state(cfg.data_dir)
     assert items
     for key, rec in items.items():

@@ -2,10 +2,10 @@
 
 The contracts under test, in the order the ISSUE states them:
 
-* **thread-vs-process determinism matrix**: fault-free, every driver and
-  width — ``ServiceLoop``, ``SupervisedLoop(workers in {0,1,2,4})``,
-  ``ProcPoolLoop(processes in {1,2,4})`` — produces byte-identical
-  journals and identical completions;
+* **driver determinism matrix**: fault-free, every driver and width —
+  ``ServiceLoop``, ``SupervisedLoop``, ``ProcPoolLoop(processes in
+  {1,2,4})`` — produces byte-identical journals and identical
+  completions;
 * a ``kill-worker`` chaos event delivers a **real SIGKILL**: the killed
   shard comes back on a fresh process (different pid) restarted from its
   own journal, zero messages are lost (exact conservation), and the
@@ -56,7 +56,7 @@ KILL_DRILL = ChaosPlan(
 
 
 # ----------------------------------------------------------------------
-# Thread-vs-process determinism matrix
+# Driver determinism matrix
 # ----------------------------------------------------------------------
 class TestDriverMatrix:
     @pytest.fixture(scope="class")
@@ -67,13 +67,10 @@ class TestDriverMatrix:
         report = ServiceLoop(cfg, journal=path).run()
         return cfg, report, path.read_bytes()
 
-    @pytest.mark.parametrize("workers", [0, 1, 2, 4])
-    def test_thread_driver_matches_plain_loop(
-        self, baseline, tmp_path, workers
-    ):
+    def test_in_process_driver_matches_plain_loop(self, baseline, tmp_path):
         cfg, plain, blob = baseline
-        path = tmp_path / f"w{workers}.woj"
-        report = SupervisedLoop(cfg, workers=workers, journal=path).run()
+        path = tmp_path / "sup.woj"
+        report = SupervisedLoop(cfg, journal=path).run()
         assert path.read_bytes() == blob
         assert report.completions == plain.completions
 
@@ -267,17 +264,14 @@ class TestDriverMeta:
 
         cfg = serve_config(messages=150, seed=7)
         pp = tmp_path / "proc.woj"
-        pt = tmp_path / "thread.woj"
+        pi = tmp_path / "inprocess.woj"
         ProcPoolLoop(cfg, processes=2, chaos=KILL_DRILL,
                      journal=pp).run()
-        SupervisedLoop(cfg, workers=2, chaos=KILL_DRILL,
-                       journal=pt).run()
+        SupervisedLoop(cfg, chaos=KILL_DRILL, journal=pi).run()
         assert RecoveryManager(pp).meta["driver"] == {
             "kind": "procpool", "processes": 2,
         }
-        assert RecoveryManager(pt).meta["driver"] == {
-            "kind": "threads", "workers": 2,
-        }
+        assert RecoveryManager(pi).meta["driver"] == {"kind": "inprocess"}
 
     def test_recover_re_derives_the_procpool_run(self, tmp_path):
         cfg = serve_config(messages=150, seed=7)
