@@ -30,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.core.worms import WORMSInstance
+from repro.tree.topology import TreeTopology
 from repro.util.errors import InvalidInstanceError
 
 #: Paper constants: a node is packed at >= B/PACKED_DENOM unclaimed
@@ -127,76 +128,81 @@ def build_packed_sets(
         raise InvalidInstanceError(f"denom must be >= 2, got {denom}")
     topo = instance.topology
     B = instance.B
-    n_nodes = topo.n_nodes
+    root = topo.root
     n_msgs = instance.n_messages
+    targets = instance.targets.tolist()
+
+    # Only nodes on some message's root-to-target path can hold messages;
+    # every other node has nothing unclaimed and is never packed.  Collect
+    # those nodes level by level (a node's level is its height).
+    per_target: dict[int, int] = {}
+    for t in targets:
+        per_target[t] = per_target.get(t, 0) + 1
+    unclaimed = dict(per_target)
+    up: dict[int, int] = {}  # node -> parent, for the visited nodes
+    levels: list[list[int]] = [[] for _ in range(topo.height + 1)]
+    for t in per_target:
+        path = topo.root_path(t)
+        for h in range(len(path) - 1, 0, -1):
+            v = path[h]
+            if v in up:
+                break  # this node and its ancestors are already listed
+            up[v] = path[h - 1]
+            levels[h].append(v)
+            unclaimed.setdefault(v, 0)
 
     # Bottom-up: unclaimed[v] = messages targeting subtree(v) not claimed
     # by a packed strict descendant of v.  v becomes packed when
     # unclaimed[v] >= B/denom (exact integer comparison).
-    unclaimed = np.array(instance.messages_per_leaf, dtype=np.int64)
-    is_packed = np.zeros(n_nodes, dtype=bool)
-    parents = topo.parents
-    for v in topo.bfs_order[::-1]:
-        v = int(v)
-        if v == topo.root:
-            continue
-        if denom * unclaimed[v] >= B:
-            is_packed[v] = True
-        else:
-            p = int(parents[v])
-            unclaimed[p] += unclaimed[v]
-    is_packed[topo.root] = True
+    is_packed = {root}
+    for level in reversed(levels[1:]):
+        for v in level:
+            if denom * unclaimed[v] >= B:
+                is_packed.add(v)
+            else:
+                p = up[v]
+                unclaimed[p] = unclaimed.get(p, 0) + unclaimed[v]
 
     # Each message's packed parent: lowest packed ancestor-or-self of its
-    # target leaf.
-    packed_parent_of = np.empty(n_msgs, dtype=np.int64)
-    # Memoize per node: lowest packed ancestor-or-self.
-    lowest_packed = np.full(n_nodes, -1, dtype=np.int64)
-    for v in topo.bfs_order:
-        v = int(v)
-        if is_packed[v]:
-            lowest_packed[v] = v
-        else:
-            # root is packed, so every non-root node has a packed ancestor;
-            # note "lowest" walks bottom-up, so we must not inherit from the
-            # parent — a message claimed by a deep packed node must stop
-            # there.  lowest_packed[v] here means: the packed node that
-            # claims messages whose lowest packed ancestor chain starts at v.
-            lowest_packed[v] = lowest_packed[int(parents[v])]
-    for m in range(n_msgs):
-        leaf = instance.messages[m].target_leaf
-        packed_parent_of[m] = lowest_packed[leaf]
+    # target (the root is packed, so one always exists).
+    lowest_packed: dict[int, int] = {}
+    for t in per_target:
+        path = topo.root_path(t)
+        h = len(path) - 1
+        while path[h] not in is_packed:
+            h -= 1
+        lowest_packed[t] = path[h]
+    packed_parent = [lowest_packed[t] for t in targets]
+    packed_parent_of = np.array(packed_parent, dtype=np.int64)
 
     # Group messages by packed parent, preserving message-id order.
     contents: dict[int, list[int]] = {}
-    for m in range(n_msgs):
-        contents.setdefault(int(packed_parent_of[m]), []).append(m)
+    for m, v in enumerate(packed_parent):
+        contents.setdefault(v, []).append(m)
 
-    # For internal packed parents we need, per child of v, the unclaimed
-    # messages routed through that child.  A message of C(v) routed through
-    # child c means c is on the path v -> target; find it by walking up.
     sets: list[PackedSet] = []
     set_of = np.full(n_msgs, -1, dtype=np.int64)
     threshold = -(-B // denom)  # ceil(B / denom)
 
-    packed_nodes = [int(v) for v in np.flatnonzero(is_packed)]
+    packed_nodes = sorted(is_packed)
     for v in packed_nodes:
         msgs = contents.get(v, [])
         if not msgs:
-            continue  # packed by count but all its messages claimed deeper
+            continue  # only the root can be packed with no messages left
         if topo.is_leaf(v):
             _chunk_leaf_sets(sets, set_of, v, msgs, threshold)
         else:
-            _group_child_sets(instance, sets, set_of, v, msgs, threshold)
+            _group_child_sets(
+                topo, targets, sets, set_of, v, msgs, threshold
+            )
 
-    decomposition = PackedDecomposition(
+    return PackedDecomposition(
         instance=instance,
         packed_nodes=tuple(packed_nodes),
         sets=tuple(sets),
         packed_parent_of=packed_parent_of,
         set_of=set_of,
     )
-    return decomposition
 
 
 def _chunk_leaf_sets(
@@ -217,7 +223,8 @@ def _chunk_leaf_sets(
 
 
 def _group_child_sets(
-    instance: WORMSInstance,
+    topo: TreeTopology,
+    targets: list[int],
     sets: list[PackedSet],
     set_of: np.ndarray,
     v: int,
@@ -225,15 +232,15 @@ def _group_child_sets(
     threshold: int,
 ) -> None:
     """Group an internal packed node's children into packed sets."""
-    topo = instance.topology
+    below = topo.height_of(v) + 1  # index of v's child on a root path
     by_child: dict[int, list[int]] = {}
     own: list[int] = []  # internal-target extension: messages ending at v
     for m in msgs:
-        target = instance.messages[m].target_leaf
+        target = targets[m]
         if target == v:
             own.append(m)
             continue
-        child = topo.child_towards(v, target)
+        child = topo.root_path(target)[below]
         by_child.setdefault(child, []).append(m)
     # Messages completing at v itself behave like leaf-parent messages:
     # chunk them into their own sets with no child group.

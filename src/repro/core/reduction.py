@@ -72,6 +72,11 @@ def reduce_to_scheduling(
     if packed is None:
         packed = build_packed_sets(instance)
     topo = instance.topology
+    targets = instance.targets.tolist()
+    if instance.weights is None:
+        weight_of = len  # unit weights: a set's weight is its size
+    else:
+        weight_of = instance.weight_of
 
     parent: list[int] = []
     weights: list[float] = []
@@ -86,47 +91,53 @@ def reduce_to_scheduling(
         edges.append(TaskEdge(set_index, src, dest, msgs))
         return task_id
 
+    def split(
+        node: int, below: int, msgs: "tuple[int, ...] | list[int]"
+    ) -> tuple[list[int], dict[int, list[int]]]:
+        """Messages at ``node`` (height ``below - 1``): those delivered
+        here, and the rest keyed by the child of ``node`` they cross."""
+        own: list[int] = []
+        by_child: dict[int, list[int]] = {}
+        for m in msgs:
+            target = targets[m]
+            if target == node:
+                own.append(m)
+            else:
+                child = topo.root_path(target)[below]
+                by_child.setdefault(child, []).append(m)
+        return own, by_child
+
     for pset in packed.sets:
         v = pset.parent_node
         all_msgs = pset.messages
         # Chain: one task per edge of the root-to-v path, all of C moving.
+        path = topo.root_path(v)
         pred = -1
-        for src, dest in topo.edges_from_root(v):
+        for src, dest in zip(path, path[1:]):
             pred = new_task(pred, pset.index, src, dest, all_msgs)
         # Messages targeting v itself (always the case for a leaf packed
         # parent; possible at internal nodes under the internal-target
-        # extension) are delivered by the last chain flush.
-        own, deeper = _split_delivered(instance, v, all_msgs)
-        if own:
-            if pred == -1:
-                # Degenerate: packed parent is the root; such messages are
-                # already delivered and need no task.
-                pass
-            else:
-                weights[pred] += instance.weight_of(own)
-        if not deeper:
-            continue
+        # extension) are delivered by the last chain flush.  If v is the
+        # root, such messages are already delivered and need no task.
+        own, by_child = split(v, len(path), all_msgs)
+        if own and pred != -1:
+            weights[pred] += float(weight_of(own))
         # Copy the subtree below v, restricted to C's messages.  DFS with
-        # an explicit stack: (node u, messages of C crossing into u,
-        # predecessor task that delivered them into u).
-        by_child = _split_by_child(instance, v, deeper)
-        stack = [(child, msgs, pred) for child, msgs in by_child.items()]
+        # an explicit stack: (node u, messages of C crossing into u, the
+        # predecessor task that delivered them into u, u's parent, and
+        # the height of u's children).
+        below = len(path) + 1
+        stack = [
+            (child, msgs, pred, v, below) for child, msgs in by_child.items()
+        ]
         while stack:
-            node, msgs, above = stack.pop()
-            task = new_task(
-                above,
-                pset.index,
-                int(topo.parent_of(node)),
-                node,
-                tuple(msgs),
-            )
-            own, deeper = _split_delivered(instance, node, msgs)
+            node, msgs, above, src, below = stack.pop()
+            task = new_task(above, pset.index, src, node, tuple(msgs))
+            own, by_child = split(node, below, msgs)
             if own:
-                weights[task] += instance.weight_of(own)
-            for child, child_msgs in _split_by_child(
-                instance, node, deeper
-            ).items():
-                stack.append((child, child_msgs, task))
+                weights[task] += float(weight_of(own))
+            for child, child_msgs in by_child.items():
+                stack.append((child, child_msgs, task, node, below + 1))
 
     scheduling = SchedulingInstance(
         np.asarray(parent, dtype=np.int64),
@@ -139,30 +150,3 @@ def reduce_to_scheduling(
         scheduling=scheduling,
         task_edges=tuple(edges),
     )
-
-
-def _split_delivered(
-    instance: WORMSInstance, node: int, msgs: "tuple[int, ...] | list[int]"
-) -> tuple[list[int], list[int]]:
-    """Split messages at ``node`` into (delivered here, continuing deeper)."""
-    own: list[int] = []
-    deeper: list[int] = []
-    for m in msgs:
-        if instance.messages[m].target_leaf == node:
-            own.append(m)
-        else:
-            deeper.append(m)
-    return own, deeper
-
-
-def _split_by_child(
-    instance: WORMSInstance, node: int, msgs: tuple[int, ...] | list[int]
-) -> dict[int, list[int]]:
-    """Partition messages at ``node`` by the child their target lies under."""
-    topo = instance.topology
-    by_child: dict[int, list[int]] = {}
-    for m in msgs:
-        target = instance.messages[m].target_leaf
-        child = topo.child_towards(node, target)
-        by_child.setdefault(child, []).append(m)
-    return by_child

@@ -14,6 +14,7 @@ root starts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -122,6 +123,8 @@ class WORMSInstance:
                 raise InvalidInstanceError(
                     "weights length must match number of messages"
                 )
+            if not all(math.isfinite(w) for w in self.weights):
+                raise InvalidInstanceError("message weights must be finite")
             if any(w < 0 for w in self.weights):
                 raise InvalidInstanceError("message weights must be >= 0")
         if self.start_nodes is not None:

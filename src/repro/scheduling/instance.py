@@ -5,12 +5,17 @@ Tasks are ids ``0..n-1``.  Each task has at most one predecessor (its
 task takes one unit of processing on one of ``P`` identical machines, and
 carries a non-negative weight; the objective is total weighted completion
 time.
+
+The forest structure (children, roots, topological order) and the
+integer-scaled weights the density code compares are derived once per
+instance, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,8 +33,9 @@ class SchedulingInstance:
         ``parent[j]`` is the predecessor of task ``j`` (must complete in a
         strictly earlier time step) or ``-1`` if ``j`` has none.
     weights:
-        Non-negative per-task weights.  Integer weights keep every density
-        computation exact (they become :class:`fractions.Fraction`).
+        Non-negative, finite per-task weights.  Every finite float is a
+        dyadic rational, so :attr:`integer_weights` scales them all to
+        integers by one power of two and density comparisons stay exact.
     P:
         Number of identical machines (tasks processed per time step).
     """
@@ -61,11 +67,17 @@ class SchedulingInstance:
             raise InvalidInstanceError(
                 f"{n} tasks but {self.weights.shape[0]} weights"
             )
+        if n and not np.isfinite(self.weights).all():
+            raise InvalidInstanceError("task weights must be finite")
         if n and (self.weights < 0).any():
             raise InvalidInstanceError("task weights must be non-negative")
         if n and ((self.parent >= n) | (self.parent < -1)).any():
             raise InvalidInstanceError("parent ids out of range")
-        # Forest check: walking up from any node must reach a root without
+        # Forest check.  Every reduction numbers a task after its parent,
+        # and ``parent[j] < j`` for all j rules out cycles in O(n).
+        if (self.parent < np.arange(n)).all():
+            return
+        # Otherwise walking up from any node must reach a root without
         # revisiting (no cycles).  One pass with memoized "reaches root".
         ok = np.zeros(n, dtype=bool)
         for start in range(n):
@@ -95,29 +107,46 @@ class SchedulingInstance:
         """Sum of all task weights."""
         return float(self.weights.sum()) if self.n_tasks else 0.0
 
-    def roots(self) -> list[int]:
-        """Tasks with no precedence constraint."""
-        return [j for j in range(self.n_tasks) if self.parent[j] == -1]
-
-    def children_lists(self) -> list[list[int]]:
-        """``children[j]`` = tasks whose parent is ``j``."""
+    @cached_property
+    def _forest(self) -> tuple[list[list[int]], list[int], list[int]]:
+        """``(children, roots, BFS order)``, built in one pass."""
         children: list[list[int]] = [[] for _ in range(self.n_tasks)]
-        for j in range(self.n_tasks):
-            p = int(self.parent[j])
+        roots: list[int] = []
+        for j, p in enumerate(self.parent.tolist()):
             if p >= 0:
                 children[p].append(j)
-        return children
+            else:
+                roots.append(j)
+        order = list(roots)
+        for j in order:  # grows while iterating: a BFS from the roots
+            order.extend(children[j])
+        return children, roots, order
+
+    def roots(self) -> list[int]:
+        """Tasks with no precedence constraint (shared; do not mutate)."""
+        return self._forest[1]
+
+    def children_lists(self) -> list[list[int]]:
+        """``children[j]`` = tasks whose parent is ``j`` (shared; do not
+        mutate)."""
+        return self._forest[0]
 
     def topological_order(self) -> list[int]:
-        """Task ids ordered parents-before-children (BFS from the roots)."""
-        children = self.children_lists()
-        order: list[int] = list(self.roots())
-        head = 0
-        while head < len(order):
-            j = order[head]
-            head += 1
-            order.extend(children[j])
-        return order
+        """Task ids ordered parents-before-children (BFS from the roots;
+        shared, do not mutate)."""
+        return self._forest[2]
+
+    @cached_property
+    def integer_weights(self) -> tuple[list[int], int]:
+        """``(W, scale)`` with ``W[j] == weights[j] * scale`` exactly.
+
+        ``scale`` is the largest power-of-two denominator among the
+        weights (1 for integer weights), so every ``W[j]`` is an integer
+        and ``W[j] / scale`` is the exact rational value of the float.
+        """
+        ratios = [w.as_integer_ratio() for w in self.weights.tolist()]
+        scale = max((den for _, den in ratios), default=1)
+        return [num * (scale // den) for num, den in ratios], scale
 
     def weight_fraction(self, j: int) -> Fraction:
         """Task weight as an exact fraction (floats are converted exactly)."""

@@ -47,88 +47,66 @@ def mphtf_schedule(
     phtf = phtf_schedule(instance, horn)
     n = instance.n_tasks
     children = instance.children_lists()
+    prio = horn.priorities()
+    tree_of = horn.horn_root.tolist()
     if diagnostics is None:
         diagnostics = MPHTFDiagnostics()
 
-    # Per-Horn-tree queue of tasks that are precedence-available in the
-    # MPHTF execution, keyed by (-density, id) for deterministic pops.
-    tree_queue: dict[int, list[tuple]] = {}
-    done = [False] * n
-    remaining_in_tree: dict[int, int] = {}
-    for j in range(n):
-        remaining_in_tree[int(horn.horn_root[j])] = (
-            remaining_in_tree.get(int(horn.horn_root[j]), 0) + 1
-        )
-
-    def make_available(j: int) -> None:
-        root = int(horn.horn_root[j])
-        heapq.heappush(
-            tree_queue.setdefault(root, []), (-horn.task_density[j], j)
-        )
-
+    # Per-Horn-tree min-heap (indexed by the tree's root task) of tasks
+    # that are precedence-available in the MPHTF execution.  Every task
+    # enters its tree's heap once, when it becomes available, and leaves
+    # it when processed.
+    tree_queue: list[list[int]] = [[] for _ in range(n)]
+    remaining_in_tree = [0] * n
+    for root in tree_of:
+        remaining_in_tree[root] += 1
     for j in instance.roots():
-        make_available(j)
+        heapq.heappush(tree_queue[tree_of[j]], prio[j])
 
-    schedule = TaskSchedule()
+    steps: list[list[int]] = []
     n_done = 0
-
-    def process_from_tree(root: int, t: int, unlocked: list[int]) -> bool:
-        """Process one available task of Horn's tree ``root`` at step ``t``.
-
-        Children of the processed task are appended to ``unlocked`` and
-        only become available after the step ends (precedence constraints
-        are strict: a child must run at a strictly later step).
-        """
-        nonlocal n_done
-        queue = tree_queue.get(root)
-        if not queue:
-            return False
-        _, j = heapq.heappop(queue)
-        done[j] = True
-        n_done += 1
-        remaining_in_tree[root] -= 1
-        schedule.add(t, j)
-        unlocked.extend(children[j])
-        return True
-
-    t_out = 0
     for step_tasks in phtf.steps:
         # The trees PHTF touched this step, with multiplicity: if PHTF ran
         # two tasks of the same tree in one step, MPHTF owes that tree two
         # slots in each of its two corresponding steps.
-        tree_slots = [int(horn.horn_root[j]) for j in step_tasks]
+        tree_slots = [tree_of[j] for j in step_tasks]
         for _ in range(2):
-            t_out += 1
+            # Children of a task processed now become available only
+            # after the step ends (a child must run strictly later).
+            step: list[int] = []
             unlocked: list[int] = []
             for root in tree_slots:
                 if remaining_in_tree[root] > 0:
-                    if not process_from_tree(root, t_out, unlocked):
+                    queue = tree_queue[root]
+                    if not queue:
                         diagnostics.wasted_slots += 1
+                        continue
+                    j = heapq.heappop(queue) % n
+                    remaining_in_tree[root] -= 1
+                    step.append(j)
+                    unlocked.extend(children[j])
+            steps.append(step)
+            n_done += len(step)
             for c in unlocked:
-                make_available(c)
+                heapq.heappush(tree_queue[tree_of[c]], prio[c])
 
     # Drain phase: finish anything left (possible only when slots were
     # wasted above). Full rate, densest-first across all trees.
     if n_done < n:
-        global_queue: list[tuple] = []
-        for queue in tree_queue.values():
-            global_queue.extend(queue)
+        global_queue = [p for queue in tree_queue for p in queue]
         heapq.heapify(global_queue)
         while n_done < n:
             if not global_queue:  # pragma: no cover - forest makes this impossible
                 raise RuntimeError("MPHTF drain stalled with tasks remaining")
-            t_out += 1
             diagnostics.drain_steps += 1
-            processed_children: list[int] = []
-            for _ in range(min(instance.P, len(global_queue))):
-                _, j = heapq.heappop(global_queue)
-                if done[j]:
-                    continue
-                done[j] = True
-                n_done += 1
-                schedule.add(t_out, j)
-                processed_children.extend(children[j])
-            for c in processed_children:
-                heapq.heappush(global_queue, (-horn.task_density[c], c))
+            step = [
+                heapq.heappop(global_queue) % n
+                for _ in range(min(instance.P, len(global_queue)))
+            ]
+            steps.append(step)
+            n_done += len(step)
+            for j in step:
+                for c in children[j]:
+                    heapq.heappush(global_queue, prio[c])
 
-    return schedule.trim()
+    return TaskSchedule(steps).trim()

@@ -23,23 +23,25 @@ def phtf_schedule(
     """Run PHTF; returns the schedule (``P`` tasks per step, density order).
 
     Ties between equal densities are broken by lowest task id, keeping the
-    output deterministic (the paper allows arbitrary tie-breaking).
+    output deterministic (the paper allows arbitrary tie-breaking).  The
+    heap holds :meth:`HornDecomposition.priorities`: exact integer keys.
     """
     if horn is None:
         horn = compute_horn(instance)
+    n = instance.n_tasks
+    P = instance.P
     children = instance.children_lists()
-    available = [(-horn.task_density[j], j) for j in instance.roots()]
+    prio = horn.priorities()
+    available = [prio[j] for j in instance.roots()]
     heapq.heapify(available)
-    schedule = TaskSchedule()
-    t = 0
+    steps: list[list[int]] = []
     while available:
-        t += 1
-        batch = []
-        for _ in range(min(instance.P, len(available))):
-            _, j = heapq.heappop(available)
-            batch.append(j)
-            schedule.add(t, j)
+        batch = [
+            heapq.heappop(available) % n
+            for _ in range(min(P, len(available)))
+        ]
+        steps.append(batch)
         for j in batch:
             for c in children[j]:
-                heapq.heappush(available, (-horn.task_density[c], c))
-    return schedule
+                heapq.heappush(available, prio[c])
+    return TaskSchedule(steps)

@@ -30,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.reduction import reduce_to_scheduling
-from repro.core.task_to_flush import task_schedule_to_flush_schedule
+# Not called here (plan_flushes maps tasks to flushes itself); kept as a
+# module attribute because e2ebench's tracer wraps it by name.
+from repro.core.task_to_flush import task_schedule_to_flush_schedule  # noqa: F401
 from repro.core.worms import WORMSInstance
 from repro.dam.schedule import Flush
 from repro.obs.hooks import current_obs
@@ -77,11 +79,19 @@ def plan_flushes(
         else [int(locations[m]) for m in msg_ids],
     )
     if all_at_root:
+        # One global-id flush per scheduled task, in Lemma 8's order.
         reduced = reduce_to_scheduling(sub)
         sigma = mphtf_schedule(reduced.scheduling)
-        planned = task_schedule_to_flush_schedule(reduced, sigma)
-    else:
-        planned = online_density_schedule(sub)
+        edges = reduced.task_edges
+        flushes = []
+        for step in sigma.steps:
+            for j in step:
+                e = edges[j]
+                flushes.append(Flush(
+                    e.src, e.dest, tuple([msg_ids[i] for i in e.messages])
+                ))
+        return flushes
+    planned = online_density_schedule(sub)
     return [
         Flush(f.src, f.dest, tuple(msg_ids[i] for i in f.messages))
         for _t, f in planned.iter_timed()
@@ -127,16 +137,6 @@ class EpochPlanner:
     def epoch_of(self, step: int) -> int:
         """0-based epoch index containing 1-based ``step``."""
         return (step - 1) // self.epoch_length
-
-    @staticmethod
-    def _top_ancestor(topo: TreeTopology, v: int) -> int:
-        """The child-of-root ancestor of non-root node ``v`` (or v itself)."""
-        node = v
-        parent = topo.parent_of(node)
-        while parent != topo.root and parent != -1:
-            node = parent
-            parent = topo.parent_of(node)
-        return node if parent == topo.root else v
 
     def plan(
         self,
@@ -185,15 +185,17 @@ class EpochPlanner:
             self.stats.noop_epochs += 1
             return "noop"
         if not force_full:
+            # A top-level subtree is dirty when an in-flight message is
+            # parked below the root in it; root_path(v)[1] names it.
             dirty = {
-                self._top_ancestor(topo, v)
+                topo.root_path(v)[1]
                 for v in engine.location.values()
                 if v != root
             }
             clean = True
             for m in new_msgs:
-                top = topo.child_towards(root, engine.targets[m]) \
-                    if engine.targets[m] != root else root
+                path = topo.root_path(engine.targets[m])
+                top = path[1] if len(path) > 1 else root
                 if top in dirty:
                     clean = False
                     break

@@ -10,7 +10,9 @@ has height 0 and ``height`` increases downward).
 
 The class is immutable after construction; all derived data (heights,
 leaves, subtree sizes) is precomputed once with iterative traversals so that
-deep trees do not hit Python's recursion limit.
+deep trees do not hit Python's recursion limit.  Root-to-node paths are
+built on first request and cached per node (:meth:`TreeTopology.root_path`),
+so planners that touch only a few targets pay only for those paths.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ class TreeTopology:
         "_leaves",
         "_subtree_size",
         "_tree_height",
+        "_paths",
     )
 
     def __init__(self, parent: Sequence[int]) -> None:
@@ -104,6 +107,7 @@ class TreeTopology:
                 size[p] += size[v]
         self._subtree_size = size
         self._subtree_size.setflags(write=False)
+        self._paths: dict[int, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -169,19 +173,30 @@ class TreeTopology:
     # ------------------------------------------------------------------
     # Paths and ancestry
     # ------------------------------------------------------------------
+    def root_path(self, v: int) -> tuple[int, ...]:
+        """Node ids on the root-to-``v`` path, root first, ``v`` last.
+
+        Cached per node: the first call walks up in O(height), later
+        calls are a dict lookup.  ``root_path(t)[height_of(u) + 1]`` is
+        the child of ancestor ``u`` towards ``t``.
+        """
+        path = self._paths.get(v)
+        if path is None:
+            up = []
+            node = v
+            while node != -1:
+                up.append(node)
+                node = int(self._parent[node])
+            path = self._paths[v] = tuple(reversed(up))
+        return path
+
     def path_from_root(self, v: int) -> list[int]:
         """Node ids on the root-to-``v`` path, root first, ``v`` last."""
-        path = []
-        node = v
-        while node != -1:
-            path.append(node)
-            node = int(self._parent[node])
-        path.reverse()
-        return path
+        return list(self.root_path(v))
 
     def edges_from_root(self, v: int) -> list[tuple[int, int]]:
         """The ``height_of(v)`` edges of the root-to-``v`` path, top first."""
-        path = self.path_from_root(v)
+        path = self.root_path(v)
         return list(zip(path[:-1], path[1:]))
 
     def is_descendant(self, v: int, ancestor: int) -> bool:

@@ -6,9 +6,10 @@ popping the densest pending subtree (see :mod:`repro.scheduling.horn`).
 Pairing heaps give amortized ``O(1)`` meld/push and ``O(log n)`` pop, which
 keeps the whole density computation ``O(n log n)``.
 
-Keys must be totally ordered (``>`` / ``>=``); callers use exact
-``fractions.Fraction`` densities plus a tie-break so that comparisons are
-never subject to float rounding.
+Keys must be totally ordered (``>`` / ``>=``).  The Horn computation
+uses plain ints: an exact integer density key with an insertion-sequence
+tie-break folded in, so comparisons are exact and never subject to float
+rounding (nor pay for ``fractions.Fraction`` arithmetic).
 """
 
 from __future__ import annotations
