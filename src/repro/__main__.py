@@ -65,6 +65,7 @@ import argparse
 import sys
 import time
 from dataclasses import fields as dataclass_fields
+from dataclasses import replace as dataclass_replace
 
 from repro.analysis.lower_bounds import worms_lower_bound
 from repro.analysis.npc import (
@@ -114,13 +115,19 @@ from repro.serve import (
     ServiceLoop,
     SupervisedLoop,
     SupervisorConfig,
+    TenantSpec,
     format_serve_report,
     format_tenant_report,
     make_tenants,
     recover_serve,
 )
+from repro.stability import StabilityConfig
 from repro.tree import balanced_tree, beps_shape_tree
-from repro.util.errors import ExecutionStalledError, JournalCorruptionError
+from repro.util.errors import (
+    ExecutionStalledError,
+    InvalidInstanceError,
+    JournalCorruptionError,
+)
 from repro.workloads import uniform_instance, zipf_instance
 
 
@@ -306,61 +313,60 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _csv(text: "str | None", cast):
-    """Parse a ``--tenant-*`` comma-separated list (None/empty = unset)."""
-    if not text:
-        return None
-    return [cast(v) for v in text.split(",")]
+def _flag_fields(cls):
+    """The fields of config dataclass ``cls`` that are CLI flags: those
+    with ``metadata["help"]``, with their flag names (``--`` plus the
+    field name dashed, or ``metadata["flag"]``)."""
+    for f in dataclass_fields(cls):
+        if "help" in f.metadata:
+            yield f, f.metadata.get("flag", "--" + f.name.replace("_", "-"))
 
 
-def _tenants_from_args(args: argparse.Namespace):
-    """``ServeConfig.tenants`` from the ``--tenant*`` flags (None = off)."""
+def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """Add one flag per :func:`_flag_fields` field of ``cls``.
+
+    The field states the flag's type and default; ``metadata["choices"]``
+    restricts its values.  A ``metadata["per_tenant"]`` field takes a
+    comma-separated list, one value per tenant (unset by default).
+    """
+    for f, flag in _flag_fields(cls):
+        meta = f.metadata
+        if meta.get("per_tenant"):
+            parser.add_argument(flag, type=str, default=None,
+                                help=meta["help"])
+        elif isinstance(f.default, bool):
+            parser.add_argument(flag, action="store_true", help=meta["help"])
+        else:
+            parser.add_argument(flag, type=type(f.default),
+                                default=f.default, choices=meta.get("choices"),
+                                help=meta["help"])
+
+
+def _config_values(args: argparse.Namespace, cls) -> dict:
+    """The ``cls`` field values parsed from its :func:`_add_config_flags`
+    flags (a ``per_tenant`` field's list is ``None`` when unset)."""
+    values = {}
+    for f, flag in _flag_fields(cls):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if f.metadata.get("per_tenant"):
+            value = [type(f.default)(v) for v in value.split(",")] \
+                if value else None
+        values[f.name] = value
+    return values
+
+
+def _serve_config(args: argparse.Namespace) -> ServeConfig:
+    """The config ``serve``'s flags describe.  With ``--tenants N`` each
+    tenant inherits the whole-run arrival flags unless a ``--tenant-*``
+    list overrides them."""
+    config = ServeConfig(**_config_values(args, ServeConfig))
     if not args.tenants:
-        return None
-    return make_tenants(
-        args.tenants,
-        args.messages,
-        rates=_csv(args.tenant_rates, float),
-        weights=_csv(args.tenant_weights, float),
-        thetas=_csv(args.tenant_thetas, float),
-        slos=_csv(args.tenant_slo, int),
-        slo_percentile=args.tenant_slo_percentile,
-        quotas=_csv(args.tenant_quota, int),
-        arrivals=args.arrivals,
+        return config
+    tenants = make_tenants(
+        args.tenants, config.messages, run=config,
+        **_config_values(args, TenantSpec),
     )
-
-
-def _config_from_args(args: argparse.Namespace) -> ServeConfig:
-    return ServeConfig(
-        arrivals=args.arrivals,
-        rate=args.rate,
-        burst_rate=args.burst_rate,
-        p_burst=args.p_burst,
-        p_calm=args.p_calm,
-        n_clients=args.clients,
-        think_time=args.think_time,
-        messages=args.messages,
-        shards=args.shards,
-        key_space=args.key_space,
-        theta=args.skew,
-        P=args.P,
-        B=args.B,
-        fanout=args.fanout,
-        height=args.height,
-        leaves=args.leaves,
-        epoch=args.epoch,
-        max_root_backlog=args.max_root_backlog,
-        max_queue=args.max_queue,
-        fault_rate=args.fault_rate,
-        fault_seed=args.fault_seed,
-        fault_aware=args.fault_aware,
-        seed=args.seed,
-        checkpoint_every=args.checkpoint_every,
-        engine=args.engine,
-        data_dir=args.data_dir or "",
-        tenants=_tenants_from_args(args),
-        pace=args.pace,
-    )
+    return dataclass_replace(config, tenants=tenants)
 
 
 def _chaos_from_args(
@@ -388,39 +394,24 @@ def _chaos_from_args(
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the `serve` subcommand (online sharded serving loop)."""
-    supervised = args.supervised or args.chaos or args.processes is not None
     try:
-        config = _config_from_args(args)
-        if supervised:
-            sup_config = SupervisorConfig(**{
-                f.name: getattr(args, f.name)
-                for f in dataclass_fields(SupervisorConfig)
-            })
-            if args.processes is not None:
-                loop = ProcPoolLoop(
-                    config,
-                    supervisor=sup_config,
-                    chaos=_chaos_from_args(args, config),
-                    processes=args.processes,
-                    journal=args.journal, sync=args.sync,
-                    max_segment_bytes=args.max_segment_bytes,
-                    compact_every_rotations=args.compact_every,
-                )
-            else:
-                loop = SupervisedLoop(
-                    config,
-                    supervisor=sup_config,
-                    chaos=_chaos_from_args(args, config),
-                    journal=args.journal, sync=args.sync,
-                    max_segment_bytes=args.max_segment_bytes,
-                    compact_every_rotations=args.compact_every,
-                )
-        else:
-            loop = ServiceLoop(
-                config, journal=args.journal, sync=args.sync,
-                max_segment_bytes=args.max_segment_bytes,
-                compact_every_rotations=args.compact_every,
+        config = _serve_config(args)
+        driver = ServiceLoop
+        kwargs = {
+            "journal": args.journal, "sync": args.sync,
+            "max_segment_bytes": args.max_segment_bytes,
+            "compact_every_rotations": args.compact_every,
+        }
+        if args.supervised or args.chaos or args.processes is not None:
+            driver = SupervisedLoop
+            kwargs["supervisor"] = SupervisorConfig(
+                **_config_values(args, SupervisorConfig)
             )
+            kwargs["chaos"] = _chaos_from_args(args, config)
+            if args.processes is not None:
+                driver = ProcPoolLoop
+                kwargs["processes"] = args.processes
+        loop = driver(config, **kwargs)
     except Exception as exc:  # surfaced as a clean CLI error
         print(f"invalid serve configuration: {exc}", file=sys.stderr)
         return 2
@@ -893,33 +884,11 @@ def cmd_stability(args: argparse.Namespace) -> int:
     """Run the `stability` subcommand (long-run stall bench harness)."""
     import json as _json
 
-    from repro.stability import (
-        StabilityConfig,
-        format_stability_report,
-        run_stability,
-    )
+    from repro.stability import format_stability_report, run_stability
 
     try:
-        config = StabilityConfig(
-            scenario=args.scenario,
-            messages=args.messages,
-            seed=args.seed,
-            shards=args.shards,
-            P=args.P,
-            B=args.B,
-            height=args.height,
-            leaves=args.leaves,
-            epoch=args.epoch,
-            pace=args.pace,
-            fault_rate=args.fault_rate,
-            fault_seed=args.fault_seed,
-            engine=args.engine,
-            data_dir=args.data_dir or "",
-            window=args.window,
-            stall_frac=args.stall_frac,
-            trailing=args.trailing,
-        )
-    except Exception as exc:  # surfaced as a clean CLI error
+        config = StabilityConfig(**_config_values(args, StabilityConfig))
+    except InvalidInstanceError as exc:
         print(f"invalid stability configuration: {exc}", file=sys.stderr)
         return 2
     try:
@@ -1108,67 +1077,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve", help="online serving loop over sharded B^eps-trees"
     )
-    p_serve.add_argument(
-        "--arrivals", choices=("poisson", "mmpp", "closed"),
-        default="poisson",
-    )
-    p_serve.add_argument(
-        "--rate", type=float, default=8.0,
-        help="mean arrivals per step (poisson; calm rate for mmpp)",
-    )
-    p_serve.add_argument(
-        "--burst-rate", type=float, default=32.0,
-        help="mmpp burst-state arrival rate",
-    )
-    p_serve.add_argument("--p-burst", type=float, default=0.05,
-                         help="mmpp calm->burst transition probability")
-    p_serve.add_argument("--p-calm", type=float, default=0.25,
-                         help="mmpp burst->calm transition probability")
-    p_serve.add_argument("--clients", type=int, default=16,
-                         help="closed-loop client count")
-    p_serve.add_argument("--think-time", type=int, default=0,
-                         help="closed-loop think time between requests")
-    p_serve.add_argument("--messages", type=int, default=1000,
-                         help="total messages to serve before shutdown")
-    p_serve.add_argument("--shards", type=int, default=4)
-    p_serve.add_argument("--key-space", type=int, default=0,
-                         help="key universe size (0 = one key per leaf)")
-    p_serve.add_argument("--skew", type=float, default=0.0,
-                         help="Zipf theta of key popularity (0 = uniform)")
-    p_serve.add_argument("--P", type=int, default=4)
-    p_serve.add_argument("--B", type=int, default=16)
-    p_serve.add_argument("--fanout", type=int, default=0,
-                         help="balanced shard trees with this fanout")
-    p_serve.add_argument("--height", type=int, default=3)
-    p_serve.add_argument("--leaves", type=int, default=64,
-                         help="B^eps-shaped shard trees with this many leaves")
-    p_serve.add_argument("--epoch", type=int, default=8,
-                         help="steps between re-planning epochs")
-    p_serve.add_argument("--pace", type=int, default=0,
-                         help="de-amortization budget: per-step flushed "
-                         "messages allowed per shard (0 = off; off is "
-                         "byte-identical to omitting the flag)")
-    p_serve.add_argument("--max-root-backlog", type=int, default=0,
-                         help="admitted messages allowed at a shard root "
-                         "(0 = 4*B)")
-    p_serve.add_argument("--max-queue", type=int, default=0,
-                         help="arrivals allowed to queue per shard before "
-                         "shedding (0 = 16*B)")
-    p_serve.add_argument("--fault-rate", type=float, default=0.0)
-    p_serve.add_argument("--fault-seed", type=int, default=0)
-    p_serve.add_argument("--fault-aware", action="store_true")
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument("--engine", choices=("sim", "lsm"), default="sim",
-                         help="storage engine behind completions: 'sim' "
-                         "(in-memory) or 'lsm' (durable on-disk KV store; "
-                         "needs --data-dir).  The engine is a passive "
-                         "sink, so schedules are identical either way")
-    p_serve.add_argument("--data-dir", type=str, default=None,
-                         help="directory for the 'lsm' engine's store")
+    _add_config_flags(p_serve, ServeConfig)
     p_serve.add_argument("--journal", type=str, default=None,
                          help="stream a crash-recoverable journal here")
-    p_serve.add_argument("--checkpoint-every", type=int, default=32,
-                         help="steps between journal checkpoints")
     p_serve.add_argument("--sync", action="store_true",
                          help="fsync the journal at every checkpoint")
     p_serve.add_argument("--max-segment-bytes", type=int, default=None,
@@ -1212,39 +1123,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--chaos-horizon", type=int, default=0,
                          help="latest step a chaos event may fire "
                          "(0 = derived from the workload)")
-    for f in dataclass_fields(SupervisorConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if isinstance(f.default, bool):
-            p_serve.add_argument(flag, action="store_true",
-                                 help=f.metadata["help"])
-        else:
-            p_serve.add_argument(flag, type=type(f.default),
-                                 default=f.default, help=f.metadata["help"])
+    _add_config_flags(p_serve, SupervisorConfig)
     p_serve.add_argument("--tenants", type=int, default=0,
                          help="run N tenants (t0..tN-1) through weighted-"
                          "fair admission; each gets its own seeded arrival "
-                         "process and key sampler (0 = tenancy off, "
-                         "byte-identical to a pre-tenancy run)")
-    p_serve.add_argument("--tenant-rates", type=str, default=None,
-                         help="comma-separated per-tenant arrival rates "
-                         "(default: 4.0 each); message budgets split "
-                         "proportionally to the rates")
-    p_serve.add_argument("--tenant-weights", type=str, default=None,
-                         help="comma-separated deficit-round-robin "
-                         "admission weights (default: 1.0 each)")
-    p_serve.add_argument("--tenant-thetas", type=str, default=None,
-                         help="comma-separated Zipf skews of each tenant's "
-                         "key sampler (default: 0.0 each)")
-    p_serve.add_argument("--tenant-slo", type=str, default=None,
-                         help="comma-separated sojourn SLO targets in steps "
-                         "(0 = untracked); two violating epochs in a row "
-                         "shed the violating tenant's queue first")
-    p_serve.add_argument("--tenant-slo-percentile", type=float, default=99.0,
-                         help="percentile the sojourn SLO targets apply to")
-    p_serve.add_argument("--tenant-quota", type=str, default=None,
-                         help="comma-separated per-shard buffer quotas: max "
-                         "messages a tenant may have resident in one "
-                         "shard's internal-node buffers (0 = unlimited)")
+                         "process (the whole-run arrival flags, unless a "
+                         "--tenant-* list overrides them) and key sampler "
+                         "(0 = tenancy off, byte-identical to a pre-tenancy "
+                         "run)")
+    _add_config_flags(p_serve, TenantSpec)
     p_serve.add_argument("--metrics-port", type=int, default=None,
                          help="serve the obs registry + per-tenant SLO "
                          "state as JSON on http://127.0.0.1:PORT/metrics "
@@ -1268,34 +1155,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="long-run stall bench: seeded MMPP scenario -> stall-window "
              "detector -> schema-versioned JSON",
     )
-    p_stab.add_argument("--scenario", choices=("diurnal", "flash-crowd"),
-                        default="flash-crowd")
-    p_stab.add_argument("--messages", type=int, default=20000)
-    p_stab.add_argument("--seed", type=int, default=0)
-    p_stab.add_argument("--shards", type=int, default=4)
-    p_stab.add_argument("--P", type=int, default=4)
-    p_stab.add_argument("--B", type=int, default=16)
-    p_stab.add_argument("--height", type=int, default=3)
-    p_stab.add_argument("--leaves", type=int, default=64)
-    p_stab.add_argument("--epoch", type=int, default=8)
-    p_stab.add_argument("--pace", type=int, default=0,
-                        help="de-amortization budget (0 = controller off)")
-    p_stab.add_argument("--fault-rate", type=float, default=0.0,
-                        help="compaction-interference injection rate")
-    p_stab.add_argument("--fault-seed", type=int, default=0)
-    p_stab.add_argument("--engine", choices=("sim", "lsm"), default="sim",
-                        help="'lsm' runs the real disk store inline and "
-                        "attributes stalls overlapping its compactions "
-                        "natively (needs --data-dir)")
-    p_stab.add_argument("--data-dir", type=str, default=None,
-                        help="directory for the 'lsm' engine's store")
-    p_stab.add_argument("--window", type=int, default=16,
-                        help="DAM steps per detector window")
-    p_stab.add_argument("--stall-frac", type=float, default=0.5,
-                        help="stalled when throughput < frac * trailing "
-                             "healthy mean")
-    p_stab.add_argument("--trailing", type=int, default=8,
-                        help="healthy windows in the trailing mean")
+    _add_config_flags(p_stab, StabilityConfig)
     p_stab.add_argument("--json", type=str, default=None,
                         help="write the stability/v1 document here")
     p_stab.set_defaults(func=cmd_stability)

@@ -60,7 +60,11 @@ from repro.serve.planner import EpochPlanner, PacedPlanner, PlannerStats
 from repro.serve.tenancy.fair import TenantAdmissionController
 from repro.serve.tenancy.mix import TenantMix
 from repro.serve.tenancy.runtime import TenancyRuntime
-from repro.serve.tenancy.spec import TenantSpec, validate_tenants
+from repro.serve.tenancy.spec import (
+    TENANT_ARRIVALS,
+    TenantSpec,
+    validate_tenants,
+)
 from repro.serve.router import ShardEngine, ShardRouter, ShardStats
 from repro.util.errors import (
     ExecutionStalledError,
@@ -75,74 +79,101 @@ SERVE_POLICY = "serve"
 #: forced full re-plans allowed per shard before the loop gives up.
 MAX_FORCED_REPLANS = 2
 
+#: storage engines behind completions.
+ENGINES = ("sim", "lsm")
+
 
 @dataclass(frozen=True)
 class ServeConfig:
     """Everything that determines a serving run (JSON-round-trippable).
 
-    ``arrivals`` is one of ``poisson``, ``mmpp``, ``closed``, ``trace``
-    (the last driven by ``trace``, a list of ``[step, key]`` pairs).
-    ``key_space`` defaults to shards * leaves-per-shard so every leaf owns
-    at least one key.
+    ``arrivals`` may also be ``trace``, driven by ``trace``, a list of
+    ``[step, key]`` pairs.  Each field's ``help`` metadata documents it;
+    ``serve`` derives one flag per such field (``key_space`` ->
+    ``--key-space``; ``metadata["flag"]`` names the two that differ).
     """
 
-    arrivals: str = "poisson"
-    rate: float = 8.0
-    burst_rate: float = 32.0
-    p_burst: float = 0.05
-    p_calm: float = 0.25
-    n_clients: int = 16
-    think_time: int = 0
+    arrivals: str = field(default="poisson", metadata={
+        "choices": TENANT_ARRIVALS,
+        "help": "arrival process: Poisson, Markov-modulated (calm/burst) "
+                "Poisson, or closed-loop clients"})
+    rate: float = field(default=8.0, metadata={
+        "help": "mean arrivals per step (poisson; calm rate for mmpp)"})
+    burst_rate: float = field(default=32.0, metadata={
+        "help": "mmpp burst-state arrival rate"})
+    p_burst: float = field(default=0.05, metadata={
+        "help": "mmpp calm->burst transition probability"})
+    p_calm: float = field(default=0.25, metadata={
+        "help": "mmpp burst->calm transition probability"})
+    n_clients: int = field(default=16, metadata={
+        "flag": "--clients", "help": "closed-loop client count"})
+    think_time: int = field(default=0, metadata={
+        "help": "closed-loop think time between requests"})
     trace: "tuple[tuple[int, int], ...] | None" = None
-    messages: int = 1000
-    shards: int = 4
-    key_space: int = 0  # 0 = derived from the shard trees
-    theta: float = 0.0  # key-popularity skew (0 = uniform)
-    P: int = 4
-    B: int = 16
-    fanout: int = 0  # >0: balanced shard trees; 0: B^eps shape
-    height: int = 3
-    leaves: int = 64
+    messages: int = field(default=1000, metadata={
+        "help": "total messages to serve before shutdown"})
+    shards: int = field(default=4, metadata={
+        "help": "shard trees the key space is split over"})
+    key_space: int = field(default=0, metadata={
+        "help": "key universe size (0 = one key per leaf)"})
+    theta: float = field(default=0.0, metadata={
+        "flag": "--skew",
+        "help": "Zipf theta of key popularity (0 = uniform)"})
+    P: int = field(default=4, metadata={
+        "help": "flushes per step (the DAM model's P)"})
+    B: int = field(default=16, metadata={
+        "help": "messages per flush (the DAM model's B)"})
+    fanout: int = field(default=0, metadata={
+        "help": "balanced shard trees with this fanout (0 = B^eps shape)"})
+    height: int = field(default=3, metadata={
+        "help": "height of balanced shard trees"})
+    leaves: int = field(default=64, metadata={
+        "help": "B^eps-shaped shard trees with this many leaves"})
     eps: float = 0.5
-    epoch: int = 8
-    max_root_backlog: int = 0  # 0 = default 4*B
-    max_queue: int = 0  # 0 = default 16*B
-    fault_rate: float = 0.0
-    fault_seed: int = 0
-    fault_aware: bool = False
-    seed: int = 0
-    checkpoint_every: int = 32
+    epoch: int = field(default=8, metadata={
+        "help": "steps between re-planning epochs"})
+    max_root_backlog: int = field(default=0, metadata={
+        "help": "admitted messages allowed at a shard root (0 = 4*B)"})
+    max_queue: int = field(default=0, metadata={
+        "help": "arrivals allowed to queue per shard before shedding "
+                "(0 = 16*B)"})
+    fault_rate: float = field(default=0.0, metadata={
+        "help": "probability that a flush attempt faults"})
+    fault_seed: int = field(default=0, metadata={
+        "help": "seed of the per-shard fault streams"})
+    fault_aware: bool = field(default=False, metadata={
+        "help": "skip flushes through nodes in a known stall window "
+                "instead of probing them each step"})
+    seed: int = field(default=0, metadata={
+        "help": "seed of arrivals and key sampling"})
+    checkpoint_every: int = field(default=32, metadata={
+        "help": "steps between journal checkpoints"})
     max_steps: int = 0  # 0 = derived
-    #: storage engine behind completions: ``sim`` (in-memory, the
-    #: historical behavior) or ``lsm`` (the durable on-disk KV engine,
-    #: :mod:`repro.lsm.disk`; requires ``data_dir``).  The engine is a
-    #: *passive sink* — it observes routing and completions but never
-    #: influences scheduling, so schedules are byte-identical across
-    #: engines and recovery re-derivation stays exact.
-    engine: str = "sim"
-    data_dir: str = ""
+    engine: str = field(default="sim", metadata={
+        "choices": ENGINES,
+        "help": "storage engine behind completions: 'sim' (in-memory) or "
+                "'lsm' (durable on-disk KV store; needs --data-dir).  The "
+                "engine is a passive sink, so schedules are identical "
+                "either way"})
+    data_dir: str = field(default="", metadata={
+        "help": "directory for the 'lsm' engine's store"})
     #: multi-tenant QoS (:mod:`repro.serve.tenancy`): a tuple of
     #: :class:`~repro.serve.tenancy.spec.TenantSpec` enables tenant-tagged
     #: arrivals, weighted-fair admission, SLO shedding, and buffer quotas.
     #: ``None`` (the default) keeps the run byte-identical to a
     #: pre-tenancy run — the key is omitted from journal meta entirely.
     tenants: "tuple[TenantSpec, ...] | None" = None
-    #: de-amortized flush scheduling (``serve --pace``): a per-step,
-    #: per-shard delivered-message budget.  The planner splits and
-    #: round-robins oversized obligations
-    #: (:class:`~repro.serve.planner.PacedPlanner`) and the engine
-    #: enforces the budget as a hard bound, trading a bounded constant
-    #: factor of mean completion time for flat tails.  ``0`` (default)
-    #: keeps schedules and journal bytes identical to an unpaced run —
-    #: the key is omitted from journal meta entirely.
-    pace: int = 0
+    pace: int = field(default=0, metadata={
+        "help": "de-amortization budget: per-step flushed messages allowed "
+                "per shard (0 = off; off is byte-identical to omitting the "
+                "flag)"})
 
     def __post_init__(self) -> None:
         if self.tenants is not None:
             if not isinstance(self.tenants, tuple):
                 object.__setattr__(self, "tenants", tuple(self.tenants))
             validate_tenants(self.tenants, self.messages)
-        if self.arrivals not in ("poisson", "mmpp", "closed", "trace"):
+        if self.arrivals not in TENANT_ARRIVALS + ("trace",):
             raise InvalidInstanceError(
                 f"unknown arrival process {self.arrivals!r}"
             )
@@ -166,7 +197,7 @@ class ServeConfig:
             raise InvalidInstanceError("fault_rate must be in [0, 1]")
         if self.checkpoint_every < 1:
             raise InvalidInstanceError("checkpoint_every must be >= 1")
-        if self.engine not in ("sim", "lsm"):
+        if self.engine not in ENGINES:
             raise InvalidInstanceError(
                 f"unknown storage engine {self.engine!r} "
                 "(expected 'sim' or 'lsm')"

@@ -15,7 +15,7 @@ pre-tenancy run — the byte-equivalence contract the parity tests pin.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 
 from repro.util.errors import InvalidInstanceError
@@ -61,19 +61,38 @@ class TenantSpec:
     """
 
     name: str
-    weight: float = 1.0
+    weight: float = field(default=1.0, metadata={
+        "flag": "--tenant-weights", "per_tenant": True,
+        "help": "comma-separated deficit-round-robin admission weights "
+                "(default: equal weights)"})
     arrivals: str = "poisson"
-    rate: float = 4.0
+    rate: float = field(default=4.0, metadata={
+        "flag": "--tenant-rates", "per_tenant": True,
+        "help": "comma-separated per-tenant arrival rates (default: --rate "
+                "each); message budgets split proportionally to the rates"})
     burst_rate: float = 16.0
     p_burst: float = 0.05
     p_calm: float = 0.25
     n_clients: int = 8
     think_time: int = 0
     messages: int = 0
-    theta: float = 0.0
-    slo_sojourn: int = 0
-    slo_percentile: float = 99.0
-    buffer_quota: int = 0
+    theta: float = field(default=0.0, metadata={
+        "flag": "--tenant-thetas", "per_tenant": True,
+        "help": "comma-separated Zipf skews of each tenant's key sampler "
+                "(default: --skew each)"})
+    slo_sojourn: int = field(default=0, metadata={
+        "flag": "--tenant-slo", "per_tenant": True,
+        "help": "comma-separated sojourn SLO targets in steps (0 = "
+                "untracked, the default); two violating epochs in a row "
+                "shed the violating tenant's queue first"})
+    slo_percentile: float = field(default=99.0, metadata={
+        "flag": "--tenant-slo-percentile",
+        "help": "percentile the sojourn SLO targets apply to"})
+    buffer_quota: int = field(default=0, metadata={
+        "flag": "--tenant-quota", "per_tenant": True,
+        "help": "comma-separated per-shard buffer quotas: max messages a "
+                "tenant may have resident in one shard's internal-node "
+                "buffers (0 = unlimited, the default)"})
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -173,52 +192,56 @@ def split_messages(total: int, shares: "list[float]") -> "list[int]":
     return out
 
 
-def make_tenants(
-    n: int,
-    total_messages: int,
-    *,
-    rates: "list[float] | None" = None,
-    weights: "list[float] | None" = None,
-    thetas: "list[float] | None" = None,
-    slos: "list[int] | None" = None,
-    slo_percentile: float = 99.0,
-    quotas: "list[int] | None" = None,
-    arrivals: str = "poisson",
-) -> "tuple[TenantSpec, ...]":
-    """Build ``n`` tenants named ``t0..t{n-1}`` from parallel lists.
+#: whole-run arrival fields every tenant inherits from the run's config.
+INHERITED = (
+    "arrivals", "rate", "burst_rate", "p_burst", "p_calm", "n_clients",
+    "think_time", "theta",
+)
 
-    Message budgets split proportionally to the offered rates so the
-    run's total matches ``ServeConfig.messages`` exactly (the CLI path).
+#: make_tenants' plural names for the per-tenant lists of these fields.
+_PLURALS = {
+    "rates": "rate", "weights": "weight", "thetas": "theta",
+    "slos": "slo_sojourn", "quotas": "buffer_quota",
+}
+
+
+def make_tenants(
+    n: int, total_messages: int, *, run=None, **values
+) -> "tuple[TenantSpec, ...]":
+    """Build ``n`` tenants named ``t0..t{n-1}``.
+
+    ``values`` maps a :class:`TenantSpec` field, or one of the plural
+    names ``rates``, ``weights``, ``thetas``, ``slos`` and ``quotas``,
+    to a list of one value per tenant or to one value for all of them
+    (``None`` = unset).  An unset field in :data:`INHERITED` takes the
+    matching field of ``run``, the whole-run
+    :class:`~repro.serve.loop.ServeConfig`; any other unset field, or
+    every field when ``run`` is ``None``, keeps the ``TenantSpec``
+    default.  Message budgets split proportionally to the rates so the
+    run's total matches ``total_messages`` exactly.
     """
     if n < 1:
         raise InvalidInstanceError(f"need n >= 1 tenants, got {n}")
-
-    def _pick(vals, default):
+    columns = {}
+    if run is not None:
+        columns = {name: [getattr(run, name)] * n for name in INHERITED}
+    for key, vals in values.items():
         if vals is None:
-            return [default] * n
-        if len(vals) != n:
+            continue
+        if not isinstance(vals, (list, tuple)):
+            vals = [vals] * n
+        elif len(vals) != n:
             raise InvalidInstanceError(
                 f"expected {n} values, got {len(vals)}: {vals}"
             )
-        return list(vals)
-
-    rates = _pick(rates, 4.0)
-    weights = _pick(weights, 1.0)
-    thetas = _pick(thetas, 0.0)
-    slos = _pick(slos, 0)
-    quotas = _pick(quotas, 0)
-    budgets = split_messages(total_messages, rates)
+        columns[_PLURALS.get(key, key)] = list(vals)
+    budgets = split_messages(
+        total_messages, columns.get("rate", [TenantSpec.rate] * n)
+    )
     return tuple(
         TenantSpec(
-            name=f"t{i}",
-            weight=weights[i],
-            arrivals=arrivals,
-            rate=rates[i],
-            messages=budgets[i],
-            theta=thetas[i],
-            slo_sojourn=int(slos[i]),
-            slo_percentile=slo_percentile,
-            buffer_quota=int(quotas[i]),
+            name=f"t{i}", messages=budgets[i],
+            **{name: col[i] for name, col in columns.items()},
         )
         for i in range(n)
     )

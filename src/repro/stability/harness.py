@@ -37,7 +37,8 @@ the same config twice and byte-diffs the JSON.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from dataclasses import fields as dataclass_fields
 
 from repro.obs.hooks import current_obs
 from repro.serve.loop import ServeConfig, ServiceLoop
@@ -63,34 +64,54 @@ SCENARIOS: "dict[str, dict[str, float]]" = {
 }
 
 
+_SERVE_FIELDS = {f.name: f for f in dataclass_fields(ServeConfig)}
+
+
+def _serve_field(name: str, **metadata):
+    """A field with ``ServeConfig``'s default and metadata for ``name``;
+    keyword ``default`` or any metadata key (``help``) overrides."""
+    serve = _SERVE_FIELDS[name]
+    default = metadata.pop("default", serve.default)
+    return field(default=default, metadata={**serve.metadata, **metadata})
+
+
 @dataclass(frozen=True)
 class StabilityConfig:
-    """One stability run, fully determined by its fields."""
+    """One stability run, fully determined by its fields.
 
-    scenario: str = "flash-crowd"
-    messages: int = 20_000
-    seed: int = 0
-    shards: int = 4
-    P: int = 4
-    B: int = 16
-    height: int = 3
-    leaves: int = 64
-    epoch: int = 8
-    #: de-amortization budget (0 = controller off).
-    pace: int = 0
-    #: compaction-interference injection (serve fault pipeline).
-    fault_rate: float = 0.0
-    fault_seed: int = 0
-    #: durable engine ("sim" = scheduling only; "lsm" = real disk store,
-    #: whose compactions the attribution pass reads natively).
-    engine: str = "sim"
-    data_dir: str = ""
-    #: DAM steps per detector window.
-    window: int = 16
-    #: stalled when throughput < stall_frac * trailing healthy mean.
-    stall_frac: float = 0.5
-    #: healthy windows in the trailing mean.
-    trailing: int = 8
+    Each field's ``help`` metadata documents it; ``stability`` derives
+    one flag per field.  The fields named like ``ServeConfig``'s pass
+    through to the serving run and share its defaults.
+    """
+
+    scenario: str = field(default="flash-crowd", metadata={
+        "choices": tuple(SCENARIOS),
+        "help": "MMPP arrival shape: long calm/busy sojourns (diurnal) or "
+                "rare, intense bursts (flash-crowd)"})
+    messages: int = _serve_field("messages", default=20_000)
+    seed: int = _serve_field("seed")
+    shards: int = _serve_field("shards")
+    P: int = _serve_field("P")
+    B: int = _serve_field("B")
+    height: int = _serve_field("height")
+    leaves: int = _serve_field("leaves")
+    epoch: int = _serve_field("epoch")
+    pace: int = _serve_field(
+        "pace", help="de-amortization budget (0 = controller off)")
+    fault_rate: float = _serve_field(
+        "fault_rate", help="compaction-interference injection rate")
+    fault_seed: int = _serve_field("fault_seed")
+    engine: str = _serve_field(
+        "engine",
+        help="'lsm' runs the real disk store inline and attributes stalls "
+             "overlapping its compactions natively (needs --data-dir)")
+    data_dir: str = _serve_field("data_dir")
+    window: int = field(default=16, metadata={
+        "help": "DAM steps per detector window"})
+    stall_frac: float = field(default=0.5, metadata={
+        "help": "stalled when throughput < frac * trailing healthy mean"})
+    trailing: int = field(default=8, metadata={
+        "help": "healthy windows in the trailing mean"})
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIOS:
@@ -102,30 +123,19 @@ class StabilityConfig:
             raise InvalidInstanceError(
                 f"window must be >= 1, got {self.window}"
             )
+        # The serving run checks its own fields.
+        object.__setattr__(self, "_serve", ServeConfig(
+            arrivals="mmpp",
+            **SCENARIOS[self.scenario],
+            **{
+                f.name: getattr(self, f.name)
+                for f in dataclass_fields(self) if f.name in _SERVE_FIELDS
+            },
+        ))
 
     def to_serve_config(self) -> ServeConfig:
         """The serving-loop config this scenario maps to."""
-        mmpp = SCENARIOS[self.scenario]
-        return ServeConfig(
-            arrivals="mmpp",
-            rate=mmpp["rate"],
-            burst_rate=mmpp["burst_rate"],
-            p_burst=mmpp["p_burst"],
-            p_calm=mmpp["p_calm"],
-            messages=self.messages,
-            shards=self.shards,
-            P=self.P,
-            B=self.B,
-            height=self.height,
-            leaves=self.leaves,
-            epoch=self.epoch,
-            pace=self.pace,
-            fault_rate=self.fault_rate,
-            fault_seed=self.fault_seed,
-            engine=self.engine,
-            data_dir=self.data_dir,
-            seed=self.seed,
-        )
+        return self._serve
 
 
 class _MeteredLoop(ServiceLoop):
