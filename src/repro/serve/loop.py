@@ -370,7 +370,155 @@ def build_planner(config: "ServeConfig") -> EpochPlanner:
     return EpochPlanner(config.epoch)
 
 
-class ServiceLoop:
+class ShardStep:
+    """Phases 2-4 of the DAM step over the shards one process steps.
+
+    Drain the admission queues into the shard roots, plan at epoch
+    boundaries (or forced, under the per-shard re-plan budget), then run
+    one ``engine.step`` per shard — at most ``P`` flushes each.
+    :class:`ServiceLoop` steps every shard; a procpool worker
+    (:mod:`repro.serve.procpool`) steps the shards it hosts.  Both run
+    these phases and differ only in what three events do:
+    :meth:`_on_admission`, :meth:`_on_completion` and
+    :meth:`_on_replans_exhausted`.  Subclasses also name each shard's
+    durable sink (:meth:`_store_of`) and what a rejected write costs
+    (:meth:`_store_rejected`).
+    """
+
+    def __init__(self, config: "ServeConfig",
+                 engines: "list[ShardEngine | None]",
+                 tenant_of: "dict[int, int]") -> None:
+        self.config = config
+        #: shard id -> engine (None for shards another process steps).
+        self.engines = engines
+        #: the shards each phase visits, in order.
+        self._shard_ids = [s for s, e in enumerate(engines) if e is not None]
+        self.planner = build_planner(config)
+        bounds = dict(
+            max_root_backlog=config.max_root_backlog or 4 * config.B,
+            max_queue=config.max_queue or 16 * config.B,
+        )
+        if config.tenants:
+            # Weighted-fair lanes keyed on the gid -> tenant map.
+            self.admission: AdmissionController = TenantAdmissionController(
+                config.shards, specs=config.tenants, tenant_of=tenant_of,
+                **bounds,
+            )
+        else:
+            self.admission = AdmissionController(config.shards, **bounds)
+        #: per-shard admissions since that shard's last plan.
+        self._fresh: "list[list[int]]" = [[] for _ in engines]
+        self._replans_left = [MAX_FORCED_REPLANS] * len(engines)
+        #: where engine steps record their flushes and faults (or None).
+        self._journal = None
+        #: message id -> routed key, for the durable sink (engine='lsm').
+        self._gid_key: "dict[int, int]" = {}
+
+    # -- events ----------------------------------------------------------
+    def _stepping(self, sid: int) -> bool:
+        """Whether shard ``sid`` takes part in this step's phases."""
+        return True
+
+    def _on_admission(self, sid: int, gid: int, done: "int | None",
+                      t: int) -> None:
+        """``gid`` reached shard ``sid``'s root at step ``t`` (``done``
+        is its completion step when the root is its target)."""
+        raise NotImplementedError
+
+    def _on_completion(self, sid: int, gid: int, step: int) -> None:
+        """Shard ``sid`` delivered ``gid`` to its target leaf."""
+        raise NotImplementedError
+
+    def _on_replans_exhausted(
+        self, sid: int, engine: ShardEngine, t: int
+    ) -> None:
+        """Shard ``sid`` deadlocked with no forced re-plans left."""
+        raise NotImplementedError
+
+    # -- phases 2-4 ------------------------------------------------------
+    def _drain_shards(self, t: int) -> None:
+        """Phase 2: admission queues -> shard roots."""
+        for sid in self._shard_ids:
+            if not self._stepping(sid):
+                continue
+            for gid, _leaf, done in self.admission.drain(
+                sid, self.engines[sid], t
+            ):
+                self._on_admission(sid, gid, done, t)
+                if done is None:
+                    self._fresh[sid].append(gid)
+
+    def _plan_shards(self, t: int) -> None:
+        """Phase 3: epoch / forced planning under the re-plan budget."""
+        boundary = self.planner.is_boundary(t)
+        for sid in self._shard_ids:
+            if not self._stepping(sid):
+                continue
+            engine = self.engines[sid]
+            force = engine.idle_streak > MAX_IDLE_STEPS
+            if force and self._replans_left[sid] <= 0:
+                self._on_replans_exhausted(sid, engine, t)
+            elif force or (boundary and self._fresh[sid]):
+                self.planner.plan(engine, self._fresh[sid], force_full=force)
+                self._fresh[sid] = []
+                if force:
+                    self._replans_left[sid] -= 1
+
+    def _execute_shards(self, t: int) -> None:
+        """Phase 4: one DAM step per shard, in shard order."""
+        for sid in self._shard_ids:
+            if self._stepping(sid):
+                for gid, step in self.engines[sid].step(t, self._journal):
+                    self._on_completion(sid, gid, step)
+
+    def _restore_shard(self, sid: int, locations: "dict[int, int]",
+                       targets: "dict[int, int]") -> None:
+        """Rebuild shard ``sid``'s machine state from a journal fold.
+
+        The engine's realized schedule and counters survive the wipe
+        (they belong to the run's accounting); the restored messages get
+        a fresh full plan and a fresh re-plan budget.
+        """
+        engine = self.engines[sid]
+        engine.wipe()
+        engine.restore_state(locations, targets)
+        self.admission.rebuild_residency(sid, locations.keys())
+        self._fresh[sid] = []
+        self._replans_left[sid] = MAX_FORCED_REPLANS
+        if engine.location:
+            self.planner.plan(engine, [], force_full=True)
+
+    # -- durable sink ----------------------------------------------------
+    def _store_of(self, sid: int):
+        """The durable sink behind shard ``sid`` (None: no sink)."""
+        raise NotImplementedError
+
+    def _store_rejected(self, sid: int) -> None:
+        """A degraded store rejected one of shard ``sid``'s writes."""
+        raise NotImplementedError
+
+    def _store_put(self, sid: int, gid: int, step: int) -> None:
+        """Record ``gid``'s completion in its shard's sink, degradation-
+        tolerant.
+
+        A degraded or faulted store must not take serving down with it:
+        the completion being recorded is already journal-durable, so a
+        typed storage error is handed to :meth:`_store_rejected` and
+        serving continues read-only until the store re-arms.
+        """
+        store = self._store_of(sid)
+        if store is None:
+            return
+        key = self._gid_key.pop(gid, None)
+        if key is None:
+            return
+        try:
+            store.put(str(key), {"gid": int(gid), "step": int(step)})
+        except StorageError:
+            self._store_rejected(sid)
+
+
+class ServiceLoop(ShardStep):
     """One serving run.  Construct, then :meth:`run` exactly once.
 
     ``journal`` is ``None``, a path (the loop opens and owns a
@@ -382,7 +530,6 @@ class ServiceLoop:
                  sync: bool = False,
                  max_segment_bytes: "int | None" = None,
                  compact_every_rotations: int = 0) -> None:
-        self.config = config
         self.router = ShardRouter(
             config.shards,
             config.key_space or self._derived_key_space(config),
@@ -392,11 +539,10 @@ class ServiceLoop:
             leaves=config.leaves,
             eps=config.eps,
         )
-        self.engines: "list[ShardEngine]" = [
+        engines = [
             build_shard_engine(config, spec) for spec in self.router.shards
         ]
         self.arrivals = self._build_arrivals(config)
-        self.planner = build_planner(config)
         #: tenancy runtime, or None for the (byte-identical) single-tenant
         #: path; when set, admission is the weighted-fair controller and
         #: metrics carry the gid -> tenant map it keys on.
@@ -407,20 +553,7 @@ class ServiceLoop:
             config.shards,
             self._tenancy.names if self._tenancy else None,
         )
-        if self._tenancy is not None:
-            self.admission: AdmissionController = TenantAdmissionController(
-                config.shards,
-                max_root_backlog=config.max_root_backlog or 4 * config.B,
-                max_queue=config.max_queue or 16 * config.B,
-                specs=config.tenants,
-                tenant_of=self.metrics.tenant_of,
-            )
-        else:
-            self.admission = AdmissionController(
-                config.shards,
-                max_root_backlog=config.max_root_backlog or 4 * config.B,
-                max_queue=config.max_queue or 16 * config.B,
-            )
+        super().__init__(config, engines, self.metrics.tenant_of)
         self._journal_arg = journal
         self._sync = bool(sync)
         self._max_segment_bytes = max_segment_bytes
@@ -431,16 +564,10 @@ class ServiceLoop:
                 f"got {compact_every_rotations}"
             )
         self._ran = False
-        # Per-run state, (re)initialized by run(); declared here so the
-        # overridable phase methods have stable attributes to reference.
-        self._journal: "_ServeJournal | None" = None
-        self._fresh: "list[list[int]]" = [[] for _ in self.engines]
-        self._replans_left = [MAX_FORCED_REPLANS] * len(self.engines)
         self._next_gid = 0
         #: the durable sink (engine='lsm'); a passive observer of the
         #: loop, opened in the parent so SIGKILLed workers never hold it.
         self.store = None
-        self._gid_key: "dict[int, int]" = {}
         #: durable-sink writes rejected by a degraded/faulted store;
         #: serving continues (the completion is journal-durable), the
         #: rejection is surfaced here and via serve_store_degraded_total.
@@ -451,9 +578,9 @@ class ServiceLoop:
     def _open_store(self, config: ServeConfig):
         """The parent-held durable sink (engine='lsm').
 
-        The in-process and threaded drivers keep one store for the whole
-        run; the procpool driver overrides this to ``None`` — its
-        workers own per-shard stores under ``data_dir/shard-<k>``.
+        The in-process drivers keep one store for the whole run; the
+        procpool driver overrides this to ``None`` — its workers own
+        per-shard stores under ``data_dir/shard-<k>``.
         """
         # Local import: repro.lsm.disk is pure storage, no serve
         # dependency, but keeping the sim path import-free means a
@@ -513,10 +640,13 @@ class ServiceLoop:
         return self.config.to_meta()
 
     # -- overridable step phases ---------------------------------------
-    # run() drives these in order each step; SupervisedLoop overrides
-    # individual phases (spill-instead-of-shed, quarantine skips)
-    # without re-stating the loop.  With the base implementations the
-    # step is behavior-identical to the historical inline loop.
+    # run() calls _advance until the system drains; _advance runs one
+    # step: phase 1 (route arrivals), the ShardStep phases 2-4 and
+    # phase 5 (meter).  SupervisedLoop overrides single phases and
+    # events (spill-instead-of-shed, quarantine skips) without
+    # re-stating the step; ProcPoolLoop overrides _advance to run a
+    # chunk of steps in worker processes, which run the same ShardStep
+    # phases, plus _start_workers/_stop_workers.
 
     def _durable_step(self) -> int:
         """Newest journal-durable step (-1 when no journal is attached)."""
@@ -568,7 +698,13 @@ class ServiceLoop:
                 self.metrics.note_shed(gid, t)
                 self.arrivals.notify_shed(gid, t)
 
-    def _complete(self, gid: int, step: int) -> None:
+    def _on_admission(self, sid: int, gid: int, done: "int | None",
+                      t: int) -> None:
+        self.metrics.note_admit(gid, t)
+        if done is not None:
+            self._on_completion(sid, gid, done)
+
+    def _on_completion(self, sid: int, gid: int, step: int) -> None:
         self.metrics.note_completion(gid, step)
         self.arrivals.notify_completion(gid, step)
         self.admission.note_departed(gid)
@@ -578,49 +714,25 @@ class ServiceLoop:
                 self._tenancy.tracker.note_completion(
                     tid, step - self.metrics.arrival_step[gid] + 1
                 )
-        if self.store is not None:
-            key = self._gid_key.pop(gid, None)
-            if key is not None:
-                # The durable acknowledgment: by the time the loop calls
-                # _complete the message is delivered, so the completion
-                # record must survive any crash after this line.  The
-                # in-process drivers funnel completions through here;
-                # the procpool driver's workers own per-shard stores and
-                # write at their own completion points instead (see
-                # repro.serve.procpool).
-                self._store_put(
-                    str(key), {"gid": int(gid), "step": int(step)}
-                )
+        # The durable acknowledgment: the message is delivered, so its
+        # completion record must survive any crash after this line.
+        # Under the procpool driver the workers own per-shard stores and
+        # write at their own completion events (the parent's store is
+        # None, so this is a no-op there).
+        self._store_put(sid, gid, step)
 
-    def _store_put(self, key: str, value: dict) -> None:
-        """One durable-sink write, degradation-tolerant.
+    def _store_of(self, sid: int):
+        return self.store
 
-        A degraded or faulted store must not take serving down with it:
-        the completion being recorded is already journal-durable, so a
-        typed storage error is counted (``serve_store_degraded_total``)
-        and the loop keeps serving read-only until the store re-arms.
-        """
-        try:
-            self.store.put(key, value)
-        except StorageError:
-            self.store_put_errors += 1
-            obs = current_obs()
-            if obs.enabled:
-                obs.metrics.counter(
-                    "serve_store_degraded_total",
-                    "durable-sink writes rejected by a degraded store",
-                ).inc()
-
-    def _note_routed(self, gid: int, key, sid: int, t: int) -> None:
-        """Phase-1 hook: one arrival was routed (parent-side, pre-offer).
-
-        The durable sink needs the gid -> key association at completion
-        time; recording it here — at the only two places arrivals are
-        routed (the base loop and the procpool's staging) — keeps the
-        engine entirely out of the scheduling path.
-        """
-        if self.store is not None:
-            self._gid_key[gid] = key
+    def _store_rejected(self, sid: int) -> None:
+        """Counted (``serve_store_degraded_total``), never fatal."""
+        self.store_put_errors += 1
+        obs = current_obs()
+        if obs.enabled:
+            obs.metrics.counter(
+                "serve_store_degraded_total",
+                "durable-sink writes rejected by a degraded store",
+            ).inc()
 
     def _offer(self, sid: int, gid: int, leaf: int, t: int) -> None:
         """Phase-1 handoff of one routed arrival to admission."""
@@ -639,37 +751,24 @@ class ServiceLoop:
             self.arrivals.pending_tenants if self._tenancy is not None
             else None
         )
+        # The durable sink records completions under the routed key.
+        keep_keys = self.config.engine == "lsm"
         for i, (gid, key) in enumerate(zip(gids, keys)):
             sid, leaf = self.router.route(key)
             self.metrics.note_arrival(
                 gid, sid, t,
                 tenants[i] if tenants is not None else None,
             )
-            self._note_routed(gid, key, sid, t)
+            if keep_keys:
+                self._gid_key[gid] = key
             self._offer(sid, gid, leaf, t)
         self.arrivals.on_emitted(gids)
-
-    def _drain_shard(self, sid: int, engine: ShardEngine, t: int) -> None:
-        """Phase 2 for one shard: admission queue -> shard root."""
-        for gid, _leaf, done in self.admission.drain(sid, engine, t):
-            self.metrics.note_admit(gid, t)
-            if done is not None:
-                self._complete(gid, done)
-            else:
-                self._fresh[sid].append(gid)
-
-    def _drain_shards(self, t: int) -> None:
-        for sid, engine in enumerate(self.engines):
-            self._drain_shard(sid, engine, t)
 
     def _on_replans_exhausted(
         self, sid: int, engine: ShardEngine, t: int
     ) -> None:
-        """A shard deadlocked with no forced re-plans left.
-
-        The base loop fails the run; the supervised loop trips the
-        shard's breaker instead and keeps the other shards serving.
-        """
+        """The base loop fails the run; the supervised loop trips the
+        shard's breaker instead and keeps the other shards serving."""
         raise ExecutionStalledError(
             f"shard {sid} deadlocked at step {t} with no "
             f"re-plans left ({engine.pending_flushes} "
@@ -680,30 +779,9 @@ class ServiceLoop:
             last_durable_step=self._durable_step(),
         )
 
-    def _plan_shard(
-        self, sid: int, engine: ShardEngine, t: int, boundary: bool
-    ) -> None:
-        """Phase 3 for one shard: epoch / forced planning."""
-        force = engine.idle_streak > MAX_IDLE_STEPS
-        if force and self._replans_left[sid] <= 0:
-            self._on_replans_exhausted(sid, engine, t)
-            return
-        if force or (boundary and self._fresh[sid]):
-            self.planner.plan(engine, self._fresh[sid], force_full=force)
-            self._fresh[sid] = []
-            if force:
-                self._replans_left[sid] -= 1
-
-    def _plan_shards(self, t: int) -> None:
-        boundary = self.planner.is_boundary(t)
-        for sid, engine in enumerate(self.engines):
-            self._plan_shard(sid, engine, t, boundary)
-
-    def _execute_shards(self, t: int) -> None:
-        """Phase 4: one DAM step per shard, in shard order."""
-        for engine in self.engines:
-            for gid, step in engine.step(t, self._journal):
-                self._complete(gid, step)
+    def _in_flight(self, sid: int) -> int:
+        """Messages admitted to shard ``sid`` and not yet delivered."""
+        return self.engines[sid].in_flight
 
     def _queue_depth(self, sid: int) -> int:
         """Arrivals waiting in front of ``sid`` (admission + overlays)."""
@@ -795,6 +873,34 @@ class ServiceLoop:
         )
 
     # ------------------------------------------------------------------
+    def _start_workers(self) -> None:
+        """Before the first step (the in-process drivers have none)."""
+
+    def _stop_workers(self) -> None:
+        """After the last step, however the run ended."""
+
+    def _advance(self, t: int, max_steps: int) -> int:
+        """Run step ``t``; returns the last step run.
+
+        The in-process drivers run exactly one step; the procpool driver
+        runs a chunk of steps in its workers (never past ``max_steps``).
+        """
+        self._begin_step(t)
+        self._route_arrivals(t)
+        self._drain_shards(t)
+        self._plan_shards(t)
+        obs = self._obs
+        t_exec = obs.profiler.clock() if obs.enabled else 0.0
+        self._execute_shards(t)
+        if obs.enabled:
+            obs.profiler.add(PHASE_EXECUTE, obs.profiler.clock() - t_exec)
+        self._meter(t)
+        if self._journal is not None:
+            self._journal.end_step(
+                t, self._next_gid, len(self.metrics.completion_step)
+            )
+        return t
+
     def run(self) -> ServeReport:
         """Drive the loop to completion; returns the full report."""
         if self._ran:
@@ -806,49 +912,30 @@ class ServiceLoop:
         # Observability is bound once per run (see repro.obs.hooks); with
         # the disabled default every step below is allocation-identical
         # to the uninstrumented loop.
-        obs = current_obs()
+        self._obs = obs = current_obs()
         enabled = obs.enabled
         run_span = obs.tracer.span(
             "serve.run", category="serve",
             shards=len(engines), messages=config.messages,
         )
-        clock = obs.profiler.clock
         self._journal = journal = self._open_journal()
         max_steps = config.max_steps or max(
             1000, 50 * config.messages * (config.height + 2)
         )
-        #: per-shard admissions since that shard's last plan.
-        self._fresh = [[] for _ in engines]
-        self._replans_left = [MAX_FORCED_REPLANS] * len(engines)
-        self._next_gid = 0
+        self._start_workers()
         t = 0
         try:
-            while True:
-                if self._finished():
-                    break
-                t += 1
-                if t > max_steps:
+            while not self._finished():
+                if t + 1 > max_steps:
+                    in_flight = sum(map(self._in_flight, range(len(engines))))
                     raise ExecutionStalledError(
                         f"serving loop exceeded max_steps={max_steps} "
-                        f"(in flight: "
-                        f"{sum(e.in_flight for e in engines)})",
-                        step=t,
-                        epoch=self.planner.epoch_of(t),
+                        f"(in flight: {in_flight})",
+                        step=t + 1,
+                        epoch=self.planner.epoch_of(t + 1),
                         last_durable_step=self._durable_step(),
                     )
-                self._begin_step(t)
-                self._route_arrivals(t)
-                self._drain_shards(t)
-                self._plan_shards(t)
-                t_exec = clock() if enabled else 0.0
-                self._execute_shards(t)
-                if enabled:
-                    obs.profiler.add(PHASE_EXECUTE, clock() - t_exec)
-                self._meter(t)
-                if journal is not None:
-                    journal.end_step(
-                        t, self._next_gid, len(metrics.completion_step)
-                    )
+                t = self._advance(t + 1, max_steps)
         except ExecutionStalledError:
             if journal is not None:
                 journal.abort()
@@ -856,6 +943,8 @@ class ServiceLoop:
             run_span.set("stalled", True)
             run_span.finish()
             raise
+        finally:
+            self._stop_workers()
         for engine in engines:
             engine.schedule.trim()
         if journal is not None:

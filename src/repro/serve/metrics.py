@@ -133,6 +133,15 @@ class ServeMetrics:
             tl.root_backlog.append(root_backlogs[s])
             tl.in_flight.append(in_flight[s])
 
+    @property
+    def outstanding(self) -> int:
+        """Arrived messages neither completed nor shed: queued, spilled,
+        in a shard, or lost with a killed one until its restart."""
+        return (
+            len(self.arrival_step) - len(self.completion_step)
+            - len(self.shed_ids)
+        )
+
     # ------------------------------------------------------------------
     def sojourns(self) -> "list[int]":
         """Sojourn times of all completed messages (arrival order)."""
@@ -189,7 +198,7 @@ class ServeMetrics:
             "completed": completed,
             "shed": len(self.shed_ids),
             "spilled": len(self.spilled_ids),
-            "in_flight": arrived - completed - len(self.shed_ids),
+            "in_flight": self.outstanding,
             "throughput": round(completed / n_steps, 4) if n_steps else 0.0,
             "sojourn": sojourn.row(),
             "admission_wait": LatencyStats.of(waits).row(),

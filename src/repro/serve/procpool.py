@@ -10,6 +10,15 @@ shards' engines, admission queues, and a planner, and answer with
 per-step results (admits, completions, sheds, buffered journal records,
 depth samples) plus counter deltas.
 
+Neither side restates the in-process loop.  A worker is a
+:class:`~repro.serve.loop.ShardStep` — the same drain / plan / step
+phases :class:`~repro.serve.loop.ServiceLoop` runs — whose three events
+(admission, completion, re-plans exhausted) are recorded for the parent
+instead of applied.  The parent inherits the run skeleton and overrides
+one advance step: stage a chunk's arrivals through the loop's own
+routing, dispatch, merge.  What is left here is process-specific: pipes,
+worker lifecycle, the queue mirror, and the chunk merge.
+
 The determinism story is the in-process loop's, pushed across a
 process boundary:
 
@@ -68,33 +77,23 @@ from pathlib import Path
 
 from repro.dam.journal import REC_FLUSH
 from repro.dam.schedule import Flush
-from repro.faults.chaos import CHAOS_DISK_FAULT
-from repro.faults.iofaults import FaultFS, parse_plan
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_EXECUTE
-from repro.policies.engine import MAX_IDLE_STEPS
-from repro.serve.admission import AdmissionController
 from repro.serve.loop import (
     MAX_FORCED_REPLANS,
-    build_planner,
+    ShardStep,
     build_shard_engine,
 )
-from repro.serve.tenancy.fair import TenantAdmissionController
-from repro.serve.router import ShardStats
 from repro.serve.supervisor import (
     BREAKER_OPEN,
     DEGRADED,
     HEALTHY,
     QUARANTINED,
+    DiskFaultWindows,
     SupervisedLoop,
     apply_chaos_windows,
 )
-from repro.util.errors import (
-    ExecutionStalledError,
-    InvalidInstanceError,
-    StorageError,
-)
-from repro.util.fsio import install
+from repro.util.errors import InvalidInstanceError, StorageError
 
 #: seconds each escalation rung waits before climbing to the next.
 ESCALATION_GRACE = 1.0
@@ -104,11 +103,11 @@ ESCALATION_GRACE = 1.0
 # worker side
 # ---------------------------------------------------------------------
 class _ShardJournalBuffer:
-    """One shard-step's journal records, shipped to the parent.
+    """One chunk's journal records, shipped to the parent.
 
     Presents the ``record_flush`` / ``record_fault`` face of the serve
-    journal; the parent merges buffers in (step, shard) order so journal
-    bytes match the in-process loop exactly."""
+    journal; the parent replays the records in (step, shard) order so
+    journal bytes match the in-process loop exactly."""
 
     __slots__ = ("records",)
 
@@ -123,85 +122,58 @@ class _ShardJournalBuffer:
         self.records.append(("fault", t, shard, (kind, src, dest, detail)))
 
 
-class _WorkerShard:
-    """One shard's per-process loop state (mirrors the parent's
-    ``_fresh`` / ``_replans_left`` bookkeeping)."""
+class _ShardWorker(ShardStep):
+    """Everything one worker process owns: its shards' engines and
+    stores, their admission queues, and a planner.
 
-    __slots__ = ("engine", "fresh", "replans_left", "frozen_at",
-                 "unconsumed")
-
-    def __init__(self, engine) -> None:
-        self.engine = engine
-        self.fresh: "list[int]" = []
-        self.replans_left = MAX_FORCED_REPLANS
-        #: step at which this shard deadlocked with no re-plans left
-        #: (the parent quarantines it at the barrier), else None.
-        self.frozen_at: "int | None" = None
-        #: arrivals the freeze left unoffered, returned to the parent.
-        self.unconsumed: "list[tuple[int, int, int]]" = []
-
-
-class _ShardWorker:
-    """Everything one worker process owns."""
+    Each step is :class:`~repro.serve.loop.ServiceLoop`'s: offer the
+    parent-routed arrivals, then the shared drain / plan / step phases.
+    The three step events are recorded for the parent instead of
+    applied; a shard whose re-plans run out freezes until the parent
+    quarantines it at the chunk barrier.
+    """
 
     def __init__(self, config, chaos, specs, cancel,
                  debug_hang=None) -> None:
-        self.config = config
+        engines = [None] * config.shards
+        for sid in sorted(specs):
+            engines[sid] = build_shard_engine(config, specs[sid])
+            apply_chaos_windows(engines[sid], chaos, config, sid)
+        #: gid -> tenant index, fed by the parent with each batch (the
+        #: worker never sees the arrival process, only routed gids).
+        self.tenant_of: "dict[int, int]" = {}
+        super().__init__(config, engines, self.tenant_of)
+        self._hosted = tuple(self._shard_ids)
+        self.chaos = chaos
         self.cancel = cancel
         #: test hook: ``(shard, step, mode)`` hangs the worker at that
         #: step; mode is ``cancellable`` (honors the cancel event),
         #: ``stubborn-term`` (dies only to SIGTERM), or ``stubborn-kill``
         #: (ignores SIGTERM; dies only to SIGKILL).
         self.debug_hang = debug_hang
-        self.planner = build_planner(config)
-        #: gid -> tenant index, fed by the parent with each batch (the
-        #: worker never sees the arrival process, only routed gids).
-        self.tenant_of: "dict[int, int]" = {}
-        if config.tenants:
-            self.admission: AdmissionController = TenantAdmissionController(
-                config.shards,
-                max_root_backlog=config.max_root_backlog or 4 * config.B,
-                max_queue=config.max_queue or 16 * config.B,
-                specs=config.tenants,
-                tenant_of=self.tenant_of,
-            )
-        else:
-            self.admission = AdmissionController(
-                config.shards,
-                max_root_backlog=config.max_root_backlog or 4 * config.B,
-                max_queue=config.max_queue or 16 * config.B,
-            )
-        self.shards: "dict[int, _WorkerShard]" = {}
-        for sid in sorted(specs):
-            engine = build_shard_engine(config, specs[sid])
-            apply_chaos_windows(engine, chaos, config, sid)
-            self.shards[sid] = _WorkerShard(engine)
         #: per-shard durable sinks (engine='lsm'): each hosted shard
         #: owns ``data_dir/shard-<sid>``.  Opening is normal recovery —
         #: a fresh process after a SIGKILL replays the WAL it was left.
         self.stores: dict = {}
         if config.engine == "lsm":
             from repro.lsm.disk import KVStore
-            for sid in sorted(specs):
+            for sid in self._hosted:
                 self.stores[sid] = KVStore(
                     Path(config.data_dir) / f"shard-{sid}", sync=False
                 )
-        #: gid -> routed key, fed by the parent with each batch/restore
-        #: (the durable sink records completions under the routed key).
-        self.key_of: "dict[int, int]" = {}
-        #: per-chunk durable-sink rejections, reported with the result.
-        self._store_errors: "dict[int, int]" = {}
         #: chaos disk-fault windows live worker-side too: the worker
         #: owns the stores, so its syscalls are the fault domain.
-        self.chaos = chaos
-        self._fault_windows: "list[tuple[int, tuple]]" = []
-        self._fault_fs: "FaultFS | None" = None
-        self._faults_fired = 0
+        self._disk_faults = DiskFaultWindows()
+        #: shard -> step it deadlocked at with no re-plans left.
+        self._frozen_at: "dict[int, int]" = {}
+        #: the running chunk's per-shard results and sink rejections.
+        self._out: dict = {}
+        self._store_errors: "dict[int, int]" = {}
         # Deltas are taken against the last *reported* totals, not the
         # chunk start, so counters bumped between chunks (the forced
         # re-plan a restore issues) reach the parent with the next chunk.
         self._last_stats = {
-            sid: asdict(ws.engine.stats) for sid, ws in self.shards.items()
+            sid: asdict(engines[sid].stats) for sid in self._hosted
         }
         self._last_adm = asdict(self.admission.stats)
         self._last_plan = asdict(self.planner.stats)
@@ -210,7 +182,7 @@ class _ShardWorker:
         if self.debug_hang is None:
             return
         sid, step, mode = self.debug_hang
-        if sid not in self.shards or t != step:
+        if sid not in self._hosted or t != step:
             return
         if mode == "stubborn-kill":
             signal.signal(signal.SIGTERM, signal.SIG_IGN)
@@ -221,55 +193,29 @@ class _ShardWorker:
             while True:
                 time.sleep(0.05)
 
-    # -- disk-fault windows (worker-side fault domain) -----------------
-    def _step_fault_windows(self, t: int) -> None:
-        """Expire/open chaos disk-fault windows at step ``t``.  A window
-        arms only on the worker hosting the event's shard, so per-shard
-        stores get per-shard fault domains."""
-        refresh = False
-        if self._fault_windows:
-            live = [w for w in self._fault_windows if w[0] > t]
-            if len(live) != len(self._fault_windows):
-                self._fault_windows = live
-                refresh = True
-        for ev in self.chaos.events_at(t):
-            if ev.kind == CHAOS_DISK_FAULT and ev.shard in self.shards:
-                self._fault_windows.append(
-                    (t + ev.duration, parse_plan(ev.spec))
-                )
-                refresh = True
-        if refresh:
-            self._refresh_fault_fs()
+    # -- step events: recorded for the parent --------------------------
+    def _stepping(self, sid: int) -> bool:
+        return sid not in self._frozen_at
 
-    def _refresh_fault_fs(self) -> None:
-        if self._fault_fs is not None:
-            self._faults_fired += len(self._fault_fs.fired)
-            self._fault_fs.fired.clear()
-        rules = tuple(
-            rule for _end, plan in self._fault_windows for rule in plan
-        )
-        if rules:
-            self._fault_fs = FaultFS(rules)
-            install(self._fault_fs)
-        else:
-            self._fault_fs = None
-            install(None)
+    def _on_admission(self, sid, gid, done, t) -> None:
+        self._out[sid]["admits"].setdefault(t, []).append((gid, done))
+        if done is not None:
+            self._store_put(sid, gid, done)
 
-    # -- durable sink --------------------------------------------------
-    def _store_put(self, sid: int, gid: int, step: int) -> None:
-        """Record one completion in the shard's store (degradation-
-        tolerant: the completion's acknowledgment is the parent journal;
-        a rejected write is counted and shipped home, never fatal)."""
-        store = self.stores.get(sid)
-        if store is None:
-            return
-        key = self.key_of.pop(gid, None)
-        if key is None:
-            return
-        try:
-            store.put(str(key), {"gid": int(gid), "step": int(step)})
-        except StorageError:
-            self._store_errors[sid] = self._store_errors.get(sid, 0) + 1
+    def _on_completion(self, sid, gid, step) -> None:
+        self._out[sid]["exec"].setdefault(step, []).append((gid, step))
+        self.admission.note_departed(gid)
+        self._store_put(sid, gid, step)
+
+    def _on_replans_exhausted(self, sid, engine, t) -> None:
+        self._frozen_at[sid] = self._out[sid]["frozen_at"] = t
+
+    # -- durable sink: the acknowledgment is the parent journal ----------
+    def _store_of(self, sid: int):
+        return self.stores.get(sid)
+
+    def _store_rejected(self, sid: int) -> None:
+        self._store_errors[sid] = self._store_errors.get(sid, 0) + 1
 
     def shutdown(self) -> None:
         """Close the stores (flushing their WALs) before the process
@@ -280,64 +226,47 @@ class _ShardWorker:
             except (StorageError, OSError):
                 pass
         self.stores.clear()
-        if self._fault_fs is not None or self._fault_windows:
-            self._fault_windows = []
-            self._fault_fs = None
-            install(None)
+        self._disk_faults.close()
 
     def restore(self, sid, locations, targets, queue_items,
                 tenants=None, keys=None) -> None:
         """Install folded restart state shipped by the parent."""
+        self._learn(tenants, keys)
+        self._frozen_at.pop(sid, None)
+        self._restore_shard(sid, locations, targets)
+        self.admission.load_queue(sid, queue_items)
+
+    def _learn(self, tenants, keys) -> None:
+        """Take in the parent's gid -> tenant / routed-key tags."""
         if tenants:
             self.tenant_of.update(
                 {int(g): int(tid) for g, tid in tenants.items()}
             )
         if keys:
-            self.key_of.update(
-                {int(g): int(k) for g, k in keys.items()}
-            )
-        ws = self.shards[sid]
-        ws.engine.wipe()
-        ws.engine.restore_state(locations, targets)
-        ws.fresh = []
-        ws.replans_left = MAX_FORCED_REPLANS
-        ws.frozen_at = None
-        ws.unconsumed = []
-        if ws.engine.location:
-            self.planner.plan(ws.engine, [], force_full=True)
-        self.admission.load_queue(sid, queue_items)
-        self.admission.rebuild_residency(sid, locations)
+            self._gid_key.update({int(g): int(k) for g, k in keys.items()})
 
     def run_chunk(self, t0, t1, batch, active, slo=None):
         """Execute steps ``t0..t1`` for ``active`` hosted shards.
 
-        Phase order within each step matches ``ServiceLoop.run``
-        exactly; cross-shard state (metrics, arrivals, journal) lives in
-        the parent, so shards on different workers need no ordering.
+        Cross-shard state (metrics, arrivals, journal) lives in the
+        parent, so shards on different workers need no ordering.
         ``slo`` carries the parent's outstanding SLO decisions — the
         full door set plus ``{shard: [tenants]}`` purge debts — the
         parent owns the tracker, the worker owns the queues.  Debts are
         re-delivered until a chunk that applied them merges, so a worker
         SIGKILLed with the dispatch cannot lose a purge."""
-        order = sorted(set(self.shards) & set(active))
-        out = {
+        self._shard_ids = order = sorted(set(self._hosted) & set(active))
+        self._out = out = {
             sid: {"admits": {}, "sheds": {}, "records": {}, "exec": {},
-                  "depths": {}, "frozen_at": None}
+                  "depths": {}, "frozen_at": None, "unconsumed": []}
             for sid in order
         }
-        adm = self.admission
+        self._journal = journal = _ShardJournalBuffer()
         self._store_errors = {}
+        adm = self.admission
         for sid in order:
-            tags = batch.get(sid, {}).get("tenants")
-            if tags:
-                self.tenant_of.update(
-                    {int(g): int(tid) for g, tid in tags.items()}
-                )
-            keys = batch.get(sid, {}).get("keys")
-            if keys:
-                self.key_of.update(
-                    {int(g): int(k) for g, k in keys.items()}
-                )
+            entry = batch.get(sid, {})
+            self._learn(entry.get("tenants"), entry.get("keys"))
         if slo is not None:
             adm.door_closed = set(slo["door"])
             for sid in order:
@@ -355,73 +284,34 @@ class _ShardWorker:
             self._maybe_hang(t)
             if self.cancel.is_set():
                 return None
-            self._step_fault_windows(t)
-            boundary = self.planner.is_boundary(t)
-            for sid in order:  # phase 1: offer routed arrivals
-                ws = self.shards[sid]
+            self._disk_faults.advance(t, self.chaos, self._hosted)
+            for sid in order:  # phase 1: offer the parent-routed arrivals
                 arrivals = batch.get(sid, {}).get("arrivals", {}).get(t, ())
-                if ws.frozen_at is not None:
-                    ws.unconsumed.extend((t, g, leaf) for g, leaf in arrivals)
+                if not self._stepping(sid):
+                    out[sid]["unconsumed"].extend(
+                        (t, g, leaf) for g, leaf in arrivals
+                    )
                     continue
                 sheds = [g for g, leaf in arrivals
                          if not adm.offer(sid, g, leaf)]
                 if sheds:
                     out[sid]["sheds"][t] = sheds
-            for sid in order:  # phase 2: drain admission -> roots
-                ws = self.shards[sid]
-                if ws.frozen_at is not None:
-                    continue
-                admits = adm.drain(sid, ws.engine, t)
-                if admits:
-                    out[sid]["admits"][t] = [(g, done) for g, _l, done
-                                             in admits]
-                    ws.fresh.extend(g for g, _l, done in admits
-                                    if done is None)
-                    for g, _l, done in admits:
-                        if done is not None:
-                            self._store_put(sid, g, done)
-            for sid in order:  # phase 3: epoch / forced planning
-                ws = self.shards[sid]
-                if ws.frozen_at is not None:
-                    continue
-                force = ws.engine.idle_streak > MAX_IDLE_STEPS
-                if force and ws.replans_left <= 0:
-                    ws.frozen_at = t
-                    out[sid]["frozen_at"] = t
-                    continue
-                if force or (boundary and ws.fresh):
-                    self.planner.plan(ws.engine, ws.fresh, force_full=force)
-                    ws.fresh = []
-                    if force:
-                        ws.replans_left -= 1
-            for sid in order:  # phase 4: one DAM step, records buffered
-                ws = self.shards[sid]
-                if ws.frozen_at is not None:
-                    continue
-                buf = _ShardJournalBuffer()
-                done = ws.engine.step(t, buf)
-                if buf.records:
-                    out[sid]["records"][t] = buf.records
-                if done:
-                    out[sid]["exec"][t] = done
-                    for gid, step in done:
-                        adm.note_departed(gid)
-                        self._store_put(sid, gid, step)
+            self._drain_shards(t)
+            self._plan_shards(t)
+            self._execute_shards(t)
             for sid in order:  # phase 5: depth samples
-                ws = self.shards[sid]
+                engine = self.engines[sid]
                 out[sid]["depths"][t] = (
-                    adm.queue_depth(sid),
-                    ws.engine.root_backlog,
-                    ws.engine.in_flight,
+                    adm.queue_depth(sid), engine.root_backlog,
+                    engine.in_flight,
                 )
+        for rec in journal.records:  # (type, t, shard, payload)
+            out[rec[2]]["records"].setdefault(rec[1], []).append(rec)
         for sid in order:
-            ws = self.shards[sid]
-            cur = asdict(ws.engine.stats)
+            cur = asdict(self.engines[sid].stats)
             prev = self._last_stats[sid]
             out[sid]["stats"] = {k: cur[k] - prev[k] for k in cur}
             self._last_stats[sid] = cur
-            out[sid]["unconsumed"] = ws.unconsumed
-            ws.unconsumed = []
             out[sid]["queue_len"] = adm.queue_depth(sid)
             store = self.stores.get(sid)
             if store is not None:
@@ -432,9 +322,7 @@ class _ShardWorker:
                 try:
                     store.sync_wal()
                 except StorageError:
-                    self._store_errors[sid] = (
-                        self._store_errors.get(sid, 0) + 1
-                    )
+                    self._store_rejected(sid)
                 out[sid]["store"] = dict(
                     store.health(), errors=self._store_errors.get(sid, 0)
                 )
@@ -451,15 +339,11 @@ class _ShardWorker:
         }
         cur = asdict(self.planner.stats)
         prev, self._last_plan = self._last_plan, cur
-        if self._fault_fs is not None:
-            self._faults_fired += len(self._fault_fs.fired)
-            self._fault_fs.fired.clear()
-        fired, self._faults_fired = self._faults_fired, 0
         return {
             "shards": out,
             "admission": adm_out,
             "planner": {k: cur[k] - prev[k] for k in cur},
-            "faults_fired": fired,
+            "faults_fired": self._disk_faults.take_fired(),
         }
 
 
@@ -570,9 +454,12 @@ class ProcPoolLoop(SupervisedLoop):
         self._mirror: "list[dict[int, int]]" = [{} for _ in range(n)]
         #: diversion handoffs staged for delivery at the next dispatch.
         self._pending_requeue: "list[list]" = [[] for _ in range(n)]
-        #: merged per-shard counters (worker deltas accumulate here; the
-        #: report reads these, never the parent's inert engines).
-        self._acc_stats = [ShardStats() for _ in range(n)]
+        #: the chunk being staged: shard -> worker payload.
+        self._batch: "dict | None" = None
+        # The parent's engines never step: their counters accumulate
+        # the merged worker deltas and their schedules the merged flush
+        # records, so the report reads them as in-process.  In-flight
+        # and root backlog are the workers' last reported depths.
         self._last_inflight = [0] * n
         self._last_backlog = [0] * n
         #: journal-checkpointed SLO state (the workers own the queues
@@ -598,16 +485,17 @@ class ProcPoolLoop(SupervisedLoop):
         not take its own store down with it."""
         return None
 
-    def _note_routed(self, gid: int, key, sid: int, t: int) -> None:
-        super()._note_routed(gid, key, sid, t)
-        if self._worker_stores:
-            # The parent still owns the gid -> key map: restores ship it
-            # to fresh workers, batches carry the per-chunk slice.
-            self._gid_key[gid] = key
-
-    @property
-    def _worker_stores(self) -> bool:
-        return self.config.engine == "lsm"
+    def _tag(self, entry: dict, gid: int) -> None:
+        """Ship what a worker needs to know about ``gid`` with it: its
+        tenant (fair admission) and its routed key (durable sink).  The
+        parent keeps both maps, so restores re-ship them to fresh
+        workers."""
+        tid = self.metrics.tenant_of.get(gid)
+        if tid is not None:
+            entry.setdefault("tenants", {})[gid] = tid
+        key = self._gid_key.get(gid)
+        if key is not None:
+            entry.setdefault("keys", {})[gid] = key
 
     def _merge_store_health(self, sid: int, sdata: dict) -> None:
         """Fold one shard's reported store health into supervision.
@@ -780,23 +668,11 @@ class ProcPoolLoop(SupervisedLoop):
     def _dispatchable(self, sid: int) -> bool:
         return self._health[sid] != QUARANTINED and not self._abandoned[sid]
 
-    def _vitals(self, sid: int):
-        acc = self._acc_stats[sid]
-        return (acc.flushes, acc.completed, acc.failed_attempts,
-                self._last_inflight[sid])
+    def _in_flight(self, sid: int) -> int:
+        return self._last_inflight[sid]
 
     def _admission_depth(self, sid: int) -> int:
         return len(self._mirror[sid]) + len(self._pending_requeue[sid])
-
-    def _queue_depth(self, sid: int) -> int:
-        return self._admission_depth(sid) + len(self._spill[sid])
-
-    def _finished(self) -> bool:
-        m = self.metrics
-        outstanding = (
-            len(m.arrival_step) - len(m.completion_step) - len(m.shed_ids)
-        )
-        return self.arrivals.exhausted and outstanding == 0
 
     def _kill_shard(self, sid: int, t: int) -> None:
         super()._kill_shard(sid, t)
@@ -856,21 +732,12 @@ class ProcPoolLoop(SupervisedLoop):
                 resp.inc()
                 resp.labels(shard=sid).inc()
         targets = {m: self._leaf_of[m] for m in locations}
-        tenants = None
-        keys = None
-        gids = set(locations) | {g for g, _leaf in queue_items}
-        if self._tenancy is not None:
-            tenant_of = self.metrics.tenant_of
-            tenants = {
-                g: tenant_of[g] for g in gids if g in tenant_of
-            }
-        if self._worker_stores:
-            keys = {
-                g: self._gid_key[g] for g in gids if g in self._gid_key
-            }
+        tags: dict = {}
+        for gid in set(locations) | {g for g, _leaf in queue_items}:
+            self._tag(tags, gid)
         try:
-            slot.conn.send(("restore", sid, locations, targets,
-                            queue_items, tenants, keys))
+            slot.conn.send(("restore", sid, locations, targets, queue_items,
+                            tags.get("tenants"), tags.get("keys")))
             msg = slot.conn.recv()
             if msg[0] == "err":
                 raise msg[1]
@@ -907,20 +774,21 @@ class ProcPoolLoop(SupervisedLoop):
                 t1 = ev.step - 1
         return t1
 
-    def _stage_offer(self, sid, gid, leaf, t, batch) -> None:
-        if self._dispatchable(sid):
-            self._leaf_of[gid] = leaf
-            entry = batch.setdefault(sid, {"arrivals": {}, "requeue": []})
-            entry["arrivals"].setdefault(t, []).append((gid, leaf))
-            if self._tenancy is not None:
-                entry.setdefault("tenants", {})[gid] = (
-                    self.metrics.tenant_of[gid]
-                )
-            if self._worker_stores and gid in self._gid_key:
-                entry.setdefault("keys", {})[gid] = self._gid_key[gid]
-            self._mirror[sid][gid] = leaf
-        else:
-            SupervisedLoop._offer(self, sid, gid, leaf, t)
+    def _staged(self, sid: int) -> dict:
+        """Shard ``sid``'s payload in the chunk being staged."""
+        return self._batch.setdefault(sid, {"arrivals": {}, "requeue": []})
+
+    def _offer(self, sid: int, gid: int, leaf: int, t: int) -> None:
+        """Stage one routed arrival for the shard's worker (mirrored);
+        a quarantined shard spills or sheds it, as in-process."""
+        if not self._dispatchable(sid):
+            super()._offer(sid, gid, leaf, t)
+            return
+        self._leaf_of[gid] = leaf
+        entry = self._staged(sid)
+        entry["arrivals"].setdefault(t, []).append((gid, leaf))
+        self._tag(entry, gid)
+        self._mirror[sid][gid] = leaf
 
     def _apply_slo(self, door, tripped, t: int) -> None:
         # The parent's own queues are always empty under this driver
@@ -940,8 +808,12 @@ class ProcPoolLoop(SupervisedLoop):
                     self._owed_purge[sid].update(tripped)
 
     def _stage_chunk(self, t0: int, t1: int):
-        """Pre-draw and route the chunk's arrivals; stage handoffs."""
-        batch: dict = {}
+        """Stage pending handoffs and route the chunk's arrivals.
+
+        Arrivals are drawn and routed step by step through the loop's
+        own phase 1, exactly as in-process: the arrival RNG only ever
+        advances by ``take`` calls in step order."""
+        self._batch = {}
         gid_after: "dict[int, int]" = {}
         exhausted_after: "dict[int, bool]" = {}
         for sid in range(len(self.engines)):
@@ -950,19 +822,11 @@ class ProcPoolLoop(SupervisedLoop):
                 continue
             self._pending_requeue[sid] = []
             if self._dispatchable(sid):
-                entry = batch.setdefault(sid,
-                                         {"arrivals": {}, "requeue": []})
+                entry = self._staged(sid)
                 entry["requeue"].extend(items)
                 for gid, leaf in items:
                     self._mirror[sid][gid] = leaf
-                    if self._tenancy is not None:
-                        tid = self.metrics.tenant_of.get(gid)
-                        if tid is not None:
-                            entry.setdefault("tenants", {})[gid] = tid
-                    if self._worker_stores and gid in self._gid_key:
-                        entry.setdefault("keys", {})[gid] = (
-                            self._gid_key[gid]
-                        )
+                    self._tag(entry, gid)
             else:
                 # The divert target itself went down before delivery:
                 # park the handoff in its spill, shedding past capacity.
@@ -980,24 +844,10 @@ class ProcPoolLoop(SupervisedLoop):
                             self.sup_stats.spilled_by_shard, sid
                         )
         for t in range(t0, t1 + 1):
-            keys = self.arrivals.take(t)
-            gids = list(range(self._next_gid, self._next_gid + len(keys)))
-            self._next_gid += len(keys)
-            tenants = (
-                self.arrivals.pending_tenants if self._tenancy is not None
-                else None
-            )
-            for i, (gid, key) in enumerate(zip(gids, keys)):
-                sid, leaf = self.router.route(key)
-                self.metrics.note_arrival(
-                    gid, sid, t,
-                    tenants[i] if tenants is not None else None,
-                )
-                self._note_routed(gid, key, sid, t)
-                self._stage_offer(sid, gid, leaf, t, batch)
-            self.arrivals.on_emitted(gids)
+            self._route_arrivals(t)
             gid_after[t] = self._next_gid
             exhausted_after[t] = self.arrivals.exhausted
+        batch, self._batch = self._batch, None
         return batch, gid_after, exhausted_after
 
     def _slo_payload(self, slot, sids) -> "dict | None":
@@ -1082,21 +932,14 @@ class ProcPoolLoop(SupervisedLoop):
         unconsumed: "dict[int, list]" = {}
         purged: "dict[int, list]" = {}
         for res in results.values():
-            fired = res.get("faults_fired", 0)
-            if fired:
-                self.sup_stats.disk_faults_injected += fired
-                self._count(
-                    "serve_disk_faults_injected_total",
-                    "syscall faults injected by chaos disk-fault windows",
-                    n=fired,
-                )
+            self._note_faults_fired(res.get("faults_fired", 0))
             for sid, data in res["shards"].items():
                 per_shard[sid] = data
                 if data.get("purged"):
                     purged[sid] = data["purged"]
                 if data.get("store"):
                     self._merge_store_health(sid, data["store"])
-                acc = self._acc_stats[sid]
+                acc = self.engines[sid].stats
                 for k, v in data["stats"].items():
                     setattr(acc, k, getattr(acc, k) + v)
                 if data["frozen_at"] is not None:
@@ -1138,9 +981,7 @@ class ProcPoolLoop(SupervisedLoop):
                     self._shed(gid, t)
                 for gid, done in data["admits"].get(t, ()):
                     self._mirror[sid].pop(gid, None)
-                    metrics.note_admit(gid, t)
-                    if done is not None:
-                        self._complete(gid, done)
+                    self._on_admission(sid, gid, done, t)
             for sid in order:  # phase 4: journal replay, then completions
                 data = per_shard[sid]
                 for rec in data["records"].get(t, ()):
@@ -1154,7 +995,7 @@ class ProcPoolLoop(SupervisedLoop):
                     elif journal is not None:
                         journal.record_fault(rt, rsid, *payload)
                 for gid, step in data["exec"].get(t, ()):
-                    self._complete(gid, step)
+                    self._on_completion(sid, gid, step)
             queues, backs, infl = [], [], []
             for s in range(n):  # phase 5: metering
                 d = per_shard[s]["depths"].get(t) if s in per_shard else None
@@ -1174,11 +1015,7 @@ class ProcPoolLoop(SupervisedLoop):
             if journal is not None:
                 journal.end_step(t, gid_after[t],
                                  len(metrics.completion_step))
-            outstanding = (
-                len(metrics.arrival_step) - len(metrics.completion_step)
-                - len(metrics.shed_ids)
-            )
-            if exhausted_after[t] and outstanding == 0:
+            if exhausted_after[t] and metrics.outstanding == 0:
                 end_t = t
                 break
         # Barrier work: quarantine mid-chunk freezes, spill what their
@@ -1203,102 +1040,20 @@ class ProcPoolLoop(SupervisedLoop):
             extra = t1 - end_t
             for sid in order:
                 if sid not in frozen:
-                    self._acc_stats[sid].idle_steps -= extra
+                    self.engines[sid].stats.idle_steps -= extra
         return end_t
 
-    # -- the run loop --------------------------------------------------
-    def run(self):
-        if self._ran:
-            raise InvalidInstanceError("a ServiceLoop runs exactly once")
-        self._ran = True
-        config = self.config
-        metrics = self.metrics
-        obs = current_obs()
-        enabled = obs.enabled
-        run_span = obs.tracer.span(
-            "serve.run", category="serve",
-            shards=len(self.engines), messages=config.messages,
-        )
-        clock = obs.profiler.clock
-        self._journal = journal = self._open_journal()
-        max_steps = config.max_steps or max(
-            1000, 50 * config.messages * (config.height + 2)
-        )
-        self._fresh = [[] for _ in self.engines]
-        self._replans_left = [MAX_FORCED_REPLANS] * len(self.engines)
-        self._next_gid = 0
-        self._start_workers()
-        t = 0
-        try:
-            while True:
-                if self._finished():
-                    break
-                t0 = t + 1
-                if t0 > max_steps:
-                    raise ExecutionStalledError(
-                        f"serving loop exceeded max_steps={max_steps} "
-                        f"(in flight: {sum(self._last_inflight)})",
-                        step=t0,
-                        epoch=self.planner.epoch_of(t0),
-                        last_durable_step=self._durable_step(),
-                    )
-                self._begin_step(t0)
-                t1 = self._chunk_end(t0, max_steps)
-                batch, gid_after, exhausted = self._stage_chunk(t0, t1)
-                t_exec = clock() if enabled else 0.0
-                results = self._dispatch_chunk(t0, t1, batch)
-                if enabled:
-                    obs.profiler.add(PHASE_EXECUTE, clock() - t_exec)
-                end_t = self._merge_chunk(t0, t1, results, gid_after,
-                                          exhausted)
-                t = end_t if end_t is not None else t1
-                if end_t is not None:
-                    break
-        except ExecutionStalledError:
-            if journal is not None:
-                journal.abort()
-            run_span.set("stalled", True)
-            run_span.finish()
-            raise
-        finally:
-            self._stop_workers()
-            self._close_store()
-        for s in range(len(self.engines)):
-            self.engines[s].schedule.trim()
-            # The parent's engines never stepped; the report reads the
-            # merged counters through them.
-            self.engines[s].stats = self._acc_stats[s]
-        if journal is not None:
-            journal.finish(t, self._next_gid, len(metrics.completion_step))
-        if enabled:
-            run_span.set_steps(1, t)
-            reg = obs.metrics
-            reg.counter("serve_runs_total", "serving runs completed").inc()
-            reg.counter("serve_steps_total", "serving DAM steps").inc(t)
-            reg.counter(
-                "serve_arrivals_total", "messages that arrived"
-            ).inc(self._next_gid)
-            reg.counter(
-                "serve_admitted_total", "messages admitted past the queues"
-            ).inc(self.admission.stats.admitted)
-            reg.counter(
-                "serve_completions_total", "messages delivered to leaves"
-            ).inc(len(metrics.completion_step))
-            reg.counter(
-                "serve_planned_flushes_total", "flushes emitted by planning"
-            ).inc(self.planner.stats.planned_flushes)
-            flush_counter = reg.counter(
-                "serve_flushes_total", "flushes realized by shard engines"
-            )
-            retry_counter = reg.counter(
-                "serve_retries_total", "failed flush attempts across shards"
-            )
-            for engine in self.engines:
-                flush_counter.inc(engine.stats.flushes)
-                flush_counter.labels(shard=engine.shard_id).inc(
-                    engine.stats.flushes
-                )
-                retry_counter.inc(engine.stats.failed_attempts)
-            self._emit_pace_obs(reg)
-        run_span.finish()
-        return self._build_report(t)
+    # -- the run skeleton's advance step ------------------------------
+    def _advance(self, t0: int, max_steps: int) -> int:
+        """Run one chunk in the workers: stage, dispatch, merge.  Returns
+        its last step (the finish step if the run drained mid-chunk)."""
+        self._begin_step(t0)
+        t1 = self._chunk_end(t0, max_steps)
+        batch, gid_after, exhausted = self._stage_chunk(t0, t1)
+        obs = self._obs
+        t_exec = obs.profiler.clock() if obs.enabled else 0.0
+        results = self._dispatch_chunk(t0, t1, batch)
+        if obs.enabled:
+            obs.profiler.add(PHASE_EXECUTE, obs.profiler.clock() - t_exec)
+        end_t = self._merge_chunk(t0, t1, results, gid_after, exhausted)
+        return t1 if end_t is None else end_t

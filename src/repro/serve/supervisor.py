@@ -77,7 +77,6 @@ from repro.faults.chaos import (
 from repro.faults.iofaults import FaultFS, parse_plan
 from repro.obs.hooks import current_obs
 from repro.serve.loop import (
-    MAX_FORCED_REPLANS,
     ServeConfig,
     ServeReport,
     ServiceLoop,
@@ -414,6 +413,63 @@ def apply_chaos_windows(engine: ShardEngine, chaos: ChaosPlan,
         engine.fault_aware = bool(config.fault_aware)
 
 
+class DiskFaultWindows:
+    """Chaos ``disk-fault`` windows over this process's storage syscalls.
+
+    While any window is open, every storage syscall in the process
+    routes through one :class:`FaultFS` armed with the union of the open
+    windows' rules.  The handle is swapped when a window opens or
+    expires and uninstalled when the last one closes.  The in-process
+    driver arms it over its own store and journal; each procpool worker
+    arms its own over the stores of the shards it hosts.
+    """
+
+    def __init__(self) -> None:
+        #: open windows as ``(end_step, rules)``.
+        self._windows: "list[tuple[int, tuple]]" = []
+        self._fs: "FaultFS | None" = None
+        #: faults fired on retired handles and not yet taken.
+        self._fired = 0
+
+    def advance(self, t: int, chaos: ChaosPlan, shards) -> bool:
+        """Expire the windows that end by step ``t`` and open the ones
+        ``chaos`` starts at ``t`` on ``shards``; True when the handle
+        changed."""
+        live = [w for w in self._windows if w[0] > t]
+        opened = [
+            (t + ev.duration, parse_plan(ev.spec))
+            for ev in chaos.events_at(t)
+            if ev.kind == CHAOS_DISK_FAULT and ev.shard in shards
+        ]
+        if len(live) == len(self._windows) and not opened:
+            return False
+        self._windows = live + opened
+        self._install()
+        return True
+
+    def close(self) -> None:
+        """Close every window: the real filesystem is back."""
+        if self._fs is not None or self._windows:
+            self._windows = []
+            self._install()
+
+    def take_fired(self) -> int:
+        """Syscall faults injected since the last call."""
+        if self._fs is not None:
+            self._fired += len(self._fs.fired)
+            self._fs.fired.clear()
+        fired, self._fired = self._fired, 0
+        return fired
+
+    def _install(self) -> None:
+        if self._fs is not None:
+            self._fired += len(self._fs.fired)
+            self._fs.fired.clear()
+        rules = tuple(rule for _end, plan in self._windows for rule in plan)
+        self._fs = FaultFS(rules) if rules else None
+        install(self._fs)
+
+
 class SupervisedLoop(ServiceLoop):
     """:class:`ServiceLoop` under supervision (see module docstring).
 
@@ -471,10 +527,7 @@ class SupervisedLoop(ServiceLoop):
         self.worker_log: "list[tuple]" = []
         #: set once the driver is named in the journal (see _note_driver).
         self._driver_noted = False
-        #: active chaos disk-fault windows as ``(end_step, rules)``; the
-        #: union of their rules is the ambient FaultFS while any is open.
-        self._fault_windows: "list[tuple[int, tuple]]" = []
-        self._fault_fs: "FaultFS | None" = None
+        self._disk_faults = DiskFaultWindows()
         #: the step currently being supervised (diversion handoffs fire
         #: from breaker trips, which happen at several call depths).
         self._clock = 0
@@ -516,9 +569,8 @@ class SupervisedLoop(ServiceLoop):
         try:
             return super().run()
         finally:
-            if self._fault_fs is not None or self._fault_windows:
-                self._fault_windows = []
-                self._refresh_fault_fs()
+            self._disk_faults.close()
+            self._note_faults_fired(self._disk_faults.take_fired())
 
     # -- small helpers -------------------------------------------------
     def _count(self, name: str, desc: str, *, shard: "int | None" = None,
@@ -640,30 +692,16 @@ class SupervisedLoop(ServiceLoop):
 
     # -- phase overrides -----------------------------------------------
     def _finished(self) -> bool:
-        if not super()._finished():
-            return False
-        if any(self._spill):
-            return False
-        m = self.metrics
-        outstanding = (
-            len(m.arrival_step) - len(m.completion_step) - len(m.shed_ids)
-        )
-        # Outstanding messages with every queue empty live only in a
-        # killed shard's lost state: the run isn't over until a probe
-        # restores them (or abandonment sheds them).
-        return outstanding == 0
+        # Outstanding messages with every queue empty live in a spill
+        # queue or a killed shard's lost state: the run isn't over until
+        # a probe restores them (or abandonment sheds them).
+        return super()._finished() and self.metrics.outstanding == 0
 
     def _begin_step(self, t: int) -> None:
         self._clock = t
         super()._begin_step(t)  # tenancy: epoch ledger + SLO breakers
         if self.planner.is_boundary(t) and t > 1:
             self._heartbeat(t)
-        refresh = False
-        if self._fault_windows:
-            live = [w for w in self._fault_windows if w[0] > t]
-            if len(live) != len(self._fault_windows):
-                self._fault_windows = live
-                refresh = True
         for event in self.chaos.events_at(t):
             if event.shard >= len(self.engines):
                 continue
@@ -674,45 +712,19 @@ class SupervisedLoop(ServiceLoop):
             elif event.kind == CHAOS_KILL_WORKER:
                 self._kill_worker(event.shard, t)
             elif event.kind == CHAOS_DISK_FAULT:
-                refresh = self._open_fault_window(event, t) or refresh
-        if refresh:
-            self._refresh_fault_fs()
+                self.sup_stats.disk_fault_windows += 1
+                self._count(
+                    "serve_disk_fault_windows_total",
+                    "chaos disk-fault windows opened",
+                    shard=event.shard,
+                )
+        # The in-process driver owns every store and journal, so this
+        # process's syscalls are the whole fault domain (procpool
+        # workers arm their own; see repro.serve.procpool).
+        if self._disk_faults.advance(t, self.chaos, range(len(self.engines))):
+            self._note_faults_fired(self._disk_faults.take_fired())
 
-    # -- disk-fault windows --------------------------------------------
-    def _open_fault_window(self, event, t: int) -> bool:
-        """Start one chaos ``disk-fault`` window: for ``duration`` steps
-        every storage syscall in this process routes through a
-        :class:`FaultFS` armed with the event's plan.  The in-process
-        driver owns every store and journal, so the ambient handle
-        is the whole fault domain (the process driver additionally arms
-        its workers; see :mod:`repro.serve.procpool`)."""
-        self._fault_windows.append((t + event.duration,
-                                    parse_plan(event.spec)))
-        self.sup_stats.disk_fault_windows += 1
-        self._count(
-            "serve_disk_fault_windows_total",
-            "chaos disk-fault windows opened",
-            shard=event.shard,
-        )
-        return True
-
-    def _refresh_fault_fs(self) -> None:
-        """(Re)install the ambient handle for the active windows; the
-        retiring handle's fired log is drained into the stats first."""
-        if self._fault_fs is not None:
-            self._note_faults_fired(self._fault_fs)
-        rules = tuple(
-            rule for _end, plan in self._fault_windows for rule in plan
-        )
-        if rules:
-            self._fault_fs = FaultFS(rules)
-            install(self._fault_fs)
-        else:
-            self._fault_fs = None
-            install(None)
-
-    def _note_faults_fired(self, fs: "FaultFS") -> None:
-        fired = len(fs.fired)
+    def _note_faults_fired(self, fired: int) -> None:
         if fired:
             self.sup_stats.disk_faults_injected += fired
             self._count(
@@ -720,7 +732,6 @@ class SupervisedLoop(ServiceLoop):
                 "syscall faults injected by chaos disk-fault windows",
                 n=fired,
             )
-            fs.fired.clear()
 
     def _kill_worker(self, sid: int, t: int) -> None:
         """``kill-worker`` under the in-process driver degrades to a
@@ -763,16 +774,8 @@ class SupervisedLoop(ServiceLoop):
             return
         super()._offer(sid, gid, leaf, t)
 
-    def _drain_shard(self, sid: int, engine: ShardEngine, t: int) -> None:
-        if self._health[sid] == QUARANTINED:
-            return
-        super()._drain_shard(sid, engine, t)
-
-    def _plan_shard(self, sid: int, engine: ShardEngine, t: int,
-                    boundary: bool) -> None:
-        if self._health[sid] == QUARANTINED:
-            return
-        super()._plan_shard(sid, engine, t, boundary)
+    def _stepping(self, sid: int) -> bool:
+        return self._health[sid] != QUARANTINED
 
     def _on_replans_exhausted(self, sid: int, engine: ShardEngine,
                               t: int) -> None:
@@ -782,22 +785,16 @@ class SupervisedLoop(ServiceLoop):
         self._open_breaker(sid, self.planner.epoch_of(t))
 
     def _queue_depth(self, sid: int) -> int:
-        return super()._queue_depth(sid) + len(self._spill[sid])
-
-    def _execute_shards(self, t: int) -> None:
-        for sid, engine in enumerate(self.engines):
-            if self._health[sid] != QUARANTINED:
-                for gid, step in engine.step(t, self._journal):
-                    self._complete(gid, step)
+        return self._admission_depth(sid) + len(self._spill[sid])
 
     # -- supervision proper --------------------------------------------
     def _vitals(self, sid: int) -> "tuple[int, int, int, int]":
         """Cumulative ``(flushes, completed, failed_attempts, in_flight)``
-        for one shard.  The in-process driver reads the live engine; the
-        process driver overrides this to read its merged mirrors."""
+        for one shard.  Under the process driver the engine's counters
+        are the merged worker deltas and ``in_flight`` its last report."""
         es = self.engines[sid].stats
         return (es.flushes, es.completed, es.failed_attempts,
-                self.engines[sid].in_flight)
+                self._in_flight(sid))
 
     def _admission_depth(self, sid: int) -> int:
         """Arrivals queued in front of ``sid`` (driver-specific source)."""
@@ -807,9 +804,8 @@ class SupervisedLoop(ServiceLoop):
         """Evaluate the epoch that ended at step ``t - 1``."""
         epoch = self.planner.epoch_of(t - 1)
         stats = self.sup_stats
-        if self._fault_fs is not None:
-            # Surface injected faults as they happen, not only at close.
-            self._note_faults_fired(self._fault_fs)
+        # Surface injected faults as they happen, not only at close.
+        self._note_faults_fired(self._disk_faults.take_fired())
         store = getattr(self, "store", None)
         if store is not None and getattr(store, "degraded", ""):
             stats.store_degraded_epochs += 1
@@ -996,18 +992,9 @@ class SupervisedLoop(ServiceLoop):
 
         The in-process driver rebuilds its engine; the process
         driver overrides this to ship the state to a worker (a fresh
-        process when the old one died).  The engine's realized schedule
-        and counters survive the wipe (they belong to the run's
-        accounting); only machine state is rebuilt.
+        process when the old one died), which rebuilds the same way.
         """
-        engine = self.engines[sid]
-        engine.wipe()
-        engine.restore_state(locations, self._leaf_of)
-        self.admission.rebuild_residency(sid, locations.keys())
-        self._fresh[sid] = []
-        self._replans_left[sid] = MAX_FORCED_REPLANS
-        if engine.location:
-            self.planner.plan(engine, [], force_full=True)
+        self._restore_shard(sid, locations, self._leaf_of)
         # Spilled arrivals go back in front of admission; any the queue
         # bound rejects are counted-shed, never dropped.
         items = list(self._spill[sid])

@@ -29,7 +29,7 @@ from repro.serve import (
     ServiceLoop,
     SupervisedLoop,
 )
-from repro.util.fsio import REAL_FS, current_fs, installed
+from repro.util.fsio import REAL_FS, current_fs, install, installed
 
 
 def serve_config(tmp_path, **overrides) -> ServeConfig:
@@ -159,3 +159,24 @@ def test_disk_fault_drill_procpool(tmp_path):
     assert items
     for _key, rec in items.items():
         assert report.completions[rec["gid"]] == rec["step"]
+
+
+def test_procpool_window_open_at_run_end_does_not_leak(tmp_path):
+    """A window still open when the run ends is closed with the run:
+    the parent process is back on the real filesystem afterwards, as
+    under the in-process driver."""
+    end = ServiceLoop(serve_config(tmp_path)).run().n_steps
+    plan = _disk_fault_plan(step=end - 2, duration=50)
+    try:
+        for tag, make in (
+            ("sup", lambda cfg: SupervisedLoop(cfg, chaos=plan)),
+            ("proc", lambda cfg: ProcPoolLoop(cfg, processes=2, chaos=plan)),
+        ):
+            cfg = serve_config(tmp_path, engine="lsm",
+                               data_dir=str(tmp_path / f"kv-{tag}"))
+            report = make(cfg).run()
+            assert report.supervisor.disk_fault_windows == 1
+            assert report.n_steps == end
+            assert current_fs() is REAL_FS, tag
+    finally:
+        install(None)
