@@ -69,6 +69,7 @@ from repro.dam.simulator import SimulationResult
 from repro.dam.trace import CheckpointRecord, _apply_step, _initial_state
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_JOURNAL, PHASE_RECOVER
+from repro.util.compact_json import compact_json
 from repro.util.errors import InvalidInstanceError, JournalCorruptionError
 from repro.util.fsio import resolve
 
@@ -112,7 +113,7 @@ MIN_SEGMENT_BYTES = 64
 
 def encode_record(record: dict) -> bytes:
     """Serialize one record to its on-disk bytes (length | crc | payload)."""
-    payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+    payload = compact_json(record)
     return _PREFIX.pack(len(payload), zlib.crc32(payload)) + payload
 
 
