@@ -17,10 +17,9 @@ Eleven subcommands cover the common workflows without writing code:
   both batch ``run`` journals and ``serve`` journals);
 * ``serve``   — online serving: seeded arrival processes over sharded
   B^ε-trees with epoch re-planning, admission control, and per-message
-  p50/p95/p99 sojourn-time reporting; ``--supervised`` adds per-shard
-  health tracking, circuit breakers, and live restart-from-journal, and
-  ``--chaos`` drills that machinery with a seeded whole-shard
-  kill/stall/corrupt scenario;
+  p50/p95/p99 sojourn-time reporting, under per-shard health tracking,
+  circuit breakers, and live restart-from-journal; ``--chaos`` drills
+  that machinery with a seeded whole-shard kill/stall/corrupt scenario;
 * ``compact`` — drop sealed journal records a later checkpoint
   supersedes (recovery stays exact; see :mod:`repro.dam.compaction`);
 * ``kv``      — operate the durable on-disk KV engine directly
@@ -48,7 +47,7 @@ Examples::
     python -m repro run --messages 5000 --journal /tmp/worms.journal
     python -m repro recover /tmp/worms.journal
     python -m repro serve --arrivals poisson --rate 8 --shards 4 --seed 1
-    python -m repro serve --supervised --chaos --seed 3 --messages 400
+    python -m repro serve --chaos --seed 3 --messages 400
     python -m repro compact /tmp/serve.journal
     python -m repro serve --engine lsm --data-dir /tmp/kv --messages 500
     python -m repro kv ingest --dir /tmp/kv2 --n 2000 --crash-after 1200
@@ -113,7 +112,6 @@ from repro.serve import (
     ProcPoolLoop,
     ServeConfig,
     ServiceLoop,
-    SupervisedLoop,
     SupervisorConfig,
     TenantSpec,
     format_serve_report,
@@ -396,22 +394,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the `serve` subcommand (online sharded serving loop)."""
     try:
         config = _serve_config(args)
-        driver = ServiceLoop
         kwargs = {
+            "supervisor": SupervisorConfig(
+                **_config_values(args, SupervisorConfig)
+            ),
+            "chaos": _chaos_from_args(args, config),
             "journal": args.journal, "sync": args.sync,
             "max_segment_bytes": args.max_segment_bytes,
             "compact_every_rotations": args.compact_every,
         }
-        if args.supervised or args.chaos or args.processes is not None:
-            driver = SupervisedLoop
-            kwargs["supervisor"] = SupervisorConfig(
-                **_config_values(args, SupervisorConfig)
-            )
-            kwargs["chaos"] = _chaos_from_args(args, config)
-            if args.processes is not None:
-                driver = ProcPoolLoop
-                kwargs["processes"] = args.processes
-        loop = driver(config, **kwargs)
+        if args.processes is None:
+            loop = ServiceLoop(config, **kwargs)
+        else:
+            loop = ProcPoolLoop(config, processes=args.processes, **kwargs)
     except Exception as exc:  # surfaced as a clean CLI error
         print(f"invalid serve configuration: {exc}", file=sys.stderr)
         return 2
@@ -495,7 +490,7 @@ def _run_serve(args: argparse.Namespace, config: ServeConfig, loop) -> int:
             # Procpool driver: the workers owned per-shard stores at
             # data_dir/shard-<k>; re-open read-only-ish for the summary.
             _print_sharded_store_summary(config)
-    sup = getattr(report, "supervisor", None)
+    sup = report.supervisor
     if sup is not None:
         print(
             f"supervisor: {sup.trips} breaker trips, {sup.probes} probes, "
@@ -525,7 +520,7 @@ def _run_serve(args: argparse.Namespace, config: ServeConfig, loop) -> int:
                 f"{sup.disk_faults_injected} fault(s) injected, "
                 f"{sup.store_degraded_epochs} degraded epoch(s)"
             )
-    chaos = getattr(report, "chaos", None)
+    chaos = report.chaos
     if chaos is not None and not chaos.is_zero:
         drawn = ", ".join(
             f"{e.kind}@{e.step}->shard{e.shard}"
@@ -1088,20 +1083,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--compact-every", type=int, default=0,
                          help="auto-compact sealed segments every N journal "
                          "rotations (0 = never)")
-    p_serve.add_argument("--supervised", action="store_true",
-                         help="run under shard supervision: per-epoch health "
-                         "tracking, circuit breakers, live restart-from-"
-                         "journal (single-shard fault-free runs stay "
-                         "byte-identical to the plain loop)")
     p_serve.add_argument("--processes", type=int, default=None,
                          help="shard-per-process driver: run shards in this "
                          "many shared-nothing worker processes (0 = one per "
-                         "shard; implies --supervised; fault-free journals "
-                         "stay byte-identical to the plain loop)")
+                         "shard; fault-free journals stay byte-identical to "
+                         "the in-process loop's)")
     p_serve.add_argument("--chaos", action="store_true",
                          help="draw a seeded whole-shard chaos drill "
-                         "(implies --supervised; composition is a pure "
-                         "function of --seed)")
+                         "(composition is a pure function of --seed)")
     p_serve.add_argument("--chaos-kills", type=int, default=1,
                          help="shard-kill events in the drill")
     p_serve.add_argument("--chaos-stalls", type=int, default=1,

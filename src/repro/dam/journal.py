@@ -84,8 +84,8 @@ REC_FLUSH = "flush"
 REC_FAULT = "fault"
 REC_CHECKPOINT = "checkpoint"
 REC_END = "end"
-#: A supervised key-range diversion (breaker-open handoff to a neighbor
-#: shard) or its merge-back.  Informational for recovery — replaying the
+#: A key-range diversion (breaker-open handoff to a neighbor shard) or
+#: its merge-back.  Informational for recovery — replaying the
 #: run re-derives the same diversions — but the record makes the handoff
 #: durable *at the moment it happened*, which is what lets an operator
 #: audit where a message's ownership moved.  Scanning, compaction, and
@@ -100,10 +100,10 @@ REC_DIVERT = "divert"
 #: a purge whose chunk dispatch died with its process.  Unknown to old
 #: readers — which pass unrecognized types through, like ``divert``.
 REC_SLO = "slo"
-#: The serving driver of a supervised run whose ``meta`` names none,
-#: journaled once at its first breaker trip: before it, the run is the
-#: plain loop's byte for byte; after it, recovery must re-derive under
-#: the named driver.  Passed through by scanning and compaction.
+#: The serving driver of a run whose ``meta`` names none, journaled once
+#: at its first breaker trip: before it, the run is the unsupervised
+#: loop's byte for byte; after it, recovery must re-derive under the
+#: named driver.  Passed through by scanning and compaction.
 REC_DRIVER = "driver"
 
 
@@ -173,7 +173,7 @@ def divert_record(t: int, src_shard: int, dst_shard: int,
 
 
 def driver_record(t: int, driver: dict) -> dict:
-    """The journal record naming a supervised run's driver at step ``t``
+    """The journal record naming a serving run's driver at step ``t``
     (``driver`` is the same payload as a journal meta's ``"driver"``)."""
     return {"type": REC_DRIVER, "t": int(t), "driver": dict(driver)}
 

@@ -1,4 +1,4 @@
-"""Whole-shard chaos scenarios for the supervised serving loop.
+"""Whole-shard chaos scenarios for the serving loop's supervision.
 
 The iid injector (:mod:`repro.faults.injector`) and the burst chain
 (:mod:`repro.faults.bursts`) model *device*-granularity trouble: a node
@@ -10,7 +10,7 @@ that shape:
 * :class:`ChaosPlan` — a deterministic timeline of :class:`ChaosEvent`
   values (``kill`` / ``stall`` / ``corrupt``, each aimed at one shard at
   one step), drawn once from a seed by :meth:`ChaosPlan.draw` and
-  JSON-round-trippable so a supervised journal can embed the scenario in
+  JSON-round-trippable so a serving journal can embed the scenario in
   its ``meta`` and recovery can re-derive the identical run;
 * :class:`ChaosInjector` — a per-shard fault injector that layers the
   plan's whole-shard stall windows over any base injector: during a
@@ -19,7 +19,7 @@ that shape:
   base injector answers unchanged.
 
 ``kill`` and ``corrupt`` events are *not* injector queries — the
-supervised loop applies them directly (wiping the shard engine,
+serving loop applies them directly (wiping the shard engine,
 poisoning its restart source) because they model failures of the machine
 running the shard, not of the shard's IOs.  The injector only carries
 the stall windows, which is what keeps every chaos decision a pure
@@ -256,7 +256,7 @@ class ChaosPlan:
 class ChaosInjector(FaultInjector):
     """Whole-shard stall windows layered over an optional base injector.
 
-    Built per shard by the supervised loop from
+    Built per shard by the serving loop from
     ``ChaosPlan.stall_windows(shard)``.  Inside a window every node is
     stalled and :meth:`stall_window_end` reports the window's end (so
     fault-aware admission parks arrivals instead of re-probing); outside

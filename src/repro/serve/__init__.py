@@ -7,11 +7,12 @@ routed to sharded B^ε-trees (:mod:`~repro.serve.router`), held at the
 door under backpressure (:mod:`~repro.serve.admission`), re-planned in
 epochs with the paper pipeline (:mod:`~repro.serve.planner`), and
 metered per-message (:mod:`~repro.serve.metrics`) — all driven by the
-deterministic, journal-capable :class:`~repro.serve.loop.ServiceLoop`.
-:mod:`~repro.serve.supervisor` layers per-shard health tracking, circuit
-breakers, and live restart-from-journal on top of the loop;
-:mod:`~repro.serve.procpool` runs the same supervised loop over
-shard-per-process workers with real SIGKILL recovery.
+deterministic, journal-capable :class:`~repro.serve.loop.ServiceLoop`,
+which supervises every run: per-shard health tracking, circuit breakers,
+and live restart-from-journal, built from the policy pieces in
+:mod:`~repro.serve.supervisor` and free until a breaker trips.
+:mod:`~repro.serve.procpool` runs the same loop over shard-per-process
+workers with real SIGKILL recovery.
 :mod:`~repro.serve.tenancy` adds multi-tenant QoS — tenant-tagged
 arrivals, weighted-fair admission, per-tenant sojourn SLOs with
 breaker-integrated shedding, buffer quotas, and a live ``/metrics``
@@ -62,8 +63,6 @@ from repro.serve.supervisor import (
     Heartbeat,
     QUARANTINED,
     RECOVERING,
-    SupervisedLoop,
-    SupervisedReport,
     SupervisorConfig,
     SupervisorStats,
     rebuild_shard_state,
@@ -111,8 +110,6 @@ __all__ = [
     "ShardRouter",
     "ShardSpec",
     "ShardStats",
-    "SupervisedLoop",
-    "SupervisedReport",
     "SupervisorConfig",
     "SupervisorStats",
     "CircuitBreaker",

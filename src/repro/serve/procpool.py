@@ -1,8 +1,9 @@
 """Shard-per-process serving: shared-nothing workers behind the
-supervised loop.
+serving loop.
 
-:class:`ProcPoolLoop` drives the same run :class:`~repro.serve.supervisor.
-SupervisedLoop` does, but shard engines live in separate **processes**.
+:class:`ProcPoolLoop` drives the same supervised run
+:class:`~repro.serve.loop.ServiceLoop` does, but shard engines live in
+separate **processes**.
 The parent keeps everything global — arrivals, routing, metrics, the
 journal, the supervision state machine — and ships each worker per-epoch
 batches of pre-routed arrivals over a pipe; workers own only their
@@ -16,7 +17,8 @@ phases :class:`~repro.serve.loop.ServiceLoop` runs — whose three events
 (admission, completion, re-plans exhausted) are recorded for the parent
 instead of applied.  The parent inherits the run skeleton and overrides
 one advance step: stage a chunk's arrivals through the loop's own
-routing, dispatch, merge.  What is left here is process-specific: pipes,
+routing (:meth:`~repro.serve.loop.ServiceLoop._route`), dispatch,
+merge.  What is left here is process-specific: pipes,
 worker lifecycle, the queue mirror, and the chunk merge.
 
 The determinism story is the in-process loop's, pushed across a
@@ -81,16 +83,15 @@ from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_EXECUTE
 from repro.serve.loop import (
     MAX_FORCED_REPLANS,
+    ServiceLoop,
     ShardStep,
     build_shard_engine,
 )
 from repro.serve.supervisor import (
-    BREAKER_OPEN,
     DEGRADED,
     HEALTHY,
     QUARANTINED,
     DiskFaultWindows,
-    SupervisedLoop,
     apply_chaos_windows,
 )
 from repro.util.errors import InvalidInstanceError, StorageError
@@ -163,7 +164,7 @@ class _ShardWorker(ShardStep):
                 )
         #: chaos disk-fault windows live worker-side too: the worker
         #: owns the stores, so its syscalls are the fault domain.
-        self._disk_faults = DiskFaultWindows()
+        self._disk_faults = DiskFaultWindows(chaos, self._hosted)
         #: shard -> step it deadlocked at with no re-plans left.
         self._frozen_at: "dict[int, int]" = {}
         #: the running chunk's per-shard results and sink rejections.
@@ -194,9 +195,6 @@ class _ShardWorker(ShardStep):
                 time.sleep(0.05)
 
     # -- step events: recorded for the parent --------------------------
-    def _stepping(self, sid: int) -> bool:
-        return sid not in self._frozen_at
-
     def _on_admission(self, sid, gid, done, t) -> None:
         self._out[sid]["admits"].setdefault(t, []).append((gid, done))
         if done is not None:
@@ -209,6 +207,7 @@ class _ShardWorker(ShardStep):
 
     def _on_replans_exhausted(self, sid, engine, t) -> None:
         self._frozen_at[sid] = self._out[sid]["frozen_at"] = t
+        self._shard_ids = [s for s in self._shard_ids if s != sid]
 
     # -- durable sink: the acknowledgment is the parent journal ----------
     def _store_of(self, sid: int):
@@ -255,7 +254,8 @@ class _ShardWorker(ShardStep):
         parent owns the tracker, the worker owns the queues.  Debts are
         re-delivered until a chunk that applied them merges, so a worker
         SIGKILLed with the dispatch cannot lose a purge."""
-        self._shard_ids = order = sorted(set(self._hosted) & set(active))
+        order = sorted(set(self._hosted) & set(active))
+        self._shard_ids = [s for s in order if s not in self._frozen_at]
         self._out = out = {
             sid: {"admits": {}, "sheds": {}, "records": {}, "exec": {},
                   "depths": {}, "frozen_at": None, "unconsumed": []}
@@ -284,10 +284,10 @@ class _ShardWorker(ShardStep):
             self._maybe_hang(t)
             if self.cancel.is_set():
                 return None
-            self._disk_faults.advance(t, self.chaos, self._hosted)
+            self._disk_faults.advance(t)
             for sid in order:  # phase 1: offer the parent-routed arrivals
                 arrivals = batch.get(sid, {}).get("arrivals", {}).get(t, ())
-                if not self._stepping(sid):
+                if sid in self._frozen_at:
                     out[sid]["unconsumed"].extend(
                         (t, g, leaf) for g, leaf in arrivals
                     )
@@ -410,8 +410,9 @@ class _WorkerSlot:
         self.door_seen = 0
 
 
-class ProcPoolLoop(SupervisedLoop):
-    """:class:`SupervisedLoop` over shard-per-process workers.
+class ProcPoolLoop(ServiceLoop):
+    """:class:`~repro.serve.loop.ServiceLoop` over shard-per-process
+    workers.
 
     ``processes=0`` means one worker per shard; shards round-robin over
     fewer slots.  ``debug_hang=(shard, step, mode)`` is a test hook that
@@ -518,7 +519,7 @@ class ProcPoolLoop(SupervisedLoop):
         prev, self._store_health[sid] = self._store_health[sid], reason
         if reason:
             if self._health[sid] == HEALTHY:
-                self._health[sid] = DEGRADED
+                self._set_health(sid, DEGRADED)
             if not prev:
                 self._count(
                     "serve_shard_store_degraded_total",
@@ -617,10 +618,10 @@ class ProcPoolLoop(SupervisedLoop):
             self._store_health[sid] = ""
             if self._abandoned[sid]:
                 continue
-            if self._breakers[sid].state != BREAKER_OPEN:
+            if not self._breaker_open(sid):
                 self._open_breaker(sid, self.planner.epoch_of(max(t, 1)))
             else:
-                self._health[sid] = QUARANTINED
+                self._set_health(sid, QUARANTINED)
 
     def _escalate(self, slot, t: int) -> None:
         """Soft deadline missed: cancel -> SIGTERM -> SIGKILL.
@@ -665,9 +666,6 @@ class ProcPoolLoop(SupervisedLoop):
         self._on_slot_death(slot, t, f"watchdog-{stage}")
 
     # -- supervision overrides -----------------------------------------
-    def _dispatchable(self, sid: int) -> bool:
-        return self._health[sid] != QUARANTINED and not self._abandoned[sid]
-
     def _in_flight(self, sid: int) -> int:
         return self._last_inflight[sid]
 
@@ -778,18 +776,6 @@ class ProcPoolLoop(SupervisedLoop):
         """Shard ``sid``'s payload in the chunk being staged."""
         return self._batch.setdefault(sid, {"arrivals": {}, "requeue": []})
 
-    def _offer(self, sid: int, gid: int, leaf: int, t: int) -> None:
-        """Stage one routed arrival for the shard's worker (mirrored);
-        a quarantined shard spills or sheds it, as in-process."""
-        if not self._dispatchable(sid):
-            super()._offer(sid, gid, leaf, t)
-            return
-        self._leaf_of[gid] = leaf
-        entry = self._staged(sid)
-        entry["arrivals"].setdefault(t, []).append((gid, leaf))
-        self._tag(entry, gid)
-        self._mirror[sid][gid] = leaf
-
     def _apply_slo(self, door, tripped, t: int) -> None:
         # The parent's own queues are always empty under this driver
         # (offers are staged to workers or spilled), so the super call
@@ -821,7 +807,7 @@ class ProcPoolLoop(SupervisedLoop):
             if not items:
                 continue
             self._pending_requeue[sid] = []
-            if self._dispatchable(sid):
+            if sid not in self._held:
                 entry = self._staged(sid)
                 entry["requeue"].extend(items)
                 for gid, leaf in items:
@@ -844,7 +830,14 @@ class ProcPoolLoop(SupervisedLoop):
                             self.sup_stats.spilled_by_shard, sid
                         )
         for t in range(t0, t1 + 1):
-            self._route_arrivals(t)
+            gid0 = self._next_gid
+            for sid, gid, leaf in self._route(t):
+                # Staged for the shard's worker, and mirrored.
+                entry = self._staged(sid)
+                entry["arrivals"].setdefault(t, []).append((gid, leaf))
+                self._tag(entry, gid)
+                self._mirror[sid][gid] = leaf
+            self.arrivals.on_emitted(list(range(gid0, self._next_gid)))
             gid_after[t] = self._next_gid
             exhausted_after[t] = self.arrivals.exhausted
         batch, self._batch = self._batch, None
@@ -871,7 +864,7 @@ class ProcPoolLoop(SupervisedLoop):
     def _dispatch_chunk(self, t0: int, t1: int, batch):
         by_slot: "dict[int, list[int]]" = {}
         for sid in range(len(self.engines)):
-            if self._dispatchable(sid):
+            if sid not in self._held:
                 by_slot.setdefault(self._slot_of[sid], []).append(sid)
         pending = []
         for slot_id, sids in sorted(by_slot.items()):
@@ -966,9 +959,9 @@ class ProcPoolLoop(SupervisedLoop):
                 self._mirror[sid].pop(gid, None)
                 self._shed(gid, t0)
         if frozen:
-            # The plain loop would have stopped at the first freeze; the
-            # chunk's later records are supervision's, so the driver
-            # must be journaled ahead of them.
+            # A breaker trips at the first freeze and the chunk's later
+            # records are supervision's, so the driver must be journaled
+            # ahead of them.
             self._note_driver(min(frozen.values()))
         order = sorted(per_shard)
         n = len(self.engines)
@@ -1005,7 +998,7 @@ class ProcPoolLoop(SupervisedLoop):
                     self._last_inflight[s] = fl
                     q += len(self._spill[s])
                 else:
-                    q = self._queue_depth(s)
+                    q = self._admission_depth(s) + len(self._spill[s])
                     rb = self._last_backlog[s]
                     fl = self._last_inflight[s]
                 queues.append(q)
@@ -1027,7 +1020,7 @@ class ProcPoolLoop(SupervisedLoop):
         for sid in sorted(unconsumed):
             for ta, gid, leaf in unconsumed[sid]:
                 self._mirror[sid].pop(gid, None)
-                SupervisedLoop._offer(self, sid, gid, leaf, ta)
+                self._hold(sid, gid, leaf, ta)
         for sid in order:
             assert len(self._mirror[sid]) == per_shard[sid]["queue_len"], (
                 f"shard {sid}: queue mirror diverged from worker "
@@ -1047,7 +1040,7 @@ class ProcPoolLoop(SupervisedLoop):
     def _advance(self, t0: int, max_steps: int) -> int:
         """Run one chunk in the workers: stage, dispatch, merge.  Returns
         its last step (the finish step if the run drained mid-chunk)."""
-        self._begin_step(t0)
+        self._supervise(t0)
         t1 = self._chunk_end(t0, max_steps)
         batch, gid_after, exhausted = self._stage_chunk(t0, t1)
         obs = self._obs

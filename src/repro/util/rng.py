@@ -36,3 +36,16 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
         raise ValueError(f"cannot spawn {n} generators")
     seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
     return [np.random.default_rng(int(s)) for s in seeds]
+
+
+def spawn_seed(*coords: int) -> int:
+    """A stable seed for the sub-stream named by integer ``coords``.
+
+    The same coordinates always give the same seed, so a component
+    rebuilt in another process (or on a later run) draws the same
+    stream.
+    """
+    return int(
+        np.random.SeedSequence(entropy=tuple(int(c) for c in coords))
+        .generate_state(1)[0]
+    )

@@ -4,9 +4,10 @@ A field of ``ServeConfig``, ``TenantSpec``, ``SupervisorConfig`` or
 ``StabilityConfig`` is a flag if and only if it has ``metadata["help"]``.
 For each such field the flag exists, parses to the field's default, and
 carries a non-default value through to the field; no other field has a
-flag.  Two behaviours the derivation fixed are pinned here too: tenant
-runs inherit the whole-run arrival flags, and an invalid stability
-config is a clean exit 2.
+flag.  Every ``serve`` run is supervised, so a ``SupervisorConfig`` flag
+reaches the loop with no other flag beside it.  Two behaviours the
+derivation fixed are pinned here too: tenant runs inherit the whole-run
+arrival flags, and an invalid stability config is a clean exit 2.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from tests.integration.test_cli_golden import built, option_strings
 CLASSES = {
     ServeConfig: ("serve", lambda b: ServeConfig.from_meta(b["config"])),
     SupervisorConfig: (
-        "serve --supervised",
+        "serve",
         lambda b: SupervisorConfig.from_meta(b["supervisor"]),
     ),
     TenantSpec: (
@@ -119,6 +120,21 @@ def test_fields_without_help_have_no_flag(cls):
             assert build_parser().parse_args(["serve"]).tenants == 0
             continue
         assert flag not in options, f"{cls.__name__}.{f.name}"
+
+
+def test_supervisor_flags_alone_steer_a_run(capsys):
+    """One stalled epoch trips a breaker and no restart is allowed: the
+    faulty shard is abandoned, its messages counted-shed."""
+    argv = ("serve --fault-rate 0.5 --fault-seed 1 --seed 1 --shards 2 "
+            "--rate 6 --messages 200")
+    assert main(argv.split()) == 0
+    assert "0 shards abandoned" in capsys.readouterr().out
+    assert main([*argv.split(), "--trip-after", "1",
+                 "--restart-budget", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "arrived 200, admitted 105, completed 105, shed 95" in out
+    assert "1 breaker trips" in out
+    assert "1 shards abandoned" in out
 
 
 def _tenant_run(capsys, *extra: str) -> str:

@@ -52,7 +52,7 @@ VECTORS = {
     ),
     "serve/closed": "serve --arrivals closed --clients 3 --think-time 1",
     "serve/supervised-every-flag": (
-        "serve --supervised --trip-after 3 --probe-backoff 2 "
+        "serve --trip-after 3 --probe-backoff 2 "
         "--max-backoff 9 --spill-capacity 5 --restart-budget 4 "
         "--watchdog-deadline 12.5 --divert --journal sup.woj"
     ),
@@ -124,7 +124,7 @@ def built(argv: str) -> dict:
     """What ``python -m repro <argv>`` would hand its driver."""
     stubs = [
         mock.patch.object(cli, name, _serve_stub(name))
-        for name in ("ServiceLoop", "SupervisedLoop", "ProcPoolLoop")
+        for name in ("ServiceLoop", "ProcPoolLoop")
     ]
     stubs.append(mock.patch("repro.stability.run_stability", _stability_stub))
     for stub in stubs:

@@ -16,8 +16,8 @@ digest covers the
 realized schedule, :class:`ResilienceStats` (or the typed stall error)
 and the full journal bytes at ``checkpoint_every=2``.
 
-Serve side: a supervised run with iid faults, fault-aware triage, a
-pace budget and chaos stall windows, plus a plain faulty run.  Each
+Serve side: a run with iid faults, fault-aware triage, a pace budget
+and chaos stall windows, plus a faulty run with neither.  Each
 digest covers completions, per-shard schedules and every journal record
 except ``meta``.
 
@@ -39,7 +39,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.faults.bursts import BurstInjector, BurstPlan
 from repro.faults.chaos import CHAOS_STALL, ChaosEvent, ChaosPlan
 from repro.policies import GatedExecutor, ResilientExecutor, WormsPolicy
-from repro.serve import ServeConfig, ServiceLoop, SupervisedLoop
+from repro.serve import ServeConfig, ServiceLoop
 from repro.tree import balanced_tree, beps_shape_tree, path_tree
 from repro.util.errors import ExecutionStalledError
 from tests.conftest import make_uniform
@@ -143,14 +143,14 @@ def run_batch_case(case: str, tmp: Path) -> str:
 
 SERVE_CASES = {
     "supervised-chaos-paced": dict(
-        supervised=True, pace=3,
+        pace=3,
         chaos=ChaosPlan((
             ChaosEvent(6, CHAOS_STALL, 0, duration=5),
             ChaosEvent(15, CHAOS_STALL, 1, duration=7),
             ChaosEvent(30, CHAOS_STALL, 0, duration=4),
         )),
     ),
-    "plain-faulty": dict(supervised=False, pace=0, chaos=None),
+    "plain-faulty": dict(pace=0, chaos=None),
 }
 
 
@@ -162,11 +162,7 @@ def run_serve_case(case: str, tmp: Path) -> str:
         fault_seed=5, fault_aware=True, pace=spec["pace"],
     )
     journal = tmp / f"{case}.journal"
-    if spec["supervised"]:
-        loop = SupervisedLoop(config, chaos=spec["chaos"], journal=journal)
-    else:
-        loop = ServiceLoop(config, journal=journal)
-    report = loop.run()
+    report = ServiceLoop(config, chaos=spec["chaos"], journal=journal).run()
     records = [
         r for r in scan_journal(journal).records if r.get("type") != "meta"
     ]

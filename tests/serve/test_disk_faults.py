@@ -27,7 +27,6 @@ from repro.serve import (
     ProcPoolLoop,
     ServeConfig,
     ServiceLoop,
-    SupervisedLoop,
 )
 from repro.util.fsio import REAL_FS, current_fs, install, installed
 
@@ -94,13 +93,13 @@ def test_disarmed_shim_is_byte_invisible_lsm_engine(tmp_path):
     assert shim_files == bare_files
 
 
-# -- the drill: supervised (thread) driver ------------------------------
+# -- the drill: in-process driver -----------------------------------------
 
 def test_disk_fault_drill_supervised(tmp_path):
     cfg = serve_config(tmp_path, engine="lsm",
                        data_dir=str(tmp_path / "kv"))
     plan = _disk_fault_plan()
-    report = SupervisedLoop(cfg, chaos=plan).run()
+    report = ServiceLoop(cfg, chaos=plan).run()
     assert current_fs() is REAL_FS  # the window never leaks out
     assert report.supervisor.disk_fault_windows == 1
     assert len(report.completions) == cfg.messages
@@ -119,7 +118,7 @@ def test_disk_fault_drill_is_deterministic(tmp_path):
                            data_dir=str(tmp_path / f"kv-{tag}"))
         plan = ChaosPlan.draw(shards=cfg.shards, horizon=24, seed=7,
                               kills=0, stalls=0, disk_faults=2)
-        report = SupervisedLoop(cfg, chaos=plan).run()
+        report = ServiceLoop(cfg, chaos=plan).run()
         runs.append((
             tuple(e.spec for e in plan.events),
             report.completions,
@@ -169,7 +168,7 @@ def test_procpool_window_open_at_run_end_does_not_leak(tmp_path):
     plan = _disk_fault_plan(step=end - 2, duration=50)
     try:
         for tag, make in (
-            ("sup", lambda cfg: SupervisedLoop(cfg, chaos=plan)),
+            ("sup", lambda cfg: ServiceLoop(cfg, chaos=plan)),
             ("proc", lambda cfg: ProcPoolLoop(cfg, processes=2, chaos=plan)),
         ):
             cfg = serve_config(tmp_path, engine="lsm",

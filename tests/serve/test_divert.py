@@ -23,7 +23,7 @@ from repro.serve import (
     QUARANTINED,
     RECOVERING,
     ServeConfig,
-    SupervisedLoop,
+    ServiceLoop,
     SupervisorConfig,
     recover_serve,
 )
@@ -36,7 +36,7 @@ def serve_config(**overrides) -> ServeConfig:
     return ServeConfig(**base)
 
 
-class DivertConservationChecked(SupervisedLoop):
+class DivertConservationChecked(ServiceLoop):
     """Asserts admission conservation at every heartbeat, diversion on.
 
     Same invariant as the supervisor suite's ``ConservationChecked``,
@@ -187,7 +187,7 @@ class TestDiversion:
 
 class TestRemapLeaf:
     def test_remap_preserves_key_order(self):
-        loop = SupervisedLoop(serve_config(shards=2),
+        loop = ServiceLoop(serve_config(shards=2),
                               supervisor=SupervisorConfig(divert=True))
         src = loop.router.shards[0].leaves
         dst = loop.router.shards[1].leaves
@@ -196,7 +196,7 @@ class TestRemapLeaf:
         assert set(mapped) <= set(dst)
 
     def test_divert_target_prefers_the_next_shard(self):
-        loop = SupervisedLoop(serve_config(shards=4),
+        loop = ServiceLoop(serve_config(shards=4),
                               supervisor=SupervisorConfig(divert=True))
         assert loop._divert_target(1) == 2
         assert loop._divert_target(3) == 2  # no shard 4: falls back

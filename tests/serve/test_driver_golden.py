@@ -1,4 +1,4 @@
-"""Golden digests of every supervised serving driver, chaos included.
+"""Golden digests of every serving driver, chaos included.
 
 The parity tests pin that a *fault-free* ``ProcPoolLoop`` journal equals
 ``ServiceLoop``'s.  Under chaos the process driver has documented
@@ -8,7 +8,9 @@ so those runs can only be compared against themselves.  These digests
 pin each driver's exact output on a seeded scenario grid, so a
 refactor of the drivers must reproduce every byte:
 
-* drivers: ``SupervisedLoop``, ``ProcPoolLoop(processes=1)`` and
+* drivers: the in-process ``ServiceLoop`` (labelled ``supervised``: the
+  digests predate supervision becoming the loop's only mode and are
+  unchanged by it), ``ProcPoolLoop(processes=1)`` and
   ``ProcPoolLoop(processes=2)``;
 * scenarios: fault-free; a chaos kill plus a stall window; a
   ``kill-worker`` with breaker-aware diversion; a disk-fault window
@@ -49,7 +51,7 @@ from repro.faults import (
 from repro.serve import (
     ProcPoolLoop,
     ServeConfig,
-    SupervisedLoop,
+    ServiceLoop,
     SupervisorConfig,
     TenantSpec,
 )
@@ -155,7 +157,7 @@ def run_case(case: str, workdir: Path) -> dict:
                 module.build_planner = poisoned
     try:
         if driver == "supervised":
-            report = SupervisedLoop(config, **kwargs).run()
+            report = ServiceLoop(config, **kwargs).run()
         else:
             processes = int(driver.split("-")[1])
             report = ProcPoolLoop(config, processes=processes,

@@ -1,12 +1,17 @@
-"""Supervised journals recover under the driver that wrote them.
+"""Serving journals recover under the driver that wrote them.
 
-* A supervised run whose meta names no driver (faults, no chaos, default
-  supervision) is the plain loop's until its first breaker trip; the trip
-  journals a one-time ``driver`` record, and ``recover_serve`` re-derives
-  the run through that driver — in-process and procpool alike.
+* A run whose meta names no driver (faults, no chaos, default
+  supervision) journals a one-time ``driver`` record at its first
+  breaker trip, and ``recover_serve`` re-derives the run through that
+  driver — in-process and procpool alike.
 * Journals written by the retired thread-pool driver (meta
   ``{"kind": "threads", "workers": N}`` plus the retired
   ``watchdog_budget`` key) still recover exactly, in-process.
+* Journals written by the retired unsupervised loop (``plain_era.json``
+  names each one's config) recover exactly when that run never stalled
+  an epoch long enough to trip a breaker.  One that would have tripped
+  replays a different run today, and recovery says so with a typed
+  ``schedule-mismatch`` error instead of a wrong answer.
 """
 
 from __future__ import annotations
@@ -23,10 +28,9 @@ from repro.serve import (
     ProcPoolLoop,
     ServeConfig,
     ServiceLoop,
-    SupervisedLoop,
     recover_serve,
 )
-from repro.util.errors import ExecutionStalledError
+from repro.util.errors import JournalCorruptionError
 
 DATA = Path(__file__).parent / "data"
 
@@ -43,7 +47,7 @@ def faulty_config(seed: int) -> ServeConfig:
 
 
 DRIVERS = {
-    "inprocess": lambda cfg, path: SupervisedLoop(cfg, journal=path),
+    "inprocess": lambda cfg, path: ServiceLoop(cfg, journal=path),
     "procpool": lambda cfg, path: ProcPoolLoop(cfg, processes=2,
                                                journal=path),
 }
@@ -56,7 +60,9 @@ def test_tripped_fault_journal_recovers(tmp_path, driver, seed):
     path = tmp_path / "faulty.woj"
     report = DRIVERS[driver](cfg, path).run()
     assert report.supervisor.trips >= 1
-    assert "driver" not in RecoveryManager(path).meta
+    # Default supervision, no chaos: the meta is the bare config.
+    assert not {"driver", "chaos", "supervisor"} & \
+        RecoveryManager(path).meta.keys()
     records = [r for r in scan_journal(path).records
                if r["type"] == REC_DRIVER]
     assert [r["driver"]["kind"] for r in records] == [driver]
@@ -65,27 +71,10 @@ def test_tripped_fault_journal_recovers(tmp_path, driver, seed):
     assert rec.report.completions == report.completions
 
 
-def test_journal_before_the_driver_record_is_the_plain_loops(tmp_path):
-    cfg = faulty_config(1)
-    sup_path, plain_path = tmp_path / "sup.woj", tmp_path / "plain.woj"
-    SupervisedLoop(cfg, journal=sup_path).run()
-    try:
-        ServiceLoop(cfg, journal=plain_path).run()
-    except ExecutionStalledError:
-        pass  # the plain loop may stall where supervision quarantined
-    sup, plain = sup_path.read_bytes(), plain_path.read_bytes()
-    cut = sup.index(b'{"type":"driver"')
-    # Back up to the record's length/CRC prefix.
-    prefix = sup[:cut - 8]
-    assert b'"type":"flush"' in prefix
-    assert plain.startswith(prefix)
-
-
 def test_driver_record_survives_compaction(tmp_path):
     cfg = faulty_config(1)
     path = tmp_path / "seg.woj"
-    report = SupervisedLoop(cfg, journal=path,
-                            max_segment_bytes=4096).run()
+    report = ServiceLoop(cfg, journal=path, max_segment_bytes=4096).run()
     compact_journal(path)
     assert any(r["type"] == REC_DRIVER
                for r in scan_journal(path).records)
@@ -105,3 +94,36 @@ def test_thread_era_journal_recovers_to_its_digest():
     assert rec.run_completed
     assert completions_digest(rec.report.completions) == \
         expected["completions_sha256"]
+
+
+def _plain_era(name: str) -> "tuple[Path, dict]":
+    doc = json.loads((DATA / "plain_era.json").read_text())
+    return DATA / name, doc["journals"][name]
+
+
+def test_plain_era_journal_recovers_to_its_digest():
+    """Fault-free: supervision never engaged, so today's loop re-derives
+    the unsupervised run byte for byte."""
+    path, expected = _plain_era("plain_fault_free.woj")
+    meta = RecoveryManager(path).meta
+    assert not {"driver", "chaos", "supervisor"} & meta.keys()
+    rec = recover_serve(path, repair=False)
+    assert rec.run_completed
+    assert rec.replayed_flushes > 0
+    assert completions_digest(rec.report.completions) == \
+        expected["completions_sha256"]
+    assert rec.report.supervisor.trips == 0
+
+
+def test_plain_era_journal_that_would_trip_fails_typed():
+    """``faulty_config(1)``: the unsupervised loop rode out its stalled
+    epochs, today's loop trips a breaker on them, so the journal's
+    flushes are not in the re-derived run."""
+    path, _expected = _plain_era("plain_s1.woj")
+    assert ServeConfig.from_meta(RecoveryManager(path).meta) == \
+        faulty_config(1)
+    assert not any(r["type"] == REC_DRIVER
+                   for r in scan_journal(path).records)
+    with pytest.raises(JournalCorruptionError) as exc:
+        recover_serve(path, repair=False)
+    assert exc.value.reason == "schedule-mismatch"

@@ -5,16 +5,15 @@ Two serving-loop contracts the batch tests cannot see:
 * a shard whose plan deadlocks (no pending flush ever becomes ready) is
   rescued by a **forced full re-plan** after ``MAX_IDLE_STEPS`` idle
   steps — and when the budget of ``MAX_FORCED_REPLANS`` is spent the
-  loop raises a diagnosable :class:`ExecutionStalledError` instead of
-  spinning;
+  shard's circuit breaker trips instead of the loop spinning: the shard
+  restarts from its journal with a fresh budget, or is abandoned with
+  its messages counted-shed;
 * admission accounting stays conservative under combined shedding and
   stall-holds: every arrival is admitted, shed, or still queued — never
   lost — and the final snapshot balances exactly.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.dam.schedule import Flush
 from repro.serve.loop import (
@@ -23,7 +22,7 @@ from repro.serve.loop import (
     ServiceLoop,
 )
 from repro.serve.planner import EpochPlanner
-from repro.util.errors import ExecutionStalledError
+from repro.serve.supervisor import SupervisorConfig
 
 
 def mid_node(topo):
@@ -97,17 +96,46 @@ class TestForcedReplanEscape:
         assert report.n_steps > clean.n_steps
         assert report.completions.keys() == clean.completions.keys()
 
-    def test_replan_budget_exhaustion_raises_typed_error(self):
-        config = one_shot_config()
-        loop = ServiceLoop(config)
-        loop.planner = PoisonPlanner(
-            config.epoch, poison=MAX_FORCED_REPLANS + 2, poison_forced=True
-        )
-        with pytest.raises(ExecutionStalledError) as exc:
-            loop.run()
-        assert "no re-plans left" in str(exc.value)
-        # The loop spent its whole budget before giving up.
-        assert loop.planner.stats.forced_replans == MAX_FORCED_REPLANS
+    def test_replan_budget_exhaustion_trips_breaker(self):
+        def run(restart_budget):
+            config = one_shot_config()
+            # trip_after is out of reach, so only the spent re-plan
+            # budget can trip the breaker.
+            loop = ServiceLoop(config, supervisor=SupervisorConfig(
+                trip_after=50, restart_budget=restart_budget,
+            ))
+            loop.planner = PoisonPlanner(
+                config.epoch, poison=MAX_FORCED_REPLANS + 2,
+                poison_forced=True,
+            )
+            trips = []
+            trip = loop._open_breaker
+
+            def recording_trip(sid, epoch):
+                trips.append((loop.planner.stats.forced_replans,
+                              loop._replans_left[sid]))
+                trip(sid, epoch)
+
+            loop._open_breaker = recording_trip
+            report = loop.run()
+            snap = report.snapshot
+            assert snap["arrived"] == snap["completed"] + snap["shed"]
+            # The first trip came once the whole budget was spent.
+            assert trips[0] == (MAX_FORCED_REPLANS, 0)
+            return report.supervisor, snap
+
+        # A restart re-plans from the journal fold with a fresh budget
+        # and every message completes.
+        sup, snap = run(restart_budget=3)
+        assert sup.trips >= 1 and sup.restarts >= 1
+        assert sup.abandoned_shards == 0
+        assert snap["completed"] == 12 and snap["shed"] == 0
+        # With no restart left, the first probe abandons the shard and
+        # counted-sheds all of its messages.
+        sup, snap = run(restart_budget=0)
+        assert sup.trips == 1 and sup.restarts == 0
+        assert sup.abandoned_shards == 1
+        assert sup.abandoned_messages == snap["shed"] == 12
 
 
 class TestAdmissionConservation:

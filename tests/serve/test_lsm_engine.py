@@ -28,7 +28,6 @@ from repro.serve import (
     ProcPoolLoop,
     ServeConfig,
     ServiceLoop,
-    SupervisedLoop,
     recover_serve,
 )
 from repro.util.errors import InvalidInstanceError
@@ -94,7 +93,7 @@ def test_every_acknowledged_completion_is_durable(tmp_path):
 
 def test_supervised_and_procpool_drivers_feed_the_store(tmp_path):
     cfg = serve_config(tmp_path, data_dir=str(tmp_path / "kv-sup"))
-    sup = SupervisedLoop(cfg).run()
+    sup = ServiceLoop(cfg).run()
     items = _store_state(cfg.data_dir)
     assert items
     for key, rec in items.items():

@@ -17,7 +17,6 @@ from repro.serve import (
     ProcPoolLoop,
     ServeConfig,
     ServiceLoop,
-    SupervisedLoop,
     recover_serve,
 )
 from repro.stability import StabilityConfig
@@ -46,14 +45,14 @@ def test_pace_zero_meta_is_byte_identical_to_no_pace_mention():
 def test_pace_off_journals_byte_identical_across_drivers(tmp_path):
     cfg = _mmpp_config()
     paths = [tmp_path / f"j{i}" for i in range(3)]
-    plain = ServiceLoop(cfg, journal=paths[0]).run()
-    threads = SupervisedLoop(cfg, journal=paths[1]).run()
+    inproc = ServiceLoop(cfg, journal=paths[0]).run()
+    single = ProcPoolLoop(cfg, processes=1, journal=paths[1]).run()
     procs = ProcPoolLoop(cfg, processes=2, journal=paths[2]).run()
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert paths[0].read_bytes() == paths[2].read_bytes()
-    assert plain.completions == threads.completions == procs.completions
+    assert inproc.completions == single.completions == procs.completions
     # the off path has no pace section anywhere in the report.
-    for report in (plain, threads, procs):
+    for report in (inproc, single, procs):
         assert "pace" not in report.snapshot
 
 

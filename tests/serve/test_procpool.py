@@ -3,9 +3,8 @@
 The contracts under test, in the order the ISSUE states them:
 
 * **driver determinism matrix**: fault-free, every driver and width —
-  ``ServiceLoop``, ``SupervisedLoop``, ``ProcPoolLoop(processes in
-  {1,2,4})`` — produces byte-identical journals and identical
-  completions;
+  ``ServiceLoop``, ``ProcPoolLoop(processes in {1,2,4})`` — produces
+  byte-identical journals and identical completions;
 * a ``kill-worker`` chaos event delivers a **real SIGKILL**: the killed
   shard comes back on a fresh process (different pid) restarted from its
   own journal, zero messages are lost (exact conservation), and the
@@ -17,7 +16,7 @@ The contracts under test, in the order the ISSUE states them:
   ``kill()`` — fires in order against a wedged worker, every rung ending
   with the shard restarted on a fresh process and the run completing;
 * journal meta records the driver topology, so ``recover`` re-derives
-  the identical supervised run through the same driver.
+  the identical run through the same driver.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.serve import (
     ProcPoolLoop,
     ServeConfig,
     ServiceLoop,
-    SupervisedLoop,
     SupervisorConfig,
     recover_serve,
 )
@@ -68,9 +66,11 @@ class TestDriverMatrix:
         return cfg, report, path.read_bytes()
 
     def test_in_process_driver_matches_plain_loop(self, baseline, tmp_path):
+        """Spelling out the default supervision changes nothing."""
         cfg, plain, blob = baseline
         path = tmp_path / "sup.woj"
-        report = SupervisedLoop(cfg, journal=path).run()
+        report = ServiceLoop(cfg, supervisor=SupervisorConfig(),
+                             chaos=ChaosPlan(), journal=path).run()
         assert path.read_bytes() == blob
         assert report.completions == plain.completions
 
@@ -111,7 +111,7 @@ class TestDriverMatrix:
 
     def test_default_meta_stays_clean(self, baseline, tmp_path):
         """Fault-free procpool journals carry no driver/chaos meta —
-        that is what makes them byte-identical to the plain loop's."""
+        that is what makes them byte-identical to the in-process loop's."""
         from repro.dam.journal import RecoveryManager
 
         cfg, _plain, _blob = baseline
@@ -267,7 +267,7 @@ class TestDriverMeta:
         pi = tmp_path / "inprocess.woj"
         ProcPoolLoop(cfg, processes=2, chaos=KILL_DRILL,
                      journal=pp).run()
-        SupervisedLoop(cfg, chaos=KILL_DRILL, journal=pi).run()
+        ServiceLoop(cfg, chaos=KILL_DRILL, journal=pi).run()
         assert RecoveryManager(pp).meta["driver"] == {
             "kind": "procpool", "processes": 2,
         }

@@ -20,7 +20,7 @@ from repro.faults import (
     ChaosPlan,
     truncate_at,
 )
-from repro.serve import ServeConfig, SupervisedLoop, recover_serve
+from repro.serve import ServeConfig, ServiceLoop, recover_serve
 from repro.util.errors import JournalCorruptionError
 
 PLAN = ChaosPlan((
@@ -33,7 +33,7 @@ def chaos_run(path, *, max_segment_bytes=None, **overrides):
     cfg = dict(arrivals="poisson", rate=8.0, messages=120, shards=2,
                seed=6, P=3, B=8, epoch=4, checkpoint_every=4)
     cfg.update(overrides)
-    return SupervisedLoop(
+    return ServiceLoop(
         ServeConfig(**cfg), chaos=PLAN, journal=path,
         max_segment_bytes=max_segment_bytes,
     ).run()

@@ -15,8 +15,8 @@ The contracts under test, in the order the ISSUE states them:
   shedding it;
 * an SLO-violating tenant is shed first: its queue is purged on trip
   and its door closes, while the light tenant keeps its solo-run tail;
-* the same tenant config produces byte-identical journals across all
-  three drivers, survives torn-tail recovery, and conserves per-tenant
+* the same tenant config produces byte-identical journals in-process
+  and on one or two worker processes, survives torn-tail recovery, and conserves per-tenant
   counts under SIGKILL chaos on the process driver.
 """
 
@@ -34,14 +34,13 @@ from repro.serve import (
     ProcPoolLoop,
     ServeConfig,
     ServiceLoop,
-    SupervisedLoop,
     TenantAdmissionController,
     TenantMix,
     TenantSpec,
     make_tenants,
     recover_serve,
 )
-from repro.serve.loop import _spawn_seed
+from repro.util.rng import spawn_seed
 from repro.serve.router import ShardEngine
 from repro.serve.tenancy.spec import split_messages, validate_tenants
 from repro.tree import balanced_tree
@@ -136,7 +135,7 @@ def make_mix(seed=7):
         TenantSpec(name="a", rate=6.0, messages=30, theta=1.2),
         TenantSpec(name="b", rate=2.0, messages=10),
     )
-    return TenantMix(specs, 64, seed=seed, spawn=_spawn_seed)
+    return TenantMix(specs, 64, seed=seed, spawn=spawn_seed)
 
 
 def test_mix_is_deterministic():
@@ -162,7 +161,7 @@ def test_mix_feeds_shed_back_to_closed_loop_owner():
         TenantSpec(name="closed", arrivals="closed", n_clients=1,
                    messages=4),
     )
-    mix = TenantMix(specs, 16, seed=3, spawn=_spawn_seed)
+    mix = TenantMix(specs, 16, seed=3, spawn=spawn_seed)
     keys = mix.take(1)
     tenants = list(mix.pending_tenants)
     gids = list(range(len(keys)))
@@ -430,13 +429,13 @@ def tenant_config(**overrides):
 def test_tenancy_journals_byte_identical_across_drivers(tmp_path):
     cfg = tenant_config()
     paths = [tmp_path / f"j{i}" for i in range(3)]
-    plain = ServiceLoop(cfg, journal=paths[0]).run()
-    threads = SupervisedLoop(cfg, journal=paths[1]).run()
+    inproc = ServiceLoop(cfg, journal=paths[0]).run()
+    single = ProcPoolLoop(cfg, processes=1, journal=paths[1]).run()
     procs = ProcPoolLoop(cfg, processes=2, journal=paths[2]).run()
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert paths[0].read_bytes() == paths[2].read_bytes()
-    assert plain.completions == threads.completions == procs.completions
-    assert (plain.snapshot["tenants"] == threads.snapshot["tenants"]
+    assert inproc.completions == single.completions == procs.completions
+    assert (inproc.snapshot["tenants"] == single.snapshot["tenants"]
             == procs.snapshot["tenants"])
 
 

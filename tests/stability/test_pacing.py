@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import CHAOS_KILL_WORKER, ChaosEvent, ChaosPlan
-from repro.serve import ProcPoolLoop, ServiceLoop, SupervisedLoop
+from repro.serve import ProcPoolLoop, ServiceLoop
 from repro.serve.loop import build_planner
 from repro.serve.planner import EpochPlanner, PacedPlanner
 from repro.stability import StabilityConfig, run_stability
@@ -57,18 +57,19 @@ def test_per_step_bound_holds_under_sigkill_chaos():
 
 
 def test_paced_run_identical_across_drivers(tmp_path):
-    """Pacing is config, not driver behavior: all three drivers produce
-    the same journal bytes and the same realized step-work profile."""
+    """Pacing is config, not driver behavior: the in-process driver and
+    the procpool driver at one and two workers produce the same journal
+    bytes and the same realized step-work profile."""
     cfg = StabilityConfig(
         scenario="diurnal", messages=800, seed=4, pace=8,
     ).to_serve_config()
     paths = [tmp_path / f"j{i}" for i in range(3)]
-    plain = ServiceLoop(cfg, journal=paths[0]).run()
-    threads = SupervisedLoop(cfg, journal=paths[1]).run()
+    inproc = ServiceLoop(cfg, journal=paths[0]).run()
+    single = ProcPoolLoop(cfg, processes=1, journal=paths[1]).run()
     procs = ProcPoolLoop(cfg, processes=2, journal=paths[2]).run()
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert paths[0].read_bytes() == paths[2].read_bytes()
-    assert (plain.snapshot["pace"] == threads.snapshot["pace"]
+    assert (inproc.snapshot["pace"] == single.snapshot["pace"]
             == procs.snapshot["pace"])
 
 
