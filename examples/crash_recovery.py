@@ -103,17 +103,11 @@ def main() -> None:
     print(f"scan: {len(scan.records)} records, torn tail = "
           f"{scan.torn_bytes} byte(s) ({scan.torn_reason or 'clean'})")
 
-    from repro.__main__ import _build_instance, _executor_for
-    from repro.policies import WormsPolicy
+    from repro.__main__ import RunConfig
 
-    meta = manager.meta
-    inst = _build_instance(
-        messages=meta["messages"], P=meta["P"], B=meta["B"],
-        leaves=meta["leaves"], fanout=meta["fanout"],
-        height=meta["height"], skew=meta["skew"], seed=meta["seed"],
-    )
-    ordered = [f for _t, f in WormsPolicy().schedule(inst).iter_timed()]
-    reference = _executor_for(inst, meta).run(list(ordered))
+    config = RunConfig.from_meta(manager.meta)
+    inst = config.build()
+    reference = config.execute(inst)
 
     report = manager.recover(inst, reference)
     print(f"recovered: checkpoint at step {report.checkpoint_step}, "

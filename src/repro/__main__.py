@@ -63,6 +63,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace as dataclass_replace
 
@@ -91,13 +92,7 @@ from repro.obs import (
     span_tree,
     write_chrome_trace,
 )
-from repro.faults import (
-    BurstInjector,
-    BurstPlan,
-    ChaosPlan,
-    FaultInjector,
-    FaultPlan,
-)
+from repro.faults import ChaosConfig, ChaosPlan, make_injector
 from repro.policies import (
     EagerPolicy,
     GreedyBatchPolicy,
@@ -106,6 +101,7 @@ from repro.policies import (
     WormsPolicy,
 )
 from repro.policies.executor import DEFAULT_CHECKPOINT_EVERY
+from repro.policies.resilient import DEFAULT_RETRY_BUDGET
 from repro.serve import (
     SERVE_POLICY,
     MetricsEndpoint,
@@ -129,33 +125,145 @@ from repro.util.errors import (
 from repro.workloads import uniform_instance, zipf_instance
 
 
-def _build_instance(
-    *, messages: int, P: int, B: int, leaves: int, fanout: int,
-    height: int, skew: float, seed: int,
-):
-    if fanout:
-        topo = balanced_tree(fanout, height)
-    else:
-        topo = beps_shape_tree(B, 0.5, leaves)
-    if skew > 0:
-        return zipf_instance(
-            topo, messages, P=P, B=B, theta=skew, seed=seed
+#: meta "policy" tag of a batch ``run`` journal.
+RUN_POLICY = "worms"
+
+
+@dataclass(frozen=True)
+class InstanceConfig:
+    """The WORMS instance ``(T, M, P, B)`` a batch subcommand runs on.
+
+    Each field's ``help`` metadata documents it; ``compare``, ``solve``,
+    ``faults`` and ``run`` derive one flag per field from them.
+    """
+
+    messages: int = field(default=1000, metadata={
+        "help": "messages in the workload"})
+    P: int = field(default=4, metadata={
+        "help": "flushes per step (the DAM model's P)"})
+    B: int = field(default=64, metadata={
+        "help": "messages per flush (the DAM model's B)"})
+    leaves: int = field(default=256, metadata={
+        "help": "B^eps-shaped tree with this many leaves"})
+    fanout: int = field(default=0, metadata={
+        "help": "use a balanced tree with this fanout instead"})
+    height: int = field(default=3, metadata={
+        "help": "height of the balanced tree"})
+    skew: float = field(default=0.0, metadata={
+        "help": "Zipf theta (0 = uniform)"})
+    seed: int = field(default=0, metadata={
+        "help": "seed of the workload (and of the faults sweep)"})
+
+    def build(self):
+        """The instance: ``messages`` uniform or Zipf(``skew``) targets
+        on a balanced tree (``fanout`` set) or a B^eps-shaped one."""
+        if self.fanout:
+            topo = balanced_tree(self.fanout, self.height)
+        else:
+            topo = beps_shape_tree(self.B, 0.5, self.leaves)
+        if self.skew > 0:
+            return zipf_instance(topo, self.messages, P=self.P, B=self.B,
+                                 theta=self.skew, seed=self.seed)
+        return uniform_instance(topo, self.messages, P=self.P, B=self.B,
+                                seed=self.seed)
+
+
+@dataclass(frozen=True)
+class RunConfig(InstanceConfig):
+    """Everything that determines a ``run``: its journal's ``meta``.
+
+    Execution is deterministic in this config, which is what lets
+    ``recover`` re-derive the reference schedule of an interrupted run
+    by simply re-running it (journal-free).
+    """
+
+    rate: float = field(default=0.0, metadata={
+        "help": "fault rate to execute under (0 = fault-free)"})
+    burst: bool = field(default=False, metadata={
+        "help": "correlated Markov-modulated bursts instead of iid faults"})
+    fault_seed: int = field(default=0, metadata={
+        "help": "seed of the fault injector"})
+    fault_aware: bool = field(default=False, metadata={
+        "help": "enable fault-aware admission in the resilient executor"})
+    retry_budget: int = field(default=DEFAULT_RETRY_BUDGET, metadata={
+        "help": "flush attempts before the executor re-plans"})
+    checkpoint_every: int = field(default=DEFAULT_CHECKPOINT_EVERY, metadata={
+        "help": "steps between journaled state checkpoints"})
+
+    def __post_init__(self) -> None:
+        if self.checkpoint_every < 1:
+            raise InvalidInstanceError(
+                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
+            )
+        if not (0.0 <= self.rate <= 1.0):
+            raise InvalidInstanceError(
+                f"rate must be in [0, 1], got {self.rate}"
+            )
+
+    def to_meta(self) -> dict:
+        """The journal ``meta`` payload that reconstructs this config."""
+        return {"policy": RUN_POLICY, **asdict(self)}
+
+    @classmethod
+    def from_meta(cls, meta: dict) -> "RunConfig":
+        return cls(**{f.name: meta[f.name] for f in dataclass_fields(cls)})
+
+    def execute(self, inst, journal=None):
+        """Run the WORMS schedule of ``inst`` through the resilient
+        executor under this config's faults; returns the realized
+        schedule."""
+        ordered = [f for _t, f in WormsPolicy().schedule(inst).iter_timed()]
+        executor = ResilientExecutor(
+            inst,
+            make_injector(self.rate, burst=self.burst, seed=self.fault_seed,
+                          topology=inst.topology),
+            retry_budget=self.retry_budget,
+            fault_aware=self.fault_aware,
+            journal=journal,
+            checkpoint_every=self.checkpoint_every,
         )
-    return uniform_instance(topo, messages, P=P, B=B, seed=seed)
+        return executor.run(ordered)
 
 
-def _make_instance(args: argparse.Namespace):
-    return _build_instance(
-        messages=args.messages, P=args.P, B=args.B, leaves=args.leaves,
-        fanout=args.fanout, height=args.height, skew=args.skew,
-        seed=args.seed,
-    )
+@dataclass(frozen=True)
+class JournalOptions:
+    """Where and how ``run`` and ``serve`` stream their journal."""
+
+    journal: "str | None" = field(default=None, metadata={
+        "type": str,
+        "help": "stream a crash-recoverable journal to this path"})
+    sync: bool = field(default=False, metadata={
+        "help": "fsync the journal at every checkpoint (real durability)"})
+    max_segment_bytes: "int | None" = field(default=None, metadata={
+        "type": int,
+        "help": "rotate the journal into segments of at most this many bytes"})
+    compact_every: int = field(default=0, metadata={
+        "help": "auto-compact sealed segments every N journal rotations "
+                "(0 = never)"})
+
+    def writer_kwargs(self) -> dict:
+        """The :class:`JournalWriter` keywords besides path and meta."""
+        return {"sync": self.sync, "max_segment_bytes": self.max_segment_bytes,
+                "compact_every_rotations": self.compact_every}
+
+
+def _instance(args: argparse.Namespace):
+    """Print and return the instance the flags describe; None, after a
+    one-line error, when they describe none."""
+    try:
+        inst = InstanceConfig(**_config_values(args, InstanceConfig)).build()
+    except (InvalidInstanceError, ValueError) as exc:
+        print(f"invalid {args.command} configuration: {exc}", file=sys.stderr)
+        return None
+    print(f"instance: {inst!r}")
+    return inst
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Run the `compare` subcommand (policy comparison table)."""
-    inst = _make_instance(args)
-    print(f"instance: {inst!r}")
+    inst = _instance(args)
+    if inst is None:
+        return 2
     stats = compare_policies(
         inst,
         [
@@ -178,8 +286,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     """Run the `solve` subcommand (full pipeline + trace report)."""
-    inst = _make_instance(args)
-    print(f"instance: {inst!r}")
+    inst = _instance(args)
+    if inst is None:
+        return 2
     result = solve_worms(inst)
     print(f"packed sets: {len(result.packed.sets)}")
     print(f"reduced tasks: {result.reduced.n_tasks}")
@@ -203,8 +312,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_faults(args: argparse.Namespace) -> int:
     """Run the `faults` subcommand (resilience-under-faults report)."""
-    inst = _make_instance(args)
-    print(f"instance: {inst!r}")
+    inst = _instance(args)
+    if inst is None:
+        return 2
     try:
         rates = [float(r) for r in args.rates.split(",") if r.strip()]
     except ValueError:
@@ -228,82 +338,27 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_injector(
-    *, rate: float, burst: bool, fault_seed: int, topology
-) -> "FaultInjector | None":
-    """The deterministic fault source a (run, recover) pair shares."""
-    if burst:
-        return BurstInjector(
-            FaultPlan.none(), BurstPlan.from_rate(rate), topology,
-            seed=fault_seed,
-        )
-    if rate > 0:
-        return FaultInjector(FaultPlan.uniform(rate), seed=fault_seed)
-    return None
-
-
-def _executor_for(inst, meta: dict, journal=None) -> ResilientExecutor:
-    """Build the executor a journal's ``meta`` config describes.
-
-    Execution is deterministic in this config, which is what lets
-    ``recover`` re-derive the reference schedule of an interrupted run
-    by simply re-running it (journal-free).
-    """
-    injector = _make_injector(
-        rate=meta["rate"], burst=meta["burst"],
-        fault_seed=meta["fault_seed"], topology=inst.topology,
-    )
-    return ResilientExecutor(
-        inst,
-        injector,
-        retry_budget=meta["retry_budget"],
-        fault_aware=meta["fault_aware"],
-        journal=journal,
-        checkpoint_every=meta["checkpoint_every"],
-    )
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     """Run the `run` subcommand (journaled WORMS execution)."""
-    if args.checkpoint_every < 1:
-        print("--checkpoint-every must be >= 1", file=sys.stderr)
-        return 2
-    if not (0.0 <= args.rate <= 1.0):
-        print("--rate must be in [0, 1]", file=sys.stderr)
-        return 2
-    if args.compact_every < 0:
-        print("--compact-every must be >= 0", file=sys.stderr)
-        return 2
-    inst = _make_instance(args)
-    print(f"instance: {inst!r}")
-    ordered = [f for _t, f in WormsPolicy().schedule(inst).iter_timed()]
-    meta = {
-        "policy": "worms",
-        "messages": args.messages, "P": args.P, "B": args.B,
-        "leaves": args.leaves, "fanout": args.fanout,
-        "height": args.height, "skew": args.skew, "seed": args.seed,
-        "rate": args.rate, "burst": args.burst,
-        "fault_seed": args.fault_seed, "fault_aware": args.fault_aware,
-        "retry_budget": args.retry_budget,
-        "checkpoint_every": args.checkpoint_every,
-    }
-    writer = JournalWriter(
-        args.journal, meta=meta, sync=args.sync,
-        max_segment_bytes=args.max_segment_bytes,
-        compact_every_rotations=args.compact_every,
-    )
     try:
-        executor = _executor_for(inst, meta, journal=writer)
-        try:
-            sched = executor.run(list(ordered))
-        except ExecutionStalledError as exc:
-            print(f"execution stalled (journal kept):\n{exc}",
-                  file=sys.stderr)
-            return 1
+        config = RunConfig(**_config_values(args, RunConfig))
+        inst = config.build()
+        journal = JournalOptions(**_config_values(args, JournalOptions))
+        writer = JournalWriter(journal.journal, meta=config.to_meta(),
+                               **journal.writer_kwargs())
+    except (InvalidInstanceError, ValueError) as exc:
+        print(f"invalid run configuration: {exc}", file=sys.stderr)
+        return 2
+    print(f"instance: {inst!r}")
+    try:
+        sched = config.execute(inst, journal=writer)
+    except ExecutionStalledError as exc:
+        print(f"execution stalled (journal kept):\n{exc}", file=sys.stderr)
+        return 1
     finally:
         writer.close()
     res = validate_valid(inst, sched)
-    print(f"journal: {args.journal}")
+    print(f"journal: {journal.journal}")
     print(
         f"completed: {sched.n_steps} steps, {sched.n_flushes} flushes, "
         f"total completion time {res.total_completion_time}"
@@ -320,23 +375,30 @@ def _flag_fields(cls):
             yield f, f.metadata.get("flag", "--" + f.name.replace("_", "-"))
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
-    """Add one flag per :func:`_flag_fields` field of ``cls``.
+def _add_config_flags(
+    parser: argparse.ArgumentParser, cls, *, only=None, required=()
+) -> None:
+    """Add one flag per :func:`_flag_fields` field of ``cls`` (named in
+    ``only``, when given; ``required`` names the required ones).
 
-    The field states the flag's type and default; ``metadata["choices"]``
-    restricts its values.  A ``metadata["per_tenant"]`` field takes a
-    comma-separated list, one value per tenant (unset by default).
+    The field states the flag's default and, unless ``metadata["type"]``
+    does, its type; ``metadata["choices"]`` restricts its values.  A
+    ``metadata["per_tenant"]`` field takes a comma-separated list, one
+    value per tenant (unset by default).
     """
     for f, flag in _flag_fields(cls):
         meta = f.metadata
+        if only is not None and f.name not in only:
+            continue
         if meta.get("per_tenant"):
             parser.add_argument(flag, type=str, default=None,
                                 help=meta["help"])
         elif isinstance(f.default, bool):
             parser.add_argument(flag, action="store_true", help=meta["help"])
         else:
-            parser.add_argument(flag, type=type(f.default),
+            parser.add_argument(flag, type=meta.get("type", type(f.default)),
                                 default=f.default, choices=meta.get("choices"),
+                                required=f.name in required,
                                 help=meta["help"])
 
 
@@ -373,35 +435,24 @@ def _chaos_from_args(
     """The seeded chaos drill ``--chaos`` asks for (None without it)."""
     if not args.chaos:
         return None
-    horizon = args.chaos_horizon or max(
+    drill = _config_values(args, ChaosConfig)
+    drill["horizon"] = drill["horizon"] or max(
         4 * config.epoch, int(config.messages / max(config.rate, 1.0))
     )
-    return ChaosPlan.draw(
-        shards=config.shards,
-        horizon=horizon,
-        seed=config.seed,
-        kills=args.chaos_kills,
-        stalls=args.chaos_stalls,
-        corrupts=args.chaos_corrupts,
-        kill_workers=args.chaos_kill_workers,
-        disk_faults=args.chaos_disk_faults,
-        stall_duration=args.chaos_stall_duration,
-        disk_fault_duration=args.chaos_disk_fault_duration,
-    )
+    return ChaosPlan.draw(shards=config.shards, seed=config.seed, **drill)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the `serve` subcommand (online sharded serving loop)."""
     try:
         config = _serve_config(args)
+        journal = JournalOptions(**_config_values(args, JournalOptions))
         kwargs = {
             "supervisor": SupervisorConfig(
                 **_config_values(args, SupervisorConfig)
             ),
             "chaos": _chaos_from_args(args, config),
-            "journal": args.journal, "sync": args.sync,
-            "max_segment_bytes": args.max_segment_bytes,
-            "compact_every_rotations": args.compact_every,
+            "journal": journal.journal, **journal.writer_kwargs(),
         }
         if args.processes is None:
             loop = ServiceLoop(config, **kwargs)
@@ -622,7 +673,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
             return 2
         if meta.get("policy") == SERVE_POLICY:
             return _recover_serve_journal(args)
-        if meta.get("policy") != "worms":
+        if meta.get("policy") != RUN_POLICY:
             print(
                 f"journal meta has unsupported policy "
                 f"{meta.get('policy')!r}; cannot re-derive the reference "
@@ -630,23 +681,17 @@ def cmd_recover(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        inst = _build_instance(
-            messages=meta["messages"], P=meta["P"], B=meta["B"],
-            leaves=meta["leaves"], fanout=meta["fanout"],
-            height=meta["height"], skew=meta["skew"], seed=meta["seed"],
-        )
+        config = RunConfig.from_meta(meta)
+        inst = config.build()
         print(f"instance (rebuilt from journal meta): {inst!r}")
-        ordered = [
-            f for _t, f in WormsPolicy().schedule(inst).iter_timed()
-        ]
         # Deterministic replay of the interrupted run's config gives the
         # schedule the journal must be a prefix of.
-        reference = _executor_for(inst, meta).run(list(ordered))
+        reference = config.execute(inst)
         report = manager.recover(inst, reference, repair=not args.no_repair)
     except JournalCorruptionError as exc:
         print(f"journal corrupt: {exc}", file=sys.stderr)
         return 1
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidInstanceError) as exc:
         print(f"journal meta unusable: {exc!r}", file=sys.stderr)
         return 2
     if report.torn_bytes:
@@ -965,84 +1010,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_instance_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--messages", type=int, default=1000)
-        p.add_argument("--P", type=int, default=4)
-        p.add_argument("--B", type=int, default=64)
-        p.add_argument("--leaves", type=int, default=256,
-                       help="B^eps-shaped tree with this many leaves")
-        p.add_argument("--fanout", type=int, default=0,
-                       help="use a balanced tree with this fanout instead")
-        p.add_argument("--height", type=int, default=3)
-        p.add_argument("--skew", type=float, default=0.0,
-                       help="Zipf theta (0 = uniform)")
-        p.add_argument("--seed", type=int, default=0)
-
     p_compare = sub.add_parser("compare", help="compare flushing policies")
-    add_instance_args(p_compare)
+    _add_config_flags(p_compare, InstanceConfig)
     p_compare.set_defaults(func=cmd_compare)
 
     p_solve = sub.add_parser("solve", help="run the full paper pipeline")
-    add_instance_args(p_solve)
+    _add_config_flags(p_solve, InstanceConfig)
     p_solve.set_defaults(func=cmd_solve)
 
     p_faults = sub.add_parser(
         "faults", help="fault-injection resilience report"
     )
-    add_instance_args(p_faults)
+    _add_config_flags(p_faults, InstanceConfig)
     p_faults.add_argument(
         "--rates", type=str, default="0.05,0.1,0.2",
         help="comma-separated fault rates to sweep",
     )
-    p_faults.add_argument(
-        "--retry-budget", type=int, default=5,
-        help="flush attempts before the executor re-plans",
-    )
-    p_faults.add_argument(
-        "--burst", action="store_true",
-        help="correlated Markov-modulated bursts instead of iid faults",
-    )
-    p_faults.add_argument(
-        "--fault-aware", action="store_true",
-        help="enable fault-aware admission in the resilient executor",
-    )
+    _add_config_flags(p_faults, RunConfig,
+                      only=("retry_budget", "burst", "fault_aware"))
     p_faults.set_defaults(func=cmd_faults)
 
     p_run = sub.add_parser(
         "run", help="journaled WORMS execution (crash-recoverable)"
     )
-    add_instance_args(p_run)
-    p_run.add_argument(
-        "--journal", type=str, required=True,
-        help="path the execution journal is streamed to",
-    )
-    p_run.add_argument(
-        "--checkpoint-every", type=int, default=DEFAULT_CHECKPOINT_EVERY,
-        help="steps between journaled state checkpoints",
-    )
-    p_run.add_argument(
-        "--sync", action="store_true",
-        help="fsync the journal at every checkpoint (real durability)",
-    )
-    p_run.add_argument(
-        "--max-segment-bytes", type=int, default=None,
-        help="rotate the journal into segments of at most this many bytes",
-    )
-    p_run.add_argument(
-        "--compact-every", type=int, default=0,
-        help="auto-compact sealed segments every N rotations (0 = never)",
-    )
-    p_run.add_argument(
-        "--rate", type=float, default=0.0,
-        help="fault rate to execute under (0 = fault-free)",
-    )
-    p_run.add_argument(
-        "--burst", action="store_true",
-        help="correlated Markov-modulated bursts instead of iid faults",
-    )
-    p_run.add_argument("--fault-seed", type=int, default=0)
-    p_run.add_argument("--fault-aware", action="store_true")
-    p_run.add_argument("--retry-budget", type=int, default=5)
+    _add_config_flags(p_run, RunConfig)
+    _add_config_flags(p_run, JournalOptions, required=("journal",))
     p_run.set_defaults(func=cmd_run)
 
     p_recover = sub.add_parser(
@@ -1073,16 +1065,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="online serving loop over sharded B^eps-trees"
     )
     _add_config_flags(p_serve, ServeConfig)
-    p_serve.add_argument("--journal", type=str, default=None,
-                         help="stream a crash-recoverable journal here")
-    p_serve.add_argument("--sync", action="store_true",
-                         help="fsync the journal at every checkpoint")
-    p_serve.add_argument("--max-segment-bytes", type=int, default=None,
-                         help="rotate the journal into segments of at most "
-                         "this many bytes")
-    p_serve.add_argument("--compact-every", type=int, default=0,
-                         help="auto-compact sealed segments every N journal "
-                         "rotations (0 = never)")
+    _add_config_flags(p_serve, JournalOptions)
     p_serve.add_argument("--processes", type=int, default=None,
                          help="shard-per-process driver: run shards in this "
                          "many shared-nothing worker processes (0 = one per "
@@ -1091,27 +1074,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--chaos", action="store_true",
                          help="draw a seeded whole-shard chaos drill "
                          "(composition is a pure function of --seed)")
-    p_serve.add_argument("--chaos-kills", type=int, default=1,
-                         help="shard-kill events in the drill")
-    p_serve.add_argument("--chaos-stalls", type=int, default=1,
-                         help="whole-shard stall windows in the drill")
-    p_serve.add_argument("--chaos-corrupts", type=int, default=0,
-                         help="restart-source corruptions in the drill")
-    p_serve.add_argument("--chaos-kill-workers", type=int, default=0,
-                         help="worker-process SIGKILL events in the drill "
-                         "(a state-loss kill under the in-process driver)")
-    p_serve.add_argument("--chaos-disk-faults", type=int, default=0,
-                         help="syscall-level I/O fault windows in the "
-                         "drill (EIO/ENOSPC/short-write/fsync-fail "
-                         "against the durable store; needs --engine lsm "
-                         "to have anything to hit)")
-    p_serve.add_argument("--chaos-stall-duration", type=int, default=8,
-                         help="steps each stall window lasts")
-    p_serve.add_argument("--chaos-disk-fault-duration", type=int, default=4,
-                         help="steps each disk-fault window stays armed")
-    p_serve.add_argument("--chaos-horizon", type=int, default=0,
-                         help="latest step a chaos event may fire "
-                         "(0 = derived from the workload)")
+    _add_config_flags(p_serve, ChaosConfig)
     _add_config_flags(p_serve, SupervisorConfig)
     p_serve.add_argument("--tenants", type=int, default=0,
                          help="run N tenants (t0..tN-1) through weighted-"

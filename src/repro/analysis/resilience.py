@@ -22,16 +22,18 @@ from repro.analysis.stats import summarize
 from repro.core.worms import WORMSInstance
 from repro.dam.schedule import Flush, FlushSchedule
 from repro.dam.validator import validate_valid
-from repro.faults.bursts import BurstInjector, BurstPlan
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.bursts import make_injector
 from repro.util.errors import ExecutionStalledError
 from repro.policies.base import Policy
 from repro.policies.eager import EagerPolicy
 from repro.policies.greedy_batch import GreedyBatchPolicy
 from repro.policies.lazy_threshold import LazyThresholdPolicy
 from repro.policies.online import OnlineDensityPolicy
-from repro.policies.resilient import ResilienceStats, ResilientExecutor
+from repro.policies.resilient import (
+    DEFAULT_RETRY_BUDGET,
+    ResilienceStats,
+    ResilientExecutor,
+)
 from repro.policies.worms_policy import WormsPolicy
 
 
@@ -100,7 +102,7 @@ def resilience_sweep(
     *,
     fault_rates: Sequence[float] = (0.05, 0.1, 0.2),
     seed: int = 0,
-    retry_budget: int = 5,
+    retry_budget: int = DEFAULT_RETRY_BUDGET,
     max_replans: int = 4,
     burst: bool = False,
     fault_aware: bool = False,
@@ -131,18 +133,10 @@ def resilience_sweep(
         clean = validate_valid(instance, clean_sched)
         clean_stats = summarize(clean.completion_times, clean_sched.n_steps)
         for rate in fault_rates:
-            if burst:
-                injector: FaultInjector = BurstInjector(
-                    FaultPlan.none(),
-                    BurstPlan.from_rate(rate),
-                    instance.topology,
-                    seed=seed,
-                )
-            else:
-                injector = FaultInjector(FaultPlan.uniform(rate), seed=seed)
             executor = ResilientExecutor(
                 instance,
-                injector,
+                make_injector(rate, burst=burst, seed=seed,
+                              topology=instance.topology),
                 retry_budget=retry_budget,
                 max_replans=max_replans,
                 fault_aware=fault_aware,

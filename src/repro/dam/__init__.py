@@ -32,8 +32,6 @@ from repro.dam.trace import (
     resume_simulation,
 )
 from repro.dam.validator import (
-    ScheduleViolation,
-    check_schedule,
     validate_overfilling,
     validate_recovery,
     validate_valid,
@@ -45,11 +43,9 @@ __all__ = [
     "FlushSchedule",
     "simulate",
     "SimulationResult",
-    "check_schedule",
     "validate_valid",
     "validate_overfilling",
     "validate_recovery",
-    "ScheduleViolation",
     "ScheduleTrace",
     "CheckpointRecord",
     "record_trace",

@@ -1,16 +1,15 @@
 """Raise-style validation wrappers around the simulator.
 
-:func:`check_schedule` returns the full diagnosis; the ``validate_*``
-functions raise :class:`~repro.util.errors.InvalidScheduleError` with the
-first few violations formatted, which is what tests and the pipeline's
-internal assertions want.  :func:`validate_recovery` checks the
+:func:`~repro.dam.simulator.simulate` returns the full diagnosis; the
+``validate_*`` functions raise
+:class:`~repro.util.errors.InvalidScheduleError` with the first few
+violations formatted, which is what tests and the pipeline's internal
+assertions want.  :func:`validate_recovery` checks the
 crash/recovery contract: resuming from a trace checkpoint must reproduce
 the uninterrupted run's completion times exactly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.core.worms import WORMSInstance
 from repro.dam.schedule import FlushSchedule
@@ -19,20 +18,6 @@ from repro.util.errors import InvalidScheduleError
 
 #: How many violations to include in an exception message.
 _REPORT_LIMIT = 5
-
-
-@dataclass(frozen=True, slots=True)
-class ScheduleViolation:
-    """Re-export-friendly alias wrapper kept for API stability."""
-
-    violation: Violation
-
-
-def check_schedule(
-    instance: WORMSInstance, schedule: FlushSchedule
-) -> SimulationResult:
-    """Replay and return the full :class:`SimulationResult` (never raises)."""
-    return simulate(instance, schedule)
 
 
 def _raise(header: str, violations: list[Violation]) -> None:

@@ -20,6 +20,7 @@ from repro.faults.bursts import (
     PHASE_FAILED,
     PHASE_PARTIAL,
     PHASE_STALL,
+    make_injector,
 )
 from repro.faults.chaos import (
     CHAOS_CORRUPT,
@@ -28,6 +29,7 @@ from repro.faults.chaos import (
     CHAOS_KILL_WORKER,
     CHAOS_KINDS,
     CHAOS_STALL,
+    ChaosConfig,
     ChaosEvent,
     ChaosInjector,
     ChaosPlan,
@@ -69,10 +71,12 @@ __all__ = [
     "FaultEvent",
     "BurstPlan",
     "BurstInjector",
+    "make_injector",
     "PHASE_CALM",
     "PHASE_STALL",
     "PHASE_PARTIAL",
     "PHASE_FAILED",
+    "ChaosConfig",
     "ChaosEvent",
     "ChaosInjector",
     "ChaosPlan",

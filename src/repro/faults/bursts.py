@@ -316,3 +316,20 @@ class BurstInjector(FaultInjector):
             f"BurstInjector(seed={self.seed}, plan={self.plan!r}, "
             f"bursts={self.bursts!r}, {len(self.events)} event(s) fired)"
         )
+
+
+def make_injector(
+    rate: float, *, burst: bool, seed: int, topology: TreeTopology
+) -> "FaultInjector | None":
+    """The one-knob fault source of a sweep cell or a journaled run.
+
+    ``burst`` picks Markov-modulated bursts on ``topology``'s subtrees
+    (:meth:`BurstPlan.from_rate`), else iid faults
+    (:meth:`FaultPlan.uniform`); an iid ``rate`` of 0 is no injector.
+    """
+    if burst:
+        return BurstInjector(
+            FaultPlan.none(), BurstPlan.from_rate(rate), topology, seed=seed
+        )
+    plan = FaultPlan.uniform(rate)
+    return None if plan.is_zero else FaultInjector(plan, seed=seed)

@@ -29,7 +29,7 @@ the rest of the fault stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,6 +139,45 @@ class ChaosEvent:
 
 
 @dataclass(frozen=True)
+class ChaosConfig:
+    """The composition of a chaos drill: event counts, window lengths and
+    the latest step an event may fire.
+
+    :meth:`ChaosPlan.draw` takes its defaults from here, and ``serve
+    --chaos`` derives one ``--chaos-*`` flag per field from its ``help``
+    metadata.  ``horizon`` 0 leaves the horizon to the caller.
+    """
+
+    kills: int = field(default=1, metadata={
+        "flag": "--chaos-kills", "help": "shard-kill events in the drill"})
+    stalls: int = field(default=1, metadata={
+        "flag": "--chaos-stalls",
+        "help": "whole-shard stall windows in the drill"})
+    corrupts: int = field(default=0, metadata={
+        "flag": "--chaos-corrupts",
+        "help": "restart-source corruptions in the drill"})
+    kill_workers: int = field(default=0, metadata={
+        "flag": "--chaos-kill-workers",
+        "help": "worker-process SIGKILL events in the drill (a state-loss "
+                "kill under the in-process driver)"})
+    disk_faults: int = field(default=0, metadata={
+        "flag": "--chaos-disk-faults",
+        "help": "syscall-level I/O fault windows in the drill "
+                "(EIO/ENOSPC/short-write/fsync-fail against the durable "
+                "store; needs --engine lsm to have anything to hit)"})
+    stall_duration: int = field(default=8, metadata={
+        "flag": "--chaos-stall-duration",
+        "help": "steps each stall window lasts"})
+    disk_fault_duration: int = field(default=4, metadata={
+        "flag": "--chaos-disk-fault-duration",
+        "help": "steps each disk-fault window stays armed"})
+    horizon: int = field(default=0, metadata={
+        "flag": "--chaos-horizon",
+        "help": "latest step a chaos event may fire (0 = derived from the "
+                "workload)"})
+
+
+@dataclass(frozen=True)
 class ChaosPlan:
     """A deterministic, JSON-round-trippable chaos timeline."""
 
@@ -164,25 +203,17 @@ class ChaosPlan:
 
     @classmethod
     def draw(
-        cls,
-        *,
-        shards: int,
-        horizon: int,
-        seed: int = 0,
-        kills: int = 1,
-        stalls: int = 1,
-        corrupts: int = 0,
-        kill_workers: int = 0,
-        disk_faults: int = 0,
-        stall_duration: int = 8,
-        disk_fault_duration: int = 4,
+        cls, *, shards: int, horizon: int, seed: int = 0, **drill
     ) -> "ChaosPlan":
         """Draw a scenario: all placement is a pure function of ``seed``.
 
+        ``drill`` takes the event counts and window durations of
+        :class:`ChaosConfig` by field name (its defaults fill the rest).
         ``horizon`` bounds the steps events may land on (they are drawn
         uniformly from ``[2, horizon]`` so step 1 always runs clean and
         the first arrivals are routed before anything breaks).
         """
+        config = ChaosConfig(**drill)
         if shards < 1:
             raise InvalidInstanceError(f"shards must be >= 1, got {shards}")
         if horizon < 2:
@@ -198,17 +229,17 @@ class ChaosPlan:
 
         events = []
         for kind, count in (
-            (CHAOS_KILL, kills),
-            (CHAOS_STALL, stalls),
-            (CHAOS_CORRUPT, corrupts),
-            (CHAOS_KILL_WORKER, kill_workers),
-            (CHAOS_DISK_FAULT, disk_faults),
+            (CHAOS_KILL, config.kills),
+            (CHAOS_STALL, config.stalls),
+            (CHAOS_CORRUPT, config.corrupts),
+            (CHAOS_KILL_WORKER, config.kill_workers),
+            (CHAOS_DISK_FAULT, config.disk_faults),
         ):
             for _ in range(int(count)):
                 if kind == CHAOS_STALL:
-                    duration = int(stall_duration)
+                    duration = int(config.stall_duration)
                 elif kind == CHAOS_DISK_FAULT:
-                    duration = int(disk_fault_duration)
+                    duration = int(config.disk_fault_duration)
                 else:
                     duration = 0
                 events.append(ChaosEvent(

@@ -61,6 +61,9 @@ from repro.policies.executor import DEFAULT_CHECKPOINT_EVERY, GatedExecutor
 from repro.tree.messages import Message
 from repro.util.errors import ReproError
 
+#: Flush attempts allowed before re-planning (``run``/``faults`` default).
+DEFAULT_RETRY_BUDGET = 5
+
 
 @dataclass
 class ResilienceStats:
@@ -169,7 +172,7 @@ class ResilientExecutor(GatedExecutor):
         instance: WORMSInstance,
         injector: "FaultInjector | None" = None,
         *,
-        retry_budget: int = 5,
+        retry_budget: int = DEFAULT_RETRY_BUDGET,
         max_replans: int = 2,
         replanner=None,
         max_steps: "int | None" = None,

@@ -151,6 +151,45 @@ def test_run_rejects_bad_flags(tmp_path, capsys):
     assert rc == 2
 
 
+def _one_line_error(capsys, prefix: str) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--messages", "-5"],
+    ["run", "--max-segment-bytes", "10"],
+    ["solve", "--P", "0"],
+    ["compare", "--B", "0"],
+], ids=["run-negative-messages", "run-tiny-segments", "solve-P0",
+        "compare-B0"])
+def test_batch_bad_input_is_a_clean_exit(tmp_path, capsys, argv):
+    cmd = argv[0]
+    if cmd == "run":
+        journal = tmp_path / "x.journal"
+        argv = [*argv, "--journal", str(journal)]
+    assert main(argv) == 2
+    _one_line_error(capsys, f"invalid {cmd} configuration: ")
+    if cmd == "run":
+        assert not journal.exists()
+
+
+@pytest.mark.parametrize("key, value", [("P", 0), ("messages", -3)])
+def test_recover_unusable_meta_is_a_clean_exit(tmp_path, capsys, key,
+                                               value):
+    from repro.dam.journal import JournalWriter, RecoveryManager
+
+    good = tmp_path / "good.journal"
+    assert main(RUN_ARGS + ["--journal", str(good)]) == 0
+    capsys.readouterr()
+    meta = {**RecoveryManager(good).meta, key: value}
+    bad = tmp_path / "bad.journal"
+    JournalWriter(bad, meta=meta).close()
+    assert main(["recover", str(bad)]) == 2
+    _one_line_error(capsys, "journal meta unusable: ")
+
+
 # ----------------------------------------------------------------------
 # serve: the online ingestion/serving loop.
 # ----------------------------------------------------------------------
@@ -268,3 +307,25 @@ def test_faults_burst_flag(capsys):
     out = capsys.readouterr().out
     assert "correlated bursts" in out
     assert "stalled" in out
+
+
+#: sha256 of ``faults`` stdout for one iid and one burst argv: the sweep
+#: builds its injectors through the same factory ``run`` uses, and its
+#: report must not move.
+FAULTS_STDOUT = {
+    "faults --messages 150 --leaves 32 --B 16 --seed 1 --rates 0,0.1,0.3":
+        "025761730008a81d843ddad979f23320b383eda17fe25d98144fa0e3f27e77b7",
+    "faults --messages 150 --fanout 3 --height 3 --P 2 --B 12 --seed 2 "
+    "--rates 0.1,0.3 --burst --fault-aware --retry-budget 3":
+        "3549fa7a2097bcedcfde09285107841255cb3ca8cc3126deb9ac0a096997f918",
+}
+
+
+@pytest.mark.parametrize("argv", list(FAULTS_STDOUT),
+                         ids=["iid", "burst"])
+def test_faults_stdout_is_pinned(capsys, argv):
+    import hashlib
+
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FAULTS_STDOUT[argv]

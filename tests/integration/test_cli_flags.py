@@ -1,13 +1,18 @@
-"""``serve`` and ``stability`` flags are derived from config fields.
+"""Every config-driven flag is derived from a config field.
 
-A field of ``ServeConfig``, ``TenantSpec``, ``SupervisorConfig`` or
-``StabilityConfig`` is a flag if and only if it has ``metadata["help"]``.
-For each such field the flag exists, parses to the field's default, and
-carries a non-default value through to the field; no other field has a
-flag.  Every ``serve`` run is supervised, so a ``SupervisorConfig`` flag
-reaches the loop with no other flag beside it.  Two behaviours the
-derivation fixed are pinned here too: tenant runs inherit the whole-run
-arrival flags, and an invalid stability config is a clean exit 2.
+A field of ``ServeConfig``, ``TenantSpec``, ``SupervisorConfig``,
+``StabilityConfig``, ``InstanceConfig``, ``RunConfig``,
+``JournalOptions`` or ``ChaosConfig`` is a flag if and only if it has
+``metadata["help"]``.  For each such field the flag exists, parses to
+the field's default, and carries a non-default value through to the
+field; no other field has a flag.  Most classes are read back from what
+the flags hand the stubbed driver (see ``test_cli_golden``); the
+instance and chaos flags, whose drivers see only the instance or the
+drawn plan, are read back from the parsed flags.  Every ``serve`` run is
+supervised, so a ``SupervisorConfig`` flag reaches the loop with no
+other flag beside it.  Two behaviours the derivation fixed are pinned
+here too: tenant runs inherit the whole-run arrival flags, and an
+invalid stability config is a clean exit 2.
 """
 
 from __future__ import annotations
@@ -17,24 +22,50 @@ from dataclasses import fields
 
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import (
+    InstanceConfig,
+    JournalOptions,
+    RunConfig,
+    _config_values,
+    build_parser,
+    main,
+)
+from repro.faults import ChaosConfig
 from repro.serve import ServeConfig, SupervisorConfig, TenantSpec
 from repro.serve.tenancy.spec import INHERITED
 from repro.stability import StabilityConfig
 from tests.integration.test_cli_golden import built, option_strings
 
-#: config class -> (subcommand argv prefix, its instance from ``built``).
+
+def _built(load):
+    """Read a config back from what ``argv`` hands its driver."""
+    return lambda argv: load(built(argv))
+
+
+def _parsed(cls):
+    """Read ``cls`` back from the flags ``argv`` parses to."""
+    return lambda argv: cls(
+        **_config_values(build_parser().parse_args(argv.split()), cls)
+    )
+
+
+#: config class -> (subcommand argv prefix, argv -> its instance).
 CLASSES = {
-    ServeConfig: ("serve", lambda b: ServeConfig.from_meta(b["config"])),
-    SupervisorConfig: (
-        "serve",
-        lambda b: SupervisorConfig.from_meta(b["supervisor"]),
-    ),
-    TenantSpec: (
-        "serve --tenants 2",
-        lambda b: ServeConfig.from_meta(b["config"]).tenants,
-    ),
-    StabilityConfig: ("stability", lambda b: StabilityConfig(**b["config"])),
+    ServeConfig: ("serve", _built(lambda b: ServeConfig.from_meta(
+        b["config"]))),
+    SupervisorConfig: ("serve", _built(lambda b: SupervisorConfig.from_meta(
+        b["supervisor"]))),
+    TenantSpec: ("serve --tenants 2", _built(lambda b: ServeConfig.from_meta(
+        b["config"]).tenants)),
+    StabilityConfig: ("stability", _built(lambda b: StabilityConfig(
+        **b["config"]))),
+    InstanceConfig: ("compare", _parsed(InstanceConfig)),
+    RunConfig: ("run --journal j.woj", _built(lambda b: RunConfig.from_meta(
+        b["journal"]["meta"]))),
+    JournalOptions: ("serve", _built(lambda b: JournalOptions(
+        b["journal"], b["sync"], b["max_segment_bytes"],
+        b["compact_every_rotations"]))),
+    ChaosConfig: ("serve --chaos", _parsed(ChaosConfig)),
 }
 
 
@@ -49,20 +80,24 @@ def _flagged():
                 yield pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
 
 
+def _kind(f) -> type:
+    return f.metadata.get("type", type(f.default))
+
+
 def _other(f):
     """A valid non-default value for field ``f``, as flag text."""
     if "choices" in f.metadata:
         return next(c for c in f.metadata["choices"] if c != f.default)
-    if isinstance(f.default, float):
+    if _kind(f) is float:
         return str(f.default + 0.5)
-    if isinstance(f.default, int):
-        return str(f.default + 7)
+    if _kind(f) is int:
+        return "4096" if f.default is None else str(f.default + 7)
     return "x-dir"
 
 
 def _record(cls, argv: str):
     prefix, load = CLASSES[cls]
-    return load(built(f"{prefix} {argv}".strip()))
+    return load(f"{prefix} {argv}".strip())
 
 
 def test_serve_config_fields_without_flags():
@@ -94,7 +129,7 @@ def test_flag_value_reaches_the_field(cls, f):
     else:
         text = _other(f)
         argv = f"{_flag(f)} {text}"
-        want = type(f.default)(text)
+        want = _kind(f)(text)
         if f.metadata.get("per_tenant"):
             argv = f"{_flag(f)} {text},{text}"
         if f.name == "engine":
@@ -120,6 +155,22 @@ def test_fields_without_help_have_no_flag(cls):
             assert build_parser().parse_args(["serve"]).tenants == 0
             continue
         assert flag not in options, f"{cls.__name__}.{f.name}"
+
+
+@pytest.mark.parametrize("cmd", ["compare", "solve", "faults", "run"])
+def test_batch_subcommands_share_the_instance_flags(cmd):
+    options = set(option_strings()[cmd])
+    assert {_flag(f) for f in fields(InstanceConfig)} <= options
+    if cmd == "faults":
+        assert {"--retry-budget", "--burst", "--fault-aware"} <= options
+
+
+def test_run_meta_is_the_run_config():
+    config = RunConfig(skew=0.5, rate=0.1, burst=True, retry_budget=3)
+    meta = config.to_meta()
+    assert list(meta) == ["policy"] + [f.name for f in fields(RunConfig)]
+    assert meta["policy"] == "worms"
+    assert RunConfig.from_meta(meta) == config
 
 
 def test_supervisor_flags_alone_steer_a_run(capsys):
