@@ -25,12 +25,11 @@ ablation bench.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from repro.core.worms import WORMSInstance
-from repro.tree.topology import TreeTopology
+from repro.tree.topology import TreeTables
 from repro.util.errors import InvalidInstanceError
 
 #: Paper constants: a node is packed at >= B/PACKED_DENOM unclaimed
@@ -65,14 +64,6 @@ class PackedDecomposition:
     #: per message: its packed parent node and its packed-set index.
     packed_parent_of: np.ndarray
     set_of: np.ndarray
-
-    @cached_property
-    def sets_of_node(self) -> dict[int, tuple[int, ...]]:
-        """Map packed node -> indices of its packed sets."""
-        result: dict[int, list[int]] = {v: [] for v in self.packed_nodes}
-        for s in self.sets:
-            result[s.parent_node].append(s.index)
-        return {v: tuple(ixs) for v, ixs in result.items()}
 
     def check_invariants(self) -> None:
         """Assert the structural properties the paper's lemmas rely on."""
@@ -123,14 +114,52 @@ def build_packed_sets(
     set sizes then fall in roughly ``[B/denom, 3B/denom]``, so ``denom``
     must be at least 3 for every set to fit in a single ``B``-flush (the
     paper's 6 leaves the factor-two slack its proofs use).
+
+    A thin wrapper: :func:`pack_sets` computes the decomposition, this
+    adds the per-set and per-message objects.
+    """
+    packed_nodes, set_node, set_msgs, set_children = pack_sets(
+        instance.topology.tables, instance.targets.tolist(), instance.B,
+        denom,
+    )
+    n_msgs = instance.n_messages
+    packed_parent_of = np.zeros(n_msgs, dtype=np.int64)
+    set_of = np.full(n_msgs, -1, dtype=np.int64)
+    sets = []
+    for index, (v, msgs, children) in enumerate(
+        zip(set_node, set_msgs, set_children)
+    ):
+        packed_parent_of[list(msgs)] = v
+        set_of[list(msgs)] = index
+        sets.append(PackedSet(index, v, msgs, children))
+    return PackedDecomposition(
+        instance=instance,
+        packed_nodes=packed_nodes,
+        sets=tuple(sets),
+        packed_parent_of=packed_parent_of,
+        set_of=set_of,
+    )
+
+
+def pack_sets(
+    tables: TreeTables,
+    targets: "list[int]",
+    B: int,
+    denom: int = PACKED_DENOM,
+) -> tuple[
+    tuple[int, ...], list[int], list[tuple[int, ...]], list[tuple[int, ...]]
+]:
+    """The packed decomposition on flat lists: the planning kernel's stage.
+
+    Message ``i`` targets ``targets[i]``.  Returns ``(packed_nodes,
+    set_node, set_msgs, set_children)``: the sorted packed nodes, and per
+    packed set (in index order) its packed parent, its sorted message
+    ids and its child group.
     """
     if denom < 2:
         raise InvalidInstanceError(f"denom must be >= 2, got {denom}")
-    topo = instance.topology
-    B = instance.B
-    root = topo.root
-    n_msgs = instance.n_messages
-    targets = instance.targets.tolist()
+    root = tables.root
+    paths = tables.path
 
     # Only nodes on some message's root-to-target path can hold messages;
     # every other node has nothing unclaimed and is never packed.  Collect
@@ -140,9 +169,9 @@ def build_packed_sets(
         per_target[t] = per_target.get(t, 0) + 1
     unclaimed = dict(per_target)
     up: dict[int, int] = {}  # node -> parent, for the visited nodes
-    levels: list[list[int]] = [[] for _ in range(topo.height + 1)]
+    levels: list[list[int]] = [[] for _ in range(tables.height + 1)]
     for t in per_target:
-        path = topo.root_path(t)
+        path = paths[t]
         for h in range(len(path) - 1, 0, -1):
             v = path[h]
             if v in up:
@@ -167,119 +196,76 @@ def build_packed_sets(
     # target (the root is packed, so one always exists).
     lowest_packed: dict[int, int] = {}
     for t in per_target:
-        path = topo.root_path(t)
+        path = paths[t]
         h = len(path) - 1
         while path[h] not in is_packed:
             h -= 1
         lowest_packed[t] = path[h]
-    packed_parent = [lowest_packed[t] for t in targets]
-    packed_parent_of = np.array(packed_parent, dtype=np.int64)
 
     # Group messages by packed parent, preserving message-id order.
     contents: dict[int, list[int]] = {}
-    for m, v in enumerate(packed_parent):
-        contents.setdefault(v, []).append(m)
+    for m, t in enumerate(targets):
+        contents.setdefault(lowest_packed[t], []).append(m)
 
-    sets: list[PackedSet] = []
-    set_of = np.full(n_msgs, -1, dtype=np.int64)
+    set_node: list[int] = []
+    set_msgs: list[tuple[int, ...]] = []
+    set_children: list[tuple[int, ...]] = []
     threshold = -(-B // denom)  # ceil(B / denom)
+
+    def emit(v: int, msgs: "list[int]", children: tuple[int, ...]) -> None:
+        set_node.append(v)
+        set_msgs.append(tuple(sorted(msgs)))
+        set_children.append(children)
+
+    def chunk(v: int, msgs: "list[int]") -> None:
+        """Split messages with no child group into chunks of ~threshold."""
+        chunks = [
+            msgs[start : start + threshold]
+            for start in range(0, len(msgs), threshold)
+        ]
+        if len(chunks) >= 2 and len(chunks[-1]) < threshold:
+            chunks[-2].extend(chunks.pop())
+        for c in chunks:
+            emit(v, c, ())
 
     packed_nodes = sorted(is_packed)
     for v in packed_nodes:
-        msgs = contents.get(v, [])
+        msgs = contents.get(v)
         if not msgs:
             continue  # only the root can be packed with no messages left
-        if topo.is_leaf(v):
-            _chunk_leaf_sets(sets, set_of, v, msgs, threshold)
-        else:
-            _group_child_sets(
-                topo, targets, sets, set_of, v, msgs, threshold
-            )
-
-    return PackedDecomposition(
-        instance=instance,
-        packed_nodes=tuple(packed_nodes),
-        sets=tuple(sets),
-        packed_parent_of=packed_parent_of,
-        set_of=set_of,
-    )
-
-
-def _chunk_leaf_sets(
-    sets: list[PackedSet],
-    set_of: np.ndarray,
-    v: int,
-    msgs: list[int],
-    threshold: int,
-) -> None:
-    """Split a leaf packed node's messages into chunks of ~threshold."""
-    chunks: list[list[int]] = []
-    for start in range(0, len(msgs), threshold):
-        chunks.append(msgs[start : start + threshold])
-    if len(chunks) >= 2 and len(chunks[-1]) < threshold:
-        chunks[-2].extend(chunks.pop())
-    for chunk in chunks:
-        _emit(sets, set_of, v, chunk, ())
-
-
-def _group_child_sets(
-    topo: TreeTopology,
-    targets: list[int],
-    sets: list[PackedSet],
-    set_of: np.ndarray,
-    v: int,
-    msgs: list[int],
-    threshold: int,
-) -> None:
-    """Group an internal packed node's children into packed sets."""
-    below = topo.height_of(v) + 1  # index of v's child on a root path
-    by_child: dict[int, list[int]] = {}
-    own: list[int] = []  # internal-target extension: messages ending at v
-    for m in msgs:
-        target = targets[m]
-        if target == v:
-            own.append(m)
+        if tables.is_leaf[v]:
+            chunk(v, msgs)
             continue
-        child = topo.root_path(target)[below]
-        by_child.setdefault(child, []).append(m)
-    # Messages completing at v itself behave like leaf-parent messages:
-    # chunk them into their own sets with no child group.
-    if own:
-        _chunk_leaf_sets(sets, set_of, v, own, threshold)
-    groups: list[tuple[list[int], list[int]]] = []  # (children, messages)
-    cur_children: list[int] = []
-    cur_msgs: list[int] = []
-    for child in sorted(by_child):
-        cur_children.append(child)
-        cur_msgs.extend(by_child[child])
-        if len(cur_msgs) >= threshold:
-            groups.append((cur_children, cur_msgs))
-            cur_children, cur_msgs = [], []
-    if cur_msgs:
-        if groups:
-            groups[-1][0].extend(cur_children)
-            groups[-1][1].extend(cur_msgs)
-        else:
-            groups.append((cur_children, cur_msgs))
-    for children, group_msgs in groups:
-        _emit(sets, set_of, v, group_msgs, tuple(children))
+        # An internal packed node: group its children into packed sets.
+        below = tables.depth[v] + 1  # index of v's child on a root path
+        by_child: dict[int, list[int]] = {}
+        own: list[int] = []  # internal-target extension: messages ending at v
+        for m in msgs:
+            target = targets[m]
+            if target == v:
+                own.append(m)
+                continue
+            by_child.setdefault(paths[target][below], []).append(m)
+        # Messages completing at v itself behave like leaf-parent
+        # messages: chunk them into their own sets with no child group.
+        if own:
+            chunk(v, own)
+        groups: list[tuple[list[int], list[int]]] = []  # (children, msgs)
+        cur_children: list[int] = []
+        cur_msgs: list[int] = []
+        for child in sorted(by_child):
+            cur_children.append(child)
+            cur_msgs.extend(by_child[child])
+            if len(cur_msgs) >= threshold:
+                groups.append((cur_children, cur_msgs))
+                cur_children, cur_msgs = [], []
+        if cur_msgs:
+            if groups:
+                groups[-1][0].extend(cur_children)
+                groups[-1][1].extend(cur_msgs)
+            else:
+                groups.append((cur_children, cur_msgs))
+        for children, group_msgs in groups:
+            emit(v, group_msgs, tuple(children))
 
-
-def _emit(
-    sets: list[PackedSet],
-    set_of: np.ndarray,
-    v: int,
-    msgs: list[int],
-    child_group: tuple[int, ...],
-) -> None:
-    index = len(sets)
-    for m in msgs:
-        set_of[m] = index
-    sets.append(
-        PackedSet(
-            index=index,
-            parent_node=v,
-            messages=tuple(sorted(msgs)),
-            child_group=child_group,
-        )
-    )
+    return tuple(packed_nodes), set_node, set_msgs, set_children

@@ -27,6 +27,7 @@ import numpy as np
 from repro.core.packed import PackedDecomposition, build_packed_sets
 from repro.core.worms import WORMSInstance
 from repro.scheduling.instance import SchedulingInstance
+from repro.tree.topology import TreeTables
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,9 @@ def reduce_to_scheduling(
     """Build ``T(T, M, P, B)`` from a WORMS instance.
 
     The reduction assumes all messages start at the root (the paper's
-    model); instances with custom start nodes are rejected.
+    model); instances with custom start nodes are rejected.  A thin
+    wrapper: :func:`reduce_sets` builds the tasks, this adds the
+    :class:`SchedulingInstance` and one :class:`TaskEdge` per task.
     """
     if instance.start_nodes is not None and any(
         s != instance.topology.root for s in instance.start_nodes
@@ -71,82 +74,111 @@ def reduce_to_scheduling(
         )
     if packed is None:
         packed = build_packed_sets(instance)
-    topo = instance.topology
-    targets = instance.targets.tolist()
-    if instance.weights is None:
-        weight_of = len  # unit weights: a set's weight is its size
-    else:
-        weight_of = instance.weight_of
-
-    parent: list[int] = []
-    weights: list[float] = []
-    edges: list[TaskEdge] = []
-
-    def new_task(
-        pred: int, set_index: int, src: int, dest: int, msgs: tuple[int, ...]
-    ) -> int:
-        task_id = len(parent)
-        parent.append(pred)
-        weights.append(0.0)
-        edges.append(TaskEdge(set_index, src, dest, msgs))
-        return task_id
-
-    def split(
-        node: int, below: int, msgs: "tuple[int, ...] | list[int]"
-    ) -> tuple[list[int], dict[int, list[int]]]:
-        """Messages at ``node`` (height ``below - 1``): those delivered
-        here, and the rest keyed by the child of ``node`` they cross."""
-        own: list[int] = []
-        by_child: dict[int, list[int]] = {}
-        for m in msgs:
-            target = targets[m]
-            if target == node:
-                own.append(m)
-            else:
-                child = topo.root_path(target)[below]
-                by_child.setdefault(child, []).append(m)
-        return own, by_child
-
-    for pset in packed.sets:
-        v = pset.parent_node
-        all_msgs = pset.messages
-        # Chain: one task per edge of the root-to-v path, all of C moving.
-        path = topo.root_path(v)
-        pred = -1
-        for src, dest in zip(path, path[1:]):
-            pred = new_task(pred, pset.index, src, dest, all_msgs)
-        # Messages targeting v itself (always the case for a leaf packed
-        # parent; possible at internal nodes under the internal-target
-        # extension) are delivered by the last chain flush.  If v is the
-        # root, such messages are already delivered and need no task.
-        own, by_child = split(v, len(path), all_msgs)
-        if own and pred != -1:
-            weights[pred] += float(weight_of(own))
-        # Copy the subtree below v, restricted to C's messages.  DFS with
-        # an explicit stack: (node u, messages of C crossing into u, the
-        # predecessor task that delivered them into u, u's parent, and
-        # the height of u's children).
-        below = len(path) + 1
-        stack = [
-            (child, msgs, pred, v, below) for child, msgs in by_child.items()
-        ]
-        while stack:
-            node, msgs, above, src, below = stack.pop()
-            task = new_task(above, pset.index, src, node, tuple(msgs))
-            own, by_child = split(node, below, msgs)
-            if own:
-                weights[task] += float(weight_of(own))
-            for child, child_msgs in by_child.items():
-                stack.append((child, child_msgs, task, node, below + 1))
-
+    msg_weight = (
+        None if instance.weights is None
+        else instance.message_weights.tolist()
+    )
+    parent, weight, task_set, src, dest, msgs = reduce_sets(
+        instance.topology.tables,
+        instance.targets.tolist(),
+        [s.parent_node for s in packed.sets],
+        [s.messages for s in packed.sets],
+        msg_weight,
+    )
     scheduling = SchedulingInstance(
         np.asarray(parent, dtype=np.int64),
-        np.asarray(weights, dtype=np.float64),
+        np.asarray(weight, dtype=np.float64),
         instance.P,
     )
     return ReducedInstance(
         worms=instance,
         packed=packed,
         scheduling=scheduling,
-        task_edges=tuple(edges),
+        task_edges=tuple(map(TaskEdge, task_set, src, dest, msgs)),
     )
+
+
+def reduce_sets(
+    tables: TreeTables,
+    targets: "list[int]",
+    set_node: "list[int]",
+    set_msgs: "list[tuple[int, ...]]",
+    msg_weight: "list[float] | None" = None,
+) -> tuple[
+    list[int], list, list[int], list[int], list[int], list[tuple[int, ...]]
+]:
+    """The reduction on flat lists: the planning kernel's stage.
+
+    Takes the packed sets as parallel lists (:func:`repro.core.packed.
+    pack_sets`) and returns the tasks as parallel lists ``(parent,
+    weight, set_index, src, dest, msgs)``: task ``j`` flushes
+    ``msgs[j]`` over ``(src[j], dest[j])`` for packed set
+    ``set_index[j]``, after task ``parent[j]`` (``-1``: none; always
+    ``parent[j] < j``).  With unit weights (``msg_weight is None``) a
+    task weighs the number of messages it delivers, an int; otherwise
+    the float sum of their ``msg_weight``.
+    """
+    paths = tables.path
+    parent: list[int] = []
+    weight: list = []
+    task_set: list[int] = []
+    src: list[int] = []
+    dest: list[int] = []
+    msgs: list[tuple[int, ...]] = []
+
+    for k, v in enumerate(set_node):
+        all_msgs = set_msgs[k]
+        # Chain: one task per edge of the root-to-v path, all of C moving.
+        path = paths[v]
+        pred = -1
+        for i in range(1, len(path)):
+            parent.append(pred)
+            pred = len(weight)
+            weight.append(0)
+            task_set.append(k)
+            src.append(path[i - 1])
+            dest.append(path[i])
+            msgs.append(all_msgs)
+        # Stack of pending subtree copies: (node u, messages of C
+        # crossing into u, the predecessor task that delivered them into
+        # u, u's parent).  ``node`` starts as v itself, whose "task" is
+        # the last chain task.
+        stack = [(v, all_msgs, pred, -1)]
+        while stack:
+            node, node_msgs, above, up = stack.pop()
+            if up == -1:
+                task = above
+            else:
+                task = len(weight)
+                parent.append(above)
+                weight.append(0)
+                task_set.append(k)
+                src.append(up)
+                dest.append(node)
+                msgs.append(tuple(node_msgs))
+            # Split the messages at ``node``: those delivered here, and
+            # the rest keyed by the child of ``node`` they cross.
+            below = tables.depth[node] + 1
+            own: list[int] = []
+            by_child: dict[int, list[int]] = {}
+            for m in node_msgs:
+                target = targets[m]
+                if target == node:
+                    own.append(m)
+                    continue
+                by_child.setdefault(paths[target][below], []).append(m)
+            # The task into ``node`` delivers the messages ending there
+            # and carries their weight (at v, the last chain task: always
+            # so for a leaf packed parent, possible at internal nodes
+            # under the internal-target extension).  A root packed set
+            # has no chain: its messages ending at the root are already
+            # delivered.
+            if own and task != -1:
+                weight[task] = (
+                    len(own) if msg_weight is None
+                    else sum(msg_weight[m] for m in own)
+                )
+            for child, child_msgs in by_child.items():
+                stack.append((child, child_msgs, task, node))
+
+    return parent, weight, task_set, src, dest, msgs

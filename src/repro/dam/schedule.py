@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+_set = object.__setattr__
+
 
 @dataclass(frozen=True, slots=True)
 class Flush:
@@ -24,6 +26,22 @@ class Flush:
     def __post_init__(self) -> None:
         # Normalize: deterministic ordering makes schedules comparable.
         object.__setattr__(self, "messages", tuple(sorted(self.messages)))
+
+    @classmethod
+    def presorted(
+        cls, src: int, dest: int, messages: tuple[int, ...]
+    ) -> "Flush":
+        """A flush whose ``messages`` tuple is already in ascending order.
+
+        Skips the normalizing sort of ``__init__``; the planning kernel
+        emits its flushes this way (its message tuples are sorted by
+        construction).  The caller guarantees the order.
+        """
+        flush = object.__new__(cls)
+        _set(flush, "src", src)
+        _set(flush, "dest", dest)
+        _set(flush, "messages", messages)
+        return flush
 
     @property
     def size(self) -> int:

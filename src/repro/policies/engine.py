@@ -228,21 +228,6 @@ class ShardEngine:
         """Planned flushes not yet fully executed."""
         return self._n_pending
 
-    def unplanned(self, planned: "set[int]") -> "list[int]":
-        """In-flight ids not covered by ``planned`` (helper for planners)."""
-        return [m for m in self.location if m not in planned]
-
-    def buffer_occupancy(self) -> "dict[int, int]":
-        """Buffered message count per occupied node (root included).
-
-        The live internal-node memory picture — what per-tenant buffer
-        quotas (:mod:`repro.serve.tenancy`) bound; total equals
-        :attr:`in_flight`."""
-        occ: "dict[int, int]" = {}
-        for node in self.location.values():
-            occ[node] = occ.get(node, 0) + 1
-        return occ
-
     def admit(self, msg_id: int, target_leaf: int, step: int) -> "int | None":
         """Place ``msg_id`` at the root; returns the completion step if the
         root *is* its target (single-node shard), else None."""
@@ -349,11 +334,12 @@ class ShardEngine:
             self._vscan.rebuild(self.pending)
 
     def _make_pending(self, flushes: "list[Flush]") -> "list[_Pending]":
-        targets = self.targets
+        target = self.targets.get
+        # parking = messages that do not complete at dest.
         return [
             _Pending(
                 f,
-                parking=sum(1 for m in f.messages if targets.get(m) != f.dest),
+                len(f.messages) - list(map(target, f.messages)).count(f.dest),
             )
             for f in flushes
         ]

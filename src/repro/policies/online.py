@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from repro.core.worms import WORMSInstance
 from repro.dam.schedule import Flush, FlushSchedule
 from repro.policies.base import Policy
+from repro.tree.topology import TreeTables
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,85 +42,118 @@ def online_density_schedule(
 
     ``arrivals`` defaults to all messages released at step 1 (the offline
     special case).  Completion times in the returned schedule are absolute
-    steps; subtract release steps for flow time.
+    steps; subtract release steps for flow time.  A thin wrapper over
+    :func:`online_flushes`.
     """
     topo = instance.topology
-    root = topo.root
-    heights = topo.heights
-    tree_h = topo.height
-    if arrivals is None:
-        arrivals = [OnlineArrival(m, 1) for m in range(instance.n_messages)]
-    by_release: dict[int, list[int]] = {}
-    for a in arrivals:
-        by_release.setdefault(max(1, a.release_step), []).append(a.msg_id)
+    starts = (
+        [topo.root] * instance.n_messages if instance.start_nodes is None
+        else list(instance.start_nodes)
+    )
+    schedule = FlushSchedule()
+    for t, src, dest, msgs in online_flushes(
+        topo.tables, instance.targets.tolist(), starts,
+        instance.P, instance.B,
+        None if arrivals is None
+        else [(a.msg_id, a.release_step) for a in arrivals],
+    ):
+        schedule.add(t, Flush(src, dest, msgs))
+    return schedule
 
+
+def online_flushes(
+    tables: TreeTables,
+    targets: "list[int]",
+    starts: "list[int]",
+    P: int,
+    B: int,
+    arrivals: "list[tuple[int, int]] | None" = None,
+) -> "list[tuple[int, int, int, tuple[int, ...]]]":
+    """The online density heuristic on flat lists: the planning kernel's
+    fallback for messages that start below the root.
+
+    Message ``i`` starts at ``starts[i]`` and targets ``targets[i]``;
+    ``arrivals`` lists ``(msg_id, release_step)`` pairs (default: every
+    message at step 1).  Returns the flushes in time order as ``(t, src,
+    dest, msgs)`` tuples, ``msgs`` sorted.
+    """
+    paths = tables.path
+    depth = tables.depth
+    is_leaf = tables.is_leaf
+    tree_h = tables.height
+    if arrivals is None:
+        arrivals = [(m, 1) for m in range(len(targets))]
+    by_release: dict[int, list[int]] = {}
+    for m, release in arrivals:
+        by_release.setdefault(max(1, release), []).append(m)
+
+    # buffers[v][c]: messages parked at v, in arrival order, that next
+    # cross into v's child c; node_load[v]: how many are parked at v.
     buffers: dict[int, dict[int, list[int]]] = {}
     node_load: dict[int, int] = {}
+
+    def park(v: int, msgs: "list[int]") -> None:
+        groups = buffers.setdefault(v, {})
+        below = depth[v] + 1
+        for m in msgs:
+            groups.setdefault(paths[targets[m]][below], []).append(m)
+        node_load[v] = node_load.get(v, 0) + len(msgs)
+
+    flushes: list[tuple[int, int, int, tuple[int, ...]]] = []
     remaining = 0
-
-    def park(m: int, v: int) -> None:
-        child = topo.child_towards(v, instance.messages[m].target_leaf)
-        buffers.setdefault(v, {}).setdefault(child, []).append(m)
-        node_load[v] = node_load.get(v, 0) + 1
-
-    schedule = FlushSchedule()
     t = 0
     last_release = max(by_release) if by_release else 0
     while remaining or t < last_release:
         t += 1
         for m in by_release.get(t, ()):
-            v = instance.start_of(m)
-            if v != instance.messages[m].target_leaf:
-                park(m, v)
+            v = starts[m]
+            if v != targets[m]:
+                park(v, [m])
                 remaining += 1
         if not remaining:
             continue
         # Score every (node, child) group: prefer groups that move many
-        # messages and are close to completing.
+        # messages and are close to completing.  (v, c) is unique, so
+        # the sort is a total order.
         scored: list[tuple[float, int, int]] = []
         for v, groups in buffers.items():
+            remaining_height = max(1, tree_h - depth[v])
             for c, msgs in groups.items():
-                if not msgs:
-                    continue
-                remaining_height = tree_h - int(heights[v])
-                score = len(msgs) / max(1, remaining_height)
-                scored.append((-score, v, c))
+                scored.append((-(len(msgs) / remaining_height), v, c))
         scored.sort()
         used = 0
         touched: set[int] = set()
-        arrivals_now: list[tuple[int, int]] = []
+        arrivals_now: list[tuple[int, list[int]]] = []
         for _neg, v, c in scored:
-            if used >= instance.P:
-                break
             if v in touched or c in touched:
                 continue
-            moving = buffers[v][c][: instance.B]
-            parking = [
-                m for m in moving if instance.messages[m].target_leaf != c
-            ]
-            if not topo.is_leaf(c):
-                if node_load.get(c, 0) + len(parking) > instance.B:
-                    continue
-            used += 1
+            groups = buffers[v]
+            group = groups[c]
+            moving = group[:B]
+            parking = [m for m in moving if targets[m] != c]
+            if not is_leaf[c] and node_load.get(c, 0) + len(parking) > B:
+                continue
             touched.add(v)
             touched.add(c)
-            schedule.add(t, Flush(src=v, dest=c, messages=tuple(moving)))
-            del buffers[v][c][: len(moving)]
-            if not buffers[v][c]:
-                del buffers[v][c]
-            node_load[v] -= len(moving)
-            if node_load[v] == 0:
+            flushes.append((t, v, c, tuple(sorted(moving))))
+            del group[: len(moving)]
+            if not group:
+                del groups[c]
+            load = node_load[v] - len(moving)
+            if load:
+                node_load[v] = load
+            else:
                 del node_load[v]
-                buffers.pop(v, None)
-            parking_set = set(parking)
-            for m in moving:
-                if m in parking_set:
-                    arrivals_now.append((m, c))
-                else:
-                    remaining -= 1
-        for m, v in arrivals_now:
-            park(m, v)
-    return schedule.trim()
+                del buffers[v]
+            remaining -= len(moving) - len(parking)
+            if parking:
+                arrivals_now.append((c, parking))
+            used += 1
+            if used >= P:
+                break
+        for c, parking in arrivals_now:
+            park(c, parking)
+    return flushes
 
 
 class OnlineDensityPolicy(Policy):

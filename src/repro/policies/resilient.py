@@ -58,7 +58,6 @@ from repro.faults.injector import FaultInjector
 from repro.obs.hooks import current_obs
 from repro.policies.engine import ShardEngine
 from repro.policies.executor import DEFAULT_CHECKPOINT_EVERY, GatedExecutor
-from repro.tree.messages import Message
 from repro.util.errors import ReproError
 
 #: Flush attempts allowed before re-planning (``run``/``faults`` default).
@@ -86,49 +85,24 @@ def worms_replan(
 ) -> "list[Flush]":
     """Default re-planning hook: a fresh priority order for ``remaining``.
 
-    Builds a sub-instance whose messages start at their *current*
-    locations.  If everything is still at the root the paper's pipeline
-    applies verbatim (reduction -> MPHTF -> the Lemma 8 flush order);
-    with mid-tree survivors the reduction does not apply (it requires
-    root starts), so the density-guided online scheduler — which is
-    valid by construction from arbitrary start nodes — provides the
-    order instead.  Returned flushes use original message ids.
+    The serving planner's rule, :func:`repro.serve.planner.plan_flushes`,
+    on the messages' *current* locations: if everything is still at the
+    root the paper's pipeline applies verbatim (reduction -> MPHTF -> the
+    Lemma 8 flush order); with mid-tree survivors the reduction does not
+    apply (it requires root starts), so the density-guided online
+    scheduler — valid by construction from arbitrary start nodes —
+    provides the order instead.  Returned flushes use original message
+    ids.
     """
-    # Imported here: policies.worms_policy imports the executor module,
-    # so a module-level import would be circular.
-    from repro.core.reduction import reduce_to_scheduling
-    from repro.core.task_to_flush import task_schedule_to_flush_schedule
-    from repro.policies.online import online_density_schedule
-    from repro.scheduling.mphtf import mphtf_schedule
+    # Imported here: ``repro.serve`` pulls in the whole serving package,
+    # which batch users of this module never need.
+    from repro.serve.planner import plan_flushes
 
-    if not remaining:
-        return []
-    topo = instance.topology
-    targets = instance.targets
-    sub_messages = [
-        Message(i, int(targets[m])) for i, m in enumerate(remaining)
-    ]
-    root = topo.root
-    all_at_root = all(location[m] == root for m in remaining)
-    sub = WORMSInstance(
-        topo,
-        sub_messages,
-        P=instance.P,
-        B=instance.B,
-        start_nodes=None if all_at_root
-        else [int(location[m]) for m in remaining],
+    return plan_flushes(
+        instance.topology, instance.P, instance.B, remaining,
+        instance.targets.tolist(), location,
         allow_internal_targets=instance.allow_internal_targets,
     )
-    if all_at_root:
-        reduced = reduce_to_scheduling(sub)
-        sigma = mphtf_schedule(reduced.scheduling)
-        planned = task_schedule_to_flush_schedule(reduced, sigma)
-    else:
-        planned = online_density_schedule(sub)
-    return [
-        Flush(f.src, f.dest, tuple(remaining[i] for i in f.messages))
-        for _t, f in planned.iter_timed()
-    ]
 
 
 class ResilientExecutor(GatedExecutor):

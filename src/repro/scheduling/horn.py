@@ -81,13 +81,8 @@ class HornDecomposition:
         )
 
     def priorities(self) -> list[int]:
-        """Min-heap priority per task: densest first, then lowest id.
-
-        ``-density_key[j] * n + j`` orders tasks exactly as the pairs
-        ``(-task_density[j], j)`` do, as one int (``0 <= j < n``).
-        """
-        n = len(self.density_key)
-        return [j - k * n for j, k in enumerate(self.density_key)]
+        """Min-heap priority per task (see :func:`density_priorities`)."""
+        return density_priorities(self.density_key)
 
     def tree_density(self, root: int) -> Fraction:
         """Density ``w(T_i)/s(T_i)`` of the Horn's tree rooted at ``root``."""
@@ -107,12 +102,39 @@ class HornDecomposition:
 
 
 def compute_horn(instance: SchedulingInstance) -> HornDecomposition:
-    """Compute task densities and Horn's trees in ``O(n log n)``."""
-    n = instance.n_tasks
-    n2 = n * n
-    children = instance.children_lists()
-    weights, scale = instance.integer_weights
+    """Compute task densities and Horn's trees in ``O(n log n)``.
 
+    A thin wrapper over :func:`horn_trees`, the planning kernel's stage.
+    """
+    weights, scale = instance.integer_weights
+    key, f_weight, f_size, horn_root = horn_trees(
+        instance.children_lists(), instance.topological_order(), weights
+    )
+    roots_arr = np.array(horn_root, dtype=np.int64)
+    roots_arr.setflags(write=False)
+    return HornDecomposition(
+        density_key=tuple(key),
+        f_size=tuple(f_size),
+        horn_root=roots_arr,
+        f_weight_scaled=tuple(f_weight),
+        weight_scale=scale,
+    )
+
+
+def horn_trees(
+    children: "list[list[int]]", order: "list[int]", weights: "list[int]"
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Density keys and Horn's trees on flat lists.
+
+    ``children`` and ``order`` (parents before children) describe the
+    task forest (:func:`repro.scheduling.instance.task_forest`);
+    ``weights`` are the integer-scaled task weights.  Returns ``(key,
+    f_weight, f_size, horn_root)`` per task: the integer density key
+    of ``F_j``, its scaled weight and size, and the root of ``j``'s
+    Horn's tree.
+    """
+    n = len(weights)
+    n2 = n * n
     key = [0] * n
     f_weight = [0] * n
     f_size = [0] * n
@@ -123,7 +145,7 @@ def compute_horn(instance: SchedulingInstance) -> HornDecomposition:
     pending: list[PairingHeap | None] = [None] * n
     seq = 0
 
-    for j in reversed(instance.topological_order()):
+    for j in reversed(order):
         heap: PairingHeap | None = None
         for c in children[j]:
             child_heap = pending[c]
@@ -163,16 +185,17 @@ def compute_horn(instance: SchedulingInstance) -> HornDecomposition:
         for y in chain:
             horn_root[y] = top
         horn_root[j] = top
-    roots_arr = np.array(horn_root, dtype=np.int64)
-    roots_arr.setflags(write=False)
+    return key, f_weight, f_size, horn_root
 
-    return HornDecomposition(
-        density_key=tuple(key),
-        f_size=tuple(f_size),
-        horn_root=roots_arr,
-        f_weight_scaled=tuple(f_weight),
-        weight_scale=scale,
-    )
+
+def density_priorities(key: "list[int]") -> list[int]:
+    """Min-heap priority per task: densest first, then lowest id.
+
+    ``-key[j] * n + j`` orders tasks exactly as the pairs
+    ``(-task_density[j], j)`` do, as one int (``0 <= j < n``).
+    """
+    n = len(key)
+    return [j - k * n for j, k in enumerate(key)]
 
 
 def horn_schedule(

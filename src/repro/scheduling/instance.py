@@ -110,17 +110,7 @@ class SchedulingInstance:
     @cached_property
     def _forest(self) -> tuple[list[list[int]], list[int], list[int]]:
         """``(children, roots, BFS order)``, built in one pass."""
-        children: list[list[int]] = [[] for _ in range(self.n_tasks)]
-        roots: list[int] = []
-        for j, p in enumerate(self.parent.tolist()):
-            if p >= 0:
-                children[p].append(j)
-            else:
-                roots.append(j)
-        order = list(roots)
-        for j in order:  # grows while iterating: a BFS from the roots
-            order.extend(children[j])
-        return children, roots, order
+        return task_forest(self.parent.tolist())
 
     def roots(self) -> list[int]:
         """Tasks with no precedence constraint (shared; do not mutate)."""
@@ -144,9 +134,7 @@ class SchedulingInstance:
         weights (1 for integer weights), so every ``W[j]`` is an integer
         and ``W[j] / scale`` is the exact rational value of the float.
         """
-        ratios = [w.as_integer_ratio() for w in self.weights.tolist()]
-        scale = max((den for _, den in ratios), default=1)
-        return [num * (scale // den) for num, den in ratios], scale
+        return integer_weights(self.weights.tolist())
 
     def weight_fraction(self, j: int) -> Fraction:
         """Task weight as an exact fraction (floats are converted exactly)."""
@@ -167,3 +155,35 @@ class SchedulingInstance:
             f"SchedulingInstance(n_tasks={self.n_tasks}, P={self.P}, "
             f"total_weight={self.total_weight:g})"
         )
+
+
+def task_forest(
+    parent: "list[int]",
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """``(children, roots, BFS order)`` of the forest ``parent`` describes.
+
+    The flat form the planning kernel uses; :class:`SchedulingInstance`
+    derives its own forest through it.
+    """
+    children: list[list[int]] = [[] for _ in parent]
+    roots: list[int] = []
+    for j, p in enumerate(parent):
+        if p >= 0:
+            children[p].append(j)
+        else:
+            roots.append(j)
+    order = list(roots)
+    for j in order:  # grows while iterating: a BFS from the roots
+        order.extend(children[j])
+    return children, roots, order
+
+
+def integer_weights(weights: "list[float]") -> tuple[list[int], int]:
+    """``(W, scale)``: ``weights`` scaled to integers by one power of two.
+
+    See :attr:`SchedulingInstance.integer_weights`.  Integer weights (the
+    unit-weight reduction's task weights) come back unchanged with scale 1.
+    """
+    ratios = [w.as_integer_ratio() for w in weights]
+    scale = max((den for _, den in ratios), default=1)
+    return [num * (scale // den) for num, den in ratios], scale

@@ -22,9 +22,14 @@ import heapq
 from dataclasses import dataclass
 
 from repro.scheduling.cost import TaskSchedule
-from repro.scheduling.horn import HornDecomposition, compute_horn
-from repro.scheduling.instance import SchedulingInstance
-from repro.scheduling.phtf import phtf_schedule
+from repro.scheduling.horn import (
+    HornDecomposition,
+    compute_horn,
+    density_priorities,
+    horn_trees,
+)
+from repro.scheduling.instance import SchedulingInstance, task_forest
+from repro.scheduling.phtf import phtf_steps
 
 
 @dataclass
@@ -41,14 +46,57 @@ def mphtf_schedule(
     *,
     diagnostics: MPHTFDiagnostics | None = None,
 ) -> TaskSchedule:
-    """Run MPHTF; returns a feasible schedule with ``cost <= 4 * OPT``."""
+    """Run MPHTF; returns a feasible schedule with ``cost <= 4 * OPT``.
+
+    A thin wrapper over :func:`mphtf_steps`.
+    """
     if horn is None:
         horn = compute_horn(instance)
-    phtf = phtf_schedule(instance, horn)
-    n = instance.n_tasks
     children = instance.children_lists()
+    roots = instance.roots()
     prio = horn.priorities()
-    tree_of = horn.horn_root.tolist()
+    P = instance.P
+    return TaskSchedule(mphtf_steps(
+        children, roots, prio, horn.horn_root.tolist(), P,
+        phtf_steps(children, roots, prio, P), diagnostics,
+    ))
+
+
+def mphtf_plan(
+    parent: "list[int]", weights: "list[int]", P: int
+) -> list[list[int]]:
+    """Horn's trees, PHTF and MPHTF on a flat task forest, in one call.
+
+    ``parent``/``weights`` are the reduction's task lists
+    (:func:`repro.core.reduction.reduce_sets`; unit weights are already
+    integers, i.e. integer weights with scale 1).  Returns MPHTF's
+    steps, exactly as :func:`mphtf_schedule` would on the same tasks.
+    """
+    children, roots, order = task_forest(parent)
+    key, _, _, tree_of = horn_trees(children, order, weights)
+    prio = density_priorities(key)
+    return mphtf_steps(
+        children, roots, prio, tree_of, P,
+        phtf_steps(children, roots, prio, P),
+    )
+
+
+def mphtf_steps(
+    children: "list[list[int]]",
+    roots: "list[int]",
+    prio: "list[int]",
+    tree_of: "list[int]",
+    P: int,
+    phtf: "list[list[int]]",
+    diagnostics: MPHTFDiagnostics | None = None,
+) -> list[list[int]]:
+    """MPHTF on flat lists: the task ids run at each step, trimmed.
+
+    ``prio`` is :func:`repro.scheduling.horn.density_priorities`,
+    ``tree_of[j]`` the root of ``j``'s Horn's tree and ``phtf`` PHTF's
+    steps (:func:`repro.scheduling.phtf.phtf_steps`).
+    """
+    n = len(prio)
     if diagnostics is None:
         diagnostics = MPHTFDiagnostics()
 
@@ -60,12 +108,12 @@ def mphtf_schedule(
     remaining_in_tree = [0] * n
     for root in tree_of:
         remaining_in_tree[root] += 1
-    for j in instance.roots():
+    for j in roots:
         heapq.heappush(tree_queue[tree_of[j]], prio[j])
 
     steps: list[list[int]] = []
     n_done = 0
-    for step_tasks in phtf.steps:
+    for step_tasks in phtf:
         # The trees PHTF touched this step, with multiplicity: if PHTF ran
         # two tasks of the same tree in one step, MPHTF owes that tree two
         # slots in each of its two corresponding steps.
@@ -101,7 +149,7 @@ def mphtf_schedule(
             diagnostics.drain_steps += 1
             step = [
                 heapq.heappop(global_queue) % n
-                for _ in range(min(instance.P, len(global_queue)))
+                for _ in range(min(P, len(global_queue)))
             ]
             steps.append(step)
             n_done += len(step)
@@ -109,4 +157,6 @@ def mphtf_schedule(
                 for c in children[j]:
                     heapq.heappush(global_queue, prio[c])
 
-    return TaskSchedule(steps).trim()
+    while steps and not steps[-1]:
+        steps.pop()
+    return steps

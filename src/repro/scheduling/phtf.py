@@ -25,14 +25,28 @@ def phtf_schedule(
     Ties between equal densities are broken by lowest task id, keeping the
     output deterministic (the paper allows arbitrary tie-breaking).  The
     heap holds :meth:`HornDecomposition.priorities`: exact integer keys.
+    A thin wrapper over :func:`phtf_steps`.
     """
     if horn is None:
         horn = compute_horn(instance)
-    n = instance.n_tasks
-    P = instance.P
-    children = instance.children_lists()
-    prio = horn.priorities()
-    available = [prio[j] for j in instance.roots()]
+    return TaskSchedule(phtf_steps(
+        instance.children_lists(), instance.roots(), horn.priorities(),
+        instance.P,
+    ))
+
+
+def phtf_steps(
+    children: "list[list[int]]",
+    roots: "list[int]",
+    prio: "list[int]",
+    P: int,
+) -> list[list[int]]:
+    """PHTF on flat lists: the task ids run at each step, in order.
+
+    ``prio`` is :func:`repro.scheduling.horn.density_priorities`.
+    """
+    n = len(prio)
+    available = [prio[j] for j in roots]
     heapq.heapify(available)
     steps: list[list[int]] = []
     while available:
@@ -44,4 +58,4 @@ def phtf_schedule(
         for j in batch:
             for c in children[j]:
                 heapq.heappush(available, prio[c])
-    return TaskSchedule(steps)
+    return steps

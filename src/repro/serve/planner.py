@@ -18,8 +18,22 @@ sufficient planning mode per epoch:
   reported a deadlock between stitched plans: re-plan *everything* still
   in flight from its current location.  All-at-root residues go through
   the paper pipeline; mid-tree residues use the density-guided online
-  scheduler (which is valid from arbitrary start nodes), exactly the
-  split :func:`repro.policies.resilient.worms_replan` uses.
+  scheduler (which is valid from arbitrary start nodes).  The batch
+  re-planner :func:`repro.policies.resilient.worms_replan` is this same
+  function.
+
+:func:`plan_flushes` runs the flat planning kernel: each stage's core,
+called directly — :func:`~repro.core.packed.pack_sets`,
+:func:`~repro.core.reduction.reduce_sets`,
+:func:`~repro.scheduling.mphtf.mphtf_plan` (Horn's trees, PHTF, MPHTF)
+or :func:`~repro.policies.online.online_flushes` — on parallel int
+lists over the shard tree's :attr:`~repro.tree.topology.TreeTopology.tables`,
+so a plan builds no ``Message``, ``WORMSInstance``,
+``SchedulingInstance`` or numpy array.  The object APIs
+(``build_packed_sets``, ``reduce_to_scheduling``, ``compute_horn``,
+``mphtf_schedule``, ``online_density_schedule``) wrap the same cores,
+so every stage has one implementation and the plans are the ones the
+object pipeline computes.
 
 Planned flushes carry global message ids; the plan is a *priority
 order*, the shard engine's gate decides actual step placement.
@@ -29,21 +43,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.reduction import reduce_to_scheduling
-# Not called here (plan_flushes maps tasks to flushes itself); kept as a
-# module attribute because e2ebench's tracer wraps it by name.
-from repro.core.task_to_flush import task_schedule_to_flush_schedule  # noqa: F401
-from repro.core.worms import WORMSInstance
+from repro.core.packed import pack_sets
+from repro.core.reduction import reduce_sets
 from repro.dam.schedule import Flush
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_PLAN
-from repro.policies.online import online_density_schedule
+from repro.policies.online import online_flushes
 from repro.scheduling.deamortize import pace_flush_list
-from repro.scheduling.mphtf import mphtf_schedule
+from repro.scheduling.mphtf import mphtf_plan
 from repro.serve.router import ShardEngine
-from repro.tree.messages import Message
 from repro.tree.topology import TreeTopology
 from repro.util.errors import InvalidInstanceError
+
+# Not called here (plan_flushes runs the stage cores they wrap); kept as
+# module attributes because e2ebench's tracer wraps them by name.
+from repro.core.reduction import reduce_to_scheduling  # noqa: F401,E402
+from repro.core.task_to_flush import (  # noqa: F401,E402
+    task_schedule_to_flush_schedule,
+)
+from repro.core.worms import WORMSInstance  # noqa: F401,E402
+from repro.policies.online import online_density_schedule  # noqa: F401,E402
+from repro.scheduling.mphtf import mphtf_schedule  # noqa: F401,E402
 
 
 def plan_flushes(
@@ -51,50 +71,84 @@ def plan_flushes(
     P: int,
     B: int,
     msg_ids: "list[int]",
-    targets: "dict[int, int]",
-    locations: "dict[int, int] | None" = None,
+    targets: "dict[int, int] | list[int]",
+    locations: "dict[int, int] | list[int] | None" = None,
+    *,
+    allow_internal_targets: bool = False,
 ) -> "list[Flush]":
     """Priority-ordered flush list for ``msg_ids`` (global ids preserved).
 
-    Builds a dense sub-instance, plans it, and maps the flushes back to
-    the caller's ids.  With ``locations`` (mid-tree residue) the online
-    density scheduler plans from the current nodes; all-at-root input
-    goes through the paper pipeline.
+    ``targets`` and ``locations`` map a global id to its target and
+    current node (a dict or a dense list).  Message ``msg_ids[i]`` is
+    sub-id ``i`` of the plan.  Without ``locations``, or with every
+    message at the root, the paper pipeline plans (packed sets ->
+    reduction -> MPHTF -> Lemma 8 order: one flush per task, in step
+    order); otherwise the online density scheduler plans from the
+    current nodes.  Targets must be leaves unless
+    ``allow_internal_targets`` (the footnote-3 extension).
     """
+    if P < 1 or B < 1:
+        raise InvalidInstanceError(f"need P >= 1 and B >= 1, got {P}, {B}")
     if not msg_ids:
         return []
-    root = topology.root
-    all_at_root = locations is None or all(
-        locations[m] == root for m in msg_ids
-    )
-    sub_messages = [
-        Message(i, int(targets[m])) for i, m in enumerate(msg_ids)
-    ]
-    sub = WORMSInstance(
-        topology,
-        sub_messages,
-        P=P,
-        B=B,
-        start_nodes=None if all_at_root
-        else [int(locations[m]) for m in msg_ids],
-    )
-    if all_at_root:
-        # One global-id flush per scheduled task, in Lemma 8's order.
-        reduced = reduce_to_scheduling(sub)
-        sigma = mphtf_schedule(reduced.scheduling)
-        edges = reduced.task_edges
-        flushes = []
-        for step in sigma.steps:
-            for j in step:
-                e = edges[j]
-                flushes.append(Flush(
-                    e.src, e.dest, tuple([msg_ids[i] for i in e.messages])
-                ))
-        return flushes
-    planned = online_density_schedule(sub)
+    tables = topology.tables
+    root = tables.root
+    is_leaf = tables.is_leaf
+    n_nodes = len(is_leaf)
+    sub_targets = [targets[m] for m in msg_ids]
+    for i, t in enumerate(sub_targets):
+        if not 0 <= t < n_nodes:
+            raise InvalidInstanceError(
+                f"message {msg_ids[i]} targets unknown node {t}"
+            )
+        if not (allow_internal_targets or is_leaf[t]):
+            raise InvalidInstanceError(
+                f"message {msg_ids[i]} targets non-leaf node {t}"
+            )
+    starts = None
+    if locations is not None:
+        starts = [locations[m] for m in msg_ids]
+        if all(v == root for v in starts):
+            starts = None
+    if starts is None:
+        _nodes, set_node, set_msgs, _children = pack_sets(
+            tables, sub_targets, B
+        )
+        parent, weight, _sets, src, dest, msgs = reduce_sets(
+            tables, sub_targets, set_node, set_msgs
+        )
+        planned = [
+            (src[j], dest[j], msgs[j])
+            for step in mphtf_plan(parent, weight, P) for j in step
+        ]
+    else:
+        planned = [
+            (v, c, ms)
+            for _t, v, c, ms in online_flushes(
+                tables, sub_targets, starts, P, B
+            )
+        ]
+    return remap_flushes(msg_ids, planned)
+
+
+def remap_flushes(
+    msg_ids: "list[int]", planned: "list[tuple[int, int, tuple[int, ...]]]"
+) -> "list[Flush]":
+    """``Flush``es over global ids from ``(src, dest, sub-id msgs)``.
+
+    Sub-id ``i`` is ``msg_ids[i]``, and every ``msgs`` tuple is
+    ascending; so when ``msg_ids`` is ascending the mapped tuples are
+    too, and no flush sorts its messages again.
+    """
+    presorted = Flush.presorted
+    if all(a < b for a, b in zip(msg_ids, msg_ids[1:])):
+        return [
+            presorted(src, dest, tuple([msg_ids[i] for i in ms]))
+            for src, dest, ms in planned
+        ]
     return [
-        Flush(f.src, f.dest, tuple(msg_ids[i] for i in f.messages))
-        for _t, f in planned.iter_timed()
+        presorted(src, dest, tuple(sorted([msg_ids[i] for i in ms])))
+        for src, dest, ms in planned
     ]
 
 

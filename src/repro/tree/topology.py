@@ -13,6 +13,8 @@ leaves, subtree sizes) is precomputed once with iterative traversals so that
 deep trees do not hit Python's recursion limit.  Root-to-node paths are
 built on first request and cached per node (:meth:`TreeTopology.root_path`),
 so planners that touch only a few targets pay only for those paths.
+:attr:`TreeTopology.tables` holds the same per-node facts as flat Python
+lists for the planning kernel, built once per tree on first use.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ class TreeTopology:
         "_subtree_size",
         "_tree_height",
         "_paths",
+        "_tables",
     )
 
     def __init__(self, parent: Sequence[int]) -> None:
@@ -108,6 +111,7 @@ class TreeTopology:
         self._subtree_size = size
         self._subtree_size.setflags(write=False)
         self._paths: dict[int, tuple[int, ...]] = {}
+        self._tables: "TreeTables | None" = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -169,6 +173,13 @@ class TreeTopology:
     def subtree_size(self, v: int) -> int:
         """Number of nodes in the subtree rooted at ``v`` (including ``v``)."""
         return int(self._subtree_size[v])
+
+    @property
+    def tables(self) -> "TreeTables":
+        """Flat per-node lists for the planning kernel (built once)."""
+        if self._tables is None:
+            self._tables = TreeTables(self)
+        return self._tables
 
     # ------------------------------------------------------------------
     # Paths and ancestry
@@ -258,3 +269,27 @@ class TreeTopology:
             f"TreeTopology(n_nodes={self.n_nodes}, height={self.height}, "
             f"n_leaves={len(self._leaves)})"
         )
+
+
+class TreeTables:
+    """Per-node facts of one tree as plain lists, for the planning kernel.
+
+    The kernel (packed sets, reduction, online scheduler) reads these by
+    list index instead of calling :class:`TreeTopology` methods per
+    message.  ``path[v]`` is :meth:`TreeTopology.root_path`, so the child
+    of an ancestor ``u`` towards ``t`` is ``path[t][depth[u] + 1]``.
+    """
+
+    __slots__ = ("root", "height", "depth", "is_leaf", "path")
+
+    def __init__(self, topology: TreeTopology) -> None:
+        self.root = topology.root
+        self.height = topology.height
+        self.depth: list[int] = topology.heights.tolist()
+        n = topology.n_nodes
+        self.is_leaf: list[bool] = [
+            not topology.children_of(v) for v in range(n)
+        ]
+        self.path: list[tuple[int, ...]] = [
+            topology.root_path(v) for v in range(n)
+        ]

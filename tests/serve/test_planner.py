@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.core.reduction import reduce_to_scheduling
+from repro.core.task_to_flush import task_schedule_to_flush_schedule
+from repro.core.worms import WORMSInstance
+from repro.policies.online import online_density_schedule
+from repro.scheduling.instance import SchedulingInstance
+from repro.scheduling.mphtf import mphtf_schedule
+from repro.serve import ServeConfig, ServiceLoop
 from repro.serve.planner import EpochPlanner, plan_flushes
 from repro.serve.router import ShardEngine
-from repro.tree import balanced_tree
+from repro.tree import Message, balanced_tree, beps_shape_tree
 from repro.util.errors import InvalidInstanceError
 
 
@@ -132,3 +140,73 @@ def test_first_plan_all_at_root_matches_offline_pipeline():
     engine.set_plan(flushes)
     done = run_dry(engine)
     assert sorted(done) == sorted(targets)
+
+
+def test_plan_flushes_validates_targets_and_machine():
+    topo = balanced_tree(3, 2)
+    internal = topo.children_of(topo.root)[0]
+    with pytest.raises(InvalidInstanceError, match="non-leaf"):
+        plan_flushes(topo, 2, 8, [4], {4: internal})
+    with pytest.raises(InvalidInstanceError, match="unknown node"):
+        plan_flushes(topo, 2, 8, [4], {4: topo.n_nodes})
+    with pytest.raises(InvalidInstanceError):
+        plan_flushes(topo, 0, 8, [4], {4: topo.leaves[0]})
+    flushes = plan_flushes(topo, 2, 8, [4], {4: internal},
+                           allow_internal_targets=True)
+    assert [(f.src, f.dest, f.messages) for f in flushes] == [
+        (topo.root, internal, (4,))
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_plan_flushes_is_the_object_pipeline(seed):
+    """The kernel plan equals the object APIs' plan on the same input:
+    WORMSInstance -> reduce_to_scheduling -> mphtf_schedule -> Lemma 8
+    (root starts), online_density_schedule (mid-tree starts)."""
+    rng = np.random.default_rng(seed)
+    topo = beps_shape_tree(16, 0.5, 64)
+    ids = [int(x) for x in rng.choice(5000, size=40, replace=False)]
+    targets = {m: int(rng.choice(topo.leaves)) for m in ids}
+    locations = None
+    if seed % 2:
+        locations = {
+            m: topo.root_path(targets[m])[int(rng.integers(0, 3))]
+            for m in ids
+        }
+    inst = WORMSInstance(
+        topo, [Message(i, targets[m]) for i, m in enumerate(ids)],
+        P=4, B=16,
+        start_nodes=None if locations is None
+        else [locations[m] for m in ids],
+    )
+    if locations is None:
+        reduced = reduce_to_scheduling(inst)
+        planned = task_schedule_to_flush_schedule(
+            reduced, mphtf_schedule(reduced.scheduling)
+        )
+    else:
+        planned = online_density_schedule(inst)
+    expected = [
+        (f.src, f.dest, tuple(sorted(ids[i] for i in f.messages)))
+        for _t, f in planned.iter_timed()
+    ]
+    got = plan_flushes(topo, 4, 16, ids, targets, locations)
+    assert [(f.src, f.dest, f.messages) for f in got] == expected
+
+
+def test_service_loop_builds_no_instance_objects(monkeypatch):
+    """Serving plans on the kernel's flat lists: a run that exercises
+    incremental and full re-plans never builds a WORMSInstance or a
+    SchedulingInstance."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built while serving")
+
+    monkeypatch.setattr(WORMSInstance, "__init__", refuse)
+    monkeypatch.setattr(SchedulingInstance, "__init__", refuse)
+    loop = ServiceLoop(ServeConfig(
+        arrivals="poisson", rate=8.0, messages=3000, shards=2, seed=1,
+    ))
+    report = loop.run()
+    assert len(report.completions) == 3000
+    stats = loop.planner.stats
+    assert stats.incremental_plans > 0 and stats.full_replans > 0

@@ -13,6 +13,12 @@ bytes:
 * a balanced tree and a B^eps-shaped tree;
 * sparse, non-contiguous global ids, sorted and in arrival order.
 
+The kernel section adds what the grid does not cover: 1000-message
+residues on the serving shard tree (``beps_shape_tree(16, 0.5, 64)`` at
+``P=4``, ``B=16``), the batch re-planner
+:func:`repro.policies.resilient.worms_replan` on internal targets from
+the root and from mid-tree, and empty and all-at-target inputs.
+
 The pipeline section pins what ``plan_flushes`` cannot reach: messages
 with internal targets and dyadic float weights, digested stage by stage
 (packed sets, reduced tasks, Horn densities and trees, Horn / PHTF /
@@ -37,6 +43,7 @@ from repro.core.packed import build_packed_sets
 from repro.core.reduction import reduce_to_scheduling
 from repro.core.task_to_flush import task_schedule_to_flush_schedule
 from repro.core.worms import WORMSInstance
+from repro.policies.resilient import worms_replan
 from repro.scheduling import (
     compute_horn,
     horn_schedule,
@@ -105,6 +112,118 @@ def plan_inputs(case: str):
 def run_plan_case(case: str) -> str:
     topo, P, B, ids, targets, locations = plan_inputs(case)
     flushes = plan_flushes(topo, P, B, ids, targets, locations)
+    return _sha(repr([(f.src, f.dest, f.messages) for f in flushes]))
+
+
+# ---------------------------------------------------------------------
+# kernel edges: serve-sized residues, worms_replan, empty inputs
+# ---------------------------------------------------------------------
+KERNEL_CASES = (
+    "serve/root/n=1000/sorted",
+    "serve/root/n=1000/arrival",
+    "serve/midtree/n=1000/sorted",
+    "serve/midtree/n=1000/arrival",
+    "replan/internal/root",
+    "replan/internal/midtree",
+    "replan/leaves/midtree",
+    "empty/plan",
+    "empty/replan",
+    "at-target/plan",
+    "at-target/replan",
+)
+
+
+def _serve_tree():
+    return beps_shape_tree(16, 0.5, 64)
+
+
+def _replan_instance(case: str, targets: str) -> WORMSInstance:
+    topo = TREES["balanced"]()
+    rng = np.random.default_rng(
+        int(hashlib.sha256(case.encode()).hexdigest()[:8], 16)
+    )
+    pool = (
+        np.asarray(topo.leaves) if targets == "leaves"
+        else np.arange(1, topo.n_nodes)
+    )
+    msgs = [Message(i, int(rng.choice(pool))) for i in range(200)]
+    return WORMSInstance(
+        topo, msgs, P=4, B=16,
+        allow_internal_targets=targets == "internal",
+    )
+
+
+def _replan_state(inst: WORMSInstance, case: str, midtree: bool):
+    """Sparse surviving ids and dense locations for ``worms_replan``."""
+    rng = np.random.default_rng(
+        int(hashlib.sha256(case.encode()).hexdigest()[8:16], 16)
+    )
+    topo = inst.topology
+    targets = inst.targets.tolist()
+    remaining = sorted(
+        int(m) for m in rng.choice(inst.n_messages, size=120, replace=False)
+    )
+    location = list(targets)  # messages not remaining sit at their target
+    for m in remaining:
+        path = topo.path_from_root(targets[m])
+        location[m] = (
+            int(path[int(rng.integers(0, len(path) - 1))]) if midtree
+            else topo.root
+        )
+    if midtree:  # at least one survivor strictly below the root
+        deep = next(m for m in remaining if len(
+            topo.path_from_root(targets[m])) > 2)
+        location[deep] = topo.path_from_root(targets[deep])[1]
+    return remaining, location
+
+
+def run_kernel_case(case: str) -> str:
+    kind, *rest = case.split("/")
+    if kind == "serve":
+        mode, size, order = rest
+        topo = _serve_tree()
+        n = int(size.split("=")[1])
+        rng = np.random.default_rng(
+            int(hashlib.sha256(case.encode()).hexdigest()[:8], 16)
+        )
+        ids = sorted(int(x) for x in rng.choice(20 * n, size=n, replace=False))
+        if order == "arrival":
+            ids = [ids[i] for i in rng.permutation(n)]
+        leaves = np.asarray(topo.leaves)
+        targets = {m: int(rng.choice(leaves)) for m in ids}
+        locations = None
+        if mode == "midtree":
+            locations = {
+                m: int(topo.path_from_root(targets[m])[
+                    int(rng.integers(0, topo.height_of(targets[m])))])
+                for m in ids
+            }
+        flushes = plan_flushes(topo, 4, 16, ids, targets, locations)
+    elif kind == "replan":
+        targets_kind, start = rest
+        inst = _replan_instance(case, targets_kind)
+        remaining, location = _replan_state(
+            inst, case, midtree=start == "midtree"
+        )
+        flushes = worms_replan(inst, remaining, location)
+    elif case == "empty/plan":
+        flushes = plan_flushes(_serve_tree(), 4, 16, [], {})
+    elif case == "empty/replan":
+        inst = _replan_instance(case, "internal")
+        flushes = worms_replan(inst, [], inst.targets.tolist())
+    elif case == "at-target/plan":
+        # Every message already sits at its leaf: nothing to flush.
+        topo = _serve_tree()
+        ids = [3, 8, 21, 34]
+        targets = {m: topo.leaves[m] for m in ids}
+        flushes = plan_flushes(topo, 4, 16, ids, targets, dict(targets))
+    else:  # at-target/replan: internal targets at the root, held there
+        topo = TREES["balanced"]()
+        inst = WORMSInstance(
+            topo, [Message(i, topo.root) for i in range(5)], P=4, B=16,
+            allow_internal_targets=True,
+        )
+        flushes = worms_replan(inst, [0, 2, 4], [topo.root] * 5)
     return _sha(repr([(f.src, f.dest, f.messages) for f in flushes]))
 
 
@@ -192,6 +311,11 @@ def test_plan_flushes_matches_golden(case):
     assert run_plan_case(case) == _golden()["plan"][case]
 
 
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_kernel_case_matches_golden(case):
+    assert run_kernel_case(case) == _golden()["kernel"][case]
+
+
 @pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
 def test_pipeline_matches_golden(case):
     assert run_pipeline_case(case) == _golden()["pipeline"][case]
@@ -218,12 +342,14 @@ def test_grid_reaches_both_planner_paths_and_internal_targets():
 def main() -> None:
     doc = {
         "plan": {c: run_plan_case(c) for c in plan_cases()},
+        "kernel": {c: run_kernel_case(c) for c in KERNEL_CASES},
         "pipeline": {c: run_pipeline_case(c) for c in sorted(PIPELINE_CASES)},
         "solve": {str(n): run_solve_case(n) for n in SOLVE_SIZES},
     }
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(doc['plan'])} plan + {len(doc['pipeline'])} pipeline "
-          f"+ {len(doc['solve'])} solve digests to {GOLDEN}")
+    print(f"wrote {len(doc['plan'])} plan + {len(doc['kernel'])} kernel + "
+          f"{len(doc['pipeline'])} pipeline + {len(doc['solve'])} solve "
+          f"digests to {GOLDEN}")
 
 
 if __name__ == "__main__":
