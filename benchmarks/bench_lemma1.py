@@ -2,9 +2,12 @@
 
 Findings R2/R4: the literal Section-3.1 construction usually produces a
 valid schedule whose cost inflation is far below the proven c1 = 169, but
-on a minority of instances it violates the space requirement (a gap in
-the paper's validity proof around U_r chain splitting) and the package
-falls back to the always-valid serial schedule.
+on a minority of instances it is invalid and the package falls back to
+the always-valid serial schedule.  Mostly that is ``U_r`` draining packed
+sets that have not reached their parent yet (a message flushed from a
+node it is not at; ``run_case(seed=1466, height=2, n_msgs=2, P=1, B=7)``
+is the smallest known case), rarely a ``U`` chain split at an epoch
+boundary (EXPERIMENTS.md, R4).
 """
 
 from __future__ import annotations

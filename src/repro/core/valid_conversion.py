@@ -21,17 +21,21 @@ Faithful implementation of Section 3.1.  Given an overfilling schedule
 epoch ``i`` of ``L`` in ``[3hi+2h+1, 3hi+3h]`` (messages already moved on
 an edge by a copied drain flush are dropped from the original ``L`` flush).
 
-**Reproduction note.**  The paper's validity proof for the combined
-schedule assumes every chain of ``U_r`` stays consecutive, but the global
-step insertions that create ``U_r`` can split chains that are in flight,
-letting two ancestor packed sets park in one node simultaneously; on some
-instances the literal construction therefore violates the space
-requirement (or the ``27 tau`` release races a late ``U_r`` arrival).  We
-run the literal construction, *check it with the DAM simulator*, and fall
-back to :func:`serial_fallback_schedule` — a simple schedule that is valid
-by construction (packed sets flushed one at a time, ``P``-parallel below
-the packed parent) — whenever the check fails.  The E7 bench quantifies
-how often that happens and what it costs.
+**Reproduction note (finding R4).**  The literal construction is not
+always valid, for two reasons.  Commonly, :func:`_build_ur` copies, as
+drains before a set's arrival at ``v``, ``L`` flushes out of ``v`` of
+sets that have not reached ``v`` yet (the arriving set itself, or one
+tied with it on ``arrival_u``), so the output flushes a message from a
+node it is not at.  Rarely, a ``U`` chain crossing an ``h``-step epoch
+boundary is split by the ``3h`` dilation and its set parks mid-chain.
+We run the literal construction, *check it with the DAM simulator*, and
+fall back to :func:`serial_fallback_schedule` — a simple schedule that
+is valid by construction (packed sets flushed one at a time,
+``P``-parallel below the packed parent) — whenever the check fails.
+Draining only earlier-arrived sets would fix the common cause but makes
+the literal output far costlier than the fallback on the instances it
+affects (EXPERIMENTS.md, R4), so it is not done here.  The E7 bench
+quantifies how often the fallback engages and what it costs.
 """
 
 from __future__ import annotations

@@ -2,15 +2,15 @@
 
 A long-lived rotating journal (:class:`~repro.dam.journal.JournalWriter`
 with ``max_segment_bytes``) accumulates flush and fault records that
-recovery will never read again: :meth:`RecoveryManager._recover_state`
+recovery will never read again: :meth:`RecoveryFold.state`
 rebuilds state from the *newest* checkpoint and replays only flushes
 strictly after it.  Once a checkpoint at step ``C`` exists, every flush
 or fault record with ``t <= C`` is dead weight — kept bytes that cost
 scan time and disk but can never influence recovery.
 
 :func:`compact_journal` reclaims them, under three safety rules that
-keep recovery **exactly** what it was (pinned by the kill-fuzz
-regression in ``tests/dam/test_compaction.py``):
+keep recovery **exactly** what it was (pinned by the every-offset kill
+sweep in ``tests/dam/test_compaction.py``):
 
 * **Only sealed segments are touched.**  A segment is *sealed* when a
   later segment exists: rotation flushes and closes a segment before
@@ -129,7 +129,7 @@ def _compact(path, segments: "list[Path]") -> CompactionReport:
     per_segment: "list[tuple[Path, bytes, list[dict]]]" = []
     for i, seg in enumerate(sealed):
         data = seg.read_bytes()
-        records, valid, reason = _scan_segment(seg, data)
+        records, _ends, valid, reason = _scan_segment(seg, data)
         if reason:
             raise JournalCorruptionError(
                 f"{seg}: sealed segment {i} of {len(segments)} is damaged "

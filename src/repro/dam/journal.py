@@ -52,6 +52,12 @@ finished: a later record (any record with step > ``t``), a checkpoint at
 step >= ``t``, or an ``end`` record.  Flushes of a non-durable trailing
 step are dropped; resuming re-executes that step, which is safe because
 the reconstructed state never saw it.
+
+**Durable-prefix rule.**  Every durable journaled flush must be in the
+reference run's schedule at its step, or the journal belongs to a
+different run (a typed ``schedule-mismatch``).  :class:`RecoveryFold`
+holds the one copy of both rules; batch recovery, serve recovery and
+live shard restarts all call it.
 """
 
 from __future__ import annotations
@@ -60,8 +66,10 @@ import json
 import os
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 from repro.core.worms import WORMSInstance
 from repro.dam.schedule import Flush, FlushSchedule
@@ -369,6 +377,11 @@ class JournalScan:
     segments: "tuple[str, ...]" = ()
     #: valid bytes *within the last segment* (its repair truncation point).
     tail_valid_bytes: int = 0
+    #: chain offset just past each record (segment headers included), so
+    #: a cut at byte ``b`` keeps exactly the records ending at or before
+    #: it: every cut inside a record leaves it torn.  (An int64 array:
+    #: one machine word per record.)
+    ends: "array[int] | tuple[int, ...]" = ()
 
     @property
     def torn_bytes(self) -> int:
@@ -380,11 +393,14 @@ class JournalScan:
         return max(1, len(self.segments))
 
 
-def _scan_segment(path: Path, data: bytes) -> "tuple[list[dict], int, str]":
-    """Scan one segment: ``(records, valid_bytes, torn_reason)``.
+def _scan_segment(
+    path: Path, data: bytes
+) -> "tuple[list[dict], array[int], int, str]":
+    """Scan one segment: ``(records, ends, valid_bytes, torn_reason)``.
 
-    Raises :class:`JournalCorruptionError` for a bad magic value or a
-    damaged record that is provably not a tear (data follows it).
+    ``ends[i]`` is the segment offset just past ``records[i]``.  Raises
+    :class:`JournalCorruptionError` for a bad magic value or a damaged
+    record that is provably not a tear (data follows it).
     """
     if len(data) >= len(_HEADER) and data[: len(_HEADER)] != _HEADER:
         raise JournalCorruptionError(
@@ -394,16 +410,17 @@ def _scan_segment(path: Path, data: bytes) -> "tuple[list[dict], int, str]":
         )
     if len(data) < len(_HEADER):
         # Truncated inside the header: the whole file is a torn tail.
-        return [], 0, "truncated header"
+        return [], array("q"), 0, "truncated header"
     offset = len(_HEADER)
     records: list[dict] = []
+    ends = array("q")
     while offset < len(data):
         if len(data) - offset < _PREFIX.size:
-            return records, offset, "truncated record prefix"
+            return records, ends, offset, "truncated record prefix"
         length, crc = _PREFIX.unpack_from(data, offset)
         end = offset + _PREFIX.size + length
         if end > len(data):
-            return records, offset, "record extends past end of file"
+            return records, ends, offset, "record extends past end of file"
         payload = data[offset + _PREFIX.size:end]
         bad = ""
         if zlib.crc32(payload) != crc:
@@ -418,7 +435,7 @@ def _scan_segment(path: Path, data: bytes) -> "tuple[list[dict], int, str]":
         if bad:
             if end == len(data):
                 # Damaged final record: a torn write, not corruption.
-                return records, offset, f"torn final record ({bad})"
+                return records, ends, offset, f"torn final record ({bad})"
             raise JournalCorruptionError(
                 f"{path}: record at byte {offset} fails its "
                 f"{'checksum' if bad == 'bad-crc' else 'decode'} with "
@@ -427,19 +444,22 @@ def _scan_segment(path: Path, data: bytes) -> "tuple[list[dict], int, str]":
                 offset=offset, reason=bad,
             )
         records.append(record)
+        ends.append(end)
         offset = end
-    return records, offset, ""
+    return records, ends, offset, ""
 
 
 def scan_journal(path: "str | os.PathLike", *, fs=None) -> JournalScan:
-    """Read the journal chain at ``path``, tolerating a torn tail.
+    """Read the journal chain at ``path`` in one pass, tolerating a torn tail.
 
     Implements the torn-tail rule from the module docstring, extended to
     segment chains: only the last segment may end torn.  Raises
     :class:`JournalCorruptionError` for a bad header, a damaged record
     that is provably not a tear (data follows it), or a damaged non-final
     segment (rotation seals segments, so mid-chain damage cannot be a
-    crash artifact).
+    crash artifact).  The scan records where each record ends
+    (:attr:`JournalScan.ends`), which fixes the scan of every truncated
+    prefix of the chain without reading it again.
     """
     fsh = resolve(fs)
     segments = journal_segments(path)
@@ -447,14 +467,14 @@ def scan_journal(path: "str | os.PathLike", *, fs=None) -> JournalScan:
         # Preserve the single-file error shape (FileNotFoundError).
         fsh.read_bytes(Path(path))
     records: list[dict] = []
+    ends = array("q")
     total_valid = 0
     total_bytes = 0
     tail_reason = ""
     tail_valid = 0
     for i, seg in enumerate(segments):
         data = fsh.read_bytes(seg)
-        total_bytes += len(data)
-        seg_records, valid, reason = _scan_segment(seg, data)
+        seg_records, seg_ends, valid, reason = _scan_segment(seg, data)
         if reason and i != len(segments) - 1:
             raise JournalCorruptionError(
                 f"{seg}: segment {i} of {len(segments)} is damaged "
@@ -463,6 +483,8 @@ def scan_journal(path: "str | os.PathLike", *, fs=None) -> JournalScan:
                 offset=valid, reason="mid-chain-tear",
             )
         records.extend(seg_records)
+        ends.extend(total_bytes + end for end in seg_ends)
+        total_bytes += len(data)
         total_valid += valid
         if i == len(segments) - 1:
             tail_reason = reason
@@ -471,6 +493,7 @@ def scan_journal(path: "str | os.PathLike", *, fs=None) -> JournalScan:
         tuple(records), total_valid, total_bytes, tail_reason,
         segments=tuple(str(s) for s in segments),
         tail_valid_bytes=tail_valid,
+        ends=ends,
     )
 
 
@@ -490,6 +513,185 @@ class RecoveryReport:
     torn_reason: str
     #: True when the journal holds an ``end`` record (nothing was lost).
     run_completed: bool
+
+
+def _flush_of(record: dict) -> Flush:
+    """The :class:`Flush` a ``flush`` record journals."""
+    return Flush(int(record["src"]), int(record["dest"]),
+                 tuple(int(m) for m in record["msgs"]))
+
+
+class RecoveryFold:
+    """Recovery state of a journal prefix, folded one record at a time.
+
+    The one implementation of the durable-step and durable-prefix rules.
+    :class:`RecoveryManager` folds a whole scan; a sweep that feeds the
+    records of one scan one at a time holds, after record ``k``, exactly
+    the recovery of the journal truncated anywhere inside record
+    ``k + 1`` (the torn-tail rule keeps whole records only), so every
+    byte offset of a journal needs one fold, not one re-read per offset.
+    ``source`` names the journal in error messages.
+    """
+
+    def __init__(self, source: str = "journal") -> None:
+        self.source = source
+        self.n_records = 0
+        #: the first ``meta`` record's payload (None until one is folded).
+        self.meta: "dict | None" = None
+        #: the first ``driver`` record's driver payload, if any.
+        self.driver: "dict | None" = None
+        #: True once an ``end`` record is folded.
+        self.completed = False
+        #: the newest checkpoint record (the first one at its step).
+        self.checkpoint: "dict | None" = None
+        #: every journaled flush record, in journal order.
+        self.flushes: "list[dict]" = []
+        # The two newest distinct flush steps (-1 = none yet).
+        self._last = self._before_last = -1
+
+    @classmethod
+    def of(cls, records, source: str = "journal") -> "RecoveryFold":
+        """The fold of ``records`` run to the end."""
+        fold = cls(source)
+        for record in records:
+            fold.add(record)
+        return fold
+
+    def add(self, record: dict) -> None:
+        """Fold one scanned record in (records arrive in journal order)."""
+        kind = record["type"]
+        if kind == REC_FLUSH:
+            t = int(record["t"])
+            self.flushes.append(record)
+            if t > self._last:
+                self._last, self._before_last = t, self._last
+            elif self._last > t > self._before_last:
+                self._before_last = t
+        elif kind == REC_CHECKPOINT:
+            if self.checkpoint is None or record["t"] > self.checkpoint["t"]:
+                self.checkpoint = record
+        elif kind == REC_META:
+            if self.meta is None:
+                self.meta = {k: v for k, v in record.items() if k != "type"}
+        elif kind == REC_DRIVER:
+            if self.driver is None:
+                self.driver = record["driver"]
+        elif kind == REC_END:
+            self.completed = True
+        self.n_records += 1
+
+    def last_durable_step(self) -> int:
+        """The newest step with evidence it fully executed (see module doc)."""
+        max_cp = -1 if self.checkpoint is None else self.checkpoint["t"]
+        last = self._last
+        if last < 0:
+            return max(max_cp, 0)
+        if self.completed or max_cp >= last:
+            return max(last, max_cp)
+        # No evidence step `last` finished: it is not durable.
+        return max(self._before_last, max_cp, 0)
+
+    def check_prefix(
+        self, schedules: "Mapping[int, FlushSchedule]", *,
+        shard: "int | None" = None,
+    ) -> int:
+        """The durable-prefix rule: every durable journaled flush is in its
+        shard's reference schedule (``schedules[shard]``) at its step.
+
+        ``shard`` restricts the check to one shard's flushes.  Returns the
+        number of flushes checked; raises
+        :class:`JournalCorruptionError` (``schedule-mismatch``) on the
+        first one the reference lacks — the journal belongs to a
+        different run.
+        """
+        durable = self.last_durable_step()
+        checked = 0
+        for rec in self.flushes:
+            t, sid = int(rec["t"]), int(rec.get("shard", 0))
+            if t > durable or (shard is not None and sid != shard):
+                continue
+            flush = _flush_of(rec)
+            reference = schedules.get(sid)
+            if reference is None or flush not in reference.flushes_at(t):
+                raise JournalCorruptionError(
+                    f"{self.source}: journaled flush {flush!r} (shard "
+                    f"{sid}, step {t}) is not in the reference schedule — "
+                    "the journal belongs to a different run",
+                    reason="schedule-mismatch",
+                )
+            checked += 1
+        return checked
+
+    def state(
+        self, instance: WORMSInstance
+    ) -> "tuple[CheckpointRecord, int]":
+        """(state at the last durable step, step of the snapshot it grew
+        from): the newest checkpoint (or the instance's initial state)
+        plus every durable journaled flush after it."""
+        if not self.n_records:
+            raise JournalCorruptionError(
+                f"{self.source}: no usable records survived",
+                reason="no-records",
+            )
+        n = instance.n_messages
+        meta = self.meta
+        if meta is not None and meta.get("n_messages", n) != n:
+            raise JournalCorruptionError(
+                f"{self.source}: journal is for "
+                f"{meta['n_messages']} messages, instance has {n}",
+                reason="instance-mismatch",
+            )
+        cp = self.checkpoint
+        if cp is None:
+            location, completion = _initial_state(instance)
+            base = CheckpointRecord(0, tuple(location), tuple(completion))
+        elif len(cp["locations"]) != n or len(cp["completions"]) != n:
+            raise JournalCorruptionError(
+                f"{self.source}: checkpoint at step {cp['t']} has "
+                f"{len(cp['locations'])} message slots, instance has {n}",
+                reason="instance-mismatch",
+            )
+        else:
+            base = CheckpointRecord(
+                int(cp["t"]),
+                tuple(int(v) for v in cp["locations"]),
+                tuple(int(v) for v in cp["completions"]),
+            )
+        durable = self.last_durable_step()
+        if durable <= base.step:
+            return base, base.step
+        location = list(base.locations)
+        completion = list(base.completions)
+        by_step: dict[int, list[Flush]] = {}
+        for rec in self.flushes:
+            if base.step < rec["t"] <= durable:
+                by_step.setdefault(int(rec["t"]), []).append(_flush_of(rec))
+        for t in sorted(by_step):
+            _apply_step(t, by_step[t], location, completion, instance.targets)
+        state = CheckpointRecord(durable, tuple(location), tuple(completion))
+        return state, base.step
+
+    def recover(
+        self, instance: WORMSInstance, schedule: FlushSchedule, *,
+        torn_bytes: int = 0, torn_reason: str = "",
+    ) -> RecoveryReport:
+        """Restore the state, check the durable prefix against
+        ``schedule``, resume and validate (see
+        :meth:`RecoveryManager.recover`)."""
+        from repro.dam.validator import validate_recovery
+
+        cp, base_step = self.state(instance)
+        replayed = self.check_prefix({0: schedule})
+        result = validate_recovery(instance, schedule, cp)
+        return RecoveryReport(
+            result=result,
+            resumed_from_step=cp.step,
+            checkpoint_step=base_step,
+            replayed_flushes=replayed,
+            torn_bytes=torn_bytes,
+            torn_reason=torn_reason,
+            run_completed=self.completed,
+        )
 
 
 class RecoveryManager:
@@ -512,6 +714,7 @@ class RecoveryManager:
     def __init__(self, path: "str | os.PathLike") -> None:
         self.path = Path(path)
         self._scan: "JournalScan | None" = None
+        self._fold: "tuple[JournalScan, RecoveryFold] | None" = None
 
     def scan(self, *, refresh: bool = False) -> JournalScan:
         """Read the journal (cached; ``refresh=True`` to re-read)."""
@@ -519,18 +722,22 @@ class RecoveryManager:
             self._scan = scan_journal(self.path)
         return self._scan
 
+    def fold(self) -> RecoveryFold:
+        """The :class:`RecoveryFold` of the current scan, run to the end."""
+        scan = self.scan()
+        if self._fold is None or self._fold[0] is not scan:
+            self._fold = (scan, RecoveryFold.of(scan.records, str(self.path)))
+        return self._fold[1]
+
     @property
     def meta(self) -> "dict | None":
         """The journal's ``meta`` record payload (None if it didn't survive)."""
-        for rec in self.scan().records:
-            if rec["type"] == REC_META:
-                return {k: v for k, v in rec.items() if k != "type"}
-        return None
+        return self.fold().meta
 
     @property
     def run_completed(self) -> bool:
         """True iff the journal carries an ``end`` record."""
-        return any(r["type"] == REC_END for r in self.scan().records)
+        return self.fold().completed
 
     def repair(self) -> int:
         """Truncate the torn tail off the chain in place; returns bytes cut.
@@ -556,108 +763,9 @@ class RecoveryManager:
             self.scan(refresh=True)
         return scan.torn_bytes
 
-    # ------------------------------------------------------------------
     def last_durable_step(self) -> int:
         """The newest step with evidence it fully executed (see module doc)."""
-        records = self.scan().records
-        completed = any(r["type"] == REC_END for r in records)
-        max_cp = max((r["t"] for r in records
-                      if r["type"] == REC_CHECKPOINT), default=-1)
-        steps = sorted({r["t"] for r in records if r["type"] == REC_FLUSH})
-        if not steps:
-            return max(max_cp, 0)
-        last = steps[-1]
-        if completed or max_cp >= last:
-            return max(last, max_cp)
-        # No evidence step `last` finished: it is not durable.
-        durable = steps[-2] if len(steps) >= 2 else 0
-        return max(durable, max_cp, 0)
-
-    def recovered_checkpoint(self, instance: WORMSInstance) -> CheckpointRecord:
-        """Rebuild the machine state at the last durable step.
-
-        Starts from the newest journaled checkpoint (or the instance's
-        initial state if none survived), then applies every durable
-        journaled flush after it.  Raises
-        :class:`JournalCorruptionError` if no records survived or the
-        journal belongs to a different instance.
-        """
-        return self._recover_state(instance)[0]
-
-    def _recover_state(
-        self, instance: WORMSInstance
-    ) -> "tuple[CheckpointRecord, int]":
-        """(state at last durable step, step of the snapshot it grew from)."""
-        records = self.scan().records
-        if not records:
-            raise JournalCorruptionError(
-                f"{self.path}: no usable records survived (journal "
-                f"truncated to {self.scan().file_bytes} byte(s))",
-                reason="no-records",
-            )
-        n = instance.n_messages
-        meta = self.meta
-        if meta is not None and meta.get("n_messages", n) != n:
-            raise JournalCorruptionError(
-                f"{self.path}: journal is for "
-                f"{meta['n_messages']} messages, instance has {n}",
-                reason="instance-mismatch",
-            )
-        base: "CheckpointRecord | None" = None
-        for rec in records:
-            if rec["type"] == REC_CHECKPOINT and (
-                base is None or rec["t"] > base.step
-            ):
-                if len(rec["locations"]) != n or len(rec["completions"]) != n:
-                    raise JournalCorruptionError(
-                        f"{self.path}: checkpoint at step {rec['t']} has "
-                        f"{len(rec['locations'])} message slots, instance "
-                        f"has {n}",
-                        reason="instance-mismatch",
-                    )
-                base = CheckpointRecord(
-                    int(rec["t"]),
-                    tuple(int(v) for v in rec["locations"]),
-                    tuple(int(v) for v in rec["completions"]),
-                )
-        if base is None:
-            location, completion = _initial_state(instance)
-            base = CheckpointRecord(0, tuple(location), tuple(completion))
-        durable = self.last_durable_step()
-        if durable <= base.step:
-            return base, base.step
-        location = list(base.locations)
-        completion = list(base.completions)
-        targets = instance.targets
-        by_step: dict[int, list[Flush]] = {}
-        for rec in records:
-            if rec["type"] == REC_FLUSH and base.step < rec["t"] <= durable:
-                by_step.setdefault(int(rec["t"]), []).append(
-                    Flush(int(rec["src"]), int(rec["dest"]),
-                          tuple(int(m) for m in rec["msgs"]))
-                )
-        for t in sorted(by_step):
-            _apply_step(t, by_step[t], location, completion, targets)
-        state = CheckpointRecord(durable, tuple(location), tuple(completion))
-        return state, base.step
-
-    def _check_prefix(self, schedule: FlushSchedule, durable: int) -> int:
-        """Verify durable journaled flushes appear in ``schedule``'s prefix."""
-        replayed = 0
-        for rec in self.scan().records:
-            if rec["type"] != REC_FLUSH or rec["t"] > durable:
-                continue
-            f = Flush(int(rec["src"]), int(rec["dest"]),
-                      tuple(int(m) for m in rec["msgs"]))
-            if f not in schedule.flushes_at(int(rec["t"])):
-                raise JournalCorruptionError(
-                    f"{self.path}: journaled flush {f!r} at step "
-                    f"{rec['t']} is not in the reference schedule — the "
-                    "journal belongs to a different run",
-                    reason="schedule-mismatch",
-                )
-            replayed += 1
-        return replayed
+        return self.fold().last_durable_step()
 
     def recover(
         self, instance: WORMSInstance, schedule: FlushSchedule, *,
@@ -665,51 +773,42 @@ class RecoveryManager:
     ) -> RecoveryReport:
         """Full recovery: repair the tail, restore state, resume, validate.
 
-        Resumes ``schedule`` from the reconstructed state via
+        Folds the whole journal (:class:`RecoveryFold`), resumes
+        ``schedule`` from the reconstructed state via
         :func:`repro.dam.trace.resume_simulation` and asserts the result
         matches an uninterrupted replay exactly
         (:func:`~repro.dam.validator.validate_recovery`).  Returns a
         :class:`RecoveryReport`; raises a typed error on any damage the
         torn-tail rule cannot absorb.
         """
-        from repro.dam.validator import validate_recovery
-
         obs = current_obs()
         with obs.tracer.span(
             "journal.recover", category="journal", path=str(self.path)
         ) as span:
             t0 = obs.profiler.clock() if obs.enabled else 0.0
             scan = self.scan()
-            torn_bytes, torn_reason = scan.torn_bytes, scan.torn_reason
             if repair:
                 self.repair()
-            cp, base_step = self._recover_state(instance)
-            replayed = self._check_prefix(schedule, cp.step)
-            result = validate_recovery(instance, schedule, cp)
+            report = self.fold().recover(
+                instance, schedule,
+                torn_bytes=scan.torn_bytes, torn_reason=scan.torn_reason,
+            )
             if obs.enabled:
                 obs.profiler.add(
                     PHASE_RECOVER, obs.profiler.clock() - t0
                 )
-                span.set("resumed_from_step", cp.step)
-                span.set("replayed_flushes", replayed)
-                span.set("torn_bytes", torn_bytes)
+                span.set("resumed_from_step", report.resumed_from_step)
+                span.set("replayed_flushes", report.replayed_flushes)
+                span.set("torn_bytes", report.torn_bytes)
                 obs.metrics.counter(
                     "journal_recoveries_total", "successful recoveries"
                 ).inc()
                 obs.metrics.counter(
                     "journal_replayed_flushes_total",
                     "journaled flushes replayed during recovery",
-                ).inc(replayed)
+                ).inc(report.replayed_flushes)
                 obs.metrics.counter(
                     "journal_torn_bytes_total",
                     "torn tail bytes discarded by repair",
-                ).inc(torn_bytes)
-        return RecoveryReport(
-            result=result,
-            resumed_from_step=cp.step,
-            checkpoint_step=base_step,
-            replayed_flushes=replayed,
-            torn_bytes=torn_bytes,
-            torn_reason=torn_reason,
-            run_completed=self.run_completed,
-        )
+                ).inc(report.torn_bytes)
+        return report

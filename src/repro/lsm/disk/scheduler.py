@@ -56,11 +56,6 @@ def level_capacity(level: int, *, memtable_capacity: int,
     return memtable_capacity * size_ratio ** (level + 1)
 
 
-def _overlap_below(meta: "SSTableMeta",
-                   below: "tuple[SSTableMeta, ...]") -> "list[SSTableMeta]":
-    return [m for m in below if meta.overlaps(m)]
-
-
 def _l0_closure(level0: "tuple[SSTableMeta, ...]",
                 seed: "SSTableMeta") -> "list[SSTableMeta]":
     """Transitive overlap closure at L0 (runs there may overlap each

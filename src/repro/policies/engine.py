@@ -42,19 +42,14 @@ caller applies its own rule to it:
   time in a service — and forces a re-plan when :attr:`idle_streak`
   passes :data:`MAX_IDLE_STEPS`.
 
-**Candidate source.**  The scan visits pending flushes in priority
-order.  A fault-free, unpaced batch run over a long flush list may
-install a numpy prefilter (:meth:`ShardEngine.prefilter`) that yields
-only the flushes whose first message sits at their source; every
-candidate still passes the full gate, so the decisions are
-byte-identical (see :class:`_VectorScan`).
+**Candidate source.**  Every step scans the pending flushes in
+priority order; a flush whose first message is not at its source is
+rejected by an O(1) check before the rest of the gate runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.dam.schedule import Flush, FlushSchedule
 from repro.faults.injector import (
@@ -102,58 +97,6 @@ class ShardStats:
     paced_splits: int = 0
 
 
-class _VectorScan:
-    """Numpy candidate source for the priority scan (dense message ids).
-
-    Keeps ``where`` (message id -> node, a mirror of the engine's
-    locations that also keeps completed messages at their last node) and
-    two arrays parallel to the pending list — first message and source
-    — and answers "which pending flushes *could* run this step" with one
-    vectorized compare, in priority order::
-
-        candidates = nonzero(where[first] == src)
-
-    **Why the decisions stay byte-identical**: the filter uses
-    start-of-step state, and the two ways mid-step movement could make
-    it diverge from the full scan both cancel out —
-
-    * a flush whose first message *arrives* at its source mid-step is not
-      a candidate, but the full scan rejects it too (the message moved
-      this step, and moved messages never flush again in the same step);
-    * a flush whose messages *leave* mid-step is a candidate, but the
-      gate re-runs on every candidate and rejects it exactly as the full
-      scan would.
-
-    Only fault-free, unpaced runs may use it: there the flushes it skips
-    would be rejected by the O(1) first-message check with no side
-    effect, whereas faults and pacing update backoff, stall and hold
-    bookkeeping on flushes that are not ready.
-    """
-
-    __slots__ = ("where", "first", "src")
-
-    def __init__(self, where: np.ndarray) -> None:
-        self.where = where
-        self.first = self.src = np.zeros(0, dtype=np.int64)
-
-    def rebuild(self, pending: "list[_Pending]") -> None:
-        """Recompute the per-flush arrays (new plan or compaction)."""
-        n = len(pending)
-        self.first = np.fromiter(
-            (pf.flush.messages[0] for pf in pending), dtype=np.int64,
-            count=n,
-        )
-        self.src = np.fromiter(
-            (pf.flush.src for pf in pending), dtype=np.int64, count=n
-        )
-
-    def candidates(self, pending: "list[_Pending]"):
-        """Maybe-ready pending flushes, in priority order."""
-        # Lazy: the scan usually stops after a few candidates.
-        idx = np.flatnonzero(self.where[self.first] == self.src)
-        return map(pending.__getitem__, idx)
-
-
 class ShardEngine:
     """One DAM machine's live state + the stepwise flush gate.
 
@@ -198,7 +141,6 @@ class ShardEngine:
         self.occupancy = [0] * topology.n_nodes
         self.pending: "list[_Pending]" = []
         self._n_pending = 0
-        self._vscan: "_VectorScan | None" = None
         self.schedule = FlushSchedule()
         self.stats = ShardStats()
         #: messages currently at the root (admitted, not yet flushed down).
@@ -310,28 +252,15 @@ class ShardEngine:
         if schedule is not None:
             self.schedule = schedule
 
-    def prefilter(self, where: np.ndarray) -> None:
-        """Install the numpy candidate source (see :class:`_VectorScan`).
-
-        ``where`` maps every dense message id to its node.  Callers must
-        only do this for fault-free, unpaced engines.
-        """
-        self._vscan = _VectorScan(where)
-        self._vscan.rebuild(self.pending)
-
     def set_plan(self, flushes: "list[Flush]") -> None:
         """Replace the pending priority list (epoch full re-plan)."""
         self.pending = self._make_pending(flushes)
         self._n_pending = len(self.pending)
-        if self._vscan is not None:
-            self._vscan.rebuild(self.pending)
 
     def append_plan(self, flushes: "list[Flush]") -> None:
         """Append flushes at the tail of the priority list (incremental)."""
         self.pending.extend(self._make_pending(flushes))
         self._n_pending += len(flushes)
-        if self._vscan is not None:
-            self._vscan.rebuild(self.pending)
 
     def _make_pending(self, flushes: "list[Flush]") -> "list[_Pending]":
         target = self.targets.get
@@ -364,7 +293,6 @@ class ShardEngine:
         stall_until = self._stall_until
         stats = self.stats
         pending = self.pending
-        vscan = self._vscan
         shard = self.shard_id
         schedule = self.schedule
         P = self.P
@@ -392,8 +320,7 @@ class ShardEngine:
         for completions_only in passes:
             if attempted >= capacity or paced_out:
                 break
-            scan = pending if vscan is None else vscan.candidates(pending)
-            for pf in scan:
+            for pf in pending:
                 if pf.done:
                     continue
                 if attempted >= capacity:
@@ -524,8 +451,6 @@ class ShardEngine:
                 moved.update(delivered)
                 if journal is not None:
                     journal.record_flush(t, shard, actual)
-                if vscan is not None:
-                    vscan.where[list(delivered)] = dest
                 if src == root:
                     self.root_backlog -= n
                 elif not is_leaf[src]:
@@ -550,8 +475,6 @@ class ShardEngine:
         n_pending = self._n_pending
         if n_pending and len(pending) > 2 * n_pending:
             self.pending = [pf for pf in pending if not pf.done]
-            if vscan is not None:
-                vscan.rebuild(self.pending)
         self.attempted = attempted
         self.ran = ran
         self.waiting = waiting

@@ -28,16 +28,9 @@ realized flush plus a :class:`~repro.dam.trace.CheckpointRecord` every
 ``checkpoint_every`` steps into a crash-consistent journal, so a killed
 process can be resumed exactly (see :mod:`repro.dam.journal`).  With
 ``journal=None`` (the default) no journal state is even allocated.
-
-**Scan cost.**  Fault-free runs of at least
-:data:`VECTOR_SCAN_AUTO_THRESHOLD` flushes install the engine's numpy
-candidate prefilter (:meth:`~repro.policies.engine.ShardEngine.prefilter`);
-the realized schedule is byte-identical either way.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.core.worms import WORMSInstance
 from repro.dam.schedule import Flush, FlushSchedule
@@ -52,10 +45,6 @@ _DIAG_LIMIT = 5
 
 #: Default checkpoint cadence (steps) when journaling is enabled.
 DEFAULT_CHECKPOINT_EVERY = 32
-
-#: Fault-free runs with at least this many flushes scan through the
-#: engine's numpy prefilter (see :class:`repro.policies.engine._VectorScan`).
-VECTOR_SCAN_AUTO_THRESHOLD = 100_000
 
 
 def stalled_error(
@@ -277,9 +266,6 @@ class GatedExecutor:
             {m: v for m, v in enumerate(start) if v != targets[m]}, targets
         )
         engine.set_plan(flushes)
-        if (engine.injector is None
-                and len(flushes) >= VECTOR_SCAN_AUTO_THRESHOLD):
-            engine.prefilter(np.asarray(start, dtype=np.int64))
         return engine
 
     def _locations(self, engine: ShardEngine) -> "list[int]":
@@ -299,7 +285,6 @@ class GatedExecutor:
         )
         t_wall = obs.profiler.clock() if obs.enabled else 0.0
         engine = self._engine(flushes)
-        span.set("scan", "scalar" if engine._vscan is None else "vector")
         journal = self._start_journal(engine)
         try:
             self._drive(engine, journal)

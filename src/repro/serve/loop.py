@@ -36,8 +36,6 @@ from dataclasses import replace as dataclass_replace
 from repro.dam.journal import (
     JournalWriter,
     RecoveryManager,
-    REC_DRIVER,
-    REC_FLUSH,
     divert_record,
     driver_record,
     flush_record,
@@ -1230,9 +1228,11 @@ class ServiceLoop(ShardStep):
 
         With a journal attached, durability is sealed first (checkpoint
         + flush: every record through step ``t - 1`` becomes durable)
-        and the scan cross-checks that the durable journal holds no
-        record for this shard that its realized schedule doesn't — the
-        detection half of the exact-or-typed-error contract.  The fold
+        and the durable-prefix check
+        (:meth:`~repro.dam.journal.RecoveryFold.check_prefix`) confirms
+        the durable journal holds no record for this shard that its
+        realized schedule doesn't — the detection half of the
+        exact-or-typed-error contract.  The fold
         itself always runs on the schedule, which survives rotation +
         compaction dropping sealed records a checkpoint superseded.
         """
@@ -1244,23 +1244,9 @@ class ServiceLoop(ShardStep):
             self._journal.checkpoint(
                 t - 1, self._next_gid, len(self.metrics.completion_step)
             )
-            manager = RecoveryManager(self._journal.writer.path)
-            scan = manager.scan(refresh=True)
-            durable = manager.last_durable_step()
-            executed = set(realized)
-            for rec in scan.records:
-                if rec["type"] != REC_FLUSH or int(rec.get("shard", 0)) != sid:
-                    continue
-                if int(rec["t"]) > durable:
-                    continue
-                key = (int(rec["t"]), int(rec["src"]), int(rec["dest"]),
-                       tuple(int(m) for m in rec["msgs"]))
-                if key not in executed:
-                    raise JournalCorruptionError(
-                        f"shard {sid}: durable journal holds flush "
-                        f"{key!r} that this run never executed",
-                        reason="schedule-mismatch",
-                    )
+            RecoveryManager(self._journal.writer.path).fold().check_prefix(
+                {sid: self.engines[sid].schedule}, shard=sid
+            )
         return realized
 
     def _restart_shard(self, sid: int, t: int) -> bool:
@@ -1578,39 +1564,14 @@ class ServeRecoveryReport:
     run_completed: bool
 
 
-def recover_serve(path, *, repair: bool = True) -> ServeRecoveryReport:
-    """Recover an interrupted serving run from its journal.
+def rederive_serve(meta: dict, driver: "dict | None" = None) -> ServeReport:
+    """Re-run the serving run a journal's ``meta`` record describes.
 
-    The loop is deterministic in its config, so recovery re-derives the
-    uninterrupted run from the journal's ``meta``, then verifies every
-    durable journaled flush appears in the re-derived shard schedules at
-    the same step — the same exact-or-typed-error contract as batch
-    recovery.  Returns the re-derived report (completion times identical
-    to an uninterrupted run) plus what the journal contributed.
+    The loop is deterministic in its config, so this is the
+    uninterrupted run, a pure function of ``meta`` (a serve journal's)
+    and, when the meta names no driver, of the journal's first
+    ``driver`` record.
     """
-    obs = current_obs()
-    span = obs.tracer.span(
-        "serve.recover", category="serve", path=str(path)
-    )
-    t_wall = obs.profiler.clock() if obs.enabled else 0.0
-    manager = RecoveryManager(path)
-    scan = manager.scan()
-    meta = manager.meta
-    if meta is None:
-        raise JournalCorruptionError(
-            f"{path}: no meta record survived; the serving run cannot be "
-            "reconstructed",
-            reason="no-records",
-        )
-    if meta.get("policy") != SERVE_POLICY:
-        raise JournalCorruptionError(
-            f"{path}: journal meta has policy {meta.get('policy')!r}, "
-            f"not {SERVE_POLICY!r}",
-            reason="instance-mismatch",
-        )
-    torn_bytes, torn_reason = scan.torn_bytes, scan.torn_reason
-    if repair:
-        manager.repair()
     config = ServeConfig.from_meta(meta)
     if config.engine != "sim":
         # Re-derivation is a *verification* replay: the durable store
@@ -1624,10 +1585,7 @@ def recover_serve(path, *, repair: bool = True) -> ServeRecoveryReport:
     # identically (they are seeded from the same config).  A run names
     # its driver in meta (chaos or non-default supervision) or, failing
     # that, in a record at its first breaker trip.
-    driver = meta.get("driver") or next(
-        (rec["driver"] for rec in scan.records
-         if rec["type"] == REC_DRIVER), None,
-    ) or {}
+    driver = meta.get("driver") or driver or {}
     kwargs = dict(
         supervisor=(
             SupervisorConfig.from_meta(meta["supervisor"])
@@ -1638,31 +1596,50 @@ def recover_serve(path, *, repair: bool = True) -> ServeRecoveryReport:
     if driver.get("kind") == "procpool":
         # Local import: repro.serve.procpool imports this module.
         from repro.serve.procpool import ProcPoolLoop
-        report = ProcPoolLoop(
+        return ProcPoolLoop(
             config, processes=int(driver.get("processes", 1)), **kwargs,
         ).run()
-    else:
-        # "inprocess", the retired "threads" (the same run), or none.
-        report = ServiceLoop(config, **kwargs).run()
-    durable = manager.last_durable_step()
-    replayed = 0
-    for rec in manager.scan().records:
-        if rec["type"] != REC_FLUSH or rec["t"] > durable:
-            continue
-        f = Flush(int(rec["src"]), int(rec["dest"]),
-                  tuple(int(m) for m in rec["msgs"]))
-        sid = int(rec.get("shard", 0))
-        if (
-            sid >= len(report.shard_schedules)
-            or f not in report.shard_schedules[sid].flushes_at(int(rec["t"]))
-        ):
-            raise JournalCorruptionError(
-                f"{path}: journaled flush {f!r} (shard {sid}, step "
-                f"{rec['t']}) is not in the re-derived serving run — the "
-                "journal belongs to a different run",
-                reason="schedule-mismatch",
-            )
-        replayed += 1
+    # "inprocess", the retired "threads" (the same run), or none.
+    return ServiceLoop(config, **kwargs).run()
+
+
+def recover_serve(path, *, repair: bool = True) -> ServeRecoveryReport:
+    """Recover an interrupted serving run from its journal.
+
+    Re-derives the uninterrupted run (:func:`rederive_serve`), then
+    verifies every durable journaled flush appears in the re-derived
+    shard schedules at the same step
+    (:meth:`~repro.dam.journal.RecoveryFold.check_prefix`, the same
+    exact-or-typed-error contract as batch recovery).  Returns the
+    re-derived report (completion times identical to an uninterrupted
+    run) plus what the journal contributed.
+    """
+    obs = current_obs()
+    span = obs.tracer.span(
+        "serve.recover", category="serve", path=str(path)
+    )
+    t_wall = obs.profiler.clock() if obs.enabled else 0.0
+    manager = RecoveryManager(path)
+    scan = manager.scan()
+    fold = manager.fold()
+    if fold.meta is None:
+        raise JournalCorruptionError(
+            f"{path}: no meta record survived; the serving run cannot be "
+            "reconstructed",
+            reason="no-records",
+        )
+    if fold.meta.get("policy") != SERVE_POLICY:
+        raise JournalCorruptionError(
+            f"{path}: journal meta has policy {fold.meta.get('policy')!r}, "
+            f"not {SERVE_POLICY!r}",
+            reason="instance-mismatch",
+        )
+    torn_bytes, torn_reason = scan.torn_bytes, scan.torn_reason
+    if repair:
+        manager.repair()
+    report = rederive_serve(fold.meta, fold.driver)
+    replayed = fold.check_prefix(dict(enumerate(report.shard_schedules)))
+    durable = fold.last_durable_step()
     if obs.enabled:
         obs.profiler.add(PHASE_RECOVER, obs.profiler.clock() - t_wall)
         span.set("resumed_from_step", durable)
@@ -1678,5 +1655,5 @@ def recover_serve(path, *, repair: bool = True) -> ServeRecoveryReport:
         replayed_flushes=replayed,
         torn_bytes=torn_bytes,
         torn_reason=torn_reason,
-        run_completed=manager.run_completed,
+        run_completed=fold.completed,
     )

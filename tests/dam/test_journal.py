@@ -1,18 +1,21 @@
 """Tests for the crash-consistent execution journal + recovery manager.
 
-The load-bearing property (the PR's acceptance bar): truncate the
-journal at *every* byte offset of a real run and recovery either resumes
+The load-bearing property: truncate the journal at *every* byte offset
+of a real run, or flip any one byte of it, and recovery either resumes
 to completion times identical to the uninterrupted run, or raises a
 typed :class:`JournalCorruptionError` — it never returns a wrong answer.
-The quick suite proves it on a small run; the ``fuzz`` marker scales it
-up and adds per-offset byte flips for the scheduled CI job.
+Tier-1 checks every offset: one recovery per record boundary covers
+every byte inside the next record (``tests/journal_sweep.py``).
 """
 
 from __future__ import annotations
 
 import json
+import random
 import struct
 import zlib
+from bisect import bisect_right
+from collections import Counter
 
 import pytest
 
@@ -22,8 +25,11 @@ from repro.dam.journal import (
     MAGIC,
     REC_CHECKPOINT,
     REC_END,
+    REC_FAULT,
     REC_FLUSH,
     REC_META,
+    _HEADER,
+    _scan_segment,
     encode_record,
 )
 from repro.faults import flip_byte, truncate_at
@@ -31,6 +37,7 @@ from repro.policies import GatedExecutor, ResilientExecutor, WormsPolicy
 from repro.tree import balanced_tree
 from repro.util.errors import JournalCorruptionError
 from tests.conftest import make_uniform
+from tests.journal_sweep import batch_outcome, batch_sweep, fold_outcomes
 
 
 def ordered_flushes(schedule):
@@ -224,80 +231,89 @@ def test_checkpoint_every_validation():
 # ----------------------------------------------------------------------
 # The kill-at-any-offset property.
 # ----------------------------------------------------------------------
-def _assert_exact_or_typed(inst, sched, damaged, reference):
-    try:
-        report = RecoveryManager(damaged).recover(inst, sched)
-    except JournalCorruptionError:
-        return "typed"
-    assert (
-        report.result.completion_times.tolist()
-        == reference.completion_times.tolist()
-    )
-    return "exact"
-
-
 def test_kill_at_every_offset(journaled_run, tmp_path):
-    """Truncate at every byte: exact recovery or typed error, never wrong."""
-    inst, sched, path = journaled_run
-    reference = RecoveryManager(path).recover(inst, sched).result
-    size = path.stat().st_size
-    damaged = tmp_path / "killed.journal"
-    outcomes = {"exact": 0, "typed": 0}
-    for offset in range(size + 1):
-        truncate_at(path, offset, out=damaged)
-        outcomes[_assert_exact_or_typed(inst, sched, damaged, reference)] += 1
-    assert outcomes["exact"] + outcomes["typed"] == size + 1
-    # Most offsets land after the meta record and recover exactly.
-    assert outcomes["exact"] > outcomes["typed"]
+    """Truncate at every byte: exact recovery or typed error, never wrong.
 
-
-@pytest.mark.fuzz
-def test_fuzz_kill_at_every_offset_faulty_run(tmp_path):
-    """Scheduled-job version: every offset of a *faulty* run's journal.
-
-    The quick test sweeps a fault-free journal; this one guarantees the
-    property also holds when the journal carries fault records (retries,
-    partial deliveries) interleaved with flushes and checkpoints.  Kept
-    to a few hundred messages on purpose: each offset replays a
-    recovery, so the sweep is quadratic-ish in run length.
+    Two journals: the fault-free run, and a faulty one whose journal
+    carries fault records (retries, partial deliveries) interleaved with
+    flushes and checkpoints.
     """
+    inst, sched, path = journaled_run
+    counts = batch_sweep(inst, sched, path, tmp_path / "cut")
+    assert counts["offsets"] == path.stat().st_size + 1
+    # Most offsets land after the meta record and recover exactly.
+    assert counts["exact"] > counts["typed"]
+
+    from repro.faults import FaultInjector, FaultPlan
+
     inst = make_uniform(balanced_tree(3, 3), n_messages=250, P=3, B=16,
                         seed=13)
     ordered = ordered_flushes(WormsPolicy().schedule(inst))
     path = tmp_path / "run.journal"
-    from repro.faults import FaultInjector, FaultPlan
-
     injector = FaultInjector(FaultPlan.uniform(0.05), seed=5)
     sched = ResilientExecutor(
         inst, injector, journal=path, checkpoint_every=8
     ).run(list(ordered))
-    reference = RecoveryManager(path).recover(inst, sched).result
-    size = path.stat().st_size
-    damaged = tmp_path / "killed.journal"
-    for offset in range(size + 1):
-        truncate_at(path, offset, out=damaged)
-        _assert_exact_or_typed(inst, sched, damaged, reference)
+    assert any(r["type"] == REC_FAULT for r in scan_journal(path).records)
+    counts = batch_sweep(inst, sched, path, tmp_path / "cut", seed=1)
+    assert counts["offsets"] == path.stat().st_size + 1
+    assert counts["exact"] > counts["typed"]
 
 
-@pytest.mark.fuzz
-def test_fuzz_flip_every_byte(journaled_run, tmp_path):
-    """Flip each byte in place: exact recovery or typed error, never wrong.
+def test_flip_every_byte(journaled_run, tmp_path):
+    """Flip each byte: exact recovery or typed error, never wrong.
 
-    A flip can be absorbed (tail region), detected (checksum), or — in a
-    length prefix — reinterpreted as a torn tail; in every case recovery
-    must be exact on the surviving prefix or raise the typed error.
+    A flip inside record ``k`` leaves the records before it intact, and
+    CRC-32 catches any one-byte change to a record, so the scan of the
+    damaged journal is decided at record ``k``: it raises (data follows
+    the damage, so corruption), or it discards the tail from record
+    ``k`` on (a flipped length prefix can run the record past the end of
+    the file: a torn tail) and recovery is the fold's at boundary ``k``.
+    One flip therefore costs a scan of one record; from-scratch recovery
+    of real flipped files cross-checks the first and last records and
+    seeded random offsets.
     """
     inst, sched, path = journaled_run
-    reference = RecoveryManager(path).recover(inst, sched).result
-    size = path.stat().st_size
-    damaged = tmp_path / "flipped.journal"
-    for offset in range(size):
-        flip_byte(path, offset, out=damaged)
+    data = path.read_bytes()
+    scan = scan_journal(path)
+    records, ends = scan.records, scan.ends
+    reference = tuple(
+        RecoveryManager(path).recover(inst, sched)
+        .result.completion_times.tolist()
+    )
+
+    def at_boundary(_k, fold):
+        outcome = batch_outcome(lambda: fold.recover(inst, sched))
+        assert outcome[0] == "typed" or outcome[1] == reference
+        return outcome
+
+    outcomes = fold_outcomes(records, at_boundary, 0, len(records))
+
+    def flipped(offset):
+        damaged = bytearray(data)
+        damaged[offset] ^= 0xFF
+        return damaged
+
+    def flip_outcome(offset):
+        if offset < len(_HEADER):
+            return ("typed", "bad-magic")
+        k = bisect_right(ends, offset)
+        start = ends[k - 1] if k else len(_HEADER)
         try:
-            report = RecoveryManager(damaged).recover(inst, sched)
-        except JournalCorruptionError:
-            continue
-        assert (
-            report.result.completion_times.tolist()
-            == reference.completion_times.tolist()
-        )
+            rest = _scan_segment(path, _HEADER + flipped(offset)[start:])[0]
+        except JournalCorruptionError as exc:
+            return ("typed", exc.reason)
+        assert rest == [], "CRC-32 catches every one-byte change"
+        return outcomes[k]
+
+    kinds = Counter(flip_outcome(o)[0] for o in range(len(data)))
+    assert kinds["exact"] + kinds["typed"] == len(data)
+    assert kinds["exact"] > 0
+    sample = set(range(ends[0])) | set(range(ends[-2], ends[-1]))
+    sample |= set(random.Random(0).sample(range(len(data)), 64))
+    damaged = tmp_path / "flipped.journal"
+    for offset in sorted(sample):
+        flip_byte(path, offset, out=damaged)
+        assert batch_outcome(
+            lambda: RecoveryManager(damaged).recover(inst, sched)
+        ) == flip_outcome(offset), offset

@@ -27,6 +27,7 @@ from repro.policies import GatedExecutor, WormsPolicy
 from repro.tree import balanced_tree
 from repro.util.errors import InvalidInstanceError, JournalCorruptionError
 from tests.conftest import make_uniform
+from tests.journal_sweep import batch_sweep
 
 
 def write_chain(path, n_records=40, max_segment_bytes=256):
@@ -213,28 +214,13 @@ def test_kill_at_every_offset_across_rotation_boundary(tmp_path):
     writer.close()
     segments = journal_segments(path)
     assert len(segments) >= 2
-    reference = RecoveryManager(path).recover(inst, sched).result
-    work = tmp_path / "work"
-    work.mkdir()
     # Sweep the boundary: all offsets of the last two segments.
-    for i in (len(segments) - 2, len(segments) - 1):
-        seg = segments[i]
-        for offset in range(seg.stat().st_size + 1):
-            for p in work.glob("rot.journal*"):
-                p.unlink()
-            for src in segments[:i]:
-                (work / src.name).write_bytes(src.read_bytes())
-            (work / seg.name).write_bytes(seg.read_bytes()[:offset])
-            try:
-                report = RecoveryManager(work / "rot.journal").recover(
-                    inst, sched
-                )
-            except JournalCorruptionError:
-                continue
-            assert (
-                report.result.completion_times.tolist()
-                == reference.completion_times.tolist()
-            )
+    last_two = [len(segments) - 2, len(segments) - 1]
+    counts = batch_sweep(inst, sched, path, tmp_path / "work",
+                         segments=last_two)
+    assert counts["offsets"] == sum(
+        segments[i].stat().st_size + 1 for i in last_two
+    )
 
 
 def test_enospc_during_rotation_loses_no_acked_records(tmp_path):

@@ -3,8 +3,11 @@
 R1 — Lemma 12 gap — is pinned in tests/scheduling/test_phtf_mphtf.py.
 R2 — measured constants of the literal Lemma 1 construction.
 R3 — the Figure 2 "23" label (tests/core/test_packed.py).
-R4 — the literal Lemma 1 construction can violate validity (fallback
-     engages) even though Lemma 1 claims it never should.
+R4 — the literal Lemma 1 construction can emit invalid schedules
+     (fallback engages) even though Lemma 1 claims it never should; the
+     common cause is ``_build_ur`` draining packed sets that have not
+     reached their parent yet (EXPERIMENTS.md), pinned here on a
+     2-message instance.
 """
 
 from __future__ import annotations
@@ -29,6 +32,38 @@ def literal_outcome(inst):
     over = task_schedule_to_flush_schedule(red, sigma)
     sched = literal_lemma1_schedule(inst, packed, over)
     return simulate(inst, over), simulate(inst, sched)
+
+
+def test_r4_two_message_counterexample():
+    """Finding R4 on its smallest known instance, ``run_case(seed=1466,
+    height=2, n_msgs=2, P=1, B=7)`` of the E7 bench: ``U_r`` copies, as
+    a drain, the flush out of a packed parent that the set it drains has
+    not reached yet, so the literal output flushes a message from a node
+    it is not at.  The space requirement is never broken.  ``make_valid``
+    returns the serial fallback, which is valid and here costs exactly
+    the overfilling schedule."""
+    from benchmarks.bench_lemma1 import run_case
+    from repro.core.valid_conversion import ConversionDiagnostics, make_valid
+    from repro.workloads import uniform_instance
+
+    over_cost, literal, _fb_cost = run_case(seed=1466, height=2, n_msgs=2,
+                                            P=1, B=7)
+    assert not literal.is_valid
+    assert literal.space_violations == []
+    first = literal.violations[0]
+    assert (first.kind, first.time_step) == ("message_not_at_source", 4)
+
+    topo = random_tree(height=2, min_fanout=2, max_fanout=3, seed=1466)
+    inst = uniform_instance(topo, 2, P=1, B=7, seed=1466)
+    packed = build_packed_sets(inst)
+    red = reduce_to_scheduling(inst, packed)
+    over = task_schedule_to_flush_schedule(red, mphtf_schedule(red.scheduling))
+    diagnostics = ConversionDiagnostics()
+    result = simulate(inst, make_valid(inst, packed, over,
+                                       diagnostics=diagnostics))
+    assert diagnostics.used_fallback
+    assert result.is_valid
+    assert result.total_completion_time == 5 == over_cost
 
 
 def test_r4_literal_lemma1_not_always_valid():

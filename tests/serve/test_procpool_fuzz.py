@@ -21,15 +21,13 @@ from repro.faults import (
     CHAOS_STALL,
     ChaosEvent,
     ChaosPlan,
-    truncate_at,
 )
 from repro.serve import (
     ProcPoolLoop,
     ServeConfig,
     SupervisorConfig,
-    recover_serve,
 )
-from repro.util.errors import JournalCorruptionError
+from tests.journal_sweep import serve_sweep
 
 PLAN = ChaosPlan((
     ChaosEvent(9, CHAOS_STALL, 1, duration=8),
@@ -66,43 +64,20 @@ def test_journal_names_the_procpool_driver(procpool_journal):
     assert driver == {"kind": "procpool", "processes": 2}
 
 
-def test_kill_at_sampled_offsets_procpool_run(procpool_journal, tmp_path):
-    """Sparse sweep kept in the quick suite; the dense one is fuzz-only."""
+def test_kill_at_every_offset_procpool_run(procpool_journal, tmp_path,
+                                           monkeypatch):
+    """Truncate at every byte: the fixture journal, then a larger run
+    rotated across several segments."""
     report, path = procpool_journal
-    size = path.stat().st_size
-    damaged = tmp_path / "killed.journal"
-    outcomes = {"exact": 0, "typed": 0}
-    for offset in range(0, size + 1, max(1, size // 24)):
-        truncate_at(path, offset, out=damaged)
-        try:
-            rec = recover_serve(damaged)
-        except JournalCorruptionError:
-            outcomes["typed"] += 1
-            continue
-        assert rec.report.completions == report.completions
-        outcomes["exact"] += 1
-    assert outcomes["exact"] > 0
+    counts = serve_sweep(path, report, tmp_path / "cut", monkeypatch)
+    assert counts["offsets"] == path.stat().st_size + 1
+    assert counts["exact"] > 0
 
-
-@pytest.mark.fuzz
-def test_fuzz_kill_at_every_offset_procpool_run(tmp_path):
-    """Dense sweep over a rotated multi-process chaos journal."""
     path = tmp_path / "chaos.journal"
     report = chaos_run(path, messages=150, max_segment_bytes=2048)
     segments = journal_segments(path)
     assert len(segments) > 1
-    damaged_dir = tmp_path / "killed"
-    damaged_dir.mkdir()
-    for i, seg in enumerate(segments):
-        size = seg.stat().st_size
-        for offset in range(0, size + 1, 7):
-            for p in damaged_dir.glob("chaos.journal*"):
-                p.unlink()
-            for src in segments[:i]:
-                (damaged_dir / src.name).write_bytes(src.read_bytes())
-            (damaged_dir / seg.name).write_bytes(seg.read_bytes()[:offset])
-            try:
-                rec = recover_serve(damaged_dir / "chaos.journal")
-            except (JournalCorruptionError, FileNotFoundError):
-                continue
-            assert rec.report.completions == report.completions
+    counts = serve_sweep(path, report, tmp_path / "cut", monkeypatch,
+                         seed=1)
+    assert counts["offsets"] == sum(s.stat().st_size + 1 for s in segments)
+    assert counts["exact"] > 0

@@ -14,6 +14,7 @@ from repro.dam.journal import (
 from repro.faults import truncate_at
 from repro.serve import ServeConfig, ServiceLoop, recover_serve
 from repro.util.errors import JournalCorruptionError
+from tests.journal_sweep import serve_sweep
 
 
 @pytest.fixture(scope="module")
@@ -64,24 +65,29 @@ def test_recover_truncated_run_matches_uninterrupted(served_journal,
     assert rec.resumed_from_step <= report.n_steps
 
 
-def test_kill_at_every_offset_serve(served_journal, tmp_path):
-    """Truncate the serve journal at every byte: exact or typed error."""
+def test_kill_at_every_offset_serve(served_journal, tmp_path, monkeypatch):
+    """Truncate serve journals at every byte: exact or typed error.
+
+    Two journals: the fixture run, and a faulty run rotated across
+    several segments (each segment cut at every byte, earlier segments
+    whole, later ones never created).
+    """
     _cfg, report, path = served_journal
-    size = path.stat().st_size
-    damaged = tmp_path / "killed.journal"
-    outcomes = {"exact": 0, "typed": 0}
-    # Every 7th offset keeps the quick suite fast; the CI fuzz job and
-    # the rotation test below cover denser sweeps.
-    for offset in range(0, size + 1, 7):
-        truncate_at(path, offset, out=damaged)
-        try:
-            rec = recover_serve(damaged)
-        except JournalCorruptionError:
-            outcomes["typed"] += 1
-            continue
-        assert rec.report.completions == report.completions
-        outcomes["exact"] += 1
-    assert outcomes["exact"] > outcomes["typed"]
+    counts = serve_sweep(path, report, tmp_path / "cut", monkeypatch)
+    assert counts["offsets"] == path.stat().st_size + 1
+    assert counts["exact"] > counts["typed"]
+
+    cfg = ServeConfig(arrivals="poisson", rate=8.0, messages=120, shards=2,
+                      seed=4, fault_rate=0.05, fault_seed=2,
+                      checkpoint_every=4)
+    path = tmp_path / "serve.journal"
+    report = ServiceLoop(cfg, journal=path, max_segment_bytes=2048).run()
+    segments = journal_segments(path)
+    assert len(segments) > 1
+    counts = serve_sweep(path, report, tmp_path / "cut", monkeypatch,
+                         seed=1)
+    assert counts["offsets"] == sum(s.stat().st_size + 1 for s in segments)
+    assert counts["exact"] > counts["typed"]
 
 
 def test_recover_rejects_batch_journal(tmp_path):
@@ -117,35 +123,6 @@ def test_recover_rejects_foreign_flushes(served_journal, tmp_path):
     with pytest.raises(JournalCorruptionError) as exc:
         recover_serve(forged)
     assert exc.value.reason == "schedule-mismatch"
-
-
-@pytest.mark.fuzz
-def test_fuzz_kill_at_every_offset_serve_dense(tmp_path):
-    """Dense every-offset sweep over a faulty, rotated serving journal."""
-    cfg = ServeConfig(arrivals="poisson", rate=8.0, messages=120, shards=2,
-                      seed=4, fault_rate=0.05, fault_seed=2,
-                      checkpoint_every=4)
-    path = tmp_path / "serve.journal"
-    report = ServiceLoop(cfg, journal=path, max_segment_bytes=2048).run()
-    segments = journal_segments(path)
-    assert len(segments) > 1
-    # Flatten the chain: truncating segment i at offset b == the crash
-    # state (segments < i intact, i cut at b, later ones never created).
-    damaged_dir = tmp_path / "killed"
-    damaged_dir.mkdir()
-    for i, seg in enumerate(segments):
-        size = seg.stat().st_size
-        for offset in range(0, size + 1, 11):
-            for p in damaged_dir.glob("serve.journal*"):
-                p.unlink()
-            for src in segments[:i]:
-                (damaged_dir / src.name).write_bytes(src.read_bytes())
-            (damaged_dir / seg.name).write_bytes(seg.read_bytes()[:offset])
-            try:
-                rec = recover_serve(damaged_dir / "serve.journal")
-            except (JournalCorruptionError, FileNotFoundError):
-                continue
-            assert rec.report.completions == report.completions
 
 
 def test_recover_journal_with_retired_retry_budget_key(tmp_path):
