@@ -7,7 +7,7 @@ Three acts:
    partial flushes strand messages mid-tree and the fault-free validator
    reports the cascade.
 2. Execute the same planned flush order *closed-loop* through the
-   resilient executor — retries with backoff, re-admission, and (when a
+   executor — retries with backoff, re-admission, and (when a
    retry budget runs dry) a WORMS re-plan over the survivors; every
    message completes and the realized schedule validates.
 3. Kill the clean run at an arbitrary step and resume from a checkpoint;
@@ -22,7 +22,7 @@ from repro import FaultInjector, FaultPlan, WormsPolicy, beps_shape_tree
 from repro.dam import checkpoint_at, resume_simulation, validate_recovery
 from repro.dam.simulator import simulate
 from repro.dam.validator import validate_valid
-from repro.policies import ResilientExecutor
+from repro.policies import GatedExecutor
 from repro.workloads import uniform_instance
 
 
@@ -54,13 +54,13 @@ def main() -> None:
     # -- act 2: closed loop.  Same planned priority order, same fault
     # pattern (same seed), but the executor reacts: retry, back off,
     # re-admit, re-plan.
-    executor = ResilientExecutor(
+    executor = GatedExecutor(
         instance, FaultInjector(plan, seed=3), retry_budget=4, max_replans=4
     )
     realized = executor.run(list(ordered))
     sim = validate_valid(instance, realized)  # raises if the run cheated
     s = executor.stats
-    print("closed-loop resilient execution of the same order:")
+    print("closed-loop execution of the same order:")
     print(f"  completed all {instance.n_messages} messages in "
           f"{realized.n_steps} steps (clean plan took {planned.n_steps})")
     print(f"  mean completion {sim.completion_times.mean():.1f} "

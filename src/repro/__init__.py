@@ -45,10 +45,10 @@ from repro.dam import (
 from repro.faults import BurstInjector, BurstPlan, FaultInjector, FaultPlan
 from repro.policies import (
     EagerPolicy,
+    GatedExecutor,
     GreedyBatchPolicy,
     LazyThresholdPolicy,
     PaperPipelinePolicy,
-    ResilientExecutor,
     WormsPolicy,
     online_density_schedule,
 )
@@ -96,7 +96,7 @@ __all__ = [
     "FaultInjector",
     "BurstPlan",
     "BurstInjector",
-    "ResilientExecutor",
+    "GatedExecutor",
     # scheduling
     "SchedulingInstance",
     "compute_horn",

@@ -96,12 +96,14 @@ from repro.faults import ChaosConfig, ChaosPlan, make_injector
 from repro.policies import (
     EagerPolicy,
     GreedyBatchPolicy,
+    GatedExecutor,
     LazyThresholdPolicy,
-    ResilientExecutor,
     WormsPolicy,
 )
-from repro.policies.executor import DEFAULT_CHECKPOINT_EVERY
-from repro.policies.resilient import DEFAULT_RETRY_BUDGET
+from repro.policies.executor import (
+    DEFAULT_CHECKPOINT_EVERY,
+    DEFAULT_RETRY_BUDGET,
+)
 from repro.serve import (
     SERVE_POLICY,
     MetricsEndpoint,
@@ -184,7 +186,7 @@ class RunConfig(InstanceConfig):
     fault_seed: int = field(default=0, metadata={
         "help": "seed of the fault injector"})
     fault_aware: bool = field(default=False, metadata={
-        "help": "enable fault-aware admission in the resilient executor"})
+        "help": "enable fault-aware admission in the executor"})
     retry_budget: int = field(default=DEFAULT_RETRY_BUDGET, metadata={
         "help": "flush attempts before the executor re-plans"})
     checkpoint_every: int = field(default=DEFAULT_CHECKPOINT_EVERY, metadata={
@@ -209,11 +211,11 @@ class RunConfig(InstanceConfig):
         return cls(**{f.name: meta[f.name] for f in dataclass_fields(cls)})
 
     def execute(self, inst, journal=None):
-        """Run the WORMS schedule of ``inst`` through the resilient
-        executor under this config's faults; returns the realized
+        """Run the WORMS schedule of ``inst`` through the executor
+        under this config's faults; returns the realized
         schedule."""
         ordered = [f for _t, f in WormsPolicy().schedule(inst).iter_timed()]
-        executor = ResilientExecutor(
+        executor = GatedExecutor(
             inst,
             make_injector(self.rate, burst=self.burst, seed=self.fault_seed,
                           topology=inst.topology),

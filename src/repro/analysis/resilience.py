@@ -1,7 +1,7 @@
 """Resilience analysis: completion-time inflation under injected faults.
 
 For each policy, the sweep takes the policy's planned flush order,
-executes it closed-loop through :class:`ResilientExecutor` under a
+executes it closed-loop through :class:`GatedExecutor` under a
 parameterized :class:`FaultPlan`, validates the realized schedule with
 the fault-free validator (resilient execution must never trade validity
 for progress), and reports mean and p99 completion-time inflation
@@ -29,10 +29,10 @@ from repro.policies.eager import EagerPolicy
 from repro.policies.greedy_batch import GreedyBatchPolicy
 from repro.policies.lazy_threshold import LazyThresholdPolicy
 from repro.policies.online import OnlineDensityPolicy
-from repro.policies.resilient import (
+from repro.policies.executor import (
     DEFAULT_RETRY_BUDGET,
+    GatedExecutor,
     ResilienceStats,
-    ResilientExecutor,
 )
 from repro.policies.worms_policy import WormsPolicy
 
@@ -110,8 +110,8 @@ def resilience_sweep(
     """Run every policy under every fault rate; returns one cell per pair.
 
     Each policy's planned order is first executed fault-free through the
-    same resilient executor (the zero-overhead path, byte-identical to
-    the gated executor) to establish its baseline; inflation is relative
+    same executor (the zero-overhead path: no fault query is made) to
+    establish its baseline; inflation is relative
     to that baseline, so the numbers isolate *fault* cost from policy
     cost.  All realized schedules are validated.
 
@@ -128,12 +128,12 @@ def resilience_sweep(
     cells: list[ResilienceCell] = []
     for policy in policies:
         ordered = _ordered_flushes(policy.schedule(instance))
-        clean_exec = ResilientExecutor(instance)
+        clean_exec = GatedExecutor(instance)
         clean_sched = clean_exec.run(list(ordered))
         clean = validate_valid(instance, clean_sched)
         clean_stats = summarize(clean.completion_times, clean_sched.n_steps)
         for rate in fault_rates:
-            executor = ResilientExecutor(
+            executor = GatedExecutor(
                 instance,
                 make_injector(rate, burst=burst, seed=seed,
                               topology=instance.topology),

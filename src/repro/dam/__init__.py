@@ -21,7 +21,6 @@ from repro.dam.journal import (
     RecoveryReport,
     scan_journal,
 )
-from repro.dam.machine import DAMSpec
 from repro.dam.schedule import Flush, FlushSchedule
 from repro.dam.simulator import SimulationResult, simulate
 from repro.dam.trace import (
@@ -38,7 +37,6 @@ from repro.dam.validator import (
 )
 
 __all__ = [
-    "DAMSpec",
     "Flush",
     "FlushSchedule",
     "simulate",

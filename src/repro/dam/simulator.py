@@ -28,7 +28,7 @@ degraded capacity are dropped.  Injected faults are recorded as
 wrong), but their downstream consequences surface naturally as
 ``message_not_at_source`` / ``messages_unfinished`` violations: exactly
 the cascade a fixed schedule suffers on a faulty machine.  Closed-loop
-recovery lives in :class:`repro.policies.resilient.ResilientExecutor`.
+recovery lives in :class:`repro.policies.executor.GatedExecutor`.
 """
 
 from __future__ import annotations

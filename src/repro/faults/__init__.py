@@ -8,7 +8,7 @@ by two layers:
 * :func:`repro.dam.simulator.simulate` accepts an injector for
   *open-loop* replay (what happens to a fixed schedule under faults —
   it breaks, and the violation report shows how);
-* :class:`repro.policies.resilient.ResilientExecutor` consults an
+* :class:`repro.policies.executor.GatedExecutor` consults an
   injector *closed-loop* while executing, retrying and re-planning so
   the realized schedule stays valid (see ``docs/MODEL.md``).
 """
@@ -35,7 +35,6 @@ from repro.faults.chaos import (
     ChaosPlan,
 )
 from repro.faults.crashes import (
-    CrashInjector,
     flip_byte,
     tear_last_record,
     truncate_at,
@@ -93,7 +92,6 @@ __all__ = [
     "classify_path",
     "chaos_disk_fault_spec",
     "CHAOS_DISK_FAULT_SPECS",
-    "CrashInjector",
     "truncate_at",
     "tear_last_record",
     "flip_byte",

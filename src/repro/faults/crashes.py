@@ -16,8 +16,7 @@ detect (see :mod:`repro.dam.journal`):
 
 All functions operate on a *copy* by default (``out=`` path), because
 tests and fuzzers want to damage the same reference journal many ways;
-pass ``in_place=True`` to damage the original.  :class:`CrashInjector`
-wraps them with a seeded RNG for randomized crash-point sweeps.
+pass ``in_place=True`` to damage the original.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from __future__ import annotations
 import os
 import shutil
 from pathlib import Path
-
-import numpy as np
 
 from repro.util.errors import InvalidInstanceError
 
@@ -104,41 +101,3 @@ def flip_byte(
         f.seek(offset)
         f.write(bytes([byte[0] ^ xor]))
     return target
-
-
-class CrashInjector:
-    """Seeded random crash points for fuzz sweeps over one journal file.
-
-    Each call draws independently from a deterministic stream, so a fuzz
-    run is reproducible from its seed alone.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        self.seed = int(seed)
-        self._rng = np.random.default_rng(np.random.SeedSequence(self.seed))
-
-    def random_truncation(
-        self, path: "str | os.PathLike", *,
-        out: "str | os.PathLike | None" = None, in_place: bool = False,
-    ) -> "tuple[Path, int]":
-        """Truncate at a uniform random offset; returns (path, offset)."""
-        size = Path(path).stat().st_size
-        offset = int(self._rng.integers(0, size + 1))
-        return (
-            truncate_at(path, offset, out=out, in_place=in_place), offset
-        )
-
-    def random_flip(
-        self, path: "str | os.PathLike", *,
-        out: "str | os.PathLike | None" = None, in_place: bool = False,
-    ) -> "tuple[Path, int]":
-        """Flip a uniform random byte; returns (path, offset)."""
-        size = Path(path).stat().st_size
-        if size == 0:
-            raise InvalidInstanceError("cannot flip a byte in an empty file")
-        offset = int(self._rng.integers(0, size))
-        xor = int(self._rng.integers(1, 256))
-        return (
-            flip_byte(path, offset, xor=xor, out=out, in_place=in_place),
-            offset,
-        )

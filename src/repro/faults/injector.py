@@ -12,7 +12,7 @@ event's coordinates.  Two consequences the rest of the stack relies on:
 
 * **replay stability** — the same plan + seed produces the same fault
   pattern no matter how many times, or in what order, the injector is
-  queried (the simulator and the resilient executor can disagree about
+  queried (the simulator and the batch executor can disagree about
   *when* they ask without disagreeing about *what* happens);
 * **retry independence** — a flush retried at a later step is a new
   event (different step coordinate) and re-rolls its fate, which is what
@@ -170,8 +170,9 @@ class FaultInjector:
     def stall_window_end(self, t: int, node: int) -> "int | None":
         """Last step of the stall window covering ``(t, node)``, or None.
 
-        Fault-aware admission (:class:`~repro.policies.resilient.
-        ResilientExecutor` with ``fault_aware=True``) uses this to model
+        Fault-aware admission (``fault_aware=True`` on
+        :class:`~repro.policies.executor.GatedExecutor` or a serving
+        shard) uses this to model
         an operator who, on observing a stall, knows the device's pause
         duration and parks work on that node until the window closes
         instead of re-probing it every step.

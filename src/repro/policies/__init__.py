@@ -21,18 +21,18 @@ together with the paper's scheduler and an online heuristic:
 
 from repro.policies.base import Policy
 from repro.policies.eager import EagerPolicy
-from repro.policies.executor import GatedExecutor, execute_flush_list
+from repro.policies.executor import (
+    GatedExecutor,
+    ResilienceStats,
+    execute_flush_list,
+    worms_replan,
+)
 from repro.policies.greedy_batch import GreedyBatchPolicy
 from repro.policies.lazy_threshold import LazyThresholdPolicy
 from repro.policies.online import (
     OnlineArrival,
     OnlineDensityPolicy,
     online_density_schedule,
-)
-from repro.policies.resilient import (
-    ResilienceStats,
-    ResilientExecutor,
-    worms_replan,
 )
 from repro.policies.worms_policy import PaperPipelinePolicy, PhtfWormsPolicy, WormsPolicy
 
@@ -46,7 +46,6 @@ __all__ = [
     "PaperPipelinePolicy",
     "GatedExecutor",
     "execute_flush_list",
-    "ResilientExecutor",
     "ResilienceStats",
     "worms_replan",
     "OnlineArrival",

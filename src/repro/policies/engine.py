@@ -23,9 +23,12 @@ rule, each part a no-op until it is switched on:
 * **fault-aware admission** (``fault_aware``): observed stall windows
   are remembered until they close, and degraded capacity is offered to
   completion flushes (flushes that park nothing) first;
-* **pacing** (``pace``): at most ``pace`` messages move per step, an
-  oversized obligation is split and its suffix kept at the same priority
-  — the engine-level half of the Das–Iacono–Nekrich de-amortization.
+* **pacing** (``pace``): every plan the engine takes is de-amortized
+  (:func:`~repro.scheduling.deamortize.pace_flush_list`: oversized
+  obligations split into budget-sized chunks that interleave
+  round-robin), and at most ``pace`` messages move per step, an
+  oversized obligation split with its suffix kept at the same priority
+  — both halves of the Das–Iacono–Nekrich de-amortization.
 
 State is sparse (dicts keyed by message id): a serving shard only ever
 holds the in-flight slice of its message stream.  Each step reports what
@@ -33,11 +36,11 @@ it did (:attr:`ShardEngine.attempted`, :attr:`~ShardEngine.ran`,
 :attr:`~ShardEngine.waiting`, :attr:`~ShardEngine.retries`) and each
 caller applies its own rule to it:
 
-* the batch executors (:mod:`repro.policies.executor`,
-  :mod:`repro.policies.resilient`) seed one engine from a dense
-  instance and loop over :meth:`~ShardEngine.step`; a step that
-  attempted nothing and is not waiting on a fault is rolled back, and
-  deadlocks, retry budgets and ``max_steps`` are theirs to handle;
+* the batch executor (:mod:`repro.policies.executor`) seeds one engine
+  from a dense instance and loops over :meth:`~ShardEngine.step`; a
+  step that attempted nothing and is not waiting on a fault is rolled
+  back, and deadlocks, retry budgets and ``max_steps`` are its to
+  handle;
 * serving (:mod:`repro.serve`) keeps every step — an idle step is real
   time in a service — and forces a re-plan when :attr:`idle_streak`
   passes :data:`MAX_IDLE_STEPS`.
@@ -57,6 +60,7 @@ from repro.faults.injector import (
     OUTCOME_FAILED,
     OUTCOME_PARTIAL,
 )
+from repro.scheduling.deamortize import pace_flush_list
 from repro.tree.topology import TreeTopology
 from repro.util.errors import InvalidInstanceError
 
@@ -128,8 +132,8 @@ class ShardEngine:
         self.injector = injector
         self.fault_aware = bool(fault_aware) and injector is not None
         #: de-amortization budget: max messages delivered per step (0 =
-        #: unpaced).  Oversized obligations are split, the rest held —
-        #: the engine-level half of :class:`repro.serve.planner.PacedPlanner`.
+        #: unpaced).  Plans are paced on intake; at step time oversized
+        #: obligations are split, the rest held.
         self.pace = int(pace)
         self._is_leaf = [topology.is_leaf(v) for v in range(topology.n_nodes)]
         self._root = topology.root
@@ -259,10 +263,14 @@ class ShardEngine:
 
     def append_plan(self, flushes: "list[Flush]") -> None:
         """Append flushes at the tail of the priority list (incremental)."""
-        self.pending.extend(self._make_pending(flushes))
-        self._n_pending += len(flushes)
+        pending = self._make_pending(flushes)
+        self.pending.extend(pending)
+        self._n_pending += len(pending)
 
     def _make_pending(self, flushes: "list[Flush]") -> "list[_Pending]":
+        """The plan as pending entries, paced first when ``pace > 0``."""
+        if self.pace:
+            flushes = pace_flush_list(flushes, self.pace)
         target = self.targets.get
         # parking = messages that do not complete at dest.
         return [

@@ -1,44 +1,64 @@
-"""Admission-gated executor for ordered flush lists.
+"""The batch executor: priority-ordered flush lists, under faults too.
 
 Given a list of flushes in a *desired priority order* (e.g. the Lemma 8
-order induced by an MPHTF task schedule), the executor replays them under
-the DAM constraints, producing a schedule that is **valid by
+order induced by an MPHTF task schedule), :class:`GatedExecutor` replays
+them under the DAM constraints, producing a schedule that is **valid by
 construction**.  The gate itself — readiness, occupancy against ``B``,
-the ``P`` slots — is written once, in
+the ``P`` slots, and with a fault source attached (see
+:mod:`repro.faults`) retry with exponential backoff, re-admission of a
+partial flush's remainder at its priority slot and fault-aware
+admission — is written once, in
 :meth:`repro.policies.engine.ShardEngine.step`; this module is the
 *dense-id batch adapter* around it.  :meth:`GatedExecutor.run` seeds one
 engine with the instance's messages, hands it the whole flush list, and
 steps it in a loop, adding the rules only a batch run has:
 
 * a step that attempted nothing and is not waiting on a fault is rolled
-  back (an idle step would inflate costs);
-* more than :data:`~repro.policies.engine.MAX_IDLE_STEPS` rolled-back
-  steps in a row is a deadlock (raised here; re-planned by
-  :class:`~repro.policies.resilient.ResilientExecutor`);
-* journal checkpoints carry dense per-message locations.
+  back (an idle step would inflate costs); a step spent waiting out a
+  stall window or backoff is a real (idle) step;
+* **re-planning** — when some flush exhausts its retry budget, or more
+  than :data:`~repro.policies.engine.MAX_IDLE_STEPS` rolled-back steps
+  in a row show a deadlock (a non-laminar list), the surviving in-flight
+  messages are re-planned from their current locations
+  (:func:`worms_replan`) and the new list replaces the pending tail;
+* **graceful failure** — with ``max_replans`` used up (0 for
+  :func:`execute_flush_list`), or past ``max_steps``, the run raises
+  :class:`~repro.util.errors.ExecutionStalledError` carrying the
+  parked-message state instead of looping forever.
 
 For laminar flush lists (every flush's messages arrived at its source in
 a single earlier flush — which is exactly what the packed-set reduction
-produces) this never deadlocks: the deepest parked group always has an
-admissible next flush, because nothing is parked below it.
+produces) a fault-free run never deadlocks: the deepest parked group
+always has an admissible next flush, because nothing is parked below it.
+With ``injector=None`` (or an all-zero
+:class:`~repro.faults.FaultPlan`) no fault query is ever made, so
+resilience costs nothing until a fault actually fires.
 
 **Durability** (``journal=``): pass a path or an open
 :class:`~repro.dam.journal.JournalWriter` and the executor streams every
-realized flush plus a :class:`~repro.dam.trace.CheckpointRecord` every
-``checkpoint_every`` steps into a crash-consistent journal, so a killed
-process can be resumed exactly (see :mod:`repro.dam.journal`).  With
-``journal=None`` (the default) no journal state is even allocated.
+realized flush, every observed fault outcome and a
+:class:`~repro.dam.trace.CheckpointRecord` every ``checkpoint_every``
+steps into a crash-consistent journal, so a killed process can be
+resumed exactly (see :mod:`repro.dam.journal`).  With ``journal=None``
+(the default) no journal state is even allocated.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from repro.core.worms import WORMSInstance
 from repro.dam.schedule import Flush, FlushSchedule
 from repro.dam.trace import CheckpointRecord
+from repro.faults.injector import FaultInjector
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_EXECUTE
 from repro.policies.engine import MAX_IDLE_STEPS, ShardEngine
-from repro.util.errors import ExecutionStalledError, InvalidInstanceError
+from repro.util.errors import (
+    ExecutionStalledError,
+    InvalidInstanceError,
+    ReproError,
+)
 
 #: How many parked messages / pending flushes to list in an error message.
 _DIAG_LIMIT = 5
@@ -46,55 +66,65 @@ _DIAG_LIMIT = 5
 #: Default checkpoint cadence (steps) when journaling is enabled.
 DEFAULT_CHECKPOINT_EVERY = 32
 
+#: Flush attempts allowed before re-planning (``run``/``faults`` default).
+DEFAULT_RETRY_BUDGET = 5
 
-def stalled_error(
-    header: str,
-    *,
-    step: int,
-    instance: WORMSInstance,
-    location: "list[int]",
-    pending_flushes: "list[Flush]",
-) -> ExecutionStalledError:
-    """Build a diagnosable :class:`ExecutionStalledError`.
 
-    Lists the first few parked (undelivered) messages with their current
-    nodes and the highest-priority flush that could not run, so a
-    malformed flush list can be debugged from the message alone.
+@dataclass
+class ResilienceStats:
+    """Counters describing what recovery machinery actually did."""
+
+    failed_attempts: int = 0
+    partial_deliveries: int = 0
+    stalled_skips: int = 0
+    replans: int = 0
+    wait_steps: int = 0
+    #: flushes parked by fault-aware admission without probing the node.
+    fault_aware_skips: int = 0
+    #: steps where degraded capacity made admission prefer completions.
+    degraded_triage_steps: int = 0
+    fault_events: list = field(default_factory=list)
+
+
+def worms_replan(
+    instance: WORMSInstance, remaining: "list[int]", location: "list[int]"
+) -> "list[Flush]":
+    """Default re-planning hook: a fresh priority order for ``remaining``.
+
+    The serving planner's rule, :func:`repro.serve.planner.plan_flushes`,
+    on the messages' *current* locations: if everything is still at the
+    root the paper's pipeline applies verbatim (reduction -> MPHTF -> the
+    Lemma 8 flush order); with mid-tree survivors the reduction does not
+    apply (it requires root starts), so the density-guided online
+    scheduler — valid by construction from arbitrary start nodes —
+    provides the order instead.  Returned flushes use original message
+    ids.
     """
-    targets = instance.targets
-    parked = tuple(
-        (m, int(location[m]))
-        for m in range(instance.n_messages)
-        if location[m] != int(targets[m])
-    )
-    blocking = pending_flushes[0] if pending_flushes else None
-    lines = [f"{header} at step {step}: {len(pending_flushes)} flush(es) "
-             f"pending, {len(parked)} message(s) parked"]
-    for m, v in parked[:_DIAG_LIMIT]:
-        lines.append(f"  message {m} parked at node {v} "
-                     f"(target {int(targets[m])})")
-    if len(parked) > _DIAG_LIMIT:
-        lines.append(f"  ... and {len(parked) - _DIAG_LIMIT} more")
-    if blocking is not None:
-        lines.append(f"  blocked on inadmissible/unready flush {blocking!r}")
-    return ExecutionStalledError(
-        "\n".join(lines),
-        step=step,
-        parked_messages=parked,
-        blocking_flush=blocking,
-        pending_flushes=tuple(pending_flushes),
+    # Imported here: ``repro.serve`` pulls in the whole serving package,
+    # which batch users of this module never need.
+    from repro.serve.planner import plan_flushes
+
+    return plan_flushes(
+        instance.topology, instance.P, instance.B, remaining,
+        instance.targets.tolist(), location,
+        allow_internal_targets=instance.allow_internal_targets,
     )
 
 
 def execute_flush_list(
     instance: WORMSInstance, flushes: list[Flush]
 ) -> FlushSchedule:
-    """Run ``flushes`` (in priority order) through the gated executor."""
-    return GatedExecutor(instance).run(flushes)
+    """Run ``flushes`` (in priority order) through the gated executor.
+
+    No re-plans: a flush list that deadlocks raises a typed
+    :class:`~repro.util.errors.ExecutionStalledError`.
+    """
+    return GatedExecutor(instance, max_replans=0).run(flushes)
 
 
-def record_run_metrics(metrics, schedule: FlushSchedule) -> None:
-    """End-of-run executor counters, shared by both executors.
+def record_run_metrics(metrics, schedule: FlushSchedule,
+                       stats: ResilienceStats) -> None:
+    """End-of-run executor counters.
 
     Called only from enabled obs contexts, after the run finished — the
     disabled path never reaches this and never pays for it.
@@ -109,18 +139,25 @@ def record_run_metrics(metrics, schedule: FlushSchedule) -> None:
             n_flushes += 1
             moved += flush.size
             size_hist.observe(flush.size)
-    metrics.counter(
-        "executor_runs_total", "executor runs completed"
-    ).inc()
-    metrics.counter(
-        "executor_steps_total", "DAM steps executed"
-    ).inc(schedule.n_steps)
-    metrics.counter(
-        "executor_flushes_total", "flushes issued by executors"
-    ).inc(n_flushes)
-    metrics.counter(
-        "executor_messages_moved_total", "message moves across all flushes"
-    ).inc(moved)
+    for name, help_text, value in (
+        ("executor_runs_total", "executor runs completed", 1),
+        ("executor_steps_total", "DAM steps executed", schedule.n_steps),
+        ("executor_flushes_total", "flushes issued by executors", n_flushes),
+        ("executor_messages_moved_total", "message moves across all flushes",
+         moved),
+        ("executor_retries_total", "failed flush attempts retried",
+         stats.failed_attempts),
+        ("executor_partial_deliveries_total",
+         "flushes that delivered a strict subset", stats.partial_deliveries),
+        ("executor_replans_total", "mid-run re-planning rounds",
+         stats.replans),
+        ("executor_wait_steps_total",
+         "steps idled waiting out fault windows/backoff", stats.wait_steps),
+        ("executor_stalled_skips_total",
+         "flushes skipped because a node was observed stalled",
+         stats.stalled_skips),
+    ):
+        metrics.counter(name, help_text).inc(value)
 
 
 class _RunJournal:
@@ -192,10 +229,35 @@ class _RunJournal:
 class GatedExecutor:
     """See module docstring.  One instance per execution.
 
+    :meth:`run` returns the realized schedule, which records only what
+    *succeeded* (a partial delivery appears as the delivered subset), so
+    it is always a valid schedule of the fault-free model and can be
+    checked with :func:`repro.dam.validator.validate_valid`.
+
     Parameters
     ----------
     instance:
         The WORMS instance being executed.
+    injector:
+        Fault source consulted every step; ``None`` (or a zero plan)
+        means fault-free execution.
+    retry_budget:
+        Attempts allowed per flush before re-planning kicks in.
+    max_replans:
+        Re-planning rounds allowed before giving up with
+        :class:`ExecutionStalledError`.
+    replanner:
+        Hook ``(instance, remaining_msg_ids, location) -> list[Flush]``;
+        defaults to :func:`worms_replan`.
+    max_steps:
+        Hard ceiling on simulated steps (a diagnosable backstop against
+        pathological fault plans); defaults to a generous multiple of
+        the instance's total work.
+    fault_aware:
+        Enable fault-aware admission: observed stall windows are
+        remembered until they close and degraded capacity goes to
+        completion flushes first.  Off by default; has zero effect while
+        no fault window is active.
     journal:
         ``None`` (no journaling), a filesystem path (the executor opens
         and owns a :class:`~repro.dam.journal.JournalWriter` with an
@@ -206,16 +268,16 @@ class GatedExecutor:
         journal).  Smaller = less replay on recovery, more bytes.
     """
 
-    #: Trace span opened around :meth:`run`.
-    _span_name = "executor.run"
-    #: Fault source and fault-aware admission for the engine (none here).
-    injector = None
-    fault_aware = False
-
     def __init__(
         self,
         instance: WORMSInstance,
+        injector: "FaultInjector | None" = None,
         *,
+        retry_budget: int = DEFAULT_RETRY_BUDGET,
+        max_replans: int = 2,
+        replanner=None,
+        max_steps: "int | None" = None,
+        fault_aware: bool = False,
         journal=None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     ) -> None:
@@ -227,6 +289,18 @@ class GatedExecutor:
             )
         self.checkpoint_every = int(checkpoint_every)
         self.journal = journal
+        if injector is not None and injector.is_zero_plan:
+            injector = None  # zero plan == no injector: skip all fault queries
+        self.injector = injector
+        self.retry_budget = max(1, int(retry_budget))
+        self.max_replans = max(0, int(max_replans))
+        self.replanner = replanner if replanner is not None else worms_replan
+        if max_steps is None:
+            work = max(1, instance.total_work())
+            max_steps = 1000 + 50 * work
+        self.max_steps = max_steps
+        self.fault_aware = bool(fault_aware)
+        self.stats = ResilienceStats()
 
     # ------------------------------------------------------------------
     def _start_journal(self, engine: ShardEngine) -> "_RunJournal | None":
@@ -281,11 +355,12 @@ class GatedExecutor:
         # uninstrumented run (pinned by tests/obs).
         obs = current_obs()
         span = obs.tracer.span(
-            self._span_name, category="executor", flushes=len(flushes)
+            "executor.run", category="executor", flushes=len(flushes)
         )
         t_wall = obs.profiler.clock() if obs.enabled else 0.0
         engine = self._engine(flushes)
         journal = self._start_journal(engine)
+        stats = self.stats
         try:
             self._drive(engine, journal)
         except ExecutionStalledError:
@@ -295,77 +370,129 @@ class GatedExecutor:
             span.finish()
             raise
         finally:
-            self._collect(engine)
+            # Completed or stalled, the engine's fault counters are folded.
+            counts = engine.stats
+            stats.failed_attempts += counts.failed_attempts
+            stats.partial_deliveries += counts.partial_deliveries
+            stats.stalled_skips += counts.stalled_skips
+            stats.fault_aware_skips += counts.fault_aware_skips
+            stats.degraded_triage_steps += counts.degraded_triage_steps
+        # Only a completed run publishes the injector's event log.
+        if self.injector is not None:
+            stats.fault_events = list(self.injector.events)
         schedule = engine.schedule.trim()
         if journal is not None:
             journal.finish(schedule.n_steps)
         if obs.enabled:
             obs.profiler.add(PHASE_EXECUTE, obs.profiler.clock() - t_wall)
             span.set_steps(1, schedule.n_steps)
-            record_run_metrics(obs.metrics, schedule)
-            self._record_metrics(obs.metrics)
+            record_run_metrics(obs.metrics, schedule, stats)
         span.finish()
         return schedule
 
     def _drive(self, engine: ShardEngine, journal) -> None:
         """Step ``engine`` until its plan is done, under the batch rules."""
+        stats = self.stats
         t = 0
         idle = 0
+        replans = 0
         while engine.pending_flushes:
             t += 1
-            self._before_step(t, engine)
+            if t > self.max_steps:
+                raise self._stalled(
+                    f"resilient executor exceeded max_steps={self.max_steps}",
+                    t, engine,
+                )
             engine.step(t, journal)
             if engine.attempted == 0:
                 if engine.waiting:
                     # Blocked on faults (stall window / backoff): time
                     # genuinely passes; the realized schedule gets an
                     # idle step.
-                    self._waited()
+                    stats.wait_steps += 1
                     idle = 0
                     continue
+                # Nothing ran: roll the step counter back (an idle step
+                # would inflate costs) and retry; too many in a row is a
+                # deadlock, re-planned from the last step that ran.
+                t -= 1
                 idle += 1
                 if idle > MAX_IDLE_STEPS:
-                    self._deadlocked(t, engine)
+                    self._replan(t, engine, replans,
+                                 "deadlocked (flush list is not laminar?)")
+                    replans += 1
                     idle = 0
-                # Nothing ran: roll the step counter back (an idle step
-                # would inflate costs) and retry; the idle counter above
-                # turns a genuine no-progress state into a deadlock.
-                t -= 1
                 continue
             idle = 0
             if journal is not None and engine.ran:
                 journal.end_step(t)
-            self._after_step(t, engine)
+            if engine.retries >= self.retry_budget and engine.pending_flushes:
+                self._replan(t, engine, replans, "retry budget exhausted")
+                replans += 1
 
-    # -- batch rules the resilient executor extends ---------------------
-    def _before_step(self, t: int, engine: ShardEngine) -> None:
-        """Hook run before each step (step-count backstops)."""
-
-    def _waited(self) -> None:
-        """Hook for a step spent waiting on a fault window or backoff."""
-
-    def _after_step(self, t: int, engine: ShardEngine) -> None:
-        """Hook run after each step that attempted a flush."""
-
-    def _collect(self, engine: ShardEngine) -> None:
-        """Hook run when the run ends, completed or stalled."""
-
-    def _record_metrics(self, metrics) -> None:
-        """Hook for executor-specific end-of-run counters."""
-
-    def _deadlocked(self, t: int, engine: ShardEngine) -> None:
-        """No flush could run for too long: the flush list is stuck."""
-        raise self._stalled(
-            "gated executor deadlocked (flush list is not laminar?)",
-            t, engine,
-        )
+    def _replan(self, t: int, engine: ShardEngine, used: int,
+                reason: str) -> None:
+        """Re-plan the surviving messages, or raise if out of options."""
+        if used >= self.max_replans:
+            raise self._stalled(
+                f"resilient executor stalled ({reason}; "
+                f"{used} replan(s) already used)",
+                t, engine,
+            )
+        remaining = sorted(engine.location)
+        location = self._locations(engine)
+        obs = current_obs()
+        with obs.tracer.span(
+            "executor.replan", category="executor",
+            reason=reason, remaining=len(remaining), step=t,
+        ):
+            try:
+                new_flushes = self.replanner(
+                    self.instance, remaining, location
+                )
+            except ReproError as exc:
+                raise self._stalled(
+                    f"resilient executor stalled ({reason}; "
+                    f"replan failed: {exc})",
+                    t, engine,
+                ) from exc
+        if not new_flushes and remaining:
+            raise self._stalled(
+                f"resilient executor stalled ({reason}; replanner returned "
+                "no flushes for surviving messages)",
+                t, engine,
+            )
+        self.stats.replans += 1
+        engine.set_plan(new_flushes)
 
     def _stalled(self, header: str, t: int,
                  engine: ShardEngine) -> ExecutionStalledError:
-        return stalled_error(
-            header,
+        """A diagnosable stall: the first few parked (undelivered)
+        messages with their current nodes and the highest-priority flush
+        that could not run, so a malformed flush list can be debugged
+        from the message alone."""
+        targets = self._targets
+        location = self._locations(engine)
+        pending = [pf.flush for pf in engine.pending if not pf.done]
+        parked = tuple(
+            (m, v) for m, v in enumerate(location) if v != targets[m]
+        )
+        blocking = pending[0] if pending else None
+        lines = [f"{header} at step {t}: {len(pending)} flush(es) "
+                 f"pending, {len(parked)} message(s) parked"]
+        for m, v in parked[:_DIAG_LIMIT]:
+            lines.append(f"  message {m} parked at node {v} "
+                         f"(target {targets[m]})")
+        if len(parked) > _DIAG_LIMIT:
+            lines.append(f"  ... and {len(parked) - _DIAG_LIMIT} more")
+        if blocking is not None:
+            lines.append(
+                f"  blocked on inadmissible/unready flush {blocking!r}"
+            )
+        return ExecutionStalledError(
+            "\n".join(lines),
             step=t,
-            instance=self.instance,
-            location=self._locations(engine),
-            pending_flushes=[pf.flush for pf in engine.pending if not pf.done],
+            parked_messages=parked,
+            blocking_flush=blocking,
+            pending_flushes=tuple(pending),
         )

@@ -9,11 +9,12 @@ single step owes more than the budget to any one edge and the work
 profile flattens.
 
 These helpers are pure functions over :class:`repro.dam.schedule.Flush`
-lists — no engine state, no randomness — so the planner-level controller
-(:class:`repro.serve.planner.PacedPlanner`) and tests share one
-definition of "paced".  The hard per-step guarantee itself is enforced
-by the shard engine's step budget (:attr:`ShardEngine.pace`); the
-list-level transform here shapes the *priority order* so that budget is
+lists — no engine state, no randomness — so the shard engine and tests
+share one definition of "paced".  A paced
+:class:`~repro.policies.engine.ShardEngine` (``pace > 0``) passes every
+plan it takes through :func:`pace_flush_list`, and enforces the hard
+per-step guarantee with its step budget (:attr:`ShardEngine.pace`); the
+list-level transform shapes the *priority order* so that budget is
 spent round-robin across obligations instead of head-of-line.
 """
 

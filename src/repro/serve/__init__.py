@@ -35,7 +35,6 @@ from repro.serve.loop import (
     ServeRecoveryReport,
     ServeReport,
     ServiceLoop,
-    build_planner,
     recover_serve,
 )
 from repro.serve.metrics import (
@@ -45,7 +44,6 @@ from repro.serve.metrics import (
 )
 from repro.serve.planner import (
     EpochPlanner,
-    PacedPlanner,
     PlannerStats,
     plan_flushes,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "ArrivalProcess",
     "ClosedLoopArrivals",
     "EpochPlanner",
-    "PacedPlanner",
     "KeySampler",
     "LatencyStats",
     "MMPPArrivals",
@@ -105,7 +102,6 @@ __all__ = [
     "ServeRecoveryReport",
     "ServeReport",
     "ServiceLoop",
-    "build_planner",
     "ShardEngine",
     "ShardRouter",
     "ShardSpec",

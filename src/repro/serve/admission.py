@@ -194,6 +194,18 @@ class AdmissionController:
         self.stats.handoff_overflow += len(items) - accepted
         return accepted
 
+    def _stall_hold(self, shard_id: int) -> None:
+        """Count one drain step held because the shard root is stalled."""
+        self.stats.stall_holds += 1
+        obs = current_obs()  # rare event: look up at the site
+        if obs.enabled:
+            holds = obs.metrics.counter(
+                "serve_stall_holds_total",
+                "drain steps held for a stalled shard root",
+            )
+            holds.inc()
+            holds.labels(shard=shard_id).inc()
+
     def drain(
         self, shard_id: int, engine: ShardEngine, step: int
     ) -> "list[tuple[int, int, int | None]]":
@@ -206,15 +218,7 @@ class AdmissionController:
         q = self.queues[shard_id]
         admitted: "list[tuple[int, int, int | None]]" = []
         if q and engine.root_stalled(step):
-            self.stats.stall_holds += 1
-            obs = current_obs()  # rare event: look up at the site
-            if obs.enabled:
-                holds = obs.metrics.counter(
-                    "serve_stall_holds_total",
-                    "drain steps held for a stalled shard root",
-                )
-                holds.inc()
-                holds.labels(shard=shard_id).inc()
+            self._stall_hold(shard_id)
         else:
             while q and engine.root_backlog < self.max_root_backlog:
                 msg_id, leaf = q.popleft()

@@ -65,7 +65,7 @@ from repro.serve.arrivals import (
     TraceArrivals,
 )
 from repro.serve.metrics import ServeMetrics
-from repro.serve.planner import EpochPlanner, PacedPlanner, PlannerStats
+from repro.serve.planner import EpochPlanner, PlannerStats
 from repro.serve.tenancy.fair import TenantAdmissionController
 from repro.serve.tenancy.mix import TenantMix
 from repro.serve.tenancy.runtime import TenancyRuntime
@@ -381,19 +381,6 @@ def build_shard_engine(config: "ServeConfig", spec) -> ShardEngine:
     )
 
 
-def build_planner(config: "ServeConfig") -> EpochPlanner:
-    """The planner a run's config calls for (paced iff ``pace > 0``).
-
-    Factored out for the same reason as :func:`build_shard_engine`: the
-    procpool's shared-nothing workers rebuild their planner from the
-    config alone and must land on the same choice the in-process
-    drivers make.
-    """
-    if config.pace:
-        return PacedPlanner(config.epoch, pace=config.pace)
-    return EpochPlanner(config.epoch)
-
-
 class ShardStep:
     """Phases 2-4 of the DAM step over the shards one process steps.
 
@@ -420,7 +407,7 @@ class ShardStep:
         #: (never mutate) the list to take a shard out of the step, so a
         #: phase already iterating it finishes over the old one.
         self._shard_ids = [s for s, e in enumerate(engines) if e is not None]
-        self.planner = build_planner(config)
+        self.planner = EpochPlanner(config.epoch)
         bounds = dict(
             max_root_backlog=config.max_root_backlog or 4 * config.B,
             max_queue=config.max_queue or 16 * config.B,

@@ -19,7 +19,7 @@ sufficient planning mode per epoch:
   in flight from its current location.  All-at-root residues go through
   the paper pipeline; mid-tree residues use the density-guided online
   scheduler (which is valid from arbitrary start nodes).  The batch
-  re-planner :func:`repro.policies.resilient.worms_replan` is this same
+  re-planner :func:`repro.policies.executor.worms_replan` is this same
   function.
 
 :func:`plan_flushes` runs the flat planning kernel: each stage's core,
@@ -49,7 +49,6 @@ from repro.dam.schedule import Flush
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_PLAN
 from repro.policies.online import online_flushes
-from repro.scheduling.deamortize import pace_flush_list
 from repro.scheduling.mphtf import mphtf_plan
 from repro.serve.router import ShardEngine
 from repro.tree.topology import TreeTopology
@@ -160,6 +159,7 @@ class PlannerStats:
     incremental_plans: int = 0
     full_replans: int = 0
     forced_replans: int = 0
+    #: flushes the pipeline emitted, before a paced engine splits them.
     planned_flushes: int = 0
 
 
@@ -173,16 +173,6 @@ class EpochPlanner:
             )
         self.epoch_length = int(epoch_length)
         self.stats = PlannerStats()
-
-    def _shape(self, flushes: "list[Flush]") -> "list[Flush]":
-        """Hook between planning and the engine's priority list.
-
-        The base planner is the identity — the plan lands exactly as the
-        pipeline emitted it.  :class:`PacedPlanner` overrides this to
-        de-amortize the list.  (``planned_flushes`` counts the pipeline's
-        output, before shaping, so planner stats compare across modes.)
-        """
-        return flushes
 
     def is_boundary(self, step: int) -> bool:
         """True iff planning runs at the start of 1-based ``step``."""
@@ -257,7 +247,7 @@ class EpochPlanner:
                 flushes = plan_flushes(
                     topo, engine.P, engine.B, list(new_msgs), engine.targets
                 )
-                engine.append_plan(self._shape(flushes))
+                engine.append_plan(flushes)
                 self.stats.incremental_plans += 1
                 self.stats.planned_flushes += len(flushes)
                 return "incremental"
@@ -267,35 +257,9 @@ class EpochPlanner:
             topo, engine.P, engine.B, residual, engine.targets,
             engine.location,
         )
-        engine.set_plan(self._shape(flushes))
+        engine.set_plan(flushes)
         engine.idle_streak = 0
         if not force_full:
             self.stats.full_replans += 1
         self.stats.planned_flushes += len(flushes)
         return "forced" if force_full else "full"
-
-
-class PacedPlanner(EpochPlanner):
-    """An :class:`EpochPlanner` that de-amortizes every plan it emits.
-
-    Planned flush lists pass through
-    :func:`repro.scheduling.deamortize.pace_flush_list`: obligations
-    larger than ``pace`` messages split into budget-sized chunks, and
-    chunks of distinct oversized obligations interleave round-robin, so
-    the engine's per-step budget (:attr:`ShardEngine.pace`, the hard
-    bound) is spent breadth-first instead of head-of-line.  This is the
-    planner-level half of ``serve --pace``; with the engine's own budget
-    it trades a bounded constant factor of mean completion time for flat
-    tails (Das–Iacono–Nekrich, PAPERS.md).
-    """
-
-    def __init__(self, epoch_length: int = 8, *, pace: int = 1) -> None:
-        super().__init__(epoch_length)
-        if pace < 1:
-            raise InvalidInstanceError(
-                f"pace budget must be >= 1, got {pace}"
-            )
-        self.pace = int(pace)
-
-    def _shape(self, flushes: "list[Flush]") -> "list[Flush]":
-        return pace_flush_list(flushes, self.pace)

@@ -70,7 +70,6 @@ HEALTHY = "healthy"
 DEGRADED = "degraded"
 QUARANTINED = "quarantined"
 RECOVERING = "recovering"
-HEALTH_STATES = (HEALTHY, DEGRADED, QUARANTINED, RECOVERING)
 
 #: Circuit-breaker states.
 BREAKER_CLOSED = "closed"

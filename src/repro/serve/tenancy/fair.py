@@ -249,15 +249,7 @@ class TenantAdmissionController(AdmissionController):
         queues = self.tqueues[shard_id]
         deficit = self._deficit[shard_id]
         if any(queues) and engine.root_stalled(step):
-            self.stats.stall_holds += 1
-            obs = current_obs()  # rare event: look up at the site
-            if obs.enabled:
-                holds = obs.metrics.counter(
-                    "serve_stall_holds_total",
-                    "drain steps held for a stalled shard root",
-                )
-                holds.inc()
-                holds.labels(shard=shard_id).inc()
+            self._stall_hold(shard_id)
         else:
             while engine.root_backlog < self.max_root_backlog:
                 progressed = False

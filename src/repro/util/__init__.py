@@ -2,7 +2,6 @@
 
 from repro.util.atomic import atomic_write_bytes, fsync_dir, remove_stale_tmp
 from repro.util.errors import (
-    InvalidFlushError,
     InvalidInstanceError,
     InvalidScheduleError,
     ReproError,
@@ -10,18 +9,15 @@ from repro.util.errors import (
     StorageError,
 )
 from repro.util.pairing_heap import PairingHeap
-from repro.util.pq import IndexedMaxHeap
 from repro.util.rng import make_rng
 
 __all__ = [
     "ReproError",
     "InvalidInstanceError",
     "InvalidScheduleError",
-    "InvalidFlushError",
     "StorageError",
     "StorageCorruptionError",
     "PairingHeap",
-    "IndexedMaxHeap",
     "make_rng",
     "atomic_write_bytes",
     "fsync_dir",

@@ -30,10 +30,6 @@ class InvalidScheduleError(ReproError):
     """
 
 
-class InvalidFlushError(InvalidScheduleError):
-    """A single flush is malformed (too many messages, bad edge, ...)."""
-
-
 class JournalError(ReproError):
     """Base class for execution-journal failures (:mod:`repro.dam.journal`)."""
 
@@ -188,9 +184,8 @@ class ExecutionStalledError(InvalidScheduleError):
     """An executor made no progress and exhausted its recovery options.
 
     Raised by :class:`repro.policies.executor.GatedExecutor` when a
-    flush list deadlocks (e.g. it is not laminar) and by
-    :class:`repro.policies.resilient.ResilientExecutor` when retries and
-    re-planning are exhausted.  Carries the stalled state so the failure
+    flush list deadlocks (e.g. it is not laminar) or retries stall and
+    no re-plan is left, or the run passes ``max_steps``.  Carries the stalled state so the failure
     is diagnosable:
 
     Attributes

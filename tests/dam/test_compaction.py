@@ -24,7 +24,7 @@ from repro.dam.journal import (
     journal_segments,
 )
 from repro.faults import truncate_at
-from repro.policies import GatedExecutor, ResilientExecutor, WormsPolicy
+from repro.policies import GatedExecutor, WormsPolicy
 from repro.faults import FaultInjector, FaultPlan
 from repro.serve.loop import ServeConfig, ServiceLoop, recover_serve
 from repro.tree import balanced_tree
@@ -182,7 +182,7 @@ def test_fault_records_are_compacted_too(tmp_path):
     writer = JournalWriter(path, meta={"n_messages": 150},
                            max_segment_bytes=1024)
     injector = FaultInjector(FaultPlan.uniform(0.3), seed=11)
-    ResilientExecutor(
+    GatedExecutor(
         inst, injector, retry_budget=4, max_replans=4,
         journal=writer, checkpoint_every=2,
     ).run(list(ordered))

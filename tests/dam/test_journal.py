@@ -33,7 +33,7 @@ from repro.dam.journal import (
     encode_record,
 )
 from repro.faults import flip_byte, truncate_at
-from repro.policies import GatedExecutor, ResilientExecutor, WormsPolicy
+from repro.policies import GatedExecutor, WormsPolicy
 from repro.tree import balanced_tree
 from repro.util.errors import JournalCorruptionError
 from tests.conftest import make_uniform
@@ -213,8 +213,8 @@ def test_resilient_journal_does_not_change_schedule(tmp_path):
     inst = make_uniform(balanced_tree(3, 3), n_messages=100, P=2, B=12,
                         seed=8)
     ordered = ordered_flushes(WormsPolicy().schedule(inst))
-    bare = ResilientExecutor(inst).run(list(ordered))
-    journaled = ResilientExecutor(
+    bare = GatedExecutor(inst).run(list(ordered))
+    journaled = GatedExecutor(
         inst, journal=tmp_path / "r.journal", checkpoint_every=4
     ).run(list(ordered))
     assert bare.steps == journaled.steps
@@ -251,7 +251,7 @@ def test_kill_at_every_offset(journaled_run, tmp_path):
     ordered = ordered_flushes(WormsPolicy().schedule(inst))
     path = tmp_path / "run.journal"
     injector = FaultInjector(FaultPlan.uniform(0.05), seed=5)
-    sched = ResilientExecutor(
+    sched = GatedExecutor(
         inst, injector, journal=path, checkpoint_every=8
     ).run(list(ordered))
     assert any(r["type"] == REC_FAULT for r in scan_journal(path).records)

@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.worms import WORMSInstance
-from repro.dam import DAMSpec, validate_overfilling, validate_valid
+from repro.dam import validate_overfilling, validate_valid
 from repro.dam.schedule import Flush, FlushSchedule
 from repro.tree import Message, path_tree
-from repro.util.errors import InvalidInstanceError, InvalidScheduleError
+from repro.util.errors import InvalidScheduleError
 
 
 def make_instance(n_msgs=4, B=3, P=1, height=2):
@@ -60,15 +60,3 @@ def test_error_message_lists_violations():
         assert "unfinished" in str(e)
     else:  # pragma: no cover
         raise AssertionError("expected InvalidScheduleError")
-
-
-def test_dam_spec_validation():
-    spec = DAMSpec(P=2, B=8)
-    assert spec.messages_per_io == 16
-    with pytest.raises(InvalidInstanceError):
-        DAMSpec(P=0, B=8)
-    with pytest.raises(InvalidInstanceError):
-        DAMSpec(P=1, B=0)
-    with pytest.raises(InvalidInstanceError):
-        DAMSpec(P=2, B=8, M=10)
-    assert DAMSpec(P=2, B=8, M=64).M == 64

@@ -14,7 +14,7 @@ from repro.faults import (
     PHASE_PARTIAL,
     PHASE_STALL,
 )
-from repro.policies import ResilientExecutor, WormsPolicy
+from repro.policies import GatedExecutor, WormsPolicy
 from repro.tree import balanced_tree
 from repro.util.errors import InvalidInstanceError
 from tests.conftest import make_uniform
@@ -48,8 +48,8 @@ def test_zero_plan_property():
     assert not make_injector().is_zero_plan
     # A zero base plan with live bursts must NOT be collapsed away.
     inst = make_uniform(balanced_tree(3, 3), n_messages=40, P=2, B=12)
-    assert ResilientExecutor(inst, make_injector()).injector is not None
-    assert ResilientExecutor(inst, inj).injector is None
+    assert GatedExecutor(inst, make_injector()).injector is not None
+    assert GatedExecutor(inst, inj).injector is None
 
 
 def test_zero_plan_stays_calm():
@@ -175,7 +175,7 @@ def test_executor_completes_validly_under_bursts(rate):
     ordered = [f for _t, f in WormsPolicy().schedule(inst).iter_timed()]
     injector = BurstInjector(FaultPlan.none(), BurstPlan.from_rate(rate),
                              inst.topology, seed=11)
-    sched = ResilientExecutor(
+    sched = GatedExecutor(
         inst, injector, retry_budget=6, max_replans=4
     ).run(list(ordered))
     res = validate_valid(inst, sched)
@@ -188,7 +188,7 @@ def test_fault_aware_executor_also_completes_under_bursts():
     ordered = [f for _t, f in WormsPolicy().schedule(inst).iter_timed()]
     injector = BurstInjector(FaultPlan.uniform(0.1), BurstPlan.from_rate(0.3),
                              inst.topology, seed=11)
-    sched = ResilientExecutor(
+    sched = GatedExecutor(
         inst, injector, retry_budget=6, max_replans=4, fault_aware=True
     ).run(list(ordered))
     res = validate_valid(inst, sched)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import CrashInjector, flip_byte, tear_last_record, truncate_at
+from repro.faults import flip_byte, tear_last_record, truncate_at
 from repro.util.errors import InvalidInstanceError
 
 
@@ -56,28 +56,3 @@ def test_flip_byte(victim, tmp_path):
         flip_byte(victim, 100, out=tmp_path / "z.bin")
     with pytest.raises(InvalidInstanceError):
         flip_byte(victim, 0, xor=0, out=tmp_path / "z.bin")
-
-
-def test_crash_injector_is_deterministic(victim, tmp_path):
-    offs1 = [CrashInjector(seed=4).random_truncation(
-        victim, out=tmp_path / "a.bin")[1] for _ in range(1)]
-    offs2 = [CrashInjector(seed=4).random_truncation(
-        victim, out=tmp_path / "b.bin")[1] for _ in range(1)]
-    assert offs1 == offs2
-    inj = CrashInjector(seed=4)
-    draws = [inj.random_truncation(victim, out=tmp_path / "c.bin")[1]
-             for _ in range(20)]
-    assert all(0 <= o <= 100 for o in draws)
-    assert len(set(draws)) > 1  # stream advances between calls
-
-
-def test_crash_injector_random_flip(victim, tmp_path):
-    path, offset = CrashInjector(seed=1).random_flip(
-        victim, out=tmp_path / "f.bin"
-    )
-    assert 0 <= offset < 100
-    assert path.read_bytes() != victim.read_bytes()
-    empty = tmp_path / "empty.bin"
-    empty.write_bytes(b"")
-    with pytest.raises(InvalidInstanceError):
-        CrashInjector(seed=1).random_flip(empty, out=tmp_path / "g.bin")

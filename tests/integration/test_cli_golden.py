@@ -15,7 +15,7 @@ Three things are pinned:
   keywords (its ``meta`` included) and the executor's injector and
   keywords.  The drivers, ``run_stability``, ``compare_policies``,
   ``solve_worms``, ``resilience_sweep``, ``JournalWriter`` and
-  ``ResilientExecutor`` are replaced by stubs that record their
+  ``GatedExecutor`` are replaced by stubs that record their
   arguments, so nothing runs and no file is written.
 
 The tenant vectors pass ``--burst-rate 16 --clients 8`` and every
@@ -204,7 +204,7 @@ def built(argv: str) -> dict:
         for name in ("compare_policies", "solve_worms", "resilience_sweep")
     ]
     stubs.append(mock.patch.object(cli, "JournalWriter", _WriterStub))
-    stubs.append(mock.patch.object(cli, "ResilientExecutor", _executor_stub))
+    stubs.append(mock.patch.object(cli, "GatedExecutor", _executor_stub))
     for stub in stubs:
         stub.start()
     try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import NOOP_SPAN, current_obs, disable_obs, observed
 from repro.obs.hooks import DISABLED
-from repro.policies import GatedExecutor, ResilientExecutor, WormsPolicy
+from repro.policies import GatedExecutor, WormsPolicy
 from repro.serve.loop import ServeConfig, ServiceLoop
 from repro.tree import balanced_tree
 from tests.conftest import make_uniform
@@ -60,7 +60,7 @@ class TestExecutorDeterminism:
 
         def run():
             injector = FaultInjector(FaultPlan.uniform(0.25), seed=11)
-            return ResilientExecutor(
+            return GatedExecutor(
                 inst, injector, retry_budget=4, max_replans=4
             ).run(list(ordered))
 

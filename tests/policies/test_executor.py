@@ -8,11 +8,13 @@ from repro.core.reduction import reduce_to_scheduling
 from repro.core.task_to_flush import task_schedule_to_flush_schedule
 from repro.core.worms import WORMSInstance
 from repro.dam import validate_valid
+from repro.dam.journal import REC_FLUSH, scan_journal
 from repro.dam.schedule import Flush
-from repro.policies.executor import execute_flush_list
+from repro.policies import WormsPolicy
+from repro.policies.executor import GatedExecutor, execute_flush_list
 from repro.scheduling import mphtf_schedule
 from repro.tree import Message, balanced_tree, path_tree
-from repro.util.errors import InvalidScheduleError
+from repro.util.errors import ExecutionStalledError, InvalidScheduleError
 from tests.conftest import make_uniform
 
 
@@ -61,6 +63,25 @@ def test_deadlock_detection():
     # Only the second hop is provided: message never gets to node 1.
     with pytest.raises(InvalidScheduleError, match="deadlock"):
         execute_flush_list(inst, [Flush(1, 2, (0,))])
+
+
+def test_deadlock_stall_reports_last_step_that_ran(tmp_path):
+    """The stall names the last step that ran, not the rolled-back idle
+    step that exposed the deadlock."""
+    inst = make_uniform(balanced_tree(3, 3), n_messages=150, P=3, B=12,
+                        seed=4)
+    ordered = [f for _t, f in WormsPolicy().schedule(inst).iter_timed()]
+    missing_hop = ordered[1:]  # one group can never leave the root
+    journal = tmp_path / "run.journal"
+    with pytest.raises(ExecutionStalledError) as journaled:
+        GatedExecutor(inst, max_replans=0, journal=journal).run(missing_hop)
+    last = max(r["t"] for r in scan_journal(journal).records
+               if r["type"] == REC_FLUSH)
+    assert journaled.value.step == last
+    with pytest.raises(ExecutionStalledError) as plain:
+        execute_flush_list(inst, missing_hop)
+    assert plain.value.step == last
+    assert "0 replan(s) already used" in str(plain.value)
 
 
 def test_laminar_reduction_lists_never_deadlock(rng):

@@ -2,19 +2,20 @@
 
 The DAM gate (readiness, occupancy against ``B``, the ``P`` slots,
 retry/backoff, stall skips, completions-first triage, pace splits) is
-shared by the batch executors and the serving engine.  These digests pin
+shared by the batch executor and the serving engine.  These digests pin
 what each caller realizes on a seeded grid, so a change to how the gate
 is written must reproduce every schedule, stat and journal byte.
 
-Batch side: :class:`GatedExecutor` and :class:`ResilientExecutor` over
-balanced, path and B^eps trees; no injector, iid faults and Markov
-bursts; fault-aware admission on and off; the default retry budget and
-``retry_budget=1`` (every failure re-plans); two non-laminar lists (a
-missing hop forces a deadlock re-plan); and the typed stalls at the end
-of the recovery ladder (no re-plans left, ``max_steps`` hit).  Each
-digest covers the
-realized schedule, :class:`ResilienceStats` (or the typed stall error)
-and the full journal bytes at ``checkpoint_every=2``.
+Batch side: :class:`GatedExecutor` over balanced, path and B^eps trees
+— fault-free with no re-plans (``gated``, as
+:func:`~repro.policies.executor.execute_flush_list` runs it), and with
+no injector, iid faults and Markov bursts; fault-aware admission on and
+off; the default retry budget and ``retry_budget=1`` (every failure
+re-plans); two non-laminar lists (a missing hop forces a deadlock
+re-plan); and the typed stalls at the end of the recovery ladder (no
+re-plans left, ``max_steps`` hit).  Each digest covers the realized
+schedule (or the typed stall error), :class:`ResilienceStats` and the
+full journal bytes at ``checkpoint_every=2``.
 
 Serve side: a run with iid faults, fault-aware triage, a pace budget
 and chaos stall windows, plus a faulty run with neither.  Each
@@ -38,7 +39,7 @@ from repro.dam.schedule import Flush
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.bursts import BurstInjector, BurstPlan
 from repro.faults.chaos import CHAOS_STALL, ChaosEvent, ChaosPlan
-from repro.policies import GatedExecutor, ResilientExecutor, WormsPolicy
+from repro.policies import GatedExecutor, WormsPolicy
 from repro.serve import ServeConfig, ServiceLoop
 from repro.tree import balanced_tree, beps_shape_tree, path_tree
 from repro.util.errors import ExecutionStalledError
@@ -95,7 +96,7 @@ def _batch_digest(executor, flushes, journal: Path) -> str:
         outcome = repr(list(schedule.iter_timed()))
     except ExecutionStalledError as err:
         outcome = f"stalled@{err.step}: {err}"
-    stats = repr(getattr(executor, "stats", None))
+    stats = repr(executor.stats)
     return _sha("\n".join(
         (outcome, stats, hashlib.sha256(journal.read_bytes()).hexdigest())
     ))
@@ -120,20 +121,18 @@ def run_batch_case(case: str, tmp: Path) -> str:
     inst = TREES[parts[1]]()
     flushes = _flush_list(inst, parts[2])
     journal = tmp / "batch.journal"
-    if parts[0] == "gated":
-        executor = GatedExecutor(inst, journal=journal, checkpoint_every=2)
-    elif parts[0] == "no-replans":
-        executor = ResilientExecutor(inst, max_replans=0, journal=journal,
-                                     checkpoint_every=2)
+    if parts[0] in ("gated", "no-replans"):
+        executor = GatedExecutor(inst, max_replans=0, journal=journal,
+                                 checkpoint_every=2)
     elif parts[0] == "max-steps":
-        executor = ResilientExecutor(
+        executor = GatedExecutor(
             inst, _injector("uniform", inst.topology), max_steps=12,
             journal=journal, checkpoint_every=2,
         )
     else:
         aware = parts[4] == "aware=1"
         budget = int(parts[5].split("=")[1])
-        executor = ResilientExecutor(
+        executor = GatedExecutor(
             inst, _injector(parts[3], inst.topology),
             retry_budget=budget, max_replans=2 if budget > 1 else 40,
             fault_aware=aware, journal=journal, checkpoint_every=2,
@@ -190,7 +189,7 @@ def test_serve_gate_matches_golden(case, tmp_path):
 def test_golden_covers_faults_replans_and_stalls():
     """The grid really reaches the recovery ladder, not just happy paths."""
     inst = TREES["balanced"]()
-    ex = ResilientExecutor(
+    ex = GatedExecutor(
         inst, _injector("uniform", inst.topology), retry_budget=1,
         max_replans=40, fault_aware=True,
     )

@@ -1,7 +1,8 @@
-"""Tests for the resilient executor: the acceptance criteria of E12.
+"""Tests for the executor under faults: the acceptance criteria of E12.
 
 Three contracts: (1) with no faults the realized schedule is
-byte-identical to the gated executor's; (2) under a seeded nonzero plan
+byte-identical to the no-re-plan run of :func:`execute_flush_list`;
+(2) under a seeded nonzero plan
 every policy still completes every message with a *valid* realized
 schedule; (3) when recovery is exhausted the failure is a diagnosable
 :class:`ExecutionStalledError`, not a hang.
@@ -16,8 +17,8 @@ from repro.core.worms import WORMSInstance
 from repro.dam import validate_valid
 from repro.dam.schedule import Flush
 from repro.faults import FaultInjector, FaultPlan
-from repro.policies import GatedExecutor, ResilientExecutor, WormsPolicy
-from repro.policies.resilient import worms_replan
+from repro.policies import GatedExecutor, WormsPolicy
+from repro.policies.executor import execute_flush_list, worms_replan
 from repro.tree import Message, balanced_tree, path_tree
 from repro.util.errors import ExecutionStalledError
 from tests.conftest import make_uniform
@@ -34,21 +35,22 @@ def small_instance():
 
 
 # ----------------------------------------------------------------------
-# Contract 1: zero-fault path is byte-identical to GatedExecutor.
+# Contract 1: the zero-fault path is byte-identical to a no-re-plan run.
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_zero_fault_byte_identical(seed):
     inst = make_uniform(balanced_tree(3, 3), n_messages=200, P=3, B=16,
                         seed=seed)
     ordered = ordered_flushes(WormsPolicy().schedule(inst))
-    gated = GatedExecutor(inst).run(list(ordered))
+    plain = execute_flush_list(inst, list(ordered))
     for injector in (None, FaultInjector(FaultPlan.none(), seed=seed)):
-        resilient = ResilientExecutor(inst, injector).run(list(ordered))
-        assert resilient.steps == gated.steps
+        executor = GatedExecutor(inst, injector)
+        assert executor.run(list(ordered)).steps == plain.steps
+        assert executor.stats.replans == 0
 
 
 def test_zero_plan_neutralizes_injector(small_instance):
-    ex = ResilientExecutor(
+    ex = GatedExecutor(
         small_instance, FaultInjector(FaultPlan.none(), seed=0)
     )
     assert ex.injector is None
@@ -64,7 +66,7 @@ def test_zero_plan_neutralizes_injector(small_instance):
 def test_policies_complete_validly_under_faults(small_instance, policy, rate):
     ordered = ordered_flushes(policy.schedule(small_instance))
     injector = FaultInjector(FaultPlan.uniform(rate), seed=11)
-    executor = ResilientExecutor(
+    executor = GatedExecutor(
         small_instance, injector, retry_budget=4, max_replans=4
     )
     sched = executor.run(list(ordered))
@@ -74,16 +76,16 @@ def test_policies_complete_validly_under_faults(small_instance, policy, rate):
 
 def test_faults_only_inflate(small_instance):
     ordered = ordered_flushes(WormsPolicy().schedule(small_instance))
-    clean = ResilientExecutor(small_instance).run(list(ordered))
+    clean = GatedExecutor(small_instance).run(list(ordered))
     injector = FaultInjector(FaultPlan.uniform(0.2), seed=1)
-    faulty = ResilientExecutor(small_instance, injector).run(list(ordered))
+    faulty = GatedExecutor(small_instance, injector).run(list(ordered))
     assert faulty.n_steps >= clean.n_steps
 
 
 def test_stats_record_recovery_work(small_instance):
     ordered = ordered_flushes(WormsPolicy().schedule(small_instance))
     injector = FaultInjector(FaultPlan.uniform(0.3), seed=11)
-    executor = ResilientExecutor(small_instance, injector, retry_budget=4)
+    executor = GatedExecutor(small_instance, injector, retry_budget=4)
     executor.run(list(ordered))
     s = executor.stats
     assert s.failed_attempts + s.partial_deliveries > 0
@@ -98,7 +100,7 @@ def test_partial_flush_redelivers_remainder():
     inst = WORMSInstance(topo, msgs, P=1, B=B)
     ordered = [Flush(0, 1, tuple(range(B))), Flush(1, 2, tuple(range(B)))]
     injector = FaultInjector(FaultPlan(partial_flush_rate=0.9), seed=0)
-    sched = ResilientExecutor(
+    sched = GatedExecutor(
         inst, injector, retry_budget=50
     ).run(list(ordered))
     res = validate_valid(inst, sched)
@@ -111,13 +113,13 @@ def test_partial_flush_redelivers_remainder():
 # Re-planning and graceful failure.
 # ----------------------------------------------------------------------
 def test_nonlaminar_list_recovers_via_replan():
-    """Gated executor deadlocks on this input; resilient re-plans it."""
+    """Without re-plans this input deadlocks; one re-plan rescues it."""
     topo = path_tree(2)
     inst = WORMSInstance(topo, [Message(0, 2)], P=1, B=4)
     bad = [Flush(1, 2, (0,))]  # first hop missing
     with pytest.raises(ExecutionStalledError):
-        GatedExecutor(inst).run(list(bad))
-    executor = ResilientExecutor(inst, max_replans=1)
+        execute_flush_list(inst, list(bad))
+    executor = GatedExecutor(inst, max_replans=1)
     sched = executor.run(list(bad))
     assert validate_valid(inst, sched).completion_times.tolist() == [2]
     assert executor.stats.replans == 1
@@ -131,7 +133,7 @@ def test_replan_exhaustion_raises_diagnosable_error():
     def hopeless_replanner(instance, remaining, location):
         return list(bad)  # keeps proposing the same stuck plan
 
-    executor = ResilientExecutor(
+    executor = GatedExecutor(
         inst, max_replans=2, replanner=hopeless_replanner
     )
     with pytest.raises(ExecutionStalledError) as exc_info:
@@ -183,7 +185,7 @@ def test_max_steps_backstop():
     topo = path_tree(2)
     inst = WORMSInstance(topo, [Message(0, 2)], P=1, B=4)
     injector = FaultInjector(FaultPlan(failed_flush_rate=1.0), seed=0)
-    executor = ResilientExecutor(
+    executor = GatedExecutor(
         inst, injector, retry_budget=10 ** 9, max_steps=40
     )
     with pytest.raises(ExecutionStalledError, match="max_steps"):
@@ -196,8 +198,8 @@ def test_max_steps_backstop():
 def test_fault_aware_zero_fault_byte_identical(small_instance):
     """With no injector the flag must change nothing at all."""
     ordered = ordered_flushes(WormsPolicy().schedule(small_instance))
-    plain = ResilientExecutor(small_instance).run(list(ordered))
-    aware = ResilientExecutor(
+    plain = GatedExecutor(small_instance).run(list(ordered))
+    aware = GatedExecutor(
         small_instance, fault_aware=True
     ).run(list(ordered))
     assert aware.steps == plain.steps
@@ -206,7 +208,7 @@ def test_fault_aware_zero_fault_byte_identical(small_instance):
 def test_fault_aware_completes_validly(small_instance):
     ordered = ordered_flushes(WormsPolicy().schedule(small_instance))
     injector = FaultInjector(FaultPlan.uniform(0.3), seed=11)
-    executor = ResilientExecutor(
+    executor = GatedExecutor(
         small_instance, injector, retry_budget=4, max_replans=4,
         fault_aware=True,
     )
@@ -219,12 +221,12 @@ def test_fault_aware_caches_stall_windows(small_instance):
     """Under heavy stalls the cache must absorb repeat probes."""
     ordered = ordered_flushes(WormsPolicy().schedule(small_instance))
     plan = FaultPlan(stall_rate=0.3, stall_duration=4)
-    blind = ResilientExecutor(
+    blind = GatedExecutor(
         small_instance, FaultInjector(plan, seed=2), retry_budget=6,
         max_replans=4,
     )
     blind.run(list(ordered))
-    aware = ResilientExecutor(
+    aware = GatedExecutor(
         small_instance, FaultInjector(plan, seed=2), retry_budget=6,
         max_replans=4, fault_aware=True,
     )
@@ -237,7 +239,7 @@ def test_fault_aware_caches_stall_windows(small_instance):
 def test_fault_aware_triage_counts_degraded_steps(small_instance):
     ordered = ordered_flushes(WormsPolicy().schedule(small_instance))
     plan = FaultPlan(degraded_p_rate=0.5)
-    aware = ResilientExecutor(
+    aware = GatedExecutor(
         small_instance, FaultInjector(plan, seed=3), retry_budget=6,
         max_replans=4, fault_aware=True,
     )

@@ -1,7 +1,7 @@
 """De-amortization helpers: split, interleave, and the paced transform.
 
-Pure-function contracts the :class:`~repro.serve.planner.PacedPlanner`
-builds on: chunks cover exactly the original messages in order, the
+Pure-function contracts a paced
+:class:`~repro.policies.engine.ShardEngine` builds on: chunks cover exactly the original messages in order, the
 round-robin merge spreads budget across obligations instead of
 head-of-line, and the transform is the *identity* (same objects) when
 no obligation exceeds the budget — that last property is what makes

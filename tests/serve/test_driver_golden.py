@@ -39,7 +39,6 @@ from pathlib import Path
 import pytest
 
 import repro.serve.loop as serve_loop
-import repro.serve.procpool as serve_procpool
 from repro.faults import (
     CHAOS_DISK_FAULT,
     CHAOS_KILL,
@@ -145,16 +144,14 @@ def run_case(case: str, workdir: Path) -> dict:
     kwargs = dict(chaos=chaos, supervisor=supervisor, journal=journal)
     cwd = os.getcwd()
     os.chdir(workdir)
-    patched = []
+    original = serve_loop.EpochPlanner
     if scenario in POISONED:
-        def poisoned(config):
-            return PoisonPlanner(config.epoch, poison=POISONED[scenario],
+        def poisoned(epoch_length):
+            return PoisonPlanner(epoch_length, poison=POISONED[scenario],
                                  poison_forced=True)
-        # Forked workers inherit the patch with the parent's memory.
-        for module in (serve_loop, serve_procpool):
-            if hasattr(module, "build_planner"):
-                patched.append((module, module.build_planner))
-                module.build_planner = poisoned
+        # Every driver's ShardStep builds its planner from this name;
+        # forked workers inherit the patch with the parent's memory.
+        serve_loop.EpochPlanner = poisoned
     try:
         if driver == "supervised":
             report = ServiceLoop(config, **kwargs).run()
@@ -164,8 +161,7 @@ def run_case(case: str, workdir: Path) -> dict:
                                   **kwargs).run()
     finally:
         os.chdir(cwd)
-        for module, original in patched:
-            module.build_planner = original
+        serve_loop.EpochPlanner = original
     return {
         "journal": _sha(journal.read_bytes()),
         "completions": _sha(json.dumps(sorted(report.completions.items()))),

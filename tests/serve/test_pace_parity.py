@@ -1,8 +1,8 @@
 """``--pace`` off must be invisible: byte-parity with the pre-pacing repo.
 
 The controller-off path is a compatibility contract, not a behavior:
-with ``pace=0`` the planner is the plain :class:`EpochPlanner`, the
-engine gate never consults a budget, journal meta carries no ``pace``
+with ``pace=0`` the engine takes every plan exactly as the planner
+emitted it, its gate never consults a budget, journal meta carries no ``pace``
 key, and every driver writes the exact bytes it wrote before the
 controller existed.  These tests pin that contract so a future paced
 default can't silently leak into unpaced runs.

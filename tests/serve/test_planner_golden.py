@@ -16,7 +16,7 @@ bytes:
 The kernel section adds what the grid does not cover: 1000-message
 residues on the serving shard tree (``beps_shape_tree(16, 0.5, 64)`` at
 ``P=4``, ``B=16``), the batch re-planner
-:func:`repro.policies.resilient.worms_replan` on internal targets from
+:func:`repro.policies.executor.worms_replan` on internal targets from
 the root and from mid-tree, and empty and all-at-target inputs.
 
 The pipeline section pins what ``plan_flushes`` cannot reach: messages
@@ -43,7 +43,7 @@ from repro.core.packed import build_packed_sets
 from repro.core.reduction import reduce_to_scheduling
 from repro.core.task_to_flush import task_schedule_to_flush_schedule
 from repro.core.worms import WORMSInstance
-from repro.policies.resilient import worms_replan
+from repro.policies.executor import worms_replan
 from repro.scheduling import (
     compute_horn,
     horn_schedule,

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dam.schedule import Flush
 from repro.faults import CHAOS_KILL_WORKER, ChaosEvent, ChaosPlan
+from repro.policies.engine import ShardEngine
+from repro.scheduling.deamortize import pace_flush_list
 from repro.serve import ProcPoolLoop, ServiceLoop
-from repro.serve.loop import build_planner
-from repro.serve.planner import EpochPlanner, PacedPlanner
 from repro.stability import StabilityConfig, run_stability
+from repro.tree import balanced_tree
 from repro.util.errors import InvalidInstanceError
 
 
@@ -85,13 +87,43 @@ def test_harness_reports_the_realized_bound():
     )
 
 
-def test_build_planner_selects_paced_variant():
-    off = StabilityConfig(scenario="diurnal").to_serve_config()
-    assert type(build_planner(off)) is EpochPlanner
-    on = StabilityConfig(scenario="diurnal", pace=5).to_serve_config()
-    paced = build_planner(on)
-    assert isinstance(paced, PacedPlanner)
-    assert paced.pace == 5
-    assert paced.epoch_length == on.epoch
+def _plans(pace: int):
+    """An engine with ten messages at the root, and two plans for them:
+    one with a 7-message obligation, one with a 3-message one."""
+    topo = balanced_tree(2, 2)
+    engine = ShardEngine(0, topo, 2, 8, pace=pace)
+    left, right = topo.children_of(topo.root)
+    for m in range(10):
+        engine.admit(m, topo.leaves_under(left if m < 7 else right)[0], 1)
+    first = [Flush(topo.root, left, tuple(range(7))),
+             Flush(topo.root, right, (7, 8, 9))]
+    second = [Flush(left, topo.leaves_under(left)[0], tuple(range(7)))]
+    return engine, first, second
+
+
+def _held(engine) -> "list[Flush]":
+    return [pf.flush for pf in engine.pending]
+
+
+def test_engine_paces_every_plan_it_takes():
+    """``pace > 0``: ``set_plan`` and ``append_plan`` hold exactly
+    ``pace_flush_list(flushes, pace)``; ``pace == 0``: the same objects."""
+    engine, first, second = _plans(pace=3)
+    engine.set_plan(first)
+    paced_first = pace_flush_list(first, 3)
+    assert len(paced_first) > len(first)  # the 7-message obligation split
+    assert _held(engine) == paced_first
+    engine.append_plan(second)
+    assert _held(engine) == paced_first + pace_flush_list(second, 3)
+    assert engine.pending_flushes == len(_held(engine))
+    assert all(f.size <= 3 for f in _held(engine))
+
+    engine, first, second = _plans(pace=0)
+    engine.set_plan(first)
+    engine.append_plan(second)
+    held = _held(engine)
+    assert len(held) == len(first + second)
+    assert all(a is b for a, b in zip(held, first + second))
+    assert engine.pending_flushes == 3
     with pytest.raises(InvalidInstanceError):
-        PacedPlanner(4, pace=0)
+        ShardEngine(0, balanced_tree(2, 2), 2, 8, pace=-1)

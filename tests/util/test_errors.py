@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.util.errors import (
-    InvalidFlushError,
     InvalidInstanceError,
     InvalidScheduleError,
     ReproError,
@@ -15,12 +14,11 @@ from repro.util.errors import (
 def test_hierarchy():
     assert issubclass(InvalidInstanceError, ReproError)
     assert issubclass(InvalidScheduleError, ReproError)
-    assert issubclass(InvalidFlushError, InvalidScheduleError)
 
 
 def test_catchable_as_base():
     with pytest.raises(ReproError):
-        raise InvalidFlushError("bad flush")
+        raise InvalidScheduleError("bad schedule")
 
 
 def test_package_apis_raise_package_errors():
@@ -78,7 +76,6 @@ def _error_cases():
         ReproError("base"),
         InvalidInstanceError("bad instance"),
         InvalidScheduleError("bad schedule"),
-        InvalidFlushError("bad flush"),
         ExecutionStalledError(
             "stalled", step=7, parked_messages=((3, 1),),
             blocking_flush="f", pending_flushes=("f", "g"),
