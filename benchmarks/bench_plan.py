@@ -5,39 +5,34 @@ messages), so what a plan costs is mostly per-plan setup, not the
 algorithms.  This bench captures every ``plan_flushes`` call of a
 :class:`~repro.serve.ServiceLoop` run on e2ebench ``serve_steady``'s
 config (Poisson 8 msgs/step, uniform keys, 4 shards, ``P=4``, ``B=16``,
-seed 1) and replays the captured inputs through each planning stage:
+seed 1) and replays the captured inputs, each plan on its path — *root*
+(every message at the root: incremental plans and some full re-plans)
+or *midtree* (a full re-plan with messages parked below the root):
 
-* ``kernel`` — the flat cores :func:`repro.serve.planner.plan_flushes`
-  runs: ``pack_sets`` (packed), ``reduce_sets`` (reduce), the task
-  forest plus ``horn_trees`` (horn), ``phtf_steps`` plus ``mphtf_steps``
-  (mphtf), ``online_flushes`` (online), and ``remap_flushes``, the
-  sub-id -> global-id mapping into :class:`~repro.dam.schedule.Flush`
-  objects (remap);
-* ``objects`` — the object APIs over the same inputs: ``WORMSInstance``
-  (instance), ``build_packed_sets``, ``reduce_to_scheduling``,
-  ``compute_horn``, ``mphtf_schedule``, ``online_density_schedule`` and
-  the remap from their task edges / flush schedule.  Before the kernel,
-  this chain *was* ``plan_flushes``; it runs unchanged on such a
-  checkout, which is how the ``parent`` figures were taken.
+* ``plan_flushes`` — :func:`repro.serve.planner.plan_flushes` itself;
+* ``kernel`` — the same grouped pipeline, timed stage by stage:
+  grouping the messages by current node (group), ``pack_sets``
+  (packed), ``reduce_sets`` (reduce), joining each group's task forest
+  and building its :class:`~repro.dam.schedule.Flush` objects (join),
+  the task forest plus ``horn_trees`` (horn), ``phtf_steps`` plus
+  ``mphtf_steps`` (mphtf) and the flushes in MPHTF's step order (order).
 
-Figures are µs per plan: packed/reduce/horn/mphtf per all-at-root plan,
-online per mid-tree plan, instance and remap per plan of either kind,
-``plan_flushes`` per plan of its path (root / midtree); each is the
-least of ``--reps`` passes over all captured plans, divided by the
-host's slowdown during that pass (a calibration loop timed around it,
-as e2ebench does), so runs taken at different times compare.  Every
-replayed plan is checked against the flushes the run planned.
+Figures are µs per plan of the path; each is the least of ``--reps``
+passes over all captured plans, divided by the host's slowdown during
+that pass (a calibration loop timed around it, as e2ebench does), so
+runs taken at different times compare.  Every replayed plan is checked
+against the flushes the run planned.
 
 Full run (80k messages; writes the ``change`` section of
 ``results/BENCH_plan.json``)::
 
     PYTHONPATH=src:. python benchmarks/bench_plan.py
 
-Object stages only against an older checkout's ``src`` (how the
+``plan_flushes`` alone against an older checkout's ``src`` (how the
 ``parent`` section was written)::
 
     PYTHONPATH=<old checkout>/src python benchmarks/bench_plan.py \
-        --stages objects --section parent
+        --stages plan_flushes --section parent
 
 Quick mode (a 4k-message capture; parity plus one timed pass, writes
 nothing; needs no pytest-benchmark)::
@@ -63,7 +58,6 @@ if __package__ in (None, ""):  # run as a script: make benchmarks importable
 
 import repro.serve.planner as planner_mod
 from benchmarks.common import RESULTS_DIR
-from repro.dam.schedule import Flush
 from repro.serve import ServeConfig, ServiceLoop
 
 ARTIFACT = "BENCH_plan.json"
@@ -81,13 +75,16 @@ def serve_steady_config(messages: int) -> ServeConfig:
 
 def capture(messages: int) -> "list[tuple]":
     """Run the loop; return one ``(topology, P, B, ids, targets,
-    starts, flushes)`` per ``plan_flushes`` call.  ``targets``/``starts``
-    are per sub-id lists (``starts`` is None for all-at-root plans)."""
+    starts, kwargs, flushes)`` per ``plan_flushes`` call.
+    ``targets``/``starts`` are per sub-id lists (``starts`` is None for
+    all-at-root plans); ``kwargs`` are the call's keywords (age
+    weights)."""
     plan_flushes = planner_mod.plan_flushes
     plans = []
 
-    def recording(topology, P, B, msg_ids, targets, locations=None):
-        flushes = plan_flushes(topology, P, B, msg_ids, targets, locations)
+    def recording(topology, P, B, msg_ids, targets, locations=None, **kw):
+        flushes = plan_flushes(topology, P, B, msg_ids, targets, locations,
+                               **kw)
         ids = list(msg_ids)
         starts = None
         if locations is not None:
@@ -95,7 +92,7 @@ def capture(messages: int) -> "list[tuple]":
             if all(v == topology.root for v in starts):
                 starts = None
         plans.append((
-            topology, P, B, ids, [targets[m] for m in ids], starts,
+            topology, P, B, ids, [targets[m] for m in ids], starts, kw,
             [(f.src, f.dest, f.messages) for f in flushes],
         ))
         return flushes
@@ -108,149 +105,103 @@ def capture(messages: int) -> "list[tuple]":
     return plans
 
 
-def objects_chain():
-    """The object-API chain, as ``run(plan, acc) -> flushes``.
-
-    ``run`` adds each stage's seconds into ``acc``; every stage builds
-    its objects fresh, as ``plan_flushes`` did before the kernel.
-    """
-    from repro.core.packed import build_packed_sets
-    from repro.core.reduction import reduce_to_scheduling
-    from repro.core.worms import WORMSInstance
-    from repro.policies.online import online_density_schedule
-    from repro.scheduling.horn import compute_horn
-    from repro.scheduling.mphtf import mphtf_schedule
-    from repro.tree.messages import Message
-
-    clock = time.perf_counter
-
-    def run(plan, acc):
-        topo, P, B, ids, targets, starts, _want = plan
-        t0 = clock()
-        inst = WORMSInstance(
-            topo, [Message(i, t) for i, t in enumerate(targets)],
-            P=P, B=B, start_nodes=starts,
-        )
-        t1 = clock()
-        acc["instance"] += t1 - t0
-        if starts is None:
-            packed = build_packed_sets(inst)
-            t2 = clock()
-            reduced = reduce_to_scheduling(inst, packed)
-            t3 = clock()
-            horn = compute_horn(reduced.scheduling)
-            t4 = clock()
-            sigma = mphtf_schedule(reduced.scheduling, horn)
-            t5 = clock()
-            edges = reduced.task_edges
-            flushes = []
-            for step in sigma.steps:
-                for j in step:
-                    e = edges[j]
-                    flushes.append(Flush(
-                        e.src, e.dest, tuple([ids[i] for i in e.messages])
-                    ))
-            t6 = clock()
-            acc["packed"] += t2 - t1
-            acc["reduce"] += t3 - t2
-            acc["horn"] += t4 - t3
-            acc["mphtf"] += t5 - t4
-            acc["remap"] += t6 - t5
-            return flushes
-        planned = online_density_schedule(inst)
-        t2 = clock()
-        flushes = [
-            Flush(f.src, f.dest, tuple(ids[i] for i in f.messages))
-            for _t, f in planned.iter_timed()
-        ]
-        acc["online"] += t2 - t1
-        acc["remap"] += clock() - t2
-        return flushes
-
-    return run
+def _path(plan) -> str:
+    return "root" if plan[5] is None else "midtree"
 
 
 def kernel_chain():
-    """The flat cores ``plan_flushes`` runs, as ``run(plan, acc) ->
-    flushes`` (see :func:`objects_chain`)."""
+    """The grouped pipeline ``plan_flushes`` runs, as ``run(plan, acc)
+    -> flushes``; ``run`` adds each stage's seconds into ``acc``."""
     from repro.core.packed import pack_sets
     from repro.core.reduction import reduce_sets
-    from repro.policies.online import online_flushes
+    from repro.dam.schedule import Flush
     from repro.scheduling.horn import density_priorities, horn_trees
     from repro.scheduling.instance import task_forest
     from repro.scheduling.mphtf import mphtf_steps
     from repro.scheduling.phtf import phtf_steps
-    from repro.serve.planner import remap_flushes
+    from repro.serve.planner import PLAN_DENOM
 
     clock = time.perf_counter
+    presorted = Flush.presorted
 
     def run(plan, acc):
-        topo, P, B, ids, targets, starts, _want = plan
+        topo, P, B, ids, targets, starts, kw, _want = plan
         tables = topo.tables
-        t1 = clock()
-        if starts is None:
-            _n, set_node, set_msgs, _c = pack_sets(tables, targets, B)
+        weights = kw.get("weights")
+        t0 = clock()
+        groups: "dict[int, list[int]]" = {}
+        for i, v in enumerate(starts or [tables.root] * len(ids)):
+            groups.setdefault(v, []).append(i)
+        split = []
+        for top in sorted(groups):
+            group = groups[top]
+            split.append((
+                top, [ids[i] for i in group], [targets[i] for i in group],
+                None if weights is None else [weights[i] for i in group],
+            ))
+        acc["group"] += clock() - t0
+        parent: "list[int]" = []
+        weight: "list[int]" = []
+        flushes = []
+        for top, gids, gtargets, gweights in split:
+            t1 = clock()
+            _n, set_node, set_msgs, _c = pack_sets(
+                tables, gtargets, B, PLAN_DENOM, top
+            )
             t2 = clock()
-            parent, weight, _s, src, dest, msgs = reduce_sets(
-                tables, targets, set_node, set_msgs
+            g_parent, g_weight, _s, src, dest, msgs = reduce_sets(
+                tables, gtargets, set_node, set_msgs, gweights, top
             )
             t3 = clock()
-            children, roots, order = task_forest(parent)
-            key, _, _, tree_of = horn_trees(children, order, weight)
-            prio = density_priorities(key)
-            t4 = clock()
-            steps = mphtf_steps(
-                children, roots, prio, tree_of, P,
-                phtf_steps(children, roots, prio, P),
-            )
-            t5 = clock()
-            flushes = remap_flushes(ids, [
-                (src[j], dest[j], msgs[j]) for step in steps for j in step
+            if flushes:
+                offset = len(flushes)
+                g_parent = [j + offset if j >= 0 else -1 for j in g_parent]
+            parent += g_parent
+            weight += g_weight
+            flushes += map(presorted, src, dest, [
+                tuple([gids[i] for i in ms]) for ms in msgs
             ])
-            t6 = clock()
+            t4 = clock()
             acc["packed"] += t2 - t1
             acc["reduce"] += t3 - t2
-            acc["horn"] += t4 - t3
-            acc["mphtf"] += t5 - t4
-            acc["remap"] += t6 - t5
-            return flushes
-        planned = online_flushes(tables, targets, starts, P, B)
-        t2 = clock()
-        flushes = remap_flushes(
-            ids, [(v, c, ms) for _t, v, c, ms in planned]
+            acc["join"] += t4 - t3
+        t5 = clock()
+        children, roots, order = task_forest(parent)
+        key, _, _, tree_of = horn_trees(children, order, weight)
+        prio = density_priorities(key)
+        t6 = clock()
+        steps = mphtf_steps(
+            children, roots, prio, tree_of, P,
+            phtf_steps(children, roots, prio, P),
         )
-        acc["online"] += t2 - t1
-        acc["remap"] += clock() - t2
-        return flushes
+        t7 = clock()
+        planned = [flushes[j] for step in steps for j in step]
+        acc["horn"] += t6 - t5
+        acc["mphtf"] += t7 - t6
+        acc["order"] += clock() - t7
+        return planned
 
     return run
 
 
 def whole_chain():
     """``plan_flushes`` itself, as ``run(plan, acc) -> flushes`` (see
-    :func:`objects_chain`), timed per planner path."""
+    :func:`kernel_chain`)."""
     clock = time.perf_counter
 
     def run(plan, acc):
-        topo, P, B, ids, targets, starts, _want = plan
+        topo, P, B, ids, targets, starts, kw, _want = plan
         tmap = dict(zip(ids, targets))
         lmap = None if starts is None else dict(zip(ids, starts))
         t0 = clock()
-        flushes = planner_mod.plan_flushes(topo, P, B, ids, tmap, lmap)
-        acc["root" if starts is None else "midtree"] += clock() - t0
+        flushes = planner_mod.plan_flushes(topo, P, B, ids, tmap, lmap, **kw)
+        acc["all"] += clock() - t0
         return flushes
 
     return run
 
 
-CHAINS = {
-    "plan_flushes": whole_chain, "objects": objects_chain,
-    "kernel": kernel_chain,
-}
-#: stages timed on all-at-root plans / mid-tree plans; the rest (instance,
-#: remap) run on every plan.
-ROOT_STAGES = ("packed", "reduce", "horn", "mphtf", "root")
-MIDTREE_STAGES = ("online", "midtree")
+CHAINS = {"plan_flushes": whole_chain, "kernel": kernel_chain}
 
 
 #: A fixed pure-Python loop timed before and after every pass, and its
@@ -271,73 +222,75 @@ def _calibration() -> float:
 
 
 def measure(plans, reps: int, which: "tuple[str, ...]") -> dict:
-    """µs per plan, per chain and stage: the least total over ``reps``
-    passes, scaled to the reference host's fast state.  Passes of the
-    chains alternate, so drift hits them alike; every pass checks each
-    plan against the run's flushes."""
+    """µs per plan, per chain, path and stage: the least total over
+    ``reps`` passes, scaled to the reference host's fast state.  Passes
+    of the chains alternate, so drift hits them alike; every pass checks
+    each plan against the run's flushes."""
     runs = {label: CHAINS[label]() for label in which}
-    best: "dict[str, dict[str, float]]" = {label: {} for label in which}
+    paths = ("root", "midtree")
+    best: "dict[tuple[str, str], dict[str, float]]" = {
+        (label, path): {} for label in which for path in paths
+    }
     slowdowns = []
     for _ in range(reps):
         for label, run in runs.items():
-            acc = collections.defaultdict(float)
+            acc = {path: collections.defaultdict(float) for path in paths}
             gc.collect()
             before = _calibration()
             for plan in plans:
-                got = run(plan, acc)
+                got = run(plan, acc[_path(plan)])
                 assert [
                     (f.src, f.dest, f.messages) for f in got
-                ] == plan[6], f"{label}: replayed plan differs"
+                ] == plan[7], f"{label}: replayed plan differs"
             slowdown = (before + _calibration()) / 2 / CAL_REF_S
             slowdowns.append(slowdown)
-            for stage, seconds in acc.items():
-                best[label][stage] = min(
-                    best[label].get(stage, float("inf")), seconds / slowdown
-                )
-    n_root = sum(1 for p in plans if p[5] is None)
-    n_mid = len(plans) - n_root
-
-    def per_plan(stage: str, seconds: float) -> float:
-        n = (
-            n_root if stage in ROOT_STAGES
-            else n_mid if stage in MIDTREE_STAGES else len(plans)
-        )
-        return round(seconds * 1e6 / max(1, n), 1)
-
+            for path in paths:
+                stages = best[label, path]
+                for stage, seconds in acc[path].items():
+                    stages[stage] = min(
+                        stages.get(stage, float("inf")), seconds / slowdown
+                    )
+    counts = collections.Counter(map(_path, plans))
     doc = {
-        "plans": {"root": n_root, "midtree": n_mid},
+        "plans": {path: counts[path] for path in paths},
         "slowdown": [round(min(slowdowns), 2), round(max(slowdowns), 2)],
     }
     for label in which:
         doc[f"{label}_us"] = {
-            stage: per_plan(stage, seconds)
-            for stage, seconds in sorted(best[label].items())
+            path: {
+                stage: round(seconds * 1e6 / max(1, counts[path]), 1)
+                for stage, seconds in sorted(best[label, path].items())
+            }
+            for path in paths
         }
     return doc
 
 
 def test_plan_stages_quick():
-    """``plan_flushes`` and both stage chains reproduce every captured
-    plan of a short run (one timed pass each)."""
+    """``plan_flushes`` and the stage chain reproduce every captured
+    plan of a short run (one timed pass each), on both paths."""
     plans = capture(QUICK_MESSAGES)
     doc = measure(plans, 1, tuple(CHAINS))
     assert doc["plans"]["root"] > 0 and doc["plans"]["midtree"] > 0
-    assert doc["kernel_us"]["packed"] > 0 and doc["kernel_us"]["online"] > 0
+    for path in ("root", "midtree"):
+        assert doc["kernel_us"][path]["packed"] > 0
+        assert doc["kernel_us"][path]["mphtf"] > 0
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--messages", type=int, default=FULL_MESSAGES)
     parser.add_argument("--reps", type=int, default=5)
-    parser.add_argument("--stages", choices=("both", "objects", "kernel"),
-                        default="both")
+    parser.add_argument("--stages", choices=("both", "plan_flushes"),
+                        default="both",
+                        help="plan_flushes alone runs on older checkouts")
     parser.add_argument("--section", default="change",
                         help="results section to write (default: change)")
     parser.add_argument("--print", action="store_true",
                         help="print the figures instead of writing them")
     args = parser.parse_args(argv)
     which = ("plan_flushes",) + (
-        ("objects", "kernel") if args.stages == "both" else (args.stages,)
+        ("kernel",) if args.stages == "both" else ()
     )
     doc = measure(capture(args.messages), args.reps, which)
     doc["messages"] = args.messages

@@ -148,9 +148,9 @@ def test_e14_faulty_serving(benchmark):
          "stall skips"],
         rows,
         note="bursty (MMPP) stream under injected faults.  Fault-aware "
-        "triage caches observed stall windows, so it burns far fewer "
-        "attempts on frozen nodes and shaves the tail slightly; the "
-        "median is set by the tree height either way.",
+        "triage caches observed stall windows, so it probes frozen "
+        "nodes far less often (stall skips); the tail moves by at most "
+        "a step either way, and the median is set by the tree height.",
     )
     benchmark(
         lambda: run(ServeConfig(arrivals="mmpp", rate=3.0, burst_rate=24.0,

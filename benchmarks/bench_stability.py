@@ -106,11 +106,12 @@ def test_e16_pacing_tradeoff(benchmark):
         ["pace", "step work", "windows", "stalls", "stall wins", "max len",
          "p50", "p99", "p99.9", "mean"],
         rows,
-        note="flash-crowd + 5% interference, pace budget sweep.  Tight "
-        "budgets (16) throttle the catch-up drain and hurt everything; "
-        "loose budgets (64) change nothing; the right budget (32) "
-        "shortens the worst stall and the p99.9 tail for ~1% mean "
-        "regression — the Das-Iacono-Nekrich trade.",
+        note="flash-crowd + 5% interference, pace budget sweep.  With "
+        "full re-plans on the packed-set pipeline the unpaced run's "
+        "worst stall is one window, so no budget shortens it: tight "
+        "budgets (16) throttle the catch-up drain and hurt everything, "
+        "32 costs ~5% mean and ~9% p99.9, loose budgets (64) change "
+        "nothing.",
     )
     base, paced = docs[0], docs[DEMO_PACE]
     assert paced["stalls"]["max_len"] < base["stalls"]["max_len"], (

@@ -779,11 +779,16 @@ def cmd_kv(args: argparse.Namespace) -> int:
     from repro.lsm.disk import KVStore, build_policy, run_scrub
     from repro.util.errors import StorageError
 
+    try:
+        policy = build_policy(args.scheduler, pace=args.pace)
+    except ValueError as exc:
+        print(f"invalid kv configuration: {exc}", file=sys.stderr)
+        return 2
+
     def open_store():
         return KVStore(args.dir, sync=args.sync,
                        memtable_capacity=args.memtable_capacity,
-                       size_ratio=args.size_ratio,
-                       policy=build_policy(args.scheduler, pace=args.pace))
+                       size_ratio=args.size_ratio, policy=policy)
 
     try:
         if args.action == "ingest":

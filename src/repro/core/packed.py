@@ -19,7 +19,9 @@ The packed contents are then split into **packed sets** of total size in
 This module implements the *oblivious* variant (depends only on
 ``(T, M, P, B)``, not on any schedule), which is the one the reduction of
 Section 3.2 uses.  The divisor 6 is exposed as a parameter for the
-ablation bench.
+ablation bench and the serving planner (which packs at ``B/3``), and
+:func:`pack_sets` can decompose the subtree below any node, so a
+planner can re-plan messages parked mid-tree.
 """
 
 from __future__ import annotations
@@ -146,66 +148,33 @@ def pack_sets(
     targets: "list[int]",
     B: int,
     denom: int = PACKED_DENOM,
+    top: "int | None" = None,
 ) -> tuple[
     tuple[int, ...], list[int], list[tuple[int, ...]], list[tuple[int, ...]]
 ]:
     """The packed decomposition on flat lists: the planning kernel's stage.
 
-    Message ``i`` targets ``targets[i]``.  Returns ``(packed_nodes,
-    set_node, set_msgs, set_children)``: the sorted packed nodes, and per
-    packed set (in index order) its packed parent, its sorted message
-    ids and its child group.
+    Message ``i`` targets ``targets[i]``, a node of the subtree rooted
+    at ``top`` (default: the root), and ``top`` plays the root's part:
+    it is always packed and claims every leftover message.  Returns
+    ``(packed_nodes, set_node, set_msgs, set_children)``: the sorted
+    packed nodes, and per packed set (in index order) its packed parent,
+    its sorted message ids and its child group.
     """
     if denom < 2:
         raise InvalidInstanceError(f"denom must be >= 2, got {denom}")
-    root = tables.root
+    if top is None:
+        top = tables.root
     paths = tables.path
 
-    # Only nodes on some message's root-to-target path can hold messages;
-    # every other node has nothing unclaimed and is never packed.  Collect
-    # those nodes level by level (a node's level is its height).
-    per_target: dict[int, int] = {}
-    for t in targets:
-        per_target[t] = per_target.get(t, 0) + 1
-    unclaimed = dict(per_target)
-    up: dict[int, int] = {}  # node -> parent, for the visited nodes
-    levels: list[list[int]] = [[] for _ in range(tables.height + 1)]
-    for t in per_target:
-        path = paths[t]
-        for h in range(len(path) - 1, 0, -1):
-            v = path[h]
-            if v in up:
-                break  # this node and its ancestors are already listed
-            up[v] = path[h - 1]
-            levels[h].append(v)
-            unclaimed.setdefault(v, 0)
-
-    # Bottom-up: unclaimed[v] = messages targeting subtree(v) not claimed
-    # by a packed strict descendant of v.  v becomes packed when
-    # unclaimed[v] >= B/denom (exact integer comparison).
-    is_packed = {root}
-    for level in reversed(levels[1:]):
-        for v in level:
-            if denom * unclaimed[v] >= B:
-                is_packed.add(v)
-            else:
-                p = up[v]
-                unclaimed[p] = unclaimed.get(p, 0) + unclaimed[v]
-
-    # Each message's packed parent: lowest packed ancestor-or-self of its
-    # target (the root is packed, so one always exists).
-    lowest_packed: dict[int, int] = {}
-    for t in per_target:
-        path = paths[t]
-        h = len(path) - 1
-        while path[h] not in is_packed:
-            h -= 1
-        lowest_packed[t] = path[h]
-
-    # Group messages by packed parent, preserving message-id order.
-    contents: dict[int, list[int]] = {}
-    for m, t in enumerate(targets):
-        contents.setdefault(lowest_packed[t], []).append(m)
+    if denom * len(targets) < B:
+        # Too few messages for any node below ``top`` to be packed.
+        packed_nodes: "tuple[int, ...] | list[int]" = (top,)
+        contents = {top: list(range(len(targets)))}
+    else:
+        packed_nodes, contents = _packed_contents(
+            tables, targets, B, denom, top
+        )
 
     set_node: list[int] = []
     set_msgs: list[tuple[int, ...]] = []
@@ -228,11 +197,10 @@ def pack_sets(
         for c in chunks:
             emit(v, c, ())
 
-    packed_nodes = sorted(is_packed)
     for v in packed_nodes:
         msgs = contents.get(v)
         if not msgs:
-            continue  # only the root can be packed with no messages left
+            continue  # only ``top`` can be packed with no messages left
         if tables.is_leaf[v]:
             chunk(v, msgs)
             continue
@@ -269,3 +237,63 @@ def pack_sets(
             emit(v, group_msgs, tuple(children))
 
     return tuple(packed_nodes), set_node, set_msgs, set_children
+
+
+def _packed_contents(
+    tables: TreeTables,
+    targets: "list[int]",
+    B: int,
+    denom: int,
+    top: int,
+) -> "tuple[list[int], dict[int, list[int]]]":
+    """The sorted packed nodes of the subtree rooted at ``top``, and the
+    messages each one claims (packed contents, in message-id order)."""
+    paths = tables.path
+    depth = tables.depth
+    is_leaf = tables.is_leaf
+
+    # Top-down, split each node's messages by the child they cross.  A
+    # child holding fewer than B/denom of them cannot be packed, nor can
+    # anything below it: its messages rise, unclaimed.  Only the other
+    # ("heavy") children are split further.  ``heavy`` lists (node, its
+    # own and risen messages, its heavy children) in pre-order.
+    heavy: "list[tuple[int, list[int], list[int]]]" = []
+    stack = [(top, list(range(len(targets))))]
+    while stack:
+        v, msgs = stack.pop()
+        if is_leaf[v]:
+            heavy.append((v, msgs, []))
+            continue
+        below = depth[v] + 1
+        rest: "list[int]" = []
+        by_child: "dict[int, list[int]]" = {}
+        for m in msgs:
+            t = targets[m]
+            if t == v:
+                rest.append(m)
+            else:
+                by_child.setdefault(paths[t][below], []).append(m)
+        kids = []
+        for c, child_msgs in by_child.items():
+            if denom * len(child_msgs) >= B:
+                kids.append(c)
+                stack.append((c, child_msgs))
+            else:
+                rest += child_msgs
+        heavy.append((v, rest, kids))
+
+    # Bottom-up: a node's unclaimed messages are its own and risen ones
+    # plus those of its unpacked heavy children; it becomes packed when
+    # they number at least B/denom (exact integer comparison), and
+    # ``top`` is always packed.
+    contents: "dict[int, list[int]]" = {}
+    unclaimed: "dict[int, list[int]]" = {}
+    for v, rest, kids in reversed(heavy):
+        for c in kids:
+            if c not in contents:
+                rest += unclaimed.pop(c)
+        if v == top or denom * len(rest) >= B:
+            contents[v] = sorted(rest)
+        else:
+            unclaimed[v] = rest
+    return sorted(contents), contents

@@ -104,6 +104,7 @@ def reduce_sets(
     set_node: "list[int]",
     set_msgs: "list[tuple[int, ...]]",
     msg_weight: "list[float] | None" = None,
+    top: "int | None" = None,
 ) -> tuple[
     list[int], list, list[int], list[int], list[int], list[tuple[int, ...]]
 ]:
@@ -116,9 +117,14 @@ def reduce_sets(
     ``set_index[j]``, after task ``parent[j]`` (``-1``: none; always
     ``parent[j] < j``).  With unit weights (``msg_weight is None``) a
     task weighs the number of messages it delivers, an int; otherwise
-    the float sum of their ``msg_weight``.
+    the sum of their ``msg_weight`` (an int for int weights).
+
+    The messages start at ``top`` (default: the root), the node the sets
+    were packed below: a chain runs ``path(v)[depth(top):]``, so a set
+    packed at ``top`` itself has no chain.
     """
     paths = tables.path
+    first = 1 if top is None else tables.depth[top] + 1
     parent: list[int] = []
     weight: list = []
     task_set: list[int] = []
@@ -126,19 +132,25 @@ def reduce_sets(
     dest: list[int] = []
     msgs: list[tuple[int, ...]] = []
 
+    depth = tables.depth
+    is_leaf = tables.is_leaf
     for k, v in enumerate(set_node):
         all_msgs = set_msgs[k]
-        # Chain: one task per edge of the root-to-v path, all of C moving.
+        # Chain: one task per edge of the top-to-v path, all of C moving,
+        # each after the one above it.
         path = paths[v]
+        n_chain = len(path) - first
         pred = -1
-        for i in range(1, len(path)):
-            parent.append(pred)
-            pred = len(weight)
-            weight.append(0)
-            task_set.append(k)
-            src.append(path[i - 1])
-            dest.append(path[i])
-            msgs.append(all_msgs)
+        if n_chain > 0:
+            base = len(weight)
+            parent.append(-1)
+            parent.extend(range(base, base + n_chain - 1))
+            weight.extend([0] * n_chain)
+            task_set.extend([k] * n_chain)
+            src.extend(path[first - 1 : -1])
+            dest.extend(path[first:])
+            msgs.extend([all_msgs] * n_chain)
+            pred = base + n_chain - 1
         # Stack of pending subtree copies: (node u, messages of C
         # crossing into u, the predecessor task that delivered them into
         # u, u's parent).  ``node`` starts as v itself, whose "task" is
@@ -158,20 +170,23 @@ def reduce_sets(
                 msgs.append(tuple(node_msgs))
             # Split the messages at ``node``: those delivered here, and
             # the rest keyed by the child of ``node`` they cross.
-            below = tables.depth[node] + 1
-            own: list[int] = []
             by_child: dict[int, list[int]] = {}
-            for m in node_msgs:
-                target = targets[m]
-                if target == node:
-                    own.append(m)
-                    continue
-                by_child.setdefault(paths[target][below], []).append(m)
+            if is_leaf[node]:
+                own = node_msgs
+            else:
+                below = depth[node] + 1
+                own = []
+                for m in node_msgs:
+                    target = targets[m]
+                    if target == node:
+                        own.append(m)
+                        continue
+                    by_child.setdefault(paths[target][below], []).append(m)
             # The task into ``node`` delivers the messages ending there
             # and carries their weight (at v, the last chain task: always
             # so for a leaf packed parent, possible at internal nodes
-            # under the internal-target extension).  A root packed set
-            # has no chain: its messages ending at the root are already
+            # under the internal-target extension).  A set packed at
+            # ``top`` has no chain: its messages ending there are already
             # delivered.
             if own and task != -1:
                 weight[task] = (

@@ -39,7 +39,6 @@ from repro.lsm.disk.scheduler import (
     DiskCompactionPolicy,
     DiskLevelingPolicy,
     HornDensityPolicy,
-    PacedHornPolicy,
     build_policy,
 )
 from repro.lsm.disk.scrub import LostRange, ScrubReport, run_scrub
@@ -74,7 +73,6 @@ __all__ = [
     "DiskCompactionPolicy",
     "DiskLevelingPolicy",
     "HornDensityPolicy",
-    "PacedHornPolicy",
     "build_policy",
     "LostRange",
     "ScrubReport",

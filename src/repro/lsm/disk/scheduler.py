@@ -156,23 +156,31 @@ class HornDensityPolicy(DiskCompactionPolicy):
     ``advance_weight``.  Runs below ``min_density`` are left alone:
     merging them moves many entries to finish few obligations, the
     exact waste the paper's density ordering avoids.
+
+    ``pace`` (``> 0``) is the disk-engine half of the de-amortization
+    controller (the serving engine's ``pace`` is the flush half): a
+    density merge that would move more than ``pace`` entries in one task
+    is deferred — it stays a candidate and runs later, once intervening
+    capacity merges have shrunk its overlap or a smaller candidate
+    drains the same obligations.  Capacity restoration is exempt: an
+    over-budget level is an invariant violation and is repaired at
+    whatever cost it takes, exactly like the serving engine finishing an
+    in-flight flush.  The trade mirrors Das–Iacono–Nekrich: a bounded
+    amount of maintenance per
+    :meth:`~repro.lsm.disk.kvstore.KVStore.maintain` call, at the cost
+    of obligations draining in more (smaller) tasks.  ``0`` (the
+    default) leaves merges unbounded.
     """
 
     name = "horn-density"
 
     def __init__(self, *, min_density: float = 0.0,
-                 advance_weight: float = 0.5) -> None:
+                 advance_weight: float = 0.5, pace: int = 0) -> None:
+        if pace < 0:
+            raise ValueError(f"pace must be >= 0, got {pace}")
         self.min_density = float(min_density)
         self.advance_weight = float(advance_weight)
-
-    def _admit(self, moved: int) -> bool:
-        """Hook: may a density candidate moving ``moved`` entries run?
-
-        The base policy admits everything; :class:`PacedHornPolicy`
-        bounds it.  Capacity restoration never consults this hook —
-        invariant repair is correctness work and always wins.
-        """
-        return True
+        self.pace = int(pace)
 
     def choose(self, manifest: "Manifest", *, memtable_capacity: int,
                size_ratio: int) -> "CompactionTask | None":
@@ -183,6 +191,7 @@ class HornDensityPolicy(DiskCompactionPolicy):
         if over:
             return self._capacity_task(manifest, over[0])
         n = len(manifest.levels)
+        pace = self.pace
         best: "CompactionTask | None" = None
         for level in range(n - 1):
             below = manifest.levels[level + 1] if level + 1 < n else ()
@@ -204,8 +213,8 @@ class HornDensityPolicy(DiskCompactionPolicy):
                 density = weight * retired / max(1, moved)
                 if density <= self.min_density:
                     continue
-                if not self._admit(moved):
-                    continue
+                if pace and moved > pace:
+                    continue  # over the entry budget: deferred
                 if best is None or density > best.score:
                     best = CompactionTask(
                         level=level,
@@ -214,37 +223,6 @@ class HornDensityPolicy(DiskCompactionPolicy):
                         score=density,
                     )
         return best
-
-
-class PacedHornPolicy(HornDensityPolicy):
-    """:class:`HornDensityPolicy` with a per-task entry budget.
-
-    The disk-engine half of the de-amortization controller
-    (``serve --pace`` is the planner/engine half): density merges that
-    would move more than ``pace`` entries in one task are deferred —
-    they stay candidates and run later, once intervening capacity
-    merges have shrunk their overlap or a smaller candidate drains the
-    same obligations.  Capacity restoration is exempt: an over-budget
-    level is an invariant violation and is repaired at whatever cost it
-    takes, exactly like the serving engine finishing an in-flight
-    flush.  The trade mirrors Das–Iacono–Nekrich: a bounded amount of
-    maintenance per :meth:`~repro.lsm.disk.kvstore.KVStore.maintain`
-    call, at the cost of obligations draining in more (smaller) tasks.
-    """
-
-    name = "paced-horn"
-
-    def __init__(self, pace: int, *, min_density: float = 0.0,
-                 advance_weight: float = 0.5) -> None:
-        super().__init__(
-            min_density=min_density, advance_weight=advance_weight
-        )
-        if pace < 1:
-            raise ValueError(f"pace budget must be >= 1, got {pace}")
-        self.pace = int(pace)
-
-    def _admit(self, moved: int) -> bool:
-        return moved <= self.pace
 
 
 def build_policy(name: str, *, pace: int = 0) -> DiskCompactionPolicy:
@@ -256,5 +234,5 @@ def build_policy(name: str, *, pace: int = 0) -> DiskCompactionPolicy:
     if name == "leveling":
         return DiskLevelingPolicy()
     if name == "horn":
-        return PacedHornPolicy(pace) if pace > 0 else HornDensityPolicy()
+        return HornDensityPolicy(pace=pace)
     raise ValueError(f"unknown compaction scheduler {name!r}")

@@ -141,6 +141,9 @@ class ShardEngine:
         self.location: dict[int, int] = {}
         #: message id -> target node (in-flight messages only).
         self.targets: dict[int, int] = {}
+        #: message id -> step it was admitted or restored at (in-flight
+        #: messages only; full serve re-plans weight messages by age).
+        self.admitted_at: dict[int, int] = {}
         #: parked (non-completed) messages per internal non-root node.
         self.occupancy = [0] * topology.n_nodes
         self.pending: "list[_Pending]" = []
@@ -183,6 +186,7 @@ class ShardEngine:
             return step
         self.location[msg_id] = root
         self.targets[msg_id] = target_leaf
+        self.admitted_at[msg_id] = step
         self.root_backlog += 1
         self.stats.admitted += 1
         return None
@@ -212,6 +216,7 @@ class ShardEngine:
         """
         self.location = {}
         self.targets = {}
+        self.admitted_at = {}
         self.occupancy = [0] * self.topology.n_nodes
         self.pending = []
         self._n_pending = 0
@@ -224,13 +229,15 @@ class ShardEngine:
         locations: "dict[int, int]",
         targets,
         *,
+        step: int = 0,
         schedule: "FlushSchedule | None" = None,
     ) -> None:
-        """Rebuild in-flight state from a snapshot.
+        """Rebuild in-flight state from a snapshot taken at ``step``.
 
         ``locations`` maps every in-flight message id to its current
         node; ``targets`` (a mapping or a dense list) must cover at least
-        those ids.  Buffer occupancy and the root backlog are re-derived
+        those ids.  Every restored message counts as admitted at
+        ``step``.  Buffer occupancy and the root backlog are re-derived
         from the locations, the pending plan is cleared — the caller
         re-plans from the restored locations — and, when given,
         ``schedule`` replaces the realized schedule (restarts rebuild it
@@ -240,6 +247,7 @@ class ShardEngine:
         is_leaf = self._is_leaf
         self.location = {int(m): int(v) for m, v in locations.items()}
         self.targets = {int(m): int(targets[m]) for m in locations}
+        self.admitted_at = dict.fromkeys(self.location, int(step))
         occupancy = [0] * self.topology.n_nodes
         backlog = 0
         for v in self.location.values():
@@ -295,6 +303,7 @@ class ShardEngine:
         location = self.location
         loc = location.get
         targets = self.targets
+        admitted_at = self.admitted_at
         occupancy = self.occupancy
         injector = self.injector
         fault_aware = self.fault_aware
@@ -473,6 +482,7 @@ class ShardEngine:
                         completions.append((m, t))
                         del location[m]
                         del targets[m]
+                        del admitted_at[m]
                         stats.completed += 1
                     else:
                         location[m] = dest

@@ -92,13 +92,10 @@ def worms_replan(
     """Default re-planning hook: a fresh priority order for ``remaining``.
 
     The serving planner's rule, :func:`repro.serve.planner.plan_flushes`,
-    on the messages' *current* locations: if everything is still at the
-    root the paper's pipeline applies verbatim (reduction -> MPHTF -> the
-    Lemma 8 flush order); with mid-tree survivors the reduction does not
-    apply (it requires root starts), so the density-guided online
-    scheduler — valid by construction from arbitrary start nodes —
-    provides the order instead.  Returned flushes use original message
-    ids.
+    unweighted, on the messages' *current* locations: survivors are
+    grouped by node, each group is packed (at ``B/3``) and reduced on the
+    subtree below its node, and one MPHTF orders the joined tasks (the
+    Lemma 8 flush order).  Returned flushes use original message ids.
     """
     # Imported here: ``repro.serve`` pulls in the whole serving package,
     # which batch users of this module never need.
@@ -400,7 +397,7 @@ class GatedExecutor:
             t += 1
             if t > self.max_steps:
                 raise self._stalled(
-                    f"resilient executor exceeded max_steps={self.max_steps}",
+                    f"gated executor exceeded max_steps={self.max_steps}",
                     t, engine,
                 )
             engine.step(t, journal)
@@ -435,7 +432,7 @@ class GatedExecutor:
         """Re-plan the surviving messages, or raise if out of options."""
         if used >= self.max_replans:
             raise self._stalled(
-                f"resilient executor stalled ({reason}; "
+                f"gated executor stalled ({reason}; "
                 f"{used} replan(s) already used)",
                 t, engine,
             )
@@ -452,13 +449,13 @@ class GatedExecutor:
                 )
             except ReproError as exc:
                 raise self._stalled(
-                    f"resilient executor stalled ({reason}; "
+                    f"gated executor stalled ({reason}; "
                     f"replan failed: {exc})",
                     t, engine,
                 ) from exc
         if not new_flushes and remaining:
             raise self._stalled(
-                f"resilient executor stalled ({reason}; replanner returned "
+                f"gated executor stalled ({reason}; replanner returned "
                 "no flushes for surviving messages)",
                 t, engine,
             )

@@ -13,7 +13,10 @@ E9 bench can measure how much clairvoyance buys:
   policies, so the result is valid by construction).
 
 The offline policies can be run on the same arrival traces by releasing
-everything at step 1, which is what the bench compares against.
+everything at step 1, which is what the bench compares against.  The
+heuristic is E9's baseline and :class:`OnlineDensityPolicy`; the serving
+planner does not use it (every serve plan, mid-tree re-plans included,
+is the paper's pipeline: :func:`repro.serve.planner.plan_flushes`).
 """
 
 from __future__ import annotations
@@ -69,8 +72,8 @@ def online_flushes(
     B: int,
     arrivals: "list[tuple[int, int]] | None" = None,
 ) -> "list[tuple[int, int, int, tuple[int, ...]]]":
-    """The online density heuristic on flat lists: the planning kernel's
-    fallback for messages that start below the root.
+    """The online density heuristic on flat lists (the core
+    :func:`online_density_schedule` wraps).
 
     Message ``i`` starts at ``starts[i]`` and targets ``targets[i]``;
     ``arrivals`` lists ``(msg_id, release_step)`` pairs (default: every

@@ -6,14 +6,15 @@ the density of ``F_j``.  The *Horn's trees* partition all tasks: repeatedly
 take a root ``j`` of the remaining forest, carve out ``F_j``, and recurse
 (Section 4.2).
 
-The construction runs bottom-up in ``O(n log n)`` using mergeable pairing
-heaps: every task starts as its own F-tree; while the densest subtree
-pending below the growing ``F_j`` is strictly denser than ``F_j``, absorb
-it.  Eager heap melding is sound because a subtree pending below ``F_c``
-is strictly less dense than ``F_c`` and therefore can never be popped
-before the item for ``F_c`` itself; ties are broken LIFO (higher insertion
-sequence first) so an ancestor item always pops before its equal-density
-pending descendants.
+The construction runs bottom-up in ``O(n log^2 n)`` with binary heaps
+melded small-into-large (each item moves ``O(log n)`` times): every task
+starts as its own F-tree; while the densest subtree pending below the
+growing ``F_j`` is strictly denser than ``F_j``, absorb it.  Eager heap
+melding is sound because a subtree pending below ``F_c`` is strictly
+less dense than ``F_c`` and therefore can never be popped before the
+item for ``F_c`` itself; ties are broken LIFO (higher insertion sequence
+first) so an ancestor item always pops before its equal-density pending
+descendants.
 
 **Exact integer keys.**  Observation 11 style arguments (and therefore
 the Horn-tree partition) depend on exact density comparisons, which
@@ -33,12 +34,12 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 
 import numpy as np
 
 from repro.scheduling.cost import TaskSchedule
 from repro.scheduling.instance import SchedulingInstance
-from repro.util.pairing_heap import PairingHeap
 
 
 @dataclass(frozen=True)
@@ -139,30 +140,34 @@ def horn_trees(
     f_weight = [0] * n
     f_size = [0] * n
     absorbed_into = [-1] * n
-    # Heap of pending subtrees strictly below the growing F_j, keyed by
-    # the int ``key * n + seq`` (seq < n): the pair (key, insertion
-    # sequence), so equal densities pop LIFO.  ``None`` is an empty heap.
-    pending: list[PairingHeap | None] = [None] * n
+    # Min-heap (heapq list) of pending subtrees strictly below the
+    # growing F_j: subtree ``c`` is the int ``-((key * n + seq) * n + c)``
+    # (seq < n is its insertion sequence), so the densest pops first and
+    # equal densities pop LIFO.  ``None`` is an empty heap.
+    pending: "list[list[int] | None]" = [None] * n
     seq = 0
 
     for j in reversed(order):
-        heap: PairingHeap | None = None
+        heap: "list[int] | None" = None
         for c in children[j]:
             child_heap = pending[c]
             pending[c] = None  # released: its items now live in `heap`
             if heap is None:
-                heap = child_heap if child_heap is not None else PairingHeap()
-            elif child_heap is not None:
-                heap.meld(child_heap)
-            heap.push(key[c] * n + seq, c)
+                heap = child_heap if child_heap is not None else []
+            elif child_heap:
+                if len(child_heap) > len(heap):
+                    heap, child_heap = child_heap, heap
+                for item in child_heap:
+                    heappush(heap, item)
+            heappush(heap, -((key[c] * n + seq) * n + c))
             seq += 1
         w = weights[j]
         s = 1
         k = w * n2  # == floor(w * n**2 / s) while s == 1
         # A pending subtree is strictly denser iff its key exceeds k,
-        # i.e. iff its heap item is at least (k + 1) * n.
-        while heap and heap.peek()[0] >= (k + 1) * n:
-            _, x = heap.pop()
+        # i.e. iff its heap item is at most -(k + 1) * n**2.
+        while heap and heap[0] <= -(k + 1) * n2:
+            x = -heappop(heap) % n
             w += f_weight[x]
             s += f_size[x]
             k = w * n2 // s

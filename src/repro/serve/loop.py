@@ -477,17 +477,19 @@ class ShardStep:
             for gid, step in self.engines[sid].step(t, self._journal):
                 self._on_completion(sid, gid, step)
 
-    def _restore_shard(self, sid: int, locations: "dict[int, int]",
+    def _restore_shard(self, sid: int, t: int, locations: "dict[int, int]",
                        targets: "dict[int, int]") -> None:
-        """Rebuild shard ``sid``'s machine state from a journal fold.
+        """Rebuild shard ``sid``'s machine state from a journal fold at
+        step ``t``.
 
         The engine's realized schedule and counters survive the wipe
-        (they belong to the run's accounting); the restored messages get
-        a fresh full plan and a fresh re-plan budget.
+        (they belong to the run's accounting); the restored messages
+        count as admitted at ``t`` and get a fresh full plan and a fresh
+        re-plan budget.
         """
         engine = self.engines[sid]
         engine.wipe()
-        engine.restore_state(locations, targets)
+        engine.restore_state(locations, targets, step=t)
         self.admission.rebuild_residency(sid, locations.keys())
         self._fresh[sid] = []
         self._replans_left[sid] = MAX_FORCED_REPLANS
@@ -1260,7 +1262,7 @@ class ServiceLoop(ShardStep):
             completed = {
                 g for g in m.completion_step if m.shard_of[g] == sid
             }
-            locations, _schedule = rebuild_shard_state(
+            locations = rebuild_shard_state(
                 records,
                 admitted=admitted,
                 completed=completed,
@@ -1296,7 +1298,7 @@ class ServiceLoop(ShardStep):
         driver overrides this to ship the state to a worker (a fresh
         process when the old one died), which rebuilds the same way.
         """
-        self._restore_shard(sid, locations, self._leaf_of)
+        self._restore_shard(sid, t, locations, self._leaf_of)
         # Spilled arrivals go back in front of admission; any the queue
         # bound rejects are counted-shed, never dropped.
         items = list(self._spill[sid])

@@ -8,35 +8,44 @@ sufficient planning mode per epoch:
 * **noop** — no new admissions since the last plan: the in-flight
   priority list is already complete, keep it;
 * **incremental** — new arrivals all target *clean* top-level subtrees
-  (no in-flight message is parked mid-tree under them): the paper
-  pipeline (reduction -> MPHTF -> Lemma 8 order) runs on just the new
-  root-resident messages and the resulting flushes append after the
-  in-flight list.  Validity is preserved by the admission gate whatever
-  the order, so the fast path trades only priority freshness, not
-  correctness — and it skips re-reducing the (large) residual backlog;
+  (no in-flight message is parked mid-tree under them): the planner
+  runs on just the new root-resident messages, unweighted, and the
+  resulting flushes append after the in-flight list.  Validity is
+  preserved by the admission gate whatever the order, so the fast path
+  trades only priority freshness, not correctness — and it skips
+  re-reducing the (large) residual backlog;
 * **full** — some arrival lands in a dirty subtree, or the engine
   reported a deadlock between stitched plans: re-plan *everything* still
-  in flight from its current location.  All-at-root residues go through
-  the paper pipeline; mid-tree residues use the density-guided online
-  scheduler (which is valid from arbitrary start nodes).  The batch
-  re-planner :func:`repro.policies.executor.worms_replan` is this same
-  function.
+  in flight from its current location, each message weighted by its
+  age (:data:`AGE_BASE`), so messages parked mid-tree are not starved
+  by fresh root arrivals.  The batch re-planner
+  :func:`repro.policies.executor.worms_replan` is the same function,
+  unweighted.
+
+Every mode plans with :func:`plan_flushes`, one path: the paper's
+pipeline (packed sets -> reduction -> MPHTF -> Lemma 8 order) run from
+each message's current node.  Messages are grouped by that node, each
+group is packed and reduced on the subtree below it, and the joined
+task forest is solved by one MPHTF; an all-at-root plan is the
+one-group case.  The paper's Lemma 9 covers neither the joined
+reduction nor the ``B/3`` packing threshold (:data:`PLAN_DENOM`); the
+plan is a *priority order*, and the shard engine's flush gate keeps
+every executed step valid whatever the order.
 
 :func:`plan_flushes` runs the flat planning kernel: each stage's core,
 called directly — :func:`~repro.core.packed.pack_sets`,
 :func:`~repro.core.reduction.reduce_sets`,
-:func:`~repro.scheduling.mphtf.mphtf_plan` (Horn's trees, PHTF, MPHTF)
-or :func:`~repro.policies.online.online_flushes` — on parallel int
-lists over the shard tree's :attr:`~repro.tree.topology.TreeTopology.tables`,
-so a plan builds no ``Message``, ``WORMSInstance``,
-``SchedulingInstance`` or numpy array.  The object APIs
-(``build_packed_sets``, ``reduce_to_scheduling``, ``compute_horn``,
-``mphtf_schedule``, ``online_density_schedule``) wrap the same cores,
-so every stage has one implementation and the plans are the ones the
-object pipeline computes.
+:func:`~repro.scheduling.mphtf.mphtf_plan` (Horn's trees, PHTF,
+MPHTF) — on parallel int lists over the shard tree's
+:attr:`~repro.tree.topology.TreeTopology.tables`, so a plan builds no
+``Message``, ``WORMSInstance``, ``SchedulingInstance`` or numpy array.
+The object APIs (``build_packed_sets``, ``reduce_to_scheduling``,
+``compute_horn``, ``mphtf_schedule``) wrap the same cores, so every
+stage has one implementation and a one-group plan is the one the object
+pipeline computes on that group's subtree.
 
-Planned flushes carry global message ids; the plan is a *priority
-order*, the shard engine's gate decides actual step placement.
+Planned flushes carry global message ids; the shard engine's gate
+decides actual step placement.
 """
 
 from __future__ import annotations
@@ -48,7 +57,6 @@ from repro.core.reduction import reduce_sets
 from repro.dam.schedule import Flush
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_PLAN
-from repro.policies.online import online_flushes
 from repro.scheduling.mphtf import mphtf_plan
 from repro.serve.router import ShardEngine
 from repro.tree.topology import TreeTopology
@@ -64,6 +72,15 @@ from repro.core.worms import WORMSInstance  # noqa: F401,E402
 from repro.policies.online import online_density_schedule  # noqa: F401,E402
 from repro.scheduling.mphtf import mphtf_schedule  # noqa: F401,E402
 
+#: Every plan packs at ``B/PLAN_DENOM``, not the paper's ``B/6``: the
+#: packing ablation (``ABL_packing_threshold.txt``) measures ``B/3`` as
+#: the best threshold, 1.45 vs 1.83 cost/LB (docs/MODEL.md).
+PLAN_DENOM = 3
+#: A full serve re-plan weights each message ``AGE_BASE + age``, where
+#: ``age`` is how many steps before the plan's newest message it was
+#: admitted: the integer form of ``1 + age / AGE_BASE``.
+AGE_BASE = 8
+
 
 def plan_flushes(
     topology: TreeTopology,
@@ -73,25 +90,26 @@ def plan_flushes(
     targets: "dict[int, int] | list[int]",
     locations: "dict[int, int] | list[int] | None" = None,
     *,
+    weights: "list[int] | None" = None,
     allow_internal_targets: bool = False,
 ) -> "list[Flush]":
     """Priority-ordered flush list for ``msg_ids`` (global ids preserved).
 
     ``targets`` and ``locations`` map a global id to its target and
-    current node (a dict or a dense list).  Message ``msg_ids[i]`` is
-    sub-id ``i`` of the plan.  Without ``locations``, or with every
-    message at the root, the paper pipeline plans (packed sets ->
-    reduction -> MPHTF -> Lemma 8 order: one flush per task, in step
-    order); otherwise the online density scheduler plans from the
-    current nodes.  Targets must be leaves unless
-    ``allow_internal_targets`` (the footnote-3 extension).
+    current node (a dict or a dense list; no ``locations``: every
+    message is at the root).  Messages are grouped by current node; each
+    group is packed at ``B/``:data:`PLAN_DENOM` and reduced on the
+    subtree below its node, the task forests are joined in node order,
+    and one MPHTF orders them all (one flush per task, in step order).
+    ``weights[i]`` is message ``msg_ids[i]``'s integer weight in the
+    ``ΣwC`` objective (default: unit weights).  Targets must be leaves
+    unless ``allow_internal_targets`` (the footnote-3 extension).
     """
     if P < 1 or B < 1:
         raise InvalidInstanceError(f"need P >= 1 and B >= 1, got {P}, {B}")
     if not msg_ids:
         return []
     tables = topology.tables
-    root = tables.root
     is_leaf = tables.is_leaf
     n_nodes = len(is_leaf)
     sub_targets = [targets[m] for m in msg_ids]
@@ -104,51 +122,48 @@ def plan_flushes(
             raise InvalidInstanceError(
                 f"message {msg_ids[i]} targets non-leaf node {t}"
             )
-    starts = None
-    if locations is not None:
-        starts = [locations[m] for m in msg_ids]
-        if all(v == root for v in starts):
-            starts = None
-    if starts is None:
-        _nodes, set_node, set_msgs, _children = pack_sets(
-            tables, sub_targets, B
-        )
-        parent, weight, _sets, src, dest, msgs = reduce_sets(
-            tables, sub_targets, set_node, set_msgs
-        )
-        planned = [
-            (src[j], dest[j], msgs[j])
-            for step in mphtf_plan(parent, weight, P) for j in step
-        ]
+    if locations is None:
+        groups = {tables.root: None}
     else:
-        planned = [
-            (v, c, ms)
-            for _t, v, c, ms in online_flushes(
-                tables, sub_targets, starts, P, B
-            )
-        ]
-    return remap_flushes(msg_ids, planned)
-
-
-def remap_flushes(
-    msg_ids: "list[int]", planned: "list[tuple[int, int, tuple[int, ...]]]"
-) -> "list[Flush]":
-    """``Flush``es over global ids from ``(src, dest, sub-id msgs)``.
-
-    Sub-id ``i`` is ``msg_ids[i]``, and every ``msgs`` tuple is
-    ascending; so when ``msg_ids`` is ascending the mapped tuples are
-    too, and no flush sorts its messages again.
-    """
+        groups = {}
+        for i, m in enumerate(msg_ids):
+            groups.setdefault(locations[m], []).append(i)
+        if len(groups) == 1:
+            groups = dict.fromkeys(groups)
+    ascending = all(a < b for a, b in zip(msg_ids, msg_ids[1:]))
     presorted = Flush.presorted
-    if all(a < b for a, b in zip(msg_ids, msg_ids[1:])):
-        return [
-            presorted(src, dest, tuple([msg_ids[i] for i in ms]))
-            for src, dest, ms in planned
-        ]
-    return [
-        presorted(src, dest, tuple(sorted([msg_ids[i] for i in ms])))
-        for src, dest, ms in planned
-    ]
+    parent: "list[int]" = []
+    weight: "list[int]" = []
+    flushes: "list[Flush]" = []  # one per task of the joined forest
+    for top in sorted(groups):
+        group = groups[top]
+        if group is None:  # every message starts at ``top``
+            ids, group_targets, group_weights = msg_ids, sub_targets, weights
+        else:
+            ids = [msg_ids[i] for i in group]
+            group_targets = [sub_targets[i] for i in group]
+            group_weights = (
+                None if weights is None else [weights[i] for i in group]
+            )
+        _nodes, set_node, set_msgs, _children = pack_sets(
+            tables, group_targets, B, PLAN_DENOM, top
+        )
+        g_parent, g_weight, _sets, src, dest, msgs = reduce_sets(
+            tables, group_targets, set_node, set_msgs, group_weights, top
+        )
+        if flushes:
+            offset = len(flushes)
+            g_parent = [j + offset if j >= 0 else -1 for j in g_parent]
+        parent += g_parent
+        weight += g_weight
+        # Sub-ids -> global ids: every ``msgs`` tuple is ascending, so it
+        # stays so when ``msg_ids`` is.
+        flushes += map(presorted, src, dest, [
+            tuple([ids[i] for i in ms]) for ms in msgs
+        ] if ascending else [
+            tuple(sorted([ids[i] for i in ms])) for ms in msgs
+        ])
+    return [flushes[j] for step in mphtf_plan(parent, weight, P) for j in step]
 
 
 @dataclass
@@ -251,11 +266,15 @@ class EpochPlanner:
                 self.stats.incremental_plans += 1
                 self.stats.planned_flushes += len(flushes)
                 return "incremental"
-        # Full re-plan of everything still in flight from current state.
+        # Full re-plan of everything still in flight from current state,
+        # each message weighted by its age.
         residual = sorted(engine.location)
+        admitted = [engine.admitted_at[m] for m in residual]
+        newest = max(admitted, default=0)
         flushes = plan_flushes(
             topo, engine.P, engine.B, residual, engine.targets,
             engine.location,
+            weights=[AGE_BASE + newest - a for a in admitted],
         )
         engine.set_plan(flushes)
         engine.idle_streak = 0

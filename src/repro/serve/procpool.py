@@ -227,12 +227,12 @@ class _ShardWorker(ShardStep):
         self.stores.clear()
         self._disk_faults.close()
 
-    def restore(self, sid, locations, targets, queue_items,
+    def restore(self, sid, t, locations, targets, queue_items,
                 tenants=None, keys=None) -> None:
-        """Install folded restart state shipped by the parent."""
+        """Install folded restart state shipped by the parent at ``t``."""
         self._learn(tenants, keys)
         self._frozen_at.pop(sid, None)
-        self._restore_shard(sid, locations, targets)
+        self._restore_shard(sid, t, locations, targets)
         self.admission.load_queue(sid, queue_items)
 
     def _learn(self, tenants, keys) -> None:
@@ -734,8 +734,9 @@ class ProcPoolLoop(ServiceLoop):
         for gid in set(locations) | {g for g, _leaf in queue_items}:
             self._tag(tags, gid)
         try:
-            slot.conn.send(("restore", sid, locations, targets, queue_items,
-                            tags.get("tenants"), tags.get("keys")))
+            slot.conn.send(("restore", sid, t, locations, targets,
+                            queue_items, tags.get("tenants"),
+                            tags.get("keys")))
             msg = slot.conn.recv()
             if msg[0] == "err":
                 raise msg[1]

@@ -56,7 +56,6 @@ from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
-from repro.dam.schedule import Flush, FlushSchedule
 from repro.faults.chaos import CHAOS_DISK_FAULT, ChaosInjector, ChaosPlan
 from repro.faults.iofaults import FaultFS, parse_plan
 from repro.serve.router import ShardEngine
@@ -304,7 +303,7 @@ def rebuild_shard_state(
     completed: "set[int]",
     targets: "dict[int, int]",
     topology: TreeTopology,
-) -> "tuple[dict[int, int], FlushSchedule]":
+) -> "dict[int, int]":
     """Fold one shard's journaled flushes back into machine state.
 
     ``flush_records`` is the shard's durable flush history in journal
@@ -317,9 +316,8 @@ def rebuild_shard_state(
     raises a typed :class:`JournalCorruptionError` — restart is exact or
     it is a detected failure, never silently wrong.
 
-    Returns ``(locations, schedule)``: the outstanding messages' current
-    nodes (root-resident ones included) and the realized
-    :class:`FlushSchedule` rebuilt from the records.
+    Returns the outstanding messages' current nodes (root-resident ones
+    included).
     """
     root = topology.root
     known = admitted | completed
@@ -333,9 +331,7 @@ def rebuild_shard_state(
             )
         if target != root:
             locations[m] = root
-    schedule = FlushSchedule()
     for t, src, dest, msgs in flush_records:
-        schedule.add(int(t), Flush(int(src), int(dest), tuple(msgs)))
         for m in msgs:
             if m not in known:
                 raise JournalCorruptionError(
@@ -361,7 +357,7 @@ def rebuild_shard_state(
                 "from the durable journal prefix",
                 reason="schedule-mismatch",
             )
-    return locations, schedule
+    return locations
 
 
 def apply_chaos_windows(engine: ShardEngine, chaos: ChaosPlan,

@@ -2,14 +2,14 @@
 
 Computing Horn task densities bottom-up requires melding, for each tree
 node, the heaps of *pending subtrees* of all its children, then repeatedly
-popping the densest pending subtree (see :mod:`repro.scheduling.horn`).
-Pairing heaps give amortized ``O(1)`` meld/push and ``O(log n)`` pop, which
-keeps the whole density computation ``O(n log n)``.
+popping the densest pending subtree.  Pairing heaps give amortized
+``O(1)`` meld/push and ``O(log n)`` pop, which keeps that computation
+``O(n log n)``.  :mod:`repro.scheduling.horn` melds ``heapq`` lists
+small-into-large, which is faster at the sizes the planner sees; this
+heap serves the test-only ``Fraction``-keyed reference
+(``tests/scheduling/fraction_reference.py``).
 
-Keys must be totally ordered (``>`` / ``>=``).  The Horn computation
-uses plain ints: an exact integer density key with an insertion-sequence
-tie-break folded in, so comparisons are exact and never subject to float
-rounding (nor pay for ``fractions.Fraction`` arithmetic).
+Keys must be totally ordered (``>`` / ``>=``).
 """
 
 from __future__ import annotations

@@ -202,22 +202,25 @@ def test_recover_rejects_wrong_schedule(journaled_run):
 # Zero-overhead contract: journal off = nothing changes, journal on =
 # identical realized schedule.
 # ----------------------------------------------------------------------
-def test_journal_does_not_change_schedule(journaled_run):
-    inst, sched, _path = journaled_run
-    ordered = ordered_flushes(WormsPolicy().schedule(inst))
-    bare = GatedExecutor(inst).run(list(ordered))
-    assert bare.steps == sched.steps
-
-
-def test_resilient_journal_does_not_change_schedule(tmp_path):
+@pytest.fixture
+def seed8_run(tmp_path):
+    """A second journaled run, on another instance."""
     inst = make_uniform(balanced_tree(3, 3), n_messages=100, P=2, B=12,
                         seed=8)
     ordered = ordered_flushes(WormsPolicy().schedule(inst))
+    path = tmp_path / "r.journal"
+    sched = GatedExecutor(inst, journal=path, checkpoint_every=4).run(
+        list(ordered)
+    )
+    return inst, sched, path
+
+
+@pytest.mark.parametrize("run", ["journaled_run", "seed8_run"])
+def test_journal_does_not_change_schedule(run, request):
+    inst, sched, _path = request.getfixturevalue(run)
+    ordered = ordered_flushes(WormsPolicy().schedule(inst))
     bare = GatedExecutor(inst).run(list(ordered))
-    journaled = GatedExecutor(
-        inst, journal=tmp_path / "r.journal", checkpoint_every=4
-    ).run(list(ordered))
-    assert bare.steps == journaled.steps
+    assert bare.steps == sched.steps
 
 
 def test_checkpoint_every_validation():

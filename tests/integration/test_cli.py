@@ -254,6 +254,14 @@ def test_serve_rejects_bad_config(capsys):
     assert "invalid serve configuration" in capsys.readouterr().err
 
 
+def test_kv_rejects_negative_pace(tmp_path, capsys):
+    rc = main(["kv", "stats", "--dir", str(tmp_path / "kv"),
+               "--scheduler", "horn", "--pace", "-1"])
+    assert rc == 2
+    assert "invalid kv configuration" in capsys.readouterr().err
+    assert not (tmp_path / "kv").exists()
+
+
 def test_serve_journal_recovers(tmp_path, capsys):
     journal = tmp_path / "serve.journal"
     rc = main(SERVE_ARGS + ["--journal", str(journal)])
@@ -317,7 +325,7 @@ FAULTS_STDOUT = {
         "025761730008a81d843ddad979f23320b383eda17fe25d98144fa0e3f27e77b7",
     "faults --messages 150 --fanout 3 --height 3 --P 2 --B 12 --seed 2 "
     "--rates 0.1,0.3 --burst --fault-aware --retry-budget 3":
-        "3549fa7a2097bcedcfde09285107841255cb3ca8cc3126deb9ac0a096997f918",
+        "c6e37d2dccad2e09e497a9d50e0fb722258974243025a61dfd30eef2502db371",
 }
 
 

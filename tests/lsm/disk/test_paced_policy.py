@@ -1,10 +1,11 @@
 """Paced disk compaction: the ``kv --pace`` budget at the policy level.
 
-:class:`PacedHornPolicy` defers *density* (obligation-drain) merges
-whose entry movement exceeds the budget — de-amortizing background
-maintenance the same way ``serve --pace`` bounds flush work.  Capacity
-repairs are exempt: restoring a level invariant is correctness work and
-must never be deferred, whatever the budget.
+:class:`HornDensityPolicy` with ``pace > 0`` defers *density*
+(obligation-drain) merges whose entry movement exceeds the budget —
+de-amortizing background maintenance the same way ``serve --pace``
+bounds flush work.  Capacity repairs are exempt: restoring a level
+invariant is correctness work and must never be deferred, whatever the
+budget.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from repro.lsm.disk import (
     DiskLevelingPolicy,
     HornDensityPolicy,
     Manifest,
-    PacedHornPolicy,
     build_policy,
 )
 from repro.lsm.disk.sstable import SSTableMeta
@@ -43,7 +43,7 @@ def _density_manifest():
 
 
 def test_paced_policy_admits_within_budget_candidates():
-    task = PacedHornPolicy(100).choose(
+    task = HornDensityPolicy(pace=100).choose(
         _density_manifest(), memtable_capacity=8, size_ratio=8
     )
     assert task is not None and task.regime == "density"
@@ -53,7 +53,7 @@ def test_paced_policy_admits_within_budget_candidates():
 def test_paced_policy_defers_oversized_density_merges():
     # Both candidates move more than the budget: the policy waits
     # rather than spiking the maintenance step.
-    assert PacedHornPolicy(50).choose(
+    assert HornDensityPolicy(pace=50).choose(
         _density_manifest(), memtable_capacity=8, size_ratio=8
     ) is None
     # The unpaced policy would have merged: the deferral is the pace.
@@ -69,21 +69,25 @@ def test_capacity_repair_is_exempt_from_the_budget():
         next_file_id=10,
         levels=((), (_meta(1, "a", "m", 40, 1),), (_meta(2, "a", "z", 5, 0),)),
     )
-    task = PacedHornPolicy(1).choose(
+    task = HornDensityPolicy(pace=1).choose(
         manifest, memtable_capacity=8, size_ratio=2
     )
     assert task is not None and task.regime == "capacity"
 
 
 def test_paced_policy_validates_budget():
+    # 0 is unpaced; a negative budget is rejected, as the serving
+    # engine rejects one.
+    assert HornDensityPolicy(pace=0).pace == 0
     with pytest.raises(ValueError):
-        PacedHornPolicy(0)
+        HornDensityPolicy(pace=-1)
 
 
 def test_build_policy_factory():
     assert type(build_policy("horn")) is HornDensityPolicy
+    assert build_policy("horn").pace == 0
     paced = build_policy("horn", pace=64)
-    assert isinstance(paced, PacedHornPolicy)
+    assert type(paced) is HornDensityPolicy
     assert paced.pace == 64
     # leveling has no density regime, so the budget is inert by design.
     assert type(build_policy("leveling", pace=64)) is DiskLevelingPolicy

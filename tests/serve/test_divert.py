@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dam.journal import REC_DIVERT, scan_journal
 from repro.faults import (
     CHAOS_KILL,
     CHAOS_STALL,
@@ -145,18 +146,31 @@ class TestDiversion:
         assert loop.router.diverted == {}
         assert_exact(report)
 
-    def test_handed_off_messages_stay_with_the_neighbor(self):
+    def test_handed_off_messages_stay_with_the_neighbor(self, tmp_path):
+        path = tmp_path / "divert.woj"
         loop, report = run_checked(
-            DOUBLE_KILL, shards=2, messages=260, rate=10.0
+            DOUBLE_KILL, shards=2, messages=260, rate=10.0, journal=path
         )
         sup = report.supervisor
         # Messages spilled while shard 1 was quarantined were handed to
         # shard 0 by the late divert; none were lost and none shed —
         # every one of them completed on the neighbor.
+        handed = [
+            (r["to"], gid) for r in scan_journal(path).records
+            if r["type"] == REC_DIVERT for gid in r["msgs"]
+        ]
         assert sup.spilled_by_shard.get(1, 0) > 0
-        assert sup.divert_handoff_msgs > 0
+        assert len(handed) == sup.divert_handoff_msgs > 0
         assert sup.spill_overflow_shed == 0
-        assert report.snapshot["shed"] == 0
+        for to, gid in handed:
+            assert gid in report.completions
+            assert loop.metrics.shard_of[gid] == to
+        # The handoff fills shard 0's admission queue to within a few
+        # messages of its bound (16 B); a fresh arrival the full queue
+        # turns away is counted-shed at admission, never a handed-off
+        # message.
+        assert report.snapshot["shed"] == loop.admission.stats.shed
+        assert not {gid for _to, gid in handed} & loop.metrics.shed_ids
         # shard_of moved with the handoff: the per-shard ledgers still
         # partition the arrivals exactly (no double count, no orphan).
         per_shard = report.snapshot["shards"]

@@ -6,17 +6,20 @@
   driver — in-process and procpool alike.
 * Journals written by the retired thread-pool driver (meta
   ``{"kind": "threads", "workers": N}`` plus the retired
-  ``watchdog_budget`` key) still recover exactly, in-process.
-* Journals written by the retired unsupervised loop (``plain_era.json``
-  names each one's config) recover exactly when that run never stalled
-  an epoch long enough to trip a breaker.  One that would have tripped
-  replays a different run today, and recovery says so with a typed
-  ``schedule-mismatch`` error instead of a wrong answer.
+  ``watchdog_budget`` key) and by the retired unsupervised loop
+  (``plain_era.json`` names each one's config) still parse: their meta
+  maps onto today's config and driver.  Recovery re-derives a run by
+  replaying it, and every one of them was written by a planner whose
+  full re-plans ran the online density heuristic at ``B/6`` — so
+  today's replay is a different run, and recovery says so with a typed
+  ``schedule-mismatch`` error instead of a wrong answer.  (Before that
+  planner changed, the thread-era and fault-free plain-era journals
+  re-derived byte-exact; the plain-era run that would trip a breaker
+  already failed typed.)
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -35,12 +38,6 @@ from repro.util.errors import JournalCorruptionError
 DATA = Path(__file__).parent / "data"
 
 
-def completions_digest(completions: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(sorted(completions.items())).encode()
-    ).hexdigest()
-
-
 def faulty_config(seed: int) -> ServeConfig:
     return ServeConfig(rate=6.0, messages=400, shards=2, seed=seed,
                        fault_rate=0.5, fault_seed=seed)
@@ -53,7 +50,10 @@ DRIVERS = {
 }
 
 
-@pytest.mark.parametrize("seed", [1, 3])
+#: Seeds whose ``faulty_config`` trips a breaker (seed 3 stopped tripping
+#: once full re-plans ran the packed-set pipeline; seed 7 trips under
+#: both planners).
+@pytest.mark.parametrize("seed", [1, 7])
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_tripped_fault_journal_recovers(tmp_path, driver, seed):
     cfg = faulty_config(seed)
@@ -81,19 +81,18 @@ def test_driver_record_survives_compaction(tmp_path):
     assert recover_serve(path).report.completions == report.completions
 
 
-def test_thread_era_journal_recovers_to_its_digest():
+def test_thread_era_journal_fails_typed():
     """Written by the thread-pool driver with ``workers=2``, a
     ``kill-worker`` drill, and a non-default ``SupervisorConfig`` whose
-    meta carries the retired ``watchdog_budget``."""
-    expected = json.loads((DATA / "threads_era.json").read_text())
+    meta carries the retired ``watchdog_budget``; its plans are the old
+    planner's, so it cannot be re-derived byte-exact."""
     path = DATA / "threads_era.woj"
     meta = RecoveryManager(path).meta
     assert meta["driver"] == {"kind": "threads", "workers": 2}
     assert meta["supervisor"]["watchdog_budget"] == 5
-    rec = recover_serve(path, repair=False)
-    assert rec.run_completed
-    assert completions_digest(rec.report.completions) == \
-        expected["completions_sha256"]
+    with pytest.raises(JournalCorruptionError) as exc:
+        recover_serve(path, repair=False)
+    assert exc.value.reason == "schedule-mismatch"
 
 
 def _plain_era(name: str) -> "tuple[Path, dict]":
@@ -101,18 +100,15 @@ def _plain_era(name: str) -> "tuple[Path, dict]":
     return DATA / name, doc["journals"][name]
 
 
-def test_plain_era_journal_recovers_to_its_digest():
-    """Fault-free: supervision never engaged, so today's loop re-derives
-    the unsupervised run byte for byte."""
-    path, expected = _plain_era("plain_fault_free.woj")
+def test_plain_era_fault_free_journal_fails_typed():
+    """Fault-free: supervision never engaged, but the run's plans are
+    the old planner's, so its flushes are not in the re-derived run."""
+    path, _expected = _plain_era("plain_fault_free.woj")
     meta = RecoveryManager(path).meta
     assert not {"driver", "chaos", "supervisor"} & meta.keys()
-    rec = recover_serve(path, repair=False)
-    assert rec.run_completed
-    assert rec.replayed_flushes > 0
-    assert completions_digest(rec.report.completions) == \
-        expected["completions_sha256"]
-    assert rec.report.supervisor.trips == 0
+    with pytest.raises(JournalCorruptionError) as exc:
+        recover_serve(path, repair=False)
+    assert exc.value.reason == "schedule-mismatch"
 
 
 def test_plain_era_journal_that_would_trip_fails_typed():

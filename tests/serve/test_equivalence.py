@@ -2,7 +2,9 @@
 
 With a single shard and every arrival stamped at step 1, the serving
 loop plans once at its first epoch boundary via the same paper pipeline
-(reduction -> MPHTF -> Lemma 8 conversion) the batch path uses, and
+(reduction -> MPHTF -> Lemma 8 conversion) the batch path uses, packed
+at the serving planner's ``B/3`` (the batch default is the paper's
+``B/6``), and
 :meth:`ShardEngine.step` applies the same admission gate as
 :class:`GatedExecutor` — so the realized schedule, and therefore every
 completion time, must be *identical* to the offline run.  Sojourn time
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.packed import build_packed_sets
 from repro.core.reduction import reduce_to_scheduling
 from repro.core.task_to_flush import task_schedule_to_flush_schedule
 from repro.core.worms import WORMSInstance
@@ -31,7 +34,7 @@ def offline_completions(cfg: ServeConfig, keys: "list[int]") -> dict:
     spec = router.shards[0]
     msgs = [Message(i, router.route(k)[1]) for i, k in enumerate(keys)]
     inst = WORMSInstance(spec.topology, msgs, P=cfg.P, B=cfg.B)
-    reduced = reduce_to_scheduling(inst)
+    reduced = reduce_to_scheduling(inst, build_packed_sets(inst, denom=3))
     sigma = mphtf_schedule(reduced.scheduling)
     plan = task_schedule_to_flush_schedule(reduced, sigma)
     sched = GatedExecutor(inst).run([f for _t, f in plan.iter_timed()])

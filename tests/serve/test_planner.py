@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.core.packed import build_packed_sets
 from repro.core.reduction import reduce_to_scheduling
 from repro.core.task_to_flush import task_schedule_to_flush_schedule
 from repro.core.worms import WORMSInstance
-from repro.policies.online import online_density_schedule
+from repro.policies import online
 from repro.scheduling.instance import SchedulingInstance
 from repro.scheduling.mphtf import mphtf_schedule
 from repro.serve import ServeConfig, ServiceLoop
 from repro.serve.planner import EpochPlanner, plan_flushes
 from repro.serve.router import ShardEngine
-from repro.tree import Message, balanced_tree, beps_shape_tree
+from repro.tree import Message, TreeTopology, balanced_tree, beps_shape_tree
 from repro.util.errors import InvalidInstanceError
+from tests.serve.test_planner_golden import TREES
 
 
 def make_engine(P=2, B=8):
@@ -129,6 +133,33 @@ def test_forced_replan_resets_idle_streak():
     assert planner.stats.forced_replans == 1
 
 
+def test_full_replan_weights_messages_by_age(monkeypatch):
+    """A full re-plan weights message m by 8 + (newest admission step in
+    the plan - m's admission step); an incremental plan is unweighted,
+    and a restored message counts from its restore step."""
+    import repro.serve.planner as planner_mod
+
+    calls = []
+    real = planner_mod.plan_flushes
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("weights"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(planner_mod, "plan_flushes", spy)
+    engine, topo = make_engine(B=64)
+    planner = EpochPlanner(4)
+    for gid, step in ((0, 1), (1, 3), (2, 6)):
+        engine.admit(gid, topo.leaves[gid], step)
+    planner.plan(engine, [0, 1, 2])
+    planner.plan(engine, [], force_full=True)
+    assert calls == [None, [13, 11, 8]]
+    engine.restore_state(dict(engine.location), engine.targets, step=9)
+    engine.admit(3, topo.leaves[3], 12)
+    planner.plan(engine, [], force_full=True)
+    assert calls[-1] == [11, 11, 11, 8]
+
+
 def test_first_plan_all_at_root_matches_offline_pipeline():
     """With everything at the root the planner IS the paper pipeline."""
     engine, topo = make_engine()
@@ -158,40 +189,90 @@ def test_plan_flushes_validates_targets_and_machine():
     ]
 
 
+def _object_plan(topo, P, B, ids, targets):
+    """The object pipeline on all-at-root ``ids``: build_packed_sets at
+    B/3 -> reduce_to_scheduling -> mphtf_schedule -> Lemma 8."""
+    inst = WORMSInstance(
+        topo, [Message(i, targets[m]) for i, m in enumerate(ids)], P=P, B=B,
+    )
+    reduced = reduce_to_scheduling(inst, build_packed_sets(inst, denom=3))
+    planned = task_schedule_to_flush_schedule(
+        reduced, mphtf_schedule(reduced.scheduling)
+    )
+    return [
+        (f.src, f.dest, tuple(sorted(ids[i] for i in f.messages)))
+        for _t, f in planned.iter_timed()
+    ]
+
+
+def _subtree(topo, s):
+    """The subtree rooted at ``s`` relabelled as its own TreeTopology:
+    new id ``i`` is ``nodes[i]``, the ``i``-th smallest id under ``s``
+    (order-preserving, so every id tie-break is the same)."""
+    nodes = sorted(topo.iter_subtree(s))
+    assert nodes[0] == s
+    index = {v: i for i, v in enumerate(nodes)}
+    parent = [-1] + [index[topo.parent_of(v)] for v in nodes[1:]]
+    return TreeTopology(parent), nodes, index
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_plan_flushes_is_the_object_pipeline(seed):
-    """The kernel plan equals the object APIs' plan on the same input:
-    WORMSInstance -> reduce_to_scheduling -> mphtf_schedule -> Lemma 8
-    (root starts), online_density_schedule (mid-tree starts)."""
+    """All at the root, the kernel plan equals the object APIs' plan on
+    the same input."""
     rng = np.random.default_rng(seed)
     topo = beps_shape_tree(16, 0.5, 64)
     ids = [int(x) for x in rng.choice(5000, size=40, replace=False)]
     targets = {m: int(rng.choice(topo.leaves)) for m in ids}
-    locations = None
-    if seed % 2:
-        locations = {
-            m: topo.root_path(targets[m])[int(rng.integers(0, 3))]
-            for m in ids
-        }
-    inst = WORMSInstance(
-        topo, [Message(i, targets[m]) for i, m in enumerate(ids)],
-        P=4, B=16,
-        start_nodes=None if locations is None
-        else [locations[m] for m in ids],
-    )
-    if locations is None:
-        reduced = reduce_to_scheduling(inst)
-        planned = task_schedule_to_flush_schedule(
-            reduced, mphtf_schedule(reduced.scheduling)
+    got = plan_flushes(topo, 4, 16, ids, targets)
+    assert [(f.src, f.dest, f.messages) for f in got] == \
+        _object_plan(topo, 4, 16, ids, targets)
+
+
+@pytest.mark.parametrize("tree", ["balanced", "beps"])
+@pytest.mark.parametrize("n", [5, 40])
+def test_plan_from_mid_tree_is_the_object_pipeline_on_the_subtree(tree, n):
+    """From every internal node ``s`` of the planner-golden trees, the
+    plan of messages parked at ``s`` equals the object pipeline run on
+    the subtree below ``s`` as a tree of its own, ids mapped back.  With
+    ``n=5`` no node below ``s`` can be packed at B=16 (5 < 16/3)."""
+    topo = TREES[tree]()
+    internal = [v for v in range(topo.n_nodes) if not topo.is_leaf(v)]
+    for s in internal:
+        rng = np.random.default_rng([n, s])
+        sub, nodes, index = _subtree(topo, s)
+        ids = sorted(int(x) for x in rng.choice(5000, size=n, replace=False))
+        targets = {m: int(rng.choice(topo.leaves_under(s))) for m in ids}
+        got = plan_flushes(topo, 4, 16, ids, targets, dict.fromkeys(ids, s))
+        expected = _object_plan(
+            sub, 4, 16, ids, {m: index[t] for m, t in targets.items()}
         )
-    else:
-        planned = online_density_schedule(inst)
-    expected = [
-        (f.src, f.dest, tuple(sorted(ids[i] for i in f.messages)))
-        for _t, f in planned.iter_timed()
-    ]
-    got = plan_flushes(topo, 4, 16, ids, targets, locations)
-    assert [(f.src, f.dest, f.messages) for f in got] == expected
+        assert [(f.src, f.dest, f.messages) for f in got] == [
+            (nodes[a], nodes[b], ms) for a, b, ms in expected
+        ], f"{tree}: plan from node {s}"
+
+
+def test_mid_tree_groups_are_joined_not_concatenated():
+    """Two start nodes make one task forest under one MPHTF: the plan
+    holds each group's flushes, interleaved in step order rather than
+    one group's whole plan after the other's."""
+    topo = balanced_tree(3, 3)
+    a, b = topo.children_of(topo.root)[:2]
+    rng = np.random.default_rng(4)
+    ids = list(range(24))
+    start = {m: a if m % 2 else b for m in ids}
+    targets = {m: int(rng.choice(topo.leaves_under(start[m]))) for m in ids}
+    got = plan_flushes(topo, 2, 8, ids, targets, start)
+    per_group = {
+        s: plan_flushes(topo, 2, 8, [m for m in ids if start[m] == s],
+                        targets, start)
+        for s in (a, b)
+    }
+    srcs = [topo.root_path(f.src)[1] for f in got]
+    assert sorted(map(repr, got)) == sorted(
+        map(repr, per_group[a] + per_group[b])
+    )
+    assert srcs != sorted(srcs) and srcs != sorted(srcs, reverse=True)
 
 
 def test_service_loop_builds_no_instance_objects(monkeypatch):
@@ -203,6 +284,28 @@ def test_service_loop_builds_no_instance_objects(monkeypatch):
 
     monkeypatch.setattr(WORMSInstance, "__init__", refuse)
     monkeypatch.setattr(SchedulingInstance, "__init__", refuse)
+    loop = ServiceLoop(ServeConfig(
+        arrivals="poisson", rate=8.0, messages=3000, shards=2, seed=1,
+    ))
+    report = loop.run()
+    assert len(report.completions) == 3000
+    stats = loop.planner.stats
+    assert stats.incremental_plans > 0 and stats.full_replans > 0
+
+
+def test_service_loop_never_reaches_online_flushes(monkeypatch):
+    """Every serve plan is the paper pipeline: the online density
+    heuristic (E9's baseline) is not on the serving path, not even for
+    full re-plans of messages parked mid-tree."""
+    original = online.online_flushes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("serving reached online_flushes")
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, "online_flushes", None) is original):
+            monkeypatch.setattr(module, "online_flushes", refuse)
     loop = ServiceLoop(ServeConfig(
         arrivals="poisson", rate=8.0, messages=3000, shards=2, seed=1,
     ))
