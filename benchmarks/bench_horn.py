@@ -1,9 +1,10 @@
 """E5: Horn's algorithm — optimality for P=1 and O(n log n) scaling.
 
 The paper notes Horn's algorithm runs in O(n log n) with a priority-queue
-implementation; our pairing-heap density computation is the costly part.
-The scaling rows report time per n*log2(n) unit, which should be roughly
-flat (it is), and the optimality rows certify against the exact DP.
+implementation; our density computation (``heapq`` lists melded
+small-into-large) is the costly part.  The scaling rows report time
+per n*log2(n) unit, which should be roughly flat (it is), and the
+optimality rows certify against the exact DP.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ Mean throughput hides the failure mode that matters in production
 (Luo & Carey, PAPERS.md): windows where the service goes dark while
 amortized maintenance catches up.  Three tables: the stall profile of
 the two MMPP scenarios, the de-amortization trade-off curve
-(``--pace`` budget vs stall length / tail sojourn / mean), and the
-acceptance demonstration that a paced flash-crowd run shortens its
-worst stall *and* its p99.9 sojourn for a bounded mean regression.
+(``--pace`` budget vs stall length / tail sojourn / mean) on one
+flash-crowd run, and the pacing criterion — a paced run shortens its
+worst stall *and* its p99.9 sojourn for a bounded mean regression —
+judged over a panel of seeds.  On the packed-set planner no budget
+meets it, and the test pins that finding.
 Raw documents land in ``results/BENCH_stability.json`` — the
 schema-versioned perf curve future PRs extend.
 
@@ -26,13 +28,19 @@ from repro.stability import StabilityConfig, run_stability
 
 ARTIFACT = "BENCH_stability.json"
 
-#: The acceptance-criterion run: seeded flash-crowd with compaction
-#: interference (fault pipeline), big flushes on a tall tree.  The
-#: paced variant must shorten the worst stall and the p99.9 tail at
-#: <= 15% mean regression (asserted in test_e16_pacing_tradeoff).
+#: The trade-curve run: seeded flash-crowd with compaction
+#: interference (fault pipeline), big flushes on a tall tree.
 DEMO = dict(scenario="flash-crowd", messages=8000, seed=1,
             fault_rate=0.05, B=32, height=4)
 DEMO_PACE = 32
+#: The budgets of the sweep (0 = unpaced).
+PACES = (0, 16, DEMO_PACE, 64)
+#: The pacing criterion is judged over DEMO's config at the first ten
+#: seeds, all of them: one seed is one burst pattern, and the
+#: criterion is a claim about the workload.
+PANEL_SEEDS = tuple(range(1, 11))
+#: The largest mean-sojourn regression the criterion accepts.
+MAX_MEAN_REGRESSION = 0.15
 
 
 def _artifact(update: dict) -> None:
@@ -84,52 +92,103 @@ def test_e16_stall_scenarios(benchmark):
     )
 
 
+def _median(values: list) -> float:
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def _panel_summary(docs: list) -> dict:
+    """Panel medians of the three quantities the criterion compares."""
+    return {
+        "max_len": _median([d["stalls"]["max_len"] for d in docs]),
+        "p999": _median([d["sojourn"]["p999"] for d in docs]),
+        "mean": _median([d["sojourn"]["mean"] for d in docs]),
+    }
+
+
+def _meets_criterion(base: dict, paced: dict) -> bool:
+    regression = (paced["mean"] - base["mean"]) / base["mean"]
+    return (paced["max_len"] < base["max_len"]
+            and paced["p999"] < base["p999"]
+            and regression <= MAX_MEAN_REGRESSION)
+
+
 def test_e16_pacing_tradeoff(benchmark):
-    """The acceptance demonstration: pace flattens the worst stall and
-    the p99.9 tail of the flash-crowd run at a bounded mean cost."""
+    """The budget sweep on DEMO, and the pacing criterion over the seed
+    panel: no budget shortens the median worst stall *and* lowers the
+    median p99.9 sojourn at a bounded median mean regression."""
+    # DEMO is the panel's first seed; its runs make the sweep table.
+    panel = {pace: [] for pace in PACES}
+    for seed in PANEL_SEEDS:
+        for pace in PACES:
+            cfg = {**DEMO, "seed": seed}
+            doc = run_stability(StabilityConfig(**cfg, pace=pace))
+            if pace:
+                # The controller's contract: realized per-step flushed
+                # work never exceeds the budget, on any shard, at any step.
+                assert doc["pace"]["max_step_work"] <= pace, doc["pace"]
+            panel[pace].append(doc)
+    assert PANEL_SEEDS[0] == DEMO["seed"]
     rows = []
     art = {}
-    docs = {}
-    for pace in (0, 16, DEMO_PACE, 64):
-        doc = run_stability(StabilityConfig(**DEMO, pace=pace))
-        docs[pace] = doc
+    for pace in PACES:
+        doc = panel[pace][0]
         label = str(pace) if pace else "off"
         bound = doc["pace"]["max_step_work"] if pace else "-"
         rows.append([label, bound, *_row(doc)])
         art[f"pace_{label}"] = doc
-        if pace:
-            # The controller's contract: realized per-step flushed work
-            # never exceeds the budget, on any shard, at any step.
-            assert doc["pace"]["max_step_work"] <= pace, doc["pace"]
     emit_table(
         "E16_pacing_tradeoff",
         ["pace", "step work", "windows", "stalls", "stall wins", "max len",
          "p50", "p99", "p99.9", "mean"],
         rows,
-        note="flash-crowd + 5% interference, pace budget sweep.  With "
-        "full re-plans on the packed-set pipeline the unpaced run's "
-        "worst stall is one window, so no budget shortens it: tight "
-        "budgets (16) throttle the catch-up drain and hurt everything, "
-        "32 costs ~5% mean and ~9% p99.9, loose budgets (64) change "
-        "nothing.",
+        note="flash-crowd + 5% interference, seed 1, pace budget sweep.  "
+        "Tight budgets (16) throttle the catch-up drain: no stall, a far "
+        "worse tail and mean; 32 leaves the worst stall where it is and "
+        "costs tail and mean; 64 never binds.",
     )
-    base, paced = docs[0], docs[DEMO_PACE]
-    assert paced["stalls"]["max_len"] < base["stalls"]["max_len"], (
-        paced["stalls"], base["stalls"])
-    assert paced["sojourn"]["p999"] < base["sojourn"]["p999"], (
-        paced["sojourn"], base["sojourn"])
-    regression = (paced["sojourn"]["mean"] - base["sojourn"]["mean"]) \
-        / base["sojourn"]["mean"]
-    assert regression <= 0.15, regression
-    art["criterion"] = {
-        "max_stall_len": {"unpaced": base["stalls"]["max_len"],
-                          "paced": paced["stalls"]["max_len"]},
-        "p999": {"unpaced": base["sojourn"]["p999"],
-                 "paced": paced["sojourn"]["p999"]},
-        "mean_regression": round(regression, 4),
-        "pace": DEMO_PACE,
-    }
+
+    summary = {pace: _panel_summary(docs) for pace, docs in panel.items()}
+    base = summary[0]
+    criterion = {}
+    panel_rows = []
+    for pace in PACES[1:]:
+        paced = summary[pace]
+        per_seed = sum(
+            _meets_criterion(_panel_summary([b]), _panel_summary([d]))
+            for b, d in zip(panel[0], panel[pace]))
+        regression = (paced["mean"] - base["mean"]) / base["mean"]
+        criterion[str(pace)] = {
+            **paced,
+            "mean_regression": round(regression, 4),
+            "meets": _meets_criterion(base, paced),
+            "seeds_meeting": per_seed,
+        }
+        panel_rows.append([pace, paced["max_len"], paced["p999"],
+                           paced["mean"], f"{regression:+.1%}", per_seed])
+    emit_table(
+        "E16_pacing_panel",
+        ["pace", "med max len", "med p99.9", "med mean", "mean reg",
+         "seeds meeting"],
+        [["off", base["max_len"], base["p999"], base["mean"], "-", "-"],
+         *panel_rows],
+        note=f"flash-crowd + 5% interference at seeds "
+        f"{PANEL_SEEDS[0]}-{PANEL_SEEDS[-1]}, medians over the panel.  "
+        "The criterion — shorter worst stall and lower p99.9 at <= 15% "
+        "mean regression — holds for no budget in the median; "
+        "'seeds meeting' counts the seeds where it holds alone.",
+    )
+    art["panel"] = {"seeds": list(PANEL_SEEDS), "unpaced": base,
+                    "paced": criterion}
     _artifact({"pacing_tradeoff": art})
+    # The finding docs/STABILITY.md states: the packed-set planner leaves
+    # pacing no spike to cut on this workload.  If a budget meets the
+    # criterion again, that text and ROADMAP's pacing item are stale.
+    met = [pace for pace, c in criterion.items() if c["meets"]]
+    assert not met, (met, base, criterion)
     benchmark(
         lambda: run_stability(
             StabilityConfig(scenario="flash-crowd", messages=1000, seed=1,

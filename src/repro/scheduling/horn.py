@@ -34,7 +34,6 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -134,6 +133,7 @@ def horn_trees(
     of ``F_j``, its scaled weight and size, and the root of ``j``'s
     Horn's tree.
     """
+    heappush, heappop = heapq.heappush, heapq.heappop
     n = len(weights)
     n2 = n * n
     key = [0] * n

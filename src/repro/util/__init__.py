@@ -8,7 +8,6 @@ from repro.util.errors import (
     StorageCorruptionError,
     StorageError,
 )
-from repro.util.pairing_heap import PairingHeap
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -17,7 +16,6 @@ __all__ = [
     "InvalidScheduleError",
     "StorageError",
     "StorageCorruptionError",
-    "PairingHeap",
     "make_rng",
     "atomic_write_bytes",
     "fsync_dir",

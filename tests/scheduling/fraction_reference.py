@@ -14,7 +14,7 @@ import heapq
 from fractions import Fraction
 
 from repro.scheduling.instance import SchedulingInstance
-from repro.util.pairing_heap import PairingHeap
+from tests.scheduling.pairing_heap import PairingHeap
 
 
 def fraction_weight(instance: SchedulingInstance, j: int) -> Fraction:

@@ -6,9 +6,8 @@
   driver — in-process and procpool alike.
 * Journals written by the retired thread-pool driver (meta
   ``{"kind": "threads", "workers": N}`` plus the retired
-  ``watchdog_budget`` key) and by the retired unsupervised loop
-  (``plain_era.json`` names each one's config) still parse: their meta
-  maps onto today's config and driver.  Recovery re-derives a run by
+  ``watchdog_budget`` key) and by the retired unsupervised loop still
+  parse: their meta maps onto today's config and driver.  Recovery re-derives a run by
   replaying it, and every one of them was written by a planner whose
   full re-plans ran the online density heuristic at ``B/6`` — so
   today's replay is a different run, and recovery says so with a typed
@@ -20,7 +19,6 @@
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -95,16 +93,13 @@ def test_thread_era_journal_fails_typed():
     assert exc.value.reason == "schedule-mismatch"
 
 
-def _plain_era(name: str) -> "tuple[Path, dict]":
-    doc = json.loads((DATA / "plain_era.json").read_text())
-    return DATA / name, doc["journals"][name]
-
-
 def test_plain_era_fault_free_journal_fails_typed():
     """Fault-free: supervision never engaged, but the run's plans are
     the old planner's, so its flushes are not in the re-derived run."""
-    path, _expected = _plain_era("plain_fault_free.woj")
+    path = DATA / "plain_fault_free.woj"
     meta = RecoveryManager(path).meta
+    assert ServeConfig.from_meta(meta) == \
+        ServeConfig(rate=6.0, messages=200, shards=2, seed=1)
     assert not {"driver", "chaos", "supervisor"} & meta.keys()
     with pytest.raises(JournalCorruptionError) as exc:
         recover_serve(path, repair=False)
@@ -115,7 +110,7 @@ def test_plain_era_journal_that_would_trip_fails_typed():
     """``faulty_config(1)``: the unsupervised loop rode out its stalled
     epochs, today's loop trips a breaker on them, so the journal's
     flushes are not in the re-derived run."""
-    path, _expected = _plain_era("plain_s1.woj")
+    path = DATA / "plain_s1.woj"
     assert ServeConfig.from_meta(RecoveryManager(path).meta) == \
         faulty_config(1)
     assert not any(r["type"] == REC_DRIVER

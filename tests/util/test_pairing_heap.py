@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.pairing_heap import PairingHeap
+from tests.scheduling.pairing_heap import PairingHeap
 
 
 def test_empty_heap_pops_raise():
