@@ -6,8 +6,8 @@ algorithms.  This bench captures every ``plan_flushes`` call of a
 :class:`~repro.serve.ServiceLoop` run on e2ebench ``serve_steady``'s
 config (Poisson 8 msgs/step, uniform keys, 4 shards, ``P=4``, ``B=16``,
 seed 1) and replays the captured inputs, each plan on its path — *root*
-(every message at the root: incremental plans and some full re-plans)
-or *midtree* (a full re-plan with messages parked below the root):
+(a re-plan made while every in-flight message is at the root) or
+*midtree* (a re-plan with messages parked below the root):
 
 * ``plan_flushes`` — :func:`repro.serve.planner.plan_flushes` itself;
 * ``kernel`` — the same grouped pipeline, timed stage by stage:

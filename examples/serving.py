@@ -47,7 +47,7 @@ def main() -> None:
     print(format_serve_report(report.snapshot, title="serve poisson"))
     ps = report.planner_stats
     print(f"planner: {ps.noop_epochs} noop epochs, "
-          f"{ps.incremental_plans} incremental, {ps.full_replans} full")
+          f"{ps.full_replans} full re-plans")
     assert report.snapshot["completed"] == 2000
     assert report.snapshot["shed"] == 0
 

@@ -29,8 +29,8 @@ Eleven subcommands cover the common workflows without writing code:
   the serving loop);
 * ``stability`` — long-run stall benchmarking (:mod:`repro.stability`):
   a seeded MMPP scenario through the serving loop, per-window stall
-  detection with attribution, and a byte-deterministic ``stability/v1``
-  JSON document; ``--pace`` engages the de-amortization controller;
+  detection with attribution, and a byte-deterministic ``stability/v2``
+  JSON document;
 * ``trace``   — run any other subcommand under :mod:`repro.obs`
   observability and write a Perfetto-loadable trace, a deterministic
   metrics snapshot, and a span tree (see ``docs/OBSERVABILITY.md``).
@@ -53,7 +53,7 @@ Examples::
     python -m repro kv ingest --dir /tmp/kv2 --n 2000 --crash-after 1200
     python -m repro kv check-ingest --dir /tmp/kv2 --n 2000
     python -m repro kv scrub --dir /tmp/kv2
-    python -m repro stability --scenario flash-crowd --pace 32 \\
+    python -m repro stability --scenario flash-crowd \\
         --fault-rate 0.05 --json /tmp/stability.json
     python -m repro trace --out /tmp/t serve --messages 200 --seed 1
 """
@@ -515,9 +515,8 @@ def _run_serve(args: argparse.Namespace, config: ServeConfig, loop) -> int:
     print(format_serve_report(report.snapshot, title=title))
     ps, ad = report.planner_stats, report.admission_stats
     print(
-        f"planner: {ps.noop_epochs} noop, {ps.incremental_plans} "
-        f"incremental, {ps.full_replans} full, {ps.forced_replans} forced "
-        f"({ps.planned_flushes} flushes planned)"
+        f"planner: {ps.noop_epochs} noop, {ps.full_replans} full, "
+        f"{ps.forced_replans} forced ({ps.planned_flushes} flushes planned)"
     )
     print(
         f"admission: {ad.admitted}/{ad.offered} admitted, {ad.shed} shed, "
@@ -1116,7 +1115,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_config_flags(p_stab, StabilityConfig)
     p_stab.add_argument("--json", type=str, default=None,
-                        help="write the stability/v1 document here")
+                        help="write the stability/v2 document here")
     p_stab.set_defaults(func=cmd_stability)
 
     p_kv = sub.add_parser(

@@ -106,18 +106,6 @@ class FlushSchedule:
         """Largest number of flushes in any single step."""
         return max((len(step) for step in self.steps), default=0)
 
-    def step_moves(self) -> "list[int]":
-        """Message-hops performed at each step (the per-step work profile).
-
-        The ground truth a de-amortization budget is judged against:
-        ``max(step_moves())`` of a paced run must not exceed the pace.
-        """
-        return [sum(f.size for f in step) for step in self.steps]
-
-    def max_step_moves(self) -> int:
-        """Largest message-hop count of any single step."""
-        return max(self.step_moves(), default=0)
-
     @classmethod
     def from_timed(cls, timed: Iterable[tuple[int, Flush]]) -> "FlushSchedule":
         """Build a schedule from ``(time_step, flush)`` pairs (1-based)."""

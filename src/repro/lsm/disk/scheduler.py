@@ -157,15 +157,13 @@ class HornDensityPolicy(DiskCompactionPolicy):
     merging them moves many entries to finish few obligations, the
     exact waste the paper's density ordering avoids.
 
-    ``pace`` (``> 0``) is the disk-engine half of the de-amortization
-    controller (the serving engine's ``pace`` is the flush half): a
+    ``pace`` (``> 0``) is the disk engine's de-amortization budget: a
     density merge that would move more than ``pace`` entries in one task
     is deferred — it stays a candidate and runs later, once intervening
     capacity merges have shrunk its overlap or a smaller candidate
     drains the same obligations.  Capacity restoration is exempt: an
     over-budget level is an invariant violation and is repaired at
-    whatever cost it takes, exactly like the serving engine finishing an
-    in-flight flush.  The trade mirrors Das–Iacono–Nekrich: a bounded
+    whatever cost it takes.  The trade mirrors Das–Iacono–Nekrich: a bounded
     amount of maintenance per
     :meth:`~repro.lsm.disk.kvstore.KVStore.maintain` call, at the cost
     of obligations draining in more (smaller) tasks.  ``0`` (the

@@ -22,13 +22,10 @@ rule, each part a no-op until it is switched on:
   undelivered remainder keeping its priority slot;
 * **fault-aware admission** (``fault_aware``): observed stall windows
   are remembered until they close, and degraded capacity is offered to
-  completion flushes (flushes that park nothing) first;
-* **pacing** (``pace``): every plan the engine takes is de-amortized
-  (:func:`~repro.scheduling.deamortize.pace_flush_list`: oversized
-  obligations split into budget-sized chunks that interleave
-  round-robin), and at most ``pace`` messages move per step, an
-  oversized obligation split with its suffix kept at the same priority
-  — both halves of the Das–Iacono–Nekrich de-amortization.
+  completion flushes (flushes that park nothing) first.
+
+A plan enters only through :meth:`ShardEngine.set_plan`, which replaces
+the pending list with exactly the flushes it is given.
 
 State is sparse (dicts keyed by message id): a serving shard only ever
 holds the in-flight slice of its message stream.  Each step reports what
@@ -60,7 +57,6 @@ from repro.faults.injector import (
     OUTCOME_FAILED,
     OUTCOME_PARTIAL,
 )
-from repro.scheduling.deamortize import pace_flush_list
 from repro.tree.topology import TreeTopology
 from repro.util.errors import InvalidInstanceError
 
@@ -95,10 +91,6 @@ class ShardStats:
     degraded_triage_steps: int = 0
     idle_steps: int = 0
     busy_steps: int = 0
-    #: steps where the de-amortization pacer held back ready work.
-    paced_holds: int = 0
-    #: oversized flush obligations split to fit the per-step budget.
-    paced_splits: int = 0
 
 
 class ShardEngine:
@@ -117,12 +109,9 @@ class ShardEngine:
         *,
         injector: "FaultInjector | None" = None,
         fault_aware: bool = False,
-        pace: int = 0,
     ) -> None:
         if P < 1 or B < 1:
             raise InvalidInstanceError(f"need P >= 1 and B >= 1, got {P}, {B}")
-        if pace < 0:
-            raise InvalidInstanceError(f"pace must be >= 0, got {pace}")
         self.shard_id = int(shard_id)
         self.topology = topology
         self.P = int(P)
@@ -131,10 +120,6 @@ class ShardEngine:
             injector = None
         self.injector = injector
         self.fault_aware = bool(fault_aware) and injector is not None
-        #: de-amortization budget: max messages delivered per step (0 =
-        #: unpaced).  Plans are paced on intake; at step time oversized
-        #: obligations are split, the rest held.
-        self.pace = int(pace)
         self._is_leaf = [topology.is_leaf(v) for v in range(topology.n_nodes)]
         self._root = topology.root
         #: message id -> current node (in-flight messages only).
@@ -161,7 +146,7 @@ class ShardEngine:
         self.attempted = 0
         #: flushes that delivered at least one message.
         self.ran = 0
-        #: ready work was held back by a fault window, backoff or pace.
+        #: ready work was held back by a fault window or backoff.
         self.waiting = False
         #: highest attempt count of a flush that failed or tore.
         self.retries = 0
@@ -265,29 +250,17 @@ class ShardEngine:
             self.schedule = schedule
 
     def set_plan(self, flushes: "list[Flush]") -> None:
-        """Replace the pending priority list (epoch full re-plan)."""
-        self.pending = self._make_pending(flushes)
-        self._n_pending = len(self.pending)
-
-    def append_plan(self, flushes: "list[Flush]") -> None:
-        """Append flushes at the tail of the priority list (incremental)."""
-        pending = self._make_pending(flushes)
-        self.pending.extend(pending)
-        self._n_pending += len(pending)
-
-    def _make_pending(self, flushes: "list[Flush]") -> "list[_Pending]":
-        """The plan as pending entries, paced first when ``pace > 0``."""
-        if self.pace:
-            flushes = pace_flush_list(flushes, self.pace)
+        """Replace the pending priority list with ``flushes``, in order."""
         target = self.targets.get
         # parking = messages that do not complete at dest.
-        return [
+        self.pending = [
             _Pending(
                 f,
                 len(f.messages) - list(map(target, f.messages)).count(f.dest),
             )
             for f in flushes
         ]
+        self._n_pending = len(self.pending)
 
     # ------------------------------------------------------------------
     def step(self, t: int, journal=None) -> "list[tuple[int, int]]":
@@ -314,7 +287,6 @@ class ShardEngine:
         schedule = self.schedule
         P = self.P
         B = self.B
-        pace = self.pace
         capacity = P if injector is None else injector.effective_p(t, P)
         if fault_aware and capacity < P:
             stats.degraded_triage_steps += 1
@@ -322,20 +294,18 @@ class ShardEngine:
         else:
             passes = (None,)
         # Everything between the capacity check and readiness below is
-        # a no-op unless faults or pacing are on; skip it as one branch.
-        guarded = injector is not None or pace > 0
+        # a no-op unless faults are on; skip it as one branch.
+        guarded = injector is not None
         completions: "list[tuple[int, int]]" = []
         ran = 0
         attempted = 0
         retries = 0
-        work_done = 0
         waiting = False
-        paced_out = False
         moved: set[int] = set()
         departed: dict[int, int] = {}
         arrived: dict[int, int] = {}
         for completions_only in passes:
-            if attempted >= capacity or paced_out:
+            if attempted >= capacity:
                 break
             for pf in pending:
                 if pf.done:
@@ -347,14 +317,6 @@ class ShardEngine:
                 dest = flush.dest
                 full = flush.messages
                 if guarded:
-                    if pace and work_done >= pace:
-                        # Per-step work budget spent: hold the rest of the
-                        # plan for the next step (de-amortization),
-                        # without tripping the deadlock probe.
-                        stats.paced_holds += 1
-                        waiting = True
-                        paced_out = True
-                        break
                     if completions_only is True and pf.parking > 0:
                         continue
                     if completions_only is False and pf.parking == 0:
@@ -388,14 +350,7 @@ class ShardEngine:
                     continue  # O(1) reject: first message not here yet
                 if any(loc(m) != src or m in moved for m in full):
                     continue
-                msgs = full
                 park = pf.parking
-                if pace and len(full) > pace - work_done:
-                    # Oversized obligation: attempt only the prefix that
-                    # fits the remaining step budget; the suffix stays
-                    # pending at the same priority (a paced split).
-                    msgs = full[: pace - work_done]
-                    park = sum(1 for m in msgs if targets.get(m) != dest)
                 if not is_leaf[dest]:
                     projected = (
                         occupancy[dest]
@@ -408,10 +363,10 @@ class ShardEngine:
                 # Selected: the IO is attempted and the slot is consumed
                 # whatever the outcome.
                 attempted += 1
-                delivered: "tuple[int, ...]" = msgs
+                delivered: "tuple[int, ...]" = full
                 if injector is not None:
                     status, delivered = injector.flush_outcome(
-                        t, src, dest, msgs
+                        t, src, dest, full
                     )
                     if status == OUTCOME_FAILED:
                         stats.failed_attempts += 1
@@ -421,7 +376,7 @@ class ShardEngine:
                         if journal is not None:
                             journal.record_fault(
                                 t, shard, "failed_flush", src, dest,
-                                f"{len(msgs)} msgs no-oped "
+                                f"{len(full)} msgs no-oped "
                                 f"(attempt {pf.attempts})",
                             )
                         continue
@@ -441,7 +396,7 @@ class ShardEngine:
                         if journal is not None:
                             journal.record_fault(
                                 t, shard, "partial_flush", src, dest,
-                                f"delivered {len(delivered)}/{len(msgs)} msgs "
+                                f"delivered {len(delivered)}/{len(full)} msgs "
                                 f"(attempt {pf.attempts})",
                             )
                 n = len(delivered)
@@ -451,18 +406,7 @@ class ShardEngine:
                     self._n_pending -= 1
                 else:
                     actual = Flush(src, dest, delivered)
-                    if msgs is not full and n == len(msgs):
-                        # Clean paced split: the untouched suffix becomes
-                        # the pending obligation, immediately eligible,
-                        # retry history preserved.
-                        suffix = full[n:]
-                        pf.flush = Flush(src, dest, suffix)
-                        pf.parking = sum(
-                            1 for m in suffix if targets[m] != dest
-                        )
-                        stats.paced_splits += 1
                 ran += 1
-                work_done += n
                 schedule.add(t, actual)
                 stats.flushes += 1
                 moved.update(delivered)
@@ -474,7 +418,7 @@ class ShardEngine:
                     departed[src] = departed.get(src, 0) + n
                 if not is_leaf[dest]:
                     arrived[dest] = arrived.get(dest, 0) + (
-                        park if delivered is msgs
+                        park if delivered is full
                         else sum(1 for m in delivered if targets[m] != dest)
                     )
                 for m in delivered:
@@ -504,9 +448,10 @@ class ShardEngine:
             stats.idle_steps += 1
             if n_pending and not waiting:
                 # Ready work exists but nothing could run: a candidate
-                # deadlock (e.g. two appended plans blocking each other's
-                # buffers).  Serving watches this streak and forces a
-                # full re-plan.
+                # deadlock (the plan is a priority order with no validity
+                # proof, so parked messages can fill the buffer a flush
+                # ahead of them needs).  Serving watches this streak and
+                # forces a full re-plan.
                 self.idle_streak += 1
             else:
                 self.idle_streak = 0

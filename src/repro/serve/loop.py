@@ -187,10 +187,6 @@ class ServeConfig:
     #: ``None`` (the default) keeps the run byte-identical to a
     #: pre-tenancy run — the key is omitted from journal meta entirely.
     tenants: "tuple[TenantSpec, ...] | None" = None
-    pace: int = field(default=0, metadata={
-        "help": "de-amortization budget: per-step flushed messages allowed "
-                "per shard (0 = off; off is byte-identical to omitting the "
-                "flag)"})
 
     def __post_init__(self) -> None:
         if self.tenants is not None:
@@ -230,10 +226,6 @@ class ServeConfig:
             raise InvalidInstanceError(
                 "engine='lsm' needs data_dir=<store directory>"
             )
-        if self.pace < 0:
-            raise InvalidInstanceError(
-                f"pace must be >= 0 (0 = unpaced), got {self.pace}"
-            )
 
     def to_meta(self) -> dict:
         """The journal ``meta`` payload that reconstructs this config."""
@@ -247,10 +239,6 @@ class ServeConfig:
             del meta["tenants"]
         else:
             meta["tenants"] = [t.to_meta() for t in self.tenants]
-        if not self.pace:
-            # Same omission contract: an unpaced journal stays bytewise
-            # what it was before pacing existed.
-            del meta["pace"]
         meta["policy"] = SERVE_POLICY
         return meta
 
@@ -377,7 +365,6 @@ def build_shard_engine(config: "ServeConfig", spec) -> ShardEngine:
     return ShardEngine(
         spec.shard_id, spec.topology, config.P, config.B,
         injector=injector, fault_aware=config.fault_aware,
-        pace=config.pace,
     )
 
 
@@ -1341,65 +1328,10 @@ class ServiceLoop(ShardStep):
         if self.store is not None:
             self.store.close()
 
-    def _emit_pace_obs(self, reg) -> None:
-        """Publish the ``stability_pace_*`` family (paced runs only).
-
-        Every driver calls this from its run-end obs block after the
-        realized schedules are final, so the gauge reads ground truth.
-        """
-        if not self.config.pace:
-            return
-        hold_c = reg.counter(
-            "stability_pace_holds_total",
-            "steps where the pacer held back ready work",
-        )
-        split_c = reg.counter(
-            "stability_pace_splits_total",
-            "flush obligations split to fit the pace budget",
-        )
-        work_g = reg.gauge(
-            "stability_step_work_max",
-            "largest realized per-step message-move count of any "
-            "shard (paced runs: must be <= the budget)",
-        )
-        for engine in self.engines:
-            hold_c.inc(engine.stats.paced_holds)
-            hold_c.labels(shard=engine.shard_id).inc(
-                engine.stats.paced_holds
-            )
-            split_c.inc(engine.stats.paced_splits)
-            split_c.labels(shard=engine.shard_id).inc(
-                engine.stats.paced_splits
-            )
-        work_g.set(max(
-            (e.schedule.max_step_moves() for e in self.engines), default=0,
-        ))
-
     def _build_report(self, t: int) -> ServeReport:
         snapshot = self.metrics.snapshot(t)
         if self._tenancy is not None:
             self._tenancy.annotate(snapshot, self.metrics)
-        if self.config.pace:
-            # Opt-in section only (unpaced snapshots are unchanged):
-            # max_step_work is read from the *realized* schedules, not
-            # the pacer's own bookkeeping, so the per-step bound is
-            # asserted against ground truth.
-            snapshot["pace"] = {
-                "budget": self.config.pace,
-                "max_step_work": max(
-                    (e.schedule.max_step_moves() for e in self.engines),
-                    default=0,
-                ),
-                "shards": [
-                    {
-                        "shard": e.shard_id,
-                        "max_step_work": e.schedule.max_step_moves(),
-                        "paced_holds": e.stats.paced_holds,
-                        "paced_splits": e.stats.paced_splits,
-                    }
-                    for e in self.engines
-                ],
-            }
         snapshot["supervisor"] = self.sup_stats.snapshot()
         return ServeReport(
             config=self.config,
@@ -1536,7 +1468,6 @@ class ServiceLoop(ShardStep):
                     engine.stats.flushes
                 )
                 retry_counter.inc(engine.stats.failed_attempts)
-            self._emit_pace_obs(reg)
         run_span.finish()
         return self._build_report(t)
 

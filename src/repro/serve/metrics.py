@@ -229,14 +229,6 @@ def format_serve_report(snapshot: dict, *, title: str = "serving run") -> str:
         f"adm. wait p50 {w['p50']:.0f}  p95 {w['p95']:.0f}  "
         f"p99 {w['p99']:.0f}  max {w['max']:.0f}  mean {w['mean']:.2f}",
     ]
-    pace = snapshot.get("pace")
-    if pace:
-        lines.append(
-            f"pace      budget {pace['budget']}  "
-            f"max step work {pace['max_step_work']}  "
-            f"holds {sum(r['paced_holds'] for r in pace['shards'])}  "
-            f"splits {sum(r['paced_splits'] for r in pace['shards'])}"
-        )
     header = (f"{'shard':>6} {'arrived':>8} {'completed':>10} {'shed':>6} "
               f"{'thruput':>8} {'p50':>6} {'p99':>6} {'maxQ':>6}")
     lines.append(header)

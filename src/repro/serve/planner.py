@@ -1,35 +1,28 @@
 """Epoch-based WORMS re-planning for the serving loop.
 
 The batch pipeline plans once; a service re-plans as messages arrive.
-:class:`EpochPlanner` folds newly admitted messages into a shard's
-in-flight flush list every ``epoch_length`` steps, choosing the cheapest
-sufficient planning mode per epoch:
+:class:`EpochPlanner` folds newly admitted messages into a shard's plan
+every ``epoch_length`` steps, in one of two modes:
 
 * **noop** — no new admissions since the last plan: the in-flight
   priority list is already complete, keep it;
-* **incremental** — new arrivals all target *clean* top-level subtrees
-  (no in-flight message is parked mid-tree under them): the planner
-  runs on just the new root-resident messages, unweighted, and the
-  resulting flushes append after the in-flight list.  Validity is
-  preserved by the admission gate whatever the order, so the fast path
-  trades only priority freshness, not correctness — and it skips
-  re-reducing the (large) residual backlog;
-* **full** — some arrival lands in a dirty subtree, or the engine
-  reported a deadlock between stitched plans: re-plan *everything* still
-  in flight from its current location, each message weighted by its
-  age (:data:`AGE_BASE`), so messages parked mid-tree are not starved
-  by fresh root arrivals.  The batch re-planner
-  :func:`repro.policies.executor.worms_replan` is the same function,
-  unweighted.
+* **full** — otherwise, or when the engine reported a deadlock (a
+  *forced* re-plan): re-plan *everything* still in flight from its
+  current location, each message weighted by its age
+  (:data:`AGE_BASE`), so messages parked mid-tree are not starved by
+  fresh root arrivals.  The engine takes the plan whole
+  (:meth:`~repro.policies.engine.ShardEngine.set_plan`).  The batch
+  re-planner :func:`repro.policies.executor.worms_replan` is the same
+  function, unweighted.
 
-Every mode plans with :func:`plan_flushes`, one path: the paper's
-pipeline (packed sets -> reduction -> MPHTF -> Lemma 8 order) run from
-each message's current node.  Messages are grouped by that node, each
-group is packed and reduced on the subtree below it, and the joined
-task forest is solved by one MPHTF; an all-at-root plan is the
-one-group case.  The paper's Lemma 9 covers neither the joined
-reduction nor the ``B/3`` packing threshold (:data:`PLAN_DENOM`); the
-plan is a *priority order*, and the shard engine's flush gate keeps
+A plan is :func:`plan_flushes`: the paper's pipeline (packed sets ->
+reduction -> MPHTF -> Lemma 8 order) run from each message's current
+node.  Messages are grouped by that node, each group is packed and
+reduced on the subtree below it, and the joined task forest is solved
+by one MPHTF; an all-at-root plan is the one-group case.  The paper's
+Lemma 9 covers neither the joined reduction nor the ``B/3`` packing
+threshold (:data:`PLAN_DENOM`), so validity does not rest on the plan:
+the plan is a *priority order*, and the shard engine's flush gate keeps
 every executed step valid whatever the order.
 
 :func:`plan_flushes` runs the flat planning kernel: each stage's core,
@@ -171,10 +164,9 @@ class PlannerStats:
     """What planning actually did, per mode."""
 
     noop_epochs: int = 0
-    incremental_plans: int = 0
     full_replans: int = 0
     forced_replans: int = 0
-    #: flushes the pipeline emitted, before a paced engine splits them.
+    #: flushes the pipeline emitted.
     planned_flushes: int = 0
 
 
@@ -206,9 +198,9 @@ class EpochPlanner:
     ) -> str:
         """Update ``engine.pending`` for this epoch (see module docstring).
 
-        Returns the planning mode used: ``"noop"``, ``"incremental"``,
-        ``"full"``, or ``"forced"`` (observability reads it; the stats
-        counters are unchanged).
+        Returns the planning mode used: ``"noop"``, ``"full"``, or
+        ``"forced"`` (observability reads it; the stats counters are
+        unchanged).
         """
         obs = current_obs()
         if not obs.enabled:
@@ -236,49 +228,24 @@ class EpochPlanner:
         *,
         force_full: bool = False,
     ) -> str:
-        topo = engine.topology
-        root = topo.root
         if force_full:
             self.stats.forced_replans += 1
         elif not new_msgs:
             self.stats.noop_epochs += 1
             return "noop"
-        if not force_full:
-            # A top-level subtree is dirty when an in-flight message is
-            # parked below the root in it; root_path(v)[1] names it.
-            dirty = {
-                topo.root_path(v)[1]
-                for v in engine.location.values()
-                if v != root
-            }
-            clean = True
-            for m in new_msgs:
-                path = topo.root_path(engine.targets[m])
-                top = path[1] if len(path) > 1 else root
-                if top in dirty:
-                    clean = False
-                    break
-            if clean:
-                flushes = plan_flushes(
-                    topo, engine.P, engine.B, list(new_msgs), engine.targets
-                )
-                engine.append_plan(flushes)
-                self.stats.incremental_plans += 1
-                self.stats.planned_flushes += len(flushes)
-                return "incremental"
+        else:
+            self.stats.full_replans += 1
         # Full re-plan of everything still in flight from current state,
         # each message weighted by its age.
         residual = sorted(engine.location)
         admitted = [engine.admitted_at[m] for m in residual]
         newest = max(admitted, default=0)
         flushes = plan_flushes(
-            topo, engine.P, engine.B, residual, engine.targets,
+            engine.topology, engine.P, engine.B, residual, engine.targets,
             engine.location,
             weights=[AGE_BASE + newest - a for a in admitted],
         )
         engine.set_plan(flushes)
         engine.idle_streak = 0
-        if not force_full:
-            self.stats.full_replans += 1
         self.stats.planned_flushes += len(flushes)
         return "forced" if force_full else "full"

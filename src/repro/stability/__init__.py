@@ -3,11 +3,7 @@
 Fast average-case numbers can hide a service that periodically goes
 dark: write-optimized trees amortize their maintenance, and the bill —
 a burst of flush work that starves foreground progress — arrives as a
-*stall window*.  This package measures that failure mode and closes the
-loop with the de-amortization controller (``serve --pace``: the shard
-engine paces every plan it takes and enforces a per-step budget, see
-:class:`~repro.policies.engine.ShardEngine`) that is supposed to
-prevent it:
+*stall window*.  This package measures that failure mode:
 
 * :mod:`~repro.stability.windows` — pure stall-window detection over a
   per-window throughput series: trailing-mean comparison, contiguous

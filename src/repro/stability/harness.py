@@ -28,7 +28,7 @@ per-window deltas and classifies each stall interval:
 * ``arrival-lull`` — nothing arrived and nothing was admitted: the
   workload went quiet (expected under ``diurnal``);
 * ``backlog`` — work was available but throughput collapsed anyway: an
-  amortization spike, the case ``pace`` exists to flatten.
+  amortization spike.
 
 Determinism contract: the result document is a pure function of
 :class:`StabilityConfig` — no wall-clock, no unseeded RNG — so CI runs
@@ -51,7 +51,7 @@ from repro.stability.windows import (
 from repro.util.errors import InvalidInstanceError
 
 #: Result-document schema tag; bump on any shape change.
-SCHEMA = "stability/v1"
+SCHEMA = "stability/v2"
 
 #: Scenario name -> MMPP arrival parameters (rates are per step).
 SCENARIOS: "dict[str, dict[str, float]]" = {
@@ -96,8 +96,6 @@ class StabilityConfig:
     height: int = _serve_field("height")
     leaves: int = _serve_field("leaves")
     epoch: int = _serve_field("epoch")
-    pace: int = _serve_field(
-        "pace", help="de-amortization budget (0 = controller off)")
     fault_rate: float = _serve_field(
         "fault_rate", help="compaction-interference injection rate")
     fault_seed: int = _serve_field("fault_seed")
@@ -184,7 +182,7 @@ def _attribute(
 
 
 def run_stability(config: StabilityConfig, *, journal=None) -> dict:
-    """Execute one stability run; returns the ``stability/v1`` document.
+    """Execute one stability run; returns the ``stability/v2`` document.
 
     The document is byte-deterministic given ``config`` (dump it with
     ``json.dump(..., sort_keys=True)`` and diff).  When observability
@@ -249,9 +247,6 @@ def run_stability(config: StabilityConfig, *, journal=None) -> dict:
         },
         "sojourn": dict(snapshot["sojourn"]),
     }
-    if config.pace:
-        doc["pace"] = snapshot["pace"]
-
     obs = current_obs()
     if obs.enabled:
         reg = obs.metrics
@@ -301,12 +296,4 @@ def format_stability_report(doc: dict) -> str:
         f"sojourn: p50 {soj['p50']:.0f}  p99 {soj['p99']:.0f}  "
         f"p99.9 {p999}  max {soj['max']:.0f}  mean {soj['mean']:.2f}",
     ]
-    if "pace" in doc:
-        pace = doc["pace"]
-        lines.append(
-            f"pace: budget {pace['budget']}  "
-            f"max step work {pace['max_step_work']}  "
-            f"holds {sum(s['paced_holds'] for s in pace['shards'])}  "
-            f"splits {sum(s['paced_splits'] for s in pace['shards'])}"
-        )
     return "\n".join(lines)

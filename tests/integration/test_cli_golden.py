@@ -74,7 +74,7 @@ VECTORS = {
         "serve --arrivals mmpp --rate 3 --burst-rate 40 --p-burst 0.1 "
         "--p-calm 0.3 --clients 5 --think-time 2 --messages 321 --shards 3 "
         "--key-space 500 --skew 0.7 --P 2 --B 8 --fanout 3 --height 4 "
-        "--leaves 32 --epoch 5 --pace 6 --max-root-backlog 20 "
+        "--leaves 32 --epoch 5 --max-root-backlog 20 "
         "--max-queue 40 --fault-rate 0.1 --fault-seed 7 --fault-aware "
         "--seed 9 --engine lsm --data-dir kv-dir --checkpoint-every 11 "
         "--journal run.woj --sync --max-segment-bytes 4096 "
@@ -109,13 +109,13 @@ VECTORS = {
     "stability/defaults": "stability",
     "stability/every-flag": (
         "stability --scenario diurnal --messages 500 --seed 2 --shards 3 "
-        "--P 2 --B 8 --height 4 --leaves 32 --epoch 5 --pace 7 "
+        "--P 2 --B 8 --height 4 --leaves 32 --epoch 5 "
         "--fault-rate 0.2 --fault-seed 3 --engine lsm --data-dir kv-dir "
         "--window 9 --stall-frac 0.4 --trailing 5 --json out.json"
     ),
     "stability/ci": (
         "stability --scenario flash-crowd --messages 8000 --seed 1 "
-        "--fault-rate 0.05 --B 32 --height 4 --pace 32 --json paced.json"
+        "--fault-rate 0.05 --B 32 --height 4 --json run_a.json"
     ),
 }
 

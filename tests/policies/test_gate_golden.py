@@ -1,7 +1,7 @@
 """Golden digests of the flush gate, batch and serve, under faults.
 
 The DAM gate (readiness, occupancy against ``B``, the ``P`` slots,
-retry/backoff, stall skips, completions-first triage, pace splits) is
+retry/backoff, stall skips, completions-first triage) is
 shared by the batch executor and the serving engine.  These digests pin
 what each caller realizes on a seeded grid, so a change to how the gate
 is written must reproduce every schedule, stat and journal byte.
@@ -17,8 +17,8 @@ re-plans left, ``max_steps`` hit).  Each digest covers the realized
 schedule (or the typed stall error), :class:`ResilienceStats` and the
 full journal bytes at ``checkpoint_every=2``.
 
-Serve side: a run with iid faults, fault-aware triage, a pace budget
-and chaos stall windows, plus a faulty run with neither.  Each
+Serve side: a run with iid faults, fault-aware triage and chaos stall
+windows, plus a faulty run without chaos.  Each
 digest covers completions, per-shard schedules and every journal record
 except ``meta``.
 
@@ -141,27 +141,25 @@ def run_batch_case(case: str, tmp: Path) -> str:
 
 
 SERVE_CASES = {
-    "supervised-chaos-paced": dict(
-        pace=3,
-        chaos=ChaosPlan((
-            ChaosEvent(6, CHAOS_STALL, 0, duration=5),
-            ChaosEvent(15, CHAOS_STALL, 1, duration=7),
-            ChaosEvent(30, CHAOS_STALL, 0, duration=4),
-        )),
-    ),
-    "plain-faulty": dict(pace=0, chaos=None),
+    "supervised-chaos": ChaosPlan((
+        ChaosEvent(6, CHAOS_STALL, 0, duration=5),
+        ChaosEvent(15, CHAOS_STALL, 1, duration=7),
+        ChaosEvent(30, CHAOS_STALL, 0, duration=4),
+    )),
+    "plain-faulty": None,
 }
 
 
 def run_serve_case(case: str, tmp: Path) -> str:
-    spec = SERVE_CASES[case]
     config = ServeConfig(
         arrivals="poisson", rate=6.0, messages=260, shards=2, seed=11,
         P=2, B=8, epoch=4, checkpoint_every=4, fault_rate=0.12,
-        fault_seed=5, fault_aware=True, pace=spec["pace"],
+        fault_seed=5, fault_aware=True,
     )
     journal = tmp / f"{case}.journal"
-    report = ServiceLoop(config, chaos=spec["chaos"], journal=journal).run()
+    report = ServiceLoop(
+        config, chaos=SERVE_CASES[case], journal=journal
+    ).run()
     records = [
         r for r in scan_journal(journal).records if r.get("type") != "meta"
     ]

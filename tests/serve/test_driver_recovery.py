@@ -15,6 +15,11 @@
   planner changed, the thread-era and fault-free plain-era journals
   re-derived byte-exact; the plain-era run that would trip a breaker
   already failed typed.)
+* Journals written while the planner still appended incremental plans
+  behind the pending list, and while ``serve --pace`` still existed,
+  fail the same typed way: today every plan is a full re-plan taken
+  whole, and a paced journal's ``pace`` meta key no longer names a
+  config field, so its replay is the unpaced run.
 """
 
 from __future__ import annotations
@@ -36,9 +41,16 @@ from repro.util.errors import JournalCorruptionError
 DATA = Path(__file__).parent / "data"
 
 
-def faulty_config(seed: int) -> ServeConfig:
+def faulty_config(seed: int, fault_rate: float = 0.5) -> ServeConfig:
     return ServeConfig(rate=6.0, messages=400, shards=2, seed=seed,
-                       fault_rate=0.5, fault_seed=seed)
+                       fault_rate=fault_rate, fault_seed=seed)
+
+
+#: Four in five flush attempts fail: some epoch stalls whatever order
+#: the planner puts the flushes in (every seed of 1-20 trips a breaker
+#: under both the incremental-era planner and today's), so the cases
+#: below need no seeds picked to match one planner's plans.
+TRIPPING_RATE = 0.8
 
 
 DRIVERS = {
@@ -48,13 +60,10 @@ DRIVERS = {
 }
 
 
-#: Seeds whose ``faulty_config`` trips a breaker (seed 3 stopped tripping
-#: once full re-plans ran the packed-set pipeline; seed 7 trips under
-#: both planners).
 @pytest.mark.parametrize("seed", [1, 7])
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_tripped_fault_journal_recovers(tmp_path, driver, seed):
-    cfg = faulty_config(seed)
+    cfg = faulty_config(seed, TRIPPING_RATE)
     path = tmp_path / "faulty.woj"
     report = DRIVERS[driver](cfg, path).run()
     assert report.supervisor.trips >= 1
@@ -70,7 +79,7 @@ def test_tripped_fault_journal_recovers(tmp_path, driver, seed):
 
 
 def test_driver_record_survives_compaction(tmp_path):
-    cfg = faulty_config(1)
+    cfg = faulty_config(1, TRIPPING_RATE)
     path = tmp_path / "seg.woj"
     report = ServiceLoop(cfg, journal=path, max_segment_bytes=4096).run()
     compact_journal(path)
@@ -115,6 +124,34 @@ def test_plain_era_journal_that_would_trip_fails_typed():
         faulty_config(1)
     assert not any(r["type"] == REC_DRIVER
                    for r in scan_journal(path).records)
+    with pytest.raises(JournalCorruptionError) as exc:
+        recover_serve(path, repair=False)
+    assert exc.value.reason == "schedule-mismatch"
+
+
+def test_incremental_era_journal_fails_typed():
+    """Fault-free and unpaced, but four of the run's ten plans were
+    incremental plans appended behind the pending list, so its flushes
+    are not in today's full-re-plan run."""
+    path = DATA / "incremental_era.woj"
+    meta = RecoveryManager(path).meta
+    assert ServeConfig.from_meta(meta) == \
+        ServeConfig(rate=6.0, messages=200, shards=2, seed=1)
+    assert not {"driver", "chaos", "supervisor", "pace"} & meta.keys()
+    with pytest.raises(JournalCorruptionError) as exc:
+        recover_serve(path, repair=False)
+    assert exc.value.reason == "schedule-mismatch"
+
+
+def test_paced_era_journal_fails_typed():
+    """Written by ``serve --pace 4``: the pace key is no config field any
+    more, so recovery replays the unpaced run, and the journal's split
+    flushes are not in it."""
+    path = DATA / "paced_era.woj"
+    meta = RecoveryManager(path).meta
+    assert meta["pace"] == 4
+    assert ServeConfig.from_meta(meta) == \
+        ServeConfig(rate=6.0, messages=200, shards=2, seed=1)
     with pytest.raises(JournalCorruptionError) as exc:
         recover_serve(path, repair=False)
     assert exc.value.reason == "schedule-mismatch"

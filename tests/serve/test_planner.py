@@ -1,4 +1,4 @@
-"""Tests for the epoch planner and its noop/incremental/full modes."""
+"""Tests for the epoch planner and its noop/full modes."""
 
 from __future__ import annotations
 
@@ -87,22 +87,36 @@ def test_noop_epoch_keeps_plan():
     assert planner.stats.noop_epochs == 1
 
 
-def test_incremental_plan_appends_for_clean_subtree():
+def test_arrival_into_clean_subtree_replans_everything_in_flight(
+        monkeypatch):
+    """An arrival whose top-level subtree holds no parked message still
+    gets one full, age-weighted plan over every in-flight message, and
+    the engine takes it whole through ``set_plan``."""
     engine, topo = make_engine(B=64)
     planner = EpochPlanner(4)
-    # First batch into subtree under child 0.
     leaf_a = topo.leaves_under(topo.child_towards(topo.root, topo.leaves[0]))[0]
     engine.admit(0, leaf_a, 1)
     planner.plan(engine, [0])
-    engine.step(1)  # park msg 0 mid-tree -> its subtree is now dirty
-    n_before = len(engine.pending)
-    # Second batch targets a *different* top-level subtree: clean -> append.
+    engine.step(1)  # msg 0 parks mid-tree under child 0
     other_top = topo.child_towards(topo.root, topo.leaves[-1])
     leaf_b = topo.leaves_under(other_top)[0]
-    engine.admit(1, leaf_b, 2)
-    planner.plan(engine, [1])
-    assert planner.stats.incremental_plans >= 1
-    assert len(engine.pending) > n_before  # appended, not replaced
+    engine.admit(1, leaf_b, 2)  # a subtree no in-flight message is in
+    taken = []
+    real_set_plan = engine.set_plan
+
+    def spy(flushes):
+        taken.append(list(flushes))
+        real_set_plan(flushes)
+
+    monkeypatch.setattr(engine, "set_plan", spy)
+    expected = plan_flushes(topo, engine.P, engine.B, [0, 1],
+                            engine.targets, dict(engine.location),
+                            weights=[8 + 1, 8])
+    assert planner.plan(engine, [1]) == "full"
+    assert taken == [expected]
+    assert [pf.flush for pf in engine.pending] == expected
+    assert {m for f in expected for m in f.messages} == {0, 1}
+    assert planner.stats.full_replans == 2
     done = run_dry(engine, t0=2)
     assert sorted(done) == [0, 1]
 
@@ -135,8 +149,8 @@ def test_forced_replan_resets_idle_streak():
 
 def test_full_replan_weights_messages_by_age(monkeypatch):
     """A full re-plan weights message m by 8 + (newest admission step in
-    the plan - m's admission step); an incremental plan is unweighted,
-    and a restored message counts from its restore step."""
+    the plan - m's admission step), and a restored message counts from
+    its restore step."""
     import repro.serve.planner as planner_mod
 
     calls = []
@@ -153,7 +167,7 @@ def test_full_replan_weights_messages_by_age(monkeypatch):
         engine.admit(gid, topo.leaves[gid], step)
     planner.plan(engine, [0, 1, 2])
     planner.plan(engine, [], force_full=True)
-    assert calls == [None, [13, 11, 8]]
+    assert calls == [[13, 11, 8], [13, 11, 8]]
     engine.restore_state(dict(engine.location), engine.targets, step=9)
     engine.admit(3, topo.leaves[3], 12)
     planner.plan(engine, [], force_full=True)
@@ -276,9 +290,8 @@ def test_mid_tree_groups_are_joined_not_concatenated():
 
 
 def test_service_loop_builds_no_instance_objects(monkeypatch):
-    """Serving plans on the kernel's flat lists: a run that exercises
-    incremental and full re-plans never builds a WORMSInstance or a
-    SchedulingInstance."""
+    """Serving plans on the kernel's flat lists: a run of full re-plans
+    never builds a WORMSInstance or a SchedulingInstance."""
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"{type(self).__name__} built while serving")
 
@@ -290,7 +303,7 @@ def test_service_loop_builds_no_instance_objects(monkeypatch):
     report = loop.run()
     assert len(report.completions) == 3000
     stats = loop.planner.stats
-    assert stats.incremental_plans > 0 and stats.full_replans > 0
+    assert stats.full_replans > 0
 
 
 def test_service_loop_never_reaches_online_flushes(monkeypatch):
@@ -312,4 +325,4 @@ def test_service_loop_never_reaches_online_flushes(monkeypatch):
     report = loop.run()
     assert len(report.completions) == 3000
     stats = loop.planner.stats
-    assert stats.incremental_plans > 0 and stats.full_replans > 0
+    assert stats.full_replans > 0

@@ -1,14 +1,13 @@
 """Golden digests of epoch planning and the paper pipeline.
 
 :func:`repro.serve.planner.plan_flushes` is the serving loop's hot
-path: every incremental and full re-plan goes through it.  These
-digests pin its exact output — every flush, in order, with global
-message ids — on a seeded grid, so a faster planner must emit the same
-bytes:
+path: every serve plan goes through it.  These digests pin its exact
+output — every flush, in order, with global message ids — on a seeded
+grid, so a faster planner must emit the same bytes:
 
-* all-at-root input (the incremental path: packed sets -> reduction ->
-  MPHTF -> Lemma 8 order) and mid-tree input (the full re-plan's online
-  density path);
+* all-at-root input (one group: packed sets -> reduction -> MPHTF ->
+  Lemma 8 order) and mid-tree input (one group per current node, one
+  MPHTF over the joined forest);
 * ``P`` in {1, 4} and ``B`` in {8, 16, 64};
 * a balanced tree and a B^eps-shaped tree;
 * sparse, non-contiguous global ids, sorted and in arrival order.

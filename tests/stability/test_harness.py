@@ -7,7 +7,7 @@ The contracts the CI smoke job and future PRs lean on:
 * the metered loop observes without perturbing: a harness run writes
   journal bytes identical to a plain :class:`ServiceLoop` run of the
   same config;
-* the ``stability/v1`` document carries the fields the bench tables
+* the ``stability/v2`` document carries the fields the bench tables
   and the smoke job read, with internally consistent window math.
 """
 
@@ -71,14 +71,6 @@ def test_document_shape_and_window_math():
     assert sum(stalls["attribution"].values()) == stalls["count"]
     for iv in stalls["intervals"]:
         assert iv["cause"] in ("interference", "arrival-lull", "backlog")
-    assert "pace" not in doc  # controller off -> no pace section
-
-
-def test_pace_section_present_iff_configured():
-    doc = run_stability(StabilityConfig(**SMALL, pace=8))
-    assert doc["config"]["pace"] == 8
-    assert doc["pace"]["budget"] == 8
-    assert doc["pace"]["max_step_work"] <= 8
 
 
 def test_scenarios_cover_both_regimes():
@@ -94,13 +86,9 @@ def test_config_validation():
         StabilityConfig(window=0)
 
 
-def test_report_renders_stall_and_pace_lines():
-    doc = run_stability(StabilityConfig(**SMALL, pace=8))
-    text = format_stability_report(doc)
+def test_report_renders_stall_line():
+    text = format_stability_report(run_stability(StabilityConfig(**SMALL)))
     assert "stalls:" in text
-    assert "pace: budget 8" in text
-    plain = format_stability_report(run_stability(StabilityConfig(**SMALL)))
-    assert "pace:" not in plain
 
 
 # -- native compaction attribution (engine='lsm') -----------------------
