@@ -1,11 +1,13 @@
-"""E15: the durable KV engine — ingest, recovery, and scrub rates.
+"""E15: the durable KV engine — ingest, recovery, scrub, and pacing.
 
 The robustness work has exact-recovery tests; this experiment gives it
 *numbers*: sustained ingest throughput (WAL append + memtable + flush +
 WORMS-scheduled compaction), crash-recovery time as a function of the
-un-flushed WAL suffix, and the scrubber's full-verify rate.  A
-machine-readable summary lands in ``results/BENCH_kv.json`` so the perf
-trajectory of the storage layer has data points from day one.
+un-flushed WAL suffix, the scrubber's full-verify rate, and what the
+``kv --pace`` entry budget trades (compaction work moved against delete
+obligations left undrained).  A machine-readable summary lands in
+``results/BENCH_kv.json`` so the perf trajectory of the storage layer
+has data points from day one.
 
 Times here are wall-clock (the engine does real I/O); the tables quote
 rates, which are stable enough across CI runners to spot order-of-
@@ -16,10 +18,12 @@ from __future__ import annotations
 
 import json
 import os
+import random
+import statistics
 import time
 
 from benchmarks.common import RESULTS_DIR, emit_table
-from repro.lsm.disk import KVStore, run_scrub
+from repro.lsm.disk import KVStore, build_policy, run_scrub
 
 ARTIFACT = "BENCH_kv.json"
 
@@ -161,3 +165,82 @@ def test_e15_scrub_rate(tmp_path, benchmark):
     store = KVStore(home, sync=False)
     benchmark(lambda: run_scrub(store, repair=False))
     store.close()
+
+
+#: e2ebench ``kv_mixed``'s op stream and store shape.
+PACE_OPS, PACE_KEYS = 40_000, 8192
+PACE_BUDGETS = (0, 256, 1024, 4096)
+PACE_SEEDS = (1, 2, 3, 4, 5)
+
+
+def _paced_run(home, pace: int, seed: int) -> dict:
+    """``kv_mixed``'s writes (72% put, 8% delete, 20% get, uniform over
+    8192 keys; gets change nothing on disk and are skipped) into a
+    memtable-256, T=4 store under the Horn policy paced at ``pace``.
+    Returns the compaction work done and the tombstones left."""
+    store = KVStore(home, memtable_capacity=256, size_ratio=4, sync=False,
+                    policy=build_policy("horn", pace=pace))
+    moved: "list[int]" = []
+    density = 0
+    execute = store._execute
+
+    def measured(task):
+        nonlocal density
+        levels = store.manifest.levels
+        srcs = [m for m in levels[task.level] if m.file_id in task.file_ids]
+        below = levels[task.level + 1] if task.level + 1 < len(levels) else ()
+        moved.append(sum(m.entries for m in srcs) + sum(
+            m.entries for m in below if any(s.overlaps(m) for s in srcs)))
+        density += task.regime == "density"
+        execute(task)
+
+    store._execute = measured
+    rng = random.Random(seed)
+    for i in range(PACE_OPS):
+        r = rng.random()
+        key = "k%05d" % rng.randrange(PACE_KEYS)
+        if r < 0.72:
+            store.put(key, ("%08d" % i) * 8)
+        elif r < 0.80:
+            store.delete(key)
+    left = sum(lv["tombstones"] for lv in store.stats()["levels"])
+    store.close()
+    return {"largest": max(moved, default=0), "moved": sum(moved),
+            "tasks": len(moved), "density": density, "tombstones": left}
+
+
+def test_e15_pace_trade(tmp_path):
+    """``kv --pace``: a per-task entry budget for density merges.
+
+    Pacing caps the largest merge and moves fewer entries in all, but
+    the density scheduler then defers most delete-obligation merges, so
+    more tombstones stay undrained.  The counts are deterministic per
+    seed; the table reports medians over five seeds.
+    """
+    rows, art = [], {}
+    med = {}
+    for pace in PACE_BUDGETS:
+        runs = [_paced_run(tmp_path / f"p{pace}s{seed}", pace, seed)
+                for seed in PACE_SEEDS]
+        med[pace] = {k: statistics.median(r[k] for r in runs)
+                     for k in runs[0]}
+        m = med[pace]
+        rows.append([pace, m["largest"], m["moved"],
+                     f"{m['tasks']} ({m['density']})", m["tombstones"]])
+        art[f"pace_{pace}"] = {"runs": runs, "median": m}
+    emit_table(
+        "E15_kv_pace",
+        ["pace", "largest task", "entries moved", "tasks (density)",
+         "tombstones left"],
+        rows,
+        note=f"kv_mixed's writes ({PACE_OPS} ops, {PACE_KEYS} keys, "
+        "memtable 256, T=4), Horn density policy, medians over seeds "
+        "1-5.  Entries counted from SSTable metadata (inputs of every "
+        "merge, the overlapped runs below included).",
+    )
+    _artifact({"pace": art})
+    # The trade: every budget moves fewer entries than no budget, and
+    # leaves more tombstones undrained.
+    for pace in PACE_BUDGETS[1:]:
+        assert med[pace]["moved"] < med[0]["moved"]
+        assert med[pace]["tombstones"] > med[0]["tombstones"]

@@ -182,7 +182,7 @@ def _backlogged_shares(cfg: ServeConfig) -> "tuple[list[int], dict]":
     real_drain = adm.drain
 
     def drain(shard_id, engine, step):
-        backlogged = all(adm.tqueues[shard_id])
+        backlogged = all(adm.lanes[shard_id])
         admitted = real_drain(shard_id, engine, step)
         if backlogged:
             for gid, _leaf, _done in admitted:

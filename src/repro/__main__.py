@@ -249,6 +249,45 @@ class JournalOptions:
                 "compact_every_rotations": self.compact_every}
 
 
+@dataclass(frozen=True)
+class KVConfig:
+    """The store and workload settings of one ``kv`` invocation.
+
+    Each field's ``help`` metadata documents it; ``kv`` derives one flag
+    per field from them (its action, key and value are positionals).
+    """
+
+    dir: "str | None" = field(default=None, metadata={
+        "type": str, "help": "the store's directory"})
+    n: int = field(default=1000, metadata={
+        "help": "ops in the seeded ingest stream"})
+    seed: int = field(default=0, metadata={
+        "help": "seed of the ingest stream"})
+    key_space: int = field(default=256, metadata={
+        "help": "key universe of the ingest stream"})
+    crash_after: int = field(default=0, metadata={
+        "help": "SIGKILL the ingest after this many acknowledged ops "
+                "(0 = run to completion)"})
+    sync: bool = field(default=False, metadata={
+        "help": "fsync the WAL at every acknowledged op"})
+    memtable_capacity: int = field(default=256, metadata={
+        "help": "entries the memtable holds before it flushes"})
+    size_ratio: int = field(default=4, metadata={
+        "help": "capacity ratio T between adjacent levels"})
+    budget: int = field(default=1, metadata={
+        "help": "compaction tasks per `kv compact`"})
+    scheduler: str = field(default="horn", metadata={
+        "choices": ("horn", "leveling"),
+        "help": "compaction scheduling policy"})
+    pace: int = field(default=0, metadata={
+        "help": "entry budget per density compaction task (0 = unpaced; "
+                "capacity repair is exempt)"})
+    drain: bool = field(default=False, metadata={
+        "help": "compact until the scheduler is satisfied"})
+    json: "str | None" = field(default=None, metadata={
+        "type": str, "help": "also write the report/stats JSON here"})
+
+
 def _instance(args: argparse.Namespace):
     """Print and return the instance the flags describe; None, after a
     one-line error, when they describe none."""
@@ -778,40 +817,41 @@ def cmd_kv(args: argparse.Namespace) -> int:
     from repro.lsm.disk import KVStore, build_policy, run_scrub
     from repro.util.errors import StorageError
 
+    config = KVConfig(**_config_values(args, KVConfig))
     try:
-        policy = build_policy(args.scheduler, pace=args.pace)
+        policy = build_policy(config.scheduler, pace=config.pace)
     except ValueError as exc:
         print(f"invalid kv configuration: {exc}", file=sys.stderr)
         return 2
 
     def open_store():
-        return KVStore(args.dir, sync=args.sync,
-                       memtable_capacity=args.memtable_capacity,
-                       size_ratio=args.size_ratio, policy=policy)
+        return KVStore(config.dir, sync=config.sync,
+                       memtable_capacity=config.memtable_capacity,
+                       size_ratio=config.size_ratio, policy=policy)
 
     try:
         if args.action == "ingest":
             store = open_store()
             for i, op, key, value in _kv_op_stream(
-                args.seed, args.n, args.key_space
+                config.seed, config.n, config.key_space
             ):
                 if op == "put":
                     store.put(key, value)
                 else:
                     store.delete(key)
-                if args.crash_after and i >= args.crash_after:
+                if config.crash_after and i >= config.crash_after:
                     # The acknowledged prefix is on disk; prove it by
                     # dying the hard way (no atexit, no flush).
                     _os.kill(_os.getpid(), _signal.SIGKILL)
             store.close()
-            print(f"ingested {args.n} op(s) into {args.dir}")
+            print(f"ingested {config.n} op(s) into {config.dir}")
             return 0
         if args.action == "check-ingest":
             store = open_store()
             frontier = store.stats()["seq"]
             expected: "dict[str, object]" = {}
             for i, op, key, value in _kv_op_stream(
-                args.seed, args.n, args.key_space
+                config.seed, config.n, config.key_space
             ):
                 if i > frontier:
                     break
@@ -868,8 +908,8 @@ def cmd_kv(args: argparse.Namespace) -> int:
             report = run_scrub(store, repair=args.action == "scrub")
             store.close()
             payload = report.to_payload()
-            if args.json:
-                with open(args.json, "w", encoding="utf-8") as f:
+            if config.json:
+                with open(config.json, "w", encoding="utf-8") as f:
                     _json.dump(payload, f, indent=2, sort_keys=True)
             if report.clean:
                 print(
@@ -900,7 +940,7 @@ def cmd_kv(args: argparse.Namespace) -> int:
             store = open_store()
             tasks = (
                 store.drain_backlog()
-                if args.drain else len(store.maintain(args.budget))
+                if config.drain else len(store.maintain(config.budget))
             )
             store.check_invariants()
             stats = store.stats()
@@ -912,8 +952,8 @@ def cmd_kv(args: argparse.Namespace) -> int:
             store = open_store()
             stats = store.stats()
             store.close()
-            if args.json:
-                with open(args.json, "w", encoding="utf-8") as f:
+            if config.json:
+                with open(config.json, "w", encoding="utf-8") as f:
                     _json.dump(stats, f, indent=2, sort_keys=True)
             print(_json.dumps(stats, indent=2, sort_keys=True))
             return 0
@@ -1134,32 +1174,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="key for get/put/del")
     p_kv.add_argument("value", nargs="?", default=None,
                       help="JSON value for put")
-    p_kv.add_argument("--dir", type=str, required=True,
-                      help="the store's directory")
-    p_kv.add_argument("--n", type=int, default=1000,
-                      help="ops in the seeded ingest stream")
-    p_kv.add_argument("--seed", type=int, default=0)
-    p_kv.add_argument("--key-space", type=int, default=256,
-                      help="key universe of the ingest stream")
-    p_kv.add_argument("--crash-after", type=int, default=0,
-                      help="SIGKILL the ingest after this many "
-                      "acknowledged ops (0 = run to completion)")
-    p_kv.add_argument("--sync", action="store_true",
-                      help="fsync the WAL at every acknowledged op")
-    p_kv.add_argument("--memtable-capacity", type=int, default=256)
-    p_kv.add_argument("--size-ratio", type=int, default=4)
-    p_kv.add_argument("--budget", type=int, default=1,
-                      help="compaction tasks per `kv compact`")
-    p_kv.add_argument("--scheduler", choices=("horn", "leveling"),
-                      default="horn",
-                      help="compaction scheduling policy")
-    p_kv.add_argument("--pace", type=int, default=0,
-                      help="entry budget per density compaction task "
-                           "(0 = unpaced; capacity repair is exempt)")
-    p_kv.add_argument("--drain", action="store_true",
-                      help="compact until the scheduler is satisfied")
-    p_kv.add_argument("--json", type=str, default=None,
-                      help="also write the report/stats JSON here")
+    _add_config_flags(p_kv, KVConfig, required=("dir",))
     p_kv.set_defaults(func=cmd_kv)
 
     p_trace = sub.add_parser(

@@ -69,7 +69,6 @@ from repro.serve.tenancy import (
     MetricsEndpoint,
     SLOTracker,
     TenancyRuntime,
-    TenantAdmissionController,
     TenantMix,
     TenantSpec,
     format_tenant_report,
@@ -80,7 +79,6 @@ __all__ = [
     "MetricsEndpoint",
     "SLOTracker",
     "TenancyRuntime",
-    "TenantAdmissionController",
     "TenantMix",
     "TenantSpec",
     "format_tenant_report",

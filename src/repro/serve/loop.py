@@ -66,7 +66,6 @@ from repro.serve.arrivals import (
 )
 from repro.serve.metrics import ServeMetrics
 from repro.serve.planner import EpochPlanner, PlannerStats
-from repro.serve.tenancy.fair import TenantAdmissionController
 from repro.serve.tenancy.mix import TenantMix
 from repro.serve.tenancy.runtime import TenancyRuntime
 from repro.serve.tenancy.spec import (
@@ -395,18 +394,11 @@ class ShardStep:
         #: phase already iterating it finishes over the old one.
         self._shard_ids = [s for s, e in enumerate(engines) if e is not None]
         self.planner = EpochPlanner(config.epoch)
-        bounds = dict(
+        self.admission = AdmissionController(
+            config.shards, specs=config.tenants, tenant_of=tenant_of,
             max_root_backlog=config.max_root_backlog or 4 * config.B,
             max_queue=config.max_queue or 16 * config.B,
         )
-        if config.tenants:
-            # Weighted-fair lanes keyed on the gid -> tenant map.
-            self.admission: AdmissionController = TenantAdmissionController(
-                config.shards, specs=config.tenants, tenant_of=tenant_of,
-                **bounds,
-            )
-        else:
-            self.admission = AdmissionController(config.shards, **bounds)
         #: per-shard admissions since that shard's last plan.
         self._fresh: "list[list[int]]" = [[] for _ in engines]
         self._replans_left = [MAX_FORCED_REPLANS] * len(engines)
@@ -808,7 +800,7 @@ class ServiceLoop(ShardStep):
         gid0 = self._next_gid
         self._next_gid += len(keys)
         # Tenant tags must land in metrics.tenant_of *before* the offer:
-        # the fair controller keys its lanes (and shed accounting) on it.
+        # admission keys its tenant lanes (and shed accounting) on it.
         tenants = (
             self.arrivals.pending_tenants if self._tenancy is not None
             else None

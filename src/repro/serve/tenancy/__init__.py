@@ -1,15 +1,16 @@
 """Multi-tenant QoS for the serving layer.
 
-Tenant-tagged arrivals (:class:`TenantMix`), deficit-round-robin
-weighted-fair admission (:class:`TenantAdmissionController`), per-tenant
-sojourn SLOs with breaker-integrated shedding (:class:`SLOTracker`),
-memory-budgeted buffer quotas, and the live ``/metrics`` endpoint
-(:class:`MetricsEndpoint`).  Enabled by ``ServeConfig.tenants``; with it
-unset every serving run is byte-identical to a pre-tenancy run.
+Tenant-tagged arrivals (:class:`TenantMix`), per-tenant sojourn SLOs
+with breaker-integrated shedding (:class:`SLOTracker`), and the live
+``/metrics`` endpoint (:class:`MetricsEndpoint`).  Weighted-fair
+admission and buffer quotas are the serving loop's one
+:class:`~repro.serve.admission.AdmissionController`, given one lane per
+tenant.  Enabled by ``ServeConfig.tenants``; with it unset the
+controller has one lane and every serving run is byte-identical to a
+pre-tenancy run.
 """
 
 from repro.serve.tenancy.endpoint import MetricsEndpoint
-from repro.serve.tenancy.fair import TenantAdmissionController
 from repro.serve.tenancy.mix import TenantMix
 from repro.serve.tenancy.runtime import TenancyRuntime, format_tenant_report
 from repro.serve.tenancy.slo import SLO_COOLDOWN, SLO_TRIP_AFTER, SLOTracker
@@ -21,7 +22,6 @@ __all__ = [
     "SLO_TRIP_AFTER",
     "SLOTracker",
     "TenancyRuntime",
-    "TenantAdmissionController",
     "TenantMix",
     "TenantSpec",
     "format_tenant_report",

@@ -4,9 +4,9 @@ One :class:`TenancyRuntime` per serving loop bundles the tenant specs,
 the SLO tracker, and the per-epoch conservation ledger, and knows how to
 annotate a :class:`~repro.serve.metrics.ServeMetrics` snapshot with the
 per-tenant view.  The serving loop only talks to this object (plus the
-:class:`~repro.serve.tenancy.fair.TenantAdmissionController` it installs
-in place of the base admission controller), which keeps the tenancy
-surface in ``loop.py`` down to a handful of guarded calls.
+per-tenant lanes, doors and purges of its one
+:class:`~repro.serve.admission.AdmissionController`), which keeps the
+tenancy surface in ``loop.py`` down to a handful of guarded calls.
 """
 
 from __future__ import annotations

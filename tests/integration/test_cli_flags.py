@@ -2,13 +2,14 @@
 
 A field of ``ServeConfig``, ``TenantSpec``, ``SupervisorConfig``,
 ``StabilityConfig``, ``InstanceConfig``, ``RunConfig``,
-``JournalOptions`` or ``ChaosConfig`` is a flag if and only if it has
-``metadata["help"]``.  For each such field the flag exists, parses to
+``JournalOptions``, ``ChaosConfig`` or ``KVConfig`` is a flag if and
+only if it has ``metadata["help"]``.  For each such field the flag exists, parses to
 the field's default, and carries a non-default value through to the
 field; no other field has a flag.  Most classes are read back from what
 the flags hand the stubbed driver (see ``test_cli_golden``); the
-instance and chaos flags, whose drivers see only the instance or the
-drawn plan, are read back from the parsed flags.  Every ``serve`` run is
+instance, chaos and ``kv`` flags, whose drivers see only the instance,
+the drawn plan or some of the fields, are read back from the parsed
+flags.  Every ``serve`` run is
 supervised, so a ``SupervisorConfig`` flag reaches the loop with no
 other flag beside it.  Two behaviours the derivation fixed are pinned
 here too: tenant runs inherit the whole-run arrival flags, and an
@@ -25,6 +26,7 @@ import pytest
 from repro.__main__ import (
     InstanceConfig,
     JournalOptions,
+    KVConfig,
     RunConfig,
     _config_values,
     build_parser,
@@ -66,6 +68,7 @@ CLASSES = {
         b["journal"], b["sync"], b["max_segment_bytes"],
         b["compact_every_rotations"]))),
     ChaosConfig: ("serve --chaos", _parsed(ChaosConfig)),
+    KVConfig: ("kv stats --dir kv-dir", _parsed(KVConfig)),
 }
 
 
@@ -111,7 +114,10 @@ def test_flag_exists_with_the_field_default(cls, f):
     prefix = CLASSES[cls][0].split()[0]
     assert _flag(f) in option_strings()[prefix]
     rec = _record(cls, "")
-    if cls is TenantSpec:
+    if (cls, f.name) == (KVConfig, "dir"):
+        # Required, so the prefix sets it; cli_golden pins it required.
+        assert rec.dir == "kv-dir"
+    elif cls is TenantSpec:
         # Unset per-tenant lists fall back to the whole-run value for
         # inherited arrival fields, else to the TenantSpec default.
         run = _record(ServeConfig, "")

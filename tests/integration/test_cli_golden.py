@@ -13,10 +13,12 @@ Three things are pinned:
   digest of its tree and messages) and, for ``faults``, the sweep
   keywords; for ``run`` the instance, the journal writer's path and
   keywords (its ``meta`` included) and the executor's injector and
-  keywords.  The drivers, ``run_stability``, ``compare_policies``,
-  ``solve_worms``, ``resilience_sweep``, ``JournalWriter`` and
-  ``GatedExecutor`` are replaced by stubs that record their
-  arguments, so nothing runs and no file is written.
+  keywords; for ``kv`` what ``build_policy`` and ``KVStore`` receive.
+  The drivers, ``run_stability``, ``compare_policies``,
+  ``solve_worms``, ``resilience_sweep``, ``JournalWriter``,
+  ``GatedExecutor``, ``build_policy`` and ``KVStore`` are replaced by
+  stubs that record their arguments, so nothing runs and no file is
+  written.
 
 The tenant vectors pass ``--burst-rate 16 --clients 8`` and every
 per-tenant list, so each tenant's fields are the same whether a tenant
@@ -117,6 +119,13 @@ VECTORS = {
         "stability --scenario flash-crowd --messages 8000 --seed 1 "
         "--fault-rate 0.05 --B 32 --height 4 --json run_a.json"
     ),
+    "kv/defaults": "kv stats --dir kv-dir",
+    "kv/every-flag": (
+        "kv compact --dir kv-dir --n 50 --seed 3 --key-space 64 "
+        "--crash-after 10 --sync --memtable-capacity 32 --size-ratio 3 "
+        "--budget 2 --scheduler leveling --pace 128 --drain --json out.json"
+    ),
+    "kv/paced-ingest": "kv ingest --dir kv-dir --pace 256 --n 10",
 }
 
 
@@ -192,6 +201,14 @@ def _executor_stub(inst, injector=None, *, journal=None, **kwargs):
     })
 
 
+def _policy_stub(scheduler, **kwargs):
+    return {"scheduler": scheduler, **kwargs}
+
+
+def _kv_store_stub(path, **kwargs):
+    raise _Built({"path": str(path), **kwargs})
+
+
 def built(argv: str) -> dict:
     """What ``python -m repro <argv>`` would hand its driver."""
     stubs = [
@@ -205,6 +222,8 @@ def built(argv: str) -> dict:
     ]
     stubs.append(mock.patch.object(cli, "JournalWriter", _WriterStub))
     stubs.append(mock.patch.object(cli, "GatedExecutor", _executor_stub))
+    stubs.append(mock.patch("repro.lsm.disk.build_policy", _policy_stub))
+    stubs.append(mock.patch("repro.lsm.disk.KVStore", _kv_store_stub))
     for stub in stubs:
         stub.start()
     try:

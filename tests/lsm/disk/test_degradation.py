@@ -19,7 +19,7 @@ operations are lost.
   protocol and at SSTable creation;
 * the fault-at-every-syscall sweep — a census pass counts every
   (op, path-class) the workload performs, then each index is faulted in
-  a fresh directory (sampled in tier-1, exhaustive under ``-m fuzz``).
+  a fresh directory, every index in tier-1.
 """
 
 from __future__ import annotations
@@ -339,12 +339,12 @@ def _syscall_census(tmp_path) -> "dict[tuple, int]":
     return dict(fs.counters)
 
 
-def _sweep(tmp_path, indices_of) -> int:
+def _sweep(tmp_path) -> int:
     census = _syscall_census(tmp_path)
     assert census, "census saw no syscalls"
     runs = 0
     for (op, cls), total in sorted(census.items()):
-        for j in indices_of(total):
+        for j in range(total):
             kind = "eio" if (j % 2 == 0) else "enospc"
             fs = FaultFS(f"{op}:{cls}:{kind}@{j}x1")
             home = tmp_path / f"{op}-{cls}-{j}"
@@ -354,13 +354,5 @@ def _sweep(tmp_path, indices_of) -> int:
     return runs
 
 
-def test_fault_at_every_syscall_sampled(tmp_path):
-    def sample(total: int):
-        return sorted({0, total // 3, (2 * total) // 3, total - 1})
-
-    assert _sweep(tmp_path, sample) > 0
-
-
-@pytest.mark.fuzz
 def test_fault_at_every_syscall_exhaustive(tmp_path):
-    assert _sweep(tmp_path, range) > 0
+    assert _sweep(tmp_path) > 0

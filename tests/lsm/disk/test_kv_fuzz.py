@@ -20,16 +20,14 @@ leave:
   new-manifest-with-old-files hybrids: both recover the identical
   visible state (compaction moves bytes, never meaning).
 
-Tier-1 runs sampled strides of each sweep; the ``fuzz``-marked
-exhaustive variants run in the scheduled CI job.
+Each sweep covers every offset and runs in tier-1 (under a second
+each).
 """
 
 from __future__ import annotations
 
 import shutil
 from pathlib import Path
-
-import pytest
 
 from repro.lsm.disk import KVStore
 from repro.lsm.disk.manifest import manifest_path, read_manifest
@@ -75,7 +73,7 @@ def _recovered_state(home: Path) -> "tuple[dict, int]":
     return items, seq
 
 
-def _wal_cut_sweep(tmp_path: Path, offsets) -> None:
+def _wal_cut_sweep(tmp_path: Path) -> None:
     """Truncate the live WAL generation at each offset; recovery must be
     the exact acknowledged prefix or a typed error."""
     home = tmp_path / "base"
@@ -86,9 +84,7 @@ def _wal_cut_sweep(tmp_path: Path, offsets) -> None:
         (g, p) for g, p in wal_generations(home) if p.stat().st_size > 16
     ]
     blob = wal_file.read_bytes()
-    for cut in offsets:
-        if cut > len(blob):
-            break
+    for cut in range(len(blob) + 1):
         work = tmp_path / f"cut{cut}"
         shutil.copytree(home, work)
         (work / wal_file.name).write_bytes(blob[:cut])
@@ -102,13 +98,8 @@ def _wal_cut_sweep(tmp_path: Path, offsets) -> None:
         shutil.rmtree(work)
 
 
-def test_wal_cut_sampled(tmp_path: Path) -> None:
-    _wal_cut_sweep(tmp_path, range(0, 10_000, 17))
-
-
-@pytest.mark.fuzz
 def test_wal_cut_every_offset(tmp_path: Path) -> None:
-    _wal_cut_sweep(tmp_path, range(0, 10_000))
+    _wal_cut_sweep(tmp_path)
 
 
 def _flush_stage_states(tmp_path: Path):
@@ -127,7 +118,7 @@ def _flush_stage_states(tmp_path: Path):
     return pre, post, meta
 
 
-def _flush_sweep(tmp_path: Path, tmp_lengths) -> None:
+def _flush_sweep(tmp_path: Path) -> None:
     pre, post, meta = _flush_stage_states(tmp_path)
     sst_blob = (post / meta.name).read_bytes()
     manifest_blob = manifest_path(post).read_bytes()
@@ -140,9 +131,7 @@ def _flush_sweep(tmp_path: Path, tmp_lengths) -> None:
         shutil.rmtree(work)
 
     # Stage 1a: killed mid-SSTable-write — stranded tmp of every length.
-    for cut in tmp_lengths:
-        if cut > len(sst_blob):
-            break
+    for cut in range(len(sst_blob) + 1):
         work = tmp_path / f"sst{cut}"
         shutil.copytree(pre, work)
         (work / f"{meta.name}{TMP_INFIX}4242").write_bytes(sst_blob[:cut])
@@ -161,9 +150,7 @@ def _flush_sweep(tmp_path: Path, tmp_lengths) -> None:
     (work / src.name).write_bytes(src.read_bytes())
     check(work, "rotated, uncommitted")
     # Stage 3a: killed mid-manifest-write — old manifest + stranded tmp.
-    for cut in tmp_lengths:
-        if cut > len(manifest_blob):
-            break
+    for cut in range(len(manifest_blob) + 1):
         work = tmp_path / f"man{cut}"
         shutil.copytree(pre, work)
         (work / meta.name).write_bytes(sst_blob)
@@ -184,13 +171,8 @@ def _flush_sweep(tmp_path: Path, tmp_lengths) -> None:
     check(work, "complete flush")
 
 
-def test_flush_protocol_sampled(tmp_path: Path) -> None:
-    _flush_sweep(tmp_path, range(0, 10_000, 23))
-
-
-@pytest.mark.fuzz
 def test_flush_protocol_every_offset(tmp_path: Path) -> None:
-    _flush_sweep(tmp_path, range(0, 10_000))
+    _flush_sweep(tmp_path)
 
 
 def test_compaction_protocol_hybrids(tmp_path: Path) -> None:

@@ -1,4 +1,9 @@
-"""Tests for admission control: backpressure, shedding, stall holds."""
+"""Tests for admission control: backpressure, shedding, stall holds.
+
+These run the controller with no tenants: one lane, drained in FIFO
+order.  The per-tenant lanes are tested in ``test_tenancy.py`` and
+both against a reference in ``test_admission_reference.py``.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,7 @@ import pytest
 
 from repro.serve.admission import AdmissionController
 from repro.serve.router import ShardEngine
+from repro.serve.tenancy.spec import TenantSpec
 from repro.tree import balanced_tree
 from repro.util.errors import InvalidInstanceError
 
@@ -114,9 +120,24 @@ def test_queue_helpers_cover_load_and_clear():
     leaf = topo.leaves[0]
     ctrl = AdmissionController(1, max_root_backlog=10, max_queue=5)
     ctrl.load_queue(0, [(1, leaf), (2, leaf)])
-    assert ctrl.total_queued() == ctrl.queue_depth(0) == 2
+    assert ctrl.queue_depth(0) == 2
     ctrl.load_requeue(0, [(3, leaf)])
     assert ctrl.queue_depth(0) == 3
     assert ctrl.clear_shard(0) == [(1, leaf), (2, leaf), (3, leaf)]
-    assert ctrl.total_queued() == 0
+    assert ctrl.queue_depth(0) == 0
     assert ctrl.stats.offered == 0  # none of the helpers re-offer
+
+
+def test_lone_lane_keeps_fifo_bound():
+    """Without tenants the lane bound is ``max_queue`` itself, so
+    ``max_queue=0`` sheds every arrival; a tenant lane's bound is
+    clamped to at least 1."""
+    ctrl = AdmissionController(1, max_root_backlog=4, max_queue=0)
+    assert ctrl.lane_bound == [0]
+    assert [ctrl.offer(0, gid, 3) for gid in range(3)] == [False] * 3
+    assert ctrl.stats.shed == 3 and ctrl.queue_depth(0) == 0
+    specs = (TenantSpec(name="a"), TenantSpec(name="b"))
+    tenants = AdmissionController(1, max_root_backlog=4, max_queue=0,
+                                  specs=specs, tenant_of={})
+    assert tenants.lane_bound == [1, 1]
+    assert [tenants.offer(0, gid, 3) for gid in range(2)] == [True, False]

@@ -54,8 +54,9 @@ class DivertConservationChecked(ServiceLoop):
         super()._heartbeat(t)
         m = self.metrics
         accounted: set = set(m.completion_step) | set(m.shed_ids)
-        for q in self.admission.queues:
-            accounted |= {gid for gid, _leaf in q}
+        for lanes in self.admission.lanes:
+            for q in lanes:
+                accounted |= {gid for gid, _leaf in q}
         for spill in self._spill:
             accounted |= {gid for gid, _leaf in spill}
         for engine in self.engines:

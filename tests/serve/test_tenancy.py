@@ -30,11 +30,11 @@ import pytest
 
 from repro.faults import CHAOS_KILL_WORKER, ChaosEvent, ChaosPlan, truncate_at
 from repro.serve import (
+    AdmissionController,
     MetricsEndpoint,
     ProcPoolLoop,
     ServeConfig,
     ServiceLoop,
-    TenantAdmissionController,
     TenantMix,
     TenantSpec,
     make_tenants,
@@ -189,7 +189,7 @@ def make_ctrl(weights=(1.0, 1.0), quotas=(0, 0), max_root_backlog=8,
         for i, (w, q) in enumerate(zip(weights, quotas))
     )
     tenant_of: dict[int, int] = {}
-    ctrl = TenantAdmissionController(
+    ctrl = AdmissionController(
         1, max_root_backlog=max_root_backlog, max_queue=max_queue,
         specs=specs, tenant_of=tenant_of)
     topo = balanced_tree(2, 2)
@@ -229,7 +229,7 @@ def test_drr_weighted_shares():
 def test_fresh_bound_is_weight_share_and_door_sheds():
     ctrl, tenant_of, engine, topo = make_ctrl(weights=(3.0, 1.0),
                                               max_queue=40)
-    assert ctrl.tenant_bound == [30, 10]
+    assert ctrl.lane_bound == [30, 10]
     leaf = topo.leaves[0]
     fill(ctrl, tenant_of, leaf, 1, range(0, 15))  # bound 10: shed 5
     assert ctrl.queue_depth(0) == 10
