@@ -135,13 +135,12 @@ class AdmissionController:
         ]
         #: per-shard queued count (the sum of the shard's lane lengths).
         self._depth = [0] * n_shards
-        #: DRR deficit counters, same shape as ``lanes``.
-        self._deficit: "list[list[float]]" = [
+        #: DRR deficit counters, same shape as ``lanes``: drain state
+        #: that a replica of the lanes carries with them.
+        self.deficit: "list[list[float]]" = [
             [0.0] * n for _ in range(n_shards)
         ]
         self.door_closed = set()
-        #: per-tenant sheds (door + bound), mirrors stats.shed_by_shard.
-        self.shed_by_tenant: dict[int, int] = {}
         #: admitted-but-not-departed gids -> (shard, lane), for lanes
         #: with a buffer quota only; quota state.
         self._resident: dict[int, tuple[int, int]] = {}
@@ -155,12 +154,12 @@ class AdmissionController:
         """Tenants whose SLO breaker is open: their offers shed at the
         door.  Assigning it sets a closed tenant's fresh-arrival bound
         to 0, so :meth:`offer` makes one bound check."""
-        return self._door
+        return self._closed
 
     @door_closed.setter
     def door_closed(self, tenants) -> None:
-        self._door = set(tenants)
-        self._open_bound = [0 if t in self._door else bound
+        self._closed = set(tenants)
+        self._open_bound = [0 if t in self._closed else bound
                             for t, bound in enumerate(self.lane_bound)]
 
     # -- bookkeeping helpers -------------------------------------------
@@ -169,7 +168,6 @@ class AdmissionController:
         self.stats.shed += 1
         by = self.stats.shed_by_shard
         by[shard_id] = by.get(shard_id, 0) + 1
-        self.shed_by_tenant[tenant] = self.shed_by_tenant.get(tenant, 0) + 1
         obs = current_obs()  # rare event: look up at the site
         if obs.enabled:
             shed = obs.metrics.counter(
@@ -202,13 +200,6 @@ class AdmissionController:
     def queue_depth(self, shard_id: int) -> int:
         """Arrivals currently waiting in front of ``shard_id``."""
         return self._depth[shard_id]
-
-    def note_external_shed(self, shard_id: int, msg_id: int) -> None:
-        """A driver shed ``msg_id`` outside :meth:`offer` (abandoned or
-        overflowing spill paths) after bumping ``stats`` itself; mirror
-        it into the per-tenant ledger."""
-        tenant = self.tenant_of.get(msg_id, 0)
-        self.shed_by_tenant[tenant] = self.shed_by_tenant.get(tenant, 0) + 1
 
     def note_departed(self, msg_id: int) -> None:
         """``msg_id`` left its shard's buffers (completed): free quota."""
@@ -301,8 +292,14 @@ class AdmissionController:
     def load_requeue(
         self, shard_id: int, items: "list[tuple[int, int]]"
     ) -> None:
-        """Append already-admissible items unbounded (worker requeue path:
-        the parent applied the room check before shipping them)."""
+        """Append items to their tenants' lanes unbounded.
+
+        For lane contents that already passed their bound elsewhere: a
+        procpool worker takes the handoffs its parent's replica accepted
+        (:meth:`handoff` ran there), and the parent's replica takes back
+        the arrivals of a chunk lost with its worker, which the restore
+        then ships whole.
+        """
         lanes = self.lanes[shard_id]
         for m, leaf in items:
             lanes[self.tenant_of.get(m, 0)].append((int(m), int(leaf)))
@@ -334,7 +331,7 @@ class AdmissionController:
             dropped.extend(q)
             q.clear()
         self._depth[shard_id] = 0
-        self._deficit[shard_id] = [0.0] * len(self.lane_bound)
+        self.deficit[shard_id] = [0.0] * len(self.lane_bound)
         return dropped
 
     def purge_tenant_shard(self, shard_id: int, tenant: int) -> "list[int]":
@@ -345,7 +342,7 @@ class AdmissionController:
         gids = [msg_id for msg_id, _leaf in q]
         q.clear()
         self._depth[shard_id] -= len(gids)
-        self._deficit[shard_id][tenant] = 0.0
+        self.deficit[shard_id][tenant] = 0.0
         for _ in gids:
             self._count_shed(shard_id, tenant)
         return gids
@@ -370,6 +367,18 @@ class AdmissionController:
         if done is None and self._quota[tenant] > 0:  # still buffered
             self._resident[msg_id] = (shard_id, tenant)
             self._res_count[shard_id][tenant] += 1
+
+    def take_admitted(self, shard_id: int, msg_id: int) -> None:
+        """Replica path: the drain that owns these lanes in another
+        process admitted ``msg_id``; pop it off the front of its lane."""
+        front, _leaf = self.lanes[shard_id][
+            self.tenant_of.get(msg_id, 0)
+        ].popleft()
+        assert front == msg_id, (
+            f"shard {shard_id}: lane front {front} != admitted {msg_id}"
+        )
+        self._depth[shard_id] -= 1
+        self.stats.admitted += 1
 
     def _quota_open(self, shard_id: int, tenant: int) -> bool:
         quota = self._quota[tenant]
@@ -419,7 +428,7 @@ class AdmissionController:
     def _lone_lane(self, shard_id: int, depth: int) -> int:
         """Reset idle lanes' deficits, as round one would; return the
         lone backlogged lane if it can be sliced, else -1."""
-        deficit = self._deficit[shard_id]
+        deficit = self.deficit[shard_id]
         lone = -1
         for tid, q in enumerate(self.lanes[shard_id]):
             if not q:
@@ -433,7 +442,7 @@ class AdmissionController:
                       admitted) -> None:
         """Round-by-round DRR over the shard's lanes."""
         lanes = self.lanes[shard_id]
-        deficit = self._deficit[shard_id]
+        deficit = self.deficit[shard_id]
         cap = self.max_root_backlog
         while engine.root_backlog < cap:
             progressed = False

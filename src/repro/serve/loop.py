@@ -751,11 +751,10 @@ class ServiceLoop(ShardStep):
         """Enforce SLO decisions: close doors, purge tripped tenants.
 
         Non-trivial decisions are journaled like ``divert`` records —
-        durability sealed with a checkpoint first, then the decision —
-        so a restarted shard-per-process worker can be owed the purge
-        its dispatch lost.  The procpool driver extends this to ship
-        the directives to its workers (which own the queues) instead of
-        purging locally.
+        durability sealed with a checkpoint first, then the decision.
+        The purge sheds at decision time; the procpool driver runs this
+        on its replica of the workers' lanes and ships the purge to them
+        with the next chunk.
         """
         if self._journal is not None and (
             tripped or set(door) != self.admission.door_closed
@@ -857,7 +856,6 @@ class ServiceLoop(ShardStep):
             return
         adm.shed += 1
         adm.shed_by_shard[sid] = adm.shed_by_shard.get(sid, 0) + 1
-        self.admission.note_external_shed(sid, gid)
         self._shed(gid, t)
         if abandoned:
             self.sup_stats.abandoned_messages += 1
@@ -1278,8 +1276,11 @@ class ServiceLoop(ShardStep):
         process when the old one died), which rebuilds the same way.
         """
         self._restore_shard(sid, t, locations, self._leaf_of)
-        # Spilled arrivals go back in front of admission; any the queue
-        # bound rejects are counted-shed, never dropped.
+        self._requeue_spill(sid, t)
+
+    def _requeue_spill(self, sid: int, t: int) -> None:
+        """Spilled arrivals go back in front of admission; any the queue
+        bound rejects are counted-shed, never dropped."""
         items = list(self._spill[sid])
         self._spill[sid].clear()
         accepted = self.admission.requeue(sid, items)

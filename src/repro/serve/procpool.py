@@ -6,9 +6,9 @@ serving loop.
 separate **processes**.
 The parent keeps everything global — arrivals, routing, metrics, the
 journal, the supervision state machine — and ships each worker per-epoch
-batches of pre-routed arrivals over a pipe; workers own only their
-shards' engines, admission queues, and a planner, and answer with
-per-step results (admits, completions, sheds, buffered journal records,
+batches of pre-routed arrivals over a pipe; workers own their shards'
+engines, a planner, and the admission lanes the drain reads, and answer
+with per-step results (admits, completions, buffered journal records,
 depth samples) plus counter deltas.
 
 Neither side restates the in-process loop.  A worker is a
@@ -18,8 +18,23 @@ phases :class:`~repro.serve.loop.ServiceLoop` runs — whose three events
 instead of applied.  The parent inherits the run skeleton and overrides
 one advance step: stage a chunk's arrivals through the loop's own
 routing (:meth:`~repro.serve.loop.ServiceLoop._route`), dispatch,
-merge.  What is left here is process-specific: pipes,
-worker lifecycle, the queue mirror, and the chunk merge.
+merge.  What is left here is process-specific: pipes, worker
+lifecycle, and the chunk merge.
+
+**One queue model.**  The parent's ``admission`` is an exact replica of
+its workers' lanes: each merge replays the chunk's offers through
+:meth:`~repro.serve.admission.AdmissionController.offer`, pops each
+reported admit off the front of its lane and takes the drain's DRR
+credit, and the barrier asserts the replica's depth equals each
+worker's.  Every rule applied between chunks is therefore the
+in-process code on the replica — ``handoff`` at a diversion,
+``requeue`` at a restart, ``purge_tenant`` at an SLO trip (shedding at
+decision time), ``clear_shard`` at abandonment — and the parent ships
+a worker only what changed: the purged tenants and the handoff appends
+with its next chunk, the closed-door set with every chunk of a tenancy
+run, and the whole lane set with its credit in a restore.  A chunk
+lost with its worker leaves nothing owed: its arrivals join the
+replica unbounded, and the restart's restore ships the lanes whole.
 
 The determinism story is the in-process loop's, pushed across a
 process boundary:
@@ -43,7 +58,7 @@ process boundary:
 A fault-free ``--processes N`` journal is therefore byte-identical to a
 ``ServiceLoop`` journal for every N — pinned by test.
 
-Three behaviors exist only here:
+Two behaviors exist only here:
 
 * **dead workers**: a worker that exits (SIGKILL from
   ``kill-worker`` chaos, a crash, or watchdog escalation) quarantines
@@ -55,16 +70,24 @@ Three behaviors exist only here:
   polls between steps), then ``terminate()`` (SIGTERM), then ``kill()``
   (SIGKILL).  Every rung ends with the worker dead and the standard
   dead-worker path taking over; un-merged chunk results are discarded —
-  the journal and the merged schedules are the only truth;
-* **queue mirroring**: the parent mirrors every worker admission queue
-  (insert on dispatch, remove on reported admit/shed), so a dead
-  worker's queue is reconstructed exactly when its shard restarts.
+  the journal and the merged schedules are the only truth.
 
-Known (chaos-only) divergences from the in-process driver, all
-conservation-exact: a shard that deadlocks mid-chunk is quarantined at
-the next barrier rather than mid-step, its unconsumed chunk arrivals
-spilling at the barrier; depth timelines meter the spill one barrier
-late.  Fault-free runs have none of these.
+Where a run differs from the in-process driver's (all
+conservation-exact; ``tests/serve/data/driver_golden.json`` pins each):
+
+* a supervised journal names its driver (meta or a ``driver`` record);
+  no other record differs;
+* ``kill-worker`` SIGKILLs a process, so every shard it hosts is
+  quarantined, where the in-process driver loses only the named shard;
+* a shard that deadlocks mid-chunk is quarantined at the next barrier
+  rather than mid-step, its unoffered chunk arrivals spilling at the
+  barrier (depth timelines meter the spill one barrier late);
+* with ``engine='lsm'`` each worker owns its shards' stores and reports
+  their health with every chunk, so a store that turns read-only marks
+  its shard ``degraded``; the in-process driver's one parent-held store
+  counts degraded epochs without touching shard health.
+
+Fault-free runs have none of these.
 """
 
 from __future__ import annotations
@@ -74,6 +97,7 @@ import os
 import signal
 import time
 from dataclasses import asdict
+from itertools import islice
 
 from pathlib import Path
 
@@ -176,7 +200,6 @@ class _ShardWorker(ShardStep):
         self._last_stats = {
             sid: asdict(engines[sid].stats) for sid in self._hosted
         }
-        self._last_adm = asdict(self.admission.stats)
         self._last_plan = asdict(self.planner.stats)
 
     def _maybe_hang(self, t: int) -> None:
@@ -227,13 +250,15 @@ class _ShardWorker(ShardStep):
         self.stores.clear()
         self._disk_faults.close()
 
-    def restore(self, sid, t, locations, targets, queue_items,
+    def restore(self, sid, t, locations, targets, queue_items, deficit,
                 tenants=None, keys=None) -> None:
-        """Install folded restart state shipped by the parent at ``t``."""
+        """Install folded restart state shipped by the parent at ``t``:
+        the engine's, and the lanes with their DRR credit."""
         self._learn(tenants, keys)
         self._frozen_at.pop(sid, None)
         self._restore_shard(sid, t, locations, targets)
         self.admission.load_queue(sid, queue_items)
+        self.admission.deficit[sid] = deficit
 
     def _learn(self, tenants, keys) -> None:
         """Take in the parent's gid -> tenant / routed-key tags."""
@@ -244,40 +269,36 @@ class _ShardWorker(ShardStep):
         if keys:
             self._gid_key.update({int(g): int(k) for g, k in keys.items()})
 
-    def run_chunk(self, t0, t1, batch, active, slo=None):
+    def run_chunk(self, t0, t1, batch, active, door=None):
         """Execute steps ``t0..t1`` for ``active`` hosted shards.
 
         Cross-shard state (metrics, arrivals, journal) lives in the
-        parent, so shards on different workers need no ordering.
-        ``slo`` carries the parent's outstanding SLO decisions — the
-        full door set plus ``{shard: [tenants]}`` purge debts — the
-        parent owns the tracker, the worker owns the queues.  Debts are
-        re-delivered until a chunk that applied them merges, so a worker
-        SIGKILLed with the dispatch cannot lose a purge."""
+        parent, so shards on different workers need no ordering.  The
+        parent's replica of the lanes has already applied everything
+        between chunks; each shard's ``batch`` entry carries what of
+        that this worker has not seen — the tenants an SLO trip purged
+        and then the handoffs appended since — and ``door`` (tenancy
+        runs) is the closed-door set."""
         order = sorted(set(self._hosted) & set(active))
         self._shard_ids = [s for s in order if s not in self._frozen_at]
         self._out = out = {
-            sid: {"admits": {}, "sheds": {}, "records": {}, "exec": {},
-                  "depths": {}, "frozen_at": None, "unconsumed": []}
+            sid: {"admits": {}, "records": {}, "exec": {}, "depths": {},
+                  "frozen_at": None}
             for sid in order
         }
         self._journal = journal = _ShardJournalBuffer()
         self._store_errors = {}
         adm = self.admission
+        if door is not None:
+            adm.door_closed = door
         for sid in order:
             entry = batch.get(sid, {})
             self._learn(entry.get("tenants"), entry.get("keys"))
-        if slo is not None:
-            adm.door_closed = set(slo["door"])
-            for sid in order:
-                for tid in slo["purge"].get(sid, ()):
-                    purged = adm.purge_tenant_shard(sid, tid)
-                    if purged:
-                        out[sid].setdefault("purged", []).extend(purged)
-        for sid in order:
-            items = batch.get(sid, {}).get("requeue", ())
-            if items:
-                adm.load_requeue(sid, items)
+            for tid in entry.get("purge", ()):
+                adm.purge_tenant_shard(sid, tid)
+            if entry.get("handoff"):
+                adm.load_requeue(sid, entry["handoff"])
+        holds = adm.stats.stall_holds
         for t in range(t0, t1 + 1):
             if self.cancel.is_set():
                 return None
@@ -285,26 +306,18 @@ class _ShardWorker(ShardStep):
             if self.cancel.is_set():
                 return None
             self._disk_faults.advance(t)
-            for sid in order:  # phase 1: offer the parent-routed arrivals
-                arrivals = batch.get(sid, {}).get("arrivals", {}).get(t, ())
-                if sid in self._frozen_at:
-                    out[sid]["unconsumed"].extend(
-                        (t, g, leaf) for g, leaf in arrivals
-                    )
-                    continue
-                sheds = [g for g, leaf in arrivals
-                         if not adm.offer(sid, g, leaf)]
-                if sheds:
-                    out[sid]["sheds"][t] = sheds
+            for sid in self._shard_ids:  # phase 1: the parent-routed offers
+                for g, leaf in batch.get(sid, {}).get("arrivals", {}).get(
+                    t, ()
+                ):
+                    adm.offer(sid, g, leaf)
             self._drain_shards(t)
             self._plan_shards(t)
             self._execute_shards(t)
             for sid in order:  # phase 5: depth samples
                 engine = self.engines[sid]
-                out[sid]["depths"][t] = (
-                    adm.queue_depth(sid), engine.root_backlog,
-                    engine.in_flight,
-                )
+                out[sid]["depths"][t] = (engine.root_backlog,
+                                         engine.in_flight)
         for rec in journal.records:  # (type, t, shard, payload)
             out[rec[2]]["records"].setdefault(rec[1], []).append(rec)
         for sid in order:
@@ -313,6 +326,7 @@ class _ShardWorker(ShardStep):
             out[sid]["stats"] = {k: cur[k] - prev[k] for k in cur}
             self._last_stats[sid] = cur
             out[sid]["queue_len"] = adm.queue_depth(sid)
+            out[sid]["deficit"] = list(adm.deficit[sid])
             store = self.stores.get(sid)
             if store is not None:
                 # Flush the WAL before the results ship: every
@@ -326,22 +340,13 @@ class _ShardWorker(ShardStep):
                 out[sid]["store"] = dict(
                     store.health(), errors=self._store_errors.get(sid, 0)
                 )
-        cur = asdict(adm.stats)
-        prev, self._last_adm = self._last_adm, cur
-        adm_out = {
-            k: cur[k] - prev[k] for k in cur
-            if k not in ("max_queue_depth", "shed_by_shard")
-        }
-        adm_out["max_queue_depth"] = cur["max_queue_depth"]
-        adm_out["shed_by_shard"] = {
-            s: cur["shed_by_shard"][s] - prev["shed_by_shard"].get(s, 0)
-            for s in cur["shed_by_shard"]
-        }
         cur = asdict(self.planner.stats)
         prev, self._last_plan = self._last_plan, cur
         return {
             "shards": out,
-            "admission": adm_out,
+            # Only a drain knows its stall holds; the replica replays
+            # everything else the lanes do.
+            "stall_holds": adm.stats.stall_holds - holds,
             "planner": {k: cur[k] - prev[k] for k in cur},
             "faults_fired": self._disk_faults.take_fired(),
         }
@@ -395,8 +400,7 @@ def _worker_main(conn, cancel, config, chaos, specs,
 class _WorkerSlot:
     """A live worker process and the shards it hosts."""
 
-    __slots__ = ("slot_id", "proc", "conn", "cancel", "shards",
-                 "door_seen")
+    __slots__ = ("slot_id", "proc", "conn", "cancel", "shards")
 
     def __init__(self, slot_id, proc, conn, cancel, shards) -> None:
         self.slot_id = slot_id
@@ -404,10 +408,6 @@ class _WorkerSlot:
         self.conn = conn
         self.cancel = cancel
         self.shards = set(shards)
-        #: door version last *merged* from this slot (0 = the initial
-        #: all-open door every fresh worker is born with); a respawned
-        #: slot starts at 0 and therefore re-receives the current door.
-        self.door_seen = 0
 
 
 class ProcPoolLoop(ServiceLoop):
@@ -450,27 +450,22 @@ class ProcPoolLoop(ServiceLoop):
         self._slots: "dict[int, _WorkerSlot]" = {}
         self._slot_of: "dict[int, int]" = {}
         self._next_slot_id = 0
-        #: per-shard mirror of the worker admission queue, gid -> leaf
-        #: in FIFO order (dicts preserve insertion order).
-        self._mirror: "list[dict[int, int]]" = [{} for _ in range(n)]
-        #: diversion handoffs staged for delivery at the next dispatch.
-        self._pending_requeue: "list[list]" = [[] for _ in range(n)]
-        #: the chunk being staged: shard -> worker payload.
-        self._batch: "dict | None" = None
+        #: ``self.admission`` is a replica of the workers' lanes: every
+        #: merge replays a chunk's offers and admits on it, and every
+        #: rule between chunks (handoff, requeue, SLO purge, abandon)
+        #: runs on it as in-process.  Per shard and lane, how many
+        #: front items its worker holds too (matched at the last merge
+        #: or restore), or -1 once an SLO purge emptied the lane here;
+        #: the rest ships with the next chunk.
+        self._synced: "list[list[int]]" = [
+            [0] * len(lanes) for lanes in self.admission.lanes
+        ]
         # The parent's engines never step: their counters accumulate
         # the merged worker deltas and their schedules the merged flush
         # records, so the report reads them as in-process.  In-flight
         # and root backlog are the workers' last reported depths.
         self._last_inflight = [0] * n
         self._last_backlog = [0] * n
-        #: journal-checkpointed SLO state (the workers own the queues
-        #: the decisions act on).  The door is versioned and per-shard
-        #: purge debts persist until a chunk that applied them merges,
-        #: so a worker death between dispatch and merge re-delivers the
-        #: directive to the respawned worker instead of losing it.
-        self._door: "list[int]" = []
-        self._door_version = 0
-        self._owed_purge: "list[set[int]]" = [set() for _ in range(n)]
         #: last reported per-shard store degradation reason ("" = ok).
         self._store_health: "list[str]" = [""] * n
 
@@ -669,9 +664,6 @@ class ProcPoolLoop(ServiceLoop):
     def _in_flight(self, sid: int) -> int:
         return self._last_inflight[sid]
 
-    def _admission_depth(self, sid: int) -> int:
-        return len(self._mirror[sid]) + len(self._pending_requeue[sid])
-
     def _kill_shard(self, sid: int, t: int) -> None:
         super()._kill_shard(sid, t)
         self._last_inflight[sid] = 0
@@ -689,31 +681,11 @@ class ProcPoolLoop(ServiceLoop):
         slot.proc.join()
         self._on_slot_death(slot, t, "chaos-kill-worker")
 
-    def _deliver_requeue(self, sid, items, t: int) -> None:
-        room = self.admission.max_queue - self._admission_depth(sid)
-        fit = items[:max(0, room)]
-        self.admission.stats.handoff_in += len(fit)
-        self.admission.stats.handoff_overflow += len(items) - len(fit)
-        self._pending_requeue[sid].extend(fit)
-        for gid, _leaf in items[len(fit):]:
-            self._shed(gid, t)
-            self.sup_stats.spill_overflow_shed += 1
-
     def _apply_restart(self, sid: int, t: int, locations) -> None:
-        """Ship folded state to the hosting worker — a fresh process
-        when the old one died — and requeue the spill behind the
-        mirrored queue, shedding past the bound."""
-        queue_items = list(self._mirror[sid].items())
-        spill = list(self._spill[sid])
-        self._spill[sid].clear()
-        room = self.admission.max_queue - len(queue_items)
-        fit = spill[:max(0, room)]
-        for gid, leaf in fit:
-            queue_items.append((gid, leaf))
-            self._mirror[sid][gid] = leaf
-        for gid, _leaf in spill[len(fit):]:
-            self._shed(gid, t)
-            self.sup_stats.spill_overflow_shed += 1
+        """Requeue the spill on the replica, then ship the folded state
+        and the shard's whole lane set to the hosting worker — a fresh
+        process when the old one died."""
+        self._requeue_spill(sid, t)
         self._replans_left[sid] = MAX_FORCED_REPLANS
         slot_id = self._slot_of.get(sid)
         slot = self._slots.get(slot_id) if slot_id is not None else None
@@ -729,30 +701,28 @@ class ProcPoolLoop(ServiceLoop):
                 )
                 resp.inc()
                 resp.labels(shard=sid).inc()
+        lanes = self.admission.lanes[sid]
+        queue_items = [item for q in lanes for item in q]
         targets = {m: self._leaf_of[m] for m in locations}
         tags: dict = {}
         for gid in set(locations) | {g for g, _leaf in queue_items}:
             self._tag(tags, gid)
         try:
             slot.conn.send(("restore", sid, t, locations, targets,
-                            queue_items, tags.get("tenants"),
-                            tags.get("keys")))
+                            queue_items, list(self.admission.deficit[sid]),
+                            tags.get("tenants"), tags.get("keys")))
             msg = slot.conn.recv()
             if msg[0] == "err":
                 raise msg[1]
         except (EOFError, BrokenPipeError, OSError):
             self._on_slot_death(slot, t, "restore-failed")
             return
+        self._synced[sid] = [len(q) for q in lanes]
         self._last_inflight[sid] = len(locations)
         self._last_backlog[sid] = 0
 
     def _abandon(self, sid: int, t: int) -> None:
-        if self._abandoned[sid]:
-            return
         super()._abandon(sid, t)
-        self._mirror[sid].clear()
-        self._pending_requeue[sid].clear()
-        self._owed_purge[sid].clear()
         self._last_inflight[sid] = 0
         self._last_backlog[sid] = 0
 
@@ -773,121 +743,80 @@ class ProcPoolLoop(ServiceLoop):
                 t1 = ev.step - 1
         return t1
 
-    def _staged(self, sid: int) -> dict:
-        """Shard ``sid``'s payload in the chunk being staged."""
-        return self._batch.setdefault(sid, {"arrivals": {}, "requeue": []})
-
     def _apply_slo(self, door, tripped, t: int) -> None:
-        # The parent's own queues are always empty under this driver
-        # (offers are staged to workers or spilled), so the super call
-        # only journals the decision and maintains the parent-side door
-        # set; the real enforcement ships to the workers as versioned
-        # door state plus per-shard purge debts, cleared only when a
-        # chunk that applied them merges back.
+        # The purge sheds from the replica at decision time, as
+        # in-process; each worker purges the same lanes when its next
+        # chunk brings it up to date (a restore ships the lanes whole).
         super()._apply_slo(door, tripped, t)
-        new_door = sorted(door)
-        if new_door != self._door:
-            self._door = new_door
-            self._door_version += 1
-        if tripped:
-            for sid in range(len(self.engines)):
-                if not self._abandoned[sid]:
-                    self._owed_purge[sid].update(tripped)
+        for synced in self._synced:
+            for tid in tripped:
+                synced[tid] = -1
 
     def _stage_chunk(self, t0: int, t1: int):
-        """Stage pending handoffs and route the chunk's arrivals.
+        """Route the chunk's arrivals into per-shard worker payloads.
 
         Arrivals are drawn and routed step by step through the loop's
         own phase 1, exactly as in-process: the arrival RNG only ever
         advances by ``take`` calls in step order."""
-        self._batch = {}
+        batch: dict = {}
         gid_after: "dict[int, int]" = {}
         exhausted_after: "dict[int, bool]" = {}
-        for sid in range(len(self.engines)):
-            items = self._pending_requeue[sid]
-            if not items:
-                continue
-            self._pending_requeue[sid] = []
-            if sid not in self._held:
-                entry = self._staged(sid)
-                entry["requeue"].extend(items)
-                for gid, leaf in items:
-                    self._mirror[sid][gid] = leaf
-                    self._tag(entry, gid)
-            else:
-                # The divert target itself went down before delivery:
-                # park the handoff in its spill, shedding past capacity.
-                for gid, leaf in items:
-                    if self._abandoned[sid] or (
-                        len(self._spill[sid]) >= self._spill_capacity
-                    ):
-                        self._shed(gid, t0)
-                        self.sup_stats.spill_overflow_shed += 1
-                    else:
-                        self._spill[sid].append((gid, leaf))
-                        self.metrics.note_spill(gid, t0)
-                        self.sup_stats.spilled += 1
-                        self.sup_stats._bump(
-                            self.sup_stats.spilled_by_shard, sid
-                        )
         for t in range(t0, t1 + 1):
             gid0 = self._next_gid
             for sid, gid, leaf in self._route(t):
-                # Staged for the shard's worker, and mirrored.
-                entry = self._staged(sid)
+                entry = batch.get(sid)
+                if entry is None:
+                    entry = batch[sid] = {"arrivals": {}}
                 entry["arrivals"].setdefault(t, []).append((gid, leaf))
                 self._tag(entry, gid)
-                self._mirror[sid][gid] = leaf
             self.arrivals.on_emitted(list(range(gid0, self._next_gid)))
             gid_after[t] = self._next_gid
             exhausted_after[t] = self.arrivals.exhausted
-        batch, self._batch = self._batch, None
         return batch, gid_after, exhausted_after
 
-    def _slo_payload(self, slot, sids) -> "dict | None":
-        """The outstanding SLO directive for one slot's chunk, or None.
-
-        Sent whenever the slot is behind on the door version or any of
-        its dispatched shards carries a purge debt; the payload is a
-        pure function of parent state, so a re-delivery after a worker
-        death is byte-identical to the lost one.
-        """
-        if self._tenancy is None:
-            return None
-        purge = {
-            s: sorted(self._owed_purge[s])
-            for s in sids if self._owed_purge[s]
-        }
-        if not purge and slot.door_seen == self._door_version:
-            return None
-        return {"door": list(self._door), "purge": purge}
+    def _stage_unsynced(self, sid: int, batch: dict) -> None:
+        """Add to ``sid``'s payload what its replica lanes changed since
+        the worker last matched them: the tenants purged, then the
+        items appended since (diversion handoffs)."""
+        purge, items = [], []
+        for tid, (q, synced) in enumerate(
+            zip(self.admission.lanes[sid], self._synced[sid])
+        ):
+            if synced < 0:
+                purge.append(tid)
+                synced = 0
+            if len(q) > synced:
+                items.extend(islice(q, synced, None))
+        if not (purge or items):
+            return
+        entry = batch.setdefault(sid, {"arrivals": {}})
+        entry["purge"] = purge
+        entry["handoff"] = items
+        for gid, _leaf in items:
+            self._tag(entry, gid)
 
     def _dispatch_chunk(self, t0: int, t1: int, batch):
+        door = (sorted(self.admission.door_closed)
+                if self._tenancy is not None else None)
         by_slot: "dict[int, list[int]]" = {}
         for sid in range(len(self.engines)):
             if sid not in self._held:
                 by_slot.setdefault(self._slot_of[sid], []).append(sid)
+                self._stage_unsynced(sid, batch)
         pending = []
         for slot_id, sids in sorted(by_slot.items()):
             slot = self._slots[slot_id]
             payload = {s: batch[s] for s in sids if s in batch}
-            slo = self._slo_payload(slot, sids)
             try:
-                slot.conn.send(("chunk", t0, t1, payload, sids, slo))
-                pending.append((slot, sids))
+                slot.conn.send(("chunk", t0, t1, payload, sids, door))
+                pending.append(slot)
             except (BrokenPipeError, OSError):
                 self._on_slot_death(slot, t0, "send-failed")
         results = {}
-        for slot, sids in pending:
+        for slot in pending:
             res = self._collect(slot, t0)
             if res is not None:
                 results[slot.slot_id] = res
-                # The chunk merged: its directive is applied exactly
-                # once, so the debt is settled.  Lost chunks (worker
-                # death before collect) keep the debt for re-delivery.
-                slot.door_seen = self._door_version
-                for s in sids:
-                    self._owed_purge[s].clear()
         return results
 
     def _collect(self, slot, t: int):
@@ -914,23 +843,22 @@ class ProcPoolLoop(ServiceLoop):
         self._on_slot_death(slot, t, "cancelled")
         return None
 
-    def _merge_chunk(self, t0, t1, results, gid_after, exhausted_after):
-        """Fold worker results back in (step, shard) ascending order.
+    def _merge_chunk(self, t0, t1, batch, results, gid_after,
+                     exhausted_after):
+        """Fold worker results back in (step, shard) ascending order,
+        replaying each step's offers and admits on the replica.
 
         Returns the finish step if the run completed mid-chunk (steps
         past it are discarded before any journal write), else None."""
         journal = self._journal
         metrics = self.metrics
+        adm = self.admission
         per_shard = {}
         frozen: "dict[int, int]" = {}
-        unconsumed: "dict[int, list]" = {}
-        purged: "dict[int, list]" = {}
         for res in results.values():
             self._note_faults_fired(res.get("faults_fired", 0))
             for sid, data in res["shards"].items():
                 per_shard[sid] = data
-                if data.get("purged"):
-                    purged[sid] = data["purged"]
                 if data.get("store"):
                     self._merge_store_health(sid, data["store"])
                 acc = self.engines[sid].stats
@@ -938,27 +866,19 @@ class ProcPoolLoop(ServiceLoop):
                     setattr(acc, k, getattr(acc, k) + v)
                 if data["frozen_at"] is not None:
                     frozen[sid] = data["frozen_at"]
-                if data["unconsumed"]:
-                    unconsumed[sid] = data["unconsumed"]
-            st = self.admission.stats
-            for k, v in res["admission"].items():
-                if k == "max_queue_depth":
-                    st.max_queue_depth = max(st.max_queue_depth, v)
-                elif k == "shed_by_shard":
-                    for s, d in v.items():
-                        st.shed_by_shard[s] = st.shed_by_shard.get(s, 0) + d
-                else:
-                    setattr(st, k, getattr(st, k) + v)
+            adm.stats.stall_holds += res["stall_holds"]
             ps = self.planner.stats
             for k, v in res["planner"].items():
                 setattr(ps, k, getattr(ps, k) + v)
-        # SLO purges happened worker-side before the chunk's first step;
-        # mirror that here (mirror pop + counted shed at t0) before the
-        # per-step fold so depth samples and the final queue_len match.
-        for sid in sorted(purged):
-            for gid in purged[sid]:
-                self._mirror[sid].pop(gid, None)
-                self._shed(gid, t0)
+        arrivals = {sid: entry["arrivals"] for sid, entry in batch.items()}
+        for sid in sorted(arrivals):
+            if sid not in per_shard:
+                # Lost with its worker: the chunk's arrivals were offered
+                # at the door and wait on the replica, unbounded, for the
+                # restore to ship them.
+                for arrived in arrivals[sid].values():
+                    adm.stats.offered += len(arrived)
+                    adm.load_requeue(sid, arrived)
         if frozen:
             # A breaker trips at the first freeze and the chunk's later
             # records are supervision's, so the driver must be journaled
@@ -968,14 +888,16 @@ class ProcPoolLoop(ServiceLoop):
         n = len(self.engines)
         end_t = None
         for t in range(t0, t1 + 1):
-            for sid in order:  # phases 1-2: sheds, admits, door completions
-                data = per_shard[sid]
-                for gid in data["sheds"].get(t, ()):
-                    self._mirror[sid].pop(gid, None)
-                    self._shed(gid, t)
-                for gid, done in data["admits"].get(t, ()):
-                    self._mirror[sid].pop(gid, None)
+            for sid in order:  # phases 1-2 on the replica: offers, admits
+                if sid in frozen and t > frozen[sid]:
+                    continue  # unoffered: held at the barrier
+                for gid, leaf in arrivals.get(sid, {}).get(t, ()):
+                    if not adm.offer(sid, gid, leaf):
+                        self._shed(gid, t)
+                for gid, done in per_shard[sid]["admits"].get(t, ()):
+                    adm.take_admitted(sid, gid)
                     self._on_admission(sid, gid, done, t)
+                adm.stats.queue_wait_steps += adm.queue_depth(sid)
             for sid in order:  # phase 4: journal replay, then completions
                 data = per_shard[sid]
                 for rec in data["records"].get(t, ()):
@@ -990,44 +912,40 @@ class ProcPoolLoop(ServiceLoop):
                         journal.record_fault(rt, rsid, *payload)
                 for gid, step in data["exec"].get(t, ()):
                     self._on_completion(sid, gid, step)
-            queues, backs, infl = [], [], []
-            for s in range(n):  # phase 5: metering
-                d = per_shard[s]["depths"].get(t) if s in per_shard else None
+            for s in order:  # phase 5: metering
+                d = per_shard[s]["depths"].get(t)
                 if d is not None:
-                    q, rb, fl = d
-                    self._last_backlog[s] = rb
-                    self._last_inflight[s] = fl
-                    q += len(self._spill[s])
-                else:
-                    q = self._admission_depth(s) + len(self._spill[s])
-                    rb = self._last_backlog[s]
-                    fl = self._last_inflight[s]
-                queues.append(q)
-                backs.append(rb)
-                infl.append(fl)
-            metrics.note_step(queues, backs, infl)
+                    self._last_backlog[s], self._last_inflight[s] = d
+            metrics.note_step(
+                [adm.queue_depth(s) + len(self._spill[s]) for s in range(n)],
+                list(self._last_backlog),
+                list(self._last_inflight),
+            )
             if journal is not None:
                 journal.end_step(t, gid_after[t],
                                  len(metrics.completion_step))
             if exhausted_after[t] and metrics.outstanding == 0:
                 end_t = t
                 break
-        # Barrier work: quarantine mid-chunk freezes, spill what their
-        # freeze left unoffered, square the mirror with the workers.
+        # Barrier work: check the replica against each worker, then
+        # quarantine mid-chunk freezes and hold what they left unoffered.
         self._clock = (end_t if end_t is not None else t1) + 1
+        for sid in order:
+            assert adm.queue_depth(sid) == per_shard[sid]["queue_len"], (
+                f"shard {sid}: lane replica diverged from worker "
+                f"({adm.queue_depth(sid)} != "
+                f"{per_shard[sid]['queue_len']})"
+            )
+            self._synced[sid] = [len(q) for q in adm.lanes[sid]]
+            adm.deficit[sid] = per_shard[sid]["deficit"]
         for sid in sorted(frozen):
             self._replans_left[sid] = 0
             self._on_replans_exhausted(sid, self.engines[sid], frozen[sid])
-        for sid in sorted(unconsumed):
-            for ta, gid, leaf in unconsumed[sid]:
-                self._mirror[sid].pop(gid, None)
-                self._hold(sid, gid, leaf, ta)
-        for sid in order:
-            assert len(self._mirror[sid]) == per_shard[sid]["queue_len"], (
-                f"shard {sid}: queue mirror diverged from worker "
-                f"({len(self._mirror[sid])} != "
-                f"{per_shard[sid]['queue_len']})"
-            )
+        for sid in sorted(frozen):
+            for ta, arrived in arrivals.get(sid, {}).items():
+                if ta > frozen[sid]:
+                    for gid, leaf in arrived:
+                        self._hold(sid, gid, leaf, ta)
         if end_t is not None and end_t < t1:
             # Workers ran the chunk tail after the system drained; those
             # steps never happened as far as the run is concerned.
@@ -1049,5 +967,6 @@ class ProcPoolLoop(ServiceLoop):
         results = self._dispatch_chunk(t0, t1, batch)
         if obs.enabled:
             obs.profiler.add(PHASE_EXECUTE, obs.profiler.clock() - t_exec)
-        end_t = self._merge_chunk(t0, t1, results, gid_after, exhausted)
+        end_t = self._merge_chunk(t0, t1, batch, results, gid_after,
+                                  exhausted)
         return t1 if end_t is None else end_t

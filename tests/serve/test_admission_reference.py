@@ -133,7 +133,6 @@ class DrrReference:
         self.queues = [[deque() for _ in range(n)] for _ in range(n_shards)]
         self.deficit = [[0.0] * n for _ in range(n_shards)]
         self.door_closed = set()
-        self.shed_by_tenant = {}
         self.resident = {}
         self.res_count = [[0] * n for _ in range(n_shards)]
         self.stats = AdmissionStats()
@@ -149,7 +148,6 @@ class DrrReference:
         self.stats.shed += 1
         by = self.stats.shed_by_shard
         by[sid] = by.get(sid, 0) + 1
-        self.shed_by_tenant[tid] = self.shed_by_tenant.get(tid, 0) + 1
 
     def offer(self, sid, gid, leaf):
         self.stats.offered += 1
@@ -307,15 +305,14 @@ def _run(ctrl, ref, ops, n_shards, n_lanes, tenant_of, tenants) -> None:
             assert [list(q) for q in ctrl.lanes[s]] == ref.lanes_of(s)
             assert ctrl.queue_depth(s) == sum(map(len, ref.lanes_of(s)))
         if tenants:
-            assert ctrl._deficit == ref.deficit
-            assert ctrl.shed_by_tenant == ref.shed_by_tenant
+            assert ctrl.deficit == ref.deficit
             for s in range(n_shards):
                 for tid, spec in enumerate(ref.specs):
                     if spec.buffer_quota > 0:
                         assert (ctrl._res_count[s][tid]
                                 == ref.res_count[s][tid])
         else:
-            assert ctrl._deficit == [[0.0]] * n_shards
+            assert ctrl.deficit == [[0.0]] * n_shards
 
 
 @settings(max_examples=150, deadline=None)

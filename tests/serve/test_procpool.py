@@ -16,7 +16,11 @@ The contracts under test, in the order the ISSUE states them:
   ``kill()`` — fires in order against a wedged worker, every rung ending
   with the shard restarted on a fresh process and the run completing;
 * journal meta records the driver topology, so ``recover`` re-derives
-  the identical run through the same driver.
+  the identical run through the same driver;
+* the parent's admission controller is a replica of its workers'
+  lanes, so the rules it applies between chunks (SLO purge, diversion
+  handoff, restart requeue) act as in-process: equal heartbeats and
+  handoff counts.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import json
 import pytest
 
 from repro.faults import (
+    CHAOS_KILL,
     CHAOS_KILL_WORKER,
     CHAOS_STALL,
     ChaosEvent,
@@ -36,8 +41,10 @@ from repro.serve import (
     ServeConfig,
     ServiceLoop,
     SupervisorConfig,
+    make_tenants,
     recover_serve,
 )
+from tests.serve.test_driver_golden import BASE, SCENARIOS
 
 
 def serve_config(**overrides) -> ServeConfig:
@@ -296,3 +303,72 @@ class TestDriverMeta:
         assert "recovered serving run" in out
         assert main(["recover", str(path), "--seed", "8"]) == 2
         assert "does not match" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# One queue model: the parent's lanes replicate its workers'
+# ----------------------------------------------------------------------
+class TestLaneReplica:
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_slo_purge_heartbeats_match_in_process(self, processes):
+        """An SLO trip purges the hot tenant's queue at decision time on
+        either driver, so the next heartbeat reports the same depth."""
+        overrides, _chaos, _sup = SCENARIOS["tenants-slo"]
+        cfg = ServeConfig(**{**BASE, **overrides})
+        plain = ServiceLoop(cfg).run()
+        proc = ProcPoolLoop(cfg, processes=processes).run()
+        assert plain.snapshot["tenants"][1]["slo"]["trips"] >= 1
+        assert proc.health_log == plain.health_log
+        assert proc.admission_stats == plain.admission_stats
+        assert proc.completions == plain.completions
+
+    def test_handoff_overflow_matches_in_process(self):
+        """Shard 2 dies while its only neighbor, shard 1, is still
+        quarantined, so its spill grows until shard 1 recovers and takes
+        the diversion handoff through an 8-deep queue: the overflow is
+        shed by the same rule, with the same counts, on every driver."""
+        tenants = make_tenants(2, 300, rates=[10.0, 3.0],
+                               weights=[2.0, 1.0])
+        cfg = serve_config(messages=300, shards=3, tenants=tenants,
+                           max_queue=8)
+        plan = ChaosPlan((ChaosEvent(9, CHAOS_KILL, 1),
+                          ChaosEvent(13, CHAOS_KILL, 2)))
+        sup = SupervisorConfig(divert=True)
+        runs = [ServiceLoop(cfg, chaos=plan, supervisor=sup).run()] + [
+            ProcPoolLoop(cfg, processes=p, chaos=plan, supervisor=sup).run()
+            for p in (1, 2)
+        ]
+        counts = set()
+        for report in runs:
+            adm = report.admission_stats
+            assert adm.handoff_overflow > 0
+            counts.add((adm.handoff_in, adm.handoff_overflow,
+                        report.supervisor.spill_overflow_shed))
+            for row in report.snapshot["tenants"]:
+                assert row["arrived"] == row["completed"] + row["shed"]
+                assert row["in_flight"] == 0
+        assert len(counts) == 1
+        assert runs[1].completions == runs[2].completions \
+            == runs[0].completions
+
+    @pytest.mark.parametrize("kind", [CHAOS_KILL, CHAOS_STALL,
+                                      CHAOS_KILL_WORKER])
+    def test_restart_resumes_drr_credit(self, kind):
+        """Weights 1:1.5:2.25 leave fractional DRR credit in the lanes.
+        A restart resumes it in-process; the replica carries it, so a
+        restored worker (alive, or respawned after a SIGKILL) drains
+        the same messages in the same order."""
+        tenants = make_tenants(3, 400, rates=[12.0, 6.0, 3.0],
+                               weights=[1.0, 1.5, 2.25])
+        cfg = serve_config(messages=400, shards=2, seed=1, P=2, B=4,
+                           max_root_backlog=5, max_queue=48,
+                           tenants=tenants)
+        duration = 12 if kind == CHAOS_STALL else 0
+        plan = ChaosPlan((ChaosEvent(9, kind, 1, duration=duration),))
+        plain = ServiceLoop(cfg, chaos=plan).run()
+        proc = ProcPoolLoop(cfg, processes=2, chaos=plan).run()
+        assert plain.supervisor.restarts >= 1
+        assert proc.metrics.admit_step == plain.metrics.admit_step
+        assert proc.completions == plain.completions
+        assert proc.health_log == plain.health_log
+        assert proc.admission_stats == plain.admission_stats

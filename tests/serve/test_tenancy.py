@@ -35,6 +35,7 @@ from repro.serve import (
     ProcPoolLoop,
     ServeConfig,
     ServiceLoop,
+    SupervisorConfig,
     TenantMix,
     TenantSpec,
     make_tenants,
@@ -234,11 +235,11 @@ def test_fresh_bound_is_weight_share_and_door_sheds():
     fill(ctrl, tenant_of, leaf, 1, range(0, 15))  # bound 10: shed 5
     assert ctrl.queue_depth(0) == 10
     assert ctrl.stats.shed == 5
-    assert ctrl.shed_by_tenant == {1: 5}
+    assert [len(q) for q in ctrl.lanes[0]] == [0, 10]
     ctrl.door_closed = {0}
     fill(ctrl, tenant_of, leaf, 0, range(100, 103))
     assert ctrl.stats.shed == 8
-    assert ctrl.shed_by_tenant == {1: 5, 0: 3}
+    assert [len(q) for q in ctrl.lanes[0]] == [0, 10]  # shed at the door
     assert ctrl.stats.offered == 18
 
 
@@ -281,8 +282,9 @@ def test_purge_counts_sheds_per_tenant():
     purged = ctrl.purge_tenant(0)
     assert purged == [(0, 0), (0, 1), (0, 2)]
     assert ctrl.stats.shed == 3
-    assert ctrl.shed_by_tenant == {0: 3}
+    assert ctrl.stats.shed_by_shard == {0: 3}
     assert ctrl.queue_depth(0) == 2  # tenant 1 untouched
+    assert [g for g, _leaf in ctrl.lanes[0][1]] == [10, 11]
 
 
 # ----------------------------------------------------------------------
@@ -435,6 +437,8 @@ def test_tenancy_journals_byte_identical_across_drivers(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert paths[0].read_bytes() == paths[2].read_bytes()
     assert inproc.completions == single.completions == procs.completions
+    assert (inproc.admission_stats == single.admission_stats
+            == procs.admission_stats)
     assert (inproc.snapshot["tenants"] == single.snapshot["tenants"]
             == procs.snapshot["tenants"])
 
@@ -505,13 +509,13 @@ def test_metrics_endpoint_degrades_to_503_and_404():
 
 
 # ----------------------------------------------------------------------
-# SLO purge vs worker death: the directive must survive a lost chunk
+# SLO purge vs worker death: the purge applies exactly once
 # ----------------------------------------------------------------------
 
 def _slo_chaos_config(seed=5):
     """A hot SLO tenant that trips early (t=11 at seed 5) with plenty
-    of post-trip runway, so a chaos kill can land on the very chunk
-    that carries the purge directive."""
+    of post-trip runway, so a worker death can land on the very chunk
+    that first carries the purge."""
     light = TenantSpec(name="light", rate=1.0, messages=40)
     hot = TenantSpec(name="hot", rate=40.0, messages=800, slo_sojourn=4,
                      buffer_quota=2)
@@ -520,56 +524,85 @@ def _slo_chaos_config(seed=5):
                        max_queue=60, epoch=2, checkpoint_every=4)
 
 
-def test_purge_debt_survives_lost_chunk_and_redelivers():
-    """Exactly-once mechanics of the journal-checkpointed SLO door.
+def _witnessed(driver):
+    """``driver`` recording, at every SLO trip, the messages the tripped
+    tenants had queued in front of admission."""
 
-    The parent records per-shard purge debts at decision time and only
-    settles them when a chunk that shipped them merges back; a worker
-    death between dispatch and merge must leave the debt standing, and
-    the re-delivered payload must be byte-identical to the lost one."""
-    loop = ProcPoolLoop(_slo_chaos_config(), processes=2)
-    loop._apply_slo({1}, [1], t=5)
-    assert loop._door_version == 1
-    assert all(debt == {1} for debt in loop._owed_purge)
+    class Witness(driver):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.queued_at_trip: "dict[int, set[int]]" = {}
 
-    class Slot:  # only .door_seen is read by _slo_payload
-        door_seen = 0
+        def _apply_slo(self, door, tripped, t):
+            for tid in tripped:
+                self.queued_at_trip.setdefault(t, set()).update(
+                    gid for lanes in self.admission.lanes
+                    for gid, _leaf in lanes[tid]
+                )
+            super()._apply_slo(door, tripped, t)
 
-    slot = Slot()
-    payload = loop._slo_payload(slot, [0])
-    assert payload == {"door": [1], "purge": {0: [1]}}
-    # a lost chunk changes no parent state: re-delivery is identical.
-    assert loop._slo_payload(slot, [0]) == payload
-    # a merged chunk settles the debt (what _dispatch_chunk does on
-    # collect) -- after that, nothing ships for this slot.
-    slot.door_seen = loop._door_version
-    loop._owed_purge[0].clear()
-    assert loop._slo_payload(slot, [0]) is None
-    # a respawned slot is born at door version 0, so it re-receives the
-    # door state and any debts still owed for its shards.
-    fresh = Slot()
-    assert loop._slo_payload(fresh, [1]) == {"door": [1], "purge": {1: [1]}}
+    return Witness
+
+
+def _assert_purged_once(loop, report):
+    """Every message queued at a trip is shed and never admitted, and
+    per-tenant counts conserve.  A worker that missed the purge would
+    admit one of them; one that purged twice would shed what was
+    requeued after the trip: either way its lanes would leave the
+    parent's, which the merge barrier asserts."""
+    m = report.metrics
+    first = min(loop.queued_at_trip)
+    assert loop.queued_at_trip[first], "the first trip must purge a queue"
+    for gids in loop.queued_at_trip.values():
+        assert not gids & m.admit_step.keys()
+        assert gids <= m.shed_ids
+    for row in report.snapshot["tenants"]:
+        assert row["arrived"] == row["completed"] + row["shed"]
+        assert row["in_flight"] == 0
+    assert sum(r["arrived"] for r in report.snapshot["tenants"]) == 840
+
+
+def test_purge_applies_once_across_a_lost_chunk():
+    """The worker hosting shard 1 wedges in the chunk that first ships
+    the purge (trip at t=11) and the watchdog SIGKILLs it, so that chunk
+    never merges.  The purge already happened on the parent's replica
+    of the lanes; the restore ships those lanes whole, so nothing of the
+    purged queue comes back and nothing is owed."""
+    cfg = _slo_chaos_config()
+    plain = _witnessed(ServiceLoop)(cfg)
+    plain.run()
+    loop = _witnessed(ProcPoolLoop)(
+        cfg, processes=2, debug_hang=(1, 11, "stubborn-kill"),
+        supervisor=SupervisorConfig(watchdog_deadline=0.25),
+    )
+    report = loop.run()
+    assert report.supervisor.watchdog_kills >= 1
+    assert report.supervisor.restarts_by_shard.get(1, 0) >= 1
+    assert min(loop.queued_at_trip) == min(plain.queued_at_trip) == 11
+    assert loop.queued_at_trip[11] == plain.queued_at_trip[11]
+    _assert_purged_once(loop, report)
+    # The lost chunk's arrivals still count as offered once.
+    adm = report.admission_stats
+    assert adm.offered == 840 == (
+        adm.admitted + adm.shed + report.supervisor.spill_overflow_shed
+    )
 
 
 @pytest.mark.parametrize("shard", [0, 1])
 def test_kill_during_purge_dispatch_applies_purge_and_conserves(shard):
-    """SIGKILL the worker executing the chunk that carries a purge
-    directive (trip at t=11, kill at t=11): the respawned worker must
-    still receive and apply the purge, counts must conserve exactly,
-    and no debt may be left dangling at the end of the run."""
+    """SIGKILL the worker hosting ``shard`` at the step the SLO trips
+    (t=11): the purge runs on the parent's replica first, the killed
+    shard's restore ships the purged lanes, and the surviving worker
+    purges with its next chunk — once, with exact conservation."""
     plan = ChaosPlan((ChaosEvent(11, CHAOS_KILL_WORKER, shard),))
-    loop = ProcPoolLoop(_slo_chaos_config(), processes=2, chaos=plan)
+    loop = _witnessed(ProcPoolLoop)(_slo_chaos_config(), processes=2,
+                                    chaos=plan)
     report = loop.run()
     assert report.supervisor.worker_deaths >= 1
     hot = tenant_row(report, "hot")
     assert hot["slo"]["trips"] >= 1
     assert hot["shed"] > 0
-    for row in report.snapshot["tenants"]:
-        assert row["arrived"] == row["completed"] + row["shed"]
-        assert row["in_flight"] == 0
-    assert sum(r["arrived"] for r in report.snapshot["tenants"]) == 840
-    # every recorded debt was settled by a merged chunk.
-    assert all(not debt for debt in loop._owed_purge)
+    _assert_purged_once(loop, report)
 
 
 def test_kill_during_purge_journal_still_records_decisions(tmp_path):
