@@ -180,21 +180,6 @@ def _paced_run(home, pace: int, seed: int) -> dict:
     Returns the compaction work done and the tombstones left."""
     store = KVStore(home, memtable_capacity=256, size_ratio=4, sync=False,
                     policy=build_policy("horn", pace=pace))
-    moved: "list[int]" = []
-    density = 0
-    execute = store._execute
-
-    def measured(task):
-        nonlocal density
-        levels = store.manifest.levels
-        srcs = [m for m in levels[task.level] if m.file_id in task.file_ids]
-        below = levels[task.level + 1] if task.level + 1 < len(levels) else ()
-        moved.append(sum(m.entries for m in srcs) + sum(
-            m.entries for m in below if any(s.overlaps(m) for s in srcs)))
-        density += task.regime == "density"
-        execute(task)
-
-    store._execute = measured
     rng = random.Random(seed)
     for i in range(PACE_OPS):
         r = rng.random()
@@ -203,10 +188,13 @@ def _paced_run(home, pace: int, seed: int) -> dict:
             store.put(key, ("%08d" % i) * 8)
         elif r < 0.80:
             store.delete(key)
-    left = sum(lv["tombstones"] for lv in store.stats()["levels"])
+    stats = store.stats()
     store.close()
-    return {"largest": max(moved, default=0), "moved": sum(moved),
-            "tasks": len(moved), "density": density, "tombstones": left}
+    return {"largest": stats["largest_compaction"],
+            "moved": stats["compacted_entries"],
+            "tasks": stats["compactions"],
+            "density": stats["compactions_by_regime"].get("density", 0),
+            "tombstones": sum(lv["tombstones"] for lv in stats["levels"])}
 
 
 def test_e15_pace_trade(tmp_path):

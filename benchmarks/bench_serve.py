@@ -7,7 +7,8 @@ tables: the latency/load curve for an open Poisson stream, shard
 scaling at fixed per-shard load, and bounded-queue overload behaviour
 (shed fraction + surviving tail latency), plus two multi-tenant
 fairness tables for the QoS subsystem (run totals, and the share DRR
-admission controls).  Machine-readable summaries land in
+admission controls), and what each serving driver costs in IPC and wall
+time.  Machine-readable summaries land in
 ``results/serve_metrics.json`` (steady-state snapshots, the legacy CI
 artifact) and ``results/BENCH_serve.json`` (every table's raw rows,
 including per-tenant fairness).
@@ -17,10 +18,12 @@ from __future__ import annotations
 
 import json
 import os
-from statistics import median
+import time
+from multiprocessing.reduction import ForkingPickler
+from statistics import median, quantiles
 
 from benchmarks.common import RESULTS_DIR, emit_table
-from repro.serve import ServeConfig, ServiceLoop, TenantSpec
+from repro.serve import ProcPoolLoop, ServeConfig, ServiceLoop, TenantSpec
 
 ARTIFACT = "BENCH_serve.json"
 
@@ -287,3 +290,122 @@ def test_e14_tenant_fairness(benchmark):
                      TenantSpec(name="light", rate=3.0, messages=30)),
         ))
     )
+
+
+#: e2ebench ``serve_steady``'s config at a size that keeps the driver
+#: bench under a minute.
+DRIVER_MESSAGES = 8000
+DRIVER_REPS = 10
+#: (label, processes); ``None`` is the in-process loop.
+DRIVERS = (("in-process", None), ("--processes 1", 1), ("--processes 2", 2))
+
+
+def _driver_loop(processes):
+    cfg = ServeConfig(arrivals="poisson", rate=8.0,
+                      messages=DRIVER_MESSAGES, shards=4, P=4, B=16,
+                      theta=0.0, seed=1)
+    if processes is None:
+        return ServiceLoop(cfg)
+    return ProcPoolLoop(cfg, processes=processes)
+
+
+class _CountingConn:
+    """A parent pipe end that adds the pickled size of every chunk
+    payload and chunk reply to ``counts``; the bytes on the wire are
+    the ones ``Connection.send``/``recv`` would carry."""
+
+    def __init__(self, conn, counts: dict) -> None:
+        self._conn = conn
+        self._counts = counts
+        self._chunk_pending = False
+
+    def send(self, obj) -> None:
+        buf = ForkingPickler.dumps(obj)
+        if obj[0] == "chunk":
+            self._counts["payload_bytes"] += len(buf)
+            self._chunk_pending = True
+        self._conn.send_bytes(buf)
+
+    def recv(self):
+        buf = self._conn.recv_bytes()
+        if self._chunk_pending:
+            self._counts["reply_bytes"] += len(buf)
+            self._chunk_pending = False
+        return ForkingPickler.loads(buf)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def _counted_ipc(processes: int) -> "tuple[dict, dict]":
+    """One untimed procpool run: its chunk count (dispatch barriers) and
+    the pickled bytes of every chunk payload and reply."""
+    loop = _driver_loop(processes)
+    counts = {"chunks": 0, "payload_bytes": 0, "reply_bytes": 0}
+    dispatch, spawn = loop._dispatch_chunk, loop._spawn_slot
+
+    def counted_dispatch(t0, t1, batch):
+        counts["chunks"] += 1
+        return dispatch(t0, t1, batch)
+
+    def counting_spawn(sids):
+        slot = spawn(sids)
+        slot.conn = _CountingConn(slot.conn, counts)
+        return slot
+
+    loop._dispatch_chunk = counted_dispatch
+    loop._spawn_slot = counting_spawn
+    return counts, loop.run().completions
+
+
+def test_e14_driver_ipc():
+    """What each serving driver costs: procpool's IPC volume per chunk
+    (counted, deterministic) and every driver's wall time (medians and
+    quartiles over alternated runs; host-dependent, so nothing about
+    them is asserted)."""
+    counted = {p: _counted_ipc(p) for _label, p in DRIVERS if p}
+    walls: "dict[str, list[float]]" = {label: [] for label, _p in DRIVERS}
+    completions = {}
+    for _rep in range(DRIVER_REPS):
+        for label, processes in DRIVERS:
+            t0 = time.perf_counter()
+            report = _driver_loop(processes).run()
+            walls[label].append(time.perf_counter() - t0)
+            completions[label] = report.completions
+    rows, art = [], {}
+    for label, processes in DRIVERS:
+        q1, med, q3 = quantiles(walls[label], n=4)
+        row = {"wall_s": walls[label], "median_s": med, "q1_s": q1,
+               "q3_s": q3}
+        if processes:
+            counts, _done = counted[processes]
+            row.update(counts)
+            chunks = counts["chunks"]
+            rows.append([label, chunks, counts["payload_bytes"] / chunks,
+                         counts["reply_bytes"] / chunks, med, q1, q3])
+        else:
+            rows.append([label, "-", "-", "-", med, q1, q3])
+        art[label] = row
+    emit_table(
+        "E14_serve_drivers",
+        ["driver", "chunks", "payload B/chunk", "reply B/chunk",
+         "median s", "q1 s", "q3 s"],
+        rows,
+        note=f"e2ebench serve_steady's config at {DRIVER_MESSAGES} "
+        "messages (Poisson 8 msgs/step, 4 shards, P=4, B=16, seed 1).  "
+        "Chunk and byte counts are the pickled chunk payloads and "
+        "replies of one run, summed over workers per chunk; they are "
+        "deterministic.  Wall times are medians and quartiles of "
+        f"{DRIVER_REPS} runs per driver, the drivers alternated, on "
+        "whatever host ran the bench; they are not compared here.",
+    )
+    _artifact({"drivers": {"messages": DRIVER_MESSAGES,
+                           "reps": DRIVER_REPS, "rows": art}})
+    # One chunk per epoch whatever the width, and every driver lands
+    # on the in-process loop's completions.
+    (c1, done1), (c2, done2) = counted[1], counted[2]
+    assert c1["chunks"] == c2["chunks"] > 0
+    assert c1["payload_bytes"] > 0 and c1["reply_bytes"] > 0
+    assert done1 == done2 == completions["in-process"]
+    assert all(done == completions["in-process"]
+               for done in completions.values())

@@ -181,6 +181,13 @@ class KVStore:
         #: compaction tasks executed (cumulative; the stability harness
         #: samples this to attribute compaction-caused stall windows).
         self.compactions = 0
+        #: the same, per scheduling regime ("capacity" / "density").
+        self.compactions_by_regime: "dict[str, int]" = {}
+        #: input entries merged by committed compactions (every source
+        #: run plus the overlapped runs below it), in all and the most
+        #: any one task merged.
+        self.compacted_entries = 0
+        self.largest_compaction = 0
         self._wal = None
         self._closed = False
         # -- recovery ---------------------------------------------------
@@ -584,6 +591,8 @@ class KVStore:
                 self._fail_write(exc, "compact")
             done.append(task)
             self.compactions += 1
+            by_regime = self.compactions_by_regime
+            by_regime[task.regime] = by_regime.get(task.regime, 0) + 1
             self._count(
                 f"kv_compactions_{task.regime}_total",
                 "compaction tasks by scheduling regime",
@@ -670,6 +679,9 @@ class KVStore:
             next_file_id=next_id, levels=tuple(levels),
         )
         commit_manifest(self.directory, self.manifest, fs=self._fs)
+        moved = sum(m.entries for m in [*srcs, *merged_below])
+        self.compacted_entries += moved
+        self.largest_compaction = max(self.largest_compaction, moved)
         fsh = resolve(self._fs)
         for meta in [*srcs, *merged_below]:
             self._readers.pop(meta.file_id, None)
@@ -740,6 +752,9 @@ class KVStore:
             "recovered_records": self.recovered_records,
             "recovered_torn_bytes": self.recovered_torn_bytes,
             "compactions": self.compactions,
+            "compactions_by_regime": dict(self.compactions_by_regime),
+            "compacted_entries": self.compacted_entries,
+            "largest_compaction": self.largest_compaction,
             "degraded": self._degraded,
             "rejections": self.rejections,
             "io_reopens": self.reopens,

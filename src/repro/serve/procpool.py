@@ -7,9 +7,19 @@ separate **processes**.
 The parent keeps everything global — arrivals, routing, metrics, the
 journal, the supervision state machine — and ships each worker per-epoch
 batches of pre-routed arrivals over a pipe; workers own their shards'
-engines, a planner, and the admission lanes the drain reads, and answer
-with per-step results (admits, completions, buffered journal records,
-depth samples) plus counter deltas.
+engines, a planner, and the admission lanes the drain reads.
+
+**The wire is flat.**  A chunk and its reply hold ints, strings and
+containers of them, never a class instance.  A chunk carries, per
+shard, its arrivals as ``t, gid, leaf`` int triples;
+the reply carries, per shard, flat int streams in step order — admits
+as ``t, gid, done`` (``-1`` for none), journal records (a flush as
+``t, src, dest, n, m1..mn``, a fault as ``t, ~i`` into the chunk's one
+list of ``(kind, src, dest, detail)``), completions as ``t, gid``, one
+``backlog, in_flight`` depth pair per step — and counter deltas as
+tuples in field order.  The parent walks each shard's streams with a
+cursor and rebuilds every flush (:meth:`~repro.dam.schedule.Flush.presorted`)
+only to journal it and add it to its shard's realized schedule.
 
 Neither side restates the in-process loop.  A worker is a
 :class:`~repro.serve.loop.ShardStep` — the same drain / plan / step
@@ -96,12 +106,11 @@ import multiprocessing as mp
 import os
 import signal
 import time
-from dataclasses import asdict
+from dataclasses import fields
 from itertools import islice
-
+from operator import attrgetter
 from pathlib import Path
 
-from repro.dam.journal import REC_FLUSH
 from repro.dam.schedule import Flush
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_EXECUTE
@@ -111,6 +120,8 @@ from repro.serve.loop import (
     ShardStep,
     build_shard_engine,
 )
+from repro.serve.planner import PlannerStats
+from repro.serve.router import ShardStats
 from repro.serve.supervisor import (
     DEGRADED,
     HEALTHY,
@@ -123,28 +134,51 @@ from repro.util.errors import InvalidInstanceError, StorageError
 #: seconds each escalation rung waits before climbing to the next.
 ESCALATION_GRACE = 1.0
 
+#: a shard's and the planner's counters, as tuples in field order; a
+#: worker ships each chunk's deltas this way.
+_SHARD_FIELDS = tuple(f.name for f in fields(ShardStats))
+_PLAN_FIELDS = tuple(f.name for f in fields(PlannerStats))
+_shard_counters = attrgetter(*_SHARD_FIELDS)
+_plan_counters = attrgetter(*_PLAN_FIELDS)
+
+
+def _add_deltas(stats, names, deltas) -> None:
+    """Add counter ``deltas``, in ``names`` order, to ``stats``."""
+    for name, delta in zip(names, deltas):
+        if delta:
+            setattr(stats, name, getattr(stats, name) + delta)
+
 
 # ---------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------
 class _ShardJournalBuffer:
-    """One chunk's journal records, shipped to the parent.
+    """One chunk's journal records, as flat per-shard int streams.
 
     Presents the ``record_flush`` / ``record_fault`` face of the serve
-    journal; the parent replays the records in (step, shard) order so
-    journal bytes match the in-process loop exactly."""
+    journal.  A flush appends ``t, src, dest, n, m1..mn`` to its shard's
+    stream; a fault appends ``t, ~i``, where ``i`` indexes
+    :attr:`faults`, the chunk's ``(kind, src, dest, detail)`` list (a
+    source node is never negative, so the sign tells the two apart).
+    The parent replays each stream in (step, shard) order, so journal
+    bytes match the in-process loop exactly."""
 
-    __slots__ = ("records",)
+    __slots__ = ("records", "faults")
 
-    def __init__(self) -> None:
-        self.records: "list[tuple]" = []
+    def __init__(self, shards) -> None:
+        self.records: "dict[int, list[int]]" = {sid: [] for sid in shards}
+        self.faults: "list[tuple]" = []
 
     def record_flush(self, t: int, shard: int, flush: Flush) -> None:
-        self.records.append((REC_FLUSH, t, shard, flush))
+        rec = self.records[shard]
+        msgs = flush.messages
+        rec += (t, flush.src, flush.dest, len(msgs))
+        rec += msgs
 
     def record_fault(self, t: int, shard: int, kind: str, src: int,
                      dest: int, detail: str) -> None:
-        self.records.append(("fault", t, shard, (kind, src, dest, detail)))
+        self.records[shard] += (t, ~len(self.faults))
+        self.faults.append((kind, src, dest, detail))
 
 
 class _ShardWorker(ShardStep):
@@ -191,16 +225,20 @@ class _ShardWorker(ShardStep):
         self._disk_faults = DiskFaultWindows(chaos, self._hosted)
         #: shard -> step it deadlocked at with no re-plans left.
         self._frozen_at: "dict[int, int]" = {}
-        #: the running chunk's per-shard results and sink rejections.
-        self._out: dict = {}
+        #: the running chunk's per-shard event streams (admits as
+        #: ``t, gid, done``, completions as ``t, gid``), its freezes,
+        #: and its sink rejections.
+        self._admits: "dict[int, list[int]]" = {}
+        self._done: "dict[int, list[int]]" = {}
+        self._froze: "dict[int, int]" = {}
         self._store_errors: "dict[int, int]" = {}
         # Deltas are taken against the last *reported* totals, not the
         # chunk start, so counters bumped between chunks (the forced
         # re-plan a restore issues) reach the parent with the next chunk.
         self._last_stats = {
-            sid: asdict(engines[sid].stats) for sid in self._hosted
+            sid: _shard_counters(engines[sid].stats) for sid in self._hosted
         }
-        self._last_plan = asdict(self.planner.stats)
+        self._last_plan = _plan_counters(self.planner.stats)
 
     def _maybe_hang(self, t: int) -> None:
         if self.debug_hang is None:
@@ -219,17 +257,17 @@ class _ShardWorker(ShardStep):
 
     # -- step events: recorded for the parent --------------------------
     def _on_admission(self, sid, gid, done, t) -> None:
-        self._out[sid]["admits"].setdefault(t, []).append((gid, done))
+        self._admits[sid] += (t, gid, -1 if done is None else done)
         if done is not None:
             self._store_put(sid, gid, done)
 
     def _on_completion(self, sid, gid, step) -> None:
-        self._out[sid]["exec"].setdefault(step, []).append((gid, step))
+        self._done[sid] += (step, gid)
         self.admission.note_departed(gid)
         self._store_put(sid, gid, step)
 
     def _on_replans_exhausted(self, sid, engine, t) -> None:
-        self._frozen_at[sid] = self._out[sid]["frozen_at"] = t
+        self._frozen_at[sid] = self._froze[sid] = t
         self._shard_ids = [s for s in self._shard_ids if s != sid]
 
     # -- durable sink: the acknowledgment is the parent journal ----------
@@ -251,7 +289,7 @@ class _ShardWorker(ShardStep):
         self._disk_faults.close()
 
     def restore(self, sid, t, locations, targets, queue_items, deficit,
-                tenants=None, keys=None) -> None:
+                tenants, keys) -> None:
         """Install folded restart state shipped by the parent at ``t``:
         the engine's, and the lanes with their DRR credit."""
         self._learn(tenants, keys)
@@ -261,13 +299,14 @@ class _ShardWorker(ShardStep):
         self.admission.deficit[sid] = deficit
 
     def _learn(self, tenants, keys) -> None:
-        """Take in the parent's gid -> tenant / routed-key tags."""
+        """Take in the parent's flat ``gid, tenant`` and ``gid, key``
+        tags."""
         if tenants:
-            self.tenant_of.update(
-                {int(g): int(tid) for g, tid in tenants.items()}
-            )
+            it = iter(tenants)
+            self.tenant_of.update(zip(it, it))
         if keys:
-            self._gid_key.update({int(g): int(k) for g, k in keys.items()})
+            it = iter(keys)
+            self._gid_key.update(zip(it, it))
 
     def run_chunk(self, t0, t1, batch, active, door=None):
         """Execute steps ``t0..t1`` for ``active`` hosted shards.
@@ -275,29 +314,45 @@ class _ShardWorker(ShardStep):
         Cross-shard state (metrics, arrivals, journal) lives in the
         parent, so shards on different workers need no ordering.  The
         parent's replica of the lanes has already applied everything
-        between chunks; each shard's ``batch`` entry carries what of
-        that this worker has not seen — the tenants an SLO trip purged
-        and then the handoffs appended since — and ``door`` (tenancy
-        runs) is the closed-door set."""
+        between chunks; each shard's ``batch`` entry (see
+        :meth:`ProcPoolLoop._stage_chunk`) carries its arrivals and what
+        of the replica's changes this worker has not seen — the tenants
+        an SLO trip purged and then the handoffs appended since — and
+        ``door`` (tenancy runs) is the closed-door set.
+
+        The reply is ``(shards, frozen, faults, stall_holds, planner,
+        faults_fired)``: per shard ``(admits, records, completions,
+        depths, stats, queue_len, deficit, store)``, where the first
+        four are flat int streams in step order (``depths`` one
+        ``backlog, in_flight`` pair per step), ``stats`` and ``planner``
+        are counter deltas in field order, and ``store`` is ``None`` or
+        ``(degraded, errors)``."""
         order = sorted(set(self._hosted) & set(active))
         self._shard_ids = [s for s in order if s not in self._frozen_at]
-        self._out = out = {
-            sid: {"admits": {}, "records": {}, "exec": {}, "depths": {},
-                  "frozen_at": None}
-            for sid in order
-        }
-        self._journal = journal = _ShardJournalBuffer()
+        self._admits = {sid: [] for sid in order}
+        self._done = {sid: [] for sid in order}
+        self._froze = {}
+        self._journal = journal = _ShardJournalBuffer(order)
         self._store_errors = {}
+        depths = {sid: [] for sid in order}
         adm = self.admission
         if door is not None:
             adm.door_closed = door
+        arrivals: "dict[int, list[int]]" = {}
         for sid in order:
-            entry = batch.get(sid, {})
-            self._learn(entry.get("tenants"), entry.get("keys"))
-            for tid in entry.get("purge", ()):
+            entry = batch.get(sid)
+            if entry is None:
+                continue
+            arrived, tenants, keys, purge, handoff = entry
+            self._learn(tenants, keys)
+            for tid in purge:
                 adm.purge_tenant_shard(sid, tid)
-            if entry.get("handoff"):
-                adm.load_requeue(sid, entry["handoff"])
+            if handoff:
+                it = iter(handoff)
+                adm.load_requeue(sid, list(zip(it, it)))
+            if arrived:
+                arrivals[sid] = arrived
+        cursor = dict.fromkeys(arrivals, 0)
         holds = adm.stats.stall_holds
         for t in range(t0, t1 + 1):
             if self.cancel.is_set():
@@ -307,26 +362,24 @@ class _ShardWorker(ShardStep):
                 return None
             self._disk_faults.advance(t)
             for sid in self._shard_ids:  # phase 1: the parent-routed offers
-                for g, leaf in batch.get(sid, {}).get("arrivals", {}).get(
-                    t, ()
-                ):
-                    adm.offer(sid, g, leaf)
+                arrived = arrivals.get(sid)
+                if arrived is None:
+                    continue
+                i, n = cursor[sid], len(arrived)
+                while i < n and arrived[i] == t:
+                    adm.offer(sid, arrived[i + 1], arrived[i + 2])
+                    i += 3
+                cursor[sid] = i
             self._drain_shards(t)
             self._plan_shards(t)
             self._execute_shards(t)
             for sid in order:  # phase 5: depth samples
                 engine = self.engines[sid]
-                out[sid]["depths"][t] = (engine.root_backlog,
-                                         engine.in_flight)
-        for rec in journal.records:  # (type, t, shard, payload)
-            out[rec[2]]["records"].setdefault(rec[1], []).append(rec)
+                depths[sid] += (engine.root_backlog, engine.in_flight)
+        shards = {}
         for sid in order:
-            cur = asdict(self.engines[sid].stats)
-            prev = self._last_stats[sid]
-            out[sid]["stats"] = {k: cur[k] - prev[k] for k in cur}
-            self._last_stats[sid] = cur
-            out[sid]["queue_len"] = adm.queue_depth(sid)
-            out[sid]["deficit"] = list(adm.deficit[sid])
+            cur = _shard_counters(self.engines[sid].stats)
+            prev, self._last_stats[sid] = self._last_stats[sid], cur
             store = self.stores.get(sid)
             if store is not None:
                 # Flush the WAL before the results ship: every
@@ -337,19 +390,22 @@ class _ShardWorker(ShardStep):
                     store.sync_wal()
                 except StorageError:
                     self._store_rejected(sid)
-                out[sid]["store"] = dict(
-                    store.health(), errors=self._store_errors.get(sid, 0)
-                )
-        cur = asdict(self.planner.stats)
+                store = (store.degraded, self._store_errors.get(sid, 0))
+            shards[sid] = (
+                self._admits[sid], journal.records[sid], self._done[sid],
+                depths[sid], tuple(c - p for c, p in zip(cur, prev)),
+                adm.queue_depth(sid), list(adm.deficit[sid]), store,
+            )
+        cur = _plan_counters(self.planner.stats)
         prev, self._last_plan = self._last_plan, cur
-        return {
-            "shards": out,
+        return (
+            shards, self._froze, journal.faults,
             # Only a drain knows its stall holds; the replica replays
             # everything else the lanes do.
-            "stall_holds": adm.stats.stall_holds - holds,
-            "planner": {k: cur[k] - prev[k] for k in cur},
-            "faults_fired": self._disk_faults.take_fired(),
-        }
+            adm.stats.stall_holds - holds,
+            tuple(c - p for c, p in zip(cur, prev)),
+            self._disk_faults.take_fired(),
+        )
 
 
 def _worker_main(conn, cancel, config, chaos, specs,
@@ -481,19 +537,19 @@ class ProcPoolLoop(ServiceLoop):
         not take its own store down with it."""
         return None
 
-    def _tag(self, entry: dict, gid: int) -> None:
+    def _tag(self, tenants: list, keys: list, gid: int) -> None:
         """Ship what a worker needs to know about ``gid`` with it: its
-        tenant (fair admission) and its routed key (durable sink).  The
-        parent keeps both maps, so restores re-ship them to fresh
-        workers."""
+        tenant (fair admission) and its routed key (durable sink), as
+        flat ``gid, tenant`` and ``gid, key`` pairs.  The parent keeps
+        both maps, so restores re-ship them to fresh workers."""
         tid = self.metrics.tenant_of.get(gid)
         if tid is not None:
-            entry.setdefault("tenants", {})[gid] = tid
+            tenants += (gid, tid)
         key = self._gid_key.get(gid)
         if key is not None:
-            entry.setdefault("keys", {})[gid] = key
+            keys += (gid, key)
 
-    def _merge_store_health(self, sid: int, sdata: dict) -> None:
+    def _merge_store_health(self, sid: int, reason: str, errs: int) -> None:
         """Fold one shard's reported store health into supervision.
 
         Degradation feeds the existing health machinery at its advisory
@@ -502,7 +558,6 @@ class ProcPoolLoop(ServiceLoop):
         trips the breaker by itself — completions are journal-durable,
         so a read-only store degrades the sink, not the service.
         """
-        errs = int(sdata.get("errors", 0))
         if errs:
             self.store_put_errors += errs
             self._count(
@@ -510,7 +565,6 @@ class ProcPoolLoop(ServiceLoop):
                 "durable-sink writes rejected by a degraded store",
                 shard=sid, n=errs,
             )
-        reason = str(sdata.get("degraded", ""))
         prev, self._store_health[sid] = self._store_health[sid], reason
         if reason:
             if self._health[sid] == HEALTHY:
@@ -704,13 +758,14 @@ class ProcPoolLoop(ServiceLoop):
         lanes = self.admission.lanes[sid]
         queue_items = [item for q in lanes for item in q]
         targets = {m: self._leaf_of[m] for m in locations}
-        tags: dict = {}
+        tenants: "list[int]" = []
+        keys: "list[int]" = []
         for gid in set(locations) | {g for g, _leaf in queue_items}:
-            self._tag(tags, gid)
+            self._tag(tenants, keys, gid)
         try:
             slot.conn.send(("restore", sid, t, locations, targets,
                             queue_items, list(self.admission.deficit[sid]),
-                            tags.get("tenants"), tags.get("keys")))
+                            tenants, keys))
             msg = slot.conn.recv()
             if msg[0] == "err":
                 raise msg[1]
@@ -757,8 +812,12 @@ class ProcPoolLoop(ServiceLoop):
 
         Arrivals are drawn and routed step by step through the loop's
         own phase 1, exactly as in-process: the arrival RNG only ever
-        advances by ``take`` calls in step order."""
-        batch: dict = {}
+        advances by ``take`` calls in step order.  A shard's payload is
+        ``[arrivals, tenants, keys, purge, handoff]``: its arrivals as
+        flat ``t, gid, leaf`` triples in step order, their tags (see
+        :meth:`_tag`), and the replica's unsynced changes (see
+        :meth:`_stage_unsynced`)."""
+        batch: "dict[int, list[list[int]]]" = {}
         gid_after: "dict[int, int]" = {}
         exhausted_after: "dict[int, bool]" = {}
         for t in range(t0, t1 + 1):
@@ -766,9 +825,9 @@ class ProcPoolLoop(ServiceLoop):
             for sid, gid, leaf in self._route(t):
                 entry = batch.get(sid)
                 if entry is None:
-                    entry = batch[sid] = {"arrivals": {}}
-                entry["arrivals"].setdefault(t, []).append((gid, leaf))
-                self._tag(entry, gid)
+                    entry = batch[sid] = [[], [], [], [], []]
+                entry[0] += (t, gid, leaf)
+                self._tag(entry[1], entry[2], gid)
             self.arrivals.on_emitted(list(range(gid0, self._next_gid)))
             gid_after[t] = self._next_gid
             exhausted_after[t] = self.arrivals.exhausted
@@ -777,7 +836,8 @@ class ProcPoolLoop(ServiceLoop):
     def _stage_unsynced(self, sid: int, batch: dict) -> None:
         """Add to ``sid``'s payload what its replica lanes changed since
         the worker last matched them: the tenants purged, then the
-        items appended since (diversion handoffs)."""
+        items appended since (diversion handoffs), as flat ``gid, leaf``
+        pairs."""
         purge, items = [], []
         for tid, (q, synced) in enumerate(
             zip(self.admission.lanes[sid], self._synced[sid])
@@ -789,11 +849,13 @@ class ProcPoolLoop(ServiceLoop):
                 items.extend(islice(q, synced, None))
         if not (purge or items):
             return
-        entry = batch.setdefault(sid, {"arrivals": {}})
-        entry["purge"] = purge
-        entry["handoff"] = items
-        for gid, _leaf in items:
-            self._tag(entry, gid)
+        entry = batch.get(sid)
+        if entry is None:
+            entry = batch[sid] = [[], [], [], [], []]
+        entry[3] = purge
+        for gid, leaf in items:
+            entry[4] += (gid, leaf)
+            self._tag(entry[1], entry[2], gid)
 
     def _dispatch_chunk(self, t0: int, t1: int, batch):
         door = (sorted(self.admission.door_closed)
@@ -848,78 +910,119 @@ class ProcPoolLoop(ServiceLoop):
         """Fold worker results back in (step, shard) ascending order,
         replaying each step's offers and admits on the replica.
 
-        Returns the finish step if the run completed mid-chunk (steps
-        past it are discarded before any journal write), else None."""
+        Each shard's streams (see :meth:`_ShardWorker.run_chunk`) are
+        walked by a cursor that stops at the first entry past the step
+        being merged.  Returns the finish step if the run completed
+        mid-chunk (steps past it are discarded before any journal
+        write), else None."""
         journal = self._journal
         metrics = self.metrics
         adm = self.admission
+        engines = self.engines
         per_shard = {}
+        faults_of = {}
         frozen: "dict[int, int]" = {}
-        for res in results.values():
-            self._note_faults_fired(res.get("faults_fired", 0))
-            for sid, data in res["shards"].items():
+        for shards, froze, faults, holds, plan, fired in results.values():
+            self._note_faults_fired(fired)
+            for sid, data in shards.items():
                 per_shard[sid] = data
-                if data.get("store"):
-                    self._merge_store_health(sid, data["store"])
-                acc = self.engines[sid].stats
-                for k, v in data["stats"].items():
-                    setattr(acc, k, getattr(acc, k) + v)
-                if data["frozen_at"] is not None:
-                    frozen[sid] = data["frozen_at"]
-            adm.stats.stall_holds += res["stall_holds"]
-            ps = self.planner.stats
-            for k, v in res["planner"].items():
-                setattr(ps, k, getattr(ps, k) + v)
-        arrivals = {sid: entry["arrivals"] for sid, entry in batch.items()}
-        for sid in sorted(arrivals):
-            if sid not in per_shard:
+                faults_of[sid] = faults
+                *_streams, stats, _qlen, _deficit, store = data
+                if store is not None:
+                    self._merge_store_health(sid, *store)
+                _add_deltas(engines[sid].stats, _SHARD_FIELDS, stats)
+            frozen.update(froze)
+            adm.stats.stall_holds += holds
+            _add_deltas(self.planner.stats, _PLAN_FIELDS, plan)
+        for sid in sorted(batch):
+            arrived = batch[sid][0]
+            if sid not in per_shard and arrived:
                 # Lost with its worker: the chunk's arrivals were offered
                 # at the door and wait on the replica, unbounded, for the
                 # restore to ship them.
-                for arrived in arrivals[sid].values():
-                    adm.stats.offered += len(arrived)
-                    adm.load_requeue(sid, arrived)
+                adm.stats.offered += len(arrived) // 3
+                adm.load_requeue(sid, list(zip(arrived[1::3],
+                                               arrived[2::3])))
         if frozen:
             # A breaker trips at the first freeze and the chunk's later
             # records are supervision's, so the driver must be journaled
             # ahead of them.
             self._note_driver(min(frozen.values()))
         order = sorted(per_shard)
-        n = len(self.engines)
+        # Per shard in merge order, the streams each phase walks; a
+        # shard's cursors (arrivals, admits, records, completions) are
+        # shared between phases.
+        offers, replays = [], []
+        for sid in order:
+            admits, records, done, depths = per_shard[sid][:4]
+            cur = [0, 0, 0, 0]
+            offers.append((sid, batch[sid][0] if sid in batch else (),
+                           admits, frozen.get(sid, t1), cur))
+            replays.append((sid, records, done, depths, faults_of[sid],
+                            engines[sid].schedule.add, cur))
+        offer = adm.offer
+        take_admitted = adm.take_admitted
+        queue_depth = adm.queue_depth
+        on_admission = self._on_admission
+        on_completion = self._on_completion
+        presorted = Flush.presorted
+        last_backlog = self._last_backlog
+        last_inflight = self._last_inflight
+        n = len(engines)
         end_t = None
         for t in range(t0, t1 + 1):
-            for sid in order:  # phases 1-2 on the replica: offers, admits
-                if sid in frozen and t > frozen[sid]:
-                    continue  # unoffered: held at the barrier
-                for gid, leaf in arrivals.get(sid, {}).get(t, ()):
-                    if not adm.offer(sid, gid, leaf):
+            for sid, arrived, admits, last, cur in offers:
+                # phases 1-2 on the replica: offers, then admits
+                if t > last:
+                    continue  # frozen: unoffered, held at the barrier
+                i, end = cur[0], len(arrived)
+                while i < end and arrived[i] == t:
+                    gid = arrived[i + 1]
+                    if not offer(sid, gid, arrived[i + 2]):
                         self._shed(gid, t)
-                for gid, done in per_shard[sid]["admits"].get(t, ()):
-                    adm.take_admitted(sid, gid)
-                    self._on_admission(sid, gid, done, t)
-                adm.stats.queue_wait_steps += adm.queue_depth(sid)
-            for sid in order:  # phase 4: journal replay, then completions
-                data = per_shard[sid]
-                for rec in data["records"].get(t, ()):
-                    rtype, rt, rsid, payload = rec
-                    if rtype == REC_FLUSH:
-                        # The parent's engines never step: their realized
-                        # schedules are rebuilt here from merged records.
-                        self.engines[rsid].schedule.add(rt, payload)
+                    i += 3
+                cur[0] = i
+                i, end = cur[1], len(admits)
+                while i < end and admits[i] == t:
+                    gid, done = admits[i + 1], admits[i + 2]
+                    take_admitted(sid, gid)
+                    on_admission(sid, gid, None if done < 0 else done, t)
+                    i += 3
+                cur[1] = i
+                adm.stats.queue_wait_steps += queue_depth(sid)
+            k = 2 * (t - t0)
+            for sid, records, done, depths, faults, add, cur in replays:
+                # phase 4: journal replay, then completions; phase 5:
+                # the step's depth sample
+                i, end = cur[2], len(records)
+                while i < end and records[i] == t:
+                    src = records[i + 1]
+                    if src < 0:
                         if journal is not None:
-                            journal.record_flush(rt, rsid, payload)
-                    elif journal is not None:
-                        journal.record_fault(rt, rsid, *payload)
-                for gid, step in data["exec"].get(t, ()):
-                    self._on_completion(sid, gid, step)
-            for s in order:  # phase 5: metering
-                d = per_shard[s]["depths"].get(t)
-                if d is not None:
-                    self._last_backlog[s], self._last_inflight[s] = d
+                            journal.record_fault(t, sid, *faults[~src])
+                        i += 2
+                        continue
+                    j = i + 4 + records[i + 3]
+                    # The parent's engines never step: their realized
+                    # schedules are rebuilt here from merged records.
+                    flush = presorted(src, records[i + 2],
+                                      tuple(records[i + 4:j]))
+                    add(t, flush)
+                    if journal is not None:
+                        journal.record_flush(t, sid, flush)
+                    i = j
+                cur[2] = i
+                i, end = cur[3], len(done)
+                while i < end and done[i] == t:
+                    on_completion(sid, done[i + 1], t)
+                    i += 2
+                cur[3] = i
+                last_backlog[sid] = depths[k]
+                last_inflight[sid] = depths[k + 1]
             metrics.note_step(
-                [adm.queue_depth(s) + len(self._spill[s]) for s in range(n)],
-                list(self._last_backlog),
-                list(self._last_inflight),
+                [queue_depth(s) + len(self._spill[s]) for s in range(n)],
+                list(last_backlog),
+                list(last_inflight),
             )
             if journal is not None:
                 journal.end_step(t, gid_after[t],
@@ -931,28 +1034,29 @@ class ProcPoolLoop(ServiceLoop):
         # quarantine mid-chunk freezes and hold what they left unoffered.
         self._clock = (end_t if end_t is not None else t1) + 1
         for sid in order:
-            assert adm.queue_depth(sid) == per_shard[sid]["queue_len"], (
+            *_streams, _stats, queue_len, deficit, _store = per_shard[sid]
+            assert queue_depth(sid) == queue_len, (
                 f"shard {sid}: lane replica diverged from worker "
-                f"({adm.queue_depth(sid)} != "
-                f"{per_shard[sid]['queue_len']})"
+                f"({queue_depth(sid)} != {queue_len})"
             )
             self._synced[sid] = [len(q) for q in adm.lanes[sid]]
-            adm.deficit[sid] = per_shard[sid]["deficit"]
+            adm.deficit[sid] = deficit
         for sid in sorted(frozen):
             self._replans_left[sid] = 0
-            self._on_replans_exhausted(sid, self.engines[sid], frozen[sid])
+            self._on_replans_exhausted(sid, engines[sid], frozen[sid])
         for sid in sorted(frozen):
-            for ta, arrived in arrivals.get(sid, {}).items():
-                if ta > frozen[sid]:
-                    for gid, leaf in arrived:
-                        self._hold(sid, gid, leaf, ta)
+            arrived = batch[sid][0] if sid in batch else ()
+            for i in range(0, len(arrived), 3):
+                if arrived[i] > frozen[sid]:
+                    self._hold(sid, arrived[i + 1], arrived[i + 2],
+                               arrived[i])
         if end_t is not None and end_t < t1:
             # Workers ran the chunk tail after the system drained; those
             # steps never happened as far as the run is concerned.
             extra = t1 - end_t
             for sid in order:
                 if sid not in frozen:
-                    self.engines[sid].stats.idle_steps -= extra
+                    engines[sid].stats.idle_steps -= extra
         return end_t
 
     # -- the run skeleton's advance step ------------------------------

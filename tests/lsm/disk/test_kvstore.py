@@ -278,6 +278,38 @@ def test_stats_shape(tmp_path: Path) -> None:
     assert {"runs", "entries", "tombstones"} <= set(stats["levels"][0])
 
 
+def test_stats_report_compaction_work(tmp_path: Path) -> None:
+    """``stats()`` sums the input entries of every committed compaction
+    (the source runs plus the overlapped runs below), keeps the largest
+    task's, and counts tasks per regime."""
+    with _open(tmp_path, policy=HornDensityPolicy(),
+               auto_maintain=False) as s:
+        moved = []
+        for i in range(300):
+            s.put(f"k{i % 60:03d}", i)
+            if i % 7 == 0:
+                s.delete(f"k{(i * 13) % 60:03d}")
+            task = s.policy.choose(s.manifest,
+                                   memtable_capacity=s.memtable_capacity,
+                                   size_ratio=s.size_ratio)
+            if task is None:
+                continue
+            levels = s.manifest.levels
+            srcs = [m for m in levels[task.level]
+                    if m.file_id in task.file_ids]
+            below = (levels[task.level + 1]
+                     if task.level + 1 < len(levels) else ())
+            moved.append(sum(m.entries for m in srcs) + sum(
+                m.entries for m in below
+                if any(src.overlaps(m) for src in srcs)))
+            assert s.maintain() == [task]
+        stats = s.stats()
+    assert len(moved) == stats["compactions"] > 0
+    assert stats["compacted_entries"] == sum(moved)
+    assert stats["largest_compaction"] == max(moved)
+    assert sum(stats["compactions_by_regime"].values()) == len(moved)
+
+
 def test_stats_reports_per_level_bytes(tmp_path: Path) -> None:
     """Each level row carries the on-disk byte total of its SSTables,
     matching the actual file sizes; a vanished file counts 0."""

@@ -20,15 +20,25 @@ The contracts under test, in the order the ISSUE states them:
 * the parent's admission controller is a replica of its workers'
   lanes, so the rules it applies between chunks (SLO purge, diversion
   handoff, restart requeue) act as in-process: equal heartbeats and
-  handoff counts.
+  handoff counts;
+* the wire is flat: no class instance crosses the pipe in either
+  direction, and fault records that interleave with flushes inside one
+  (step, shard) replay in order.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import pickle
+from collections import Counter
+from dataclasses import asdict
+from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
+from repro.dam.journal import REC_DRIVER, REC_FAULT, REC_FLUSH, scan_journal
+from repro.dam.schedule import Flush
 from repro.faults import (
     CHAOS_KILL,
     CHAOS_KILL_WORKER,
@@ -115,6 +125,37 @@ class TestDriverMatrix:
         proc = ProcPoolLoop(cfg, processes=2, journal=p2).run()
         assert p1.read_bytes() == p2.read_bytes()
         assert proc.completions == plain.completions
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_faulty_multi_shard_parity(self, tmp_path, processes):
+        """Fault records interleave with flush records inside one
+        (step, shard) on several shards; the merge replays both streams
+        in the worker's order, byte for byte."""
+        cfg = ServeConfig(arrivals="poisson", rate=8, messages=400,
+                          shards=4, P=4, B=16, seed=1, fault_rate=0.1,
+                          fault_aware=True)
+        p1 = tmp_path / "plain.woj"
+        p2 = tmp_path / "proc.woj"
+        plain = ServiceLoop(cfg, journal=p1).run()
+        proc = ProcPoolLoop(cfg, processes=processes, journal=p2).run()
+        assert p1.read_bytes() == p2.read_bytes()
+        assert proc.completions == plain.completions
+        assert proc.shard_schedules == plain.shard_schedules
+        records = scan_journal(p2).records
+        kinds = Counter(r.get("kind") for r in records
+                        if r["type"] == REC_FAULT)
+        assert kinds == {"failed_flush": 36, "partial_flush": 10}
+        assert {r["shard"] for r in records if r["type"] == REC_FAULT} \
+            == {0, 1, 2, 3}
+        assert not any(r["type"] == REC_DRIVER for r in records)
+        # A fault between two flushes of the same (step, shard).
+        assert any(
+            (a["type"], b["type"], c["type"])
+            == (REC_FLUSH, REC_FAULT, REC_FLUSH)
+            and (a["t"], a["shard"]) == (b["t"], b["shard"])
+            == (c["t"], c["shard"])
+            for a, b, c in zip(records, records[1:], records[2:])
+        )
 
     def test_default_meta_stays_clean(self, baseline, tmp_path):
         """Fault-free procpool journals carry no driver/chaos meta —
@@ -372,3 +413,92 @@ class TestLaneReplica:
         assert proc.completions == plain.completions
         assert proc.health_log == plain.health_log
         assert proc.admission_stats == plain.admission_stats
+
+
+# ----------------------------------------------------------------------
+# The wire carries no class instances
+# ----------------------------------------------------------------------
+class _NoClasses(pickle.Unpickler):
+    def find_class(self, module, name):
+        raise pickle.UnpicklingError(f"class on the wire: {module}.{name}")
+
+
+def _load_flat(buf: bytes):
+    return _NoClasses(io.BytesIO(buf)).load()
+
+
+class _RecordingConn:
+    """A parent pipe end that keeps the pickled bytes of every chunk
+    payload and chunk reply, and sends and receives them unchanged."""
+
+    def __init__(self, conn, wire) -> None:
+        self._conn = conn
+        self._wire = wire
+        self._chunk_pending = False
+
+    def send(self, obj) -> None:
+        buf = ForkingPickler.dumps(obj)
+        if obj[0] == "chunk":
+            self._wire["payloads"].append(bytes(buf))
+            self._chunk_pending = True
+        self._conn.send_bytes(buf)
+
+    def recv(self):
+        buf = self._conn.recv_bytes()
+        if self._chunk_pending:
+            self._wire["replies"].append(buf)
+            self._chunk_pending = False
+        return ForkingPickler.loads(buf)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class TestFlatWire:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(messages=400, shards=4, P=4, B=16, seed=1,
+                 fault_rate=0.1, fault_aware=True),
+            dict(messages=300, shards=3,
+                 tenants=make_tenants(2, 300, rates=[10.0, 3.0],
+                                      weights=[2.0, 1.0])),
+        ],
+        ids=["faulty", "tenants"],
+    )
+    def test_no_class_instance_crosses_the_pipe(self, overrides):
+        wire = {"payloads": [], "replies": []}
+        loop = ProcPoolLoop(serve_config(**overrides), processes=2)
+        spawn = loop._spawn_slot
+
+        def recording_spawn(sids):
+            slot = spawn(sids)
+            slot.conn = _RecordingConn(slot.conn, wire)
+            return slot
+
+        loop._spawn_slot = recording_spawn
+        loop.run()
+        assert wire["payloads"] and wire["replies"]
+        payloads = [_load_flat(buf) for buf in wire["payloads"]]
+        replies = [_load_flat(buf) for buf in wire["replies"]]
+        assert {msg[0] for msg in payloads} == {"chunk"}
+        assert {msg[0] for msg in replies} == {"ok"}
+        # Every arrival crossed as one flat (t, gid, leaf) triple.
+        gids = [entry[0][i] for msg in payloads
+                for entry in msg[3].values()
+                for i in range(1, len(entry[0]), 3)]
+        assert sorted(gids) == list(range(overrides["messages"]))
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            Flush(1, 2, (3, 4)),
+            {"stats": asdict(ProcPoolLoop(serve_config()).engines[0].stats),
+             "flush": Flush(0, 1, (5,))},
+        ],
+        ids=["flush", "snapshot-with-flush"],
+    )
+    def test_class_instances_fail_the_check(self, obj):
+        """The formats the flat wire replaced do not pass the loader."""
+        with pytest.raises(pickle.UnpicklingError):
+            _load_flat(ForkingPickler.dumps(("ok", obj)))
