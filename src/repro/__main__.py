@@ -185,8 +185,6 @@ class RunConfig(InstanceConfig):
         "help": "correlated Markov-modulated bursts instead of iid faults"})
     fault_seed: int = field(default=0, metadata={
         "help": "seed of the fault injector"})
-    fault_aware: bool = field(default=False, metadata={
-        "help": "enable fault-aware admission in the executor"})
     retry_budget: int = field(default=DEFAULT_RETRY_BUDGET, metadata={
         "help": "flush attempts before the executor re-plans"})
     checkpoint_every: int = field(default=DEFAULT_CHECKPOINT_EVERY, metadata={
@@ -220,7 +218,6 @@ class RunConfig(InstanceConfig):
             make_injector(self.rate, burst=self.burst, seed=self.fault_seed,
                           topology=inst.topology),
             retry_budget=self.retry_budget,
-            fault_aware=self.fault_aware,
             journal=journal,
             checkpoint_every=self.checkpoint_every,
         )
@@ -373,7 +370,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
         seed=args.seed,
         retry_budget=args.retry_budget,
         burst=args.burst,
-        fault_aware=args.fault_aware,
     )
     print(format_resilience_report(cells, title=title))
     return 0
@@ -1073,7 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated fault rates to sweep",
     )
     _add_config_flags(p_faults, RunConfig,
-                      only=("retry_budget", "burst", "fault_aware"))
+                      only=("retry_budget", "burst"))
     p_faults.set_defaults(func=cmd_faults)
 
     p_run = sub.add_parser(

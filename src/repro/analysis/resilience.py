@@ -105,7 +105,6 @@ def resilience_sweep(
     retry_budget: int = DEFAULT_RETRY_BUDGET,
     max_replans: int = 4,
     burst: bool = False,
-    fault_aware: bool = False,
 ) -> "list[ResilienceCell]":
     """Run every policy under every fault rate; returns one cell per pair.
 
@@ -118,10 +117,10 @@ def resilience_sweep(
     With ``burst=True`` each rate parameterizes a Markov-modulated
     :class:`~repro.faults.BurstInjector` (correlated stall -> partial ->
     failed escalation on a random subtree) instead of independent
-    per-flush faults — the regime where ``fault_aware=True`` admission
-    pays off.  A cell whose execution exhausts recovery is reported with
-    the :class:`ExecutionStalledError` diagnostics (stall step, parked
-    messages, blocking flush) rather than aborting the whole sweep.
+    per-flush faults.  A cell whose execution exhausts recovery is
+    reported with the :class:`ExecutionStalledError` diagnostics (stall
+    step, parked messages, blocking flush) rather than aborting the
+    whole sweep.
     """
     if policies is None:
         policies = default_resilience_policies()
@@ -139,7 +138,6 @@ def resilience_sweep(
                               topology=instance.topology),
                 retry_budget=retry_budget,
                 max_replans=max_replans,
-                fault_aware=fault_aware,
             )
             try:
                 sched = executor.run(list(ordered))

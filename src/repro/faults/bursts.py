@@ -251,19 +251,6 @@ class BurstInjector(FaultInjector):
             return True
         return super().is_stalled(t, node)
 
-    def stall_window_end(self, t: int, node: int) -> "int | None":
-        end = super().stall_window_end(t, node)
-        phase, root = self.phase_at(t)
-        if phase == PHASE_STALL and self._in_burst(node, root):
-            # The stall phase runs at least to the end of its block; the
-            # conservative bound is the current step's phase extent.
-            step = t
-            while self.phase_at(step + 1) == (PHASE_STALL, root):
-                step += 1
-            if end is None or step > end:
-                end = step
-        return end
-
     def flush_outcome(
         self, t: int, src: int, dest: int, messages: "tuple[int, ...]"
     ) -> "tuple[str, tuple[int, ...]]":

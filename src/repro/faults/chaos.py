@@ -289,11 +289,11 @@ class ChaosInjector(FaultInjector):
 
     Built per shard by the serving loop from
     ``ChaosPlan.stall_windows(shard)``.  Inside a window every node is
-    stalled and :meth:`stall_window_end` reports the window's end (so
-    fault-aware admission parks arrivals instead of re-probing); outside
-    a window every query falls through to ``base`` — which may be the
-    config-derived iid injector, a :class:`~repro.faults.bursts.
-    BurstInjector`, or ``None`` for chaos-only runs.
+    stalled (so admission holds arrivals instead of piling them into the
+    frozen root); outside a window every query falls through to
+    ``base`` — which may be the config-derived iid injector, a
+    :class:`~repro.faults.bursts.BurstInjector`, or ``None`` for
+    chaos-only runs.
     """
 
     def __init__(
@@ -347,15 +347,6 @@ class ChaosInjector(FaultInjector):
             )
             return True
         return self.base.is_stalled(t, node) if self.base else False
-
-    def stall_window_end(self, t: int, node: int) -> "int | None":
-        end = self._window_end(t)
-        base_end = (
-            self.base.stall_window_end(t, node) if self.base else None
-        )
-        if end is None:
-            return base_end
-        return end if base_end is None else max(end, base_end)
 
     def effective_p(self, t: int, P: int) -> int:
         return self.base.effective_p(t, P) if self.base else P

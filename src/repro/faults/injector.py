@@ -167,28 +167,6 @@ class FaultInjector:
                 return True
         return False
 
-    def stall_window_end(self, t: int, node: int) -> "int | None":
-        """Last step of the stall window covering ``(t, node)``, or None.
-
-        Fault-aware admission (``fault_aware=True`` on
-        :class:`~repro.policies.executor.GatedExecutor` or a serving
-        shard) uses this to model
-        an operator who, on observing a stall, knows the device's pause
-        duration and parks work on that node until the window closes
-        instead of re-probing it every step.
-        """
-        plan = self.plan
-        if plan.stall_rate == 0.0:
-            return None
-        end = None
-        lo = max(1, t - plan.stall_duration + 1)
-        for t0 in range(lo, t + 1):
-            if self._uniform(NODE_STALL, t0, node) < plan.stall_rate:
-                window_end = t0 + plan.stall_duration - 1
-                if end is None or window_end > end:
-                    end = window_end
-        return end
-
     def flush_outcome(
         self, t: int, src: int, dest: int, messages: "tuple[int, ...]"
     ) -> "tuple[str, tuple[int, ...]]":

@@ -13,16 +13,11 @@ priority-ordered pending list, and a flush runs only when
   arrivals, so no internal node ever holds more than ``B`` messages
   across steps).
 
-Around that core the same function carries the rest of the admission
-rule, each part a no-op until it is switched on:
-
-* **faults** (``injector``): capacity drops to the injector's degraded
-  ``P``; flushes touching a stalled node are skipped; a failed or
-  partial flush retries after ``2^(attempts-1)`` steps of backoff, its
-  undelivered remainder keeping its priority slot;
-* **fault-aware admission** (``fault_aware``): observed stall windows
-  are remembered until they close, and degraded capacity is offered to
-  completion flushes (flushes that park nothing) first.
+Around that core the same function handles faults, a no-op until an
+``injector`` is attached: capacity drops to the injector's degraded
+``P``; flushes touching a stalled node are skipped; a failed or partial
+flush retries after ``2^(attempts-1)`` steps of backoff, its undelivered
+remainder keeping its priority slot.
 
 A plan enters only through :meth:`ShardEngine.set_plan`, which replaces
 the pending list with exactly the flushes it is given.
@@ -87,8 +82,6 @@ class ShardStats:
     failed_attempts: int = 0
     partial_deliveries: int = 0
     stalled_skips: int = 0
-    fault_aware_skips: int = 0
-    degraded_triage_steps: int = 0
     idle_steps: int = 0
     busy_steps: int = 0
 
@@ -108,7 +101,6 @@ class ShardEngine:
         B: int,
         *,
         injector: "FaultInjector | None" = None,
-        fault_aware: bool = False,
     ) -> None:
         if P < 1 or B < 1:
             raise InvalidInstanceError(f"need P >= 1 and B >= 1, got {P}, {B}")
@@ -119,7 +111,6 @@ class ShardEngine:
         if injector is not None and injector.is_zero_plan:
             injector = None
         self.injector = injector
-        self.fault_aware = bool(fault_aware) and injector is not None
         self._is_leaf = [topology.is_leaf(v) for v in range(topology.n_nodes)]
         self._root = topology.root
         #: message id -> current node (in-flight messages only).
@@ -137,8 +128,6 @@ class ShardEngine:
         self.stats = ShardStats()
         #: messages currently at the root (admitted, not yet flushed down).
         self.root_backlog = 0
-        #: node -> last step of its observed stall window (fault-aware).
-        self._stall_until: dict[int, int] = {}
         #: consecutive steps with ready work but no progress (deadlock probe).
         self.idle_streak = 0
         # What the last step did (each caller applies its own rule):
@@ -177,17 +166,14 @@ class ShardEngine:
         return None
 
     def root_stalled(self, step: int) -> bool:
-        """True iff the root is inside a known/observed stall window.
+        """True iff the root is inside a stall window at ``step``.
 
-        Admission control consults this so backpressure composes with
-        fault-aware triage: while the shard's ingest point is stalled the
-        queue holds instead of piling messages into a frozen root.
+        Admission control consults this so that, while the shard's
+        ingest point is stalled, the queue holds instead of piling
+        messages into a frozen root.
         """
-        if self.injector is None:
-            return False
-        if self.fault_aware and self._stall_until.get(self._root, 0) >= step:
-            return True
-        return self.injector.is_stalled(step, self._root)
+        injector = self.injector
+        return injector is not None and injector.is_stalled(step, self._root)
 
     def wipe(self) -> None:
         """Lose all in-flight machine state (a simulated shard crash).
@@ -206,7 +192,6 @@ class ShardEngine:
         self.pending = []
         self._n_pending = 0
         self.root_backlog = 0
-        self._stall_until = {}
         self.idle_streak = 0
 
     def restore_state(
@@ -244,7 +229,6 @@ class ShardEngine:
         self.root_backlog = backlog
         self.pending = []
         self._n_pending = 0
-        self._stall_until = {}
         self.idle_streak = 0
         if schedule is not None:
             self.schedule = schedule
@@ -279,8 +263,6 @@ class ShardEngine:
         admitted_at = self.admitted_at
         occupancy = self.occupancy
         injector = self.injector
-        fault_aware = self.fault_aware
-        stall_until = self._stall_until
         stats = self.stats
         pending = self.pending
         shard = self.shard_id
@@ -288,14 +270,6 @@ class ShardEngine:
         P = self.P
         B = self.B
         capacity = P if injector is None else injector.effective_p(t, P)
-        if fault_aware and capacity < P:
-            stats.degraded_triage_steps += 1
-            passes: "tuple[bool | None, ...]" = (True, False)
-        else:
-            passes = (None,)
-        # Everything between the capacity check and readiness below is
-        # a no-op unless faults are on; skip it as one branch.
-        guarded = injector is not None
         completions: "list[tuple[int, int]]" = []
         ran = 0
         attempted = 0
@@ -304,132 +278,110 @@ class ShardEngine:
         moved: set[int] = set()
         departed: dict[int, int] = {}
         arrived: dict[int, int] = {}
-        for completions_only in passes:
+        for pf in pending:
+            if pf.done:
+                continue
             if attempted >= capacity:
                 break
-            for pf in pending:
-                if pf.done:
+            flush = pf.flush
+            src = flush.src
+            dest = flush.dest
+            full = flush.messages
+            if injector is not None:
+                # Backoff and stall windows: no-ops unless faults are on.
+                if pf.eligible_at > t:
+                    waiting = True
                     continue
-                if attempted >= capacity:
-                    break
-                flush = pf.flush
-                src = flush.src
-                dest = flush.dest
-                full = flush.messages
-                if guarded:
-                    if completions_only is True and pf.parking > 0:
-                        continue
-                    if completions_only is False and pf.parking == 0:
-                        continue  # already offered in the first pass
-                    if pf.eligible_at > t:
-                        waiting = True
-                        continue
-                    if fault_aware and (
-                        stall_until.get(src, 0) >= t
-                        or stall_until.get(dest, 0) >= t
-                    ):
-                        # Known-stalled window: park without probing.
-                        stats.fault_aware_skips += 1
-                        waiting = True
-                        continue
-                    if injector is not None and (
-                        injector.is_stalled(t, src)
-                        or injector.is_stalled(t, dest)
-                    ):
-                        stats.stalled_skips += 1
-                        if fault_aware:
-                            for node in (src, dest):
-                                end = injector.stall_window_end(t, node)
-                                if end is not None and end > stall_until.get(
-                                    node, 0
-                                ):
-                                    stall_until[node] = end
-                        waiting = True
-                        continue
-                if loc(full[0]) != src:
-                    continue  # O(1) reject: first message not here yet
-                if any(loc(m) != src or m in moved for m in full):
+                if injector.is_stalled(t, src) or injector.is_stalled(
+                    t, dest
+                ):
+                    stats.stalled_skips += 1
+                    waiting = True
                     continue
-                park = pf.parking
-                if not is_leaf[dest]:
-                    projected = (
-                        occupancy[dest]
-                        - departed.get(dest, 0)
-                        + arrived.get(dest, 0)
-                        + park
-                    )
-                    if projected > B:
-                        continue
-                # Selected: the IO is attempted and the slot is consumed
-                # whatever the outcome.
-                attempted += 1
-                delivered: "tuple[int, ...]" = full
-                if injector is not None:
-                    status, delivered = injector.flush_outcome(
-                        t, src, dest, full
-                    )
-                    if status == OUTCOME_FAILED:
-                        stats.failed_attempts += 1
-                        pf.attempts += 1
-                        pf.eligible_at = t + 1 + (1 << (pf.attempts - 1))
-                        retries = max(retries, pf.attempts)
-                        if journal is not None:
-                            journal.record_fault(
-                                t, shard, "failed_flush", src, dest,
-                                f"{len(full)} msgs no-oped "
-                                f"(attempt {pf.attempts})",
-                            )
-                        continue
-                    if status == OUTCOME_PARTIAL:
-                        # Redeliver the remainder at the same priority
-                        # slot, after backoff.
-                        stats.partial_deliveries += 1
-                        got = set(delivered)
-                        remainder = tuple(m for m in full if m not in got)
-                        pf.flush = Flush(src, dest, remainder)
-                        pf.parking = sum(
-                            1 for m in remainder if targets[m] != dest
+            if loc(full[0]) != src:
+                continue  # O(1) reject: first message not here yet
+            if any(loc(m) != src or m in moved for m in full):
+                continue
+            park = pf.parking
+            if not is_leaf[dest]:
+                projected = (
+                    occupancy[dest]
+                    - departed.get(dest, 0)
+                    + arrived.get(dest, 0)
+                    + park
+                )
+                if projected > B:
+                    continue
+            # Selected: the IO is attempted and the slot is consumed
+            # whatever the outcome.
+            attempted += 1
+            delivered: "tuple[int, ...]" = full
+            if injector is not None:
+                status, delivered = injector.flush_outcome(
+                    t, src, dest, full
+                )
+                if status == OUTCOME_FAILED:
+                    stats.failed_attempts += 1
+                    pf.attempts += 1
+                    pf.eligible_at = t + 1 + (1 << (pf.attempts - 1))
+                    retries = max(retries, pf.attempts)
+                    if journal is not None:
+                        journal.record_fault(
+                            t, shard, "failed_flush", src, dest,
+                            f"{len(full)} msgs no-oped "
+                            f"(attempt {pf.attempts})",
                         )
-                        pf.attempts += 1
-                        pf.eligible_at = t + 1 + (1 << (pf.attempts - 1))
-                        retries = max(retries, pf.attempts)
-                        if journal is not None:
-                            journal.record_fault(
-                                t, shard, "partial_flush", src, dest,
-                                f"delivered {len(delivered)}/{len(full)} msgs "
-                                f"(attempt {pf.attempts})",
-                            )
-                n = len(delivered)
-                if n == len(full):
-                    actual = flush
-                    pf.done = True
-                    self._n_pending -= 1
-                else:
-                    actual = Flush(src, dest, delivered)
-                ran += 1
-                schedule.add(t, actual)
-                stats.flushes += 1
-                moved.update(delivered)
-                if journal is not None:
-                    journal.record_flush(t, shard, actual)
-                if src == root:
-                    self.root_backlog -= n
-                elif not is_leaf[src]:
-                    departed[src] = departed.get(src, 0) + n
-                if not is_leaf[dest]:
-                    arrived[dest] = arrived.get(dest, 0) + (
-                        park if delivered is full
-                        else sum(1 for m in delivered if targets[m] != dest)
+                    continue
+                if status == OUTCOME_PARTIAL:
+                    # Redeliver the remainder at the same priority
+                    # slot, after backoff.
+                    stats.partial_deliveries += 1
+                    got = set(delivered)
+                    remainder = tuple(m for m in full if m not in got)
+                    pf.flush = Flush(src, dest, remainder)
+                    pf.parking = sum(
+                        1 for m in remainder if targets[m] != dest
                     )
-                for m in delivered:
-                    if targets[m] == dest:
-                        completions.append((m, t))
-                        del location[m]
-                        del targets[m]
-                        del admitted_at[m]
-                        stats.completed += 1
-                    else:
-                        location[m] = dest
+                    pf.attempts += 1
+                    pf.eligible_at = t + 1 + (1 << (pf.attempts - 1))
+                    retries = max(retries, pf.attempts)
+                    if journal is not None:
+                        journal.record_fault(
+                            t, shard, "partial_flush", src, dest,
+                            f"delivered {len(delivered)}/{len(full)} msgs "
+                            f"(attempt {pf.attempts})",
+                        )
+            n = len(delivered)
+            if n == len(full):
+                actual = flush
+                pf.done = True
+                self._n_pending -= 1
+            else:
+                actual = Flush(src, dest, delivered)
+            ran += 1
+            schedule.add(t, actual)
+            stats.flushes += 1
+            moved.update(delivered)
+            if journal is not None:
+                journal.record_flush(t, shard, actual)
+            if src == root:
+                self.root_backlog -= n
+            elif not is_leaf[src]:
+                departed[src] = departed.get(src, 0) + n
+            if not is_leaf[dest]:
+                arrived[dest] = arrived.get(dest, 0) + (
+                    park if delivered is full
+                    else sum(1 for m in delivered if targets[m] != dest)
+                )
+            for m in delivered:
+                if targets[m] == dest:
+                    completions.append((m, t))
+                    del location[m]
+                    del targets[m]
+                    del admitted_at[m]
+                    stats.completed += 1
+                else:
+                    location[m] = dest
         for v, d in departed.items():
             occupancy[v] -= d
         for v, a in arrived.items():

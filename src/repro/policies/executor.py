@@ -5,9 +5,9 @@ order induced by an MPHTF task schedule), :class:`GatedExecutor` replays
 them under the DAM constraints, producing a schedule that is **valid by
 construction**.  The gate itself — readiness, occupancy against ``B``,
 the ``P`` slots, and with a fault source attached (see
-:mod:`repro.faults`) retry with exponential backoff, re-admission of a
-partial flush's remainder at its priority slot and fault-aware
-admission — is written once, in
+:mod:`repro.faults`) stall-window skips, retry with exponential backoff
+and re-admission of a partial flush's remainder at its priority slot —
+is written once, in
 :meth:`repro.policies.engine.ShardEngine.step`; this module is the
 *dense-id batch adapter* around it.  :meth:`GatedExecutor.run` seeds one
 engine with the instance's messages, hands it the whole flush list, and
@@ -79,10 +79,6 @@ class ResilienceStats:
     stalled_skips: int = 0
     replans: int = 0
     wait_steps: int = 0
-    #: flushes parked by fault-aware admission without probing the node.
-    fault_aware_skips: int = 0
-    #: steps where degraded capacity made admission prefer completions.
-    degraded_triage_steps: int = 0
     fault_events: list = field(default_factory=list)
 
 
@@ -250,11 +246,6 @@ class GatedExecutor:
         Hard ceiling on simulated steps (a diagnosable backstop against
         pathological fault plans); defaults to a generous multiple of
         the instance's total work.
-    fault_aware:
-        Enable fault-aware admission: observed stall windows are
-        remembered until they close and degraded capacity goes to
-        completion flushes first.  Off by default; has zero effect while
-        no fault window is active.
     journal:
         ``None`` (no journaling), a filesystem path (the executor opens
         and owns a :class:`~repro.dam.journal.JournalWriter` with an
@@ -274,7 +265,6 @@ class GatedExecutor:
         max_replans: int = 2,
         replanner=None,
         max_steps: "int | None" = None,
-        fault_aware: bool = False,
         journal=None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     ) -> None:
@@ -296,7 +286,6 @@ class GatedExecutor:
             work = max(1, instance.total_work())
             max_steps = 1000 + 50 * work
         self.max_steps = max_steps
-        self.fault_aware = bool(fault_aware)
         self.stats = ResilienceStats()
 
     # ------------------------------------------------------------------
@@ -329,10 +318,8 @@ class GatedExecutor:
         inst = self.instance
         targets = self._targets
         start = [inst.start_of(m) for m in range(inst.n_messages)]
-        engine = ShardEngine(
-            0, inst.topology, inst.P, inst.B,
-            injector=self.injector, fault_aware=self.fault_aware,
-        )
+        engine = ShardEngine(0, inst.topology, inst.P, inst.B,
+                             injector=self.injector)
         engine.restore_state(
             {m: v for m, v in enumerate(start) if v != targets[m]}, targets
         )
@@ -372,8 +359,6 @@ class GatedExecutor:
             stats.failed_attempts += counts.failed_attempts
             stats.partial_deliveries += counts.partial_deliveries
             stats.stalled_skips += counts.stalled_skips
-            stats.fault_aware_skips += counts.fault_aware_skips
-            stats.degraded_triage_steps += counts.degraded_triage_steps
         # Only a completed run publishes the injector's event log.
         if self.injector is not None:
             stats.fault_events = list(self.injector.events)

@@ -34,11 +34,10 @@ Three further policies hang off the lanes when tenants are configured:
   traded for a hard peak-memory bound.
 
 Draining also consults
-:meth:`~repro.policies.engine.ShardEngine.root_stalled`, so backpressure
-composes with fault-aware triage: while a shard's ingest node sits in an
-observed stall window every lane holds (messages wait at the door rather
-than piling into a frozen root and then competing with recovery traffic
-for IO slots).
+:meth:`~repro.policies.engine.ShardEngine.root_stalled`: while a shard's
+ingest node sits in a stall window every lane holds (messages wait at
+the door rather than piling into a frozen root and then competing with
+recovery traffic for IO slots).
 
 Conservation is exact and per-tenant: every offer increments
 ``stats.offered`` exactly once, every shed is counted against the

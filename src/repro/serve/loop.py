@@ -164,9 +164,6 @@ class ServeConfig:
         "help": "probability that a flush attempt faults"})
     fault_seed: int = field(default=0, metadata={
         "help": "seed of the per-shard fault streams"})
-    fault_aware: bool = field(default=False, metadata={
-        "help": "skip flushes through nodes in a known stall window "
-                "instead of probing them each step"})
     seed: int = field(default=0, metadata={
         "help": "seed of arrivals and key sampling"})
     checkpoint_every: int = field(default=32, metadata={
@@ -361,10 +358,8 @@ def build_shard_engine(config: "ServeConfig", spec) -> ShardEngine:
             FaultPlan.uniform(config.fault_rate),
             seed=spawn_seed(config.fault_seed, spec.shard_id),
         )
-    return ShardEngine(
-        spec.shard_id, spec.topology, config.P, config.B,
-        injector=injector, fault_aware=config.fault_aware,
-    )
+    return ShardEngine(spec.shard_id, spec.topology, config.P, config.B,
+                       injector=injector)
 
 
 class ShardStep:

@@ -375,7 +375,6 @@ def apply_chaos_windows(engine: ShardEngine, chaos: ChaosPlan,
             windows, base=engine.injector, shard_id=sid,
             seed=spawn_seed(config.seed, 98, sid),
         )
-        engine.fault_aware = bool(config.fault_aware)
 
 
 class DiskFaultWindows:

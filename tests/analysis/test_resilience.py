@@ -104,7 +104,7 @@ def test_healthy_cells_show_no_stall_marker(sweep):
 
 
 # ----------------------------------------------------------------------
-# Burst mode and fault-aware pass-through.
+# Burst mode.
 # ----------------------------------------------------------------------
 def test_burst_sweep_completes_and_validates():
     inst = make_uniform(balanced_tree(3, 3), n_messages=120, P=2, B=12,
@@ -116,16 +116,3 @@ def test_burst_sweep_completes_and_validates():
     assert not any(c.stalled for c in cells)
     assert cells[0].mean_inflation == pytest.approx(1.0)
     assert cells[1].mean_inflation >= 1.0
-
-
-def test_fault_aware_sweep_matches_blind_on_completion():
-    inst = make_uniform(balanced_tree(3, 3), n_messages=120, P=2, B=12,
-                        seed=2)
-    blind = resilience_sweep(
-        inst, [WormsPolicy()], fault_rates=(0.2,), seed=3,
-    )
-    aware = resilience_sweep(
-        inst, [WormsPolicy()], fault_rates=(0.2,), seed=3, fault_aware=True,
-    )
-    assert not blind[0].stalled and not aware[0].stalled
-    assert aware[0].mean_inflation >= 1.0

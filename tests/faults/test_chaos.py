@@ -98,13 +98,15 @@ class TestChaosInjector:
             assert inj.is_stalled(4, node)
             assert inj.is_stalled(6, node)
             assert not inj.is_stalled(7, node)
-        assert inj.stall_window_end(5, 0) == 6
-        assert inj.stall_window_end(7, 0) is None
 
     def test_overlapping_windows_report_the_latest_end(self):
         inj = ChaosInjector([(2, 5), (4, 9)], shard_id=0)
-        assert inj.stall_window_end(4, 0) == 9
-        assert inj.stall_window_end(2, 0) == 5
+        assert all(inj.is_stalled(t, 0) for t in range(2, 10))
+        assert not inj.is_stalled(10, 0)
+        assert [e.detail for e in inj.events] == [
+            "shard 0 stalled whole (window ends step 5)",
+            "shard 0 stalled whole (window ends step 9)",
+        ]
 
     def test_window_fails_direct_flush_queries(self):
         inj = ChaosInjector([(2, 3)], shard_id=0)

@@ -123,7 +123,7 @@ def test_recover_after_kill(tmp_path, capsys):
 def test_recover_burst_run(tmp_path, capsys):
     journal = tmp_path / "burst.journal"
     assert main(RUN_ARGS + ["--journal", str(journal), "--rate", "0.3",
-                            "--burst", "--fault-aware"]) == 0
+                            "--burst"]) == 0
     capsys.readouterr()
     assert main(["recover", str(journal)]) == 0
     assert "validated identical" in capsys.readouterr().out
@@ -309,8 +309,7 @@ def test_gadget_accepts_seed(capsys):
 
 def test_faults_burst_flag(capsys):
     rc = main(["faults", "--messages", "80", "--fanout", "3", "--height",
-               "2", "--P", "2", "--B", "12", "--rates", "0.2", "--burst",
-               "--fault-aware"])
+               "2", "--P", "2", "--B", "12", "--rates", "0.2", "--burst"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "correlated bursts" in out
@@ -324,7 +323,7 @@ FAULTS_STDOUT = {
     "faults --messages 150 --leaves 32 --B 16 --seed 1 --rates 0,0.1,0.3":
         "025761730008a81d843ddad979f23320b383eda17fe25d98144fa0e3f27e77b7",
     "faults --messages 150 --fanout 3 --height 3 --P 2 --B 12 --seed 2 "
-    "--rates 0.1,0.3 --burst --fault-aware --retry-budget 3":
+    "--rates 0.1,0.3 --burst --retry-budget 3":
         "c6e37d2dccad2e09e497a9d50e0fb722258974243025a61dfd30eef2502db371",
 }
 

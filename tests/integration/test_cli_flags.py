@@ -168,7 +168,7 @@ def test_batch_subcommands_share_the_instance_flags(cmd):
     options = set(option_strings()[cmd])
     assert {_flag(f) for f in fields(InstanceConfig)} <= options
     if cmd == "faults":
-        assert {"--retry-budget", "--burst", "--fault-aware"} <= options
+        assert {"--retry-budget", "--burst"} <= options
 
 
 def test_run_meta_is_the_run_config():

@@ -62,14 +62,14 @@ VECTORS = {
     "faults/defaults": "faults",
     "faults/every-flag": (
         "faults " + INSTANCE_FLAGS + " --rates 0,0.3 --retry-budget 2 "
-        "--burst --fault-aware"
+        "--burst"
     ),
     "run/defaults": "run --journal run.woj",
     "run/iid": "run --journal iid.woj --rate 0.1 --fault-seed 2",
     "run/every-flag": (
         "run " + INSTANCE_FLAGS + " --journal j.woj --checkpoint-every 8 "
         "--sync --max-segment-bytes 4096 --compact-every 2 --rate 0.25 "
-        "--burst --fault-seed 6 --fault-aware --retry-budget 3"
+        "--burst --fault-seed 6 --retry-budget 3"
     ),
     "serve/defaults": "serve",
     "serve/every-config-flag": (
@@ -77,7 +77,7 @@ VECTORS = {
         "--p-calm 0.3 --clients 5 --think-time 2 --messages 321 --shards 3 "
         "--key-space 500 --skew 0.7 --P 2 --B 8 --fanout 3 --height 4 "
         "--leaves 32 --epoch 5 --max-root-backlog 20 "
-        "--max-queue 40 --fault-rate 0.1 --fault-seed 7 --fault-aware "
+        "--max-queue 40 --fault-rate 0.1 --fault-seed 7 "
         "--seed 9 --engine lsm --data-dir kv-dir --checkpoint-every 11 "
         "--journal run.woj --sync --max-segment-bytes 4096 "
         "--compact-every 2"

@@ -129,7 +129,7 @@ class TestReconciliation:
     CONFIG = ServeConfig(
         arrivals="poisson", rate=10.0, messages=300, shards=2, seed=9,
         P=2, B=8, epoch=4, max_queue=6, max_root_backlog=8,
-        fault_rate=0.08, fault_aware=True,
+        fault_rate=0.08,
     )
 
     def test_counters_match_serve_snapshot(self):

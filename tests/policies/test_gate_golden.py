@@ -1,26 +1,27 @@
 """Golden digests of the flush gate, batch and serve, under faults.
 
 The DAM gate (readiness, occupancy against ``B``, the ``P`` slots,
-retry/backoff, stall skips, completions-first triage) is
-shared by the batch executor and the serving engine.  These digests pin
-what each caller realizes on a seeded grid, so a change to how the gate
-is written must reproduce every schedule, stat and journal byte.
+retry/backoff, stall skips) is shared by the batch executor and the
+serving engine.  These digests pin what each caller realizes on a seeded
+grid, so a change to how the gate is written must reproduce every
+schedule, stat and journal byte.
 
 Batch side: :class:`GatedExecutor` over balanced, path and B^eps trees
 — fault-free with no re-plans (``gated``, as
 :func:`~repro.policies.executor.execute_flush_list` runs it), and with
-no injector, iid faults and Markov bursts; fault-aware admission on and
-off; the default retry budget and ``retry_budget=1`` (every failure
-re-plans); two non-laminar lists (a missing hop forces a deadlock
-re-plan); and the typed stalls at the end of the recovery ladder (no
-re-plans left, ``max_steps`` hit).  Each digest covers the realized
-schedule (or the typed stall error), :class:`ResilienceStats` and the
-full journal bytes at ``checkpoint_every=2``.
+no injector, iid faults and Markov bursts; the default retry budget and
+``retry_budget=1`` (every failure re-plans); two non-laminar lists (a
+missing hop forces a deadlock re-plan); and the typed stalls at the end
+of the recovery ladder (no re-plans left, ``max_steps`` hit).  Each
+digest covers the realized schedule (or the typed stall error),
+:class:`ResilienceStats` and the full journal bytes at
+``checkpoint_every=2``.  The resilient case ids keep the ``aware=0``
+segment they were captured under, when the gate still had a fault-aware
+admission mode (its ``aware=1`` twins went with it).
 
-Serve side: a run with iid faults, fault-aware triage and chaos stall
-windows, plus a faulty run without chaos.  Each
-digest covers completions, per-shard schedules and every journal record
-except ``meta``.
+Serve side: a run with iid faults and chaos stall windows, plus a faulty
+run without chaos.  Each digest covers completions, per-shard schedules
+and every journal record except ``meta``.
 
 Regenerate ``gate_golden.json`` (only when behaviour is *meant* to
 change) with ``PYTHONPATH=src python -m tests.policies.test_gate_golden``.
@@ -90,13 +91,23 @@ def _sha(payload: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def _stats_repr(stats) -> str:
+    """``repr(stats)`` in the layout the digests were captured with:
+    :class:`ResilienceStats` then also had two fault-aware counters,
+    zero on every case kept here."""
+    return repr(stats).replace(
+        ", fault_events=",
+        ", fault_aware_skips=0, degraded_triage_steps=0, fault_events=", 1,
+    )
+
+
 def _batch_digest(executor, flushes, journal: Path) -> str:
     try:
         schedule = executor.run(list(flushes))
         outcome = repr(list(schedule.iter_timed()))
     except ExecutionStalledError as err:
         outcome = f"stalled@{err.step}: {err}"
-    stats = repr(executor.stats)
+    stats = _stats_repr(executor.stats)
     return _sha("\n".join(
         (outcome, stats, hashlib.sha256(journal.read_bytes()).hexdigest())
     ))
@@ -107,10 +118,9 @@ def batch_cases():
         for shape in LISTS:
             yield f"gated/{tree}/{shape}"
             for inj in INJECTORS:
-                for aware in (False, True):
-                    for budget in (5, 1):
-                        yield (f"resilient/{tree}/{shape}/{inj}/"
-                               f"aware={int(aware)}/budget={budget}")
+                for budget in (5, 1):
+                    yield f"resilient/{tree}/{shape}/{inj}/aware=0/" \
+                          f"budget={budget}"
         # The ladder's last rung: out of re-plans, and out of steps.
         yield f"no-replans/{tree}/missing_hop"
         yield f"max-steps/{tree}/laminar"
@@ -130,12 +140,11 @@ def run_batch_case(case: str, tmp: Path) -> str:
             journal=journal, checkpoint_every=2,
         )
     else:
-        aware = parts[4] == "aware=1"
         budget = int(parts[5].split("=")[1])
         executor = GatedExecutor(
             inst, _injector(parts[3], inst.topology),
             retry_budget=budget, max_replans=2 if budget > 1 else 40,
-            fault_aware=aware, journal=journal, checkpoint_every=2,
+            journal=journal, checkpoint_every=2,
         )
     return _batch_digest(executor, flushes, journal)
 
@@ -154,7 +163,7 @@ def run_serve_case(case: str, tmp: Path) -> str:
     config = ServeConfig(
         arrivals="poisson", rate=6.0, messages=260, shards=2, seed=11,
         P=2, B=8, epoch=4, checkpoint_every=4, fault_rate=0.12,
-        fault_seed=5, fault_aware=True,
+        fault_seed=5,
     )
     journal = tmp / f"{case}.journal"
     report = ServiceLoop(
@@ -189,13 +198,13 @@ def test_golden_covers_faults_replans_and_stalls():
     inst = TREES["balanced"]()
     ex = GatedExecutor(
         inst, _injector("uniform", inst.topology), retry_budget=1,
-        max_replans=40, fault_aware=True,
+        max_replans=40,
     )
     ex.run(_flush_list(inst, "laminar"))
     assert ex.stats.replans > 0
     assert ex.stats.failed_attempts > 0
     assert ex.stats.partial_deliveries > 0
-    assert ex.stats.stalled_skips + ex.stats.fault_aware_skips > 0
+    assert ex.stats.stalled_skips > 0
 
 
 def main() -> None:

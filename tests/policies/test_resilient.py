@@ -190,60 +190,3 @@ def test_max_steps_backstop():
     )
     with pytest.raises(ExecutionStalledError, match="max_steps"):
         executor.run([Flush(0, 1, (0,)), Flush(1, 2, (0,))])
-
-
-# ----------------------------------------------------------------------
-# Fault-aware admission (off by default, inert without active faults).
-# ----------------------------------------------------------------------
-def test_fault_aware_zero_fault_byte_identical(small_instance):
-    """With no injector the flag must change nothing at all."""
-    ordered = ordered_flushes(WormsPolicy().schedule(small_instance))
-    plain = GatedExecutor(small_instance).run(list(ordered))
-    aware = GatedExecutor(
-        small_instance, fault_aware=True
-    ).run(list(ordered))
-    assert aware.steps == plain.steps
-
-
-def test_fault_aware_completes_validly(small_instance):
-    ordered = ordered_flushes(WormsPolicy().schedule(small_instance))
-    injector = FaultInjector(FaultPlan.uniform(0.3), seed=11)
-    executor = GatedExecutor(
-        small_instance, injector, retry_budget=4, max_replans=4,
-        fault_aware=True,
-    )
-    sched = executor.run(list(ordered))
-    res = validate_valid(small_instance, sched)
-    assert (res.completion_times > 0).all()
-
-
-def test_fault_aware_caches_stall_windows(small_instance):
-    """Under heavy stalls the cache must absorb repeat probes."""
-    ordered = ordered_flushes(WormsPolicy().schedule(small_instance))
-    plan = FaultPlan(stall_rate=0.3, stall_duration=4)
-    blind = GatedExecutor(
-        small_instance, FaultInjector(plan, seed=2), retry_budget=6,
-        max_replans=4,
-    )
-    blind.run(list(ordered))
-    aware = GatedExecutor(
-        small_instance, FaultInjector(plan, seed=2), retry_budget=6,
-        max_replans=4, fault_aware=True,
-    )
-    aware.run(list(ordered))
-    assert aware.stats.fault_aware_skips > 0
-    # Cached skips replace (a subset of) fresh stall probes.
-    assert aware.stats.stalled_skips < blind.stats.stalled_skips
-
-
-def test_fault_aware_triage_counts_degraded_steps(small_instance):
-    ordered = ordered_flushes(WormsPolicy().schedule(small_instance))
-    plan = FaultPlan(degraded_p_rate=0.5)
-    aware = GatedExecutor(
-        small_instance, FaultInjector(plan, seed=3), retry_budget=6,
-        max_replans=4, fault_aware=True,
-    )
-    sched = aware.run(list(ordered))
-    assert aware.stats.degraded_triage_steps > 0
-    res = validate_valid(small_instance, sched)
-    assert (res.completion_times > 0).all()

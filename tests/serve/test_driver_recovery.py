@@ -16,10 +16,11 @@
   re-derived byte-exact; the plain-era run that would trip a breaker
   already failed typed.)
 * Journals written while the planner still appended incremental plans
-  behind the pending list, and while ``serve --pace`` still existed,
-  fail the same typed way: today every plan is a full re-plan taken
-  whole, and a paced journal's ``pace`` meta key no longer names a
-  config field, so its replay is the unpaced run.
+  behind the pending list, while ``serve --pace`` still existed, and
+  with ``serve --fault-aware`` admission on, fail the same typed way:
+  today every plan is a full re-plan taken whole, and a retired key in
+  meta (``pace``, ``fault_aware``) no longer names a config field, so
+  its replay is the run without it.
 """
 
 from __future__ import annotations
@@ -152,6 +153,23 @@ def test_paced_era_journal_fails_typed():
     assert meta["pace"] == 4
     assert ServeConfig.from_meta(meta) == \
         ServeConfig(rate=6.0, messages=200, shards=2, seed=1)
+    with pytest.raises(JournalCorruptionError) as exc:
+        recover_serve(path, repair=False)
+    assert exc.value.reason == "schedule-mismatch"
+
+
+def test_aware_era_journal_fails_typed():
+    """Written with ``fault_aware=True`` on E14's faulty-serving config
+    (seed 1, fault seed 5): completion-first triage under degraded ``P``
+    moved flushes, so the journal's flushes are not in the replay, which
+    runs every step's pending scan in plan order."""
+    path = DATA / "aware_era.woj"
+    meta = RecoveryManager(path).meta
+    assert meta["fault_aware"] is True
+    assert ServeConfig.from_meta(meta) == ServeConfig(
+        arrivals="mmpp", rate=3.0, burst_rate=24.0, messages=1200,
+        shards=4, P=4, B=16, seed=1, fault_rate=0.2, fault_seed=5,
+    )
     with pytest.raises(JournalCorruptionError) as exc:
         recover_serve(path, repair=False)
     assert exc.value.reason == "schedule-mismatch"

@@ -142,7 +142,7 @@ class TestAdmissionConservation:
     CONFIG = ServeConfig(
         arrivals="poisson", rate=12.0, messages=400, shards=2, seed=17,
         P=2, B=8, epoch=4, max_queue=5, max_root_backlog=6,
-        fault_rate=0.1, fault_aware=True,
+        fault_rate=0.1,
     )
 
     def test_every_arrival_is_accounted_for(self):

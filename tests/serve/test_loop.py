@@ -56,7 +56,7 @@ def test_overload_sheds_and_conserves_messages():
 def test_faulty_run_is_deterministic_and_completes():
     cfg = ServeConfig(arrivals="mmpp", rate=4.0, burst_rate=40.0,
                       messages=400, shards=4, seed=11, fault_rate=0.05,
-                      fault_aware=True, fault_seed=5)
+                      fault_seed=5)
     a = ServiceLoop(cfg).run()
     b = ServiceLoop(cfg).run()
     assert a.completions == b.completions

@@ -113,7 +113,7 @@ class TestDriverMatrix:
                  messages=80, shards=3),
             dict(arrivals="mmpp", rate=4.0, burst_rate=24.0,
                  messages=100, theta=0.8, epoch=8),
-            dict(shards=1, messages=60, fault_rate=0.1, fault_aware=True),
+            dict(shards=1, messages=60, fault_rate=0.1),
         ],
         ids=["closed", "mmpp", "faulty-single-shard"],
     )
@@ -132,8 +132,7 @@ class TestDriverMatrix:
         (step, shard) on several shards; the merge replays both streams
         in the worker's order, byte for byte."""
         cfg = ServeConfig(arrivals="poisson", rate=8, messages=400,
-                          shards=4, P=4, B=16, seed=1, fault_rate=0.1,
-                          fault_aware=True)
+                          shards=4, P=4, B=16, seed=1, fault_rate=0.1)
         p1 = tmp_path / "plain.woj"
         p2 = tmp_path / "proc.woj"
         plain = ServiceLoop(cfg, journal=p1).run()
@@ -141,10 +140,11 @@ class TestDriverMatrix:
         assert p1.read_bytes() == p2.read_bytes()
         assert proc.completions == plain.completions
         assert proc.shard_schedules == plain.shard_schedules
+        assert proc.shard_stats == plain.shard_stats
         records = scan_journal(p2).records
         kinds = Counter(r.get("kind") for r in records
                         if r["type"] == REC_FAULT)
-        assert kinds == {"failed_flush": 36, "partial_flush": 10}
+        assert kinds == {"failed_flush": 30, "partial_flush": 11}
         assert {r["shard"] for r in records if r["type"] == REC_FAULT} \
             == {0, 1, 2, 3}
         assert not any(r["type"] == REC_DRIVER for r in records)
@@ -459,7 +459,7 @@ class TestFlatWire:
         "overrides",
         [
             dict(messages=400, shards=4, P=4, B=16, seed=1,
-                 fault_rate=0.1, fault_aware=True),
+                 fault_rate=0.1),
             dict(messages=300, shards=3,
                  tenants=make_tenants(2, 300, rates=[10.0, 3.0],
                                       weights=[2.0, 1.0])),

@@ -133,7 +133,7 @@ def test_recover_journal_with_retired_retry_budget_key(tmp_path):
 
     cfg = ServeConfig(arrivals="poisson", rate=6.0, messages=150, shards=2,
                       seed=21, P=3, B=8, checkpoint_every=4,
-                      fault_rate=0.1, fault_aware=True)
+                      fault_rate=0.1)
     fresh = tmp_path / "fresh.journal"
     report = ServiceLoop(cfg, journal=fresh).run()
     records = scan_journal(fresh).records
