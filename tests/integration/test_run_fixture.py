@@ -10,7 +10,8 @@ must also write the same records today: the fixture's meta still
 carries the retired ``fault_aware`` key (false), so the meta is compared
 without it and every other record as written.  A second argv that sets
 every ``run`` fault and journal flag is pinned by a digest of its
-segments.
+segments.  Both journals' records are pinned too, by a digest that is
+the same for any encoding of the same records.
 
 Regenerate the fixture (only when the journal format is *meant* to
 change) with ``PYTHONPATH=src python -m tests.integration.test_run_fixture``.
@@ -25,6 +26,7 @@ from pathlib import Path
 from repro.__main__ import main
 from repro.dam.journal import REC_META, journal_segments, scan_journal
 from repro.faults import truncate_at
+from tests.journal_sweep import records_digest
 
 FIXTURE = Path(__file__).with_name("data") / "run_m200_r01.woj"
 
@@ -45,12 +47,21 @@ EVERY_FLAG_ARGV = [
 EVERY_FLAG_SHA256 = \
     "e468d4f4a15eb0b9099848b3c51e44de1ab3a62b7ac8e0b803f897acef6b4073"
 
+FIXTURE_RECORDS = \
+    "5152a8e9f05a30bdf5b25499032ca1b0a2776402213862ee573310591ce7ef40"
+EVERY_FLAG_RECORDS = \
+    "c2217779904103cf123abe334a358528729039935c49fb6a135fb3ac4ec114d9"
+
 
 def _segments_digest(path: Path) -> str:
     h = hashlib.sha256()
     for segment in journal_segments(path):
         h.update(segment.read_bytes())
     return h.hexdigest()
+
+
+def test_fixture_records_are_pinned():
+    assert records_digest(FIXTURE) == FIXTURE_RECORDS
 
 
 def test_fixture_recovers_exactly(tmp_path, capsys):
@@ -89,6 +100,7 @@ def test_every_flag_run_journal_is_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert len(journal_segments(journal)) > 1
     assert _segments_digest(journal) == EVERY_FLAG_SHA256
+    assert records_digest(journal) == EVERY_FLAG_RECORDS
     assert main(["recover", str(journal)]) == 0
     assert "validated identical" in capsys.readouterr().out
 

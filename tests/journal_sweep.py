@@ -16,6 +16,7 @@ or ``"typed"``.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from bisect import bisect_right
@@ -34,6 +35,16 @@ from repro.dam.journal import (
 from repro.serve import loop
 from repro.serve.loop import rederive_serve
 from repro.util.errors import JournalCorruptionError
+
+
+def records_digest(*paths) -> str:
+    """sha256 of the records scanned from ``paths`` (journal chains or WAL
+    generations, in order), as sorted-key compact JSON: the same for any
+    two encodings of the same records."""
+    records = [list(scan_journal(p).records) for p in paths]
+    return hashlib.sha256(json.dumps(
+        records, sort_keys=True, separators=(",", ":")
+    ).encode()).hexdigest()
 
 
 def write_cut(data: "list[bytes]", names: "list[str]", i: int, b: int,

@@ -22,6 +22,9 @@ construction, block packing) must reproduce them exactly:
 * ``serve-lsm-sync``: the journal (fsynced, ``sync=True``) and the
   store of a small ``ServiceLoop`` run on ``engine="lsm"``.
 
+Each case also pins ``records``: the sha256 of the records scanned from
+its WAL generations and journal, the same for any encoding of them.
+
 Regenerate ``store_golden.json`` (only when the bytes are *meant* to
 change) with ``PYTHONPATH=src python -m tests.lsm.disk.test_store_golden``.
 """
@@ -46,6 +49,7 @@ from repro.lsm.disk.sstable import (
     write_sstable,
 )
 from repro.serve import ServeConfig, ServiceLoop
+from tests.journal_sweep import records_digest
 
 GOLDEN = Path(__file__).with_name("data") / "store_golden.json"
 
@@ -186,7 +190,8 @@ def run_case(case: str, workdir: Path) -> "dict[str, str]":
     """Build case ``case`` under ``workdir``; its per-file digests."""
     home = workdir / "store"
     CASES[case](home)
-    return _files(home)
+    logs = sorted(p for p in home.rglob("*") if p.suffix in (".log", ".woj"))
+    return {**_files(home), "records": records_digest(*logs)}
 
 
 @pytest.fixture(scope="module")

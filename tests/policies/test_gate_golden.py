@@ -17,7 +17,9 @@ digest covers the realized schedule (or the typed stall error),
 :class:`ResilienceStats` and the full journal bytes at
 ``checkpoint_every=2``.  The resilient case ids keep the ``aware=0``
 segment they were captured under, when the gate still had a fault-aware
-admission mode (its ``aware=1`` twins went with it).
+admission mode (its ``aware=1`` twins went with it).  ``batch_records``
+pins each batch journal's scanned records apart from their bytes, so
+the two can be told apart when only the encoding changes.
 
 Serve side: a run with iid faults and chaos stall windows, plus a faulty
 run without chaos.  Each digest covers completions, per-shard schedules
@@ -45,6 +47,7 @@ from repro.serve import ServeConfig, ServiceLoop
 from repro.tree import balanced_tree, beps_shape_tree, path_tree
 from repro.util.errors import ExecutionStalledError
 from tests.conftest import make_uniform
+from tests.journal_sweep import records_digest
 
 GOLDEN = Path(__file__).with_name("gate_golden.json")
 
@@ -126,7 +129,8 @@ def batch_cases():
         yield f"max-steps/{tree}/laminar"
 
 
-def run_batch_case(case: str, tmp: Path) -> str:
+def run_batch_case(case: str, tmp: Path) -> "tuple[str, str]":
+    """(the case's digest, the digest of its journal's records)."""
     parts = case.split("/")
     inst = TREES[parts[1]]()
     flushes = _flush_list(inst, parts[2])
@@ -146,7 +150,7 @@ def run_batch_case(case: str, tmp: Path) -> str:
             retry_budget=budget, max_replans=2 if budget > 1 else 40,
             journal=journal, checkpoint_every=2,
         )
-    return _batch_digest(executor, flushes, journal)
+    return _batch_digest(executor, flushes, journal), records_digest(journal)
 
 
 SERVE_CASES = {
@@ -185,7 +189,10 @@ def _golden() -> dict:
 
 @pytest.mark.parametrize("case", list(batch_cases()))
 def test_batch_gate_matches_golden(case, tmp_path):
-    assert run_batch_case(case, tmp_path) == _golden()["batch"][case]
+    golden = _golden()
+    assert run_batch_case(case, tmp_path) == (
+        golden["batch"][case], golden["batch_records"][case]
+    )
 
 
 @pytest.mark.parametrize("case", sorted(SERVE_CASES))
@@ -212,8 +219,10 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        batch = {c: run_batch_case(c, tmp) for c in batch_cases()}
         doc = {
-            "batch": {c: run_batch_case(c, tmp) for c in batch_cases()},
+            "batch": {c: d for c, (d, _r) in batch.items()},
+            "batch_records": {c: r for c, (_d, r) in batch.items()},
             "serve": {c: run_serve_case(c, tmp) for c in sorted(SERVE_CASES)},
         }
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

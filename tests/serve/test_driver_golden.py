@@ -19,9 +19,10 @@ refactor of the drivers must reproduce every byte:
   a poisoned planner that exhausts every shard's forced re-plans
   mid-chunk (the process driver's barrier-quarantine path).
 
-Each case pins the sha256 of the journal bytes, the completions, the
-metrics snapshot and the health log.  ``worker_log`` is left out: it
-holds real pids.
+Each case pins the sha256 of the journal bytes, of its scanned records
+(``records``: the same for any encoding of the same records), the
+completions, the metrics snapshot and the health log.  ``worker_log``
+is left out: it holds real pids.
 
 Regenerate ``driver_golden.json`` (only when behaviour is *meant* to
 change) with ``PYTHONPATH=src python -m tests.serve.test_driver_golden``.
@@ -54,6 +55,7 @@ from repro.serve import (
     SupervisorConfig,
     TenantSpec,
 )
+from tests.journal_sweep import records_digest
 from tests.serve.test_forced_replan import PoisonPlanner
 
 GOLDEN = Path(__file__).with_name("data") / "driver_golden.json"
@@ -164,6 +166,7 @@ def run_case(case: str, workdir: Path) -> dict:
         serve_loop.EpochPlanner = original
     return {
         "journal": _sha(journal.read_bytes()),
+        "records": records_digest(journal),
         "completions": _sha(json.dumps(sorted(report.completions.items()))),
         "snapshot": _sha(json.dumps(report.snapshot, sort_keys=True)),
         "health_log": _sha(json.dumps(

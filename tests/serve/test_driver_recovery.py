@@ -38,8 +38,26 @@ from repro.serve import (
     recover_serve,
 )
 from repro.util.errors import JournalCorruptionError
+from tests.journal_sweep import records_digest
 
 DATA = Path(__file__).parent / "data"
+
+#: fixture -> digest of its scanned records (the same for any encoding
+#: of the same records).
+ERA_RECORDS = {
+    "aware_era.woj":
+        "2ec14f3a2fcd201442f94004e940d9803243a084f7c50e456a8720647eb971f3",
+    "incremental_era.woj":
+        "b5ede7389cc6f901590debc886845de10fee8646aa094b7bc4789f9bb15206d5",
+    "paced_era.woj":
+        "24375040fb30d972912491082b37aa7dee9c1cd5b413ff305919adbe8972e8f6",
+    "plain_fault_free.woj":
+        "9daf8dbd59b7504c9480a0863b4ead9594af708eb6b87179604206b2c3f45b10",
+    "plain_s1.woj":
+        "977f20a8037b8fb31b7afd56ee80e70e97d933b1a75ab83b08aec61382cebea2",
+    "threads_era.woj":
+        "86ede3ad64566417a13ed88ee4fcfa268ead670c41ace04fbdded6de2fee71a9",
+}
 
 
 def faulty_config(seed: int, fault_rate: float = 0.5) -> ServeConfig:
@@ -87,6 +105,11 @@ def test_driver_record_survives_compaction(tmp_path):
     assert any(r["type"] == REC_DRIVER
                for r in scan_journal(path).records)
     assert recover_serve(path).report.completions == report.completions
+
+
+@pytest.mark.parametrize("name", sorted(ERA_RECORDS))
+def test_era_fixture_records_are_pinned(name):
+    assert records_digest(DATA / name) == ERA_RECORDS[name]
 
 
 def test_thread_era_journal_fails_typed():
