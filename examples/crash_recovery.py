@@ -100,7 +100,7 @@ def main() -> None:
     # interrupted run was executing.
     manager = RecoveryManager(journal)
     scan = manager.scan()
-    print(f"scan: {len(scan.records)} records, torn tail = "
+    print(f"scan: {len(scan.ends)} records, torn tail = "
           f"{scan.torn_bytes} byte(s) ({scan.torn_reason or 'clean'})")
 
     from repro.__main__ import RunConfig

@@ -47,7 +47,6 @@ from repro.dam.journal import (
     REC_FLUSH,
     _HEADER,
     _scan_segment,
-    encode_record,
     journal_segments,
 )
 from repro.obs.hooks import current_obs
@@ -126,10 +125,11 @@ def _compact(path, segments: "list[Path]") -> CompactionReport:
     sealed = segments[:-1]
     if not sealed:
         return CompactionReport(0, len(segments), -1)
-    per_segment: "list[tuple[Path, bytes, list[dict]]]" = []
+    per_segment: "list[tuple[Path, bytes, list[dict], array[int]]]" = []
     for i, seg in enumerate(sealed):
         data = seg.read_bytes()
-        records, _ends, valid, reason = _scan_segment(seg, data)
+        records: "list[dict]" = []
+        ends, valid, reason = _scan_segment(seg, data, records.append)
         if reason:
             raise JournalCorruptionError(
                 f"{seg}: sealed segment {i} of {len(segments)} is damaged "
@@ -137,11 +137,11 @@ def _compact(path, segments: "list[Path]") -> CompactionReport:
                 "corruption, not a torn tail",
                 offset=valid, reason="mid-chain-tear",
             )
-        per_segment.append((seg, data, records))
+        per_segment.append((seg, data, records, ends))
     bar = max(
         (
             int(rec["t"])
-            for _seg, _data, records in per_segment
+            for _seg, _data, records, _ends in per_segment
             for rec in records
             if rec["type"] == REC_CHECKPOINT
         ),
@@ -153,11 +153,12 @@ def _compact(path, segments: "list[Path]") -> CompactionReport:
     compacted = 0
     bytes_before = 0
     bytes_after = 0
-    for seg, data, records in per_segment:
+    for seg, data, records, ends in per_segment:
         bytes_before += len(data)
-        kept: "list[dict]" = []
+        # Kept records are copied as they are framed on disk.
+        kept: "list[bytes]" = [_HEADER]
         changed = False
-        for rec in records:
+        for rec, start, end in zip(records, [len(_HEADER), *ends], ends):
             kind = rec["type"]
             if (
                 (kind in (REC_FLUSH, REC_FAULT) and int(rec["t"]) <= bar)
@@ -166,13 +167,11 @@ def _compact(path, segments: "list[Path]") -> CompactionReport:
                 dropped[kind] = dropped.get(kind, 0) + 1
                 changed = True
                 continue
-            kept.append(rec)
+            kept.append(data[start:end])
         if not changed:
             bytes_after += len(data)
             continue
-        atomic_write_bytes(
-            seg, _HEADER + b"".join(encode_record(rec) for rec in kept)
-        )
+        atomic_write_bytes(seg, b"".join(kept))
         bytes_after += seg.stat().st_size
         compacted += 1
     return CompactionReport(

@@ -6,10 +6,16 @@ simulated one — the journal holds everything needed to reconstruct the
 machine state at the last durable step and resume, with completion times
 byte-identical to an uninterrupted run.
 
-**File layout.**  An 8-byte header (``b"WOJ1"`` magic + little-endian
-``u32`` version) followed by records.  Each record is::
+**File layout.**  An 8-byte header (``b"WOJ2"`` magic + little-endian
+``u32`` version 2) followed by records.  Each record is::
 
-    u32 payload length | u32 CRC-32 of payload | payload (UTF-8 JSON)
+    u32 payload length | u32 CRC-32 of payload | payload
+
+The payload is a kind byte and a body (:mod:`repro.dam.records`): the
+hot records (flushes, checkpoints, faults, and a WAL's puts and
+deletes) are packed integers, ``meta`` and the rare kinds one JSON
+object each.  A ``WOJ1`` file (JSON payloads, version 1) is refused
+with a typed ``bad-version`` error; no reader of it is kept.
 
 **Segments.**  Long-running (serving) journals rotate: with
 ``max_segment_bytes`` set, :class:`JournalWriter` closes the current
@@ -24,21 +30,24 @@ header from a crash during rotation); damage in any earlier segment is
 corruption, because rotation flushes and closes a segment before
 opening its successor.
 
-Five record types flow through a journal, all JSON objects with a
-``"type"`` key:
+Five record types flow through a journal, each scanned back as a dict
+with a ``"type"`` key:
 
 * ``meta`` — run configuration written once at open (instance shape,
   executor options, anything the writer wants to persist);
-* ``flush`` — one realized flush: ``{"t", "src", "dest", "msgs"}``;
+* ``flush`` — one realized flush: ``{"t", "src", "dest", "msgs"}``,
+  plus ``"shard"`` in a serving journal;
 * ``fault`` — a fault decision the executor observed (failed/partial
   outcome, stall skip) — audit trail, not needed for state recovery;
-* ``checkpoint`` — a full :class:`~repro.dam.trace.CheckpointRecord`
-  snapshot (message locations + completion steps at the end of a step);
+* ``checkpoint`` — a batch run's full
+  :class:`~repro.dam.trace.CheckpointRecord` snapshot (message
+  locations + completion steps at the end of a step), or a serving
+  run's durability mark (``{"t", "arrived", "completed"}``);
 * ``end`` — the run completed; nothing to recover.
 
 **Torn-tail rule.**  A crash can leave a partially written final record.
 On scan, a record that *extends past the end of the file*, or whose
-checksum/JSON fails *at the physical tail*, is a torn tail: it is
+checksum or payload fails *at the physical tail*, is a torn tail: it is
 discarded (and :meth:`RecoveryManager.repair` truncates it away) and the
 valid prefix is used.  A record that fails its checksum with more data
 *after* it cannot be a tear — appends never leave holes — so that is
@@ -62,7 +71,6 @@ live shard restarts all call it.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
@@ -72,6 +80,14 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.core.worms import WORMSInstance
+from repro.dam.records import (
+    REC_CHECKPOINT,
+    REC_END,
+    REC_FAULT,
+    REC_FLUSH,
+    REC_META,
+    decode,
+)
 from repro.dam.schedule import Flush, FlushSchedule
 from repro.dam.simulator import SimulationResult
 from repro.dam.trace import CheckpointRecord, _apply_step, _initial_state
@@ -81,33 +97,23 @@ from repro.util.compact_json import compact_json
 from repro.util.errors import InvalidInstanceError, JournalCorruptionError
 from repro.util.fsio import resolve
 
-MAGIC = b"WOJ1"
-VERSION = 1
+MAGIC = b"WOJ2"
+VERSION = 2
 _HEADER = MAGIC + struct.pack("<I", VERSION)
+#: The header of the retired JSON-payload format.
+_WOJ1_HEADER = b"WOJ1" + struct.pack("<I", 1)
 _PREFIX = struct.Struct("<II")  # payload length, CRC-32
 
-#: Record types.
-REC_META = "meta"
-REC_FLUSH = "flush"
-REC_FAULT = "fault"
-REC_CHECKPOINT = "checkpoint"
-REC_END = "end"
+# Record types besides the codec's (``meta``, ``flush``, ``fault``,
+# ``checkpoint``, ``end``; see :mod:`repro.dam.records`); both are JSON.
+
 #: A key-range diversion (breaker-open handoff to a neighbor shard) or
 #: its merge-back.  Informational for recovery — replaying the
 #: run re-derives the same diversions — but the record makes the handoff
 #: durable *at the moment it happened*, which is what lets an operator
 #: audit where a message's ownership moved.  Scanning, compaction, and
-#: ``last_durable_step`` all pass unknown-to-them types through, so old
-#: readers tolerate these records.
+#: ``last_durable_step`` all pass unknown-to-them types through.
 REC_DIVERT = "divert"
-#: A multi-tenant SLO enforcement decision (door closures + tenant queue
-#: purges) journaled at the epoch boundary it was taken, sealed behind a
-#: checkpoint like ``divert`` records.  Replaying the run re-derives the
-#: same decision (it is a pure function of the config), but the durable
-#: record is what lets a restarted shard-per-process worker learn about
-#: a purge whose chunk dispatch died with its process.  Unknown to old
-#: readers — which pass unrecognized types through, like ``divert``.
-REC_SLO = "slo"
 #: The serving driver of a run whose ``meta`` names none, journaled once
 #: at its first breaker trip: before it, the run is the unsupervised
 #: loop's byte for byte; after it, recovery must re-derive under the
@@ -119,10 +125,14 @@ REC_DRIVER = "driver"
 MIN_SEGMENT_BYTES = 64
 
 
-def encode_record(record: dict) -> bytes:
-    """Serialize one record to its on-disk bytes (length | crc | payload)."""
-    payload = compact_json(record)
+def frame(payload: bytes) -> bytes:
+    """One record's on-disk bytes: ``length | crc | payload``."""
     return _PREFIX.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def encode_record(record: dict) -> bytes:
+    """One record's on-disk bytes, its payload one JSON object."""
+    return frame(compact_json(record))
 
 
 def segment_path(path: "str | os.PathLike", index: int) -> Path:
@@ -148,25 +158,6 @@ def journal_segments(path: "str | os.PathLike") -> "list[Path]":
     return segments
 
 
-def flush_record(t: int, flush: Flush) -> dict:
-    """The journal record for one realized flush at step ``t``."""
-    return {"type": REC_FLUSH, "t": int(t), "src": int(flush.src),
-            "dest": int(flush.dest), "msgs": [int(m) for m in flush.messages]}
-
-
-def checkpoint_record(cp: CheckpointRecord) -> dict:
-    """The journal record for a state snapshot."""
-    return {"type": REC_CHECKPOINT, "t": int(cp.step),
-            "locations": list(cp.locations),
-            "completions": list(cp.completions)}
-
-
-def fault_record(t: int, kind: str, src: int, dest: int, detail: str) -> dict:
-    """The journal record for one fault decision the executor observed."""
-    return {"type": REC_FAULT, "t": int(t), "kind": kind, "src": int(src),
-            "dest": int(dest), "detail": detail}
-
-
 def divert_record(t: int, src_shard: int, dst_shard: int,
                   msgs: "list[int] | tuple[int, ...]" = ()) -> dict:
     """The journal record for a key-range diversion (or its merge-back).
@@ -184,19 +175,6 @@ def driver_record(t: int, driver: dict) -> dict:
     """The journal record naming a serving run's driver at step ``t``
     (``driver`` is the same payload as a journal meta's ``"driver"``)."""
     return {"type": REC_DRIVER, "t": int(t), "driver": dict(driver)}
-
-
-def slo_record(t: int, door, purge) -> dict:
-    """The journal record for one epoch's SLO enforcement decision.
-
-    ``door`` is the set of tenants whose admission door is closed after
-    this boundary; ``purge`` the tenants whose queued messages are
-    purged at step ``t``.  Sorted lists, so the record's bytes are a
-    pure function of the decision.
-    """
-    return {"type": REC_SLO, "t": int(t),
-            "door": sorted(int(x) for x in door),
-            "purge": sorted(int(x) for x in purge)}
 
 
 class JournalWriter:
@@ -300,9 +278,18 @@ class JournalWriter:
 
                 compact_journal(self.path)
 
-    def append(self, record: dict) -> None:
-        """Buffer one record (see :meth:`flush` for durability)."""
-        blob = encode_record(record)
+    def append(self, record: "dict | bytes", kind: str = "") -> None:
+        """Buffer one record (see :meth:`flush` for durability).
+
+        ``record`` is a dict, written as one JSON payload (``meta`` and
+        the rare kinds), or a payload a :mod:`repro.dam.records` packer
+        built, whose record type is ``kind``.
+        """
+        if isinstance(record, dict):
+            kind = record.get("type", "?")
+            blob = encode_record(record)
+        else:
+            blob = frame(record)
         if (
             self.max_segment_bytes is not None
             and self._segment_bytes > len(_HEADER)
@@ -316,7 +303,7 @@ class JournalWriter:
                 "journal_records_total", "journal records appended"
             )
             records.inc()
-            records.labels(type=record.get("type", "?")).inc()
+            records.labels(type=kind).inc()
             self._metrics.counter(
                 "journal_bytes_total", "journal bytes appended"
             ).inc(len(blob))
@@ -366,6 +353,7 @@ class JournalWriter:
 class JournalScan:
     """Result of reading a journal chain: valid record prefix + tail state."""
 
+    #: the valid records, decoded (empty when a ``sink`` took them).
     records: tuple[dict, ...]
     #: bytes of header(s) + fully valid records across the whole chain.
     valid_bytes: int
@@ -394,48 +382,54 @@ class JournalScan:
 
 
 def _scan_segment(
-    path: Path, data: bytes
-) -> "tuple[list[dict], array[int], int, str]":
-    """Scan one segment: ``(records, ends, valid_bytes, torn_reason)``.
+    path: Path, data: bytes, add
+) -> "tuple[array[int], int, str]":
+    """Scan one segment: ``(ends, valid_bytes, torn_reason)``.
 
-    ``ends[i]`` is the segment offset just past ``records[i]``.  Raises
-    :class:`JournalCorruptionError` for a bad magic value or a damaged
-    record that is provably not a tear (data follows it).
+    Each valid record is passed to ``add`` in order; ``ends[i]`` is the
+    segment offset just past the ``i``-th.  Raises
+    :class:`JournalCorruptionError` for a ``WOJ1`` header
+    (``bad-version``), any other wrong header (``bad-magic``) or a
+    damaged record that is provably not a tear (data follows it).
     """
-    if len(data) >= len(_HEADER) and data[: len(_HEADER)] != _HEADER:
+    header = data[: len(_HEADER)]
+    if len(header) == len(_HEADER) and header != _HEADER:
+        if header == _WOJ1_HEADER:
+            raise JournalCorruptionError(
+                f"{path}: journal format WOJ1 (JSON records) is no longer "
+                f"read; this build reads {MAGIC.decode()} version {VERSION}",
+                offset=0, reason="bad-version",
+            )
         raise JournalCorruptionError(
-            f"{path}: bad journal header {data[:8]!r} "
+            f"{path}: bad journal header {header!r} "
             f"(expected {_HEADER!r})",
             offset=0, reason="bad-magic",
         )
     if len(data) < len(_HEADER):
         # Truncated inside the header: the whole file is a torn tail.
-        return [], array("q"), 0, "truncated header"
+        return array("q"), 0, "truncated header"
     offset = len(_HEADER)
-    records: list[dict] = []
     ends = array("q")
     while offset < len(data):
         if len(data) - offset < _PREFIX.size:
-            return records, ends, offset, "truncated record prefix"
+            return ends, offset, "truncated record prefix"
         length, crc = _PREFIX.unpack_from(data, offset)
         end = offset + _PREFIX.size + length
         if end > len(data):
-            return records, ends, offset, "record extends past end of file"
+            return ends, offset, "record extends past end of file"
         payload = data[offset + _PREFIX.size:end]
         bad = ""
         if zlib.crc32(payload) != crc:
             bad = "bad-crc"
         else:
             try:
-                record = json.loads(payload)
-                if not isinstance(record, dict) or "type" not in record:
-                    bad = "bad-payload"
-            except (ValueError, UnicodeDecodeError):
+                record = decode(payload)
+            except (ValueError, struct.error):
                 bad = "bad-payload"
         if bad:
             if end == len(data):
                 # Damaged final record: a torn write, not corruption.
-                return records, ends, offset, f"torn final record ({bad})"
+                return ends, offset, f"torn final record ({bad})"
             raise JournalCorruptionError(
                 f"{path}: record at byte {offset} fails its "
                 f"{'checksum' if bad == 'bad-crc' else 'decode'} with "
@@ -443,13 +437,14 @@ def _scan_segment(
                 "this is corruption, not a torn tail",
                 offset=offset, reason=bad,
             )
-        records.append(record)
+        add(record)
         ends.append(end)
         offset = end
-    return records, ends, offset, ""
+    return ends, offset, ""
 
 
-def scan_journal(path: "str | os.PathLike", *, fs=None) -> JournalScan:
+def scan_journal(path: "str | os.PathLike", *, fs=None,
+                 sink=None) -> JournalScan:
     """Read the journal chain at ``path`` in one pass, tolerating a torn tail.
 
     Implements the torn-tail rule from the module docstring, extended to
@@ -460,6 +455,10 @@ def scan_journal(path: "str | os.PathLike", *, fs=None) -> JournalScan:
     crash artifact).  The scan records where each record ends
     (:attr:`JournalScan.ends`), which fixes the scan of every truncated
     prefix of the chain without reading it again.
+
+    With ``sink``, each valid record is passed to it as it is decoded
+    and not kept: the scan's ``records`` are empty, so a caller that
+    folds them (:class:`RecoveryManager`) never holds them all.
     """
     fsh = resolve(fs)
     segments = journal_segments(path)
@@ -467,6 +466,7 @@ def scan_journal(path: "str | os.PathLike", *, fs=None) -> JournalScan:
         # Preserve the single-file error shape (FileNotFoundError).
         fsh.read_bytes(Path(path))
     records: list[dict] = []
+    add = records.append if sink is None else sink
     ends = array("q")
     total_valid = 0
     total_bytes = 0
@@ -474,7 +474,7 @@ def scan_journal(path: "str | os.PathLike", *, fs=None) -> JournalScan:
     tail_valid = 0
     for i, seg in enumerate(segments):
         data = fsh.read_bytes(seg)
-        seg_records, seg_ends, valid, reason = _scan_segment(seg, data)
+        seg_ends, valid, reason = _scan_segment(seg, data, add)
         if reason and i != len(segments) - 1:
             raise JournalCorruptionError(
                 f"{seg}: segment {i} of {len(segments)} is damaged "
@@ -482,7 +482,6 @@ def scan_journal(path: "str | os.PathLike", *, fs=None) -> JournalScan:
                 "segments, so this is corruption, not a torn tail",
                 offset=valid, reason="mid-chain-tear",
             )
-        records.extend(seg_records)
         ends.extend(total_bytes + end for end in seg_ends)
         total_bytes += len(data)
         total_valid += valid
@@ -515,12 +514,6 @@ class RecoveryReport:
     run_completed: bool
 
 
-def _flush_of(record: dict) -> Flush:
-    """The :class:`Flush` a ``flush`` record journals."""
-    return Flush(int(record["src"]), int(record["dest"]),
-                 tuple(int(m) for m in record["msgs"]))
-
-
 class RecoveryFold:
     """Recovery state of a journal prefix, folded one record at a time.
 
@@ -531,6 +524,10 @@ class RecoveryFold:
     ``k + 1`` (the torn-tail rule keeps whole records only), so every
     byte offset of a journal needs one fold, not one re-read per offset.
     ``source`` names the journal in error messages.
+
+    Flushes are held flat, as the journal packs them: one int array in
+    which each flush is a ``t, shard, src, dest, n, m1..mn`` run (shard
+    0 for a batch run's), not one record dict each.
     """
 
     def __init__(self, source: str = "journal") -> None:
@@ -544,8 +541,9 @@ class RecoveryFold:
         self.completed = False
         #: the newest checkpoint record (the first one at its step).
         self.checkpoint: "dict | None" = None
-        #: every journaled flush record, in journal order.
-        self.flushes: "list[dict]" = []
+        #: every journaled flush, in journal order, as
+        #: ``t, shard, src, dest, n, m1..mn`` runs of one int array.
+        self.flushes = array("q")
         # The two newest distinct flush steps (-1 = none yet).
         self._last = self._before_last = -1
 
@@ -562,7 +560,12 @@ class RecoveryFold:
         kind = record["type"]
         if kind == REC_FLUSH:
             t = int(record["t"])
-            self.flushes.append(record)
+            msgs = record["msgs"]
+            flushes = self.flushes
+            flushes.extend((t, int(record.get("shard", 0)),
+                            int(record["src"]), int(record["dest"]),
+                            len(msgs)))
+            flushes.extend(map(int, msgs))
             if t > self._last:
                 self._last, self._before_last = t, self._last
             elif self._last > t > self._before_last:
@@ -591,6 +594,18 @@ class RecoveryFold:
         # No evidence step `last` finished: it is not durable.
         return max(self._before_last, max_cp, 0)
 
+    def _timed_flushes(self, hi: int, after: "int | None" = None):
+        """``(t, shard, flush)`` of each journaled flush with ``t <= hi``
+        (and ``t > after``, if given), in journal order."""
+        flushes = self.flushes
+        i, end = 0, len(flushes)
+        while i < end:
+            t, sid, src, dest, n = flushes[i:i + 5]
+            j = i + 5 + n
+            if t <= hi and (after is None or t > after):
+                yield t, sid, Flush(src, dest, tuple(flushes[i + 5:j]))
+            i = j
+
     def check_prefix(
         self, schedules: "Mapping[int, FlushSchedule]", *,
         shard: "int | None" = None,
@@ -604,13 +619,10 @@ class RecoveryFold:
         first one the reference lacks — the journal belongs to a
         different run.
         """
-        durable = self.last_durable_step()
         checked = 0
-        for rec in self.flushes:
-            t, sid = int(rec["t"]), int(rec.get("shard", 0))
-            if t > durable or (shard is not None and sid != shard):
+        for t, sid, flush in self._timed_flushes(self.last_durable_step()):
+            if shard is not None and sid != shard:
                 continue
-            flush = _flush_of(rec)
             reference = schedules.get(sid)
             if reference is None or flush not in reference.flushes_at(t):
                 raise JournalCorruptionError(
@@ -663,9 +675,8 @@ class RecoveryFold:
         location = list(base.locations)
         completion = list(base.completions)
         by_step: dict[int, list[Flush]] = {}
-        for rec in self.flushes:
-            if base.step < rec["t"] <= durable:
-                by_step.setdefault(int(rec["t"]), []).append(_flush_of(rec))
+        for t, _sid, flush in self._timed_flushes(durable, base.step):
+            by_step.setdefault(t, []).append(flush)
         for t in sorted(by_step):
             _apply_step(t, by_step[t], location, completion, instance.targets)
         state = CheckpointRecord(durable, tuple(location), tuple(completion))
@@ -714,20 +725,26 @@ class RecoveryManager:
     def __init__(self, path: "str | os.PathLike") -> None:
         self.path = Path(path)
         self._scan: "JournalScan | None" = None
-        self._fold: "tuple[JournalScan, RecoveryFold] | None" = None
+        self._fold: "RecoveryFold | None" = None
 
     def scan(self, *, refresh: bool = False) -> JournalScan:
-        """Read the journal (cached; ``refresh=True`` to re-read)."""
+        """Read and fold the journal (cached; ``refresh=True`` to re-read).
+
+        The returned scan holds the chain's framing (valid and torn
+        bytes, segments, record ends) but no ``records``: each is folded
+        (:meth:`fold`) as it is decoded, so the manager never holds a
+        dict per record, only the fold's flat arrays.
+        """
         if self._scan is None or refresh:
-            self._scan = scan_journal(self.path)
+            fold = RecoveryFold(str(self.path))
+            self._scan = scan_journal(self.path, sink=fold.add)
+            self._fold = fold
         return self._scan
 
     def fold(self) -> RecoveryFold:
         """The :class:`RecoveryFold` of the current scan, run to the end."""
-        scan = self.scan()
-        if self._fold is None or self._fold[0] is not scan:
-            self._fold = (scan, RecoveryFold.of(scan.records, str(self.path)))
-        return self._fold[1]
+        self.scan()
+        return self._fold
 
     @property
     def meta(self) -> "dict | None":

@@ -1,0 +1,244 @@
+"""Record payloads of the ``WOJ2`` journal and WAL format.
+
+Every record is framed ``u32 length | u32 CRC-32 | payload`` (see
+:mod:`repro.dam.journal`); this module owns the payload.  Its first byte
+is the record's *kind*; the rest is the body, little-endian:
+
+====  ==============================  ==================================
+kind  record                          body
+====  ==============================  ==================================
+``{``  any record, as a JSON object   the rest of its compact JSON
+0x01  ``flush``                       ``i32 t, shard, src, dest, n``,
+                                      then ``n`` x ``i32`` message ids
+0x02  ``checkpoint`` (batch)          ``i32 t, n``, then ``n``
+                                      locations and ``n`` completions
+0x03  ``checkpoint`` (serve)          ``i32 t, arrived, completed``
+0x04  ``fault``                       ``i32 t, shard, src, dest``,
+                                      ``u16`` length of ``kind``, then
+                                      ``kind`` and ``detail`` in UTF-8
+0x05  ``put`` of a ``str`` key        ``i64 seq, u32`` key length, the
+                                      key in UTF-8, the value as JSON
+0x06  ``put`` of any other key        the same, the key as JSON
+0x07  ``del`` of a ``str`` key        ``i64 seq``, the key in UTF-8
+0x08  ``del`` of any other key        ``i64 seq``, the key as JSON
+====  ==============================  ==================================
+
+A shard of ``-1`` marks a batch run's record, which carries no
+``"shard"`` key.  The JSON form holds the run's ``meta`` and the rare
+kinds (``end``, ``divert``, ``driver``); any record may be written in it
+(test fixtures do), but the writers pack the hot kinds: a flush is the
+same ``t, shard, src, dest, n, m1..mn`` stream the process driver ships
+its chunks in.
+
+:func:`decode` turns a payload back into the record dict, key for key
+what the JSON form of the same record reads as.  It raises
+:class:`ValueError` for any payload that does not parse (the scanner's
+``bad-payload``).
+"""
+
+from __future__ import annotations
+
+import json
+import struct
+
+from repro.util.compact_json import compact_json
+
+#: Record types.
+REC_META = "meta"
+REC_FLUSH = "flush"
+REC_FAULT = "fault"
+REC_CHECKPOINT = "checkpoint"
+REC_END = "end"
+#: WAL operations (a WAL generation is a journal).
+REC_PUT = "put"
+REC_DEL = "del"
+
+#: Kind bytes.
+K_JSON = ord("{")
+K_FLUSH = 0x01
+K_BATCH_CHECKPOINT = 0x02
+K_SERVE_CHECKPOINT = 0x03
+K_FAULT = 0x04
+K_PUT_STR = 0x05
+K_PUT_JSON = 0x06
+K_DEL_STR = 0x07
+K_DEL_JSON = 0x08
+
+_FLUSH_HEAD = struct.Struct("<B5i")  # kind, t, shard, src, dest, n
+_CHECKPOINT_HEAD = struct.Struct("<B2i")  # kind, t, n
+_SERVE_CHECKPOINT = struct.Struct("<B3i")  # kind, t, arrived, done
+_FAULT_HEAD = struct.Struct("<B4iH")  # kind, t, shard, src, dest, len
+_PUT_HEAD = struct.Struct("<BqI")  # kind, seq, key length
+_DEL_HEAD = struct.Struct("<Bq")  # kind, seq
+
+#: ``_FLUSHES[n]`` packs a whole flush record of ``n`` messages (one
+#: per flush size written, at most ``B + 1`` of them).
+_FLUSHES: "dict[int, struct.Struct]" = {}
+
+
+def _utf8(text: str) -> bytes:
+    return text.encode("utf-8", "surrogatepass")
+
+
+def pack_flush(t: int, shard: int, src: int, dest: int, msgs) -> bytes:
+    """One realized flush at step ``t`` (``shard=-1``: a batch run's)."""
+    n = len(msgs)
+    st = _FLUSHES.get(n)
+    if st is None:
+        st = _FLUSHES[n] = struct.Struct(f"<B5i{n}i")
+    return st.pack(K_FLUSH, t, shard, src, dest, n, *msgs)
+
+
+def pack_batch_checkpoint(t: int, locations, completions) -> bytes:
+    """A batch run's state snapshot at the end of step ``t``."""
+    n = len(locations)
+    if len(completions) != n:
+        raise ValueError(
+            f"checkpoint has {n} locations but {len(completions)} "
+            "completions"
+        )
+    return _CHECKPOINT_HEAD.pack(K_BATCH_CHECKPOINT, t, n) + struct.pack(
+        f"<{2 * n}i", *locations, *completions
+    )
+
+
+def pack_serve_checkpoint(t: int, arrived: int, completed: int) -> bytes:
+    """A serving run's durability mark at the end of step ``t``."""
+    return _SERVE_CHECKPOINT.pack(K_SERVE_CHECKPOINT, t, arrived,
+                                  completed)
+
+
+def pack_fault(t: int, shard: int, kind: str, src: int, dest: int,
+               detail: str) -> bytes:
+    """One fault decision (``shard=-1``: a batch run's)."""
+    name = _utf8(kind)
+    return (_FAULT_HEAD.pack(K_FAULT, t, shard, src, dest, len(name))
+            + name + _utf8(detail))
+
+
+def pack_put(seq: int, key, value) -> bytes:
+    """One WAL put."""
+    if type(key) is str:
+        kind, raw = K_PUT_STR, _utf8(key)
+    else:
+        kind, raw = K_PUT_JSON, compact_json(key)
+    return _PUT_HEAD.pack(kind, seq, len(raw)) + raw + compact_json(value)
+
+
+def pack_delete(seq: int, key) -> bytes:
+    """One WAL tombstone delete."""
+    if type(key) is str:
+        return _DEL_HEAD.pack(K_DEL_STR, seq) + _utf8(key)
+    return _DEL_HEAD.pack(K_DEL_JSON, seq) + compact_json(key)
+
+
+def _bad(what: str) -> ValueError:
+    return ValueError(f"malformed {what} payload")
+
+
+def _decode_flush(payload: bytes) -> dict:
+    if len(payload) < _FLUSH_HEAD.size:
+        raise _bad("flush")
+    _k, t, shard, src, dest, n = _FLUSH_HEAD.unpack_from(payload)
+    if n < 0 or shard < -1 or len(payload) != _FLUSH_HEAD.size + 4 * n:
+        raise _bad("flush")
+    msgs = list(struct.unpack_from(f"<{n}i", payload, _FLUSH_HEAD.size))
+    record = {"type": REC_FLUSH, "t": t, "src": src, "dest": dest,
+              "msgs": msgs}
+    if shard >= 0:
+        record["shard"] = shard
+    return record
+
+
+def _decode_batch_checkpoint(payload: bytes) -> dict:
+    if len(payload) < _CHECKPOINT_HEAD.size:
+        raise _bad("checkpoint")
+    _k, t, n = _CHECKPOINT_HEAD.unpack_from(payload)
+    if n < 0 or len(payload) != _CHECKPOINT_HEAD.size + 8 * n:
+        raise _bad("checkpoint")
+    values = list(struct.unpack_from(f"<{2 * n}i", payload,
+                                     _CHECKPOINT_HEAD.size))
+    return {"type": REC_CHECKPOINT, "t": t, "locations": values[:n],
+            "completions": values[n:]}
+
+
+def _decode_serve_checkpoint(payload: bytes) -> dict:
+    if len(payload) != _SERVE_CHECKPOINT.size:
+        raise _bad("checkpoint")
+    _k, t, arrived, completed = _SERVE_CHECKPOINT.unpack(payload)
+    return {"type": REC_CHECKPOINT, "t": t, "arrived": arrived,
+            "completed": completed}
+
+
+def _decode_fault(payload: bytes) -> dict:
+    head = _FAULT_HEAD.size
+    if len(payload) < head:
+        raise _bad("fault")
+    _k, t, shard, src, dest, n = _FAULT_HEAD.unpack_from(payload)
+    if shard < -1 or len(payload) < head + n:
+        raise _bad("fault")
+    record = {
+        "type": REC_FAULT, "t": t,
+        "kind": payload[head:head + n].decode("utf-8", "surrogatepass"),
+        "src": src, "dest": dest,
+        "detail": payload[head + n:].decode("utf-8", "surrogatepass"),
+    }
+    if shard >= 0:
+        record["shard"] = shard
+    return record
+
+
+def _decode_key(raw: bytes, as_str: bool):
+    return raw.decode("utf-8", "surrogatepass") if as_str else json.loads(raw)
+
+
+def _decode_put(payload: bytes) -> dict:
+    head = _PUT_HEAD.size
+    if len(payload) < head:
+        raise _bad("put")
+    kind, seq, n = _PUT_HEAD.unpack_from(payload)
+    if len(payload) < head + n:
+        raise _bad("put")
+    return {"type": REC_PUT, "seq": seq,
+            "key": _decode_key(payload[head:head + n], kind == K_PUT_STR),
+            "value": json.loads(payload[head + n:])}
+
+
+def _decode_delete(payload: bytes) -> dict:
+    if len(payload) < _DEL_HEAD.size:
+        raise _bad("del")
+    kind, seq = _DEL_HEAD.unpack_from(payload)
+    return {"type": REC_DEL, "seq": seq,
+            "key": _decode_key(payload[_DEL_HEAD.size:], kind == K_DEL_STR)}
+
+
+def _decode_json(payload: bytes) -> dict:
+    record = json.loads(payload)
+    if not isinstance(record, dict) or "type" not in record:
+        raise _bad("JSON")
+    return record
+
+
+_DECODERS = {
+    K_JSON: _decode_json,
+    K_FLUSH: _decode_flush,
+    K_BATCH_CHECKPOINT: _decode_batch_checkpoint,
+    K_SERVE_CHECKPOINT: _decode_serve_checkpoint,
+    K_FAULT: _decode_fault,
+    K_PUT_STR: _decode_put,
+    K_PUT_JSON: _decode_put,
+    K_DEL_STR: _decode_delete,
+    K_DEL_JSON: _decode_delete,
+}
+
+
+def decode(payload: bytes) -> dict:
+    """The record a payload holds; :class:`ValueError` if it does not
+    parse (an empty payload, an unknown kind byte, a body whose length
+    disagrees with its counts, bad UTF-8 or JSON)."""
+    if not payload:
+        raise _bad("empty")
+    decoder = _DECODERS.get(payload[0])
+    if decoder is None:
+        raise ValueError(f"unknown record kind byte {payload[0]:#04x}")
+    return decoder(payload)

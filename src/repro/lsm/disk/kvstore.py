@@ -2,7 +2,7 @@
 
 :class:`KVStore` composes the pieces of :mod:`repro.lsm.disk` into the
 engine the serving stack plugs in: ``put``/``delete`` append to the WAL
-(generation files, WOJ1-framed) and land in an in-memory memtable; a
+(generation files, WOJ2-framed) and land in an in-memory memtable; a
 full memtable flushes to a level-0 SSTable; leveled compaction is
 *scheduled* by a :class:`~repro.lsm.disk.scheduler.DiskCompactionPolicy`
 and executed one task per :meth:`maintain` call, so maintenance is
@@ -62,6 +62,7 @@ import os
 import time
 from pathlib import Path
 
+from repro.dam.records import pack_delete, pack_put
 from repro.lsm.disk.manifest import (
     Manifest,
     commit_manifest,
@@ -83,9 +84,7 @@ from repro.lsm.disk.sstable import (
 from repro.lsm.disk.wal import (
     REC_DEL,
     REC_PUT,
-    delete_record,
     open_wal,
-    put_record,
     replay_wal,
     wal_generations,
     wal_path,
@@ -413,7 +412,7 @@ class KVStore:
         self._require_writable()
         self._seq += 1
         try:
-            self._wal.append(put_record(self._seq, key, value))
+            self._wal.append(pack_put(self._seq, key, value), REC_PUT)
         except OSError as exc:
             self._fail_write(exc, "write")
         try:
@@ -430,7 +429,7 @@ class KVStore:
         self._require_writable()
         self._seq += 1
         try:
-            self._wal.append(delete_record(self._seq, key))
+            self._wal.append(pack_delete(self._seq, key), REC_DEL)
         except OSError as exc:
             self._fail_write(exc, "write")
         try:

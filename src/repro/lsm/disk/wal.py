@@ -1,11 +1,20 @@
 """Write-ahead log for the on-disk KV engine.
 
-A WAL generation *is* a ``WOJ1`` journal — same 8-byte header, same
-``u32 length | u32 CRC-32 | JSON payload`` record framing, written
-through the very :class:`~repro.dam.journal.JournalWriter` the execution
-journals use — so every property PRs 2–6 established for journals
-(torn-tail tolerance, kill-at-every-offset exactness, typed corruption
-errors) is inherited rather than re-proven.
+A WAL generation *is* a ``WOJ2`` journal — same 8-byte header, same
+``u32 length | u32 CRC-32 | payload`` record framing, written through
+the very :class:`~repro.dam.journal.JournalWriter` the execution
+journals use — so every journal property (torn-tail tolerance,
+kill-at-every-offset exactness, typed corruption errors, the typed
+``bad-version`` refusal of a ``WOJ1`` file) is inherited rather than
+re-proven.
+
+**Records.**  The ``meta`` record is JSON; each operation is packed
+(:mod:`repro.dam.records`): a kind byte, the ``i64`` sequence number,
+then the key — raw UTF-8 for a ``str`` key, compact JSON for any other —
+and, for a put, the value as compact JSON.  Replay reads them back as
+``{"type": "put", "seq", "key", "value"}`` and
+``{"type": "del", "seq", "key"}`` (a tuple key or value reads back as a
+list, as JSON has it).
 
 **Generations instead of segments.**  Where a serving journal rotates by
 size, the WAL rotates at *memtable flushes*: generation ``g`` holds
@@ -38,17 +47,10 @@ import os
 import re
 from pathlib import Path
 
-from repro.dam.journal import (
-    JournalWriter,
-    REC_META,
-    scan_journal,
-)
+from repro.dam.journal import JournalWriter, scan_journal
+from repro.dam.records import REC_DEL, REC_META, REC_PUT
 from repro.util.errors import StorageCorruptionError
 from repro.util.fsio import resolve
-
-#: WAL record types (alongside the journal's own ``meta``).
-REC_PUT = "put"
-REC_DEL = "del"
 
 #: meta "policy" tag distinguishing KV WALs from execution journals.
 WAL_POLICY = "kv-wal"
@@ -71,16 +73,6 @@ def wal_generations(directory: "str | os.PathLike") -> "list[tuple[int, Path]]":
     return sorted(found)
 
 
-def put_record(seq: int, key, value) -> dict:
-    """The WAL record for one put."""
-    return {"type": REC_PUT, "seq": int(seq), "key": key, "value": value}
-
-
-def delete_record(seq: int, key) -> dict:
-    """The WAL record for one tombstone delete."""
-    return {"type": REC_DEL, "seq": int(seq), "key": key}
-
-
 def open_wal(
     directory: "str | os.PathLike", gen: int, *, sync: bool = True,
     fs=None,
@@ -88,8 +80,9 @@ def open_wal(
     """Open (create) WAL generation ``gen`` for appending.
 
     The returned writer is a plain :class:`JournalWriter`; callers
-    append :func:`put_record` / :func:`delete_record` payloads and flush
-    at their acknowledgment points.  ``fs`` overrides the filesystem
+    append :func:`~repro.dam.records.pack_put` /
+    :func:`~repro.dam.records.pack_delete` payloads and flush at their
+    acknowledgment points.  ``fs`` overrides the filesystem
     handle (fault-injection seam; see :mod:`repro.util.fsio`).
     """
     return JournalWriter(

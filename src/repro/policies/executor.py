@@ -48,8 +48,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.worms import WORMSInstance
+from repro.dam.records import (
+    REC_CHECKPOINT,
+    REC_FAULT,
+    REC_FLUSH,
+    pack_batch_checkpoint,
+    pack_fault,
+    pack_flush,
+)
 from repro.dam.schedule import Flush, FlushSchedule
-from repro.dam.trace import CheckpointRecord
 from repro.faults.injector import FaultInjector
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_EXECUTE
@@ -174,20 +181,19 @@ class _RunJournal:
         self._checkpoint(0)
 
     def _checkpoint(self, step: int) -> None:
-        from repro.dam.journal import checkpoint_record
-
-        self.writer.append(checkpoint_record(CheckpointRecord(
-            step, tuple(int(v) for v in self.locate()),
-            tuple(self.completion),
-        )))
+        self.writer.append(
+            pack_batch_checkpoint(step, self.locate(), self.completion),
+            REC_CHECKPOINT,
+        )
         self.writer.flush()
 
     # The engine's journal protocol; a batch run is a single shard, so
-    # the shard id is not recorded.
+    # its records carry shard -1 (no shard).
     def record_flush(self, t: int, _shard: int, flush: Flush) -> None:
-        from repro.dam.journal import flush_record
-
-        self.writer.append(flush_record(t, flush))
+        self.writer.append(
+            pack_flush(t, -1, flush.src, flush.dest, flush.messages),
+            REC_FLUSH,
+        )
         dest = flush.dest
         completion = self.completion
         for m in flush.messages:
@@ -196,9 +202,9 @@ class _RunJournal:
 
     def record_fault(self, t: int, _shard: int, kind: str, src: int,
                      dest: int, detail: str) -> None:
-        from repro.dam.journal import fault_record
-
-        self.writer.append(fault_record(t, kind, src, dest, detail))
+        self.writer.append(
+            pack_fault(t, -1, kind, src, dest, detail), REC_FAULT
+        )
 
     def end_step(self, t: int) -> None:
         if t % self.every == 0:

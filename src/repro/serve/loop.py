@@ -38,9 +38,14 @@ from repro.dam.journal import (
     RecoveryManager,
     divert_record,
     driver_record,
-    flush_record,
-    fault_record,
-    slo_record,
+)
+from repro.dam.records import (
+    REC_CHECKPOINT,
+    REC_FAULT,
+    REC_FLUSH,
+    pack_fault,
+    pack_flush,
+    pack_serve_checkpoint,
 )
 from repro.dam.schedule import Flush, FlushSchedule
 from repro.faults.chaos import (
@@ -298,22 +303,20 @@ class _ServeJournal:
         self.last_durable_step = 0
 
     def record_flush(self, t: int, shard: int, flush: Flush) -> None:
-        rec = flush_record(t, flush)
-        rec["shard"] = int(shard)
-        self.writer.append(rec)
+        self.writer.append(
+            pack_flush(t, shard, flush.src, flush.dest, flush.messages),
+            REC_FLUSH,
+        )
 
     def record_fault(self, t: int, shard: int, kind: str, src: int,
                      dest: int, detail: str) -> None:
-        rec = fault_record(t, kind, src, dest, detail)
-        rec["shard"] = int(shard)
-        self.writer.append(rec)
+        self.writer.append(
+            pack_fault(t, shard, kind, src, dest, detail), REC_FAULT
+        )
 
     def record_divert(self, t: int, src_shard: int, dst_shard: int,
                       msgs: "list[int] | tuple[int, ...]" = ()) -> None:
         self.writer.append(divert_record(t, src_shard, dst_shard, msgs))
-
-    def record_slo(self, t: int, door, purge) -> None:
-        self.writer.append(slo_record(t, door, purge))
 
     def record_driver(self, t: int, driver: dict) -> None:
         self.writer.append(driver_record(t, driver))
@@ -323,10 +326,9 @@ class _ServeJournal:
             self.checkpoint(t, arrived, completed)
 
     def checkpoint(self, t: int, arrived: int, completed: int) -> None:
-        self.writer.append({
-            "type": "checkpoint", "t": int(t),
-            "arrived": int(arrived), "completed": int(completed),
-        })
+        self.writer.append(
+            pack_serve_checkpoint(t, arrived, completed), REC_CHECKPOINT
+        )
         self.writer.flush()
         self.last_durable_step = int(t)
 
@@ -745,20 +747,11 @@ class ServiceLoop(ShardStep):
                    t: int) -> None:
         """Enforce SLO decisions: close doors, purge tripped tenants.
 
-        Non-trivial decisions are journaled like ``divert`` records —
-        durability sealed with a checkpoint first, then the decision.
         The purge sheds at decision time; the procpool driver runs this
         on its replica of the workers' lanes and ships the purge to them
-        with the next chunk.
+        with the next chunk.  Nothing is journaled: recovery re-derives
+        the decisions, a pure function of the config.
         """
-        if self._journal is not None and (
-            tripped or set(door) != self.admission.door_closed
-        ):
-            if t > 1:
-                self._journal.checkpoint(
-                    t - 1, self._next_gid, len(self.metrics.completion_step)
-                )
-            self._journal.record_slo(t, door, tripped)
         self.admission.door_closed = set(door)
         for tid in tripped:
             for _sid, gid in self.admission.purge_tenant(tid):

@@ -302,8 +302,10 @@ def test_flip_every_byte(journaled_run, tmp_path):
             return ("typed", "bad-magic")
         k = bisect_right(ends, offset)
         start = ends[k - 1] if k else len(_HEADER)
+        rest = []
         try:
-            rest = _scan_segment(path, _HEADER + flipped(offset)[start:])[0]
+            _scan_segment(path, _HEADER + flipped(offset)[start:],
+                          rest.append)
         except JournalCorruptionError as exc:
             return ("typed", exc.reason)
         assert rest == [], "CRC-32 catches every one-byte change"

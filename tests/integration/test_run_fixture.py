@@ -11,7 +11,11 @@ carries the retired ``fault_aware`` key (false), so the meta is compared
 without it and every other record as written.  A second argv that sets
 every ``run`` fault and journal flag is pinned by a digest of its
 segments.  Both journals' records are pinned too, by a digest that is
-the same for any encoding of the same records.
+the same for any encoding of the same records: the fixture was
+re-encoded record for record when the format moved from ``WOJ1`` to
+``WOJ2``.  (The every-flag run rotates at a byte threshold and compacts
+sealed segments, so which of its records survive moves with the
+encoding; its uncompacted record stream did not.)
 
 Regenerate the fixture (only when the journal format is *meant* to
 change) with ``PYTHONPATH=src python -m tests.integration.test_run_fixture``.
@@ -45,12 +49,12 @@ EVERY_FLAG_ARGV = [
 ]
 
 EVERY_FLAG_SHA256 = \
-    "e468d4f4a15eb0b9099848b3c51e44de1ab3a62b7ac8e0b803f897acef6b4073"
+    "4a6a8ad00ab96b4072d561268d84effb1d02bbf307e2da1ad0f446afdad42628"
 
 FIXTURE_RECORDS = \
     "5152a8e9f05a30bdf5b25499032ca1b0a2776402213862ee573310591ce7ef40"
 EVERY_FLAG_RECORDS = \
-    "c2217779904103cf123abe334a358528729039935c49fb6a135fb3ac4ec114d9"
+    "bcb1f75e90ee395bdf283986b4e7e30db8f47b85fd9c3091a25cf24846943fb6"
 
 
 def _segments_digest(path: Path) -> str:

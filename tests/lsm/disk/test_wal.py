@@ -1,4 +1,4 @@
-"""WAL generations: WOJ1 inheritance, replay rules, typed failures."""
+"""WAL generations: journal inheritance, replay rules, typed failures."""
 
 from __future__ import annotations
 
@@ -7,11 +7,10 @@ from pathlib import Path
 import pytest
 
 from repro.dam.journal import MAGIC, scan_journal
+from repro.dam.records import REC_DEL, REC_PUT, pack_delete, pack_put
 from repro.faults.crashes import flip_byte, truncate_at
 from repro.lsm.disk.wal import (
-    delete_record,
     open_wal,
-    put_record,
     replay_wal,
     wal_generations,
     wal_path,
@@ -19,16 +18,31 @@ from repro.lsm.disk.wal import (
 from repro.util.errors import JournalCorruptionError, StorageCorruptionError
 
 
+def put_record(seq: int, key, value) -> dict:
+    """A put as replay reads it back."""
+    return {"type": REC_PUT, "seq": seq, "key": key, "value": value}
+
+
+def delete_record(seq: int, key) -> dict:
+    """A delete as replay reads it back."""
+    return {"type": REC_DEL, "seq": seq, "key": key}
+
+
 def _write_gen(directory: Path, gen: int, records) -> Path:
+    """Write ``records`` as ``KVStore`` packs them."""
     w = open_wal(directory, gen, sync=False)
     for rec in records:
-        w.append(rec)
+        if rec["type"] == REC_PUT:
+            w.append(pack_put(rec["seq"], rec["key"], rec["value"]),
+                            REC_PUT)
+        else:
+            w.append(pack_delete(rec["seq"], rec["key"]), REC_DEL)
     w.flush()
     w.close()
     return wal_path(directory, gen)
 
 
-def test_wal_is_a_woj1_journal(tmp_path: Path) -> None:
+def test_wal_is_a_woj2_journal(tmp_path: Path) -> None:
     path = _write_gen(tmp_path, 0, [put_record(1, "a", 10)])
     assert path.read_bytes()[:4] == MAGIC
     scan = scan_journal(path)

@@ -21,6 +21,9 @@
   today every plan is a full re-plan taken whole, and a retired key in
   meta (``pace``, ``fault_aware``) no longer names a config field, so
   its replay is the run without it.
+* The fixtures were written as ``WOJ1`` journals and re-encoded record
+  for record when the format moved to ``WOJ2``; a digest of each one's
+  scanned records (the same for any encoding) pins that.
 """
 
 from __future__ import annotations

@@ -605,18 +605,19 @@ def test_kill_during_purge_dispatch_applies_purge_and_conserves(shard):
     _assert_purged_once(loop, report)
 
 
-def test_kill_during_purge_journal_still_records_decisions(tmp_path):
-    """The SLO decision is journaled by the parent before dispatch, so
-    the record stream survives the worker death and recovery rebuilds
-    the run to completion."""
+def test_kill_during_purge_journal_recovers_exactly(tmp_path):
+    """SLO decisions are not journaled (recovery re-derives them from
+    the config), so a worker dying at the trip that purges costs the
+    journal nothing: recovery rebuilds the run to completion."""
     plan = ChaosPlan((ChaosEvent(11, CHAOS_KILL_WORKER, 1),))
     path = tmp_path / "purge.journal"
     report = ProcPoolLoop(_slo_chaos_config(), processes=2, chaos=plan,
                           journal=path).run()
+    assert tenant_row(report, "hot")["slo"]["trips"] >= 1
     from repro.dam.journal import scan_journal
-    slo = [r for r in scan_journal(path).records if r.get("type") == "slo"]
-    assert any(r["purge"] for r in slo), "a purge decision must be journaled"
-    assert min(r["t"] for r in slo) == 11
+    assert {r["type"] for r in scan_journal(path).records} == {
+        "meta", "flush", "checkpoint", "end",
+    }
     rec = recover_serve(path)
     assert rec.run_completed
     assert rec.report.completions == report.completions
