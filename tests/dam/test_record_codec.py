@@ -181,7 +181,7 @@ def _write_stream(path: Path, items) -> "list[dict]":
     return [{"type": "meta", **meta}, *(r for _p, _k, r in items)]
 
 
-@settings(max_examples=30,
+@settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(RECORDS, max_size=12))
 def test_mixed_stream_round_trips_through_a_journal(tmp_path, items):
