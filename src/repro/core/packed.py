@@ -27,6 +27,7 @@ planner can re-plan messages parked mid-tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -120,19 +121,22 @@ def build_packed_sets(
     A thin wrapper: :func:`pack_sets` computes the decomposition, this
     adds the per-set and per-message objects.
     """
-    packed_nodes, set_node, set_msgs, set_children = pack_sets(
-        instance.topology.tables, instance.targets.tolist(), instance.B,
-        denom,
-    )
     n_msgs = instance.n_messages
+    packed_nodes, set_node, set_msgs, set_split = pack_sets(
+        instance.topology.tables, instance.targets.tolist(),
+        list(range(n_msgs)), instance.B, denom,
+    )
     packed_parent_of = np.zeros(n_msgs, dtype=np.int64)
     set_of = np.full(n_msgs, -1, dtype=np.int64)
     sets = []
-    for index, (v, msgs, children) in enumerate(
-        zip(set_node, set_msgs, set_children)
+    for index, (v, msgs, split) in enumerate(
+        zip(set_node, set_msgs, set_split)
     ):
+        if msgs is None:
+            msgs = split_messages(split)
         packed_parent_of[list(msgs)] = v
         set_of[list(msgs)] = index
+        children = tuple(sorted(child for child, _ in split))
         sets.append(PackedSet(index, v, msgs, children))
     return PackedDecomposition(
         instance=instance,
@@ -145,155 +149,231 @@ def build_packed_sets(
 
 def pack_sets(
     tables: TreeTables,
-    targets: "list[int]",
+    targets: "Sequence[int] | Mapping[int, int]",
+    msgs: "list[int]",
     B: int,
     denom: int = PACKED_DENOM,
     top: "int | None" = None,
-) -> tuple[
-    tuple[int, ...], list[int], list[tuple[int, ...]], list[tuple[int, ...]]
-]:
+) -> "tuple[tuple[int, ...], list[int], list, list[list]]":
     """The packed decomposition on flat lists: the planning kernel's stage.
 
-    Message ``i`` targets ``targets[i]``, a node of the subtree rooted
-    at ``top`` (default: the root), and ``top`` plays the root's part:
-    it is always packed and claims every leftover message.  Returns
-    ``(packed_nodes, set_node, set_msgs, set_children)``: the sorted
-    packed nodes, and per packed set (in index order) its packed parent,
-    its sorted message ids and its child group.
+    ``msgs`` lists message ids; message ``m`` targets ``targets[m]``, a
+    node of the subtree rooted at ``top`` (default: the root), and
+    ``top`` plays the root's part: it is always packed and claims every
+    leftover message.  Returns ``(packed_nodes, set_node, set_msgs,
+    set_split)``: the sorted packed nodes and, per packed set in index
+    order, its packed parent, its messages and its split.  A set whose
+    messages all end at its packed parent (a leaf's chunks, and an
+    internal node's own messages under the internal-target extension)
+    has its message tuple and an empty split.  A set of whole children
+    has no tuple (``None``; :func:`split_messages` makes it) and its
+    messages by the child they cross as its split: ``(child,
+    messages)`` pairs in order of each child's first message in
+    ``msgs``, where the reduction's copy of the subtree starts.
+
+    Every list keeps the order of ``msgs``, which decides how a leaf's
+    messages are chunked.  Each packed node's messages are split by
+    child once: the split that finds the packed nodes is the one the
+    sets carry.
     """
     if denom < 2:
         raise InvalidInstanceError(f"denom must be >= 2, got {denom}")
     if top is None:
         top = tables.root
-    paths = tables.path
-
-    if denom * len(targets) < B:
-        # Too few messages for any node below ``top`` to be packed.
-        packed_nodes: "tuple[int, ...] | list[int]" = (top,)
-        contents = {top: list(range(len(targets)))}
-    else:
-        packed_nodes, contents = _packed_contents(
-            tables, targets, B, denom, top
-        )
-
-    set_node: list[int] = []
-    set_msgs: list[tuple[int, ...]] = []
-    set_children: list[tuple[int, ...]] = []
-    threshold = -(-B // denom)  # ceil(B / denom)
-
-    def emit(v: int, msgs: "list[int]", children: tuple[int, ...]) -> None:
-        set_node.append(v)
-        set_msgs.append(tuple(sorted(msgs)))
-        set_children.append(children)
-
-    def chunk(v: int, msgs: "list[int]") -> None:
-        """Split messages with no child group into chunks of ~threshold."""
-        chunks = [
-            msgs[start : start + threshold]
-            for start in range(0, len(msgs), threshold)
-        ]
-        if len(chunks) >= 2 and len(chunks[-1]) < threshold:
-            chunks[-2].extend(chunks.pop())
-        for c in chunks:
-            emit(v, c, ())
-
-    for v in packed_nodes:
-        msgs = contents.get(v)
-        if not msgs:
-            continue  # only ``top`` can be packed with no messages left
-        if tables.is_leaf[v]:
-            chunk(v, msgs)
-            continue
-        # An internal packed node: group its children into packed sets.
-        below = tables.depth[v] + 1  # index of v's child on a root path
-        by_child: dict[int, list[int]] = {}
-        own: list[int] = []  # internal-target extension: messages ending at v
-        for m in msgs:
-            target = targets[m]
-            if target == v:
-                own.append(m)
-                continue
-            by_child.setdefault(paths[target][below], []).append(m)
-        # Messages completing at v itself behave like leaf-parent
-        # messages: chunk them into their own sets with no child group.
-        if own:
-            chunk(v, own)
-        groups: list[tuple[list[int], list[int]]] = []  # (children, msgs)
-        cur_children: list[int] = []
-        cur_msgs: list[int] = []
-        for child in sorted(by_child):
-            cur_children.append(child)
-            cur_msgs.extend(by_child[child])
-            if len(cur_msgs) >= threshold:
-                groups.append((cur_children, cur_msgs))
-                cur_children, cur_msgs = [], []
-        if cur_msgs:
-            if groups:
-                groups[-1][0].extend(cur_children)
-                groups[-1][1].extend(cur_msgs)
-            else:
-                groups.append((cur_children, cur_msgs))
-        for children, group_msgs in groups:
-            emit(v, group_msgs, tuple(children))
-
-    return tuple(packed_nodes), set_node, set_msgs, set_children
-
-
-def _packed_contents(
-    tables: TreeTables,
-    targets: "list[int]",
-    B: int,
-    denom: int,
-    top: int,
-) -> "tuple[list[int], dict[int, list[int]]]":
-    """The sorted packed nodes of the subtree rooted at ``top``, and the
-    messages each one claims (packed contents, in message-id order)."""
+    threshold = -(-B // denom)  # ceil(B / denom): the packing test
     paths = tables.path
     depth = tables.depth
     is_leaf = tables.is_leaf
 
-    # Top-down, split each node's messages by the child they cross.  A
-    # child holding fewer than B/denom of them cannot be packed, nor can
-    # anything below it: its messages rise, unclaimed.  Only the other
-    # ("heavy") children are split further.  ``heavy`` lists (node, its
-    # own and risen messages, its heavy children) in pre-order.
-    heavy: "list[tuple[int, list[int], list[int]]]" = []
-    stack = [(top, list(range(len(targets))))]
-    while stack:
-        v, msgs = stack.pop()
-        if is_leaf[v]:
-            heavy.append((v, msgs, []))
-            continue
-        below = depth[v] + 1
-        rest: "list[int]" = []
-        by_child: "dict[int, list[int]]" = {}
-        for m in msgs:
-            t = targets[m]
-            if t == v:
-                rest.append(m)
-            else:
-                by_child.setdefault(paths[t][below], []).append(m)
-        kids = []
-        for c, child_msgs in by_child.items():
-            if denom * len(child_msgs) >= B:
-                kids.append(c)
-                stack.append((c, child_msgs))
-            else:
-                rest += child_msgs
-        heavy.append((v, rest, kids))
+    if is_leaf[top]:
+        own, by_child, kids = msgs, {}, []
+    else:
+        own, by_child = split_by_child(
+            paths, depth[top] + 1, targets, top, msgs
+        )
+        kids = [
+            c for c, c_msgs in by_child.items() if len(c_msgs) >= threshold
+        ] if len(msgs) >= threshold else []
+    set_node: "list[int]" = []
+    set_msgs: "list[tuple[int, ...] | None]" = []
+    set_split: "list[list[tuple[int, list[int]]]]" = []
+    if not kids:  # no child holds B/denom messages: only ``top`` is packed
+        _node_sets(top, own, by_child, threshold, set_node, set_msgs,
+                   set_split)
+        return (top,), set_node, set_msgs, set_split
+    packed = _packed_nodes(
+        tables, targets, threshold, top, (top, msgs, own, by_child, kids)
+    )
+    packed_nodes = tuple(sorted(packed))
+    for v in packed_nodes:
+        _, own, by_child = packed[v]
+        _node_sets(v, own, by_child, threshold, set_node, set_msgs,
+                   set_split)
+    return packed_nodes, set_node, set_msgs, set_split
 
-    # Bottom-up: a node's unclaimed messages are its own and risen ones
-    # plus those of its unpacked heavy children; it becomes packed when
-    # they number at least B/denom (exact integer comparison), and
-    # ``top`` is always packed.
-    contents: "dict[int, list[int]]" = {}
-    unclaimed: "dict[int, list[int]]" = {}
-    for v, rest, kids in reversed(heavy):
+
+def _node_sets(
+    v: int,
+    own: "list[int]",
+    by_child: "dict[int, list[int]]",
+    threshold: int,
+    set_node: "list[int]",
+    set_msgs: list,
+    set_split: list,
+) -> None:
+    """Append packed node ``v``'s sets (see :func:`pack_sets`): ``own``
+    are the messages it claims that end at it, ``by_child`` the rest."""
+    if own:
+        # Messages ending at v: chunks of ~B/denom, the last taking
+        # the remainder.
+        n_chunks = max(1, len(own) // threshold)
+        for k in range(n_chunks):
+            set_node.append(v)
+            set_msgs.append(tuple(
+                own[k * threshold:(k + 1) * threshold
+                    if k + 1 < n_chunks else len(own)]
+            ))
+            set_split.append([])
+    if not by_child:
+        return
+    # Whole children, grouped greedily in child-id order until a group
+    # reaches B/denom messages; a short tail joins the last group.  Two
+    # messages crossing into the same child thus always share a set
+    # (Lemma 1).  Fewer than 2 B/denom messages make one group.
+    if sum(map(len, by_child.values())) < 2 * threshold:
+        splits = [list(by_child.items())]
+    else:
+        groups: "list[list[int]]" = []
+        current: "list[int]" = []
+        count = 0
+        for c in sorted(by_child):
+            current.append(c)
+            count += len(by_child[c])
+            if count >= threshold:
+                groups.append(current)
+                current, count = [], 0
+        if current:
+            if groups:
+                groups[-1] += current
+            else:
+                groups.append(current)
+        group_of = {c: g for g, group in enumerate(groups) for c in group}
+        splits = [[] for _ in groups]
+        for c, c_msgs in by_child.items():
+            splits[group_of[c]].append((c, c_msgs))
+    for split in splits:
+        set_node.append(v)
+        set_msgs.append(None)
+        set_split.append(split)
+
+
+def _packed_nodes(
+    tables: TreeTables,
+    targets: "Sequence[int] | Mapping[int, int]",
+    threshold: int,
+    top: int,
+    top_split: tuple,
+) -> "dict[int, tuple[list[int], list[int], dict[int, list[int]]]]":
+    """The packed nodes of :func:`pack_sets` when some child of ``top``
+    holds at least B/denom messages, each with its messages and their
+    split (``(messages, own, by_child)``) over what it claims.
+
+    ``top_split`` is ``top``'s ``(node, messages, own, by_child, heavy
+    children)``.
+    """
+    paths = tables.path
+    depth = tables.depth
+    is_leaf = tables.is_leaf
+    # Top-down, split every heavy node (one holding at least B/denom
+    # messages) by the child each message crosses.  A light child cannot
+    # be packed, nor can anything below it, so only heavy children are
+    # split further.  ``heavy`` lists (node, its messages, those ending
+    # there, the rest by child, its heavy children) in pre-order.
+    heavy = [top_split]
+    stack = [(c, top_split[3][c]) for c in top_split[4]]
+    while stack:
+        v, v_msgs = stack.pop()
+        if is_leaf[v]:
+            heavy.append((v, v_msgs, v_msgs, {}, []))
+            continue
+        own, by_child = split_by_child(
+            paths, depth[v] + 1, targets, v, v_msgs
+        )
+        kids = [
+            c for c, c_msgs in by_child.items() if len(c_msgs) >= threshold
+        ]
         for c in kids:
-            if c not in contents:
-                rest += unclaimed.pop(c)
-        if v == top or denom * len(rest) >= B:
-            contents[v] = sorted(rest)
+            stack.append((c, by_child[c]))
+        heavy.append((v, v_msgs, own, by_child, kids))
+
+    # Bottom-up: a node is packed when the messages of its subtree not
+    # held by a packed node below it number at least B/denom; ``top``
+    # always is.  ``held[v]``: how many of v's messages packed nodes at
+    # or below v claim.
+    held: "dict[int, int]" = {}
+    packed: "dict[int, tuple[list[int], list[int], dict]]" = {}
+    below: "dict[int, list[int]]" = {}
+    for v, v_msgs, own, by_child, kids in reversed(heavy):
+        held_below = sum(map(held.__getitem__, kids))
+        if v != top and len(v_msgs) - held_below < threshold:
+            held[v] = held_below
+            below[v] = kids
+            continue
+        held[v] = len(v_msgs)
+        if kids:
+            if all(map(packed.__contains__, kids)):
+                # Packed children take their whole subtrees; every
+                # other child keeps its list, in the same order.
+                by_child = {
+                    c: c_msgs for c, c_msgs in by_child.items()
+                    if c not in packed
+                }
+            else:
+                # An unpacked heavy child passes up what its packed
+                # descendants leave: re-split what v itself claims.
+                claimed: "set[int]" = set()
+                todo = list(kids)
+                while todo:
+                    c = todo.pop()
+                    if c in packed:
+                        claimed.update(packed[c][0])
+                    else:
+                        todo += below[c]
+                own, by_child = split_by_child(
+                    paths, depth[v] + 1, targets, v,
+                    [m for m in v_msgs if m not in claimed],
+                )
+        packed[v] = (v_msgs, own, by_child)
+    return packed
+
+
+def split_messages(split: "list[tuple[int, list[int]]]") -> tuple[int, ...]:
+    """A packed set's messages from its split, ascending."""
+    return tuple(sorted([m for _, c_msgs in split for m in c_msgs]))
+
+
+def split_by_child(
+    paths: "list[tuple[int, ...]]",
+    below: int,
+    targets: "Sequence[int] | Mapping[int, int]",
+    v: int,
+    msgs: "list[int]",
+) -> "tuple[list[int], dict[int, list[int]]]":
+    """``(own, by_child)``: the messages of ``msgs`` ending at internal
+    node ``v``, and the rest keyed by the child of ``v`` they cross
+    (``below`` is that child's depth), in order of each child's first
+    message.  Both keep the order of ``msgs``."""
+    own: "list[int]" = []
+    by_child: "dict[int, list[int]]" = {}
+    for m in msgs:
+        t = targets[m]
+        if t == v:
+            own.append(m)
+            continue
+        c = paths[t][below]
+        c_msgs = by_child.get(c)
+        if c_msgs is None:
+            by_child[c] = [m]
         else:
-            unclaimed[v] = rest
-    return sorted(contents), contents
+            c_msgs.append(m)
+    return own, by_child

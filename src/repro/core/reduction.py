@@ -21,10 +21,16 @@ task schedule directly into an overfilling flush schedule of equal cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.packed import PackedDecomposition, build_packed_sets
+from repro.core.packed import (
+    PackedDecomposition,
+    build_packed_sets,
+    split_by_child,
+    split_messages,
+)
 from repro.core.worms import WORMSInstance
 from repro.scheduling.instance import SchedulingInstance
 from repro.tree.topology import TreeTables
@@ -74,126 +80,205 @@ def reduce_to_scheduling(
         )
     if packed is None:
         packed = build_packed_sets(instance)
+    tables = instance.topology.tables
+    targets = instance.targets.tolist()
     msg_weight = (
         None if instance.weights is None
         else instance.message_weights.tolist()
     )
-    parent, weight, task_set, src, dest, msgs = reduce_sets(
-        instance.topology.tables,
-        instance.targets.tolist(),
-        [s.parent_node for s in packed.sets],
-        [s.messages for s in packed.sets],
-        msg_weight,
+    # A set of whole children starts its subtree copy from its split.
+    splits = [
+        list(split_by_child(
+            tables.path, tables.depth[s.parent_node] + 1, targets,
+            s.parent_node, list(s.messages),
+        )[1].items()) if s.child_group else []
+        for s in packed.sets
+    ]
+    tasks = reduce_sets(
+        tables, targets, [s.parent_node for s in packed.sets],
+        [s.messages for s in packed.sets], splits, msg_weight,
     )
+    n = len(tasks.weight)
+    parent = [-1] * n
+    for j, kids in enumerate(tasks.children):
+        for c in kids:
+            parent[c] = j
+    ends = tasks.set_start[1:] + [n]
+    task_set = [
+        k for k, (first, end) in enumerate(zip(tasks.set_start, ends))
+        for _ in range(first, end)
+    ]
     scheduling = SchedulingInstance(
         np.asarray(parent, dtype=np.int64),
-        np.asarray(weight, dtype=np.float64),
+        np.asarray(tasks.weight, dtype=np.float64),
         instance.P,
     )
     return ReducedInstance(
         worms=instance,
         packed=packed,
         scheduling=scheduling,
-        task_edges=tuple(map(TaskEdge, task_set, src, dest, msgs)),
+        task_edges=tuple(
+            map(TaskEdge, task_set, tasks.src, tasks.dest, tasks.msgs)
+        ),
     )
+
+
+class TaskLists:
+    """The reduced tasks as parallel lists: what :func:`reduce_sets`
+    builds, and what the planner orders and hands the flush gate.
+
+    Task ``j`` flushes ``msgs[j]`` over ``(src[j], dest[j])``;
+    ``parking[j]`` of those messages do not end at ``dest[j]`` (the
+    gate's admission cost) and the rest give the task its ``weight[j]``.
+    ``children[j]`` are the tasks that wait for ``j``, in task order, and
+    ``roots`` the tasks that wait for none; a task is numbered after the
+    one it waits for.  ``set_start[k]`` is the first task of the ``k``-th
+    packed set reduced (a set's tasks are consecutive).
+    """
+
+    __slots__ = (
+        "weight", "children", "roots", "src", "dest", "msgs", "parking",
+        "set_start",
+    )
+
+    def __init__(self) -> None:
+        self.weight: list = []
+        self.children: "list[list[int]]" = []
+        self.roots: "list[int]" = []
+        self.src: "list[int]" = []
+        self.dest: "list[int]" = []
+        self.msgs: "list[tuple[int, ...]]" = []
+        self.parking: "list[int]" = []
+        self.set_start: "list[int]" = []
 
 
 def reduce_sets(
     tables: TreeTables,
-    targets: "list[int]",
+    targets: "Sequence[int] | Mapping[int, int]",
     set_node: "list[int]",
-    set_msgs: "list[tuple[int, ...]]",
-    msg_weight: "list[float] | None" = None,
-    top: "int | None" = None,
-) -> tuple[
-    list[int], list, list[int], list[int], list[int], list[tuple[int, ...]]
-]:
+    set_msgs: "list[tuple[int, ...] | None]",
+    set_split: "list[list[tuple[int, list[int]]]]",
+    msg_weight: "Sequence[float] | Mapping[int, float] | None" = None,
+    set_top: "list[int] | None" = None,
+) -> TaskLists:
     """The reduction on flat lists: the planning kernel's stage.
 
-    Takes the packed sets as parallel lists (:func:`repro.core.packed.
-    pack_sets`) and returns the tasks as parallel lists ``(parent,
-    weight, set_index, src, dest, msgs)``: task ``j`` flushes
-    ``msgs[j]`` over ``(src[j], dest[j])`` for packed set
-    ``set_index[j]``, after task ``parent[j]`` (``-1``: none; always
-    ``parent[j] < j``).  With unit weights (``msg_weight is None``) a
-    task weighs the number of messages it delivers, an int; otherwise
-    the sum of their ``msg_weight`` (an int for int weights).
+    Takes packed sets as :func:`repro.core.packed.pack_sets` returns
+    them (those of several ``pack_sets`` calls concatenated) and returns
+    their tasks (see :class:`TaskLists`), each with its predecessor
+    link, weight and parking count set as it is created.  With unit
+    weights (``msg_weight is None``) a task weighs the number of
+    messages it delivers, an int; otherwise the sum of their
+    ``msg_weight[m]`` (an int for int weights).
 
-    The messages start at ``top`` (default: the root), the node the sets
-    were packed below: a chain runs ``path(v)[depth(top):]``, so a set
-    packed at ``top`` itself has no chain.
+    The messages of set ``k`` start at ``set_top[k]`` (default: the
+    root), the node it was packed below: its chain runs
+    ``path(v)[depth(top):]``, so a set packed at its top has no chain,
+    and its messages ending there are already delivered.  Message tuples
+    keep the order of the sets' lists (a chain carries its set's tuple,
+    ascending).
     """
     paths = tables.path
-    first = 1 if top is None else tables.depth[top] + 1
-    parent: list[int] = []
-    weight: list = []
-    task_set: list[int] = []
-    src: list[int] = []
-    dest: list[int] = []
-    msgs: list[tuple[int, ...]] = []
-
     depth = tables.depth
     is_leaf = tables.is_leaf
-    for k, v in enumerate(set_node):
-        all_msgs = set_msgs[k]
-        # Chain: one task per edge of the top-to-v path, all of C moving,
-        # each after the one above it.
+    tasks = TaskLists()
+    weight = tasks.weight
+    children = tasks.children
+    roots = tasks.roots
+    src = tasks.src
+    dest = tasks.dest
+    msgs = tasks.msgs
+    parking = tasks.parking
+
+    def copy(split, above: int, up: int) -> None:
+        """Tasks for the subtree copy below ``up``: one per child of
+        ``split`` (``(child, messages)`` pairs, a list or a dict's
+        items), after task ``above``, depth first, children in reverse
+        order of ``split``."""
+        waiting = roots if above == -1 else children[above]
+        for u, u_msgs in reversed(split):
+            task = len(weight)
+            waiting.append(task)
+            if len(u_msgs) == 1:
+                # One message: the rest of its path is a chain, whose
+                # last task delivers it.
+                m = u_msgs[0]
+                t = targets[m]
+                m_msgs = (m,)
+                node_src = up
+                if t != u:
+                    for node in paths[t][depth[u]:-1]:
+                        task += 1
+                        children.append([task])
+                        src.append(node_src)
+                        dest.append(node)
+                        msgs.append(m_msgs)
+                        parking.append(1)
+                        weight.append(0)
+                        node_src = node
+                children.append(())  # delivered: no task waits for it
+                src.append(node_src)
+                dest.append(t)
+                msgs.append(m_msgs)
+                parking.append(0)
+                weight.append(1 if msg_weight is None else msg_weight[m])
+                continue
+            children.append([])
+            src.append(up)
+            dest.append(u)
+            msgs.append(tuple(u_msgs))
+            if is_leaf[u]:
+                own = u_msgs
+                by_child = None
+            else:
+                own, by_child = split_by_child(
+                    paths, depth[u] + 1, targets, u, u_msgs
+                )
+            # The task into u delivers the messages ending there and
+            # carries their weight.
+            weight.append(
+                len(own) if msg_weight is None
+                else sum(map(msg_weight.__getitem__, own))
+            )
+            parking.append(len(u_msgs) - len(own))
+            if by_child:
+                copy(by_child.items(), task, u)
+
+    if set_top is None:
+        set_top = [tables.root] * len(set_node)
+    for v, set_tuple, split, top in zip(
+        set_node, set_msgs, set_split, set_top
+    ):
+        base = len(weight)
+        tasks.set_start.append(base)
+        # Chain: one task per edge of the top-to-v path, all of the set
+        # moving, each after the one above it.
         path = paths[v]
+        first = depth[top] + 1
         n_chain = len(path) - first
         pred = -1
         if n_chain > 0:
-            base = len(weight)
-            parent.append(-1)
-            parent.extend(range(base, base + n_chain - 1))
+            if set_tuple is None:
+                set_tuple = split_messages(split)
+            size = len(set_tuple)
+            roots.append(base)
+            if n_chain > 1:
+                children.extend([[j] for j in range(base + 1, base + n_chain)])
+            children.append([])
             weight.extend([0] * n_chain)
-            task_set.extend([k] * n_chain)
-            src.extend(path[first - 1 : -1])
+            src.extend(path[first - 1:-1])
             dest.extend(path[first:])
-            msgs.extend([all_msgs] * n_chain)
+            msgs.extend([set_tuple] * n_chain)
+            parking.extend([size] * n_chain)
             pred = base + n_chain - 1
-        # Stack of pending subtree copies: (node u, messages of C
-        # crossing into u, the predecessor task that delivered them into
-        # u, u's parent).  ``node`` starts as v itself, whose "task" is
-        # the last chain task.
-        stack = [(v, all_msgs, pred, -1)]
-        while stack:
-            node, node_msgs, above, up = stack.pop()
-            if up == -1:
-                task = above
-            else:
-                task = len(weight)
-                parent.append(above)
-                weight.append(0)
-                task_set.append(k)
-                src.append(up)
-                dest.append(node)
-                msgs.append(tuple(node_msgs))
-            # Split the messages at ``node``: those delivered here, and
-            # the rest keyed by the child of ``node`` they cross.
-            by_child: dict[int, list[int]] = {}
-            if is_leaf[node]:
-                own = node_msgs
-            else:
-                below = depth[node] + 1
-                own = []
-                for m in node_msgs:
-                    target = targets[m]
-                    if target == node:
-                        own.append(m)
-                        continue
-                    by_child.setdefault(paths[target][below], []).append(m)
-            # The task into ``node`` delivers the messages ending there
-            # and carries their weight (at v, the last chain task: always
-            # so for a leaf packed parent, possible at internal nodes
-            # under the internal-target extension).  A set packed at
-            # ``top`` has no chain: its messages ending there are already
-            # delivered.
-            if own and task != -1:
-                weight[task] = (
-                    len(own) if msg_weight is None
-                    else sum(msg_weight[m] for m in own)
+            if not split:
+                # Every message ends at v: the last chain task delivers
+                # the set.
+                weight[pred] = (
+                    size if msg_weight is None
+                    else sum(map(msg_weight.__getitem__, set_tuple))
                 )
-            for child, child_msgs in by_child.items():
-                stack.append((child, child_msgs, task, node))
-
-    return parent, weight, task_set, src, dest, msgs
+                parking[pred] = 0
+        if split:
+            copy(split, pred, v)
+    return tasks

@@ -21,7 +21,7 @@ from repro.dam.journal import (
     RecoveryReport,
     scan_journal,
 )
-from repro.dam.schedule import Flush, FlushSchedule
+from repro.dam.schedule import Flush, FlushPlan, FlushSchedule
 from repro.dam.simulator import SimulationResult, simulate
 from repro.dam.trace import (
     CheckpointRecord,
@@ -38,6 +38,7 @@ from repro.dam.validator import (
 
 __all__ = [
     "Flush",
+    "FlushPlan",
     "FlushSchedule",
     "simulate",
     "SimulationResult",

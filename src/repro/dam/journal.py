@@ -75,7 +75,7 @@ import os
 import struct
 import zlib
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -764,6 +764,10 @@ class RecoveryManager:
         just after rotation), the file is deleted outright so the chain
         ends at its sealed predecessor; otherwise it is truncated to its
         valid prefix.
+
+        The chain is not read again: the cut bytes held no valid record,
+        so the fold stands and the cached scan is updated to the chain as
+        it now is on disk.
         """
         scan = self.scan()
         if scan.torn_bytes:
@@ -774,10 +778,24 @@ class RecoveryManager:
                 and scan.tail_valid_bytes <= len(_HEADER)
             ):
                 fsh.unlink(tail)
+                segments = scan.segments[:-1]
+                valid = scan.valid_bytes - scan.tail_valid_bytes
+                self._scan = replace(
+                    scan, valid_bytes=valid, file_bytes=valid,
+                    torn_reason="", segments=segments,
+                    tail_valid_bytes=Path(segments[-1]).stat().st_size,
+                )
             else:
                 with fsh.open(tail, "r+b") as f:
                     fsh.truncate(f, scan.tail_valid_bytes)
-            self.scan(refresh=True)
+                self._scan = replace(
+                    scan, file_bytes=scan.valid_bytes,
+                    # A file cut inside its header still reads as one.
+                    torn_reason=(
+                        "truncated header"
+                        if scan.tail_valid_bytes < len(_HEADER) else ""
+                    ),
+                )
         return scan.torn_bytes
 
     def last_durable_step(self) -> int:

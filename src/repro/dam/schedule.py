@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-_set = object.__setattr__
-
 
 @dataclass(frozen=True, slots=True)
 class Flush:
@@ -33,14 +31,14 @@ class Flush:
     ) -> "Flush":
         """A flush whose ``messages`` tuple is already in ascending order.
 
-        Skips the normalizing sort of ``__init__``; the planning kernel
-        emits its flushes this way (its message tuples are sorted by
-        construction).  The caller guarantees the order.
+        Skips the normalizing sort of ``__init__``; the flush gate builds
+        each flush it runs this way (a :class:`FlushPlan`'s message
+        tuples are ascending).  The caller guarantees the order.
         """
-        flush = object.__new__(cls)
-        _set(flush, "src", src)
-        _set(flush, "dest", dest)
-        _set(flush, "messages", messages)
+        flush = _new(cls)
+        _set_src(flush, src)
+        _set_dest(flush, dest)
+        _set_messages(flush, messages)
         return flush
 
     @property
@@ -50,6 +48,53 @@ class Flush:
 
     def __repr__(self) -> str:
         return f"Flush({self.src}->{self.dest}, {len(self.messages)} msgs)"
+
+
+# The slots' own setters: a frozen dataclass refuses ``setattr``, and
+# these skip its per-call attribute lookup (``Flush.presorted``).
+_new = object.__new__
+_set_src = Flush.src.__set__
+_set_dest = Flush.dest.__set__
+_set_messages = Flush.messages.__set__
+
+
+@dataclass(slots=True)
+class FlushPlan:
+    """A priority-ordered flush list as parallel lists: what the planner
+    returns and the flush gate takes.
+
+    Flush ``i`` moves ``msgs[i]`` (ascending ids) from ``src[i]`` to its
+    child ``dest[i]``; ``parking[i]`` of those messages do not complete
+    at ``dest[i]`` (the gate's admission cost).  No :class:`Flush` is
+    built for a planned flush: the gate builds one when it runs.
+    """
+
+    src: list[int]
+    dest: list[int]
+    msgs: list[tuple[int, ...]]
+    parking: list[int]
+
+    @classmethod
+    def of(cls, flushes: "Iterable[Flush]", targets) -> "FlushPlan":
+        """The plan of a :class:`Flush` list; ``targets[m]`` is message
+        ``m``'s target (a list or a mapping)."""
+        flushes = list(flushes)
+        return cls(
+            [f.src for f in flushes],
+            [f.dest for f in flushes],
+            [f.messages for f in flushes],
+            [
+                sum(1 for m in f.messages if targets[m] != f.dest)
+                for f in flushes
+            ],
+        )
+
+    def flushes(self) -> "list[Flush]":
+        """The plan as :class:`Flush` objects, in order."""
+        return list(map(Flush.presorted, self.src, self.dest, self.msgs))
+
+    def __len__(self) -> int:
+        return len(self.src)
 
 
 @dataclass
@@ -78,11 +123,17 @@ class FlushSchedule:
 
     def add(self, time_step: int, flush: Flush) -> None:
         """Place ``flush`` at 1-based ``time_step``, growing as needed."""
+        self.at(time_step).append(flush)
+
+    def at(self, time_step: int) -> list[Flush]:
+        """The flush list of 1-based ``time_step`` (growing the schedule as
+        needed), to append to."""
         if time_step < 1:
             raise ValueError(f"time steps are 1-based, got {time_step}")
-        while len(self.steps) < time_step:
-            self.steps.append([])
-        self.steps[time_step - 1].append(flush)
+        steps = self.steps
+        while len(steps) < time_step:
+            steps.append([])
+        return steps[time_step - 1]
 
     def flushes_at(self, time_step: int) -> list[Flush]:
         """Flushes scheduled at 1-based ``time_step`` (empty if beyond end)."""

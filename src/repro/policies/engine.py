@@ -20,7 +20,14 @@ flush retries after ``2^(attempts-1)`` steps of backoff, its undelivered
 remainder keeping its priority slot.
 
 A plan enters only through :meth:`ShardEngine.set_plan`, which replaces
-the pending list with exactly the flushes it is given.
+the pending list with exactly the plan it is given: a
+:class:`~repro.dam.schedule.FlushPlan`, the parallel lists ``src``,
+``dest``, ``msgs`` and ``parking`` the planner returns.  The engine keeps
+them as lists indexed by plan position — a done flush's ``msgs`` entry
+becomes ``None``, and retry state (attempts, backoff) is a sparse dict
+per plan index that only faults fill — and builds a
+:class:`~repro.dam.schedule.Flush` only for a flush that runs, for the
+realized schedule and the journal.
 
 State is sparse (dicts keyed by message id): a serving shard only ever
 holds the in-flight slice of its message stream.  Each step reports what
@@ -38,15 +45,19 @@ caller applies its own rule to it:
   passes :data:`MAX_IDLE_STEPS`.
 
 **Candidate source.**  Every step scans the pending flushes in
-priority order; a flush whose first message is not at its source is
-rejected by an O(1) check before the rest of the gate runs.
+priority order until ``P`` are attempted; a flush whose first message
+is not at its source is rejected by an O(1) check before the rest of
+the gate runs.  The stall and backoff checks come first, so under
+faults every not-done flush ahead of the ``P``-th attempt is visited in
+plan order (an index of flushes by source would skip those visits and
+change what the fault log records).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dam.schedule import Flush, FlushSchedule
+from repro.dam.schedule import Flush, FlushPlan, FlushSchedule
 from repro.faults.injector import (
     FaultInjector,
     OUTCOME_FAILED,
@@ -58,18 +69,6 @@ from repro.util.errors import InvalidInstanceError
 #: Steps with ready work but no progress before a caller treats the
 #: state as deadlocked (batch: re-plan or raise; serve: forced re-plan).
 MAX_IDLE_STEPS = 4
-
-
-@dataclass(slots=True)
-class _Pending:
-    """A planned flush awaiting execution, with retry bookkeeping."""
-
-    flush: Flush
-    #: messages that do not complete at dest (static admission cost).
-    parking: int = 0
-    attempts: int = 0
-    eligible_at: int = 0  # earliest step this flush may be attempted again
-    done: bool = False
 
 
 @dataclass
@@ -122,8 +121,7 @@ class ShardEngine:
         self.admitted_at: dict[int, int] = {}
         #: parked (non-completed) messages per internal non-root node.
         self.occupancy = [0] * topology.n_nodes
-        self.pending: "list[_Pending]" = []
-        self._n_pending = 0
+        self._clear_plan()
         self.schedule = FlushSchedule()
         self.stats = ShardStats()
         #: messages currently at the root (admitted, not yet flushed down).
@@ -189,8 +187,7 @@ class ShardEngine:
         self.targets = {}
         self.admitted_at = {}
         self.occupancy = [0] * self.topology.n_nodes
-        self.pending = []
-        self._n_pending = 0
+        self._clear_plan()
         self.root_backlog = 0
         self.idle_streak = 0
 
@@ -227,24 +224,56 @@ class ShardEngine:
                 occupancy[v] += 1
         self.occupancy = occupancy
         self.root_backlog = backlog
-        self.pending = []
-        self._n_pending = 0
+        self._clear_plan()
         self.idle_streak = 0
         if schedule is not None:
             self.schedule = schedule
 
-    def set_plan(self, flushes: "list[Flush]") -> None:
-        """Replace the pending priority list with ``flushes``, in order."""
-        target = self.targets.get
-        # parking = messages that do not complete at dest.
-        self.pending = [
-            _Pending(
-                f,
-                len(f.messages) - list(map(target, f.messages)).count(f.dest),
-            )
-            for f in flushes
-        ]
-        self._n_pending = len(self.pending)
+    def set_plan(self, plan: FlushPlan) -> None:
+        """Replace the pending priority list with ``plan``, in order.
+
+        The engine keeps ``plan.src`` and ``plan.dest`` as they are and
+        works on copies of ``plan.msgs`` and ``plan.parking``.
+        """
+        self._src = plan.src
+        self._dest = plan.dest
+        self._msgs: "list[tuple[int, ...] | None]" = list(plan.msgs)
+        self._parking = list(plan.parking)
+        self._attempts: "dict[int, int]" = {}
+        self._eligible_at: "dict[int, int]" = {}
+        self._n_pending = len(self._msgs)
+
+    def _clear_plan(self) -> None:
+        self.set_plan(FlushPlan([], [], [], []))
+
+    def pending_plan(self) -> FlushPlan:
+        """The planned flushes not yet fully executed, in priority order
+        (a partly delivered flush as its undelivered remainder)."""
+        live = [i for i, ms in enumerate(self._msgs) if ms is not None]
+        return FlushPlan(
+            [self._src[i] for i in live],
+            [self._dest[i] for i in live],
+            [self._msgs[i] for i in live],
+            [self._parking[i] for i in live],
+        )
+
+    def _compact(self) -> None:
+        """Drop done flushes from the plan lists, keeping each pending
+        flush's retry state."""
+        live = [i for i, ms in enumerate(self._msgs) if ms is not None]
+        self._src = [self._src[i] for i in live]
+        self._dest = [self._dest[i] for i in live]
+        self._msgs = [self._msgs[i] for i in live]
+        self._parking = [self._parking[i] for i in live]
+        if self._attempts:
+            index = {old: new for new, old in enumerate(live)}
+            self._attempts = {
+                index[i]: a for i, a in self._attempts.items() if i in index
+            }
+            self._eligible_at = {
+                index[i]: e for i, e in self._eligible_at.items()
+                if i in index
+            }
 
     # ------------------------------------------------------------------
     def step(self, t: int, journal=None) -> "list[tuple[int, int]]":
@@ -264,7 +293,13 @@ class ShardEngine:
         occupancy = self.occupancy
         injector = self.injector
         stats = self.stats
-        pending = self.pending
+        srcs = self._src
+        dests = self._dest
+        plan_msgs = self._msgs
+        parking = self._parking
+        attempts = self._attempts
+        eligible_at = self._eligible_at
+        presorted = Flush.presorted
         shard = self.shard_id
         schedule = self.schedule
         P = self.P
@@ -274,35 +309,37 @@ class ShardEngine:
         ran = 0
         attempted = 0
         retries = 0
+        finished = 0  # flushes that delivered all they hold
+        from_root = 0  # messages flushed out of the root
         waiting = False
-        moved: set[int] = set()
+        moved: set[int] = set()  # messages still in flight that moved
         departed: dict[int, int] = {}
         arrived: dict[int, int] = {}
-        for pf in pending:
-            if pf.done:
-                continue
+        for i, full in enumerate(plan_msgs):
+            if full is None:
+                continue  # done
             if attempted >= capacity:
                 break
-            flush = pf.flush
-            src = flush.src
-            dest = flush.dest
-            full = flush.messages
+            src = srcs[i]
             if injector is not None:
                 # Backoff and stall windows: no-ops unless faults are on.
-                if pf.eligible_at > t:
+                if eligible_at.get(i, 0) > t:
                     waiting = True
                     continue
                 if injector.is_stalled(t, src) or injector.is_stalled(
-                    t, dest
+                    t, dests[i]
                 ):
                     stats.stalled_skips += 1
                     waiting = True
                     continue
             if loc(full[0]) != src:
                 continue  # O(1) reject: first message not here yet
-            if any(loc(m) != src or m in moved for m in full):
+            if len(full) > 1 and list(map(loc, full)).count(src) < len(full):
                 continue
-            park = pf.parking
+            if moved and not moved.isdisjoint(full):
+                continue  # a message moves one edge per step
+            dest = dests[i]
+            park = parking[i]
             if not is_leaf[dest]:
                 projected = (
                     occupancy[dest]
@@ -322,14 +359,14 @@ class ShardEngine:
                 )
                 if status == OUTCOME_FAILED:
                     stats.failed_attempts += 1
-                    pf.attempts += 1
-                    pf.eligible_at = t + 1 + (1 << (pf.attempts - 1))
-                    retries = max(retries, pf.attempts)
+                    tries = attempts[i] = attempts.get(i, 0) + 1
+                    eligible_at[i] = t + 1 + (1 << (tries - 1))
+                    retries = max(retries, tries)
                     if journal is not None:
                         journal.record_fault(
                             t, shard, "failed_flush", src, dest,
                             f"{len(full)} msgs no-oped "
-                            f"(attempt {pf.attempts})",
+                            f"(attempt {tries})",
                         )
                     continue
                 if status == OUTCOME_PARTIAL:
@@ -338,34 +375,34 @@ class ShardEngine:
                     stats.partial_deliveries += 1
                     got = set(delivered)
                     remainder = tuple(m for m in full if m not in got)
-                    pf.flush = Flush(src, dest, remainder)
-                    pf.parking = sum(
+                    plan_msgs[i] = remainder
+                    parking[i] = sum(
                         1 for m in remainder if targets[m] != dest
                     )
-                    pf.attempts += 1
-                    pf.eligible_at = t + 1 + (1 << (pf.attempts - 1))
-                    retries = max(retries, pf.attempts)
+                    tries = attempts[i] = attempts.get(i, 0) + 1
+                    eligible_at[i] = t + 1 + (1 << (tries - 1))
+                    retries = max(retries, tries)
                     if journal is not None:
                         journal.record_fault(
                             t, shard, "partial_flush", src, dest,
                             f"delivered {len(delivered)}/{len(full)} msgs "
-                            f"(attempt {pf.attempts})",
+                            f"(attempt {tries})",
                         )
             n = len(delivered)
             if n == len(full):
-                actual = flush
-                pf.done = True
-                self._n_pending -= 1
+                actual = presorted(src, dest, full)
+                plan_msgs[i] = None
+                finished += 1
             else:
                 actual = Flush(src, dest, delivered)
+            if not ran:
+                realized = schedule.at(t)
             ran += 1
-            schedule.add(t, actual)
-            stats.flushes += 1
-            moved.update(delivered)
+            realized.append(actual)
             if journal is not None:
                 journal.record_flush(t, shard, actual)
             if src == root:
-                self.root_backlog -= n
+                from_root += n
             elif not is_leaf[src]:
                 departed[src] = departed.get(src, 0) + n
             if not is_leaf[dest]:
@@ -379,16 +416,19 @@ class ShardEngine:
                     del location[m]
                     del targets[m]
                     del admitted_at[m]
-                    stats.completed += 1
                 else:
                     location[m] = dest
+                    moved.add(m)
         for v, d in departed.items():
             occupancy[v] -= d
         for v, a in arrived.items():
             occupancy[v] += a
-        n_pending = self._n_pending
-        if n_pending and len(pending) > 2 * n_pending:
-            self.pending = [pf for pf in pending if not pf.done]
+        self.root_backlog -= from_root
+        stats.flushes += ran
+        stats.completed += len(completions)
+        n_pending = self._n_pending = self._n_pending - finished
+        if n_pending and len(plan_msgs) > 2 * n_pending:
+            self._compact()
         self.attempted = attempted
         self.ran = ran
         self.waiting = waiting

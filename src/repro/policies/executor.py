@@ -56,7 +56,7 @@ from repro.dam.records import (
     pack_fault,
     pack_flush,
 )
-from repro.dam.schedule import Flush, FlushSchedule
+from repro.dam.schedule import Flush, FlushPlan, FlushSchedule
 from repro.faults.injector import FaultInjector
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_EXECUTE
@@ -108,7 +108,7 @@ def worms_replan(
         instance.topology, instance.P, instance.B, remaining,
         instance.targets.tolist(), location,
         allow_internal_targets=instance.allow_internal_targets,
-    )
+    ).flushes()
 
 
 def execute_flush_list(
@@ -329,7 +329,7 @@ class GatedExecutor:
         engine.restore_state(
             {m: v for m, v in enumerate(start) if v != targets[m]}, targets
         )
-        engine.set_plan(flushes)
+        engine.set_plan(FlushPlan.of(flushes, targets))
         return engine
 
     def _locations(self, engine: ShardEngine) -> "list[int]":
@@ -451,7 +451,7 @@ class GatedExecutor:
                 t, engine,
             )
         self.stats.replans += 1
-        engine.set_plan(new_flushes)
+        engine.set_plan(FlushPlan.of(new_flushes, self._targets))
 
     def _stalled(self, header: str, t: int,
                  engine: ShardEngine) -> ExecutionStalledError:
@@ -461,7 +461,7 @@ class GatedExecutor:
         from the message alone."""
         targets = self._targets
         location = self._locations(engine)
-        pending = [pf.flush for pf in engine.pending if not pf.done]
+        pending = engine.pending_plan().flushes()
         parked = tuple(
             (m, v) for m, v in enumerate(location) if v != targets[m]
         )

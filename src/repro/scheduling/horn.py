@@ -31,6 +31,7 @@ differ too: the key preserves both order and equality.  The exact
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -126,8 +127,9 @@ def horn_trees(
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """Density keys and Horn's trees on flat lists.
 
-    ``children`` and ``order`` (parents before children) describe the
-    task forest (:func:`repro.scheduling.instance.task_forest`);
+    ``children`` and ``order`` (parents before children: a BFS, or task
+    order when every task is numbered after its predecessor) describe
+    the task forest;
     ``weights`` are the integer-scaled task weights.  Returns ``(key,
     f_weight, f_size, horn_root)`` per task: the integer density key
     of ``F_j``, its scaled weight and size, and the root of ``j``'s
@@ -137,8 +139,8 @@ def horn_trees(
     n = len(weights)
     n2 = n * n
     key = [0] * n
-    f_weight = [0] * n
-    f_size = [0] * n
+    f_weight = list(weights)
+    f_size = [1] * n
     absorbed_into = [-1] * n
     # Min-heap (heapq list) of pending subtrees strictly below the
     # growing F_j: subtree ``c`` is the int ``-((key * n + seq) * n + c)``
@@ -148,8 +150,29 @@ def horn_trees(
     seq = 0
 
     for j in reversed(order):
+        kids = children[j]
+        if not kids:  # F_j is j alone
+            key[j] = weights[j] * n2
+            continue
+        if len(kids) == 1 and not pending[kids[0]]:
+            # One child and nothing pending below it (a chain): F_j
+            # absorbs F_c iff it is strictly denser than j alone.
+            c = kids[0]
+            w = weights[j]
+            if key[c] > w * n2:
+                w += f_weight[c]
+                s = 1 + f_size[c]
+                key[j] = w * n2 // s
+                f_weight[j] = w
+                f_size[j] = s
+                absorbed_into[c] = j
+            else:
+                key[j] = w * n2
+                pending[j] = [-((key[c] * n + seq) * n + c)]
+            seq += 1
+            continue
         heap: "list[int] | None" = None
-        for c in children[j]:
+        for c in kids:
             child_heap = pending[c]
             pending[c] = None  # released: its items now live in `heap`
             if heap is None:
@@ -178,18 +201,13 @@ def horn_trees(
         pending[j] = heap
 
     # Resolve the partition: a task's Horn root is the top of its
-    # absorbed-into chain.  Iterative with path compression.
+    # absorbed-into chain.  A task is only absorbed into an ancestor, so
+    # one pass parents-first resolves every chain.
     horn_root = list(range(n))
-    for j in range(n):
-        chain = []
-        x = j
-        while absorbed_into[x] != -1 and horn_root[x] == x:
-            chain.append(x)
-            x = absorbed_into[x]
-        top = horn_root[x]
-        for y in chain:
-            horn_root[y] = top
-        horn_root[j] = top
+    for j in order:
+        above = absorbed_into[j]
+        if above != -1:
+            horn_root[j] = horn_root[above]
     return key, f_weight, f_size, horn_root
 
 
@@ -200,7 +218,7 @@ def density_priorities(key: "list[int]") -> list[int]:
     ``(-task_density[j], j)`` do, as one int (``0 <= j < n``).
     """
     n = len(key)
-    return [j - k * n for j, k in enumerate(key)]
+    return list(map(operator.sub, range(n), map(n.__mul__, key)))
 
 
 def horn_schedule(

@@ -110,7 +110,17 @@ class SchedulingInstance:
     @cached_property
     def _forest(self) -> tuple[list[list[int]], list[int], list[int]]:
         """``(children, roots, BFS order)``, built in one pass."""
-        return task_forest(self.parent.tolist())
+        children: list[list[int]] = [[] for _ in range(self.n_tasks)]
+        roots: list[int] = []
+        for j, p in enumerate(self.parent.tolist()):
+            if p >= 0:
+                children[p].append(j)
+            else:
+                roots.append(j)
+        order = list(roots)
+        for j in order:  # grows while iterating: a BFS from the roots
+            order.extend(children[j])
+        return children, roots, order
 
     def roots(self) -> list[int]:
         """Tasks with no precedence constraint (shared; do not mutate)."""
@@ -155,27 +165,6 @@ class SchedulingInstance:
             f"SchedulingInstance(n_tasks={self.n_tasks}, P={self.P}, "
             f"total_weight={self.total_weight:g})"
         )
-
-
-def task_forest(
-    parent: "list[int]",
-) -> tuple[list[list[int]], list[int], list[int]]:
-    """``(children, roots, BFS order)`` of the forest ``parent`` describes.
-
-    The flat form the planning kernel uses; :class:`SchedulingInstance`
-    derives its own forest through it.
-    """
-    children: list[list[int]] = [[] for _ in parent]
-    roots: list[int] = []
-    for j, p in enumerate(parent):
-        if p >= 0:
-            children[p].append(j)
-        else:
-            roots.append(j)
-    order = list(roots)
-    for j in order:  # grows while iterating: a BFS from the roots
-        order.extend(children[j])
-    return children, roots, order
 
 
 def integer_weights(weights: "list[float]") -> tuple[list[int], int]:

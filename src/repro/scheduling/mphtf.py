@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.scheduling.cost import TaskSchedule
 from repro.scheduling.horn import (
@@ -28,8 +29,8 @@ from repro.scheduling.horn import (
     density_priorities,
     horn_trees,
 )
-from repro.scheduling.instance import SchedulingInstance, task_forest
-from repro.scheduling.phtf import phtf_steps
+from repro.scheduling.instance import SchedulingInstance
+from repro.scheduling.phtf import phtf_batches
 
 
 @dataclass
@@ -48,115 +49,123 @@ def mphtf_schedule(
 ) -> TaskSchedule:
     """Run MPHTF; returns a feasible schedule with ``cost <= 4 * OPT``.
 
-    A thin wrapper over :func:`mphtf_steps`.
+    A thin wrapper over :func:`mphtf_order`.
     """
     if horn is None:
         horn = compute_horn(instance)
-    children = instance.children_lists()
-    roots = instance.roots()
-    prio = horn.priorities()
-    P = instance.P
-    return TaskSchedule(mphtf_steps(
-        children, roots, prio, horn.horn_root.tolist(), P,
-        phtf_steps(children, roots, prio, P), diagnostics,
-    ))
+    order, ends = mphtf_order(
+        instance.children_lists(), instance.roots(), horn.priorities(),
+        horn.horn_root.tolist(), horn.f_size, instance.P, diagnostics,
+    )
+    return TaskSchedule([
+        order[start:end] for start, end in zip([0] + ends, ends)
+    ])
 
 
 def mphtf_plan(
-    parent: "list[int]", weights: "list[int]", P: int
-) -> list[list[int]]:
-    """Horn's trees, PHTF and MPHTF on a flat task forest, in one call.
+    children: "list[list[int]]",
+    roots: "list[int]",
+    weights: "list[int]",
+    P: int,
+) -> list[int]:
+    """Horn's trees, PHTF and MPHTF on a flat task forest: the planner's
+    priority order.
 
-    ``parent``/``weights`` are the reduction's task lists
-    (:func:`repro.core.reduction.reduce_sets`; unit weights are already
-    integers, i.e. integer weights with scale 1).  Returns MPHTF's
-    steps, exactly as :func:`mphtf_schedule` would on the same tasks.
+    ``children``/``roots``/``weights`` are the reduction's task lists
+    (:class:`repro.core.reduction.TaskLists`; every task numbered after
+    its predecessor, unit weights already integers, i.e. integer weights
+    with scale 1).  Returns MPHTF's tasks in step order, exactly as
+    :func:`mphtf_schedule` would run them on the same tasks.
     """
-    children, roots, order = task_forest(parent)
-    key, _, _, tree_of = horn_trees(children, order, weights)
-    prio = density_priorities(key)
-    return mphtf_steps(
-        children, roots, prio, tree_of, P,
-        phtf_steps(children, roots, prio, P),
+    key, _, f_size, tree_of = horn_trees(
+        children, range(len(weights)), weights
     )
+    return mphtf_order(
+        children, roots, density_priorities(key), tree_of, f_size, P
+    )[0]
 
 
-def mphtf_steps(
+def mphtf_order(
     children: "list[list[int]]",
     roots: "list[int]",
     prio: "list[int]",
-    tree_of: "list[int]",
+    tree_of: "Sequence[int]",
+    tree_size: "Sequence[int]",
     P: int,
-    phtf: "list[list[int]]",
     diagnostics: MPHTFDiagnostics | None = None,
-) -> list[list[int]]:
-    """MPHTF on flat lists: the task ids run at each step, trimmed.
+) -> "tuple[list[int], list[int]]":
+    """PHTF and MPHTF in one loop on flat lists.
 
     ``prio`` is :func:`repro.scheduling.horn.density_priorities`,
-    ``tree_of[j]`` the root of ``j``'s Horn's tree and ``phtf`` PHTF's
-    steps (:func:`repro.scheduling.phtf.phtf_steps`).
+    ``tree_of[j]`` the root of ``j``'s Horn's tree and ``tree_size[r]``
+    the size of the tree rooted at ``r`` (``F_r``: the ``f_size`` of
+    :func:`repro.scheduling.horn.horn_trees`).  Each PHTF step
+    (:func:`repro.scheduling.phtf.phtf_batches`) is turned into MPHTF's
+    two steps as it is made.  Returns ``(order, ends)``: MPHTF's tasks in
+    step order, and where each step ends in ``order`` (trailing empty
+    steps trimmed).
     """
+    heappush, heappop = heapq.heappush, heapq.heappop
     n = len(prio)
-    if diagnostics is None:
-        diagnostics = MPHTFDiagnostics()
 
     # Per-Horn-tree min-heap (indexed by the tree's root task) of tasks
     # that are precedence-available in the MPHTF execution.  Every task
     # enters its tree's heap once, when it becomes available, and leaves
     # it when processed.
     tree_queue: list[list[int]] = [[] for _ in range(n)]
-    remaining_in_tree = [0] * n
-    for root in tree_of:
-        remaining_in_tree[root] += 1
+    remaining_in_tree = list(tree_size)
     for j in roots:
-        heapq.heappush(tree_queue[tree_of[j]], prio[j])
+        heappush(tree_queue[tree_of[j]], prio[j])
 
-    steps: list[list[int]] = []
-    n_done = 0
-    for step_tasks in phtf:
+    order: list[int] = []
+    ends: list[int] = []
+    wasted = 0
+    for batch in phtf_batches(children, roots, prio, P):
         # The trees PHTF touched this step, with multiplicity: if PHTF ran
         # two tasks of the same tree in one step, MPHTF owes that tree two
         # slots in each of its two corresponding steps.
-        tree_slots = [tree_of[j] for j in step_tasks]
-        for _ in range(2):
+        tree_slots = list(map(tree_of.__getitem__, batch))
+        for _ in (0, 1):
             # Children of a task processed now become available only
             # after the step ends (a child must run strictly later).
-            step: list[int] = []
             unlocked: list[int] = []
             for root in tree_slots:
-                if remaining_in_tree[root] > 0:
+                if remaining_in_tree[root]:
                     queue = tree_queue[root]
-                    if not queue:
-                        diagnostics.wasted_slots += 1
-                        continue
-                    j = heapq.heappop(queue) % n
-                    remaining_in_tree[root] -= 1
-                    step.append(j)
-                    unlocked.extend(children[j])
-            steps.append(step)
-            n_done += len(step)
+                    if queue:
+                        j = heappop(queue) % n
+                        order.append(j)
+                        unlocked += children[j]
+                        remaining_in_tree[root] -= 1
+                    else:
+                        wasted += 1
+            ends.append(len(order))
             for c in unlocked:
-                heapq.heappush(tree_queue[tree_of[c]], prio[c])
+                heappush(tree_queue[tree_of[c]], prio[c])
 
     # Drain phase: finish anything left (possible only when slots were
     # wasted above). Full rate, densest-first across all trees.
-    if n_done < n:
+    drained = 0
+    if len(order) < n:
         global_queue = [p for queue in tree_queue for p in queue]
         heapq.heapify(global_queue)
-        while n_done < n:
+        while len(order) < n:
             if not global_queue:  # pragma: no cover - forest makes this impossible
                 raise RuntimeError("MPHTF drain stalled with tasks remaining")
-            diagnostics.drain_steps += 1
+            drained += 1
             step = [
-                heapq.heappop(global_queue) % n
+                heappop(global_queue) % n
                 for _ in range(min(P, len(global_queue)))
             ]
-            steps.append(step)
-            n_done += len(step)
+            order += step
+            ends.append(len(order))
             for j in step:
                 for c in children[j]:
-                    heapq.heappush(global_queue, prio[c])
+                    heappush(global_queue, prio[c])
 
-    while steps and not steps[-1]:
-        steps.pop()
-    return steps
+    while ends and ends[-1] == (ends[-2] if len(ends) > 1 else 0):
+        ends.pop()
+    if diagnostics is not None:
+        diagnostics.wasted_slots += wasted
+        diagnostics.drain_steps += drained
+    return order, ends

@@ -10,6 +10,7 @@ the fractional cost** ``cost^f`` (Lemma 12), which is exactly what the
 from __future__ import annotations
 
 import heapq
+from typing import Iterator
 
 from repro.scheduling.cost import TaskSchedule
 from repro.scheduling.horn import HornDecomposition, compute_horn
@@ -25,37 +26,40 @@ def phtf_schedule(
     Ties between equal densities are broken by lowest task id, keeping the
     output deterministic (the paper allows arbitrary tie-breaking).  The
     heap holds :meth:`HornDecomposition.priorities`: exact integer keys.
-    A thin wrapper over :func:`phtf_steps`.
+    A thin wrapper over :func:`phtf_batches`.
     """
     if horn is None:
         horn = compute_horn(instance)
-    return TaskSchedule(phtf_steps(
+    return TaskSchedule(list(phtf_batches(
         instance.children_lists(), instance.roots(), horn.priorities(),
         instance.P,
-    ))
+    )))
 
 
-def phtf_steps(
+def phtf_batches(
     children: "list[list[int]]",
     roots: "list[int]",
     prio: "list[int]",
     P: int,
-) -> list[list[int]]:
-    """PHTF on flat lists: the task ids run at each step, in order.
+) -> "Iterator[list[int]]":
+    """PHTF on flat lists: yields the task ids run at each step, in order.
 
-    ``prio`` is :func:`repro.scheduling.horn.density_priorities`.
+    ``prio`` is :func:`repro.scheduling.horn.density_priorities`.  A
+    generator, so MPHTF (:func:`repro.scheduling.mphtf.mphtf_order`)
+    runs each PHTF step as it is made.
     """
+    heappush, heappop = heapq.heappush, heapq.heappop
     n = len(prio)
-    available = [prio[j] for j in roots]
+    available = list(map(prio.__getitem__, roots))
     heapq.heapify(available)
-    steps: list[list[int]] = []
     while available:
-        batch = [
-            heapq.heappop(available) % n
-            for _ in range(min(P, len(available)))
-        ]
-        steps.append(batch)
+        if len(available) <= P:  # all of them, densest first
+            available.sort()
+            batch = list(map(n.__rmod__, available))
+            available.clear()
+        else:
+            batch = [heappop(available) % n for _ in range(P)]
+        yield batch
         for j in batch:
             for c in children[j]:
-                heapq.heappush(available, prio[c])
-    return steps
+                heappush(available, prio[c])

@@ -18,22 +18,33 @@ every ``epoch_length`` steps, in one of two modes:
 A plan is :func:`plan_flushes`: the paper's pipeline (packed sets ->
 reduction -> MPHTF -> Lemma 8 order) run from each message's current
 node.  Messages are grouped by that node, each group is packed and
-reduced on the subtree below it, and the joined task forest is solved
-by one MPHTF; an all-at-root plan is the one-group case.  The paper's
+reduced on the subtree below it, all into one task forest, and one
+MPHTF solves it; an all-at-root plan is the one-group case.  The paper's
 Lemma 9 covers neither the joined reduction nor the ``B/3`` packing
 threshold (:data:`PLAN_DENOM`), so validity does not rest on the plan:
 the plan is a *priority order*, and the shard engine's flush gate keeps
 every executed step valid whatever the order.
 
-:func:`plan_flushes` runs the flat planning kernel: each stage's core,
-called directly — :func:`~repro.core.packed.pack_sets`,
-:func:`~repro.core.reduction.reduce_sets`,
-:func:`~repro.scheduling.mphtf.mphtf_plan` (Horn's trees, PHTF,
-MPHTF) — on parallel int lists over the shard tree's
-:attr:`~repro.tree.topology.TreeTopology.tables`, so a plan builds no
-``Message``, ``WORMSInstance``, ``SchedulingInstance`` or numpy array.
-The object APIs (``build_packed_sets``, ``reduce_to_scheduling``,
-``compute_horn``, ``mphtf_schedule``) wrap the same cores, so every
+:func:`plan_flushes` runs the flat planning kernel, one flat plan from
+planner to gate, each stage in as few passes as its rule allows:
+
+* :func:`~repro.core.packed.pack_sets` packs each group on its global
+  ids, and the split of a packed node's messages by child that finds
+  the packed nodes is the one its sets carry;
+* :func:`~repro.core.reduction.reduce_sets` turns all groups' sets into
+  one task forest, each task created with its predecessor link, weight,
+  parking count and global-id message tuple, so no ids are remapped and
+  no forests joined;
+* :func:`~repro.scheduling.mphtf.mphtf_plan` runs Horn's trees over that
+  forest, then PHTF and MPHTF in one loop, and returns the flat task
+  order;
+* the plan is a :class:`~repro.dam.schedule.FlushPlan`, the tasks' lists
+  in that order, which the engine takes as it is.
+
+A plan builds no ``Message``, ``WORMSInstance``, ``SchedulingInstance``,
+numpy array, ``Flush`` or per-flush object of any kind.  The object APIs
+(``build_packed_sets``, ``reduce_to_scheduling``, ``compute_horn``,
+``phtf_schedule``, ``mphtf_schedule``) wrap the same cores, so every
 stage has one implementation and a one-group plan is the one the object
 pipeline computes on that group's subtree.
 
@@ -47,7 +58,7 @@ from dataclasses import dataclass
 
 from repro.core.packed import pack_sets
 from repro.core.reduction import reduce_sets
-from repro.dam.schedule import Flush
+from repro.dam.schedule import FlushPlan
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_PLAN
 from repro.scheduling.mphtf import mphtf_plan
@@ -85,15 +96,15 @@ def plan_flushes(
     *,
     weights: "list[int] | None" = None,
     allow_internal_targets: bool = False,
-) -> "list[Flush]":
-    """Priority-ordered flush list for ``msg_ids`` (global ids preserved).
+) -> FlushPlan:
+    """The priority-ordered plan for ``msg_ids`` (global ids preserved).
 
     ``targets`` and ``locations`` map a global id to its target and
     current node (a dict or a dense list; no ``locations``: every
     message is at the root).  Messages are grouped by current node; each
     group is packed at ``B/``:data:`PLAN_DENOM` and reduced on the
-    subtree below its node, the task forests are joined in node order,
-    and one MPHTF orders them all (one flush per task, in step order).
+    subtree below its node, straight into one task forest in node order,
+    and one MPHTF orders it (one flush per task, in step order).
     ``weights[i]`` is message ``msg_ids[i]``'s integer weight in the
     ``ΣwC`` objective (default: unit weights).  Targets must be leaves
     unless ``allow_internal_targets`` (the footnote-3 extension).
@@ -101,62 +112,65 @@ def plan_flushes(
     if P < 1 or B < 1:
         raise InvalidInstanceError(f"need P >= 1 and B >= 1, got {P}, {B}")
     if not msg_ids:
-        return []
+        return FlushPlan([], [], [], [])
     tables = topology.tables
     is_leaf = tables.is_leaf
-    n_nodes = len(is_leaf)
-    sub_targets = [targets[m] for m in msg_ids]
-    for i, t in enumerate(sub_targets):
-        if not 0 <= t < n_nodes:
-            raise InvalidInstanceError(
-                f"message {msg_ids[i]} targets unknown node {t}"
-            )
-        if not (allow_internal_targets or is_leaf[t]):
-            raise InvalidInstanceError(
-                f"message {msg_ids[i]} targets non-leaf node {t}"
-            )
-    if locations is None:
-        groups = {tables.root: None}
+    msg_targets = list(map(targets.__getitem__, msg_ids))
+    if (
+        min(msg_targets) < 0 or max(msg_targets) >= len(is_leaf)
+        or not (allow_internal_targets
+                or all(map(is_leaf.__getitem__, msg_targets)))
+    ):
+        for m, t in zip(msg_ids, msg_targets):
+            if not 0 <= t < len(is_leaf):
+                raise InvalidInstanceError(
+                    f"message {m} targets unknown node {t}"
+                )
+            if not (allow_internal_targets or is_leaf[t]):
+                raise InvalidInstanceError(
+                    f"message {m} targets non-leaf node {t}"
+                )
+    starts = (
+        [tables.root] if locations is None
+        else list(map(locations.__getitem__, msg_ids))
+    )
+    if min(starts) == max(starts):
+        groups = {starts[0]: msg_ids}
     else:
         groups = {}
-        for i, m in enumerate(msg_ids):
-            groups.setdefault(locations[m], []).append(i)
-        if len(groups) == 1:
-            groups = dict.fromkeys(groups)
-    ascending = all(a < b for a, b in zip(msg_ids, msg_ids[1:]))
-    presorted = Flush.presorted
-    parent: "list[int]" = []
-    weight: "list[int]" = []
-    flushes: "list[Flush]" = []  # one per task of the joined forest
+        for m, v in zip(msg_ids, starts):
+            group = groups.get(v)
+            if group is None:
+                groups[v] = [m]
+            else:
+                group.append(m)
+    set_node: "list[int]" = []
+    set_msgs: list = []
+    set_split: list = []
+    set_top: "list[int]" = []
     for top in sorted(groups):
-        group = groups[top]
-        if group is None:  # every message starts at ``top``
-            ids, group_targets, group_weights = msg_ids, sub_targets, weights
-        else:
-            ids = [msg_ids[i] for i in group]
-            group_targets = [sub_targets[i] for i in group]
-            group_weights = (
-                None if weights is None else [weights[i] for i in group]
-            )
-        _nodes, set_node, set_msgs, _children = pack_sets(
-            tables, group_targets, B, PLAN_DENOM, top
+        _nodes, nodes, tuples, splits = pack_sets(
+            tables, targets, groups[top], B, PLAN_DENOM, top
         )
-        g_parent, g_weight, _sets, src, dest, msgs = reduce_sets(
-            tables, group_targets, set_node, set_msgs, group_weights, top
-        )
-        if flushes:
-            offset = len(flushes)
-            g_parent = [j + offset if j >= 0 else -1 for j in g_parent]
-        parent += g_parent
-        weight += g_weight
-        # Sub-ids -> global ids: every ``msgs`` tuple is ascending, so it
-        # stays so when ``msg_ids`` is.
-        flushes += map(presorted, src, dest, [
-            tuple([ids[i] for i in ms]) for ms in msgs
-        ] if ascending else [
-            tuple(sorted([ids[i] for i in ms])) for ms in msgs
-        ])
-    return [flushes[j] for step in mphtf_plan(parent, weight, P) for j in step]
+        set_node += nodes
+        set_msgs += tuples
+        set_split += splits
+        set_top += [top] * len(nodes)
+    tasks = reduce_sets(
+        tables, targets, set_node, set_msgs, set_split,
+        None if weights is None else dict(zip(msg_ids, weights)), set_top,
+    )
+    order = mphtf_plan(tasks.children, tasks.roots, tasks.weight, P)
+    msgs = list(map(tasks.msgs.__getitem__, order))
+    if msg_ids != sorted(msg_ids):
+        # Task tuples keep the order of ``msg_ids``: ascending when it is.
+        msgs = [tuple(sorted(ms)) for ms in msgs]
+    return FlushPlan(
+        list(map(tasks.src.__getitem__, order)),
+        list(map(tasks.dest.__getitem__, order)),
+        msgs,
+        list(map(tasks.parking.__getitem__, order)),
+    )
 
 
 @dataclass
@@ -240,12 +254,12 @@ class EpochPlanner:
         residual = sorted(engine.location)
         admitted = [engine.admitted_at[m] for m in residual]
         newest = max(admitted, default=0)
-        flushes = plan_flushes(
+        plan = plan_flushes(
             engine.topology, engine.P, engine.B, residual, engine.targets,
             engine.location,
             weights=[AGE_BASE + newest - a for a in admitted],
         )
-        engine.set_plan(flushes)
+        engine.set_plan(plan)
         engine.idle_streak = 0
-        self.stats.planned_flushes += len(flushes)
+        self.stats.planned_flushes += len(plan)
         return "forced" if force_full else "full"

@@ -144,6 +144,8 @@ def test_repair_deletes_recordless_tail_segment(tmp_path):
     assert not nxt.exists()
     assert len(journal_segments(path)) == n_before
     assert scan_journal(path).torn_bytes == 0
+    # Repair updates the scan it holds instead of reading the chain again.
+    assert framing(manager.scan()) == framing(scan_journal(path))
 
 
 def test_repair_truncates_tail_segment_with_records(tmp_path):
@@ -155,12 +157,31 @@ def test_repair_truncates_tail_segment_with_records(tmp_path):
     )
     # Append garbage to the tail segment: torn, but records survive.
     tail.write_bytes(tail.read_bytes() + b"\x07\x07\x07")
-    cut = RecoveryManager(path).repair()
+    manager = RecoveryManager(path)
+    cut = manager.repair()
     assert cut == 3
     assert tail.exists()
     scan = scan_journal(path)
     assert scan.torn_bytes == 0
     assert len(scan.records) == tail_records
+    assert framing(manager.scan()) == framing(scan)
+
+
+def test_repair_of_a_file_cut_inside_its_header(tmp_path):
+    path = tmp_path / "cut.journal"
+    path.write_bytes(_HEADER[:3])
+    manager = RecoveryManager(path)
+    assert manager.repair() == 3
+    assert path.stat().st_size == 0
+    assert framing(manager.scan()) == framing(scan_journal(path))
+
+
+def framing(scan):
+    """Everything a scan knows about the chain but its records."""
+    return (
+        scan.valid_bytes, scan.file_bytes, scan.torn_reason, scan.segments,
+        scan.tail_valid_bytes, list(scan.ends),
+    )
 
 
 def test_orphan_segment_beyond_gap_is_ignored(tmp_path):

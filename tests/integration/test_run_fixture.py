@@ -87,6 +87,38 @@ def test_torn_fixture_recovers_exactly(tmp_path, capsys):
     assert RESUMED in out
 
 
+def test_torn_fixture_recovery_scans_the_journal_once(
+        tmp_path, capsys, monkeypatch):
+    """``recover`` of a cut copy reads the chain once: repair cuts the
+    torn tail and updates the scan it already has."""
+    import repro.dam.journal as journal_mod
+
+    scans = []
+    real_scan = journal_mod.scan_journal
+
+    def counting(*args, **kwargs):
+        scan = real_scan(*args, **kwargs)
+        scans.append(scan)
+        return scan
+
+    monkeypatch.setattr(journal_mod, "scan_journal", counting)
+    torn = truncate_at(FIXTURE, FIXTURE.stat().st_size * 3 // 5,
+                       out=tmp_path / "torn.woj")
+    assert main(["recover", str(torn)]) == 0
+    assert len(scans) == 1
+    assert scans[0].torn_bytes > 0
+    out = capsys.readouterr().out
+    assert "torn tail" in out
+    assert RESUMED in out
+    # What the repair left on disk is exactly the scan's valid prefix.
+    monkeypatch.setattr(journal_mod, "scan_journal", real_scan)
+    repaired = scan_journal(torn)
+    assert repaired.torn_bytes == 0
+    assert repaired.valid_bytes == torn.stat().st_size == \
+        scans[0].valid_bytes
+    assert list(repaired.ends) == list(scans[0].ends)
+
+
 def test_run_rewrites_the_fixture_record_for_record(tmp_path, capsys):
     journal = tmp_path / "run.woj"
     assert main([*FIXTURE_ARGV, "--journal", str(journal)]) == 0

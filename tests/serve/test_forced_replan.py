@@ -15,7 +15,7 @@ Two serving-loop contracts the batch tests cannot see:
 
 from __future__ import annotations
 
-from repro.dam.schedule import Flush
+from repro.dam.schedule import Flush, FlushPlan
 from repro.serve.loop import (
     MAX_FORCED_REPLANS,
     ServeConfig,
@@ -60,7 +60,10 @@ class PoisonPlanner(EpochPlanner):
             self.stats.forced_replans += 1
         src = mid_node(engine.topology)
         stuck = sorted(engine.location)
-        engine.set_plan([Flush(src, engine.targets[m], (m,)) for m in stuck])
+        engine.set_plan(FlushPlan.of(
+            [Flush(src, engine.targets[m], (m,)) for m in stuck],
+            engine.targets,
+        ))
         engine.idle_streak = 0
         self.stats.planned_flushes += len(stuck)
         return "forced" if force_full else "full"

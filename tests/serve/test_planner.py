@@ -51,7 +51,7 @@ def test_epoch_length_validated():
 def test_plan_flushes_all_at_root_reaches_all_targets():
     _engine, topo = make_engine()
     targets = {i: topo.leaves[i % len(topo.leaves)] for i in range(10)}
-    flushes = plan_flushes(topo, 2, 8, list(range(10)), targets)
+    flushes = plan_flushes(topo, 2, 8, list(range(10)), targets).flushes()
     delivered = {
         m for f in flushes for m in f.messages
         if targets[m] == f.dest
@@ -67,7 +67,7 @@ def test_plan_flushes_midtree_residual():
     leaf = topo.leaves_under(mid)[0]
     targets = {5: leaf, 9: topo.leaves[-1]}
     locations = {5: mid, 9: topo.root}
-    flushes = plan_flushes(topo, 2, 8, [5, 9], targets, locations)
+    flushes = plan_flushes(topo, 2, 8, [5, 9], targets, locations).flushes()
     firsts = {}
     for f in flushes:
         for m in f.messages:
@@ -81,9 +81,10 @@ def test_noop_epoch_keeps_plan():
     planner = EpochPlanner(4)
     engine.admit(0, topo.leaves[0], 1)
     planner.plan(engine, [0])
-    before = list(engine.pending)
+    before = engine.pending_plan()
+    assert len(before) > 0
     planner.plan(engine, [])
-    assert engine.pending == before
+    assert engine.pending_plan() == before
     assert planner.stats.noop_epochs == 1
 
 
@@ -91,7 +92,8 @@ def test_arrival_into_clean_subtree_replans_everything_in_flight(
         monkeypatch):
     """An arrival whose top-level subtree holds no parked message still
     gets one full, age-weighted plan over every in-flight message, and
-    the engine takes it whole through ``set_plan``."""
+    the engine takes it whole through ``set_plan``: the planner's flat
+    lists, parking counts included."""
     engine, topo = make_engine(B=64)
     planner = EpochPlanner(4)
     leaf_a = topo.leaves_under(topo.child_towards(topo.root, topo.leaves[0]))[0]
@@ -104,9 +106,9 @@ def test_arrival_into_clean_subtree_replans_everything_in_flight(
     taken = []
     real_set_plan = engine.set_plan
 
-    def spy(flushes):
-        taken.append(list(flushes))
-        real_set_plan(flushes)
+    def spy(plan):
+        taken.append(plan)
+        real_set_plan(plan)
 
     monkeypatch.setattr(engine, "set_plan", spy)
     expected = plan_flushes(topo, engine.P, engine.B, [0, 1],
@@ -114,8 +116,9 @@ def test_arrival_into_clean_subtree_replans_everything_in_flight(
                             weights=[8 + 1, 8])
     assert planner.plan(engine, [1]) == "full"
     assert taken == [expected]
-    assert [pf.flush for pf in engine.pending] == expected
-    assert {m for f in expected for m in f.messages} == {0, 1}
+    assert engine.pending_plan() == expected
+    assert {m for ms in expected.msgs for m in ms} == {0, 1}
+    assert engine.pending_flushes == len(expected)
     assert planner.stats.full_replans == 2
     done = run_dry(engine, t0=2)
     assert sorted(done) == [0, 1]
@@ -150,15 +153,16 @@ def test_forced_replan_resets_idle_streak():
 def test_full_replan_weights_messages_by_age(monkeypatch):
     """A full re-plan weights message m by 8 + (newest admission step in
     the plan - m's admission step), and a restored message counts from
-    its restore step."""
+    its restore step; the engine takes exactly the weighted plan."""
     import repro.serve.planner as planner_mod
 
     calls = []
     real = planner_mod.plan_flushes
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("weights"))
-        return real(*args, **kwargs)
+        plan = real(*args, **kwargs)
+        calls.append((kwargs.get("weights"), plan))
+        return plan
 
     monkeypatch.setattr(planner_mod, "plan_flushes", spy)
     engine, topo = make_engine(B=64)
@@ -167,11 +171,13 @@ def test_full_replan_weights_messages_by_age(monkeypatch):
         engine.admit(gid, topo.leaves[gid], step)
     planner.plan(engine, [0, 1, 2])
     planner.plan(engine, [], force_full=True)
-    assert calls == [[13, 11, 8], [13, 11, 8]]
+    assert [w for w, _ in calls] == [[13, 11, 8], [13, 11, 8]]
+    assert engine.pending_plan() == calls[-1][1]
     engine.restore_state(dict(engine.location), engine.targets, step=9)
     engine.admit(3, topo.leaves[3], 12)
     planner.plan(engine, [], force_full=True)
-    assert calls[-1] == [11, 11, 11, 8]
+    assert calls[-1][0] == [11, 11, 11, 8]
+    assert engine.pending_plan() == calls[-1][1]
 
 
 def test_first_plan_all_at_root_matches_offline_pipeline():
@@ -197,10 +203,41 @@ def test_plan_flushes_validates_targets_and_machine():
     with pytest.raises(InvalidInstanceError):
         plan_flushes(topo, 0, 8, [4], {4: topo.leaves[0]})
     flushes = plan_flushes(topo, 2, 8, [4], {4: internal},
-                           allow_internal_targets=True)
+                           allow_internal_targets=True).flushes()
     assert [(f.src, f.dest, f.messages) for f in flushes] == [
         (topo.root, internal, (4,))
     ]
+
+
+def test_plan_parking_counts_messages_not_ending_at_dest(monkeypatch):
+    """For every flush of every planner-golden grid and kernel case, the
+    plan's parking count is its message count minus the messages whose
+    target is its destination: the flush gate's admission check takes
+    the count from the plan as it is."""
+    import repro.serve.planner as planner_mod
+    from tests.serve import test_planner_golden as golden
+
+    real = planner_mod.plan_flushes
+    sizes = []
+
+    def checking(topology, P, B, msg_ids, targets, *args, **kwargs):
+        plan = real(topology, P, B, msg_ids, targets, *args, **kwargs)
+        assert plan.parking == [
+            len(ms) - sum(targets[m] == d for m in ms)
+            for d, ms in zip(plan.dest, plan.msgs)
+        ]
+        sizes.append(len(plan))
+        return plan
+
+    monkeypatch.setattr(planner_mod, "plan_flushes", checking)
+    monkeypatch.setattr(golden, "plan_flushes", checking)
+    cases = list(golden.plan_cases())
+    for case in cases:
+        golden.run_plan_case(case)
+    for case in golden.KERNEL_CASES:
+        golden.run_kernel_case(case)
+    assert len(sizes) == len(cases) + len(golden.KERNEL_CASES)
+    assert min(sizes) == 0 and sum(sizes) > 10_000
 
 
 def _object_plan(topo, P, B, ids, targets):
@@ -238,7 +275,7 @@ def test_plan_flushes_is_the_object_pipeline(seed):
     topo = beps_shape_tree(16, 0.5, 64)
     ids = [int(x) for x in rng.choice(5000, size=40, replace=False)]
     targets = {m: int(rng.choice(topo.leaves)) for m in ids}
-    got = plan_flushes(topo, 4, 16, ids, targets)
+    got = plan_flushes(topo, 4, 16, ids, targets).flushes()
     assert [(f.src, f.dest, f.messages) for f in got] == \
         _object_plan(topo, 4, 16, ids, targets)
 
@@ -257,7 +294,9 @@ def test_plan_from_mid_tree_is_the_object_pipeline_on_the_subtree(tree, n):
         sub, nodes, index = _subtree(topo, s)
         ids = sorted(int(x) for x in rng.choice(5000, size=n, replace=False))
         targets = {m: int(rng.choice(topo.leaves_under(s))) for m in ids}
-        got = plan_flushes(topo, 4, 16, ids, targets, dict.fromkeys(ids, s))
+        got = plan_flushes(
+            topo, 4, 16, ids, targets, dict.fromkeys(ids, s)
+        ).flushes()
         expected = _object_plan(
             sub, 4, 16, ids, {m: index[t] for m, t in targets.items()}
         )
@@ -276,10 +315,10 @@ def test_mid_tree_groups_are_joined_not_concatenated():
     ids = list(range(24))
     start = {m: a if m % 2 else b for m in ids}
     targets = {m: int(rng.choice(topo.leaves_under(start[m]))) for m in ids}
-    got = plan_flushes(topo, 2, 8, ids, targets, start)
+    got = plan_flushes(topo, 2, 8, ids, targets, start).flushes()
     per_group = {
         s: plan_flushes(topo, 2, 8, [m for m in ids if start[m] == s],
-                        targets, start)
+                        targets, start).flushes()
         for s in (a, b)
     }
     srcs = [topo.root_path(f.src)[1] for f in got]

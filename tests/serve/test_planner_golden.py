@@ -110,7 +110,7 @@ def plan_inputs(case: str):
 
 def run_plan_case(case: str) -> str:
     topo, P, B, ids, targets, locations = plan_inputs(case)
-    flushes = plan_flushes(topo, P, B, ids, targets, locations)
+    flushes = plan_flushes(topo, P, B, ids, targets, locations).flushes()
     return _sha(repr([(f.src, f.dest, f.messages) for f in flushes]))
 
 
@@ -197,7 +197,7 @@ def run_kernel_case(case: str) -> str:
                     int(rng.integers(0, topo.height_of(targets[m])))])
                 for m in ids
             }
-        flushes = plan_flushes(topo, 4, 16, ids, targets, locations)
+        flushes = plan_flushes(topo, 4, 16, ids, targets, locations).flushes()
     elif kind == "replan":
         targets_kind, start = rest
         inst = _replan_instance(case, targets_kind)
@@ -206,7 +206,7 @@ def run_kernel_case(case: str) -> str:
         )
         flushes = worms_replan(inst, remaining, location)
     elif case == "empty/plan":
-        flushes = plan_flushes(_serve_tree(), 4, 16, [], {})
+        flushes = plan_flushes(_serve_tree(), 4, 16, [], {}).flushes()
     elif case == "empty/replan":
         inst = _replan_instance(case, "internal")
         flushes = worms_replan(inst, [], inst.targets.tolist())
@@ -215,7 +215,9 @@ def run_kernel_case(case: str) -> str:
         topo = _serve_tree()
         ids = [3, 8, 21, 34]
         targets = {m: topo.leaves[m] for m in ids}
-        flushes = plan_flushes(topo, 4, 16, ids, targets, dict(targets))
+        flushes = plan_flushes(
+            topo, 4, 16, ids, targets, dict(targets)
+        ).flushes()
     else:  # at-target/replan: internal targets at the root, held there
         topo = TREES["balanced"]()
         inst = WORMSInstance(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dam.schedule import Flush
+from repro.dam.schedule import Flush, FlushPlan
 from repro.serve.planner import plan_flushes
 from repro.serve.router import ShardEngine, ShardRouter
 from repro.tree import balanced_tree
@@ -84,14 +84,14 @@ def test_engine_respects_buffer_bound():
     leaves = topo.leaves_under(mid)
     for gid in range(3):
         engine.admit(gid, leaves[0], 1)
-    engine.set_plan([
+    engine.set_plan(FlushPlan.of([
         Flush(topo.root, mid, (0,)),
         Flush(topo.root, mid, (1,)),
         Flush(topo.root, mid, (2,)),
         Flush(mid, leaves[0], (0,)),
         Flush(mid, leaves[0], (1,)),
         Flush(mid, leaves[0], (2,)),
-    ])
+    ], engine.targets))
     max_occ = 0
     for t in range(1, 20):
         engine.step(t)
@@ -118,10 +118,10 @@ def test_idle_streak_flags_cross_plan_deadlock():
     engine.admit(1, leaf_a, 1)
     # Both park at mid_a (B=1): the second root flush is never admissible
     # and nothing drains mid_a -> idle streak grows.
-    engine.set_plan([
+    engine.set_plan(FlushPlan.of([
         Flush(topo.root, mid_a, (0,)),
         Flush(topo.root, mid_a, (1,)),
-    ])
+    ], engine.targets))
     for t in range(1, 10):
         engine.step(t)
     assert engine.idle_streak > 0
