@@ -6,7 +6,8 @@ one time step therefore performs up to ``P`` flushes of up to ``B``
 messages each (Section 2.1 of the paper).
 
 * :mod:`repro.dam.schedule` — the :class:`Flush`/:class:`FlushSchedule`
-  data types every scheduler produces.
+  data types every scheduler produces, and :class:`FlushLog`, a realized
+  schedule held flat.
 * :mod:`repro.dam.simulator` — replays a schedule against a WORMS instance,
   tracking message locations, completion times, and node occupancy.
 * :mod:`repro.dam.validator` — checks the paper's validity conditions
@@ -21,7 +22,7 @@ from repro.dam.journal import (
     RecoveryReport,
     scan_journal,
 )
-from repro.dam.schedule import Flush, FlushPlan, FlushSchedule
+from repro.dam.schedule import Flush, FlushLog, FlushPlan, FlushSchedule
 from repro.dam.simulator import SimulationResult, simulate
 from repro.dam.trace import (
     CheckpointRecord,
@@ -38,6 +39,7 @@ from repro.dam.validator import (
 
 __all__ = [
     "Flush",
+    "FlushLog",
     "FlushPlan",
     "FlushSchedule",
     "simulate",

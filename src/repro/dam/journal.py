@@ -75,6 +75,7 @@ import os
 import struct
 import zlib
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
@@ -88,9 +89,9 @@ from repro.dam.records import (
     REC_META,
     decode,
 )
-from repro.dam.schedule import Flush, FlushSchedule
+from repro.dam.schedule import FlushLog, FlushSchedule
 from repro.dam.simulator import SimulationResult
-from repro.dam.trace import CheckpointRecord, _apply_step, _initial_state
+from repro.dam.trace import CheckpointRecord, _apply_flush, _initial_state
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_JOURNAL, PHASE_RECOVER
 from repro.util.compact_json import compact_json
@@ -525,9 +526,9 @@ class RecoveryFold:
     byte offset of a journal needs one fold, not one re-read per offset.
     ``source`` names the journal in error messages.
 
-    Flushes are held flat, as the journal packs them: one int array in
-    which each flush is a ``t, shard, src, dest, n, m1..mn`` run (shard
-    0 for a batch run's), not one record dict each.
+    Flushes are held flat, as the journal packs them: one
+    :class:`~repro.dam.schedule.FlushLog` per shard (shard 0 for a batch
+    run's), not one record dict each.
     """
 
     def __init__(self, source: str = "journal") -> None:
@@ -541,9 +542,8 @@ class RecoveryFold:
         self.completed = False
         #: the newest checkpoint record (the first one at its step).
         self.checkpoint: "dict | None" = None
-        #: every journaled flush, in journal order, as
-        #: ``t, shard, src, dest, n, m1..mn`` runs of one int array.
-        self.flushes = array("q")
+        #: shard -> its journaled flushes, in journal order.
+        self.logs: "dict[int, FlushLog]" = defaultdict(FlushLog)
         # The two newest distinct flush steps (-1 = none yet).
         self._last = self._before_last = -1
 
@@ -560,12 +560,10 @@ class RecoveryFold:
         kind = record["type"]
         if kind == REC_FLUSH:
             t = int(record["t"])
-            msgs = record["msgs"]
-            flushes = self.flushes
-            flushes.extend((t, int(record.get("shard", 0)),
-                            int(record["src"]), int(record["dest"]),
-                            len(msgs)))
-            flushes.extend(map(int, msgs))
+            self.logs[int(record.get("shard", 0))].append(
+                t, int(record["src"]), int(record["dest"]),
+                sorted(map(int, record["msgs"])),
+            )
             if t > self._last:
                 self._last, self._before_last = t, self._last
             elif self._last > t > self._before_last:
@@ -594,44 +592,36 @@ class RecoveryFold:
         # No evidence step `last` finished: it is not durable.
         return max(self._before_last, max_cp, 0)
 
-    def _timed_flushes(self, hi: int, after: "int | None" = None):
-        """``(t, shard, flush)`` of each journaled flush with ``t <= hi``
-        (and ``t > after``, if given), in journal order."""
-        flushes = self.flushes
-        i, end = 0, len(flushes)
-        while i < end:
-            t, sid, src, dest, n = flushes[i:i + 5]
-            j = i + 5 + n
-            if t <= hi and (after is None or t > after):
-                yield t, sid, Flush(src, dest, tuple(flushes[i + 5:j]))
-            i = j
-
     def check_prefix(
-        self, schedules: "Mapping[int, FlushSchedule]", *,
-        shard: "int | None" = None,
+        self, logs: "Mapping[int, FlushLog]", *, shard: "int | None" = None
     ) -> int:
         """The durable-prefix rule: every durable journaled flush is in its
-        shard's reference schedule (``schedules[shard]``) at its step.
+        shard's realized reference log (``logs[shard]``) at its step.
 
         ``shard`` restricts the check to one shard's flushes.  Returns the
         number of flushes checked; raises
         :class:`JournalCorruptionError` (``schedule-mismatch``) on the
-        first one the reference lacks — the journal belongs to a
-        different run.
+        first one the reference lacks, shard by shard — the journal
+        belongs to a different run.
         """
+        hi = self.last_durable_step()
         checked = 0
-        for t, sid, flush in self._timed_flushes(self.last_durable_step()):
+        for sid, log in sorted(self.logs.items()):
             if shard is not None and sid != shard:
                 continue
-            reference = schedules.get(sid)
-            if reference is None or flush not in reference.flushes_at(t):
-                raise JournalCorruptionError(
-                    f"{self.source}: journaled flush {flush!r} (shard "
-                    f"{sid}, step {t}) is not in the reference schedule — "
-                    "the journal belongs to a different run",
-                    reason="schedule-mismatch",
-                )
-            checked += 1
+            reference = logs.get(sid)
+            for t, src, dest, msgs in log:
+                if t > hi:
+                    continue
+                if reference is None or not reference.has(t, src, dest, msgs):
+                    raise JournalCorruptionError(
+                        f"{self.source}: journaled flush Flush({src}->{dest}, "
+                        f"{len(msgs)} msgs) (shard {sid}, step {t}) is not in "
+                        "the reference schedule — the journal belongs to a "
+                        "different run",
+                        reason="schedule-mismatch",
+                    )
+                checked += 1
         return checked
 
     def state(
@@ -674,11 +664,11 @@ class RecoveryFold:
             return base, base.step
         location = list(base.locations)
         completion = list(base.completions)
-        by_step: dict[int, list[Flush]] = {}
-        for t, _sid, flush in self._timed_flushes(durable, base.step):
-            by_step.setdefault(t, []).append(flush)
-        for t in sorted(by_step):
-            _apply_step(t, by_step[t], location, completion, instance.targets)
+        targets = instance.targets.tolist()
+        for log in self.logs.values():
+            for t, _src, dest, msgs in log:
+                if base.step < t <= durable:
+                    _apply_flush(t, dest, msgs, location, completion, targets)
         state = CheckpointRecord(durable, tuple(location), tuple(completion))
         return state, base.step
 
@@ -692,7 +682,10 @@ class RecoveryFold:
         from repro.dam.validator import validate_recovery
 
         cp, base_step = self.state(instance)
-        replayed = self.check_prefix({0: schedule})
+        reference = FlushLog()
+        for t, f in schedule.iter_timed():
+            reference.append(t, f.src, f.dest, f.messages)
+        replayed = self.check_prefix({0: reference})
         result = validate_recovery(instance, schedule, cp)
         return RecoveryReport(
             result=result,

@@ -26,9 +26,8 @@ kind  record                          body
 A shard of ``-1`` marks a batch run's record, which carries no
 ``"shard"`` key.  The JSON form holds the run's ``meta`` and the rare
 kinds (``end``, ``divert``, ``driver``); any record may be written in it
-(test fixtures do), but the writers pack the hot kinds: a flush is the
-same ``t, shard, src, dest, n, m1..mn`` stream the process driver ships
-its chunks in.
+(test fixtures do), but the writers pack the hot kinds: a flush is its
+:class:`~repro.dam.schedule.FlushLog` run with the shard after ``t``.
 
 :func:`decode` turns a payload back into the record dict, key for key
 what the JSON form of the same record reads as.  It raises

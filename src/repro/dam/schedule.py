@@ -5,10 +5,14 @@ a sequence of time steps, each holding at most ``P`` flushes (Section 2.1).
 These types are deliberately dumb containers — all semantics (message
 locations, space requirements) live in the simulator/validator so that a
 schedule can be inspected, sliced, and serialized freely.
+
+An *executed* flush has one layout, a :class:`FlushLog` run (its packed
+mirror is :func:`repro.dam.records.pack_flush`).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -25,22 +29,6 @@ class Flush:
         # Normalize: deterministic ordering makes schedules comparable.
         object.__setattr__(self, "messages", tuple(sorted(self.messages)))
 
-    @classmethod
-    def presorted(
-        cls, src: int, dest: int, messages: tuple[int, ...]
-    ) -> "Flush":
-        """A flush whose ``messages`` tuple is already in ascending order.
-
-        Skips the normalizing sort of ``__init__``; the flush gate builds
-        each flush it runs this way (a :class:`FlushPlan`'s message
-        tuples are ascending).  The caller guarantees the order.
-        """
-        flush = _new(cls)
-        _set_src(flush, src)
-        _set_dest(flush, dest)
-        _set_messages(flush, messages)
-        return flush
-
     @property
     def size(self) -> int:
         """Number of messages moved by this flush."""
@@ -50,14 +38,6 @@ class Flush:
         return f"Flush({self.src}->{self.dest}, {len(self.messages)} msgs)"
 
 
-# The slots' own setters: a frozen dataclass refuses ``setattr``, and
-# these skip its per-call attribute lookup (``Flush.presorted``).
-_new = object.__new__
-_set_src = Flush.src.__set__
-_set_dest = Flush.dest.__set__
-_set_messages = Flush.messages.__set__
-
-
 @dataclass(slots=True)
 class FlushPlan:
     """A priority-ordered flush list as parallel lists: what the planner
@@ -65,8 +45,7 @@ class FlushPlan:
 
     Flush ``i`` moves ``msgs[i]`` (ascending ids) from ``src[i]`` to its
     child ``dest[i]``; ``parking[i]`` of those messages do not complete
-    at ``dest[i]`` (the gate's admission cost).  No :class:`Flush` is
-    built for a planned flush: the gate builds one when it runs.
+    at ``dest[i]`` (the gate's admission cost).
     """
 
     src: list[int]
@@ -91,7 +70,7 @@ class FlushPlan:
 
     def flushes(self) -> "list[Flush]":
         """The plan as :class:`Flush` objects, in order."""
-        return list(map(Flush.presorted, self.src, self.dest, self.msgs))
+        return list(map(Flush, self.src, self.dest, self.msgs))
 
     def __len__(self) -> int:
         return len(self.src)
@@ -123,17 +102,12 @@ class FlushSchedule:
 
     def add(self, time_step: int, flush: Flush) -> None:
         """Place ``flush`` at 1-based ``time_step``, growing as needed."""
-        self.at(time_step).append(flush)
-
-    def at(self, time_step: int) -> list[Flush]:
-        """The flush list of 1-based ``time_step`` (growing the schedule as
-        needed), to append to."""
         if time_step < 1:
             raise ValueError(f"time steps are 1-based, got {time_step}")
         steps = self.steps
         while len(steps) < time_step:
             steps.append([])
-        return steps[time_step - 1]
+        steps[time_step - 1].append(flush)
 
     def flushes_at(self, time_step: int) -> list[Flush]:
         """Flushes scheduled at 1-based ``time_step`` (empty if beyond end)."""
@@ -167,3 +141,62 @@ class FlushSchedule:
 
     def __repr__(self) -> str:
         return f"FlushSchedule({self.n_steps} steps, {self.n_flushes} flushes)"
+
+
+class FlushLog:
+    """A realized schedule held flat, in step order: :attr:`runs` is one
+    ``i32`` array in which each executed flush is a ``t, src, dest, n,
+    m1..mn`` run, its message ids ascending (as :class:`Flush` sorts
+    them).  :meth:`schedule` builds the objects only when read."""
+
+    __slots__ = ("runs", "_starts", "_indexed")
+
+    def __init__(self, runs=()) -> None:
+        self.runs = array("i", runs)
+        # step -> offset of its first run, indexed up to ``_indexed``.
+        self._starts: "dict[int, int]" = {}
+        self._indexed = 0
+
+    def append(self, t: int, src: int, dest: int, msgs) -> None:
+        """Log a flush of ``msgs`` (ascending) at step ``t``."""
+        runs = self.runs
+        runs.extend((t, src, dest, len(msgs)))
+        runs.extend(msgs)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+        """``(t, src, dest, msgs)`` of each flush, in log order."""
+        runs = self.runs
+        i, end = 0, len(runs)
+        while i < end:
+            t, src, dest, n = runs[i:i + 4]
+            j = i + 4 + n
+            yield t, src, dest, tuple(runs[i + 4:j])
+            i = j
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def has(self, t: int, src: int, dest: int, msgs: tuple) -> bool:
+        """Whether the flush ``src -> dest`` of ``msgs`` ran at step
+        ``t``."""
+        runs, starts = self.runs, self._starts
+        i, end = self._indexed, len(runs)
+        while i < end:
+            starts.setdefault(runs[i], i)
+            i += 4 + runs[i + 3]
+        self._indexed = i
+        i = starts.get(t, end)
+        run = (src, dest, len(msgs), *msgs)
+        while i < end and runs[i] == t:
+            j = i + 4 + runs[i + 3]
+            if tuple(runs[i + 1:j]) == run:
+                return True
+            i = j
+        return False
+
+    def schedule(self) -> FlushSchedule:
+        """The log as a :class:`FlushSchedule`."""
+        schedule = FlushSchedule()
+        for t, src, dest, msgs in self:
+            schedule.add(t, Flush(src, dest, msgs))
+        return schedule

@@ -225,13 +225,21 @@ def _apply_step(
     Assumes a validated schedule — no violation checking (use the
     simulator for diagnosis).
     """
+    return sum(
+        _apply_flush(t, f.dest, f.messages, location, completion, targets)
+        for f in step_flushes
+    )
+
+
+def _apply_flush(t: int, dest: int, msgs, location: "list[int]",
+                 completion: "list[int]", targets) -> int:
+    """:func:`_apply_step` for one flush of ``msgs`` into ``dest``."""
     done = 0
-    for flush in step_flushes:
-        for m in flush.messages:
-            location[m] = flush.dest
-            if flush.dest == int(targets[m]) and completion[m] == 0:
-                completion[m] = t
-                done += 1
+    for m in msgs:
+        location[m] = dest
+        if dest == int(targets[m]) and completion[m] == 0:
+            completion[m] = t
+            done += 1
     return done
 
 

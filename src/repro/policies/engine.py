@@ -25,9 +25,9 @@ the pending list with exactly the plan it is given: a
 ``dest``, ``msgs`` and ``parking`` the planner returns.  The engine keeps
 them as lists indexed by plan position — a done flush's ``msgs`` entry
 becomes ``None``, and retry state (attempts, backoff) is a sparse dict
-per plan index that only faults fill — and builds a
-:class:`~repro.dam.schedule.Flush` only for a flush that runs, for the
-realized schedule and the journal.
+per plan index that only faults fill.  A flush that runs is appended to
+the realized :class:`~repro.dam.schedule.FlushLog` (:attr:`ShardEngine.log`)
+and journaled as ``src, dest, msgs``: the engine builds no ``Flush``.
 
 State is sparse (dicts keyed by message id): a serving shard only ever
 holds the in-flight slice of its message stream.  Each step reports what
@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.dam.schedule import Flush, FlushPlan, FlushSchedule
+from repro.dam.schedule import FlushLog, FlushPlan
 from repro.faults.injector import (
     FaultInjector,
     OUTCOME_FAILED,
@@ -122,7 +122,8 @@ class ShardEngine:
         #: parked (non-completed) messages per internal non-root node.
         self.occupancy = [0] * topology.n_nodes
         self._clear_plan()
-        self.schedule = FlushSchedule()
+        #: the realized schedule: every flush that ran, in step order.
+        self.log = FlushLog()
         self.stats = ShardStats()
         #: messages currently at the root (admitted, not yet flushed down).
         self.root_backlog = 0
@@ -178,7 +179,7 @@ class ShardEngine:
 
         The chaos harness calls this to model a whole-shard kill: every
         location, target, buffer occupancy, and pending plan is gone, as
-        if the shard process died.  The realized :attr:`schedule` and
+        if the shard process died.  The realized :attr:`log` and
         :attr:`stats` survive — they belong to the run's accounting, not
         to the shard's memory — and the supervisor is expected to
         :meth:`restore_state` from the journal before stepping again.
@@ -192,12 +193,7 @@ class ShardEngine:
         self.idle_streak = 0
 
     def restore_state(
-        self,
-        locations: "dict[int, int]",
-        targets,
-        *,
-        step: int = 0,
-        schedule: "FlushSchedule | None" = None,
+        self, locations: "dict[int, int]", targets, *, step: int = 0
     ) -> None:
         """Rebuild in-flight state from a snapshot taken at ``step``.
 
@@ -205,10 +201,8 @@ class ShardEngine:
         node; ``targets`` (a mapping or a dense list) must cover at least
         those ids.  Every restored message counts as admitted at
         ``step``.  Buffer occupancy and the root backlog are re-derived
-        from the locations, the pending plan is cleared — the caller
-        re-plans from the restored locations — and, when given,
-        ``schedule`` replaces the realized schedule (restarts rebuild it
-        from the journal so the report stays complete across a kill).
+        from the locations, and the pending plan is cleared — the caller
+        re-plans from the restored locations.
         """
         root = self._root
         is_leaf = self._is_leaf
@@ -226,8 +220,6 @@ class ShardEngine:
         self.root_backlog = backlog
         self._clear_plan()
         self.idle_streak = 0
-        if schedule is not None:
-            self.schedule = schedule
 
     def set_plan(self, plan: FlushPlan) -> None:
         """Replace the pending priority list with ``plan``, in order.
@@ -250,22 +242,16 @@ class ShardEngine:
         """The planned flushes not yet fully executed, in priority order
         (a partly delivered flush as its undelivered remainder)."""
         live = [i for i, ms in enumerate(self._msgs) if ms is not None]
-        return FlushPlan(
-            [self._src[i] for i in live],
-            [self._dest[i] for i in live],
-            [self._msgs[i] for i in live],
-            [self._parking[i] for i in live],
-        )
+        return FlushPlan(*(
+            [column[i] for i in live]
+            for column in (self._src, self._dest, self._msgs, self._parking)
+        ))
 
     def _compact(self) -> None:
         """Drop done flushes from the plan lists, keeping each pending
         flush's retry state."""
-        live = [i for i, ms in enumerate(self._msgs) if ms is not None]
-        self._src = [self._src[i] for i in live]
-        self._dest = [self._dest[i] for i in live]
-        self._msgs = [self._msgs[i] for i in live]
-        self._parking = [self._parking[i] for i in live]
         if self._attempts:
+            live = [i for i, ms in enumerate(self._msgs) if ms is not None]
             index = {old: new for new, old in enumerate(live)}
             self._attempts = {
                 index[i]: a for i, a in self._attempts.items() if i in index
@@ -274,6 +260,10 @@ class ShardEngine:
                 index[i]: e for i, e in self._eligible_at.items()
                 if i in index
             }
+        plan = self.pending_plan()
+        self._src, self._dest, self._msgs, self._parking = (
+            plan.src, plan.dest, plan.msgs, plan.parking
+        )
 
     # ------------------------------------------------------------------
     def step(self, t: int, journal=None) -> "list[tuple[int, int]]":
@@ -281,8 +271,9 @@ class ShardEngine:
 
         Executes up to ``P`` ready-and-admissible pending flushes in
         priority order (see the module docstring for the full gate).
-        ``journal`` (if given) receives ``record_flush(t, shard, flush)``
-        and ``record_fault(t, shard, kind, src, dest, detail)`` calls.
+        ``journal`` (if given) receives ``record_flush(t, shard, src,
+        dest, msgs)`` and ``record_fault(t, shard, kind, src, dest,
+        detail)`` calls.
         """
         is_leaf = self._is_leaf
         root = self._root
@@ -299,9 +290,8 @@ class ShardEngine:
         parking = self._parking
         attempts = self._attempts
         eligible_at = self._eligible_at
-        presorted = Flush.presorted
+        log = self.log.append
         shard = self.shard_id
-        schedule = self.schedule
         P = self.P
         B = self.B
         capacity = P if injector is None else injector.effective_p(t, P)
@@ -390,17 +380,14 @@ class ShardEngine:
                         )
             n = len(delivered)
             if n == len(full):
-                actual = presorted(src, dest, full)
                 plan_msgs[i] = None
                 finished += 1
             else:
-                actual = Flush(src, dest, delivered)
-            if not ran:
-                realized = schedule.at(t)
+                delivered = tuple(sorted(delivered))
             ran += 1
-            realized.append(actual)
+            log(t, src, dest, delivered)
             if journal is not None:
-                journal.record_flush(t, shard, actual)
+                journal.record_flush(t, shard, src, dest, delivered)
             if src == root:
                 from_root += n
             elif not is_leaf[src]:

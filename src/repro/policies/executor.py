@@ -20,7 +20,7 @@ steps it in a loop, adding the rules only a batch run has:
   than :data:`~repro.policies.engine.MAX_IDLE_STEPS` rolled-back steps
   in a row show a deadlock (a non-laminar list), the surviving in-flight
   messages are re-planned from their current locations
-  (:func:`worms_replan`) and the new list replaces the pending tail;
+  (:func:`worms_replan`) and the new plan replaces the pending tail;
 * **graceful failure** — with ``max_replans`` used up (0 for
   :func:`execute_flush_list`), or past ``max_steps``, the run raises
   :class:`~repro.util.errors.ExecutionStalledError` carrying the
@@ -89,17 +89,12 @@ class ResilienceStats:
     fault_events: list = field(default_factory=list)
 
 
-def worms_replan(
+def _replan_plan(
     instance: WORMSInstance, remaining: "list[int]", location: "list[int]"
-) -> "list[Flush]":
-    """Default re-planning hook: a fresh priority order for ``remaining``.
-
-    The serving planner's rule, :func:`repro.serve.planner.plan_flushes`,
-    unweighted, on the messages' *current* locations: survivors are
-    grouped by node, each group is packed (at ``B/3``) and reduced on the
-    subtree below its node, and one MPHTF orders the joined tasks (the
-    Lemma 8 flush order).  Returned flushes use original message ids.
-    """
+) -> FlushPlan:
+    """What a batch re-plan runs: a fresh priority order for ``remaining``
+    by the serving planner's rule (:func:`repro.serve.planner.plan_flushes`,
+    unweighted) from the messages' *current* locations."""
     # Imported here: ``repro.serve`` pulls in the whole serving package,
     # which batch users of this module never need.
     from repro.serve.planner import plan_flushes
@@ -108,7 +103,15 @@ def worms_replan(
         instance.topology, instance.P, instance.B, remaining,
         instance.targets.tolist(), location,
         allow_internal_targets=instance.allow_internal_targets,
-    ).flushes()
+    )
+
+
+def worms_replan(
+    instance: WORMSInstance, remaining: "list[int]", location: "list[int]"
+) -> "list[Flush]":
+    """The batch re-plan of ``remaining`` as :class:`Flush` objects, with
+    original message ids (see :func:`_replan_plan`)."""
+    return _replan_plan(instance, remaining, location).flushes()
 
 
 def execute_flush_list(
@@ -129,22 +132,18 @@ def record_run_metrics(metrics, schedule: FlushSchedule,
     Called only from enabled obs contexts, after the run finished — the
     disabled path never reaches this and never pays for it.
     """
-    n_flushes = 0
-    moved = 0
     size_hist = metrics.histogram(
         "executor_flush_size", "messages per realized flush"
     )
-    for step in schedule.steps:
-        for flush in step:
-            n_flushes += 1
-            moved += flush.size
-            size_hist.observe(flush.size)
+    for _t, flush in schedule.iter_timed():
+        size_hist.observe(flush.size)
     for name, help_text, value in (
         ("executor_runs_total", "executor runs completed", 1),
         ("executor_steps_total", "DAM steps executed", schedule.n_steps),
-        ("executor_flushes_total", "flushes issued by executors", n_flushes),
+        ("executor_flushes_total", "flushes issued by executors",
+         schedule.n_flushes),
         ("executor_messages_moved_total", "message moves across all flushes",
-         moved),
+         schedule.n_message_moves),
         ("executor_retries_total", "failed flush attempts retried",
          stats.failed_attempts),
         ("executor_partial_deliveries_total",
@@ -189,14 +188,11 @@ class _RunJournal:
 
     # The engine's journal protocol; a batch run is a single shard, so
     # its records carry shard -1 (no shard).
-    def record_flush(self, t: int, _shard: int, flush: Flush) -> None:
-        self.writer.append(
-            pack_flush(t, -1, flush.src, flush.dest, flush.messages),
-            REC_FLUSH,
-        )
-        dest = flush.dest
+    def record_flush(self, t: int, _shard: int, src: int, dest: int,
+                     msgs) -> None:
+        self.writer.append(pack_flush(t, -1, src, dest, msgs), REC_FLUSH)
         completion = self.completion
-        for m in flush.messages:
+        for m in msgs:
             if self.targets[m] == dest and completion[m] == 0:
                 completion[m] = t
 
@@ -245,9 +241,6 @@ class GatedExecutor:
     max_replans:
         Re-planning rounds allowed before giving up with
         :class:`ExecutionStalledError`.
-    replanner:
-        Hook ``(instance, remaining_msg_ids, location) -> list[Flush]``;
-        defaults to :func:`worms_replan`.
     max_steps:
         Hard ceiling on simulated steps (a diagnosable backstop against
         pathological fault plans); defaults to a generous multiple of
@@ -269,7 +262,6 @@ class GatedExecutor:
         *,
         retry_budget: int = DEFAULT_RETRY_BUDGET,
         max_replans: int = 2,
-        replanner=None,
         max_steps: "int | None" = None,
         journal=None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
@@ -287,7 +279,6 @@ class GatedExecutor:
         self.injector = injector
         self.retry_budget = max(1, int(retry_budget))
         self.max_replans = max(0, int(max_replans))
-        self.replanner = replanner if replanner is not None else worms_replan
         if max_steps is None:
             work = max(1, instance.total_work())
             max_steps = 1000 + 50 * work
@@ -368,7 +359,7 @@ class GatedExecutor:
         # Only a completed run publishes the injector's event log.
         if self.injector is not None:
             stats.fault_events = list(self.injector.events)
-        schedule = engine.schedule.trim()
+        schedule = engine.log.schedule()
         if journal is not None:
             journal.finish(schedule.n_steps)
         if obs.enabled:
@@ -435,23 +426,15 @@ class GatedExecutor:
             reason=reason, remaining=len(remaining), step=t,
         ):
             try:
-                new_flushes = self.replanner(
-                    self.instance, remaining, location
-                )
+                plan = _replan_plan(self.instance, remaining, location)
             except ReproError as exc:
                 raise self._stalled(
                     f"gated executor stalled ({reason}; "
                     f"replan failed: {exc})",
                     t, engine,
                 ) from exc
-        if not new_flushes and remaining:
-            raise self._stalled(
-                f"gated executor stalled ({reason}; replanner returned "
-                "no flushes for surviving messages)",
-                t, engine,
-            )
         self.stats.replans += 1
-        engine.set_plan(FlushPlan.of(new_flushes, self._targets))
+        engine.set_plan(plan)
 
     def _stalled(self, header: str, t: int,
                  engine: ShardEngine) -> ExecutionStalledError:

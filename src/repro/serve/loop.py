@@ -32,6 +32,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace as dataclass_replace
+from functools import cached_property
 
 from repro.dam.journal import (
     JournalWriter,
@@ -47,7 +48,7 @@ from repro.dam.records import (
     pack_flush,
     pack_serve_checkpoint,
 )
-from repro.dam.schedule import Flush, FlushSchedule
+from repro.dam.schedule import FlushLog, FlushSchedule
 from repro.faults.chaos import (
     CHAOS_CORRUPT,
     CHAOS_DISK_FAULT,
@@ -274,8 +275,8 @@ class ServeReport:
     snapshot: dict
     #: global message id -> completion step (completed messages only).
     completions: "dict[int, int]"
-    #: realized per-shard schedules (index = shard id).
-    shard_schedules: "list[FlushSchedule]"
+    #: realized per-shard flush logs (index = shard id).
+    shard_logs: "list[FlushLog]"
     planner_stats: PlannerStats
     admission_stats: AdmissionStats
     shard_stats: "list[ShardStats]"
@@ -288,6 +289,11 @@ class ServeReport:
     #: (pids are real and therefore non-deterministic; they live here,
     #: never in the metrics snapshot that determinism drills diff).
     worker_log: "tuple[tuple, ...]" = ()
+
+    @cached_property
+    def shard_schedules(self) -> "list[FlushSchedule]":
+        """:attr:`shard_logs` as schedules, built on first read."""
+        return [log.schedule() for log in self.shard_logs]
 
 
 class _ServeJournal:
@@ -302,11 +308,9 @@ class _ServeJournal:
         #: rule); 0 until the first checkpoint lands.
         self.last_durable_step = 0
 
-    def record_flush(self, t: int, shard: int, flush: Flush) -> None:
-        self.writer.append(
-            pack_flush(t, shard, flush.src, flush.dest, flush.messages),
-            REC_FLUSH,
-        )
+    def record_flush(self, t: int, shard: int, src: int, dest: int,
+                     msgs) -> None:
+        self.writer.append(pack_flush(t, shard, src, dest, msgs), REC_FLUSH)
 
     def record_fault(self, t: int, shard: int, kind: str, src: int,
                      dest: int, detail: str) -> None:
@@ -458,7 +462,7 @@ class ShardStep:
         """Rebuild shard ``sid``'s machine state from a journal fold at
         step ``t``.
 
-        The engine's realized schedule and counters survive the wipe
+        The engine's realized log and counters survive the wipe
         (they belong to the run's accounting); the restored messages
         count as admitted at ``t`` and get a fresh full plan and a fresh
         re-plan budget.
@@ -1175,9 +1179,7 @@ class ServiceLoop(ShardStep):
             and g not in m.shed_ids
         )
 
-    def _restart_records(
-        self, sid: int, t: int
-    ) -> "list[tuple[int, int, int, tuple[int, ...]]]":
+    def _restart_records(self, sid: int, t: int) -> FlushLog:
         """The shard's durable flush history for the restart fold.
 
         With a journal attached, durability is sealed first (checkpoint
@@ -1185,23 +1187,19 @@ class ServiceLoop(ShardStep):
         and the durable-prefix check
         (:meth:`~repro.dam.journal.RecoveryFold.check_prefix`) confirms
         the durable journal holds no record for this shard that its
-        realized schedule doesn't — the detection half of the
-        exact-or-typed-error contract.  The fold
-        itself always runs on the schedule, which survives rotation +
-        compaction dropping sealed records a checkpoint superseded.
+        realized log doesn't — the detection half of the
+        exact-or-typed-error contract.  The fold itself runs on the log,
+        which compaction does not cut.
         """
-        realized = [
-            (t0, f.src, f.dest, tuple(f.messages))
-            for t0, f in self.engines[sid].schedule.iter_timed()
-        ]
+        log = self.engines[sid].log
         if self._journal is not None:
             self._journal.checkpoint(
                 t - 1, self._next_gid, len(self.metrics.completion_step)
             )
             RecoveryManager(self._journal.writer.path).fold().check_prefix(
-                {sid: self.engines[sid].schedule}, shard=sid
+                {sid: log}, shard=sid
             )
-        return realized
+        return log
 
     def _restart_shard(self, sid: int, t: int) -> bool:
         """Rebuild a quarantined shard from its durable history."""
@@ -1319,7 +1317,7 @@ class ServiceLoop(ShardStep):
             n_steps=t,
             snapshot=snapshot,
             completions=dict(self.metrics.completion_step),
-            shard_schedules=[e.schedule for e in self.engines],
+            shard_logs=[e.log for e in self.engines],
             planner_stats=self.planner.stats,
             admission_stats=self.admission.stats,
             shard_stats=[e.stats for e in self.engines],
@@ -1415,8 +1413,6 @@ class ServiceLoop(ShardStep):
             raise
         finally:
             self._stop_workers()
-        for engine in engines:
-            engine.schedule.trim()
         if journal is not None:
             journal.finish(t, self._next_gid, len(metrics.completion_step))
         self._close_store()
@@ -1539,7 +1535,7 @@ def recover_serve(path, *, repair: bool = True) -> ServeRecoveryReport:
     if repair:
         manager.repair()
     report = rederive_serve(fold.meta, fold.driver)
-    replayed = fold.check_prefix(dict(enumerate(report.shard_schedules)))
+    replayed = fold.check_prefix(dict(enumerate(report.shard_logs)))
     durable = fold.last_durable_step()
     if obs.enabled:
         obs.profiler.add(PHASE_RECOVER, obs.profiler.clock() - t_wall)

@@ -13,13 +13,12 @@ engines, a planner, and the admission lanes the drain reads.
 containers of them, never a class instance.  A chunk carries, per
 shard, its arrivals as ``t, gid, leaf`` int triples;
 the reply carries, per shard, flat int streams in step order — admits
-as ``t, gid, done`` (``-1`` for none), journal records (a flush as
-``t, src, dest, n, m1..mn``, a fault as ``t, ~i`` into the chunk's one
-list of ``(kind, src, dest, detail)``), completions as ``t, gid``, one
-``backlog, in_flight`` depth pair per step — and counter deltas as
-tuples in field order.  The parent walks each shard's streams with a
-cursor and rebuilds every flush (:meth:`~repro.dam.schedule.Flush.presorted`)
-only to journal it and add it to its shard's realized schedule.
+as ``t, gid, done`` (``-1`` for none), the chunk's runs of the shard's
+:class:`~repro.dam.schedule.FlushLog`, completions as ``t, gid``, one
+``backlog, in_flight`` depth pair per step — its faults as tuples, and
+counter deltas as tuples in field order.  The parent copies each run
+slice into its shard's log whole and walks the streams with a cursor,
+building no object per flush unless it journals one.
 
 Neither side restates the in-process loop.  A worker is a
 :class:`~repro.serve.loop.ShardStep` — the same drain / plan / step
@@ -111,7 +110,7 @@ from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 
-from repro.dam.schedule import Flush
+from repro.dam.schedule import FlushLog
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_EXECUTE
 from repro.serve.loop import (
@@ -152,33 +151,36 @@ def _add_deltas(stats, names, deltas) -> None:
 # ---------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------
-class _ShardJournalBuffer:
-    """One chunk's journal records, as flat per-shard int streams.
+class _ChunkFaults:
+    """The serve journal's face in a worker: a flush is in its engine's
+    :class:`~repro.dam.schedule.FlushLog`, whose runs ship as they are,
+    so it is only counted; a fault is kept for the parent as ``(k, t,
+    kind, src, dest, detail)``, after the shard's ``k``-th flush of the
+    chunk."""
 
-    Presents the ``record_flush`` / ``record_fault`` face of the serve
-    journal.  A flush appends ``t, src, dest, n, m1..mn`` to its shard's
-    stream; a fault appends ``t, ~i``, where ``i`` indexes
-    :attr:`faults`, the chunk's ``(kind, src, dest, detail)`` list (a
-    source node is never negative, so the sign tells the two apart).
-    The parent replays each stream in (step, shard) order, so journal
-    bytes match the in-process loop exactly."""
-
-    __slots__ = ("records", "faults")
+    __slots__ = ("flushes", "faults")
 
     def __init__(self, shards) -> None:
-        self.records: "dict[int, list[int]]" = {sid: [] for sid in shards}
-        self.faults: "list[tuple]" = []
+        self.flushes = dict.fromkeys(shards, 0)
+        self.faults: "dict[int, list[tuple]]" = {sid: [] for sid in shards}
 
-    def record_flush(self, t: int, shard: int, flush: Flush) -> None:
-        rec = self.records[shard]
-        msgs = flush.messages
-        rec += (t, flush.src, flush.dest, len(msgs))
-        rec += msgs
+    def record_flush(self, t: int, shard: int, *_flush) -> None:
+        self.flushes[shard] += 1
 
-    def record_fault(self, t: int, shard: int, kind: str, src: int,
-                     dest: int, detail: str) -> None:
-        self.records[shard] += (t, ~len(self.faults))
-        self.faults.append((kind, src, dest, detail))
+    def record_fault(self, t: int, shard: int, *fault) -> None:
+        self.faults[shard].append((self.flushes[shard], t, *fault))
+
+
+def _journal_events(runs, faults):
+    """A shard's chunk of journal records in its engine's order: flushes
+    as ``(t, src, dest, msgs)``, faults as ``[t, kind, src, dest, detail]``."""
+    flushes = iter(FlushLog(runs))
+    done = 0
+    for k, *fault in faults:
+        yield from islice(flushes, k - done)
+        done = k
+        yield fault
+    yield from flushes
 
 
 class _ShardWorker(ShardStep):
@@ -320,19 +322,21 @@ class _ShardWorker(ShardStep):
         an SLO trip purged and then the handoffs appended since — and
         ``door`` (tenancy runs) is the closed-door set.
 
-        The reply is ``(shards, frozen, faults, stall_holds, planner,
-        faults_fired)``: per shard ``(admits, records, completions,
-        depths, stats, queue_len, deficit, store)``, where the first
-        four are flat int streams in step order (``depths`` one
-        ``backlog, in_flight`` pair per step), ``stats`` and ``planner``
-        are counter deltas in field order, and ``store`` is ``None`` or
-        ``(degraded, errors)``."""
+        The reply is ``(shards, frozen, stall_holds, planner,
+        faults_fired)``: per shard ``(admits, runs, faults, completions,
+        depths, stats, queue_len, deficit, store)``, where ``runs`` are
+        the chunk's flush log runs, ``faults`` as :class:`_ChunkFaults`
+        keeps them, the rest flat int streams in step order (``depths``
+        a ``backlog, in_flight`` pair per step) or counter deltas in
+        field order, and ``store`` ``None`` or ``(degraded, errors)``."""
         order = sorted(set(self._hosted) & set(active))
         self._shard_ids = [s for s in order if s not in self._frozen_at]
         self._admits = {sid: [] for sid in order}
         self._done = {sid: [] for sid in order}
         self._froze = {}
-        self._journal = journal = _ShardJournalBuffer(order)
+        self._journal = journal = _ChunkFaults(order)
+        for sid in order:  # the parent keeps the run's logs
+            self.engines[sid].log = FlushLog()
         self._store_errors = {}
         depths = {sid: [] for sid in order}
         adm = self.admission
@@ -392,14 +396,15 @@ class _ShardWorker(ShardStep):
                     self._store_rejected(sid)
                 store = (store.degraded, self._store_errors.get(sid, 0))
             shards[sid] = (
-                self._admits[sid], journal.records[sid], self._done[sid],
-                depths[sid], tuple(c - p for c, p in zip(cur, prev)),
+                self._admits[sid], self.engines[sid].log.runs.tolist(),
+                journal.faults[sid], self._done[sid], depths[sid],
+                tuple(c - p for c, p in zip(cur, prev)),
                 adm.queue_depth(sid), list(adm.deficit[sid]), store,
             )
         cur = _plan_counters(self.planner.stats)
         prev, self._last_plan = self._last_plan, cur
         return (
-            shards, self._froze, journal.faults,
+            shards, self._froze,
             # Only a drain knows its stall holds; the replica replays
             # everything else the lanes do.
             adm.stats.stall_holds - holds,
@@ -517,7 +522,7 @@ class ProcPoolLoop(ServiceLoop):
             [0] * len(lanes) for lanes in self.admission.lanes
         ]
         # The parent's engines never step: their counters accumulate
-        # the merged worker deltas and their schedules the merged flush
+        # the merged worker deltas and their logs the merged flush
         # records, so the report reads them as in-process.  In-flight
         # and root backlog are the workers' last reported depths.
         self._last_inflight = [0] * n
@@ -920,13 +925,11 @@ class ProcPoolLoop(ServiceLoop):
         adm = self.admission
         engines = self.engines
         per_shard = {}
-        faults_of = {}
         frozen: "dict[int, int]" = {}
-        for shards, froze, faults, holds, plan, fired in results.values():
+        for shards, froze, holds, plan, fired in results.values():
             self._note_faults_fired(fired)
             for sid, data in shards.items():
                 per_shard[sid] = data
-                faults_of[sid] = faults
                 *_streams, stats, _qlen, _deficit, store = data
                 if store is not None:
                     self._merge_store_health(sid, *store)
@@ -950,22 +953,26 @@ class ProcPoolLoop(ServiceLoop):
             self._note_driver(min(frozen.values()))
         order = sorted(per_shard)
         # Per shard in merge order, the streams each phase walks; a
-        # shard's cursors (arrivals, admits, records, completions) are
-        # shared between phases.
+        # shard's cursors (arrivals, admits, completions, and the next
+        # journal record) are shared between phases.
         offers, replays = [], []
         for sid in order:
-            admits, records, done, depths = per_shard[sid][:4]
-            cur = [0, 0, 0, 0]
+            admits, runs, faults, done, depths = per_shard[sid][:5]
+            # The parent's engines never step: their realized logs are
+            # the workers' runs, copied whole (no flush runs past a
+            # drained finish step: nothing is left to move).
+            engines[sid].log.runs.extend(runs)
+            events = (iter(()) if journal is None
+                      else _journal_events(runs, faults))
+            cur = [0, 0, 0, next(events, None)]
             offers.append((sid, batch[sid][0] if sid in batch else (),
                            admits, frozen.get(sid, t1), cur))
-            replays.append((sid, records, done, depths, faults_of[sid],
-                            engines[sid].schedule.add, cur))
+            replays.append((sid, events, done, depths, cur))
         offer = adm.offer
         take_admitted = adm.take_admitted
         queue_depth = adm.queue_depth
         on_admission = self._on_admission
         on_completion = self._on_completion
-        presorted = Flush.presorted
         last_backlog = self._last_backlog
         last_inflight = self._last_inflight
         n = len(engines)
@@ -991,32 +998,22 @@ class ProcPoolLoop(ServiceLoop):
                 cur[1] = i
                 adm.stats.queue_wait_steps += queue_depth(sid)
             k = 2 * (t - t0)
-            for sid, records, done, depths, faults, add, cur in replays:
+            for sid, events, done, depths, cur in replays:
                 # phase 4: journal replay, then completions; phase 5:
                 # the step's depth sample
-                i, end = cur[2], len(records)
-                while i < end and records[i] == t:
-                    src = records[i + 1]
-                    if src < 0:
-                        if journal is not None:
-                            journal.record_fault(t, sid, *faults[~src])
-                        i += 2
-                        continue
-                    j = i + 4 + records[i + 3]
-                    # The parent's engines never step: their realized
-                    # schedules are rebuilt here from merged records.
-                    flush = presorted(src, records[i + 2],
-                                      tuple(records[i + 4:j]))
-                    add(t, flush)
-                    if journal is not None:
-                        journal.record_flush(t, sid, flush)
-                    i = j
-                cur[2] = i
-                i, end = cur[3], len(done)
+                event = cur[3]
+                while event is not None and event[0] == t:
+                    if len(event) == 4:  # a flush
+                        journal.record_flush(t, sid, *event[1:])
+                    else:
+                        journal.record_fault(t, sid, *event[1:])
+                    event = next(events, None)
+                cur[3] = event
+                i, end = cur[2], len(done)
                 while i < end and done[i] == t:
                     on_completion(sid, done[i + 1], t)
                     i += 2
-                cur[3] = i
+                cur[2] = i
                 last_backlog[sid] = depths[k]
                 last_inflight[sid] = depths[k + 1]
             metrics.note_step(

@@ -29,8 +29,8 @@ per trip up to ``max_backoff`` epochs, plus a seeded 0/1-epoch jitter.
 
 **Live restart from the journal.**  When a probe fires, the shard is
 rebuilt from its own durable history: the loop seals durability with a
-checkpoint, then :func:`rebuild_shard_state` folds the shard's flushes
-into per-message locations, verifying every record against the
+checkpoint, then :func:`rebuild_shard_state` folds the shard's flush
+log into per-message locations, verifying every record against the
 admitted / completed sets — any inconsistency is a typed
 :class:`~repro.util.errors.JournalCorruptionError`, never a silent wrong
 answer.  A restart consumes one unit of the shard's ``restart_budget``;
@@ -56,6 +56,7 @@ from dataclasses import fields as dataclass_fields
 
 import numpy as np
 
+from repro.dam.schedule import FlushLog
 from repro.faults.chaos import CHAOS_DISK_FAULT, ChaosInjector, ChaosPlan
 from repro.faults.iofaults import FaultFS, parse_plan
 from repro.serve.router import ShardEngine
@@ -297,7 +298,7 @@ class SupervisorStats:
 
 
 def rebuild_shard_state(
-    flush_records: "list[tuple[int, int, int, tuple[int, ...]]]",
+    flush_records: "FlushLog",
     *,
     admitted: "set[int]",
     completed: "set[int]",
@@ -306,8 +307,8 @@ def rebuild_shard_state(
 ) -> "dict[int, int]":
     """Fold one shard's journaled flushes back into machine state.
 
-    ``flush_records`` is the shard's durable flush history in journal
-    order, as ``(t, src, dest, msgs)`` tuples.  ``admitted`` is the set
+    ``flush_records`` is the shard's realized
+    :class:`~repro.dam.schedule.FlushLog`.  ``admitted`` is the set
     of global ids admitted to the shard and still outstanding;
     ``completed`` the ids the shard already delivered.  Every admitted
     message starts at the root and moves along its records; a record

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dam.schedule import Flush, FlushSchedule
+from repro.dam.schedule import Flush, FlushLog, FlushSchedule
 
 
 def test_flush_normalizes_message_order():
@@ -69,3 +69,38 @@ def test_from_timed_roundtrip():
     s.add(4, Flush(1, 2, (0,)))
     s2 = FlushSchedule.from_timed(s.iter_timed())
     assert s2.steps == s.steps
+
+
+def test_flush_log_reads_back_as_its_schedule():
+    log = FlushLog()
+    log.append(1, 0, 1, (0, 2))
+    log.append(1, 0, 2, [1])
+    log.append(3, 1, 3, (0,))
+    assert len(log) == 3
+    assert list(log) == [(1, 0, 1, (0, 2)), (1, 0, 2, (1,)),
+                         (3, 1, 3, (0,))]
+    assert log.runs.tolist() == [1, 0, 1, 2, 0, 2, 1, 0, 2, 1, 1,
+                                 3, 1, 3, 1, 0]
+    sched = log.schedule()
+    assert sched.steps == [
+        [Flush(0, 1, (0, 2)), Flush(0, 2, (1,))], [], [Flush(1, 3, (0,))]
+    ]
+    assert FlushLog().schedule().n_steps == 0
+
+
+def test_flush_log_answers_membership_at_a_step():
+    log = FlushLog()
+    log.append(2, 0, 1, (4, 5))
+    log.append(2, 0, 2, (6,))
+    assert log.has(2, 0, 1, (4, 5)) and log.has(2, 0, 2, (6,))
+    assert not log.has(1, 0, 1, (4, 5))
+    assert not log.has(2, 0, 1, (4,))
+    assert not log.has(2, 0, 2, (5,))
+    assert not log.has(9, 0, 2, (6,))
+    # The step index follows a log that grows after it was first read.
+    log.append(4, 1, 3, (4,))
+    assert log.has(4, 1, 3, (4,))
+    copy = FlushLog()
+    for t, src, dest, msgs in log:
+        copy.append(t, src, dest, msgs)
+    assert copy.runs == log.runs and len(copy) == len(log) == 3

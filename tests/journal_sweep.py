@@ -205,9 +205,7 @@ def serve_sweep(path, reference, work: Path, monkeypatch,
             return ("typed", "no-records")
         report = rederive_once(fold.meta, fold.driver)
         try:
-            replayed = fold.check_prefix(
-                dict(enumerate(report.shard_schedules))
-            )
+            replayed = fold.check_prefix(dict(enumerate(report.shard_logs)))
         except JournalCorruptionError as exc:
             return ("typed", exc.reason)
         return ("exact", fold.last_durable_step(), replayed, fold.completed)

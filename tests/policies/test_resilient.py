@@ -126,23 +126,21 @@ def test_nonlaminar_list_recovers_via_replan():
 
 
 def test_replan_exhaustion_raises_diagnosable_error():
+    """Every attempt fails, so each re-plan exhausts its retry budget
+    again until the re-plans run out."""
     topo = path_tree(2)
     inst = WORMSInstance(topo, [Message(0, 2)], P=1, B=4)
-    bad = [Flush(1, 2, (0,))]
-
-    def hopeless_replanner(instance, remaining, location):
-        return list(bad)  # keeps proposing the same stuck plan
-
-    executor = GatedExecutor(
-        inst, max_replans=2, replanner=hopeless_replanner
-    )
+    injector = FaultInjector(FaultPlan(failed_flush_rate=1.0), seed=0)
+    executor = GatedExecutor(inst, injector, retry_budget=1, max_replans=2)
     with pytest.raises(ExecutionStalledError) as exc_info:
-        executor.run(list(bad))
+        executor.run([Flush(0, 1, (0,)), Flush(1, 2, (0,))])
     err = exc_info.value
+    assert executor.stats.replans == 2
     assert err.step >= 0  # 0 = stalled before any progress
     assert err.parked_messages == ((0, 0),)  # message 0 parked at the root
-    assert err.blocking_flush == Flush(1, 2, (0,))
+    assert err.blocking_flush == Flush(0, 1, (0,))
     assert err.pending_flushes
+    assert "2 replan(s) already used" in str(err)
     assert "message 0 parked at node 0" in str(err)
 
 
