@@ -22,13 +22,29 @@ def nearest_rank(values, q: float) -> float:
     input returns that sample for every ``q``; an empty input raises
     ``ValueError`` (callers decide what an undefined percentile means).
     """
-    if not (0.0 < q <= 100.0):
-        raise ValueError(f"percentile q must be in (0, 100], got {q}")
-    arr = np.sort(np.asarray(list(values), dtype=np.float64))
+    _check_percentile(q)
+    arr = sort_sample(values)
     if arr.size == 0:
         raise ValueError("nearest_rank of an empty sample is undefined")
-    idx = max(0, math.ceil(q / 100.0 * arr.size) - 1)
-    return float(arr[idx])
+    return sorted_rank(arr, q)
+
+
+def sort_sample(values) -> np.ndarray:
+    """``values`` as an ascending float64 array, ready for
+    :func:`sorted_rank` (sort once, read any number of ranks)."""
+    return np.sort(np.asarray(list(values), dtype=np.float64))
+
+
+def sorted_rank(arr: np.ndarray, q: float) -> float:
+    """The nearest-rank rule of :func:`nearest_rank`, read from a
+    non-empty ascending array (:func:`sort_sample`)."""
+    _check_percentile(q)
+    return float(arr[max(0, math.ceil(q / 100.0 * arr.size) - 1)])
+
+
+def _check_percentile(q: float) -> None:
+    if not (0.0 < q <= 100.0):
+        raise ValueError(f"percentile q must be in (0, 100], got {q}")
 
 
 def min_samples_for(q: float) -> int:
@@ -38,8 +54,7 @@ def min_samples_for(q: float) -> int:
     reports, i.e. ``n * (100 - q) / 100 >= 1``: p99 needs 100 samples,
     p99.9 needs 1000.  ``q == 100`` (the max) is meaningful at any n.
     """
-    if not (0.0 < q <= 100.0):
-        raise ValueError(f"percentile q must be in (0, 100], got {q}")
+    _check_percentile(q)
     if q == 100.0:
         return 1
     # Round before ceil: 100 - 99.9 is not exact in binary, and the
@@ -56,10 +71,15 @@ def guarded_rank(values, q: float) -> "float | None":
     is just the max wearing a costume).  Callers render ``None`` as
     "n/a"; an empty sample is also ``None``.
     """
-    vals = list(values)
-    if len(vals) < min_samples_for(q):
+    return guarded_sorted_rank(sort_sample(values), q)
+
+
+def guarded_sorted_rank(arr: np.ndarray, q: float) -> "float | None":
+    """:func:`guarded_rank` read from an ascending array
+    (:func:`sort_sample`)."""
+    if arr.size < min_samples_for(q):
         return None
-    return nearest_rank(vals, q)
+    return sorted_rank(arr, q)
 
 
 @dataclass(frozen=True)

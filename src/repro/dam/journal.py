@@ -332,13 +332,16 @@ class JournalWriter:
             self._f.close()
 
     def abort(self) -> None:
-        """Close *without* flushing; the tail may land torn.
+        """Close *without* an fsync; the tail may land torn.
 
-        For fail-stop callers discarding a poisoned generation after an
-        I/O fault: an fsync that failed must never be retried (the page
-        cache may have silently dropped the dirty pages), so the only
-        safe exit is to release the handle and let recovery replay the
-        durable prefix.  Safe to call twice.
+        Closing the buffered file still hands what :meth:`append`
+        buffered to the OS (no fsync follows): a KV store committing a
+        group relies on it, since its fail-stop re-open replays those
+        records.  For fail-stop callers discarding a poisoned generation
+        after an I/O fault: an fsync that failed must never be retried
+        (the page cache may have silently dropped the dirty pages), so
+        the only safe exit is to release the handle and let recovery
+        replay the durable prefix.  Safe to call twice.
         """
         if not self._f.closed:
             self._f.close()

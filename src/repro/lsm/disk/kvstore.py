@@ -60,6 +60,7 @@ from __future__ import annotations
 import errno as _errno
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.dam.records import pack_delete, pack_put
@@ -189,6 +190,10 @@ class KVStore:
         self.largest_compaction = 0
         self._wal = None
         self._closed = False
+        #: open :meth:`group` blocks; while > 0 writes defer their flush.
+        self._groups = 0
+        #: a grouped write appended since the last WAL flush.
+        self._unflushed = False
         # -- recovery ---------------------------------------------------
         try:
             self._recover()
@@ -243,6 +248,7 @@ class KVStore:
         self._wal = open_wal(
             self.directory, self._wal_gen, sync=self.sync, fs=self._fs
         )
+        self._unflushed = False
         if self._metrics is not None and self.recovered_records:
             self._metrics.counter(
                 "kv_recovered_records_total",
@@ -407,7 +413,8 @@ class KVStore:
         """Write ``key -> value``; returns the operation's sequence number.
 
         The operation is durable (to the configured ``sync`` level) when
-        this returns: WAL first, memtable second.
+        this returns, or inside a :meth:`group` when the group exits:
+        WAL first, memtable second.
         """
         self._require_writable()
         self._seq += 1
@@ -415,10 +422,13 @@ class KVStore:
             self._wal.append(pack_put(self._seq, key, value), REC_PUT)
         except OSError as exc:
             self._fail_write(exc, "write")
-        try:
-            self._wal.flush()
-        except OSError as exc:
-            self._fail_write(exc, "fsync")
+        if self._groups:
+            self._unflushed = True  # the group's exit flushes it
+        else:
+            try:
+                self._wal.flush()
+            except OSError as exc:
+                self._fail_write(exc, "fsync")
         self._count("kv_wal_appends_total", "WAL records acknowledged")
         self.memtable[key] = (self._seq, KIND_PUT, value)
         self._maybe_flush()
@@ -432,14 +442,45 @@ class KVStore:
             self._wal.append(pack_delete(self._seq, key), REC_DEL)
         except OSError as exc:
             self._fail_write(exc, "write")
-        try:
-            self._wal.flush()
-        except OSError as exc:
-            self._fail_write(exc, "fsync")
+        if self._groups:
+            self._unflushed = True  # the group's exit flushes it
+        else:
+            try:
+                self._wal.flush()
+            except OSError as exc:
+                self._fail_write(exc, "fsync")
         self._count("kv_wal_appends_total", "WAL records acknowledged")
         self.memtable[key] = (self._seq, KIND_TOMBSTONE, None)
         self._maybe_flush()
         return self._seq
+
+    @contextmanager
+    def group(self):
+        """Group commit: one WAL flush for every write inside the block.
+
+        Inside the block ``put``/``delete`` append their WAL record and
+        return without flushing; the block's exit flushes once, with
+        :meth:`sync_wal`'s fault handling, and only when a write was
+        appended.  A grouped write is therefore acknowledged at the
+        exit, not at its return.  Blocks nest; only the outermost exit
+        flushes.  Writes outside any block flush on their own, as
+        always.
+
+        A write fault inside the block fail-stops as outside it: closing
+        the abandoned generation hands the block's earlier records to
+        the OS, so the re-open replays them.  On a ``sync=True`` store
+        they then stay at page-cache durability, since the exit's fsync
+        covers the fresh generation only.
+        """
+        self._groups += 1
+        try:
+            yield self
+        finally:
+            self._groups -= 1
+            if not self._groups and self._unflushed:
+                self._unflushed = False
+                if not self._closed:
+                    self.sync_wal()
 
     def _maybe_flush(self) -> None:
         if len(self.memtable) < self.memtable_capacity:
@@ -550,6 +591,7 @@ class KVStore:
         self._wal = open_wal(
             self.directory, self._wal_gen, sync=self.sync, fs=self._fs
         )
+        self._unflushed = False
         levels = list(self.manifest.levels) or [()]
         levels[0] = levels[0] + (meta,)
         self.manifest = self.manifest.with_edit(

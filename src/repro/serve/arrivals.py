@@ -59,21 +59,25 @@ class KeySampler:
             ranks = np.arange(1, self.key_space + 1, dtype=np.float64)
             probs = ranks**-theta
             probs /= probs.sum()
-            self._probs = probs
+            # Generator.choice(keys, p=probs) inverts this CDF on every
+            # call; building it once draws the same keys from the same
+            # uniforms without re-validating ``probs`` each step.
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            self._cdf = cdf
             self._keys = self._rng.permutation(self.key_space)
         else:
-            self._probs = None
+            self._cdf = None
             self._keys = None
 
     def draw(self, n: int) -> "list[int]":
         """Draw ``n`` keys (deterministic given the construction seed)."""
         if n <= 0:
             return []
-        if self._probs is None:
-            return [int(k) for k in
-                    self._rng.integers(0, self.key_space, size=n)]
-        return [int(k) for k in
-                self._rng.choice(self._keys, size=n, p=self._probs)]
+        if self._cdf is None:
+            return self._rng.integers(0, self.key_space, size=n).tolist()
+        idx = self._cdf.searchsorted(self._rng.random(n), side="right")
+        return self._keys[idx].tolist()
 
 
 class ArrivalProcess:

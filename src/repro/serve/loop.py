@@ -452,10 +452,31 @@ class ShardStep:
                     self._replans_left[sid] -= 1
 
     def _execute_shards(self, t: int) -> None:
-        """Phase 4: one DAM step per shard, in shard order."""
+        """Phase 4: one DAM step per shard, in shard order.
+
+        Each durable sink behind the stepped shards holds one write
+        group (:meth:`repro.lsm.disk.KVStore.group`) over the phase, so
+        its WAL flushes at most once per step: the step's end is where
+        both drivers acknowledge the step's completions.  A sink whose
+        closing flush faults counts one rejected write.
+        """
+        groups: dict = {}  # store -> (first shard it backs, its group)
         for sid in self._shard_ids:
-            for gid, step in self.engines[sid].step(t, self._journal):
-                self._on_completion(sid, gid, step)
+            store = self._store_of(sid)
+            if store is not None and store not in groups:
+                groups[store] = (sid, store.group())
+        for _sid, group in groups.values():
+            group.__enter__()
+        try:
+            for sid in self._shard_ids:
+                for gid, step in self.engines[sid].step(t, self._journal):
+                    self._on_completion(sid, gid, step)
+        finally:
+            for sid, group in groups.values():
+                try:
+                    group.__exit__(None, None, None)
+                except StorageError:
+                    self._store_rejected(sid)
 
     def _restore_shard(self, sid: int, t: int, locations: "dict[int, int]",
                        targets: "dict[int, int]") -> None:

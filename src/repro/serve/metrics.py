@@ -24,9 +24,10 @@ layer and CI artifacts.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.analysis.stats import guarded_rank, nearest_rank
+from repro.analysis.stats import guarded_sorted_rank, sort_sample, sorted_rank
 
 
 @dataclass(frozen=True)
@@ -53,13 +54,14 @@ class LatencyStats:
         vals = list(values)
         if not vals:
             return cls(0, 0.0, 0.0, 0.0, None, 0.0, 0.0)
+        arr = sort_sample(vals)  # one sort serves every rank
         return cls(
             n=len(vals),
-            p50=nearest_rank(vals, 50),
-            p95=nearest_rank(vals, 95),
-            p99=nearest_rank(vals, 99),
-            p999=guarded_rank(vals, 99.9),
-            max=float(max(vals)),
+            p50=sorted_rank(arr, 50),
+            p95=sorted_rank(arr, 95),
+            p99=sorted_rank(arr, 99),
+            p999=guarded_sorted_rank(arr, 99.9),
+            max=float(arr[-1]),
             mean=float(sum(vals)) / len(vals),
         )
 
@@ -156,34 +158,28 @@ class ServeMetrics:
 
     def snapshot(self, n_steps: int) -> dict:
         """The run's full metrics as one JSON-ready dict."""
-        sojourn = LatencyStats.of(self.sojourns())
+        arrival, shard_of = self.arrival_step, self.shard_of
+        # One walk per message set, grouped by shard.
+        done_by = [[] for _ in range(self.n_shards)]
+        for m, step in self.completion_step.items():
+            done_by[shard_of[m]].append(step - arrival[m] + 1)
+        arrived_by = Counter(shard_of.values())
+        shed_by = Counter(shard_of[m] for m in self.shed_ids)
+        spilled_by = Counter(shard_of[m] for m in self.spilled_ids)
+        sojourn = LatencyStats.of([x for done in done_by for x in done])
         waits = [
-            self.admit_step[m] - self.arrival_step[m]
-            for m in self.admit_step
+            self.admit_step[m] - arrival[m] for m in self.admit_step
         ]
         per_shard = []
-        for s in range(self.n_shards):
-            done = [
-                step - self.arrival_step[m] + 1
-                for m, step in self.completion_step.items()
-                if self.shard_of[m] == s
-            ]
-            completed = sum(
-                1 for m in self.completion_step if self.shard_of[m] == s
-            )
+        for s, done in enumerate(done_by):
+            completed = len(done)
             tl = self.timelines[s]
             per_shard.append({
                 "shard": s,
-                "arrived": sum(
-                    1 for m in self.shard_of if self.shard_of[m] == s
-                ),
+                "arrived": arrived_by[s],
                 "completed": completed,
-                "shed": sum(
-                    1 for m in self.shed_ids if self.shard_of[m] == s
-                ),
-                "spilled": sum(
-                    1 for m in self.spilled_ids if self.shard_of[m] == s
-                ),
+                "shed": shed_by[s],
+                "spilled": spilled_by[s],
                 "throughput": round(completed / n_steps, 4) if n_steps else 0.0,
                 "sojourn": LatencyStats.of(done).row(),
                 "max_queue_depth": max(tl.queue_depth, default=0),

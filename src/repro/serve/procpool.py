@@ -386,14 +386,6 @@ class _ShardWorker(ShardStep):
             prev, self._last_stats[sid] = self._last_stats[sid], cur
             store = self.stores.get(sid)
             if store is not None:
-                # Flush the WAL before the results ship: every
-                # completion the parent merges (= acknowledges) from
-                # this chunk has its store write out of process-local
-                # buffers, so a SIGKILL between chunks loses none.
-                try:
-                    store.sync_wal()
-                except StorageError:
-                    self._store_rejected(sid)
                 store = (store.degraded, self._store_errors.get(sid, 0))
             shards[sid] = (
                 self._admits[sid], self.engines[sid].log.runs.tolist(),

@@ -111,7 +111,7 @@ class ShardRouter:
         while key >= self.shards[sid].key_hi:
             sid += 1
         home = self.shards[sid]
-        final = self.resolve(sid)
+        final = self.resolve(sid) if self.diverted else sid
         if final == sid:
             return sid, home.leaf_for_key(key)
         # Diverted: preserve key order on the host by mapping the key's

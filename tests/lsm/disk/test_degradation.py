@@ -176,6 +176,27 @@ def test_fsync_failure_is_never_retried(tmp_path):
     store.close()
 
 
+def test_group_exit_fsync_failure_degrades(tmp_path):
+    """A group's one flush carries :meth:`KVStore.sync_wal`'s handling:
+    its failed fsync is never retried and the store turns read-only."""
+    idx = _index_of(tmp_path, "fsync", "wal", sync=True)
+    fs = FaultFS(f"fsync:wal:eio@{idx}x1")
+    store = _mk(tmp_path / "s", fs=fs, sync=True)
+    for i in range(5):
+        store.put(f"w{i}", i)
+    with pytest.raises(StoreDegradedError) as ei:
+        with store.group():
+            store.put("g1", 1)
+            store.put("g2", 2)
+    assert ei.value.reason == DEGRADED_FSYNC
+    assert len([f for f in fs.fired if f["op"] == "fsync"]) == 1
+    items = dict(store.items())
+    for i in range(5):
+        assert items[f"w{i}"] == i
+    assert items.get("g1") in (None, 1) and items.get("g2") in (None, 2)
+    store.close()
+
+
 # -- read faults: bounded retry, then typed -----------------------------
 
 def _flushed_store(home, fs=None) -> KVStore:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.dam.journal import JournalWriter
 from repro.lsm.disk import (
     DiskLevelingPolicy,
     HornDensityPolicy,
@@ -98,6 +99,42 @@ def test_reopen_without_close_is_exact(tmp_path: Path) -> None:
     s2 = _open(tmp_path)
     assert dict(s2.items()) == model
     s2.check_invariants()
+    s2.close()
+
+
+def test_group_flushes_once_at_its_outermost_exit(
+    tmp_path: Path, monkeypatch
+) -> None:
+    """``put`` outside a group flushes per call; inside one, the writes
+    are visible to reads at once and reach the WAL file together, at the
+    outermost exit.  An empty group flushes nothing."""
+    flushes = []
+    flush = JournalWriter.flush
+
+    def counted(self):
+        flushes.append(self.path.name)
+        return flush(self)
+
+    s = _open(tmp_path)
+    monkeypatch.setattr(JournalWriter, "flush", counted)
+    wal = next((tmp_path / "store").glob("wal-*.log"))
+    s.put("a", 1)
+    assert len(flushes) == 1
+    size = wal.stat().st_size
+    with s.group():
+        with s.group():
+            s.put("b", 2)
+            s.delete("a")
+        assert s.get("b") == 2 and s.get("a") is None
+        assert len(flushes) == 1 and wal.stat().st_size == size
+    assert flushes == [wal.name, wal.name]
+    assert wal.stat().st_size > size
+    with s.group():
+        pass
+    assert len(flushes) == 2
+    s.close()
+    s2 = _open(tmp_path)
+    assert dict(s2.items()) == {"b": 2}
     s2.close()
 
 
