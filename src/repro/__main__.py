@@ -598,7 +598,6 @@ def _run_serve(args: argparse.Namespace, config: ServeConfig, loop) -> int:
         if sup.diversions or sup.merge_backs:
             print(
                 f"diversions: {sup.diversions} key-range diversion(s), "
-                f"{sup.divert_handoff_msgs} message(s) handed off, "
                 f"{sup.merge_backs} merged back"
             )
         if sup.disk_fault_windows:

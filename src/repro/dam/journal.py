@@ -108,12 +108,13 @@ _PREFIX = struct.Struct("<II")  # payload length, CRC-32
 # Record types besides the codec's (``meta``, ``flush``, ``fault``,
 # ``checkpoint``, ``end``; see :mod:`repro.dam.records`); both are JSON.
 
-#: A key-range diversion (breaker-open handoff to a neighbor shard) or
-#: its merge-back.  Informational for recovery — replaying the
-#: run re-derives the same diversions — but the record makes the handoff
-#: durable *at the moment it happened*, which is what lets an operator
-#: audit where a message's ownership moved.  Scanning, compaction, and
-#: ``last_durable_step`` all pass unknown-to-them types through.
+#: A key-range diversion (a breaker-open shard's later arrivals routed to
+#: a neighbor shard) or its merge-back.  Informational for recovery —
+#: replaying the run re-derives the same diversions — but the record
+#: makes the switch durable *at the moment it happened*, which is what
+#: lets an operator audit where a key range's ownership moved.
+#: Scanning, compaction, and ``last_durable_step`` all pass
+#: unknown-to-them types through.
 REC_DIVERT = "divert"
 #: The serving driver of a run whose ``meta`` names none, journaled once
 #: at its first breaker trip: before it, the run is the unsupervised
@@ -159,17 +160,15 @@ def journal_segments(path: "str | os.PathLike") -> "list[Path]":
     return segments
 
 
-def divert_record(t: int, src_shard: int, dst_shard: int,
-                  msgs: "list[int] | tuple[int, ...]" = ()) -> dict:
+def divert_record(t: int, src_shard: int, dst_shard: int) -> dict:
     """The journal record for a key-range diversion (or its merge-back).
 
     ``src_shard == dst_shard`` records a merge-back (the overlay was
     removed); otherwise arrivals for ``src_shard``'s range now land on
-    ``dst_shard`` and ``msgs`` lists the spill-queue messages handed
-    over with the switch.
+    ``dst_shard``.
     """
     return {"type": REC_DIVERT, "t": int(t), "from": int(src_shard),
-            "to": int(dst_shard), "msgs": [int(m) for m in msgs]}
+            "to": int(dst_shard)}
 
 
 def driver_record(t: int, driver: dict) -> dict:

@@ -39,8 +39,7 @@ registry; they live in the report's ``worker_log``):
 * ``serve_watchdog_escalations_total{stage}`` — escalation-ladder
   outcomes (``cancel`` -> ``terminate`` -> ``kill``);
 * ``serve_diversions_total{shard}`` / ``serve_merge_backs_total{shard}``
-  / ``serve_divert_handoff_msgs_total`` — breaker-open key-range
-  diversions, their merge-backs, and the spill messages handed off.
+  — breaker-open key-range diversions and their merge-backs.
 """
 
 from __future__ import annotations

@@ -22,8 +22,7 @@ Three further policies hang off the lanes when tenants are configured:
 * **per-tenant shed bounds** — a tenant's *fresh* arrivals are bounded
   to its weight-proportional share of ``max_queue`` (at least 1), so a
   hot tenant fills (and sheds from) its own lane while light tenants
-  keep headroom.  Requeue/handoff traffic (already offered once) uses
-  the global bound with prefix-accept.
+  keep headroom.
 * **SLO doors** — the serving loop closes a tenant's door while its SLO
   breaker is open; offers shed at the door, counted per tenant.
 * **buffer quotas** — à la Marchal/Sinnen/Vivien, a tenant with
@@ -41,7 +40,11 @@ recovery traffic for IO slots).
 
 Conservation is exact and per-tenant: every offer increments
 ``stats.offered`` exactly once, every shed is counted against the
-shedding tenant, and re-admission paths never re-offer.
+shedding tenant, so ``offered == admitted + shed + queued`` at all
+times.  A quarantined shard's arrivals are ordinary offers: they wait in
+its lanes, undrained, until the shard restarts; an abandoned shard's are
+shed (:meth:`AdmissionController.refuse`,
+:meth:`AdmissionController.shed_shard`).
 """
 
 from __future__ import annotations
@@ -66,12 +69,6 @@ class AdmissionStats:
     max_queue_depth: int = 0
     #: steps on which draining held because the shard root was stalled.
     stall_holds: int = 0
-    #: messages handed to a neighbor shard by a breaker-open diversion
-    #: (they stay counted in ``offered`` once; the handoff moves them).
-    handoff_in: int = 0
-    #: handoff messages the receiving queue had no room for (the
-    #: supervisor sheds these and counts the shedding itself).
-    handoff_overflow: int = 0
     shed_by_shard: dict = field(default_factory=dict)
 
 
@@ -200,6 +197,11 @@ class AdmissionController:
         """Arrivals currently waiting in front of ``shard_id``."""
         return self._depth[shard_id]
 
+    def queue_depths(self) -> "list[int]":
+        """Every shard's :meth:`queue_depth`, in shard order (the live
+        list: read it, never mutate it)."""
+        return self._depth
+
     def note_departed(self, msg_id: int) -> None:
         """``msg_id`` left its shard's buffers (completed): free quota."""
         if self._resident:
@@ -247,57 +249,15 @@ class AdmissionController:
             stats.max_queue_depth = depth
         return True
 
-    def requeue(
-        self, shard_id: int, items: "list[tuple[int, int]]"
-    ) -> int:
-        """Re-enqueue spilled ``(msg_id, target_leaf)`` pairs after recovery.
-
-        Used by the supervisor when a shard leaves quarantine: arrivals
-        that were parked in the spill queue while the breaker was open go
-        back in front of admission, into their owning tenants' lanes.
-        They were already counted in ``stats.offered`` at arrival, so
-        this does *not* re-offer them; it accepts a prefix up to the
-        *global* ``max_queue`` (the per-tenant fresh-arrival bound does
-        not re-apply) and returns how many fit.  The caller sheds the
-        remainder (and counts that shedding itself).
-        """
-        lanes = self.lanes[shard_id]
-        room = self.max_queue - self._depth[shard_id]
-        accepted = 0
-        for msg_id, leaf in items:
-            if accepted >= room:
-                break
-            lanes[self.tenant_of.get(msg_id, 0)].append((msg_id, leaf))
-            accepted += 1
-        self._depth[shard_id] += accepted
-        self._note_depth(shard_id)
-        return accepted
-
-    def handoff(
-        self, to_shard: int, items: "list[tuple[int, int]]"
-    ) -> int:
-        """Hand diverted ``(msg_id, target_leaf)`` pairs to ``to_shard``.
-
-        Same bounded prefix-accept as :meth:`requeue` (the messages were
-        already offered once at arrival), but counted separately so
-        reports can distinguish a recovery requeue from a breaker-open
-        handoff.  Returns how many fit; the caller sheds the rest.
-        """
-        accepted = self.requeue(to_shard, items)
-        self.stats.handoff_in += accepted
-        self.stats.handoff_overflow += len(items) - accepted
-        return accepted
-
     def load_requeue(
         self, shard_id: int, items: "list[tuple[int, int]]"
     ) -> None:
         """Append items to their tenants' lanes unbounded.
 
         For lane contents that already passed their bound elsewhere: a
-        procpool worker takes the handoffs its parent's replica accepted
-        (:meth:`handoff` ran there), and the parent's replica takes back
-        the arrivals of a chunk lost with its worker, which the restore
-        then ships whole.
+        procpool worker's restored lanes (:meth:`load_queue`), and the
+        arrivals of a chunk lost with its worker, which the parent's
+        replica takes back for the restore to ship whole.
         """
         lanes = self.lanes[shard_id]
         for m, leaf in items:
@@ -316,6 +276,14 @@ class AdmissionController:
         self.clear_shard(shard_id)
         self.load_requeue(shard_id, items)
 
+    def refuse(self, shard_id: int, msg_id: int) -> None:
+        """Offer one arrival to a shard that takes none (abandoned): it
+        is shed at the door."""
+        self.stats.offered += 1
+        self._count_shed(
+            shard_id, self.tenant_of.get(msg_id, 0) if self.specs else 0
+        )
+
     # -- ways out of a lane other than draining -------------------------
 
     def clear_shard(self, shard_id: int) -> "list[tuple[int, int]]":
@@ -332,6 +300,14 @@ class AdmissionController:
         self._depth[shard_id] = 0
         self.deficit[shard_id] = [0.0] * len(self.lane_bound)
         return dropped
+
+    def shed_shard(self, shard_id: int) -> None:
+        """Abandonment: shed everything queued at a shard, counted as
+        door sheds (the caller reports them to metrics)."""
+        for gid, _leaf in self.clear_shard(shard_id):
+            self._count_shed(
+                shard_id, self.tenant_of.get(gid, 0) if self.specs else 0
+            )
 
     def purge_tenant_shard(self, shard_id: int, tenant: int) -> "list[int]":
         """SLO enforcement: shed everything the tenant has queued at one

@@ -28,7 +28,6 @@ recovered, exactly like a batch run.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace as dataclass_replace
@@ -318,9 +317,8 @@ class _ServeJournal:
             pack_fault(t, shard, kind, src, dest, detail), REC_FAULT
         )
 
-    def record_divert(self, t: int, src_shard: int, dst_shard: int,
-                      msgs: "list[int] | tuple[int, ...]" = ()) -> None:
-        self.writer.append(divert_record(t, src_shard, dst_shard, msgs))
+    def record_divert(self, t: int, src_shard: int, dst_shard: int) -> None:
+        self.writer.append(divert_record(t, src_shard, dst_shard))
 
     def record_driver(self, t: int, driver: dict) -> None:
         self.writer.append(driver_record(t, driver))
@@ -604,15 +602,16 @@ class ServiceLoop(ShardStep):
         self.chaos = chaos if chaos is not None else ChaosPlan()
         n = len(engines)
         sup = self.supervisor_config
-        self._spill_capacity = sup.spill_capacity or 16 * config.B
         #: shard -> breaker, built at the shard's first stalled epoch,
         #: trip or abandonment (a missing breaker is a closed one).
         self._breakers: "dict[int, CircuitBreaker]" = {}
         self._health = [HEALTHY] * n
         #: quarantined shards: the step phases skip them and their
-        #: arrivals are held at the door (spilled or counted-shed).
+        #: arrivals are held in their own lanes (or counted-shed).
         self._held: "set[int]" = set()
-        self._spill: "list[deque]" = [deque() for _ in range(n)]
+        #: per shard, the arrivals held in its lanes while quarantined
+        #: (reported as ``spilled``, not ``queued``, by heartbeats).
+        self._held_count = [0] * n
         self._restarts_left = [sup.restart_budget] * n
         self._abandoned = [False] * n
         self._corrupted = [False] * n
@@ -631,8 +630,8 @@ class ServiceLoop(ShardStep):
             step: [e for e in self.chaos.events_at(step) if e.shard < n]
             for step in {e.step for e in self.chaos.events if e.shard < n}
         }
-        #: the step currently being supervised (diversion handoffs fire
-        #: from breaker trips, which happen at several call depths).
+        #: the step currently being supervised (diversions fire from
+        #: breaker trips, which happen at several call depths).
         self._clock = 0
         # Chaos stall windows wrap the target shards' injectors; kills
         # and corruptions are applied by _supervise.
@@ -803,10 +802,10 @@ class ServiceLoop(ShardStep):
         """Phase 1 up to the door: pull, route and meter step ``t``'s
         arrivals.
 
-        An arrival for a quarantined shard is held here (spilled or
-        counted-shed); the ``(shard, gid, leaf)`` of every other one is
-        returned for the driver to offer.  The caller then reports the
-        new ids with ``arrivals.on_emitted``.
+        An arrival for a quarantined shard is held here (queued in the
+        shard's lanes or counted-shed); the ``(shard, gid, leaf)`` of
+        every other one is returned for the driver to offer.  The caller
+        then reports the new ids with ``arrivals.on_emitted``.
         """
         keys = self.arrivals.take(t)
         gid0 = self._next_gid
@@ -849,31 +848,28 @@ class ServiceLoop(ShardStep):
         self.arrivals.on_emitted(list(range(gid0, self._next_gid)))
 
     def _hold(self, sid: int, gid: int, leaf: int, t: int) -> None:
-        """An arrival for quarantined shard ``sid``: spilled until the
-        shard restarts, or counted-shed past the spill capacity (or for
-        good, once the shard is abandoned).  Still an offer at the door
-        either way — the shard just cannot take it."""
-        adm = self.admission.stats
-        adm.offered += 1
-        abandoned = self._abandoned[sid]
-        if not abandoned and len(self._spill[sid]) < self._spill_capacity:
-            self._spill[sid].append((gid, leaf))
+        """An arrival for quarantined shard ``sid``: offered to the
+        shard's own lanes, where it waits (not drained) until the shard
+        restarts, or counted-shed when its lane is full.  Once the shard
+        is abandoned it is counted-shed at the door for good."""
+        stats = self.sup_stats
+        if self._abandoned[sid]:
+            self.admission.refuse(sid, gid)
+            self._shed(gid, t)
+            stats.abandoned_messages += 1
+        elif self.admission.offer(sid, gid, leaf):
+            self._held_count[sid] += 1
             self.metrics.note_spill(gid, t)
-            self.sup_stats.spilled += 1
-            self.sup_stats._bump(self.sup_stats.spilled_by_shard, sid)
+            stats.spilled += 1
+            stats._bump(stats.spilled_by_shard, sid)
             self._count(
                 "serve_spilled_total",
-                "arrivals held in supervisor spill queues",
+                "arrivals held for quarantined shards",
                 shard=sid,
             )
-            return
-        adm.shed += 1
-        adm.shed_by_shard[sid] = adm.shed_by_shard.get(sid, 0) + 1
-        self._shed(gid, t)
-        if abandoned:
-            self.sup_stats.abandoned_messages += 1
         else:
-            self.sup_stats.spill_overflow_shed += 1
+            self._shed(gid, t)
+            stats.spill_overflow_shed += 1
 
     def _on_admission(self, sid: int, gid: int, done: "int | None",
                       t: int) -> None:
@@ -920,18 +916,12 @@ class ServiceLoop(ShardStep):
         """Messages admitted to shard ``sid`` and not yet delivered."""
         return self.engines[sid].in_flight
 
-    def _admission_depth(self, sid: int) -> int:
-        """Arrivals queued at admission in front of ``sid``."""
-        return self.admission.queue_depth(sid)
-
     def _meter(self, t: int) -> None:
-        """Phase 5: per-step depth metering (spilled arrivals count as
+        """Phase 5: per-step depth metering (held arrivals count as
         queued)."""
-        depth = self.admission.queue_depth
-        spill = self._spill
         engines = self.engines
         self.metrics.note_step(
-            [depth(s) + len(spill[s]) for s in range(len(engines))],
+            self.admission.queue_depths(),
             [e.root_backlog for e in engines],
             [e.in_flight for e in engines],
         )
@@ -960,7 +950,9 @@ class ServiceLoop(ShardStep):
             if held:
                 self._held.add(sid)
             else:
+                # What it held is now its ordinary queue.
                 self._held.discard(sid)
+                self._held_count[sid] = 0
             self._shard_ids = [
                 s for s in range(len(self.engines)) if s not in self._held
             ]
@@ -1007,22 +999,15 @@ class ServiceLoop(ShardStep):
                 return n
         return None
 
-    def _remap_leaf(self, src: int, dst: int, leaf: int) -> int:
-        """Map a src-shard leaf onto dst's leaves, preserving key order."""
-        src_leaves = self.router.shards[src].leaves
-        dst_leaves = self.router.shards[dst].leaves
-        idx = src_leaves.index(leaf) * len(dst_leaves) // len(src_leaves)
-        return dst_leaves[min(idx, len(dst_leaves) - 1)]
-
     def _maybe_divert(self, sid: int) -> None:
         """Divert a breaker-open shard's key range to a healthy neighbor.
 
-        The switch is journal-checkpointed: durability is sealed first,
-        then a ``divert`` record names the new host and every spill-queue
-        message handed over with it, so the ownership move is durable at
-        the moment it happened.  Conservation is exact across the
-        handoff — every spilled message is either requeued on the
-        neighbor or counted-shed, and its ``shard_of`` moves with it.
+        Only future arrivals move: the router overlay sends them to the
+        neighbor, while whatever the shard already holds waits in its
+        own lanes for its restart.  The switch is journal-checkpointed:
+        durability is sealed first, then a ``divert`` record names the
+        new host, so the ownership move is durable at the moment it
+        happened.
         """
         if not self.supervisor_config.divert or self._abandoned[sid]:
             return
@@ -1033,34 +1018,17 @@ class ServiceLoop(ShardStep):
             return
         t = self._clock
         self.router.divert(sid, target)
-        items = [
-            (gid, self._remap_leaf(sid, target, leaf))
-            for gid, leaf in self._spill[sid]
-        ]
-        self._spill[sid].clear()
-        for gid, leaf in items:
-            self._leaf_of[gid] = leaf
-            self.metrics.shard_of[gid] = target
         if self._journal is not None:
             if t > 1:
                 self._journal.checkpoint(
                     t - 1, self._next_gid, len(self.metrics.completion_step)
                 )
-            self._journal.record_divert(t, sid, target,
-                                        [gid for gid, _ in items])
+            self._journal.record_divert(t, sid, target)
         self.sup_stats.diversions += 1
-        self.sup_stats.divert_handoff_msgs += len(items)
         self._count(
             "serve_diversions_total",
             "breaker-open key-range diversions", shard=sid,
         )
-        if items:
-            self._count(
-                "serve_divert_handoff_msgs_total",
-                "spill-queue messages handed off by diversions",
-                n=len(items),
-            )
-        self._deliver_requeue(target, items, t)
 
     def _merge_back(self, sid: int, t: int) -> None:
         """Remove ``sid``'s overlay on probe success (messages already
@@ -1075,15 +1043,6 @@ class ServiceLoop(ShardStep):
             "serve_merge_backs_total",
             "diverted key ranges merged back", shard=sid,
         )
-
-    def _deliver_requeue(self, sid: int, items: "list[tuple[int, int]]",
-                         t: int) -> None:
-        """Put handed-off ``(gid, leaf)`` pairs in front of ``sid``'s
-        admission; the queue bound sheds the overflow, counted."""
-        accepted = self.admission.handoff(sid, items)
-        for gid, _leaf in items[accepted:]:
-            self._shed(gid, t)
-            self.sup_stats.spill_overflow_shed += 1
 
     # -- health ------------------------------------------------------------
     def _note_faults_fired(self, fired: int) -> None:
@@ -1126,8 +1085,10 @@ class ServiceLoop(ShardStep):
             d_done = completed - prev[1]
             d_failed = failed - prev[2]
             self._last_hb[sid] = (flushes, completed, failed)
-            queued = self._admission_depth(sid)
-            spilled = len(self._spill[sid])
+            depth = self.admission.queue_depth(sid)
+            # (An SLO purge may have shed some of what the shard held.)
+            spilled = min(self._held_count[sid], depth)
+            queued = depth - spilled
             pending = in_flight > 0 or queued > 0
             stalled = pending and d_flush == 0 and d_done == 0
             state = self._health[sid]
@@ -1148,8 +1109,7 @@ class ServiceLoop(ShardStep):
                     shard=sid,
                 )
                 # A shard that tripped with no healthy neighbor may gain
-                # one later — divert then, handing over whatever spilled
-                # in the meantime.
+                # one later: divert its later arrivals then.
                 self._maybe_divert(sid)
                 breaker = self._breaker(sid)
                 if breaker.probe_due(epoch):
@@ -1276,24 +1236,14 @@ class ServiceLoop(ShardStep):
 
     def _apply_restart(self, sid: int, t: int,
                        locations: "dict[int, int]") -> None:
-        """Install the folded restart state and requeue the spill.
+        """Install the folded restart state (the shard's lanes, held
+        arrivals included, are already in place).
 
         The in-process driver rebuilds its engine; the process
         driver overrides this to ship the state to a worker (a fresh
         process when the old one died), which rebuilds the same way.
         """
         self._restore_shard(sid, t, locations, self._leaf_of)
-        self._requeue_spill(sid, t)
-
-    def _requeue_spill(self, sid: int, t: int) -> None:
-        """Spilled arrivals go back in front of admission; any the queue
-        bound rejects are counted-shed, never dropped."""
-        items = list(self._spill[sid])
-        self._spill[sid].clear()
-        accepted = self.admission.requeue(sid, items)
-        for gid, _leaf in items[accepted:]:
-            self._shed(gid, t)
-            self.sup_stats.spill_overflow_shed += 1
 
     def _abandon(self, sid: int, t: int) -> None:
         """Permanent quarantine: counted-shed everything and lock open."""
@@ -1309,8 +1259,7 @@ class ServiceLoop(ShardStep):
             self._shed(gid, t)
             stats.abandoned_messages += 1
             shed_here += 1
-        self._spill[sid].clear()
-        self.admission.clear_shard(sid)
+        self.admission.shed_shard(sid)
         self.admission.reset_shard_residency(sid)
         self.engines[sid].wipe()
         self._fresh[sid] = []
@@ -1412,8 +1361,8 @@ class ServiceLoop(ShardStep):
         t = 0
         try:
             # Done once nothing is left anywhere: no future arrival and
-            # no message queued, spilled, in a shard, or lost with a
-            # killed one awaiting its restart.
+            # no message queued (held ones included), in a shard, or
+            # lost with a killed one awaiting its restart.
             while not (arrivals.exhausted and metrics.outstanding == 0):
                 if t + 1 > max_steps:
                     in_flight = sum(map(self._in_flight, range(len(engines))))

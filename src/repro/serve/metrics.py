@@ -97,8 +97,8 @@ class ServeMetrics:
         self.completion_step: "dict[int, int]" = {}
         self.shard_of: "dict[int, int]" = {}
         self.shed_ids: "set[int]" = set()
-        #: messages that passed through a supervisor spill queue (held
-        #: while their shard's circuit breaker was open, never dropped).
+        #: messages held in their shard's lanes while its circuit breaker
+        #: was open (never dropped).
         self.spilled_ids: "set[int]" = set()
         self.timelines = [ShardTimeline() for _ in range(self.n_shards)]
         #: tenant display names when the run is multi-tenant (else None).
@@ -118,7 +118,7 @@ class ServeMetrics:
         self.shed_ids.add(msg_id)
 
     def note_spill(self, msg_id: int, step: int) -> None:
-        """``msg_id`` was held in a spill queue at ``step`` (supervisor)."""
+        """``msg_id`` was held for a quarantined shard at ``step``."""
         self.spilled_ids.add(msg_id)
 
     def note_admit(self, msg_id: int, step: int) -> None:
@@ -137,8 +137,9 @@ class ServeMetrics:
 
     @property
     def outstanding(self) -> int:
-        """Arrived messages neither completed nor shed: queued, spilled,
-        in a shard, or lost with a killed one until its restart."""
+        """Arrived messages neither completed nor shed: queued (held ones
+        included), in a shard, or lost with a killed one until its
+        restart."""
         return (
             len(self.arrival_step) - len(self.completion_step)
             - len(self.shed_ids)

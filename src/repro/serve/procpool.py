@@ -36,12 +36,12 @@ its workers' lanes: each merge replays the chunk's offers through
 reported admit off the front of its lane and takes the drain's DRR
 credit, and the barrier asserts the replica's depth equals each
 worker's.  Every rule applied between chunks is therefore the
-in-process code on the replica — ``handoff`` at a diversion,
-``requeue`` at a restart, ``purge_tenant`` at an SLO trip (shedding at
-decision time), ``clear_shard`` at abandonment — and the parent ships
-a worker only what changed: the purged tenants and the handoff appends
-with its next chunk, the closed-door set with every chunk of a tenancy
-run, and the whole lane set with its credit in a restore.  A chunk
+in-process code on the replica — ``offer`` for a quarantined shard's
+held arrivals, ``purge_tenant`` at an SLO trip (shedding at decision
+time), ``shed_shard`` at abandonment — and the parent ships a worker
+only what changed: the purged tenants with its next chunk, the
+closed-door set with every chunk of a tenancy run, and the whole lane
+set with its credit in a restore (held arrivals included).  A chunk
 lost with its worker leaves nothing owed: its arrivals join the
 replica unbounded, and the restart's restore ships the lanes whole.
 
@@ -89,8 +89,8 @@ conservation-exact; ``tests/serve/data/driver_golden.json`` pins each):
 * ``kill-worker`` SIGKILLs a process, so every shard it hosts is
   quarantined, where the in-process driver loses only the named shard;
 * a shard that deadlocks mid-chunk is quarantined at the next barrier
-  rather than mid-step, its unoffered chunk arrivals spilling at the
-  barrier (depth timelines meter the spill one barrier late);
+  rather than mid-step, its unoffered chunk arrivals held at the
+  barrier (depth timelines meter them one barrier late);
 * with ``engine='lsm'`` each worker owns its shards' stores and reports
   their health with every chunk, so a store that turns read-only marks
   its shard ``degraded``; the in-process driver's one parent-held store
@@ -319,8 +319,8 @@ class _ShardWorker(ShardStep):
         between chunks; each shard's ``batch`` entry (see
         :meth:`ProcPoolLoop._stage_chunk`) carries its arrivals and what
         of the replica's changes this worker has not seen — the tenants
-        an SLO trip purged and then the handoffs appended since — and
-        ``door`` (tenancy runs) is the closed-door set.
+        an SLO trip purged since — and ``door`` (tenancy runs) is the
+        closed-door set.
 
         The reply is ``(shards, frozen, stall_holds, planner,
         faults_fired)``: per shard ``(admits, runs, faults, completions,
@@ -347,13 +347,10 @@ class _ShardWorker(ShardStep):
             entry = batch.get(sid)
             if entry is None:
                 continue
-            arrived, tenants, keys, purge, handoff = entry
+            arrived, tenants, keys, purge = entry
             self._learn(tenants, keys)
             for tid in purge:
                 adm.purge_tenant_shard(sid, tid)
-            if handoff:
-                it = iter(handoff)
-                adm.load_requeue(sid, list(zip(it, it)))
             if arrived:
                 arrivals[sid] = arrived
         cursor = dict.fromkeys(arrivals, 0)
@@ -505,14 +502,11 @@ class ProcPoolLoop(ServiceLoop):
         self._next_slot_id = 0
         #: ``self.admission`` is a replica of the workers' lanes: every
         #: merge replays a chunk's offers and admits on it, and every
-        #: rule between chunks (handoff, requeue, SLO purge, abandon)
-        #: runs on it as in-process.  Per shard and lane, how many
-        #: front items its worker holds too (matched at the last merge
-        #: or restore), or -1 once an SLO purge emptied the lane here;
-        #: the rest ships with the next chunk.
-        self._synced: "list[list[int]]" = [
-            [0] * len(lanes) for lanes in self.admission.lanes
-        ]
+        #: rule between chunks (held arrivals, SLO purge, abandon) runs
+        #: on it as in-process.  Per shard, the tenants an SLO purge
+        #: emptied here since its worker last matched the lanes (at a
+        #: chunk or a restore); they ship with the next chunk.
+        self._purged: "list[set[int]]" = [set() for _ in range(n)]
         # The parent's engines never step: their counters accumulate
         # the merged worker deltas and their logs the merged flush
         # records, so the report reads them as in-process.  In-flight
@@ -733,10 +727,9 @@ class ProcPoolLoop(ServiceLoop):
         self._on_slot_death(slot, t, "chaos-kill-worker")
 
     def _apply_restart(self, sid: int, t: int, locations) -> None:
-        """Requeue the spill on the replica, then ship the folded state
-        and the shard's whole lane set to the hosting worker — a fresh
-        process when the old one died."""
-        self._requeue_spill(sid, t)
+        """Ship the folded state and the shard's whole lane set (held
+        arrivals included) to the hosting worker — a fresh process when
+        the old one died."""
         self._replans_left[sid] = MAX_FORCED_REPLANS
         slot_id = self._slot_of.get(sid)
         slot = self._slots.get(slot_id) if slot_id is not None else None
@@ -769,7 +762,7 @@ class ProcPoolLoop(ServiceLoop):
         except (EOFError, BrokenPipeError, OSError):
             self._on_slot_death(slot, t, "restore-failed")
             return
-        self._synced[sid] = [len(q) for q in lanes]
+        self._purged[sid].clear()
         self._last_inflight[sid] = len(locations)
         self._last_backlog[sid] = 0
 
@@ -800,9 +793,8 @@ class ProcPoolLoop(ServiceLoop):
         # in-process; each worker purges the same lanes when its next
         # chunk brings it up to date (a restore ships the lanes whole).
         super()._apply_slo(door, tripped, t)
-        for synced in self._synced:
-            for tid in tripped:
-                synced[tid] = -1
+        for purged in self._purged:
+            purged.update(tripped)
 
     def _stage_chunk(self, t0: int, t1: int):
         """Route the chunk's arrivals into per-shard worker payloads.
@@ -810,10 +802,10 @@ class ProcPoolLoop(ServiceLoop):
         Arrivals are drawn and routed step by step through the loop's
         own phase 1, exactly as in-process: the arrival RNG only ever
         advances by ``take`` calls in step order.  A shard's payload is
-        ``[arrivals, tenants, keys, purge, handoff]``: its arrivals as
-        flat ``t, gid, leaf`` triples in step order, their tags (see
-        :meth:`_tag`), and the replica's unsynced changes (see
-        :meth:`_stage_unsynced`)."""
+        ``[arrivals, tenants, keys, purge]``: its arrivals as flat
+        ``t, gid, leaf`` triples in step order, their tags (see
+        :meth:`_tag`), and the tenants purged since the worker last
+        matched the replica (see :meth:`_dispatch_chunk`)."""
         batch: "dict[int, list[list[int]]]" = {}
         gid_after: "dict[int, int]" = {}
         exhausted_after: "dict[int, bool]" = {}
@@ -822,7 +814,7 @@ class ProcPoolLoop(ServiceLoop):
             for sid, gid, leaf in self._route(t):
                 entry = batch.get(sid)
                 if entry is None:
-                    entry = batch[sid] = [[], [], [], [], []]
+                    entry = batch[sid] = [[], [], [], []]
                 entry[0] += (t, gid, leaf)
                 self._tag(entry[1], entry[2], gid)
             self.arrivals.on_emitted(list(range(gid0, self._next_gid)))
@@ -830,38 +822,21 @@ class ProcPoolLoop(ServiceLoop):
             exhausted_after[t] = self.arrivals.exhausted
         return batch, gid_after, exhausted_after
 
-    def _stage_unsynced(self, sid: int, batch: dict) -> None:
-        """Add to ``sid``'s payload what its replica lanes changed since
-        the worker last matched them: the tenants purged, then the
-        items appended since (diversion handoffs), as flat ``gid, leaf``
-        pairs."""
-        purge, items = [], []
-        for tid, (q, synced) in enumerate(
-            zip(self.admission.lanes[sid], self._synced[sid])
-        ):
-            if synced < 0:
-                purge.append(tid)
-                synced = 0
-            if len(q) > synced:
-                items.extend(islice(q, synced, None))
-        if not (purge or items):
-            return
-        entry = batch.get(sid)
-        if entry is None:
-            entry = batch[sid] = [[], [], [], [], []]
-        entry[3] = purge
-        for gid, leaf in items:
-            entry[4] += (gid, leaf)
-            self._tag(entry[1], entry[2], gid)
-
     def _dispatch_chunk(self, t0: int, t1: int, batch):
         door = (sorted(self.admission.door_closed)
                 if self._tenancy is not None else None)
         by_slot: "dict[int, list[int]]" = {}
         for sid in range(len(self.engines)):
-            if sid not in self._held:
-                by_slot.setdefault(self._slot_of[sid], []).append(sid)
-                self._stage_unsynced(sid, batch)
+            if sid in self._held:
+                continue
+            by_slot.setdefault(self._slot_of[sid], []).append(sid)
+            purged = self._purged[sid]
+            if purged:
+                entry = batch.get(sid)
+                if entry is None:
+                    entry = batch[sid] = [[], [], [], []]
+                entry[3] = sorted(purged)
+                purged.clear()
         pending = []
         for slot_id, sids in sorted(by_slot.items()):
             slot = self._slots[slot_id]
@@ -967,7 +942,6 @@ class ProcPoolLoop(ServiceLoop):
         on_completion = self._on_completion
         last_backlog = self._last_backlog
         last_inflight = self._last_inflight
-        n = len(engines)
         end_t = None
         for t in range(t0, t1 + 1):
             for sid, arrived, admits, last, cur in offers:
@@ -1009,9 +983,7 @@ class ProcPoolLoop(ServiceLoop):
                 last_backlog[sid] = depths[k]
                 last_inflight[sid] = depths[k + 1]
             metrics.note_step(
-                [queue_depth(s) + len(self._spill[s]) for s in range(n)],
-                list(last_backlog),
-                list(last_inflight),
+                adm.queue_depths(), last_backlog, last_inflight,
             )
             if journal is not None:
                 journal.end_step(t, gid_after[t],
@@ -1028,7 +1000,6 @@ class ProcPoolLoop(ServiceLoop):
                 f"shard {sid}: lane replica diverged from worker "
                 f"({queue_depth(sid)} != {queue_len})"
             )
-            self._synced[sid] = [len(q) for q in adm.lanes[sid]]
             adm.deficit[sid] = deficit
         for sid in sorted(frozen):
             self._replans_left[sid] = 0

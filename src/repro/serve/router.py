@@ -134,7 +134,7 @@ class ShardRouter:
         Transitive with a cycle guard: if following the chain revisits a
         shard (two shards diverted at each other), routing falls back to
         the *original* shard — a cycle means no healthy host exists, and
-        the supervisor's spill queue is the right destination.
+        the original shard's own lanes hold its arrivals.
         """
         seen = {sid}
         cur = sid

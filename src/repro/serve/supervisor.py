@@ -20,10 +20,10 @@ breaker.
 (:class:`CircuitBreaker`).  It trips on consecutive stalled epochs, on
 forced-replan exhaustion, and on chaos ``kill`` events.  While open the
 shard is skipped entirely — no drain, no planning, no stepping — and its
-arrivals are **held in a bounded spill queue** (counted by
-``ServeMetrics.note_spill``) or, past capacity, **counted-shed**; nothing
-is ever silently dropped, so conservation (arrived = completed + shed +
-queued + spilled + in-flight) reconciles exactly at every step.  Probe
+arrivals are **held in its own admission lanes** (counted by
+``ServeMetrics.note_spill``) or, when a lane is full, **counted-shed**;
+nothing is ever silently dropped, so conservation (arrived = completed +
+shed + queued + in-flight) reconciles exactly at every step.  Probe
 scheduling is deterministic from ``ServeConfig.seed``: backoff doubles
 per trip up to ``max_backoff`` epochs, plus a seeded 0/1-epoch jitter.
 
@@ -96,9 +96,6 @@ class SupervisorConfig:
                 "probe (doubles per trip)"})
     max_backoff: int = field(default=8, metadata={
         "help": "cap on the probe backoff in epochs"})
-    spill_capacity: int = field(default=0, metadata={
-        "help": "arrivals held per quarantined shard before counted "
-                "shedding (0 = 16*B)"})
     restart_budget: int = field(default=3, metadata={
         "help": "live restarts per shard before abandonment"})
     watchdog_deadline: float = field(default=30.0, metadata={
@@ -106,10 +103,10 @@ class SupervisorConfig:
                 "chunk before the watchdog escalates (cancel, then "
                 "SIGTERM, then SIGKILL) and restarts its shards"})
     divert: bool = field(default=False, metadata={
-        "help": "while a shard's breaker is open, divert its key range "
-                "to a healthy neighbor via a journal-checkpointed spill "
-                "handoff, merging back on probe success (changes which "
-                "shard serves which key, so it is opt-in)"})
+        "help": "while a shard's breaker is open, divert its later "
+                "arrivals to a healthy neighbor (journal-checkpointed), "
+                "merging back on probe success (changes which shard "
+                "serves which key, so it is opt-in)"})
 
     def __post_init__(self) -> None:
         if self.trip_after < 1:
@@ -120,10 +117,6 @@ class SupervisorConfig:
             raise InvalidInstanceError(
                 f"need 1 <= probe_backoff <= max_backoff, got "
                 f"{self.probe_backoff}, {self.max_backoff}"
-            )
-        if self.spill_capacity < 0:
-            raise InvalidInstanceError(
-                f"spill_capacity must be >= 0, got {self.spill_capacity}"
             )
         if self.restart_budget < 0:
             raise InvalidInstanceError(
@@ -277,7 +270,6 @@ class SupervisorStats:
     #: breaker-aware routing (always 0 unless ``divert`` is enabled).
     diversions: int = 0
     merge_backs: int = 0
-    divert_handoff_msgs: int = 0
     trips_by_shard: dict = field(default_factory=dict)
     quarantine_epochs_by_shard: dict = field(default_factory=dict)
     restarts_by_shard: dict = field(default_factory=dict)
@@ -289,6 +281,9 @@ class SupervisorStats:
     def snapshot(self) -> dict:
         """Plain-dict form (stable key order under ``sort_keys``)."""
         snap = asdict(self)
+        # Diversions hand no queued message over; the key keeps the
+        # report schema of runs whose diversions did.
+        snap["divert_handoff_msgs"] = 0
         for key in (
             "trips_by_shard", "quarantine_epochs_by_shard",
             "restarts_by_shard", "spilled_by_shard",

@@ -85,7 +85,7 @@ VECTORS = {
     "serve/closed": "serve --arrivals closed --clients 3 --think-time 1",
     "serve/supervised-every-flag": (
         "serve --trip-after 3 --probe-backoff 2 "
-        "--max-backoff 9 --spill-capacity 5 --restart-budget 4 "
+        "--max-backoff 9 --restart-budget 4 "
         "--watchdog-deadline 12.5 --divert --journal sup.woj"
     ),
     "serve/chaos-defaults": "serve --chaos --seed 3 --messages 400",

@@ -91,28 +91,27 @@ def test_validation():
         AdmissionController(1, max_root_backlog=1, max_queue=-1)
 
 
-def test_requeue_and_handoff_never_recount_offered():
-    """Re-admission paths take messages that were already offered at
-    arrival; conservation (arrived == offered) requires they never bump
-    ``stats.offered`` — only ``offer`` does."""
+def test_abandoned_shard_sheds_count_each_offer_once():
+    """An abandoned shard takes no arrival: ``refuse`` offers and sheds
+    one, ``shed_shard`` sheds what its lanes held.  Each message is
+    offered once either way, so ``offered == admitted + shed + queued``
+    holds throughout."""
     engine, topo = make_engine()
     leaf = topo.leaves[0]
     ctrl = AdmissionController(2, max_root_backlog=10, max_queue=5)
     for gid in range(3):
         ctrl.offer(0, gid, leaf)
-    assert ctrl.stats.offered == 3
-    assert ctrl.requeue(0, [(3, leaf), (4, leaf)]) == 2
-    assert ctrl.stats.offered == 3
-    assert ctrl.handoff(1, [(5, leaf), (6, leaf)]) == 2
-    assert ctrl.stats.offered == 3
-    assert ctrl.stats.handoff_in == 2
-    # Bounded prefix-accept: shard 0 is full (3 offered + 2 requeued),
-    # so the overflow is returned to the caller (who sheds and counts
-    # it); neither offered nor shed moves here.
-    assert ctrl.requeue(0, [(7 + i, leaf) for i in range(9)]) == 0
-    assert ctrl.stats.offered == 3
-    assert ctrl.stats.shed == 0
-    assert ctrl.queue_depth(0) == 5
+    ctrl.offer(1, 3, leaf)
+    ctrl.refuse(1, 4)
+    assert (ctrl.stats.offered, ctrl.stats.shed) == (5, 1)
+    assert ctrl.stats.shed_by_shard == {1: 1}
+    ctrl.shed_shard(0)
+    assert ctrl.queue_depth(0) == 0
+    assert ctrl.queue_depths() == [0, 1]
+    assert (ctrl.stats.offered, ctrl.stats.shed) == (5, 4)
+    assert ctrl.stats.shed_by_shard == {0: 3, 1: 1}
+    assert ctrl.stats.offered == \
+        ctrl.stats.admitted + ctrl.stats.shed + sum(ctrl.queue_depths())
 
 
 def test_queue_helpers_cover_load_and_clear():

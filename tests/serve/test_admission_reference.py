@@ -62,32 +62,23 @@ class FifoReference:
         self.stats.max_queue_depth = max(self.stats.max_queue_depth,
                                          len(self.queues[sid]))
 
+    def _shed(self, sid):
+        self.stats.shed += 1
+        by = self.stats.shed_by_shard
+        by[sid] = by.get(sid, 0) + 1
+
     def offer(self, sid, gid, leaf):
         self.stats.offered += 1
         if len(self.queues[sid]) >= self.max_queue:
-            self.stats.shed += 1
-            by = self.stats.shed_by_shard
-            by[sid] = by.get(sid, 0) + 1
+            self._shed(sid)
             return False
         self.queues[sid].append((gid, leaf))
         self._note_depth(sid)
         return True
 
-    def requeue(self, sid, items):
-        accepted = 0
-        for item in items:
-            if len(self.queues[sid]) >= self.max_queue:
-                break
-            self.queues[sid].append(item)
-            accepted += 1
-        self._note_depth(sid)
-        return accepted
-
-    def handoff(self, sid, items):
-        accepted = self.requeue(sid, items)
-        self.stats.handoff_in += accepted
-        self.stats.handoff_overflow += len(items) - accepted
-        return accepted
+    def refuse(self, sid, gid):
+        self.stats.offered += 1
+        self._shed(sid)
 
     def load_requeue(self, sid, items):
         self.queues[sid].extend(items)
@@ -97,6 +88,10 @@ class FifoReference:
         dropped = list(self.queues[sid])
         self.queues[sid].clear()
         return dropped
+
+    def shed_shard(self, sid):
+        for _item in self.clear_shard(sid):
+            self._shed(sid)
 
     def drain(self, sid, engine, step):
         q = self.queues[sid]
@@ -160,21 +155,9 @@ class DrrReference:
         self._note_depth(sid)
         return True
 
-    def requeue(self, sid, items):
-        accepted = 0
-        for gid, leaf in items:
-            if self._depth(sid) >= self.max_queue:
-                break
-            self.queues[sid][self.tenant_of.get(gid, 0)].append((gid, leaf))
-            accepted += 1
-        self._note_depth(sid)
-        return accepted
-
-    def handoff(self, sid, items):
-        accepted = self.requeue(sid, items)
-        self.stats.handoff_in += accepted
-        self.stats.handoff_overflow += len(items) - accepted
-        return accepted
+    def refuse(self, sid, gid):
+        self.stats.offered += 1
+        self._shed(sid, self.tenant_of.get(gid, 0))
 
     def load_requeue(self, sid, items):
         for gid, leaf in items:
@@ -188,6 +171,10 @@ class DrrReference:
             q.clear()
         self.deficit[sid] = [0.0] * len(self.specs)
         return dropped
+
+    def shed_shard(self, sid):
+        for gid, _leaf in self.clear_shard(sid):
+            self._shed(sid, self.tenant_of.get(gid, 0))
 
     def purge_tenant_shard(self, sid, tid):
         gids = [gid for gid, _leaf in self.queues[sid][tid]]
@@ -268,15 +255,17 @@ def _run(ctrl, ref, ops, n_shards, n_lanes, tenant_of, tenants) -> None:
             gid = fresh(b)
             got = ctrl.offer(sid, gid, c % 3)
             assert got == ref.offer(sid, gid, c % 3)
-        elif kind in (3, 4, 5):  # requeue / handoff / unbounded load
+        elif kind == 3:  # an arrival for an abandoned shard
+            gid = fresh(b)
+            ctrl.refuse(sid, gid)
+            ref.refuse(sid, gid)
+        elif kind == 4:  # abandonment
+            ctrl.shed_shard(sid)
+            ref.shed_shard(sid)
+        elif kind == 5:  # unbounded load
             items = [(fresh(b + i), (c + i) % 3) for i in range(b % 6)]
-            if kind == 5:
-                ctrl.load_requeue(sid, items)
-                ref.load_requeue(sid, items)
-            else:
-                name = "requeue" if kind == 3 else "handoff"
-                got = getattr(ctrl, name)(sid, items)
-                assert got == getattr(ref, name)(sid, items)
+            ctrl.load_requeue(sid, items)
+            ref.load_requeue(sid, items)
         elif kind in (6, 7):  # drain with a random root backlog / stall
             for engine in (engines[sid], ref_engines[sid]):
                 engine.root_backlog = b % (ctrl.max_root_backlog + 2)

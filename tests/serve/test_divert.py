@@ -1,17 +1,15 @@
-"""Breaker-aware key-range diversion: conservation, handoff, merge-back.
+"""Breaker-aware key-range diversion: conservation, routing, merge-back.
 
 When ``SupervisorConfig(divert=True)`` and a shard's breaker opens, the
 supervisor re-points the shard's key range at a healthy neighbor through
-the router overlay and hands the accumulated spill queue over with it —
-journal-checkpointed, with **exact conservation**: every spilled message
-is either requeued on the neighbor or counted-shed, never dropped.  On
-probe success the overlay is removed (merge-back); messages already
-diverted stay with the neighbor that admitted them.
+the router overlay, journal-checkpointed.  Only later arrivals move:
+what the shard already holds (its lanes, held arrivals included) waits
+for its own restart, with **exact conservation** throughout.  On probe
+success the overlay is removed (merge-back); messages already diverted
+stay with the neighbor that admitted them.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.dam.journal import REC_DIVERT, scan_journal
 from repro.faults import (
@@ -22,12 +20,13 @@ from repro.faults import (
 )
 from repro.serve import (
     QUARANTINED,
-    RECOVERING,
     ServeConfig,
     ServiceLoop,
     SupervisorConfig,
     recover_serve,
 )
+from tests.serve import conservation
+from tests.serve.conservation import assert_exact
 
 
 def serve_config(**overrides) -> ServeConfig:
@@ -37,66 +36,21 @@ def serve_config(**overrides) -> ServeConfig:
     return ServeConfig(**base)
 
 
-class DivertConservationChecked(ServiceLoop):
-    """Asserts admission conservation at every heartbeat, diversion on.
-
-    Same invariant as the supervisor suite's ``ConservationChecked``,
-    re-stated here because diversion moves messages *between* shards
-    mid-flight: a message must still be completed, shed, queued,
-    spilled, or engine-resident at all times — on *some* shard — with
-    the only exception being state lost to a quarantined shard that is
-    awaiting restart.
-    """
-
-    checked = 0
-
-    def _heartbeat(self, t: int) -> None:
-        super()._heartbeat(t)
-        m = self.metrics
-        accounted: set = set(m.completion_step) | set(m.shed_ids)
-        for lanes in self.admission.lanes:
-            for q in lanes:
-                accounted |= {gid for gid, _leaf in q}
-        for spill in self._spill:
-            accounted |= {gid for gid, _leaf in spill}
-        for engine in self.engines:
-            accounted |= set(engine.location)
-        missing = set(m.arrival_step) - accounted
-        for gid in missing:
-            sid = m.shard_of[gid]
-            assert self._health[sid] in (QUARANTINED, RECOVERING), (
-                f"message {gid} unaccounted for on {self._health[sid]} "
-                f"shard {sid} at step {t} (divert run)"
-            )
-        type(self).checked += 1
-
-
 def run_checked(chaos, *, supervisor=None, journal=None, **overrides):
-    cfg = serve_config(**overrides)
-    DivertConservationChecked.checked = 0
-    loop = DivertConservationChecked(
-        cfg, chaos=chaos,
+    return conservation.run_checked(
+        serve_config(**overrides), chaos=chaos,
         supervisor=supervisor or SupervisorConfig(divert=True),
         journal=journal,
     )
-    report = loop.run()
-    assert DivertConservationChecked.checked > 0
-    return loop, report
-
-
-def assert_exact(report):
-    snap = report.snapshot
-    assert snap["arrived"] == snap["completed"] + snap["shed"]
-    assert snap["in_flight"] == 0
 
 
 KILL_ONE = ChaosPlan((ChaosEvent(12, CHAOS_KILL, 1),))
 
 #: Kill both shards of a 2-shard instance one epoch apart: shard 0
 #: diverts to 1 immediately, but when 1 dies there is no healthy
-#: neighbor left, so 1's spill accumulates until 0's probe succeeds —
-#: at which point the heartbeat's late-divert retry hands the
-#: accumulated spill to the freshly recovered shard 0.
+#: neighbor left, so 1's arrivals wait in its own lanes until 0's probe
+#: succeeds — at which point the heartbeat's late-divert retry routes
+#: 1's *later* arrivals to the freshly recovered shard 0.
 DOUBLE_KILL = ChaosPlan((
     ChaosEvent(6, CHAOS_KILL, 0),
     ChaosEvent(10, CHAOS_KILL, 1),
@@ -121,7 +75,6 @@ class TestDiversion:
         sup = report.supervisor
         assert sup.diversions == 0
         assert sup.merge_backs == 0
-        assert sup.divert_handoff_msgs == 0
         assert loop.router.diverted == {}
         assert_exact(report)
 
@@ -133,47 +86,53 @@ class TestDiversion:
         _loop, report = run_checked(plan)
         assert_exact(report)
 
-    def test_late_divert_hands_off_the_accumulated_spill(self):
-        loop, report = run_checked(
-            DOUBLE_KILL, shards=2, messages=260, rate=10.0
-        )
-        sup = report.supervisor
-        # Both shards diverted at some point; the second diversion was
-        # the *late* one (retried from the heartbeat once shard 0
-        # recovered) and carried shard 1's accumulated spill with it.
-        assert sup.diversions >= 2
-        assert sup.divert_handoff_msgs > 0
-        assert sup.merge_backs >= 2
-        assert loop.router.diverted == {}
-        assert_exact(report)
-
-    def test_handed_off_messages_stay_with_the_neighbor(self, tmp_path):
+    def test_late_divert_moves_only_later_arrivals(self, tmp_path):
         path = tmp_path / "divert.woj"
         loop, report = run_checked(
             DOUBLE_KILL, shards=2, messages=260, rate=10.0, journal=path
         )
         sup = report.supervisor
-        # Messages spilled while shard 1 was quarantined were handed to
-        # shard 0 by the late divert; none were lost and none shed —
-        # every one of them completed on the neighbor.
-        handed = [
-            (r["to"], gid) for r in scan_journal(path).records
-            if r["type"] == REC_DIVERT for gid in r["msgs"]
-        ]
-        assert sup.spilled_by_shard.get(1, 0) > 0
-        assert len(handed) == sup.divert_handoff_msgs > 0
+        # Both shards diverted at some point; the second diversion was
+        # the *late* one, retried from the heartbeat once shard 0
+        # recovered.
+        assert sup.diversions >= 2
+        assert sup.merge_backs >= 2
+        assert loop.router.diverted == {}
+        assert_exact(report)
+        records = [r for r in scan_journal(path).records
+                   if r["type"] == REC_DIVERT]
+        assert all(set(r) == {"type", "t", "from", "to"} for r in records)
+        late = next(r["t"] for r in records if (r["from"], r["to"]) == (1, 0))
+        back = next(r["t"] for r in records
+                    if (r["from"], r["to"]) == (1, 1) and r["t"] > late)
+        m = loop.metrics
+        # What shard 1 held before the divert stays shard 1's...
+        held = {g for g in m.spilled_ids if m.shard_of[g] == 1}
+        assert held and all(m.arrival_step[g] < late for g in held)
+        # ...and every arrival while the overlay stood went to shard 0.
+        moved = [g for g, t in m.arrival_step.items() if late <= t < back]
+        assert moved and all(m.shard_of[g] == 0 for g in moved)
+
+    def test_held_messages_complete_on_their_own_shard(self):
+        loop, report = run_checked(
+            DOUBLE_KILL, shards=2, messages=260, rate=10.0
+        )
+        sup = report.supervisor
+        m = loop.metrics
+        # Messages held while shard 1 was quarantined waited in its own
+        # lanes and completed there after its restart; none were lost
+        # and none shed.
+        held = {g for g in m.spilled_ids if m.shard_of[g] == 1}
+        assert len(held) == sup.spilled_by_shard.get(1, 0) > 0
         assert sup.spill_overflow_shed == 0
-        for to, gid in handed:
-            assert gid in report.completions
-            assert loop.metrics.shard_of[gid] == to
-        # The handoff fills shard 0's admission queue to within a few
-        # messages of its bound (16 B); a fresh arrival the full queue
-        # turns away is counted-shed at admission, never a handed-off
-        # message.
+        assert sup.restarts_by_shard.get(1, 0) >= 1
+        assert held <= report.completions.keys()
+        assert not held & m.shed_ids
+        # Every shed is an admission shed (a fresh arrival a full lane
+        # turned away), never a held message.
         assert report.snapshot["shed"] == loop.admission.stats.shed
-        assert not {gid for _to, gid in handed} & loop.metrics.shed_ids
-        # shard_of moved with the handoff: the per-shard ledgers still
-        # partition the arrivals exactly (no double count, no orphan).
+        # The per-shard ledgers still partition the arrivals exactly (no
+        # double count, no orphan).
         per_shard = report.snapshot["shards"]
         assert sum(row["arrived"] for row in per_shard) == \
             report.snapshot["arrived"]
@@ -202,13 +161,18 @@ class TestDiversion:
 
 class TestRemapLeaf:
     def test_remap_preserves_key_order(self):
+        """A diverted key lands on the host leaf its position in its home
+        range maps to, so the host keeps the range's key order."""
         loop = ServiceLoop(serve_config(shards=2),
-                              supervisor=SupervisorConfig(divert=True))
-        src = loop.router.shards[0].leaves
-        dst = loop.router.shards[1].leaves
-        mapped = [loop._remap_leaf(0, 1, leaf) for leaf in src]
+                           supervisor=SupervisorConfig(divert=True))
+        router = loop.router
+        home = router.shards[0]
+        router.divert(0, 1)
+        routed = [router.route(k) for k in range(home.key_lo, home.key_hi)]
+        assert {sid for sid, _leaf in routed} == {1}
+        mapped = [leaf for _sid, leaf in routed]
         assert mapped == sorted(mapped)
-        assert set(mapped) <= set(dst)
+        assert set(mapped) <= set(router.shards[1].leaves)
 
     def test_divert_target_prefers_the_next_shard(self):
         loop = ServiceLoop(serve_config(shards=4),

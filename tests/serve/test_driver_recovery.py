@@ -21,9 +21,15 @@
   today every plan is a full re-plan taken whole, and a retired key in
   meta (``pace``, ``fault_aware``) no longer names a config field, so
   its replay is the run without it.
-* The fixtures were written as ``WOJ1`` journals and re-encoded record
-  for record when the format moved to ``WOJ2``; a digest of each one's
-  scanned records (the same for any encoding) pins that.
+* A journal written while a quarantined shard's arrivals waited in a
+  separate spill queue (meta ``spill_capacity``, divert records listing
+  the spilled messages a late diversion handed to the neighbor) fails
+  the same typed way: today those arrivals wait in the shard's own
+  lanes and a diversion moves only later arrivals, so the replay is a
+  different run.
+* The older fixtures were written as ``WOJ1`` journals and re-encoded
+  record for record when the format moved to ``WOJ2``; a digest of each
+  one's scanned records (the same for any encoding) pins that.
 """
 
 from __future__ import annotations
@@ -33,7 +39,12 @@ from pathlib import Path
 import pytest
 
 from repro.dam.compaction import compact_journal
-from repro.dam.journal import REC_DRIVER, RecoveryManager, scan_journal
+from repro.dam.journal import (
+    REC_DIVERT,
+    REC_DRIVER,
+    RecoveryManager,
+    scan_journal,
+)
 from repro.serve import (
     ProcPoolLoop,
     ServeConfig,
@@ -58,6 +69,8 @@ ERA_RECORDS = {
         "9daf8dbd59b7504c9480a0863b4ead9594af708eb6b87179604206b2c3f45b10",
     "plain_s1.woj":
         "977f20a8037b8fb31b7afd56ee80e70e97d933b1a75ab83b08aec61382cebea2",
+    "spill_era.woj":
+        "4c3a7b410f6ed9b02e2a656d23647014e325de39708862e09d2c24ad24b4c2cd",
     "threads_era.woj":
         "86ede3ad64566417a13ed88ee4fcfa268ead670c41ace04fbdded6de2fee71a9",
 }
@@ -196,6 +209,28 @@ def test_aware_era_journal_fails_typed():
         arrivals="mmpp", rate=3.0, burst_rate=24.0, messages=1200,
         shards=4, P=4, B=16, seed=1, fault_rate=0.2, fault_seed=5,
     )
+    with pytest.raises(JournalCorruptionError) as exc:
+        recover_serve(path, repair=False)
+    assert exc.value.reason == "schedule-mismatch"
+
+
+def test_spill_era_journal_fails_typed():
+    """``tests/serve/test_divert.py``'s double kill (2 shards, seed 3,
+    260 messages at rate 10, divert on), written with
+    ``spill_capacity=40``: shard 1's spill overflowed, and the late
+    diversion handed its 40 spilled messages to shard 0.  Today those
+    arrivals wait in shard 1's lanes (the retired key is ignored), so
+    the journal's flushes are not in the replay."""
+    path = DATA / "spill_era.woj"
+    meta = RecoveryManager(path).meta
+    assert meta["supervisor"]["spill_capacity"] == 40
+    assert ServeConfig.from_meta(meta) == ServeConfig(
+        rate=10.0, messages=260, shards=2, seed=3, P=3, B=8, epoch=4,
+        checkpoint_every=4,
+    )
+    handed = [r["msgs"] for r in scan_journal(path).records
+              if r["type"] == REC_DIVERT and r["from"] != r["to"]]
+    assert [len(msgs) for msgs in handed] == [0, 40]
     with pytest.raises(JournalCorruptionError) as exc:
         recover_serve(path, repair=False)
     assert exc.value.reason == "schedule-mismatch"

@@ -18,9 +18,9 @@ The contracts under test, in the order the ISSUE states them:
 * journal meta records the driver topology, so ``recover`` re-derives
   the identical run through the same driver;
 * the parent's admission controller is a replica of its workers'
-  lanes, so the rules it applies between chunks (SLO purge, diversion
-  handoff, restart requeue) act as in-process: equal heartbeats and
-  handoff counts;
+  lanes, so the rules it applies between chunks (SLO purge, a
+  quarantined shard's held arrivals) act as in-process: equal
+  heartbeats and held/shed counts;
 * the wire is flat: no class instance crosses the pipe in either
   direction, and fault records that interleave with flushes inside one
   (step, shard) replay in order.
@@ -363,15 +363,15 @@ class TestLaneReplica:
         assert proc.admission_stats == plain.admission_stats
         assert proc.completions == plain.completions
 
-    def test_handoff_overflow_matches_in_process(self):
+    def test_held_overflow_matches_in_process(self):
         """Shard 2 dies while its only neighbor, shard 1, is still
-        quarantined, so its spill grows until shard 1 recovers and takes
-        the diversion handoff through an 8-deep queue: the overflow is
-        shed by the same rule, with the same counts, on every driver."""
+        quarantined, so its arrivals are held in its own 32-deep lanes
+        until its restart: the overflow is shed by the same rule, with
+        the same counts, on every driver."""
         tenants = make_tenants(2, 300, rates=[10.0, 3.0],
                                weights=[2.0, 1.0])
         cfg = serve_config(messages=300, shards=3, tenants=tenants,
-                           max_queue=8)
+                           max_queue=32)
         plan = ChaosPlan((ChaosEvent(9, CHAOS_KILL, 1),
                           ChaosEvent(13, CHAOS_KILL, 2)))
         sup = SupervisorConfig(divert=True)
@@ -381,10 +381,11 @@ class TestLaneReplica:
         ]
         counts = set()
         for report in runs:
-            adm = report.admission_stats
-            assert adm.handoff_overflow > 0
-            counts.add((adm.handoff_in, adm.handoff_overflow,
-                        report.supervisor.spill_overflow_shed))
+            sup = report.supervisor
+            assert sup.spilled_by_shard.get(2, 0) > 0
+            assert sup.spill_overflow_shed > 0
+            counts.add((sup.spilled, sup.spill_overflow_shed,
+                        json.dumps(asdict(report.admission_stats))))
             for row in report.snapshot["tenants"]:
                 assert row["arrived"] == row["completed"] + row["shed"]
                 assert row["in_flight"] == 0

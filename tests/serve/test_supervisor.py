@@ -1,11 +1,11 @@
-"""Shard supervision: breakers, spill/shed conservation, live restart.
+"""Shard supervision: breakers, held/shed conservation, live restart.
 
 The contracts under test:
 
 * admission conservation holds across every breaker transition: every
-  arrival is queued, spilled, shed, completed, resident in an engine,
-  or (transiently) awaiting restart on a quarantined shard — never
-  silently lost;
+  arrival is queued (a quarantined shard's held arrivals included),
+  shed, completed, resident in an engine, or (transiently) awaiting
+  restart on a quarantined shard — never silently lost;
 * a chaos drill (whole-shard stall burst + mid-run kill) loses zero
   messages, restarts the killed shard from its journal, and leaves the
   unaffected shards' tail latency untouched;
@@ -46,6 +46,7 @@ from repro.serve.supervisor import (
     BREAKER_OPEN,
 )
 from repro.util.errors import ExecutionStalledError, InvalidInstanceError
+from tests.serve.conservation import assert_exact, run_checked
 
 
 def serve_config(**overrides) -> ServeConfig:
@@ -136,9 +137,9 @@ class TestSupervisorConfig:
         dict(trip_after=0),
         dict(probe_backoff=0),
         dict(probe_backoff=4, max_backoff=2),
-        dict(spill_capacity=-1),
         dict(restart_budget=-1),
         dict(watchdog_deadline=0.0),
+        dict(watchdog_deadline=float("nan")),
     ])
     def test_validation(self, bad):
         with pytest.raises(InvalidInstanceError):
@@ -148,57 +149,17 @@ class TestSupervisorConfig:
 # ----------------------------------------------------------------------
 # Conservation across breaker transitions
 # ----------------------------------------------------------------------
-class ConservationChecked(ServiceLoop):
-    """Asserts the admission-conservation invariant at every heartbeat.
-
-    Every arrival must be completed, shed, queued, spilled, or resident
-    in a shard engine; anything else must be awaiting restart on a
-    quarantined (or abandoned mid-sweep) shard.
-    """
-
-    checked = 0
-
-    def _heartbeat(self, t: int) -> None:
-        super()._heartbeat(t)
-        m = self.metrics
-        accounted: set = set(m.completion_step) | set(m.shed_ids)
-        for lanes in self.admission.lanes:
-            for q in lanes:
-                accounted |= {gid for gid, _leaf in q}
-        for spill in self._spill:
-            accounted |= {gid for gid, _leaf in spill}
-        for engine in self.engines:
-            accounted |= set(engine.location)
-        missing = set(m.arrival_step) - accounted
-        for gid in missing:
-            sid = m.shard_of[gid]
-            assert self._health[sid] in (QUARANTINED, RECOVERING), (
-                f"message {gid} unaccounted for on {self._health[sid]} "
-                f"shard {sid} at step {t}"
-            )
-        type(self).checked += 1
-
-
 class TestConservation:
-    def run_checked(self, chaos, **overrides):
-        cfg = serve_config(**overrides)
-        ConservationChecked.checked = 0
-        loop = ConservationChecked(cfg, chaos=chaos)
-        report = loop.run()
-        assert ConservationChecked.checked > 0
-        return loop, report
-
-    def assert_exact(self, report):
-        snap = report.snapshot
-        assert snap["arrived"] == snap["completed"] + snap["shed"]
-        assert snap["in_flight"] == 0
+    def run_checked(self, chaos, supervisor=None, **overrides):
+        return run_checked(serve_config(**overrides), chaos=chaos,
+                           supervisor=supervisor)
 
     def test_stall_only_drill_conserves_and_completes(self):
         # Steps 13-24 = epochs 3, 4, 5 fully stalled (epoch length 4):
         # enough consecutive stalled heartbeats to trip the breaker.
         stall = ChaosPlan((ChaosEvent(13, CHAOS_STALL, 1, duration=12),))
         loop, report = self.run_checked(stall, shards=2, messages=200)
-        self.assert_exact(report)
+        assert_exact(report)
         assert report.snapshot["shed"] == 0
         assert report.supervisor.trips >= 1
         assert report.supervisor.restarts >= 1
@@ -209,26 +170,43 @@ class TestConservation:
 
     def test_kill_drill_conserves_and_completes(self):
         loop, report = self.run_checked(DRILL)
-        self.assert_exact(report)
+        assert_exact(report)
         assert report.snapshot["shed"] == 0
         assert len(report.completions) == report.snapshot["arrived"]
 
     def test_spill_overflow_is_counted_shed_never_lost(self):
-        stall = ChaosPlan((ChaosEvent(10, CHAOS_STALL, 0, duration=16),))
-        cfg = serve_config(shards=1, messages=300, rate=12.0)
-        loop = ServiceLoop(
-            cfg, chaos=stall,
-            supervisor=SupervisorConfig(spill_capacity=4),
-        )
-        report = loop.run()
+        """A quarantined shard holds its arrivals in its own lanes, under
+        the lane bound: past it they are counted-shed at the door."""
+        kill = ChaosPlan((ChaosEvent(10, CHAOS_KILL, 0),))
+        _loop, report = self.run_checked(kill, shards=1, messages=300,
+                                         rate=6.0, max_queue=24)
         sup = report.supervisor
+        assert sup.spilled > 0
         assert sup.spill_overflow_shed > 0
+        assert_exact(report)
         snap = report.snapshot
-        assert snap["arrived"] == snap["completed"] + snap["shed"]
         assert snap["shed"] >= sup.spill_overflow_shed
         # Door sheds surface in the admission stats too.
         assert report.admission_stats.shed >= sup.spill_overflow_shed
-        assert report.admission_stats.offered == snap["arrived"]
+
+    @pytest.mark.parametrize("divert", [False, True])
+    def test_no_neighbor_double_kill_conserves(self, divert):
+        """CI's no-neighbor drill (``serve --chaos --chaos-kills 2
+        --shards 2 --seed 3 --messages 600``): both shards are killed,
+        the second while the first is still quarantined, so a diversion
+        finds no neighbor and the second shard's arrivals wait in its
+        own lanes for its restart."""
+        cfg = ServeConfig(shards=2, messages=600, seed=3)
+        # The CLI's horizon: messages / rate steps.
+        plan = ChaosPlan.draw(shards=2, horizon=75, seed=3, kills=2)
+        assert sorted(e.shard for e in plan.events
+                      if e.kind == CHAOS_KILL) == [0, 1]
+        _loop, report = run_checked(
+            cfg, chaos=plan, supervisor=SupervisorConfig(divert=divert)
+        )
+        assert report.supervisor.restarts >= 2
+        assert report.supervisor.spilled > 0
+        assert_exact(report)
 
 
 # ----------------------------------------------------------------------
@@ -305,32 +283,30 @@ class TestAbandonment:
             ChaosEvent(10, CHAOS_CORRUPT, 1),
             ChaosEvent(14, CHAOS_KILL, 1),
         ))
-        cfg = serve_config(shards=2, messages=200)
-        report = ServiceLoop(cfg, chaos=plan).run()
+        _loop, report = run_checked(serve_config(shards=2, messages=200),
+                                    chaos=plan)
         sup = report.supervisor
         assert sup.corrupt_restarts == 1
         assert sup.abandoned_shards == 1
         assert sup.abandoned_messages > 0
         snap = report.snapshot
         # Counted-shed, conservation exact: nothing silently dropped.
-        assert snap["arrived"] == snap["completed"] + snap["shed"]
+        assert_exact(report)
         assert snap["shed"] >= sup.abandoned_messages == snap["shed"]
         # The healthy shard finished its work.
         assert snap["shards"][0]["completed"] == snap["shards"][0]["arrived"]
 
     def test_zero_restart_budget_abandons_on_first_probe(self):
         plan = ChaosPlan((ChaosEvent(12, CHAOS_KILL, 0),))
-        cfg = serve_config(shards=1, messages=150)
-        report = ServiceLoop(
-            cfg, chaos=plan,
+        _loop, report = run_checked(
+            serve_config(shards=1, messages=150), chaos=plan,
             supervisor=SupervisorConfig(restart_budget=0),
-        ).run()
+        )
         sup = report.supervisor
         assert sup.restarts == 0
         assert sup.abandoned_shards == 1
-        snap = report.snapshot
-        assert snap["arrived"] == snap["completed"] + snap["shed"]
-        assert snap["shed"] > 0
+        assert_exact(report)
+        assert report.snapshot["shed"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,7 @@ The contracts under test, in the order the ISSUE states them:
   proportion to tenant weights while both lanes are backlogged — at
   10:1 offered load and equal weights, admitted throughput stays within
   1.25x of 1:1;
-* requeue/handoff re-admission never re-counts ``offered`` (exact
-  conservation), and buffer quotas *hold* a tenant's queue rather than
-  shedding it;
+* buffer quotas *hold* a tenant's queue rather than shedding it;
 * an SLO-violating tenant is shed first: its queue is purged on trip
   and its door closes, while the light tenant keeps its solo-run tail;
 * the same tenant config produces byte-identical journals in-process
@@ -241,22 +239,6 @@ def test_fresh_bound_is_weight_share_and_door_sheds():
     assert ctrl.stats.shed == 8
     assert [len(q) for q in ctrl.lanes[0]] == [0, 10]  # shed at the door
     assert ctrl.stats.offered == 18
-
-
-def test_requeue_never_recounts_offered():
-    ctrl, tenant_of, engine, topo = make_ctrl()
-    leaf = topo.leaves[0]
-    fill(ctrl, tenant_of, leaf, 0, range(4))
-    offered = ctrl.stats.offered
-    accepted = ctrl.requeue(0, [(9, leaf), (10, leaf)])
-    assert accepted == 2
-    assert ctrl.stats.offered == offered  # re-admission, not a new offer
-    # The global bound, not the per-tenant fresh bound, caps a requeue.
-    many = [(100 + i, leaf) for i in range(60)]
-    accepted = ctrl.requeue(0, many)
-    assert ctrl.queue_depth(0) == ctrl.max_queue
-    assert accepted == ctrl.max_queue - 6
-    assert ctrl.stats.offered == offered
 
 
 def test_quota_holds_without_shedding():
@@ -548,7 +530,7 @@ def _assert_purged_once(loop, report):
     """Every message queued at a trip is shed and never admitted, and
     per-tenant counts conserve.  A worker that missed the purge would
     admit one of them; one that purged twice would shed what was
-    requeued after the trip: either way its lanes would leave the
+    queued after the trip: either way its lanes would leave the
     parent's, which the merge barrier asserts."""
     m = report.metrics
     first = min(loop.queued_at_trip)
@@ -583,9 +565,7 @@ def test_purge_applies_once_across_a_lost_chunk():
     _assert_purged_once(loop, report)
     # The lost chunk's arrivals still count as offered once.
     adm = report.admission_stats
-    assert adm.offered == 840 == (
-        adm.admitted + adm.shed + report.supervisor.spill_overflow_shed
-    )
+    assert adm.offered == 840 == adm.admitted + adm.shed
 
 
 @pytest.mark.parametrize("shard", [0, 1])
