@@ -9,7 +9,8 @@ Four questions:
   must not: with a zero-rate injector the schedule is byte-identical to
   the no-injector, no-re-plan run);
 * what does crash-consistent journaling cost (it must be pay-as-you-go:
-  zero when off, IO-bound when on, and never change the schedule);
+  zero when off, IO-bound when on, and never change the schedule) —
+  for a batch run, for a durable serving run, and per live restart;
 * did the executor scan optimizations actually buy the promised
   headroom at multi-million-message scale (before/after timings).
 """
@@ -18,11 +19,20 @@ from __future__ import annotations
 
 import time
 
+import repro.dam.journal as journal_mod
 from benchmarks.common import emit_table
 from repro.analysis.resilience import resilience_sweep
+from repro.dam.journal import JournalWriter, journal_segments
 from repro.dam.simulator import simulate
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults import (
+    CHAOS_KILL,
+    ChaosEvent,
+    ChaosPlan,
+    FaultInjector,
+    FaultPlan,
+)
 from repro.policies import GatedExecutor, WormsPolicy, execute_flush_list
+from repro.serve import ServeConfig, ServiceLoop
 from repro.tree import balanced_tree, beps_shape_tree
 from repro.workloads import uniform_instance
 
@@ -147,6 +157,106 @@ def test_e13_burst_inflation(benchmark):
     )
 
 
+#: e2ebench's ``serve_bursty_durable`` at 80k messages, seed 1: MMPP
+#: calm 4 / burst 32 msgs/step, Zipf 0.99 keys, the ``lsm`` sink, the
+#: journal fsynced at every checkpoint.
+def bursty_durable_config(directory) -> ServeConfig:
+    return ServeConfig(
+        arrivals="mmpp", rate=4.0, burst_rate=32.0, messages=80_000,
+        shards=4, P=4, B=16, theta=0.99, max_queue=64 * 16, seed=1,
+        engine="lsm", data_dir=str(directory / "kv"),
+    )
+
+
+#: e2ebench's ``serve_steady`` config at 80k messages, seed 1, with one
+#: chaos kill per shard.
+STEADY_KILLED = ServeConfig(arrivals="poisson", rate=8.0, messages=80_000,
+                            shards=4, P=4, B=16, theta=0.0, seed=1)
+KILLS = ChaosPlan(tuple(
+    ChaosEvent(step, CHAOS_KILL, shard)
+    for shard, step in enumerate((2000, 4000, 6000, 8000))
+))
+
+#: The same two runs measured at commit f9aa580, the last tree that
+#: wrote ``WOJ2`` journals (one record per realized flush and fault),
+#: with these functions on a 2-vCPU shared VM (Python 3.11), the mean of
+#: two runs alternated with two of the ``WOJ3`` tree: (records, bytes,
+#: append ms, flush ms), and per kill (records read, ms).
+_WOJ2_SERVE = (96486, 3756214, 237.0, 198.2)
+_WOJ2_RESTARTS = ((28272, 169.3), (56888, 328.4), (85011, 509.6),
+                  (113577, 738.7))
+
+
+class _TimedWriter(JournalWriter):
+    """A journal writer that counts its appends and times its appends
+    and flushes."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.appends = self.flushes = 0
+        self.append_s = self.flush_s = 0.0
+        super().__init__(*args, **kwargs)
+
+    def append(self, record, kind: str = "") -> None:
+        t0 = time.perf_counter()
+        super().append(record, kind)
+        self.append_s += time.perf_counter() - t0
+        self.appends += 1
+
+    def flush(self) -> None:
+        t0 = time.perf_counter()
+        super().flush()
+        self.flush_s += time.perf_counter() - t0
+        self.flushes += 1
+
+
+def serve_journal_cost(directory) -> dict:
+    """What the fsynced journal of one bursty durable run costs."""
+    directory.mkdir(parents=True)
+    config = bursty_durable_config(directory)
+    path = directory / "serve.journal"
+    writer = _TimedWriter(path, meta=config.to_meta(), sync=True)
+    report = ServiceLoop(config, journal=writer).run()
+    writer.close()
+    size = sum(p.stat().st_size for p in journal_segments(path))
+    return {
+        "records": writer.appends, "bytes": size,
+        "per_completion": size / len(report.completions),
+        "append_ms": writer.append_s * 1e3,
+        "flush_ms": writer.flush_s * 1e3,
+    }
+
+
+def restart_costs(directory) -> "list[tuple[int, int, int, float]]":
+    """``(step, shard, journal records read, ms)`` of each live
+    restart's journal check (``ServiceLoop._restart_records``) in a
+    journaled run with four chaos kills."""
+    directory.mkdir(parents=True)
+    loop = ServiceLoop(STEADY_KILLED, chaos=KILLS,
+                       journal=directory / "kills.journal")
+    decoded = [0]
+    decode, check = journal_mod.decode, ServiceLoop._restart_records
+    costs = []
+
+    def counting(payload):
+        decoded[0] += 1
+        return decode(payload)
+
+    def timed(self, sid, t):
+        decoded[0] = 0
+        t0 = time.perf_counter()
+        log = check(self, sid, t)
+        costs.append((t, sid, decoded[0], (time.perf_counter() - t0) * 1e3))
+        return log
+
+    journal_mod.decode, ServiceLoop._restart_records = counting, timed
+    try:
+        report = loop.run()
+    finally:
+        journal_mod.decode, ServiceLoop._restart_records = decode, check
+    assert report.supervisor.restarts == len(KILLS.events)
+    return costs
+
+
 def test_e13_journal_overhead(benchmark, tmp_path):
     """Journaling must not change the schedule; cost is write-bound."""
     inst = make_instance()
@@ -167,8 +277,50 @@ def test_e13_journal_overhead(benchmark, tmp_path):
         "E13_journal_overhead",
         ["journal", "checkpoint-every", "IOs", "flushes", "bytes"],
         rows,
-        note="identical realized schedules in every row; denser "
-        "checkpoints buy less replay on recovery for more bytes.",
+        note="identical realized schedules in every row.  A batch "
+        "journal is its checkpoints (each a full snapshot of the "
+        "messages' locations and completion steps, plus the realized "
+        "schedule's flush count and digest), so its bytes grow with the "
+        "number of checkpoints, and recovery re-executes at most "
+        "checkpoint-every - 1 steps.",
+    )
+
+    serve = serve_journal_cost(tmp_path / "serve")
+    records, size, append_ms, flush_ms = _WOJ2_SERVE
+    emit_table(
+        "E13_journal_serve",
+        ["format", "records", "bytes", "B/completion", "append ms",
+         "flush ms"],
+        [["WOJ2 (parent)", records, size, round(size / 80_000, 1),
+          append_ms, flush_ms],
+         ["WOJ3", serve["records"], serve["bytes"],
+          round(serve["per_completion"], 2), round(serve["append_ms"], 1),
+          round(serve["flush_ms"], 1)]],
+        note="serve_bursty_durable's config (MMPP 4/32, Zipf 0.99, lsm "
+        "sink, journal fsynced at every checkpoint), 80k messages, seed "
+        "1, one run each; append and flush ms are wall time inside "
+        "JournalWriter.append and .flush (the fsyncs are in flush, one "
+        "per checkpoint in both formats).  WOJ3 journals checkpoints "
+        "only; WOJ2 also wrote a record per realized flush and fault.",
+    )
+
+    costs = restart_costs(tmp_path / "kills")
+    assert len({read for _t, _sid, read, _ms in costs}) == 1, \
+        "each restart reads the same number of journal records"
+    emit_table(
+        "E13_journal_restarts",
+        ["kill", "step", "shard", "WOJ2 records read", "WOJ2 ms",
+         "records read", "ms"],
+        [[k + 1, t, sid, *parent, read, round(ms, 1)]
+         for k, ((t, sid, read, ms), parent)
+         in enumerate(zip(costs, _WOJ2_RESTARTS))],
+        note="serve_steady's config (Poisson 8 msgs/step, 4 shards), "
+        "80k messages, seed 1, one chaos kill per shard; per live "
+        "restart, the journal records decoded and the wall ms of its "
+        "journal check (seal a checkpoint, then: WOJ3 reads that one "
+        "record back and compares the shard's digest; WOJ2 scanned and "
+        "folded the whole chain).  The ms left in WOJ3 is the digest of "
+        "the shard's realized log, which grows with the run.",
     )
     path = tmp_path / "bench.journal"
     benchmark(

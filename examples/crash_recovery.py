@@ -8,8 +8,9 @@ simulated one:
 2. Poll the journal file and SIGKILL the child mid-run, leaving a
    (possibly torn) journal on disk.
 3. ``RecoveryManager`` scans the journal, truncates the torn tail,
-   rebuilds the machine state from the last durable checkpoint plus the
-   journaled flushes after it, and resumes.
+   checks the newest checkpoint's digest of the realized schedule
+   against a re-derived run, rebuilds the machine state from that
+   checkpoint's snapshot, and resumes.
 4. The recovered completion times are validated byte-identical to an
    uninterrupted run of the same configuration.
 
@@ -111,7 +112,7 @@ def main() -> None:
 
     report = manager.recover(inst, reference)
     print(f"recovered: checkpoint at step {report.checkpoint_step}, "
-          f"{report.replayed_flushes} journaled flushes replayed, "
+          f"its digest of {report.replayed_flushes} flushes verified, "
           f"resumed from step {report.resumed_from_step}")
     print(f"resumed run: {report.result.max_completion_time} steps, "
           f"total completion time {report.result.total_completion_time}")

@@ -13,7 +13,8 @@ Four scenes, each one facet of ``repro.serve``:
    issuing the next: the stream self-paces, nothing is shed.
 4. **Crash + recovery** — a journaled run, a simulated kill (truncation
    at an arbitrary byte), and ``recover_serve`` re-deriving the exact
-   run from the journal's own config and verifying every durable flush.
+   run from the journal's own config and verifying the newest
+   checkpoint's per-shard flush digests against it.
 
 Everything is seeded: rerunning this script prints identical numbers.
 
@@ -93,7 +94,7 @@ def main() -> None:
 
     rec = recover_serve(journal)
     print(f"recovered: {rec.torn_bytes} torn byte(s) dropped, "
-          f"{rec.replayed_flushes} durable flushes verified, "
+          f"checkpoint digests of {rec.replayed_flushes} flushes verified, "
           f"last durable step {rec.resumed_from_step}")
     assert rec.report.completions == original.completions
     print("re-derived completion times identical to the uninterrupted "

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Eleven subcommands cover the common workflows without writing code:
+Ten subcommands cover the common workflows without writing code:
 
 * ``compare`` — generate a workload and compare the flushing policies;
 * ``solve``   — run the full paper pipeline on one instance and report
@@ -20,8 +20,6 @@ Eleven subcommands cover the common workflows without writing code:
   p50/p95/p99 sojourn-time reporting, under per-shard health tracking,
   circuit breakers, and live restart-from-journal; ``--chaos`` drills
   that machinery with a seeded whole-shard kill/stall/corrupt scenario;
-* ``compact`` — drop sealed journal records a later checkpoint
-  supersedes (recovery stays exact; see :mod:`repro.dam.compaction`);
 * ``kv``      — operate the durable on-disk KV engine directly
   (:mod:`repro.lsm.disk`): seeded ingest with an optional mid-stream
   SIGKILL, exact read-back verification, checksum scrub-and-repair,
@@ -48,7 +46,6 @@ Examples::
     python -m repro recover /tmp/worms.journal
     python -m repro serve --arrivals poisson --rate 8 --shards 4 --seed 1
     python -m repro serve --chaos --seed 3 --messages 400
-    python -m repro compact /tmp/serve.journal
     python -m repro serve --engine lsm --data-dir /tmp/kv --messages 500
     python -m repro kv ingest --dir /tmp/kv2 --n 2000 --crash-after 1200
     python -m repro kv check-ingest --dir /tmp/kv2 --n 2000
@@ -81,7 +78,6 @@ from repro.analysis.resilience import (
 from repro.analysis.stats import compare_policies
 from repro.core import solve_worms
 from repro.dam import validate_valid
-from repro.dam.compaction import compact_journal
 from repro.dam.journal import JournalWriter, RecoveryManager
 from repro.dam.trace import record_trace
 from repro.obs import (
@@ -236,14 +232,10 @@ class JournalOptions:
     max_segment_bytes: "int | None" = field(default=None, metadata={
         "type": int,
         "help": "rotate the journal into segments of at most this many bytes"})
-    compact_every: int = field(default=0, metadata={
-        "help": "auto-compact sealed segments every N journal rotations "
-                "(0 = never)"})
 
     def writer_kwargs(self) -> dict:
         """The :class:`JournalWriter` keywords besides path and meta."""
-        return {"sync": self.sync, "max_segment_bytes": self.max_segment_bytes,
-                "compact_every_rotations": self.compact_every}
+        return {"sync": self.sync, "max_segment_bytes": self.max_segment_bytes}
 
 
 @dataclass(frozen=True)
@@ -619,8 +611,11 @@ def _run_serve(args: argparse.Namespace, config: ServeConfig, loop) -> int:
         print(f"journal: {args.journal}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
+            books = {"admission": report.admission_stats.snapshot()}
+            if report.supervisor is not None:
+                books["supervisor"] = report.supervisor.snapshot()
             f.write(report.metrics.to_json(
-                report.n_steps, config=config.to_meta(),
+                report.n_steps, config=config.to_meta(), **books,
             ))
         print(f"metrics JSON: {args.json}")
     return 0
@@ -671,9 +666,9 @@ def _recover_serve_journal(args: argparse.Namespace) -> int:
     if report.run_completed:
         print("journal records a completed run; nothing to resume")
     print(
-        f"recovered serving run: {report.replayed_flushes} journaled "
-        f"flush(es) verified against the re-derived run, last durable "
-        f"step {report.resumed_from_step}"
+        f"recovered serving run: checkpoint digests of "
+        f"{report.replayed_flushes} flush(es) verified against the "
+        f"re-derived run, last durable step {report.resumed_from_step}"
     )
     snap = report.report.snapshot
     s = snap["sojourn"]
@@ -737,53 +732,14 @@ def cmd_recover(args: argparse.Namespace) -> int:
     if report.run_completed:
         print("journal records a completed run; nothing to resume")
     print(
-        f"recovered: checkpoint at step {report.checkpoint_step}, "
-        f"{report.replayed_flushes} journaled flush(es) replayed, "
+        f"recovered: checkpoint at step {report.checkpoint_step}, its "
+        f"digest of {report.replayed_flushes} flush(es) verified, "
         f"resumed from step {report.resumed_from_step}"
     )
     print(
         f"resumed run: {report.result.max_completion_time} steps, total "
         f"completion time {report.result.total_completion_time} "
         "(validated identical to the uninterrupted run)"
-    )
-    return 0
-
-
-def cmd_compact(args: argparse.Namespace) -> int:
-    """Run the `compact` subcommand (drop superseded sealed records)."""
-    try:
-        report = compact_journal(args.journal)
-    except FileNotFoundError:
-        print(f"{args.journal}: no such journal", file=sys.stderr)
-        return 1
-    except JournalCorruptionError as exc:
-        print(f"journal corrupt: {exc}", file=sys.stderr)
-        return 1
-    if report.segments_total < 2:
-        print(
-            f"{args.journal}: single-segment journal; nothing sealed, "
-            "nothing to compact"
-        )
-        return 0
-    if report.checkpoint_step < 0:
-        print(
-            f"{args.journal}: no checkpoint in the "
-            f"{report.segments_total - 1} sealed segment(s); nothing is "
-            "superseded"
-        )
-        return 0
-    by_type = ", ".join(
-        f"{n} {kind}" for kind, n in sorted(report.dropped.items())
-    ) or "none"
-    print(
-        f"compacted {report.segments_compacted} of "
-        f"{report.segments_total - 1} sealed segment(s) "
-        f"(supersession bar: checkpoint at step {report.checkpoint_step})"
-    )
-    print(f"dropped records: {by_type}")
-    print(
-        f"reclaimed {report.bytes_reclaimed} byte(s) "
-        f"({report.bytes_before} -> {report.bytes_after})"
     )
     return 0
 
@@ -1137,11 +1093,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write the metrics snapshot to this file")
     p_serve.set_defaults(func=cmd_serve)
 
-    p_compact = sub.add_parser(
-        "compact", help="drop sealed journal records a checkpoint supersedes"
-    )
-    p_compact.add_argument("journal", type=str)
-    p_compact.set_defaults(func=cmd_compact)
 
     p_stab = sub.add_parser(
         "stability",

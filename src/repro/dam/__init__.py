@@ -6,15 +6,15 @@ one time step therefore performs up to ``P`` flushes of up to ``B``
 messages each (Section 2.1 of the paper).
 
 * :mod:`repro.dam.schedule` — the :class:`Flush`/:class:`FlushSchedule`
-  data types every scheduler produces, and :class:`FlushLog`, a realized
-  schedule held flat.
+  data types every scheduler produces, :class:`FlushLog`, a realized
+  schedule held flat, and :class:`LogDigest`, what a journal checkpoint
+  keeps of one.
 * :mod:`repro.dam.simulator` — replays a schedule against a WORMS instance,
   tracking message locations, completion times, and node occupancy.
 * :mod:`repro.dam.validator` — checks the paper's validity conditions
   (valid / overfilling) and raises precise errors.
 """
 
-from repro.dam.compaction import CompactionReport, compact_journal
 from repro.dam.journal import (
     JournalScan,
     JournalWriter,
@@ -22,7 +22,13 @@ from repro.dam.journal import (
     RecoveryReport,
     scan_journal,
 )
-from repro.dam.schedule import Flush, FlushLog, FlushPlan, FlushSchedule
+from repro.dam.schedule import (
+    Flush,
+    FlushLog,
+    FlushPlan,
+    FlushSchedule,
+    LogDigest,
+)
 from repro.dam.simulator import SimulationResult, simulate
 from repro.dam.trace import (
     CheckpointRecord,
@@ -42,6 +48,7 @@ __all__ = [
     "FlushLog",
     "FlushPlan",
     "FlushSchedule",
+    "LogDigest",
     "simulate",
     "SimulationResult",
     "validate_valid",
@@ -52,8 +59,6 @@ __all__ = [
     "record_trace",
     "checkpoint_at",
     "resume_simulation",
-    "CompactionReport",
-    "compact_journal",
     "JournalWriter",
     "JournalScan",
     "RecoveryManager",

@@ -6,16 +6,17 @@ simulated one — the journal holds everything needed to reconstruct the
 machine state at the last durable step and resume, with completion times
 byte-identical to an uninterrupted run.
 
-**File layout.**  An 8-byte header (``b"WOJ2"`` magic + little-endian
-``u32`` version 2) followed by records.  Each record is::
+**File layout.**  An 8-byte header (``b"WOJ3"`` magic + little-endian
+``u32`` version 3) followed by records.  Each record is::
 
     u32 payload length | u32 CRC-32 of payload | payload
 
-The payload is a kind byte and a body (:mod:`repro.dam.records`): the
-hot records (flushes, checkpoints, faults, and a WAL's puts and
-deletes) are packed integers, ``meta`` and the rare kinds one JSON
-object each.  A ``WOJ1`` file (JSON payloads, version 1) is refused
-with a typed ``bad-version`` error; no reader of it is kept.
+The payload is a kind byte and a body (:mod:`repro.dam.records`):
+checkpoints (and a WAL's puts and deletes) are packed integers,
+``meta`` and the rare kinds one JSON object each.  A file of an older
+format (``WOJ1``, JSON payloads; ``WOJ2``, one record per realized
+flush) is refused with a typed ``bad-version`` error; no reader of
+either is kept.
 
 **Segments.**  Long-running (serving) journals rotate: with
 ``max_segment_bytes`` set, :class:`JournalWriter` closes the current
@@ -30,20 +31,25 @@ header from a crash during rotation); damage in any earlier segment is
 corruption, because rotation flushes and closes a segment before
 opening its successor.
 
-Five record types flow through a journal, each scanned back as a dict
-with a ``"type"`` key:
+A journal holds what recovery reads, each record scanned back as a
+dict with a ``"type"`` key:
 
 * ``meta`` — run configuration written once at open (instance shape,
   executor options, anything the writer wants to persist);
-* ``flush`` — one realized flush: ``{"t", "src", "dest", "msgs"}``,
-  plus ``"shard"`` in a serving journal;
-* ``fault`` — a fault decision the executor observed (failed/partial
-  outcome, stall skip) — audit trail, not needed for state recovery;
-* ``checkpoint`` — a batch run's full
+* ``checkpoint`` — the durability mark at the end of a step: per shard,
+  the number of flushes its realized
+  :class:`~repro.dam.schedule.FlushLog` holds through the step and an
+  8-byte digest of them (:class:`~repro.dam.schedule.LogDigest`); a
+  batch run's also carries its full
   :class:`~repro.dam.trace.CheckpointRecord` snapshot (message
-  locations + completion steps at the end of a step), or a serving
-  run's durability mark (``{"t", "arrived", "completed"}``);
+  locations + completion steps), a serving run's its ``arrived`` and
+  ``completed`` counts;
+* ``driver`` — the serving driver of a run whose meta names none;
 * ``end`` — the run completed; nothing to recover.
+
+A realized schedule is a pure function of the run's configuration, so
+no flush is journaled: recovery re-derives the run and compares its
+digests with the journal's.
 
 **Torn-tail rule.**  A crash can leave a partially written final record.
 On scan, a record that *extends past the end of the file*, or whose
@@ -55,18 +61,16 @@ valid prefix is used.  A record that fails its checksum with more data
 recovery either reproduces the uninterrupted run exactly or raises a
 typed error; it never returns a wrong answer.
 
-**Durable-step rule.**  A step's flush records may be half-written when
-the process dies, so a step ``t`` counts as durable only with evidence it
-finished: a later record (any record with step > ``t``), a checkpoint at
-step >= ``t``, or an ``end`` record.  Flushes of a non-durable trailing
-step are dropped; resuming re-executes that step, which is safe because
-the reconstructed state never saw it.
+**Durable-step rule.**  The durable step is the newest checkpoint's (0
+before the first): a checkpoint is appended and flushed after its
+step's work, and a run's ``end`` follows a checkpoint at its last step.
 
-**Durable-prefix rule.**  Every durable journaled flush must be in the
-reference run's schedule at its step, or the journal belongs to a
-different run (a typed ``schedule-mismatch``).  :class:`RecoveryFold`
-holds the one copy of both rules; batch recovery, serve recovery and
-live shard restarts all call it.
+**Durable-prefix rule.**  The newest checkpoint's per-shard flush
+counts and digests must equal those of the reference run's realized
+logs through its step, or the journal belongs to a different run (a
+typed ``schedule-mismatch``).  :class:`RecoveryFold` holds the one copy
+of both rules; batch and serve recovery call it, and a live shard
+restart reads its own sealing checkpoint back (:func:`read_record`).
 """
 
 from __future__ import annotations
@@ -75,7 +79,6 @@ import os
 import struct
 import zlib
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
@@ -84,42 +87,30 @@ from repro.core.worms import WORMSInstance
 from repro.dam.records import (
     REC_CHECKPOINT,
     REC_END,
-    REC_FAULT,
-    REC_FLUSH,
     REC_META,
     decode,
 )
-from repro.dam.schedule import FlushLog, FlushSchedule
+from repro.dam.schedule import FlushLog, FlushSchedule, log_digest
 from repro.dam.simulator import SimulationResult
-from repro.dam.trace import CheckpointRecord, _apply_flush, _initial_state
+from repro.dam.trace import CheckpointRecord, _initial_state
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_JOURNAL, PHASE_RECOVER
 from repro.util.compact_json import compact_json
 from repro.util.errors import InvalidInstanceError, JournalCorruptionError
 from repro.util.fsio import resolve
 
-MAGIC = b"WOJ2"
-VERSION = 2
+MAGIC = b"WOJ3"
+VERSION = 3
 _HEADER = MAGIC + struct.pack("<I", VERSION)
-#: The header of the retired JSON-payload format.
-_WOJ1_HEADER = b"WOJ1" + struct.pack("<I", 1)
+#: The headers of the retired versions: ``WOJ1`` (JSON payloads) and
+#: ``WOJ2`` (a record per realized flush and fault).
+_RETIRED = tuple(b"WOJ%d" % v + struct.pack("<I", v) for v in (1, 2))
 _PREFIX = struct.Struct("<II")  # payload length, CRC-32
 
-# Record types besides the codec's (``meta``, ``flush``, ``fault``,
-# ``checkpoint``, ``end``; see :mod:`repro.dam.records`); both are JSON.
-
-#: A key-range diversion (a breaker-open shard's later arrivals routed to
-#: a neighbor shard) or its merge-back.  Informational for recovery —
-#: replaying the run re-derives the same diversions — but the record
-#: makes the switch durable *at the moment it happened*, which is what
-#: lets an operator audit where a key range's ownership moved.
-#: Scanning, compaction, and ``last_durable_step`` all pass
-#: unknown-to-them types through.
-REC_DIVERT = "divert"
-#: The serving driver of a run whose ``meta`` names none, journaled once
-#: at its first breaker trip: before it, the run is the unsupervised
-#: loop's byte for byte; after it, recovery must re-derive under the
-#: named driver.  Passed through by scanning and compaction.
+#: The serving driver of a run whose ``meta`` names none (a JSON record
+#: besides the codec's kinds), journaled once at its first breaker trip:
+#: before it, the run is the unsupervised loop's byte for byte; after
+#: it, recovery must re-derive under the named driver.
 REC_DRIVER = "driver"
 
 
@@ -160,17 +151,6 @@ def journal_segments(path: "str | os.PathLike") -> "list[Path]":
     return segments
 
 
-def divert_record(t: int, src_shard: int, dst_shard: int) -> dict:
-    """The journal record for a key-range diversion (or its merge-back).
-
-    ``src_shard == dst_shard`` records a merge-back (the overlay was
-    removed); otherwise arrivals for ``src_shard``'s range now land on
-    ``dst_shard``.
-    """
-    return {"type": REC_DIVERT, "t": int(t), "from": int(src_shard),
-            "to": int(dst_shard)}
-
-
 def driver_record(t: int, driver: dict) -> dict:
     """The journal record naming a serving run's driver at step ``t``
     (``driver`` is the same payload as a journal meta's ``"driver"``)."""
@@ -192,21 +172,13 @@ class JournalWriter:
     flushed and closed and writing continues in ``<path>.<n>``.  Records
     never span segments.  (A single record larger than the limit still
     gets written — into a fresh segment of its own — so rotation can
-    delay but never lose a record.)
-
-    With ``compact_every_rotations=N`` (N >= 1) the writer additionally
-    runs :func:`repro.dam.compaction.compact_journal` over its own chain
-    every ``N`` rotations, right after sealing a segment.  Compaction
-    only ever rewrites *sealed* segments — the freshly opened tail this
-    writer keeps appending to is untouched — and recovery is provably
-    unchanged (the compaction module's safety rules), so the background
-    trigger is invisible to everything but disk usage.
+    delay but never lose a record.)  :meth:`read_last` reads the newest
+    record back.
     """
 
     def __init__(self, path: "str | os.PathLike", *,
                  meta: "dict | None" = None, sync: bool = False,
                  max_segment_bytes: "int | None" = None,
-                 compact_every_rotations: int = 0,
                  fs=None) -> None:
         if max_segment_bytes is not None and (
             max_segment_bytes < MIN_SEGMENT_BYTES
@@ -215,17 +187,14 @@ class JournalWriter:
                 f"max_segment_bytes must be >= {MIN_SEGMENT_BYTES}, "
                 f"got {max_segment_bytes}"
             )
-        if compact_every_rotations < 0:
-            raise InvalidInstanceError(
-                "compact_every_rotations must be >= 0, "
-                f"got {compact_every_rotations}"
-            )
         self.path = Path(path)
         self.sync = bool(sync)
         self.max_segment_bytes = max_segment_bytes
-        self.compact_every_rotations = int(compact_every_rotations)
-        self._rotations_since_compaction = 0
         self._segment_index = 0
+        # Offset of the newest record in the current segment: rotation
+        # happens before a record is written, so the newest record is
+        # always in the current segment.
+        self._last_offset = -1
         # Observability is bound at open: a writer created under the
         # disabled default does zero instrumentation work per record.
         obs = current_obs()
@@ -266,17 +235,6 @@ class JournalWriter:
             self._metrics.counter(
                 "journal_rotations_total", "journal segments sealed"
             ).inc()
-        if self.compact_every_rotations:
-            self._rotations_since_compaction += 1
-            if (
-                self._rotations_since_compaction
-                >= self.compact_every_rotations
-            ):
-                self._rotations_since_compaction = 0
-                # Local import: repro.dam.compaction imports this module.
-                from repro.dam.compaction import compact_journal
-
-                compact_journal(self.path)
 
     def append(self, record: "dict | bytes", kind: str = "") -> None:
         """Buffer one record (see :meth:`flush` for durability).
@@ -297,6 +255,7 @@ class JournalWriter:
         ):
             self._rotate()
         resolve(self._fs).write(self._f, blob)
+        self._last_offset = self._segment_bytes
         self._segment_bytes += len(blob)
         if self._metrics is not None:
             records = self._metrics.counter(
@@ -307,6 +266,12 @@ class JournalWriter:
             self._metrics.counter(
                 "journal_bytes_total", "journal bytes appended"
             ).inc(len(blob))
+
+    def read_last(self) -> dict:
+        """The newest record, read back from disk (call :meth:`flush`
+        first; :func:`read_record`)."""
+        return read_record(segment_path(self.path, self._segment_index),
+                           self._last_offset, fs=self._fs)
 
     def flush(self) -> None:
         """Push buffered records to the OS (and disk, with ``sync=True``)."""
@@ -391,15 +356,15 @@ def _scan_segment(
 
     Each valid record is passed to ``add`` in order; ``ends[i]`` is the
     segment offset just past the ``i``-th.  Raises
-    :class:`JournalCorruptionError` for a ``WOJ1`` header
-    (``bad-version``), any other wrong header (``bad-magic``) or a
-    damaged record that is provably not a tear (data follows it).
+    :class:`JournalCorruptionError` for the header of a retired version
+    of the format (``bad-version``), any other wrong header (``bad-magic``)
+    or a damaged record that is provably not a tear (data follows it).
     """
     header = data[: len(_HEADER)]
     if len(header) == len(_HEADER) and header != _HEADER:
-        if header == _WOJ1_HEADER:
+        if header in _RETIRED:
             raise JournalCorruptionError(
-                f"{path}: journal format WOJ1 (JSON records) is no longer "
+                f"{path}: journal format {header[:4]!r} is no longer "
                 f"read; this build reads {MAGIC.decode()} version {VERSION}",
                 offset=0, reason="bad-version",
             )
@@ -499,6 +464,76 @@ def scan_journal(path: "str | os.PathLike", *, fs=None,
     )
 
 
+def read_record(path: "str | os.PathLike", offset: int, *,
+                fs=None) -> dict:
+    """The one record framed at byte ``offset`` of the segment file
+    ``path``, read back from disk without scanning what precedes it.
+
+    Raises :class:`JournalCorruptionError` (``bad-crc`` or
+    ``bad-payload``) when the bytes there are not a whole record.
+    """
+    fsh = resolve(fs)
+    with fsh.open(path, "rb") as f:
+        f.seek(offset)
+        prefix = fsh.read(f, _PREFIX.size)
+        whole = len(prefix) == _PREFIX.size
+        if whole:
+            length, crc = _PREFIX.unpack(prefix)
+            payload = fsh.read(f, length)
+            whole = len(payload) == length and zlib.crc32(payload) == crc
+    if not whole:
+        raise JournalCorruptionError(
+            f"{path}: no whole record at byte {offset}",
+            offset=offset, reason="bad-crc",
+        )
+    try:
+        return decode(payload)
+    except (ValueError, struct.error) as exc:
+        raise JournalCorruptionError(
+            f"{path}: record at byte {offset} does not decode ({exc})",
+            offset=offset, reason="bad-payload",
+        ) from exc
+
+
+def check_digests(checkpoint: dict,
+                  logs: "Mapping[int, FlushLog] | list[FlushLog]",
+                  source: str = "journal", *,
+                  shard: "int | None" = None) -> int:
+    """The durable-prefix rule at one checkpoint: each shard's journaled
+    flush count and digest equal those of ``logs[shard]`` (its realized
+    reference log) through the checkpoint's step.
+
+    ``shard`` restricts the check to one shard.  Returns the number of
+    flushes the checked digests cover; raises
+    :class:`JournalCorruptionError` (``schedule-mismatch``) naming the
+    first shard that differs — the journal belongs to a different run.
+    """
+    t = int(checkpoint["t"])
+    flushes, digests = checkpoint["flushes"], checkpoint["digests"]
+    if len(flushes) != len(logs):
+        raise JournalCorruptionError(
+            f"{source}: checkpoint at step {t} digests {len(flushes)} "
+            f"shard(s), the reference run has {len(logs)} — the journal "
+            "belongs to a different run",
+            reason="schedule-mismatch",
+        )
+    covered = 0
+    for sid, (n, digest) in enumerate(zip(flushes, digests)):
+        if shard is not None and sid != shard:
+            continue
+        m, ref = log_digest(logs[sid], t)
+        if (n, digest) != (m, ref.hex()):
+            raise JournalCorruptionError(
+                f"{source}: shard {sid}'s realized log through step {t} "
+                f"is {m} flushes with digest {ref.hex()}, the journal's "
+                f"checkpoint says {n} with {digest} — the journal belongs "
+                "to a different run",
+                reason="schedule-mismatch",
+            )
+        covered += n
+    return covered
+
+
 @dataclass(frozen=True)
 class RecoveryReport:
     """What :meth:`RecoveryManager.recover` did, for reports and the CLI."""
@@ -506,9 +541,11 @@ class RecoveryReport:
     result: SimulationResult
     #: the step recovery resumed from (the last durable step).
     resumed_from_step: int
-    #: step of the checkpoint snapshot the state was rebuilt on.
+    #: step of the checkpoint snapshot the state was rebuilt on (the
+    #: same step: recovery resumes from the newest checkpoint).
     checkpoint_step: int
-    #: journaled flushes replayed on top of the checkpoint.
+    #: flushes the checked checkpoint digest covers (the realized
+    #: schedule through the durable step).
     replayed_flushes: int
     #: torn bytes the crash left (0 if the journal ended cleanly).
     torn_bytes: int
@@ -527,10 +564,6 @@ class RecoveryFold:
     ``k + 1`` (the torn-tail rule keeps whole records only), so every
     byte offset of a journal needs one fold, not one re-read per offset.
     ``source`` names the journal in error messages.
-
-    Flushes are held flat, as the journal packs them: one
-    :class:`~repro.dam.schedule.FlushLog` per shard (shard 0 for a batch
-    run's), not one record dict each.
     """
 
     def __init__(self, source: str = "journal") -> None:
@@ -544,10 +577,6 @@ class RecoveryFold:
         self.completed = False
         #: the newest checkpoint record (the first one at its step).
         self.checkpoint: "dict | None" = None
-        #: shard -> its journaled flushes, in journal order.
-        self.logs: "dict[int, FlushLog]" = defaultdict(FlushLog)
-        # The two newest distinct flush steps (-1 = none yet).
-        self._last = self._before_last = -1
 
     @classmethod
     def of(cls, records, source: str = "journal") -> "RecoveryFold":
@@ -560,17 +589,7 @@ class RecoveryFold:
     def add(self, record: dict) -> None:
         """Fold one scanned record in (records arrive in journal order)."""
         kind = record["type"]
-        if kind == REC_FLUSH:
-            t = int(record["t"])
-            self.logs[int(record.get("shard", 0))].append(
-                t, int(record["src"]), int(record["dest"]),
-                sorted(map(int, record["msgs"])),
-            )
-            if t > self._last:
-                self._last, self._before_last = t, self._last
-            elif self._last > t > self._before_last:
-                self._before_last = t
-        elif kind == REC_CHECKPOINT:
+        if kind == REC_CHECKPOINT:
             if self.checkpoint is None or record["t"] > self.checkpoint["t"]:
                 self.checkpoint = record
         elif kind == REC_META:
@@ -584,54 +603,20 @@ class RecoveryFold:
         self.n_records += 1
 
     def last_durable_step(self) -> int:
-        """The newest step with evidence it fully executed (see module doc)."""
-        max_cp = -1 if self.checkpoint is None else self.checkpoint["t"]
-        last = self._last
-        if last < 0:
-            return max(max_cp, 0)
-        if self.completed or max_cp >= last:
-            return max(last, max_cp)
-        # No evidence step `last` finished: it is not durable.
-        return max(self._before_last, max_cp, 0)
+        """The newest checkpoint's step, 0 before the first (see module
+        doc)."""
+        return 0 if self.checkpoint is None else int(self.checkpoint["t"])
 
-    def check_prefix(
-        self, logs: "Mapping[int, FlushLog]", *, shard: "int | None" = None
-    ) -> int:
-        """The durable-prefix rule: every durable journaled flush is in its
-        shard's realized reference log (``logs[shard]``) at its step.
+    def check_prefix(self, logs: "Mapping[int, FlushLog]") -> int:
+        """The durable-prefix rule at the newest checkpoint
+        (:func:`check_digests`; 0 before the first checkpoint)."""
+        if self.checkpoint is None:
+            return 0
+        return check_digests(self.checkpoint, logs, self.source)
 
-        ``shard`` restricts the check to one shard's flushes.  Returns the
-        number of flushes checked; raises
-        :class:`JournalCorruptionError` (``schedule-mismatch``) on the
-        first one the reference lacks, shard by shard — the journal
-        belongs to a different run.
-        """
-        hi = self.last_durable_step()
-        checked = 0
-        for sid, log in sorted(self.logs.items()):
-            if shard is not None and sid != shard:
-                continue
-            reference = logs.get(sid)
-            for t, src, dest, msgs in log:
-                if t > hi:
-                    continue
-                if reference is None or not reference.has(t, src, dest, msgs):
-                    raise JournalCorruptionError(
-                        f"{self.source}: journaled flush Flush({src}->{dest}, "
-                        f"{len(msgs)} msgs) (shard {sid}, step {t}) is not in "
-                        "the reference schedule — the journal belongs to a "
-                        "different run",
-                        reason="schedule-mismatch",
-                    )
-                checked += 1
-        return checked
-
-    def state(
-        self, instance: WORMSInstance
-    ) -> "tuple[CheckpointRecord, int]":
-        """(state at the last durable step, step of the snapshot it grew
-        from): the newest checkpoint (or the instance's initial state)
-        plus every durable journaled flush after it."""
+    def state(self, instance: WORMSInstance) -> CheckpointRecord:
+        """The state at the last durable step: the newest checkpoint's
+        snapshot (or the instance's initial state)."""
         if not self.n_records:
             raise JournalCorruptionError(
                 f"{self.source}: no usable records survived",
@@ -648,31 +633,18 @@ class RecoveryFold:
         cp = self.checkpoint
         if cp is None:
             location, completion = _initial_state(instance)
-            base = CheckpointRecord(0, tuple(location), tuple(completion))
-        elif len(cp["locations"]) != n or len(cp["completions"]) != n:
+            return CheckpointRecord(0, tuple(location), tuple(completion))
+        if len(cp["locations"]) != n or len(cp["completions"]) != n:
             raise JournalCorruptionError(
                 f"{self.source}: checkpoint at step {cp['t']} has "
                 f"{len(cp['locations'])} message slots, instance has {n}",
                 reason="instance-mismatch",
             )
-        else:
-            base = CheckpointRecord(
-                int(cp["t"]),
-                tuple(int(v) for v in cp["locations"]),
-                tuple(int(v) for v in cp["completions"]),
-            )
-        durable = self.last_durable_step()
-        if durable <= base.step:
-            return base, base.step
-        location = list(base.locations)
-        completion = list(base.completions)
-        targets = instance.targets.tolist()
-        for log in self.logs.values():
-            for t, _src, dest, msgs in log:
-                if base.step < t <= durable:
-                    _apply_flush(t, dest, msgs, location, completion, targets)
-        state = CheckpointRecord(durable, tuple(location), tuple(completion))
-        return state, base.step
+        return CheckpointRecord(
+            int(cp["t"]),
+            tuple(int(v) for v in cp["locations"]),
+            tuple(int(v) for v in cp["completions"]),
+        )
 
     def recover(
         self, instance: WORMSInstance, schedule: FlushSchedule, *,
@@ -683,7 +655,7 @@ class RecoveryFold:
         :meth:`RecoveryManager.recover`)."""
         from repro.dam.validator import validate_recovery
 
-        cp, base_step = self.state(instance)
+        cp = self.state(instance)
         reference = FlushLog()
         for t, f in schedule.iter_timed():
             reference.append(t, f.src, f.dest, f.messages)
@@ -692,7 +664,7 @@ class RecoveryFold:
         return RecoveryReport(
             result=result,
             resumed_from_step=cp.step,
-            checkpoint_step=base_step,
+            checkpoint_step=cp.step,
             replayed_flushes=replayed,
             torn_bytes=torn_bytes,
             torn_reason=torn_reason,
@@ -728,7 +700,7 @@ class RecoveryManager:
         The returned scan holds the chain's framing (valid and torn
         bytes, segments, record ends) but no ``records``: each is folded
         (:meth:`fold`) as it is decoded, so the manager never holds a
-        dict per record, only the fold's flat arrays.
+        dict per record.
         """
         if self._scan is None or refresh:
             fold = RecoveryFold(str(self.path))
@@ -803,8 +775,9 @@ class RecoveryManager:
     ) -> RecoveryReport:
         """Full recovery: repair the tail, restore state, resume, validate.
 
-        Folds the whole journal (:class:`RecoveryFold`), resumes
-        ``schedule`` from the reconstructed state via
+        Folds the whole journal (:class:`RecoveryFold`), checks the
+        newest checkpoint's digest against ``schedule``, resumes it from
+        that checkpoint's snapshot via
         :func:`repro.dam.trace.resume_simulation` and asserts the result
         matches an uninterrupted replay exactly
         (:func:`~repro.dam.validator.validate_recovery`).  Returns a
@@ -835,7 +808,7 @@ class RecoveryManager:
                 ).inc()
                 obs.metrics.counter(
                     "journal_replayed_flushes_total",
-                    "journaled flushes replayed during recovery",
+                    "realized flushes a recovery's checkpoint digest covered",
                 ).inc(report.replayed_flushes)
                 obs.metrics.counter(
                     "journal_torn_bytes_total",

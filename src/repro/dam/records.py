@@ -1,4 +1,4 @@
-"""Record payloads of the ``WOJ2`` journal and WAL format.
+"""Record payloads of the ``WOJ3`` journal and WAL format.
 
 Every record is framed ``u32 length | u32 CRC-32 | payload`` (see
 :mod:`repro.dam.journal`); this module owns the payload.  Its first byte
@@ -8,14 +8,11 @@ is the record's *kind*; the rest is the body, little-endian:
 kind  record                          body
 ====  ==============================  ==================================
 ``{``  any record, as a JSON object   the rest of its compact JSON
-0x01  ``flush``                       ``i32 t, shard, src, dest, n``,
-                                      then ``n`` x ``i32`` message ids
 0x02  ``checkpoint`` (batch)          ``i32 t, n``, then ``n``
-                                      locations and ``n`` completions
-0x03  ``checkpoint`` (serve)          ``i32 t, arrived, completed``
-0x04  ``fault``                       ``i32 t, shard, src, dest``,
-                                      ``u16`` length of ``kind``, then
-                                      ``kind`` and ``detail`` in UTF-8
+                                      locations and ``n`` completions,
+                                      then the shard digests
+0x03  ``checkpoint`` (serve)          ``i32 t, arrived, completed``,
+                                      then the shard digests
 0x05  ``put`` of a ``str`` key        ``i64 seq, u32`` key length, the
                                       key in UTF-8, the value as JSON
 0x06  ``put`` of any other key        the same, the key as JSON
@@ -23,11 +20,13 @@ kind  record                          body
 0x08  ``del`` of any other key        ``i64 seq``, the key as JSON
 ====  ==============================  ==================================
 
-A shard of ``-1`` marks a batch run's record, which carries no
-``"shard"`` key.  The JSON form holds the run's ``meta`` and the rare
-kinds (``end``, ``divert``, ``driver``); any record may be written in it
-(test fixtures do), but the writers pack the hot kinds: a flush is its
-:class:`~repro.dam.schedule.FlushLog` run with the shard after ``t``.
+The *shard digests* close both checkpoint bodies: ``i32 k``, then per
+shard an ``i32`` flush count and the 8-byte digest of its realized
+:class:`~repro.dam.schedule.FlushLog` through the checkpoint's step
+(:class:`~repro.dam.schedule.LogDigest`); a batch run is one shard.
+They read back as the lists ``"flushes"`` and ``"digests"`` (hex).
+The JSON form holds the run's ``meta`` and the rare kinds (``end``,
+``driver``); any record may be written in it (test fixtures do).
 
 :func:`decode` turns a payload back into the record dict, key for key
 what the JSON form of the same record reads as.  It raises
@@ -44,8 +43,6 @@ from repro.util.compact_json import compact_json
 
 #: Record types.
 REC_META = "meta"
-REC_FLUSH = "flush"
-REC_FAULT = "fault"
 REC_CHECKPOINT = "checkpoint"
 REC_END = "end"
 #: WAL operations (a WAL generation is a journal).
@@ -54,65 +51,58 @@ REC_DEL = "del"
 
 #: Kind bytes.
 K_JSON = ord("{")
-K_FLUSH = 0x01
 K_BATCH_CHECKPOINT = 0x02
 K_SERVE_CHECKPOINT = 0x03
-K_FAULT = 0x04
 K_PUT_STR = 0x05
 K_PUT_JSON = 0x06
 K_DEL_STR = 0x07
 K_DEL_JSON = 0x08
 
-_FLUSH_HEAD = struct.Struct("<B5i")  # kind, t, shard, src, dest, n
 _CHECKPOINT_HEAD = struct.Struct("<B2i")  # kind, t, n
 _SERVE_CHECKPOINT = struct.Struct("<B3i")  # kind, t, arrived, done
-_FAULT_HEAD = struct.Struct("<B4iH")  # kind, t, shard, src, dest, len
+_SHARDS = struct.Struct("<i")  # shard digests that follow
+_SHARD = struct.Struct("<i8s")  # flushes, digest
 _PUT_HEAD = struct.Struct("<BqI")  # kind, seq, key length
 _DEL_HEAD = struct.Struct("<Bq")  # kind, seq
-
-#: ``_FLUSHES[n]`` packs a whole flush record of ``n`` messages (one
-#: per flush size written, at most ``B + 1`` of them).
-_FLUSHES: "dict[int, struct.Struct]" = {}
 
 
 def _utf8(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
-def pack_flush(t: int, shard: int, src: int, dest: int, msgs) -> bytes:
-    """One realized flush at step ``t`` (``shard=-1``: a batch run's)."""
-    n = len(msgs)
-    st = _FLUSHES.get(n)
-    if st is None:
-        st = _FLUSHES[n] = struct.Struct(f"<B5i{n}i")
-    return st.pack(K_FLUSH, t, shard, src, dest, n, *msgs)
+def _pack_digests(digests) -> bytes:
+    """The shard digests: ``digests`` is one ``(flushes, digest)`` pair
+    per shard."""
+    out = [_SHARDS.pack(len(digests))]
+    for flushes, digest in digests:
+        if len(digest) != 8:
+            raise ValueError(f"a shard digest is 8 bytes, got {len(digest)}")
+        out.append(_SHARD.pack(flushes, digest))
+    return b"".join(out)
 
 
-def pack_batch_checkpoint(t: int, locations, completions) -> bytes:
-    """A batch run's state snapshot at the end of step ``t``."""
+def pack_batch_checkpoint(t: int, locations, completions,
+                          digests) -> bytes:
+    """A batch run's state snapshot at the end of step ``t``, with its
+    one ``(flushes, digest)`` pair."""
     n = len(locations)
     if len(completions) != n:
         raise ValueError(
             f"checkpoint has {n} locations but {len(completions)} "
             "completions"
         )
-    return _CHECKPOINT_HEAD.pack(K_BATCH_CHECKPOINT, t, n) + struct.pack(
-        f"<{2 * n}i", *locations, *completions
-    )
+    return (_CHECKPOINT_HEAD.pack(K_BATCH_CHECKPOINT, t, n)
+            + struct.pack(f"<{2 * n}i", *locations, *completions)
+            + _pack_digests(digests))
 
 
-def pack_serve_checkpoint(t: int, arrived: int, completed: int) -> bytes:
-    """A serving run's durability mark at the end of step ``t``."""
-    return _SERVE_CHECKPOINT.pack(K_SERVE_CHECKPOINT, t, arrived,
-                                  completed)
-
-
-def pack_fault(t: int, shard: int, kind: str, src: int, dest: int,
-               detail: str) -> bytes:
-    """One fault decision (``shard=-1``: a batch run's)."""
-    name = _utf8(kind)
-    return (_FAULT_HEAD.pack(K_FAULT, t, shard, src, dest, len(name))
-            + name + _utf8(detail))
+def pack_serve_checkpoint(t: int, arrived: int, completed: int,
+                          digests) -> bytes:
+    """A serving run's durability mark at the end of step ``t``, with
+    one ``(flushes, digest)`` pair per shard."""
+    return (_SERVE_CHECKPOINT.pack(K_SERVE_CHECKPOINT, t, arrived,
+                                   completed)
+            + _pack_digests(digests))
 
 
 def pack_put(seq: int, key, value) -> bytes:
@@ -135,56 +125,44 @@ def _bad(what: str) -> ValueError:
     return ValueError(f"malformed {what} payload")
 
 
-def _decode_flush(payload: bytes) -> dict:
-    if len(payload) < _FLUSH_HEAD.size:
-        raise _bad("flush")
-    _k, t, shard, src, dest, n = _FLUSH_HEAD.unpack_from(payload)
-    if n < 0 or shard < -1 or len(payload) != _FLUSH_HEAD.size + 4 * n:
-        raise _bad("flush")
-    msgs = list(struct.unpack_from(f"<{n}i", payload, _FLUSH_HEAD.size))
-    record = {"type": REC_FLUSH, "t": t, "src": src, "dest": dest,
-              "msgs": msgs}
-    if shard >= 0:
-        record["shard"] = shard
+def _decode_digests(payload: bytes, offset: int, record: dict) -> dict:
+    """Add the shard digests at ``offset`` (the rest of the payload) to
+    ``record``."""
+    if len(payload) < offset + _SHARDS.size:
+        raise _bad("checkpoint")
+    (k,) = _SHARDS.unpack_from(payload, offset)
+    offset += _SHARDS.size
+    if k < 0 or len(payload) != offset + k * _SHARD.size:
+        raise _bad("checkpoint")
+    pairs = [_SHARD.unpack_from(payload, offset + i * _SHARD.size)
+             for i in range(k)]
+    record["flushes"] = [flushes for flushes, _digest in pairs]
+    record["digests"] = [digest.hex() for _flushes, digest in pairs]
     return record
 
 
 def _decode_batch_checkpoint(payload: bytes) -> dict:
-    if len(payload) < _CHECKPOINT_HEAD.size:
+    head = _CHECKPOINT_HEAD.size
+    if len(payload) < head:
         raise _bad("checkpoint")
     _k, t, n = _CHECKPOINT_HEAD.unpack_from(payload)
-    if n < 0 or len(payload) != _CHECKPOINT_HEAD.size + 8 * n:
+    if n < 0 or len(payload) < head + 8 * n:
         raise _bad("checkpoint")
-    values = list(struct.unpack_from(f"<{2 * n}i", payload,
-                                     _CHECKPOINT_HEAD.size))
-    return {"type": REC_CHECKPOINT, "t": t, "locations": values[:n],
-            "completions": values[n:]}
+    values = list(struct.unpack_from(f"<{2 * n}i", payload, head))
+    return _decode_digests(payload, head + 8 * n, {
+        "type": REC_CHECKPOINT, "t": t, "locations": values[:n],
+        "completions": values[n:],
+    })
 
 
 def _decode_serve_checkpoint(payload: bytes) -> dict:
-    if len(payload) != _SERVE_CHECKPOINT.size:
+    if len(payload) < _SERVE_CHECKPOINT.size:
         raise _bad("checkpoint")
-    _k, t, arrived, completed = _SERVE_CHECKPOINT.unpack(payload)
-    return {"type": REC_CHECKPOINT, "t": t, "arrived": arrived,
-            "completed": completed}
-
-
-def _decode_fault(payload: bytes) -> dict:
-    head = _FAULT_HEAD.size
-    if len(payload) < head:
-        raise _bad("fault")
-    _k, t, shard, src, dest, n = _FAULT_HEAD.unpack_from(payload)
-    if shard < -1 or len(payload) < head + n:
-        raise _bad("fault")
-    record = {
-        "type": REC_FAULT, "t": t,
-        "kind": payload[head:head + n].decode("utf-8", "surrogatepass"),
-        "src": src, "dest": dest,
-        "detail": payload[head + n:].decode("utf-8", "surrogatepass"),
-    }
-    if shard >= 0:
-        record["shard"] = shard
-    return record
+    _k, t, arrived, completed = _SERVE_CHECKPOINT.unpack_from(payload)
+    return _decode_digests(payload, _SERVE_CHECKPOINT.size, {
+        "type": REC_CHECKPOINT, "t": t, "arrived": arrived,
+        "completed": completed,
+    })
 
 
 def _decode_key(raw: bytes, as_str: bool):
@@ -220,10 +198,8 @@ def _decode_json(payload: bytes) -> dict:
 
 _DECODERS = {
     K_JSON: _decode_json,
-    K_FLUSH: _decode_flush,
     K_BATCH_CHECKPOINT: _decode_batch_checkpoint,
     K_SERVE_CHECKPOINT: _decode_serve_checkpoint,
-    K_FAULT: _decode_fault,
     K_PUT_STR: _decode_put,
     K_PUT_JSON: _decode_put,
     K_DEL_STR: _decode_delete,

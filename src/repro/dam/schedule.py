@@ -6,15 +6,19 @@ These types are deliberately dumb containers — all semantics (message
 locations, space requirements) live in the simulator/validator so that a
 schedule can be inspected, sliced, and serialized freely.
 
-An *executed* flush has one layout, a :class:`FlushLog` run (its packed
-mirror is :func:`repro.dam.records.pack_flush`).
+An *executed* flush has one layout, a :class:`FlushLog` run; a journal
+checkpoint carries each log's :class:`LogDigest` through its step.
 """
 
 from __future__ import annotations
 
+import hashlib
+import sys
 from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
+
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,13 +153,10 @@ class FlushLog:
     m1..mn`` run, its message ids ascending (as :class:`Flush` sorts
     them).  :meth:`schedule` builds the objects only when read."""
 
-    __slots__ = ("runs", "_starts", "_indexed")
+    __slots__ = ("runs",)
 
     def __init__(self, runs=()) -> None:
         self.runs = array("i", runs)
-        # step -> offset of its first run, indexed up to ``_indexed``.
-        self._starts: "dict[int, int]" = {}
-        self._indexed = 0
 
     def append(self, t: int, src: int, dest: int, msgs) -> None:
         """Log a flush of ``msgs`` (ascending) at step ``t``."""
@@ -176,27 +177,56 @@ class FlushLog:
     def __len__(self) -> int:
         return sum(1 for _ in self)
 
-    def has(self, t: int, src: int, dest: int, msgs: tuple) -> bool:
-        """Whether the flush ``src -> dest`` of ``msgs`` ran at step
-        ``t``."""
-        runs, starts = self.runs, self._starts
-        i, end = self._indexed, len(runs)
-        while i < end:
-            starts.setdefault(runs[i], i)
-            i += 4 + runs[i + 3]
-        self._indexed = i
-        i = starts.get(t, end)
-        run = (src, dest, len(msgs), *msgs)
-        while i < end and runs[i] == t:
-            j = i + 4 + runs[i + 3]
-            if tuple(runs[i + 1:j]) == run:
-                return True
-            i = j
-        return False
-
     def schedule(self) -> FlushSchedule:
         """The log as a :class:`FlushSchedule`."""
         schedule = FlushSchedule()
         for t, src, dest, msgs in self:
             schedule.add(t, Flush(src, dest, msgs))
         return schedule
+
+
+class LogDigest:
+    """The running digest of one :class:`FlushLog` through a step: how
+    many flushes its runs hold up to there, and an 8-byte BLAKE2b of
+    those runs as little-endian ``i32`` words.
+
+    :meth:`advance` hashes only the runs appended since the previous
+    call, and stops at the first run past the step, so a log that
+    already holds later steps (a process driver merges a chunk ahead)
+    is digested through the step alone.  Steps passed must not
+    decrease.
+    """
+
+    __slots__ = ("flushes", "_offset", "_hash")
+
+    def __init__(self) -> None:
+        #: flushes digested so far.
+        self.flushes = 0
+        self._offset = 0
+        self._hash = hashlib.blake2b(digest_size=8)
+
+    def advance(self, log: FlushLog, step: int) -> bytes:
+        """The digest of ``log`` through ``step``."""
+        runs = log.runs
+        lo = i = self._offset
+        end = len(runs)
+        n = 0
+        while i < end and runs[i] <= step:
+            i += 4 + runs[i + 3]
+            n += 1
+        if n:
+            chunk = runs[lo:i]
+            if _BIG_ENDIAN:
+                chunk.byteswap()
+            self._hash.update(chunk)
+            self._offset = i
+            self.flushes += n
+        return self._hash.digest()
+
+
+def log_digest(log: FlushLog, step: int) -> "tuple[int, bytes]":
+    """``(flushes, digest)`` of ``log`` through ``step``
+    (:class:`LogDigest` from scratch)."""
+    digest = LogDigest()
+    value = digest.advance(log, step)
+    return digest.flushes, value

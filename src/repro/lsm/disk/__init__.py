@@ -5,7 +5,7 @@ block IOs, in-memory runs), this package stores real bytes with the
 robustness discipline the journal subsystem established:
 
 * :mod:`~repro.lsm.disk.wal` — write-ahead log; each generation is a
-  ``WOJ2`` journal, so torn-tail tolerance and kill-at-every-offset
+  ``WOJ3`` journal, so torn-tail tolerance and kill-at-every-offset
   exactness are inherited, not re-implemented;
 * :mod:`~repro.lsm.disk.sstable` — immutable sorted runs with per-block
   CRC-32, a bloom filter, and a sparse index, written atomically;

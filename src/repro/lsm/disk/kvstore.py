@@ -2,7 +2,7 @@
 
 :class:`KVStore` composes the pieces of :mod:`repro.lsm.disk` into the
 engine the serving stack plugs in: ``put``/``delete`` append to the WAL
-(generation files, WOJ2-framed) and land in an in-memory memtable; a
+(generation files, WOJ3-framed) and land in an in-memory memtable; a
 full memtable flushes to a level-0 SSTable; leveled compaction is
 *scheduled* by a :class:`~repro.lsm.disk.scheduler.DiskCompactionPolicy`
 and executed one task per :meth:`maintain` call, so maintenance is

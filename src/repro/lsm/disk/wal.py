@@ -1,12 +1,12 @@
 """Write-ahead log for the on-disk KV engine.
 
-A WAL generation *is* a ``WOJ2`` journal — same 8-byte header, same
+A WAL generation *is* a ``WOJ3`` journal — same 8-byte header, same
 ``u32 length | u32 CRC-32 | payload`` record framing, written through
 the very :class:`~repro.dam.journal.JournalWriter` the execution
 journals use — so every journal property (torn-tail tolerance,
 kill-at-every-offset exactness, typed corruption errors, the typed
-``bad-version`` refusal of a ``WOJ1`` file) is inherited rather than
-re-proven.
+``bad-version`` refusal of a ``WOJ1`` or ``WOJ2`` file) is inherited
+rather than re-proven.
 
 **Records.**  The ``meta`` record is JSON; each operation is packed
 (:mod:`repro.dam.records`): a kind byte, the ``i64`` sequence number,

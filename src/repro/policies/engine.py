@@ -27,7 +27,7 @@ them as lists indexed by plan position — a done flush's ``msgs`` entry
 becomes ``None``, and retry state (attempts, backoff) is a sparse dict
 per plan index that only faults fill.  A flush that runs is appended to
 the realized :class:`~repro.dam.schedule.FlushLog` (:attr:`ShardEngine.log`)
-and journaled as ``src, dest, msgs``: the engine builds no ``Flush``.
+as ``src, dest, msgs``: the engine builds no ``Flush``.
 
 State is sparse (dicts keyed by message id): a serving shard only ever
 holds the in-flight slice of its message stream.  Each step reports what
@@ -266,14 +266,12 @@ class ShardEngine:
         )
 
     # ------------------------------------------------------------------
-    def step(self, t: int, journal=None) -> "list[tuple[int, int]]":
+    def step(self, t: int) -> "list[tuple[int, int]]":
         """Run one DAM time step; returns ``(msg_id, step)`` completions.
 
         Executes up to ``P`` ready-and-admissible pending flushes in
-        priority order (see the module docstring for the full gate).
-        ``journal`` (if given) receives ``record_flush(t, shard, src,
-        dest, msgs)`` and ``record_fault(t, shard, kind, src, dest,
-        detail)`` calls.
+        priority order (see the module docstring for the full gate) and
+        appends each one that runs to :attr:`log`.
         """
         is_leaf = self._is_leaf
         root = self._root
@@ -291,7 +289,6 @@ class ShardEngine:
         attempts = self._attempts
         eligible_at = self._eligible_at
         log = self.log.append
-        shard = self.shard_id
         P = self.P
         B = self.B
         capacity = P if injector is None else injector.effective_p(t, P)
@@ -352,12 +349,6 @@ class ShardEngine:
                     tries = attempts[i] = attempts.get(i, 0) + 1
                     eligible_at[i] = t + 1 + (1 << (tries - 1))
                     retries = max(retries, tries)
-                    if journal is not None:
-                        journal.record_fault(
-                            t, shard, "failed_flush", src, dest,
-                            f"{len(full)} msgs no-oped "
-                            f"(attempt {tries})",
-                        )
                     continue
                 if status == OUTCOME_PARTIAL:
                     # Redeliver the remainder at the same priority
@@ -372,12 +363,6 @@ class ShardEngine:
                     tries = attempts[i] = attempts.get(i, 0) + 1
                     eligible_at[i] = t + 1 + (1 << (tries - 1))
                     retries = max(retries, tries)
-                    if journal is not None:
-                        journal.record_fault(
-                            t, shard, "partial_flush", src, dest,
-                            f"delivered {len(delivered)}/{len(full)} msgs "
-                            f"(attempt {tries})",
-                        )
             n = len(delivered)
             if n == len(full):
                 plan_msgs[i] = None
@@ -386,8 +371,6 @@ class ShardEngine:
                 delivered = tuple(sorted(delivered))
             ran += 1
             log(t, src, dest, delivered)
-            if journal is not None:
-                journal.record_flush(t, shard, src, dest, delivered)
             if src == root:
                 from_root += n
             elif not is_leaf[src]:

@@ -35,11 +35,11 @@ With ``injector=None`` (or an all-zero
 resilience costs nothing until a fault actually fires.
 
 **Durability** (``journal=``): pass a path or an open
-:class:`~repro.dam.journal.JournalWriter` and the executor streams every
-realized flush, every observed fault outcome and a
-:class:`~repro.dam.trace.CheckpointRecord` every ``checkpoint_every``
-steps into a crash-consistent journal, so a killed process can be
-resumed exactly (see :mod:`repro.dam.journal`).  With ``journal=None``
+:class:`~repro.dam.journal.JournalWriter` and the executor streams a
+:class:`~repro.dam.trace.CheckpointRecord` snapshot, with the digest of
+the realized schedule so far, every ``checkpoint_every`` steps into a
+crash-consistent journal, so a killed process can be resumed exactly
+(see :mod:`repro.dam.journal`).  With ``journal=None``
 (the default) no journal state is even allocated.
 """
 
@@ -48,15 +48,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.worms import WORMSInstance
-from repro.dam.records import (
-    REC_CHECKPOINT,
-    REC_FAULT,
-    REC_FLUSH,
-    pack_batch_checkpoint,
-    pack_fault,
-    pack_flush,
+from repro.dam.records import REC_CHECKPOINT, pack_batch_checkpoint
+from repro.dam.schedule import (
+    Flush,
+    FlushLog,
+    FlushPlan,
+    FlushSchedule,
+    LogDigest,
 )
-from repro.dam.schedule import Flush, FlushPlan, FlushSchedule
 from repro.faults.injector import FaultInjector
 from repro.obs.hooks import current_obs
 from repro.obs.profile import PHASE_EXECUTE
@@ -160,49 +159,40 @@ def record_run_metrics(metrics, schedule: FlushSchedule,
 
 
 class _RunJournal:
-    """Per-run journaling state: completion tracking + record emission.
+    """Per-run journaling state: completion tracking + checkpoints.
 
     Instantiated only when journaling is on, so the journal-free path
-    allocates nothing.  ``locate()`` returns the dense per-message
-    locations a checkpoint carries; it is called only at checkpoints.
-    Flushes the writer at every checkpoint — the durability points
-    recovery resumes from.
+    allocates nothing.  Each checkpoint carries the engine's dense
+    per-message locations, the completion steps so far and the digest
+    of its realized ``log`` through the step.  Flushes the writer at every
+    checkpoint — the durability points recovery resumes from.
     """
 
-    def __init__(self, writer, owned: bool, targets: "list[int]",
-                 checkpoint_every: int, locate) -> None:
+    def __init__(self, writer, owned: bool, log: FlushLog,
+                 n_messages: int, checkpoint_every: int, locate) -> None:
         self.writer = writer
         self.owned = owned
-        self.targets = targets
+        self.log = log
         self.every = checkpoint_every
         self.locate = locate
-        self.completion = [0] * len(targets)
+        self.completion = [0] * n_messages
+        self.digest = LogDigest()
         self._checkpoint(0)
 
     def _checkpoint(self, step: int) -> None:
+        value = self.digest.advance(self.log, step)
         self.writer.append(
-            pack_batch_checkpoint(step, self.locate(), self.completion),
+            pack_batch_checkpoint(step, self.locate(), self.completion,
+                                  [(self.digest.flushes, value)]),
             REC_CHECKPOINT,
         )
         self.writer.flush()
 
-    # The engine's journal protocol; a batch run is a single shard, so
-    # its records carry shard -1 (no shard).
-    def record_flush(self, t: int, _shard: int, src: int, dest: int,
-                     msgs) -> None:
-        self.writer.append(pack_flush(t, -1, src, dest, msgs), REC_FLUSH)
+    def end_step(self, t: int, completions) -> None:
+        """Step ``t`` ran and delivered ``completions``."""
         completion = self.completion
-        for m in msgs:
-            if self.targets[m] == dest and completion[m] == 0:
-                completion[m] = t
-
-    def record_fault(self, t: int, _shard: int, kind: str, src: int,
-                     dest: int, detail: str) -> None:
-        self.writer.append(
-            pack_fault(t, -1, kind, src, dest, detail), REC_FAULT
-        )
-
-    def end_step(self, t: int) -> None:
+        for m, step in completions:
+            completion[m] = step
         if t % self.every == 0:
             self._checkpoint(t)
 
@@ -252,7 +242,8 @@ class GatedExecutor:
         owns lifecycle and ``meta``).
     checkpoint_every:
         Steps between journaled state snapshots (ignored without a
-        journal).  Smaller = less replay on recovery, more bytes.
+        journal).  Smaller = fewer steps re-executed on recovery, more
+        bytes.
     """
 
     def __init__(
@@ -306,7 +297,7 @@ class GatedExecutor:
                     "checkpoint_every": self.checkpoint_every,
                 },
             ), True
-        return _RunJournal(writer, owned, self._targets,
+        return _RunJournal(writer, owned, engine.log, inst.n_messages,
                            self.checkpoint_every,
                            lambda: self._locations(engine))
 
@@ -382,7 +373,7 @@ class GatedExecutor:
                     f"gated executor exceeded max_steps={self.max_steps}",
                     t, engine,
                 )
-            engine.step(t, journal)
+            completions = engine.step(t)
             if engine.attempted == 0:
                 if engine.waiting:
                     # Blocked on faults (stall window / backoff): time
@@ -404,7 +395,7 @@ class GatedExecutor:
                 continue
             idle = 0
             if journal is not None and engine.ran:
-                journal.end_step(t)
+                journal.end_step(t, completions)
             if engine.retries >= self.retry_budget and engine.pending_flushes:
                 self._replan(t, engine, replans, "retry budget exhausted")
                 replans += 1

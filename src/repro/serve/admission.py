@@ -50,7 +50,7 @@ shed (:meth:`AdmissionController.refuse`,
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.obs.hooks import current_obs
 from repro.serve.router import ShardEngine
@@ -70,6 +70,14 @@ class AdmissionStats:
     #: steps on which draining held because the shard root was stalled.
     stall_holds: int = 0
     shed_by_shard: dict = field(default_factory=dict)
+
+    def snapshot(self) -> dict:
+        """Plain-dict form (stable key order under ``sort_keys``)."""
+        snap = asdict(self)
+        snap["shed_by_shard"] = {
+            str(s): n for s, n in sorted(self.shed_by_shard.items())
+        }
+        return snap
 
 
 class AdmissionController:

@@ -15,10 +15,11 @@ until a breaker trips.
 Everything is a pure function of :class:`ServeConfig` — arrival draws,
 key sampling, per-shard fault streams, planning, and execution all derive
 from ``config.seed`` — so a run is byte-reproducible.  That determinism
-is also the recovery story: a serving run journals its realized flushes
-(same crash-consistent format as batch runs, shard-tagged), and
-:func:`recover_serve` re-derives the uninterrupted run from the journal's
-own ``meta`` config, verifies the durable journal prefix against it, and
+is also the recovery story: a serving run journals checkpoints carrying
+each shard's flush count and the digest of its realized flushes (same
+crash-consistent format as batch runs), and :func:`recover_serve`
+re-derives the uninterrupted run from the journal's own ``meta``
+config, verifies the newest checkpoint's digests against it, and
 reports completion times that are exact or a typed
 :class:`~repro.util.errors.JournalCorruptionError` — never silently
 wrong.  A serving run can therefore be SIGKILLed at any byte and
@@ -36,18 +37,11 @@ from functools import cached_property
 from repro.dam.journal import (
     JournalWriter,
     RecoveryManager,
-    divert_record,
+    check_digests,
     driver_record,
 )
-from repro.dam.records import (
-    REC_CHECKPOINT,
-    REC_FAULT,
-    REC_FLUSH,
-    pack_fault,
-    pack_flush,
-    pack_serve_checkpoint,
-)
-from repro.dam.schedule import FlushLog, FlushSchedule
+from repro.dam.records import REC_CHECKPOINT, pack_serve_checkpoint
+from repro.dam.schedule import FlushLog, FlushSchedule, LogDigest
 from repro.faults.chaos import (
     CHAOS_CORRUPT,
     CHAOS_DISK_FAULT,
@@ -296,29 +290,19 @@ class ServeReport:
 
 
 class _ServeJournal:
-    """Shard-tagged journal emission for a serving run."""
+    """Journal emission for a serving run: checkpoints digest each
+    shard's realized log (``logs[shard]``) through their step."""
 
     def __init__(self, writer: JournalWriter, owned: bool,
-                 checkpoint_every: int) -> None:
+                 checkpoint_every: int, logs: "list[FlushLog]") -> None:
         self.writer = writer
         self.owned = owned
         self.every = int(checkpoint_every)
+        self.logs = logs
+        self.digests = [LogDigest() for _ in logs]
         #: newest step sealed by a checkpoint+flush (the durable-step
         #: rule); 0 until the first checkpoint lands.
         self.last_durable_step = 0
-
-    def record_flush(self, t: int, shard: int, src: int, dest: int,
-                     msgs) -> None:
-        self.writer.append(pack_flush(t, shard, src, dest, msgs), REC_FLUSH)
-
-    def record_fault(self, t: int, shard: int, kind: str, src: int,
-                     dest: int, detail: str) -> None:
-        self.writer.append(
-            pack_fault(t, shard, kind, src, dest, detail), REC_FAULT
-        )
-
-    def record_divert(self, t: int, src_shard: int, dst_shard: int) -> None:
-        self.writer.append(divert_record(t, src_shard, dst_shard))
 
     def record_driver(self, t: int, driver: dict) -> None:
         self.writer.append(driver_record(t, driver))
@@ -328,8 +312,13 @@ class _ServeJournal:
             self.checkpoint(t, arrived, completed)
 
     def checkpoint(self, t: int, arrived: int, completed: int) -> None:
+        pairs = []
+        for digest, log in zip(self.digests, self.logs):
+            value = digest.advance(log, t)
+            pairs.append((digest.flushes, value))
         self.writer.append(
-            pack_serve_checkpoint(t, arrived, completed), REC_CHECKPOINT
+            pack_serve_checkpoint(t, arrived, completed, pairs),
+            REC_CHECKPOINT,
         )
         self.writer.flush()
         self.last_durable_step = int(t)
@@ -401,8 +390,6 @@ class ShardStep:
         #: per-shard admissions since that shard's last plan.
         self._fresh: "list[list[int]]" = [[] for _ in engines]
         self._replans_left = [MAX_FORCED_REPLANS] * len(engines)
-        #: where engine steps record their flushes and faults (or None).
-        self._journal = None
         #: message id -> routed key, for the durable sink (engine='lsm').
         self._gid_key: "dict[int, int]" = {}
 
@@ -467,7 +454,7 @@ class ShardStep:
             group.__enter__()
         try:
             for sid in self._shard_ids:
-                for gid, step in self.engines[sid].step(t, self._journal):
+                for gid, step in self.engines[sid].step(t):
                     self._on_completion(sid, gid, step)
         finally:
             for sid, group in groups.values():
@@ -478,7 +465,7 @@ class ShardStep:
 
     def _restore_shard(self, sid: int, t: int, locations: "dict[int, int]",
                        targets: "dict[int, int]") -> None:
-        """Rebuild shard ``sid``'s machine state from a journal fold at
+        """Rebuild shard ``sid``'s machine state from a restart fold at
         step ``t``.
 
         The engine's realized log and counters survive the wipe
@@ -549,8 +536,7 @@ class ServiceLoop(ShardStep):
                  chaos: "ChaosPlan | None" = None,
                  journal=None,
                  sync: bool = False,
-                 max_segment_bytes: "int | None" = None,
-                 compact_every_rotations: int = 0) -> None:
+                 max_segment_bytes: "int | None" = None) -> None:
         self.router = ShardRouter(
             config.shards,
             config.key_space or self._derived_key_space(config),
@@ -578,12 +564,8 @@ class ServiceLoop(ShardStep):
         self._journal_arg = journal
         self._sync = bool(sync)
         self._max_segment_bytes = max_segment_bytes
-        self._compact_every = int(compact_every_rotations)
-        if self._compact_every < 0:
-            raise InvalidInstanceError(
-                "compact_every_rotations must be >= 0, "
-                f"got {compact_every_rotations}"
-            )
+        #: the run's journal emission (None: no journal, or not run yet).
+        self._journal: "_ServeJournal | None" = None
         self._ran = False
         self._next_gid = 0
         #: the durable sink (engine='lsm'); a passive observer of the
@@ -690,15 +672,16 @@ class ServiceLoop(ShardStep):
     def _open_journal(self) -> "_ServeJournal | None":
         if self._journal_arg is None:
             return None
+        logs = [engine.log for engine in self.engines]
         if isinstance(self._journal_arg, JournalWriter):
             return _ServeJournal(self._journal_arg, False,
-                                 self.config.checkpoint_every)
+                                 self.config.checkpoint_every, logs)
         writer = JournalWriter(
             self._journal_arg, meta=self._journal_meta(), sync=self._sync,
             max_segment_bytes=self._max_segment_bytes,
-            compact_every_rotations=self._compact_every,
         )
-        return _ServeJournal(writer, True, self.config.checkpoint_every)
+        return _ServeJournal(writer, True, self.config.checkpoint_every,
+                             logs)
 
     def _journal_meta(self) -> dict:
         """The ``meta`` payload a journal this loop opens starts with.
@@ -723,7 +706,7 @@ class ServiceLoop(ShardStep):
     def _note_driver(self, t: int) -> None:
         """Name the driver in the journal before the run first departs
         from the unsupervised loop's (a breaker trip), unless the meta
-        already does.  One record per run; compaction keeps it."""
+        already does.  One record per run."""
         if self._driver_noted or self._journal is None:
             return
         self._driver_noted = True
@@ -1005,9 +988,8 @@ class ServiceLoop(ShardStep):
         Only future arrivals move: the router overlay sends them to the
         neighbor, while whatever the shard already holds waits in its
         own lanes for its restart.  The switch is journal-checkpointed:
-        durability is sealed first, then a ``divert`` record names the
-        new host, so the ownership move is durable at the moment it
-        happened.
+        durability is sealed through the step before it.  The journal
+        names no new host: re-deriving the run re-derives the diversion.
         """
         if not self.supervisor_config.divert or self._abandoned[sid]:
             return
@@ -1018,12 +1000,10 @@ class ServiceLoop(ShardStep):
             return
         t = self._clock
         self.router.divert(sid, target)
-        if self._journal is not None:
-            if t > 1:
-                self._journal.checkpoint(
-                    t - 1, self._next_gid, len(self.metrics.completion_step)
-                )
-            self._journal.record_divert(t, sid, target)
+        if self._journal is not None and t > 1:
+            self._journal.checkpoint(
+                t - 1, self._next_gid, len(self.metrics.completion_step)
+            )
         self.sup_stats.diversions += 1
         self._count(
             "serve_diversions_total",
@@ -1036,8 +1016,6 @@ class ServiceLoop(ShardStep):
         if sid not in self.router.diverted:
             return
         self.router.undivert(sid)
-        if self._journal is not None:
-            self._journal.record_divert(t, sid, sid)
         self.sup_stats.merge_backs += 1
         self._count(
             "serve_merge_backs_total",
@@ -1163,22 +1141,23 @@ class ServiceLoop(ShardStep):
     def _restart_records(self, sid: int, t: int) -> FlushLog:
         """The shard's durable flush history for the restart fold.
 
-        With a journal attached, durability is sealed first (checkpoint
-        + flush: every record through step ``t - 1`` becomes durable)
-        and the durable-prefix check
-        (:meth:`~repro.dam.journal.RecoveryFold.check_prefix`) confirms
-        the durable journal holds no record for this shard that its
-        realized log doesn't — the detection half of the
-        exact-or-typed-error contract.  The fold itself runs on the log,
-        which compaction does not cut.
+        With a journal attached, durability is sealed first (a
+        checkpoint through step ``t - 1``, flushed), and that one record
+        is read back from disk: its digest of this shard must be the
+        shard's realized log's
+        (:func:`~repro.dam.journal.check_digests`) — the detection half
+        of the exact-or-typed-error contract, at a cost that does not
+        grow with the journal.  The fold itself runs on the log.
         """
         log = self.engines[sid].log
         if self._journal is not None:
             self._journal.checkpoint(
                 t - 1, self._next_gid, len(self.metrics.completion_step)
             )
-            RecoveryManager(self._journal.writer.path).fold().check_prefix(
-                {sid: log}, shard=sid
+            writer = self._journal.writer
+            check_digests(
+                writer.read_last(), [engine.log for engine in self.engines],
+                str(writer.path), shard=sid,
             )
         return log
 
@@ -1197,7 +1176,7 @@ class ServiceLoop(ShardStep):
                     "corrupt event",
                     reason="bad-payload",
                 )
-            records = self._restart_records(sid, t)
+            log = self._restart_records(sid, t)
             m = self.metrics
             admitted = {
                 g for g in m.admit_step
@@ -1207,7 +1186,7 @@ class ServiceLoop(ShardStep):
                 g for g in m.completion_step if m.shard_of[g] == sid
             }
             locations = rebuild_shard_state(
-                records,
+                log,
                 admitted=admitted,
                 completed=completed,
                 targets={g: self._leaf_of[g] for g in admitted | completed},
@@ -1220,7 +1199,7 @@ class ServiceLoop(ShardStep):
         self._apply_restart(sid, t, locations)
         stats.restarts += 1
         stats._bump(stats.restarts_by_shard, sid)
-        stats.replayed_flushes += len(records)
+        stats.replayed_flushes += len(log)
         self._count(
             "serve_shard_restarts_total",
             "live shard restarts from the journal",
@@ -1228,9 +1207,9 @@ class ServiceLoop(ShardStep):
         )
         self._count(
             "serve_restart_replayed_flushes_total",
-            "journaled flushes folded during shard restarts",
+            "realized flushes folded during shard restarts",
             shard=sid,
-            n=len(records),
+            n=len(log),
         )
         return True
 
@@ -1424,7 +1403,10 @@ class ServeRecoveryReport:
     """What :func:`recover_serve` did."""
 
     report: ServeReport
+    #: the newest checkpoint's step (0 before the first).
     resumed_from_step: int
+    #: flushes the checked checkpoint digests cover, over all shards
+    #: (the re-derived run's realized flushes through the durable step).
     replayed_flushes: int
     torn_bytes: int
     torn_reason: str
@@ -1474,8 +1456,8 @@ def recover_serve(path, *, repair: bool = True) -> ServeRecoveryReport:
     """Recover an interrupted serving run from its journal.
 
     Re-derives the uninterrupted run (:func:`rederive_serve`), then
-    verifies every durable journaled flush appears in the re-derived
-    shard schedules at the same step
+    verifies the newest checkpoint's per-shard flush counts and digests
+    against the re-derived shard logs
     (:meth:`~repro.dam.journal.RecoveryFold.check_prefix`, the same
     exact-or-typed-error contract as batch recovery).  Returns the
     re-derived report (completion times identical to an uninterrupted

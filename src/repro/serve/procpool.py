@@ -15,10 +15,11 @@ shard, its arrivals as ``t, gid, leaf`` int triples;
 the reply carries, per shard, flat int streams in step order — admits
 as ``t, gid, done`` (``-1`` for none), the chunk's runs of the shard's
 :class:`~repro.dam.schedule.FlushLog`, completions as ``t, gid``, one
-``backlog, in_flight`` depth pair per step — its faults as tuples, and
-counter deltas as tuples in field order.  The parent copies each run
-slice into its shard's log whole and walks the streams with a cursor,
-building no object per flush unless it journals one.
+``backlog, in_flight`` depth pair per step — and counter deltas as
+tuples in field order.  The parent copies each run slice into its
+shard's log whole and walks the streams with a cursor, building no
+object per flush: each checkpoint digests the parent's logs through its
+step, though they already hold the rest of the chunk.
 
 Neither side restates the in-process loop.  A worker is a
 :class:`~repro.serve.loop.ShardStep` — the same drain / plan / step
@@ -56,8 +57,8 @@ process boundary:
   the in-process engine would;
 * the parent pre-draws arrivals for the whole chunk (arrival RNG state
   only ever advances by ``take`` calls in step order) and merges worker
-  results **per (step, shard) in ascending order**, so journal records,
-  checkpoints, and metrics land byte-identically to the sequential loop;
+  results **per (step, shard) in ascending order**, so checkpoints and
+  metrics land byte-identically to the sequential loop;
 * chunks end at epoch boundaries and split at chaos-event steps, so
   every supervision transition (heartbeat, breaker trip, kill) happens
   at a barrier where the parent's view of the world is complete.
@@ -72,7 +73,7 @@ Two behaviors exist only here:
 * **dead workers**: a worker that exits (SIGKILL from
   ``kill-worker`` chaos, a crash, or watchdog escalation) quarantines
   every shard it hosted; the probe path restarts each shard **on a
-  fresh process** from the journal fold, under the normal
+  fresh process** from its journal-checked realized log, under the normal
   ``restart_budget``;
 * **watchdog escalation**: a chunk that misses the soft deadline gets a
   cooperative cancel (an :class:`multiprocessing.Event` the worker
@@ -106,7 +107,6 @@ import os
 import signal
 import time
 from dataclasses import fields
-from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -151,38 +151,6 @@ def _add_deltas(stats, names, deltas) -> None:
 # ---------------------------------------------------------------------
 # worker side
 # ---------------------------------------------------------------------
-class _ChunkFaults:
-    """The serve journal's face in a worker: a flush is in its engine's
-    :class:`~repro.dam.schedule.FlushLog`, whose runs ship as they are,
-    so it is only counted; a fault is kept for the parent as ``(k, t,
-    kind, src, dest, detail)``, after the shard's ``k``-th flush of the
-    chunk."""
-
-    __slots__ = ("flushes", "faults")
-
-    def __init__(self, shards) -> None:
-        self.flushes = dict.fromkeys(shards, 0)
-        self.faults: "dict[int, list[tuple]]" = {sid: [] for sid in shards}
-
-    def record_flush(self, t: int, shard: int, *_flush) -> None:
-        self.flushes[shard] += 1
-
-    def record_fault(self, t: int, shard: int, *fault) -> None:
-        self.faults[shard].append((self.flushes[shard], t, *fault))
-
-
-def _journal_events(runs, faults):
-    """A shard's chunk of journal records in its engine's order: flushes
-    as ``(t, src, dest, msgs)``, faults as ``[t, kind, src, dest, detail]``."""
-    flushes = iter(FlushLog(runs))
-    done = 0
-    for k, *fault in faults:
-        yield from islice(flushes, k - done)
-        done = k
-        yield fault
-    yield from flushes
-
-
 class _ShardWorker(ShardStep):
     """Everything one worker process owns: its shards' engines and
     stores, their admission queues, and a planner.
@@ -323,10 +291,10 @@ class _ShardWorker(ShardStep):
         closed-door set.
 
         The reply is ``(shards, frozen, stall_holds, planner,
-        faults_fired)``: per shard ``(admits, runs, faults, completions,
+        faults_fired)``: per shard ``(admits, runs, completions,
         depths, stats, queue_len, deficit, store)``, where ``runs`` are
-        the chunk's flush log runs, ``faults`` as :class:`_ChunkFaults`
-        keeps them, the rest flat int streams in step order (``depths``
+        the chunk's flush log runs, the rest flat int streams in step
+        order (``depths``
         a ``backlog, in_flight`` pair per step) or counter deltas in
         field order, and ``store`` ``None`` or ``(degraded, errors)``."""
         order = sorted(set(self._hosted) & set(active))
@@ -334,7 +302,6 @@ class _ShardWorker(ShardStep):
         self._admits = {sid: [] for sid in order}
         self._done = {sid: [] for sid in order}
         self._froze = {}
-        self._journal = journal = _ChunkFaults(order)
         for sid in order:  # the parent keeps the run's logs
             self.engines[sid].log = FlushLog()
         self._store_errors = {}
@@ -386,7 +353,7 @@ class _ShardWorker(ShardStep):
                 store = (store.degraded, self._store_errors.get(sid, 0))
             shards[sid] = (
                 self._admits[sid], self.engines[sid].log.runs.tolist(),
-                journal.faults[sid], self._done[sid], depths[sid],
+                self._done[sid], depths[sid],
                 tuple(c - p for c, p in zip(cur, prev)),
                 adm.queue_depth(sid), list(adm.deficit[sid]), store,
             )
@@ -480,7 +447,6 @@ class ProcPoolLoop(ServiceLoop):
         journal=None,
         sync: bool = False,
         max_segment_bytes: "int | None" = None,
-        compact_every_rotations: int = 0,
         debug_hang=None,
     ) -> None:
         if int(processes) < 0:
@@ -491,7 +457,6 @@ class ProcPoolLoop(ServiceLoop):
             config, supervisor=supervisor, chaos=chaos,
             journal=journal, sync=sync,
             max_segment_bytes=max_segment_bytes,
-            compact_every_rotations=compact_every_rotations,
         )
         n = len(self.engines)
         self.processes = min(int(processes), n) if processes else n
@@ -915,26 +880,24 @@ class ProcPoolLoop(ServiceLoop):
                                                arrived[2::3])))
         if frozen:
             # A breaker trips at the first freeze and the chunk's later
-            # records are supervision's, so the driver must be journaled
-            # ahead of them.
+            # checkpoints follow supervision's run, so the driver must be
+            # journaled ahead of them.
             self._note_driver(min(frozen.values()))
         order = sorted(per_shard)
         # Per shard in merge order, the streams each phase walks; a
-        # shard's cursors (arrivals, admits, completions, and the next
-        # journal record) are shared between phases.
+        # shard's cursors (arrivals, admits, completions) are shared
+        # between phases.
         offers, replays = [], []
         for sid in order:
-            admits, runs, faults, done, depths = per_shard[sid][:5]
+            admits, runs, done, depths = per_shard[sid][:4]
             # The parent's engines never step: their realized logs are
             # the workers' runs, copied whole (no flush runs past a
             # drained finish step: nothing is left to move).
             engines[sid].log.runs.extend(runs)
-            events = (iter(()) if journal is None
-                      else _journal_events(runs, faults))
-            cur = [0, 0, 0, next(events, None)]
+            cur = [0, 0, 0]
             offers.append((sid, batch[sid][0] if sid in batch else (),
                            admits, frozen.get(sid, t1), cur))
-            replays.append((sid, events, done, depths, cur))
+            replays.append((sid, done, depths, cur))
         offer = adm.offer
         take_admitted = adm.take_admitted
         queue_depth = adm.queue_depth
@@ -964,17 +927,8 @@ class ProcPoolLoop(ServiceLoop):
                 cur[1] = i
                 adm.stats.queue_wait_steps += queue_depth(sid)
             k = 2 * (t - t0)
-            for sid, events, done, depths, cur in replays:
-                # phase 4: journal replay, then completions; phase 5:
-                # the step's depth sample
-                event = cur[3]
-                while event is not None and event[0] == t:
-                    if len(event) == 4:  # a flush
-                        journal.record_flush(t, sid, *event[1:])
-                    else:
-                        journal.record_fault(t, sid, *event[1:])
-                    event = next(events, None)
-                cur[3] = event
+            for sid, done, depths, cur in replays:
+                # phase 4: completions; phase 5: the step's depth sample
                 i, end = cur[2], len(done)
                 while i < end and done[i] == t:
                     on_completion(sid, done[i + 1], t)

@@ -300,7 +300,7 @@ def rebuild_shard_state(
     targets: "dict[int, int]",
     topology: TreeTopology,
 ) -> "dict[int, int]":
-    """Fold one shard's journaled flushes back into machine state.
+    """Fold one shard's realized flushes back into machine state.
 
     ``flush_records`` is the shard's realized
     :class:`~repro.dam.schedule.FlushLog`.  ``admitted`` is the set
@@ -331,13 +331,13 @@ def rebuild_shard_state(
         for m in msgs:
             if m not in known:
                 raise JournalCorruptionError(
-                    f"journaled flush at step {t} references message {m}, "
+                    f"realized flush at step {t} references message {m}, "
                     "which was never admitted to this shard",
                     reason="schedule-mismatch",
                 )
             if locations.get(m) != src:
                 raise JournalCorruptionError(
-                    f"journaled flush at step {t} moves message {m} from "
+                    f"realized flush at step {t} moves message {m} from "
                     f"node {src}, but the fold places it at "
                     f"{locations.get(m)}",
                     reason="schedule-mismatch",
@@ -350,7 +350,7 @@ def rebuild_shard_state(
         if m in locations:
             raise JournalCorruptionError(
                 f"message {m} completed but its delivery flush is missing "
-                "from the durable journal prefix",
+                "from the shard's realized log",
                 reason="schedule-mismatch",
             )
     return locations

@@ -2,10 +2,9 @@
 
 Several subsystems must rewrite a file so that a crash at *any* byte
 offset leaves either the complete old contents or the complete new
-contents on disk — never a prefix, never a mix.  Journal compaction
-(:mod:`repro.dam.compaction`), the KV manifest
-(:mod:`repro.lsm.disk.manifest`), and SSTable creation
-(:mod:`repro.lsm.disk.sstable`) all follow the same three-step protocol:
+contents on disk — never a prefix, never a mix.  The KV manifest
+(:mod:`repro.lsm.disk.manifest`) and SSTable creation
+(:mod:`repro.lsm.disk.sstable`) both follow the same three-step protocol:
 
 1. write the new bytes to a temporary file *in the same directory* (so
    the final rename cannot cross a filesystem boundary);

@@ -74,7 +74,7 @@ class StorageCorruptionError(StorageError):
     """On-disk KV state is damaged beyond what recovery can absorb.
 
     The disk engine's sibling of :class:`JournalCorruptionError` (the
-    WAL itself raises that class — it *is* a ``WOJ2`` journal).  Raised
+    WAL itself raises that class — it *is* a ``WOJ3`` journal).  Raised
     when an SSTable block, index, bloom filter, or footer fails its
     CRC-32; when the manifest is unreadable; or when recovery finds
     evidence of silently lost records (a sequence gap, a torn non-final

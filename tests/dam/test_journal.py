@@ -20,13 +20,12 @@ from collections import Counter
 import pytest
 
 from repro.dam import RecoveryManager, scan_journal
+from repro.dam.schedule import FlushLog, FlushSchedule, log_digest
 from repro.dam.journal import (
     JournalWriter,
     MAGIC,
     REC_CHECKPOINT,
     REC_END,
-    REC_FAULT,
-    REC_FLUSH,
     REC_META,
     _HEADER,
     _scan_segment,
@@ -67,18 +66,15 @@ def test_journal_round_trip(journaled_run):
     types = [r["type"] for r in scan.records]
     assert types[0] == REC_META
     assert types[-1] == REC_END
-    flushes = [r for r in scan.records if r["type"] == REC_FLUSH]
-    assert len(flushes) == sched.n_flushes
-    # Journaled flushes replay to exactly the realized schedule.
-    by_step: dict[int, list] = {}
-    for r in flushes:
-        by_step.setdefault(r["t"], []).append(
-            (r["src"], r["dest"], tuple(r["msgs"]))
-        )
-    for t in range(1, sched.n_steps + 1):
-        assert sorted(by_step.get(t, [])) == sorted(
-            (f.src, f.dest, f.messages) for f in sched.flushes_at(t)
-        )
+    assert set(types[1:-1]) == {REC_CHECKPOINT}
+    # Each checkpoint digests the realized schedule through its step.
+    log = FlushLog()
+    for t, f in sched.iter_timed():
+        log.append(t, f.src, f.dest, f.messages)
+    for r in scan.records[1:-1]:
+        n, digest = log_digest(log, r["t"])
+        assert (r["flushes"], r["digests"]) == ([n], [digest.hex()])
+    assert scan.records[-2]["flushes"] == [sched.n_flushes]
 
 
 def test_checkpoint_cadence(journaled_run):
@@ -101,22 +97,20 @@ def test_scan_rejects_bad_magic(tmp_path):
 def test_scan_tolerates_torn_tail(tmp_path):
     path = tmp_path / "torn.journal"
     with JournalWriter(path, meta={"n_messages": 1}) as w:
-        w.append({"type": REC_FLUSH, "t": 1, "src": 0, "dest": 1,
-                  "msgs": [0]})
+        w.append({"type": REC_END, "t": 1})
     whole = scan_journal(path)
     assert len(whole.records) == 2
     torn = truncate_at(path, path.stat().st_size - 3,
                        out=tmp_path / "t.journal")
     scan = scan_journal(torn)
-    assert len(scan.records) == 1  # the flush record was torn away
+    assert len(scan.records) == 1  # the end record was torn away
     assert scan.torn_bytes > 0 and scan.torn_reason
 
 
 def test_scan_raises_on_midfile_corruption(tmp_path):
     path = tmp_path / "corrupt.journal"
     with JournalWriter(path, meta={"n_messages": 1}) as w:
-        w.append({"type": REC_FLUSH, "t": 1, "src": 0, "dest": 1,
-                  "msgs": [0]})
+        w.append({"type": REC_END, "t": 1})
     # Flip a payload byte of the *first* record: data follows it, so this
     # must be corruption, not a tear.
     flip_byte(path, len(MAGIC) + 4 + struct.calcsize("<II") + 2,
@@ -198,6 +192,26 @@ def test_recover_rejects_wrong_schedule(journaled_run):
     assert exc.value.reason == "schedule-mismatch"
 
 
+def test_a_reference_flush_moved_by_one_step_fails_typed(journaled_run,
+                                                         tmp_path):
+    """The reference schedule differs from the journaled run by a single
+    flush, one step late, before a cut's newest checkpoint: recovery
+    fails typed instead of resuming a different run."""
+    inst, sched, path = journaled_run
+    killed = truncate_at(path, path.stat().st_size // 2,
+                         out=tmp_path / "killed.journal")
+    fold = RecoveryManager(killed).fold()
+    t = fold.last_durable_step() - 1
+    assert t >= 1 and sched.flushes_at(t)
+    late = FlushSchedule([list(step) for step in sched.steps])
+    late.steps[t].append(late.steps[t - 1].pop())
+    assert RecoveryManager(killed).recover(inst, sched).resumed_from_step \
+        == t + 1
+    with pytest.raises(JournalCorruptionError) as exc:
+        RecoveryManager(killed).recover(inst, late)
+    assert exc.value.reason == "schedule-mismatch"
+
+
 # ----------------------------------------------------------------------
 # Zero-overhead contract: journal off = nothing changes, journal on =
 # identical realized schedule.
@@ -237,9 +251,8 @@ def test_checkpoint_every_validation():
 def test_kill_at_every_offset(journaled_run, tmp_path):
     """Truncate at every byte: exact recovery or typed error, never wrong.
 
-    Two journals: the fault-free run, and a faulty one whose journal
-    carries fault records (retries, partial deliveries) interleaved with
-    flushes and checkpoints.
+    Two journals: the fault-free run, and a faulty one whose realized
+    schedule holds retries and partial deliveries.
     """
     inst, sched, path = journaled_run
     counts = batch_sweep(inst, sched, path, tmp_path / "cut")
@@ -257,7 +270,7 @@ def test_kill_at_every_offset(journaled_run, tmp_path):
     sched = GatedExecutor(
         inst, injector, journal=path, checkpoint_every=8
     ).run(list(ordered))
-    assert any(r["type"] == REC_FAULT for r in scan_journal(path).records)
+    assert any(e.kind == "partial_flush" for e in injector.events)
     counts = batch_sweep(inst, sched, path, tmp_path / "cut", seed=1)
     assert counts["offsets"] == path.stat().st_size + 1
     assert counts["exact"] > counts["typed"]

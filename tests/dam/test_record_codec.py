@@ -1,17 +1,17 @@
-"""The ``WOJ2`` record codec: exact round trips, typed failures.
+"""The ``WOJ3`` record codec: exact round trips, typed failures.
 
 * Every record kind round-trips key for key, through the packers alone
-  and through a journal file: batch flushes (no ``shard``) and serve
-  flushes (with one) of 0..B messages, both checkpoint shapes, faults,
-  WAL puts and deletes of ``str`` and tuple keys with arbitrary JSON
-  values, and the JSON kinds.  A decoded record equals what the JSON
-  form of the same record reads back as.
+  and through a journal file: both checkpoint shapes with their shard
+  digests, WAL puts and deletes of ``str`` and tuple keys with
+  arbitrary JSON values, and the JSON kinds.  A decoded record equals
+  what the JSON form of the same record reads back as.
 * Every one-byte flip and every truncation of a mixed-kind stream scans
   to an exact prefix of its records or raises a typed
   :class:`JournalCorruptionError`.
 * A CRC-valid payload that does not parse is ``bad-payload`` (corruption
   mid-file, a torn tail at the end), never ``struct.error`` or
-  ``IndexError``.
+  ``IndexError``; so is any payload of a retired kind (``WOJ2``'s
+  flush ``0x01`` and fault ``0x04``).
 * A committed ``WOJ1`` journal and a ``WOJ1`` WAL generation fail with
   the one typed ``bad-version`` error.
 """
@@ -38,14 +38,10 @@ from repro.dam.journal import (
 from repro.dam.records import (
     REC_CHECKPOINT,
     REC_DEL,
-    REC_FAULT,
-    REC_FLUSH,
     REC_PUT,
     decode,
     pack_batch_checkpoint,
     pack_delete,
-    pack_fault,
-    pack_flush,
     pack_put,
     pack_serve_checkpoint,
 )
@@ -59,17 +55,19 @@ DATA = Path(__file__).with_name("data")
 KV_DATA = Path(__file__).parents[1] / "lsm" / "disk" / "data"
 
 I32 = st.integers(0, 2**31 - 1)
-SHARD = st.integers(-1, 64)
-TEXT = st.text(max_size=12)
+TEXT = st.text(max_size=6)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2**63, 2**63)
     | st.floats(allow_nan=False, allow_infinity=False) | TEXT,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(TEXT, inner, max_size=4),
-    max_leaves=8,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=4,
 )
 KEYS = (TEXT | st.integers(-2**40, 2**40)
         | st.tuples(TEXT, st.integers(0, 99), st.integers(0, 99)))
+#: one ``(flushes, digest)`` pair per shard.
+DIGESTS = st.lists(st.tuples(I32, st.binary(min_size=8, max_size=8)),
+                   max_size=6)
 
 
 def as_json(record: dict) -> dict:
@@ -77,18 +75,9 @@ def as_json(record: dict) -> dict:
     return json.loads(compact_json(record))
 
 
-def _shard(record: dict, shard: int) -> dict:
-    return record if shard < 0 else {**record, "shard": shard}
-
-
-@st.composite
-def flushes(draw):
-    t, src, dest = draw(I32), draw(I32), draw(I32)
-    shard = draw(SHARD)
-    msgs = draw(st.lists(I32, max_size=64))
-    record = _shard({"type": REC_FLUSH, "t": t, "src": src, "dest": dest,
-                     "msgs": msgs}, shard)
-    return pack_flush(t, shard, src, dest, tuple(msgs)), REC_FLUSH, record
+def _digested(record: dict, digests) -> dict:
+    return {**record, "flushes": [n for n, _d in digests],
+            "digests": [d.hex() for _n, d in digests]}
 
 
 @st.composite
@@ -97,28 +86,22 @@ def batch_checkpoints(draw):
     pairs = draw(st.lists(st.tuples(I32, I32), max_size=40))
     locations = [a for a, _b in pairs]
     completions = [b for _a, b in pairs]
-    record = {"type": REC_CHECKPOINT, "t": t, "locations": locations,
-              "completions": completions}
-    return (pack_batch_checkpoint(t, locations, completions),
+    digests = draw(DIGESTS)
+    record = _digested({"type": REC_CHECKPOINT, "t": t,
+                        "locations": locations,
+                        "completions": completions}, digests)
+    return (pack_batch_checkpoint(t, locations, completions, digests),
             REC_CHECKPOINT, record)
 
 
 @st.composite
 def serve_checkpoints(draw):
     t, arrived, completed = draw(I32), draw(I32), draw(I32)
-    record = {"type": REC_CHECKPOINT, "t": t, "arrived": arrived,
-              "completed": completed}
-    return (pack_serve_checkpoint(t, arrived, completed), REC_CHECKPOINT,
-            record)
-
-
-@st.composite
-def faults(draw):
-    t, src, dest, shard = draw(I32), draw(I32), draw(I32), draw(SHARD)
-    kind, detail = draw(TEXT), draw(st.text(max_size=40))
-    record = _shard({"type": REC_FAULT, "t": t, "kind": kind, "src": src,
-                     "dest": dest, "detail": detail}, shard)
-    return pack_fault(t, shard, kind, src, dest, detail), REC_FAULT, record
+    digests = draw(DIGESTS)
+    record = _digested({"type": REC_CHECKPOINT, "t": t, "arrived": arrived,
+                        "completed": completed}, digests)
+    return (pack_serve_checkpoint(t, arrived, completed, digests),
+            REC_CHECKPOINT, record)
 
 
 @st.composite
@@ -139,14 +122,14 @@ def deletes(draw):
 
 @st.composite
 def json_records(draw):
-    kind = draw(st.sampled_from(("end", "divert", "driver", "mystery")))
+    kind = draw(st.sampled_from(("end", "driver", "mystery")))
     record = {"type": kind, "t": draw(I32),
               "body": draw(JSON_VALUES)}
     return compact_json(record), kind, record
 
 
-RECORDS = (flushes() | batch_checkpoints() | serve_checkpoints() | faults()
-           | puts() | deletes() | json_records())
+RECORDS = (batch_checkpoints() | serve_checkpoints() | puts() | deletes()
+           | json_records())
 
 
 @given(RECORDS)
@@ -158,10 +141,13 @@ def test_every_kind_round_trips_key_for_key(item):
     assert decoded == as_json(record)
 
 
-def test_shard_minus_one_is_a_batch_record():
-    assert "shard" not in decode(pack_flush(3, -1, 0, 1, (4,)))
-    assert decode(pack_flush(3, 0, 0, 1, (4,)))["shard"] == 0
-    assert "shard" not in decode(pack_fault(3, -1, "failed", 0, 1, ""))
+def test_a_shard_digest_is_eight_bytes():
+    digest = bytes(range(8))
+    record = decode(pack_batch_checkpoint(3, [0], [2], [(5, digest)]))
+    assert (record["flushes"], record["digests"]) == ([5], [digest.hex()])
+    assert decode(pack_serve_checkpoint(3, 1, 1, []))["digests"] == []
+    with pytest.raises(ValueError):
+        pack_serve_checkpoint(3, 1, 1, [(5, digest[:7])])
 
 
 def test_str_keys_are_raw_utf8_and_others_json():
@@ -222,9 +208,12 @@ def test_every_flip_and_cut_is_an_exact_prefix_or_typed(tmp_path, items,
 
 
 def _flush_body(n: int, count: int) -> bytes:
+    """A ``WOJ2`` flush payload (kind ``0x01``, retired)."""
     return struct.pack(f"<B5i{count}i", 0x01, 3, 0, 0, 1, n,
                        *range(count))
 
+
+DIGEST = [(4, bytes(8))]
 
 #: CRC-valid payloads that do not parse.
 MALFORMED = {
@@ -232,15 +221,24 @@ MALFORMED = {
     "unknown-kind": b"\x09" + bytes(20),
     "kind-0xff": b"\xff",
     "kind-zero": b"\x00" + bytes(8),
+    # The retired kinds: refused whatever their body.
     "flush-n-too-big": _flush_body(3, 2),
     "flush-n-too-small": _flush_body(1, 2),
     "flush-n-negative": _flush_body(-1, 0),
     "flush-short-head": _flush_body(0, 0)[:-1],
     "flush-shard-below-minus-one": struct.pack("<B5i", 0x01, 3, -2, 0, 1, 0),
-    "checkpoint-n-disagrees": pack_batch_checkpoint(2, [1, 2], [0, 0])[:-4],
-    "serve-checkpoint-long": pack_serve_checkpoint(1, 2, 3) + b"\x00",
+    "flush-well-formed": _flush_body(2, 2),
     "fault-name-past-end": struct.pack("<B4iH", 0x04, 1, 0, 0, 1, 50) + b"x",
     "fault-bad-utf8": struct.pack("<B4iH", 0x04, 1, 0, 0, 1, 1) + b"\xff",
+    "checkpoint-n-disagrees":
+        pack_batch_checkpoint(2, [1, 2], [0, 0], [])[:-8],
+    "checkpoint-no-digests": pack_batch_checkpoint(2, [1], [0], [])[:-4],
+    "serve-checkpoint-long":
+        pack_serve_checkpoint(1, 2, 3, DIGEST) + b"\x00",
+    "serve-checkpoint-digest-cut":
+        pack_serve_checkpoint(1, 2, 3, DIGEST)[:-1],
+    "serve-checkpoint-negative-shards":
+        pack_serve_checkpoint(1, 2, 3, [])[:-4] + struct.pack("<i", -1),
     "put-key-past-end": struct.pack("<BqI", 0x05, 1, 9) + b"ab",
     "put-no-value": struct.pack("<BqI", 0x05, 1, 1) + b"a",
     "put-bad-key-utf8": struct.pack("<BqI", 0x05, 1, 1) + b"\xff1",
@@ -257,7 +255,7 @@ def test_malformed_payload_is_bad_payload(tmp_path, name):
     payload = MALFORMED[name]
     with pytest.raises(ValueError):
         decode(payload)
-    good = frame(pack_serve_checkpoint(1, 0, 0))
+    good = frame(pack_serve_checkpoint(1, 0, 0, DIGEST))
     mid = tmp_path / "mid.woj"
     mid.write_bytes(_HEADER + frame(payload) + good)
     with pytest.raises(JournalCorruptionError) as exc:

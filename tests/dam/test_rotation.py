@@ -16,7 +16,6 @@ from repro.dam import RecoveryManager, scan_journal
 from repro.dam.journal import (
     JournalWriter,
     MIN_SEGMENT_BYTES,
-    REC_FLUSH,
     REC_META,
     _HEADER,
     journal_segments,
@@ -29,11 +28,15 @@ from repro.util.errors import InvalidInstanceError, JournalCorruptionError
 from tests.conftest import make_uniform
 from tests.journal_sweep import batch_sweep
 
+#: A JSON record of a kind recovery does not read (scans pass any kind
+#: through), for the hand-rolled chains.
+REC_NOTE = "note"
+
 
 def write_chain(path, n_records=40, max_segment_bytes=256):
     """A small hand-rolled chain; returns the records written."""
     records = [
-        {"type": REC_FLUSH, "t": i + 1, "src": 0, "dest": 1, "msgs": [i]}
+        {"type": REC_NOTE, "t": i + 1, "src": 0, "dest": 1, "msgs": [i]}
         for i in range(n_records)
     ]
     with JournalWriter(path, meta={"n_messages": n_records},
@@ -65,18 +68,18 @@ def test_chain_scan_reassembles_all_records(tmp_path):
     scan = scan_journal(path)
     assert scan.n_segments == len(journal_segments(path))
     assert scan.torn_bytes == 0
-    flushes = [r for r in scan.records if r["type"] == REC_FLUSH]
+    flushes = [r for r in scan.records if r["type"] == REC_NOTE]
     assert [r["t"] for r in flushes] == [r["t"] for r in records]
 
 
 def test_single_record_larger_than_limit_still_written(tmp_path):
     path = tmp_path / "big.journal"
-    big = {"type": REC_FLUSH, "t": 1, "src": 0, "dest": 1,
+    big = {"type": REC_NOTE, "t": 1, "src": 0, "dest": 1,
            "msgs": list(range(200))}
     with JournalWriter(path, max_segment_bytes=MIN_SEGMENT_BYTES) as w:
         w.append(big)
     scan = scan_journal(path)
-    assert any(r["type"] == REC_FLUSH and len(r["msgs"]) == 200
+    assert any(r["type"] == REC_NOTE and len(r["msgs"]) == 200
                for r in scan.records)
 
 
@@ -261,7 +264,7 @@ def test_enospc_during_rotation_loses_no_acked_records(tmp_path):
     written = 0
     with pytest.raises(OSError) as ei:
         for i in range(40):
-            writer.append({"type": REC_FLUSH, "t": i + 1, "src": 0,
+            writer.append({"type": REC_NOTE, "t": i + 1, "src": 0,
                            "dest": 1, "msgs": [i]})
             written += 1
             writer.flush()
@@ -270,7 +273,7 @@ def test_enospc_during_rotation_loses_no_acked_records(tmp_path):
     # The sealed prefix reads back exactly: every record flushed before
     # the failed rotation, none after, no torn bytes, typed scan.
     scan = scan_journal(path)
-    flushes = [r for r in scan.records if r["type"] == REC_FLUSH]
+    flushes = [r for r in scan.records if r["type"] == REC_NOTE]
     assert [r["t"] for r in flushes] == list(range(1, written + 1))
     assert scan.torn_bytes == 0
     # Space returns: a fresh writer appended to a new journal continues

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dam.schedule import Flush, FlushLog, FlushSchedule
+from repro.dam.schedule import (
+    Flush,
+    FlushLog,
+    FlushSchedule,
+    LogDigest,
+    log_digest,
+)
 
 
 def test_flush_normalizes_message_order():
@@ -88,19 +94,28 @@ def test_flush_log_reads_back_as_its_schedule():
     assert FlushLog().schedule().n_steps == 0
 
 
-def test_flush_log_answers_membership_at_a_step():
+def test_log_digest_covers_the_runs_through_a_step():
     log = FlushLog()
     log.append(2, 0, 1, (4, 5))
     log.append(2, 0, 2, (6,))
-    assert log.has(2, 0, 1, (4, 5)) and log.has(2, 0, 2, (6,))
-    assert not log.has(1, 0, 1, (4, 5))
-    assert not log.has(2, 0, 1, (4,))
-    assert not log.has(2, 0, 2, (5,))
-    assert not log.has(9, 0, 2, (6,))
-    # The step index follows a log that grows after it was first read.
     log.append(4, 1, 3, (4,))
-    assert log.has(4, 1, 3, (4,))
-    copy = FlushLog()
+    running = LogDigest()
+    assert running.advance(log, 1) == log_digest(FlushLog(), 9)[1]
+    assert running.flushes == 0
+    at2 = running.advance(log, 3)
+    assert (running.flushes, at2) == log_digest(log, 2)
+    assert len(at2) == 8
+    # Only the runs appended since are hashed, and a later step is
+    # digested through that step alone.
+    log.append(5, 1, 4, (5,))
+    log.append(7, 3, 9, (4,))
+    assert running.advance(log, 5) == log_digest(log, 6)[1]
+    assert running.flushes == 4
+    assert log_digest(log, 99)[0] == 5
+    # The digest is of the runs: moving one flush by one step changes it.
+    moved = FlushLog()
     for t, src, dest, msgs in log:
-        copy.append(t, src, dest, msgs)
-    assert copy.runs == log.runs and len(copy) == len(log) == 3
+        moved.append(t + (t == 4), src, dest, msgs)
+    assert log_digest(moved, 99)[0] == 5
+    assert log_digest(moved, 99)[1] != log_digest(log, 99)[1]
+    assert log_digest(moved, 4)[0] == 2

@@ -247,6 +247,25 @@ def test_serve_json_artifact(tmp_path, capsys):
     assert data["sojourn"]["p99"] >= data["sojourn"]["p50"] >= 1
 
 
+def test_serve_json_carries_the_admission_and_supervisor_books(
+        tmp_path, capsys):
+    """A quarantine drill's artifact alone shows admission conserved and
+    how many arrivals waited for a quarantined shard."""
+    import json
+
+    out_file = tmp_path / "nn.json"
+    assert main(["serve", "--chaos", "--chaos-kills", "2", "--shards", "2",
+                 "--seed", "3", "--messages", "600",
+                 "--json", str(out_file)]) == 0
+    capsys.readouterr()
+    data = json.loads(out_file.read_text())
+    adm, sup = data["admission"], data["supervisor"]
+    assert adm["offered"] == adm["admitted"] + adm["shed"] > 0
+    assert sum(adm["shed_by_shard"].values()) == adm["shed"]
+    assert sup["restarts"] == 2
+    assert sup["spilled"] == data["spilled"] > 0
+
+
 def test_serve_rejects_bad_config(capsys):
     rc = main(["serve", "--arrivals", "poisson", "--rate", "-1",
                "--messages", "10"])

@@ -65,8 +65,7 @@ CLASSES = {
     RunConfig: ("run --journal j.woj", _built(lambda b: RunConfig.from_meta(
         b["journal"]["meta"]))),
     JournalOptions: ("serve", _built(lambda b: JournalOptions(
-        b["journal"], b["sync"], b["max_segment_bytes"],
-        b["compact_every_rotations"]))),
+        b["journal"], b["sync"], b["max_segment_bytes"]))),
     ChaosConfig: ("serve --chaos", _parsed(ChaosConfig)),
     KVConfig: ("kv stats --dir kv-dir", _parsed(KVConfig)),
 }

@@ -68,7 +68,7 @@ VECTORS = {
     "run/iid": "run --journal iid.woj --rate 0.1 --fault-seed 2",
     "run/every-flag": (
         "run " + INSTANCE_FLAGS + " --journal j.woj --checkpoint-every 8 "
-        "--sync --max-segment-bytes 4096 --compact-every 2 --rate 0.25 "
+        "--sync --max-segment-bytes 4096 --rate 0.25 "
         "--burst --fault-seed 6 --retry-budget 3"
     ),
     "serve/defaults": "serve",
@@ -79,8 +79,7 @@ VECTORS = {
         "--leaves 32 --epoch 5 --max-root-backlog 20 "
         "--max-queue 40 --fault-rate 0.1 --fault-seed 7 "
         "--seed 9 --engine lsm --data-dir kv-dir --checkpoint-every 11 "
-        "--journal run.woj --sync --max-segment-bytes 4096 "
-        "--compact-every 2"
+        "--journal run.woj --sync --max-segment-bytes 4096"
     ),
     "serve/closed": "serve --arrivals closed --clients 3 --think-time 1",
     "serve/supervised-every-flag": (

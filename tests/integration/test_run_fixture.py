@@ -11,11 +11,10 @@ carries the retired ``fault_aware`` key (false), so the meta is compared
 without it and every other record as written.  A second argv that sets
 every ``run`` fault and journal flag is pinned by a digest of its
 segments.  Both journals' records are pinned too, by a digest that is
-the same for any encoding of the same records: the fixture was
-re-encoded record for record when the format moved from ``WOJ1`` to
-``WOJ2``.  (The every-flag run rotates at a byte threshold and compacts
-sealed segments, so which of its records survive moves with the
-encoding; its uncompacted record stream did not.)
+the same for any encoding of the same records.  When the format moved
+to ``WOJ3`` (checkpoints carry flush digests, no record per flush) the
+fixture kept its committed ``meta`` record byte for byte and took the
+rest from a fresh run of ``FIXTURE_ARGV``.
 
 Regenerate the fixture (only when the journal format is *meant* to
 change) with ``PYTHONPATH=src python -m tests.integration.test_run_fixture``.
@@ -45,16 +44,16 @@ EVERY_FLAG_ARGV = [
     "--P", "2", "--B", "12", "--skew", "0.5", "--seed", "4",
     "--checkpoint-every", "8", "--rate", "0.3", "--burst",
     "--retry-budget", "3", "--fault-seed", "2", "--max-segment-bytes",
-    "4096", "--compact-every", "1", "--sync",
+    "4096", "--sync",
 ]
 
 EVERY_FLAG_SHA256 = \
-    "4a6a8ad00ab96b4072d561268d84effb1d02bbf307e2da1ad0f446afdad42628"
+    "4dffd3347bf9e633c1898c19cbc69bcde7ec3c075d448495d9074be1f5e0bbc0"
 
 FIXTURE_RECORDS = \
-    "5152a8e9f05a30bdf5b25499032ca1b0a2776402213862ee573310591ce7ef40"
+    "201b0d3b8bea83db1cf2ce65d1893ec81153cd3d3f25f12df7676b27294dc3ff"
 EVERY_FLAG_RECORDS = \
-    "bcb1f75e90ee395bdf283986b4e7e30db8f47b85fd9c3091a25cf24846943fb6"
+    "3cb72a1d8f4b2bbe37c85ff9ec03ebf12ef154cafb08609ba1549e178f857279"
 
 
 def _segments_digest(path: Path) -> str:

@@ -25,7 +25,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from repro.dam.journal import (
-    REC_FLUSH,
+    REC_CHECKPOINT,
     RecoveryFold,
     RecoveryManager,
     _HEADER,
@@ -68,20 +68,23 @@ def fold_outcomes(records, at_boundary, lo: int, hi: int,
     ``at_boundary(k, fold)`` is called once per boundary, in order, with
     ``fold`` holding the first ``k`` records, and returns that
     boundary's outcome.  Every boundary is also checked against the
-    durable-step rule: no flush of a step it calls durable may still lie
-    beyond it in the complete journal.
+    durable-step rule: the step it calls durable is its newest
+    checkpoint's.
     """
     fold = RecoveryFold.of(records[:lo], source)
+    newest = max((r["t"] for r in records[:lo]
+                  if r["type"] == REC_CHECKPOINT), default=0)
     outcomes = {}
     for k in range(lo, hi + 1):
-        durable = fold.last_durable_step()
-        assert all(
-            r["t"] > durable for r in records[k:] if r["type"] == REC_FLUSH
-        ), f"boundary {k}: step {durable} durable before all its flushes"
+        assert fold.last_durable_step() == newest, (
+            f"boundary {k}: durable step is not the newest checkpoint's"
+        )
         outcomes[k] = at_boundary(k, fold)
         assert outcomes[k][0] in ("exact", "typed")
         if k < hi:
             fold.add(records[k])
+            if records[k]["type"] == REC_CHECKPOINT:
+                newest = max(newest, records[k]["t"])
     return outcomes
 
 

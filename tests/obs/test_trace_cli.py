@@ -63,6 +63,8 @@ class TestTraceErrors:
                      "nonsense"]) == 2
 
     def test_inner_exit_code_propagates(self, tmp_path, capsys):
+        bad = tmp_path / "bad.journal"
+        bad.write_bytes(b"NOPE" * 8)  # `recover` exits 1: corrupt
         code = main(["trace", "--out", str(tmp_path / "x"),
-                     "compact", str(tmp_path / "missing.journal")])
+                     "recover", str(bad)])
         assert code == 1

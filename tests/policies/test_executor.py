@@ -8,7 +8,7 @@ from repro.core.reduction import reduce_to_scheduling
 from repro.core.task_to_flush import task_schedule_to_flush_schedule
 from repro.core.worms import WORMSInstance
 from repro.dam import validate_valid
-from repro.dam.journal import REC_FLUSH, scan_journal
+from repro.dam.journal import REC_CHECKPOINT, scan_journal
 from repro.dam.schedule import Flush
 from repro.policies import WormsPolicy
 from repro.policies.executor import GatedExecutor, execute_flush_list
@@ -74,9 +74,11 @@ def test_deadlock_stall_reports_last_step_that_ran(tmp_path):
     missing_hop = ordered[1:]  # one group can never leave the root
     journal = tmp_path / "run.journal"
     with pytest.raises(ExecutionStalledError) as journaled:
-        GatedExecutor(inst, max_replans=0, journal=journal).run(missing_hop)
+        # A checkpoint after every step that ran.
+        GatedExecutor(inst, max_replans=0, journal=journal,
+                      checkpoint_every=1).run(missing_hop)
     last = max(r["t"] for r in scan_journal(journal).records
-               if r["type"] == REC_FLUSH)
+               if r["type"] == REC_CHECKPOINT)
     assert journaled.value.step == last
     with pytest.raises(ExecutionStalledError) as plain:
         execute_flush_list(inst, missing_hop)

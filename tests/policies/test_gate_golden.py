@@ -13,17 +13,18 @@ no injector, iid faults and Markov bursts; the default retry budget and
 ``retry_budget=1`` (every failure re-plans); two non-laminar lists (a
 missing hop forces a deadlock re-plan); and the typed stalls at the end
 of the recovery ladder (no re-plans left, ``max_steps`` hit).  Each
-digest covers the realized schedule (or the typed stall error),
-:class:`ResilienceStats` and the full journal bytes at
-``checkpoint_every=2``.  The resilient case ids keep the ``aware=0``
-segment they were captured under, when the gate still had a fault-aware
-admission mode (its ``aware=1`` twins went with it).  ``batch_records``
-pins each batch journal's scanned records apart from their bytes, so
-the two can be told apart when only the encoding changes.
+``batch`` digest covers the realized schedule (or the typed stall
+error) and :class:`ResilienceStats`; ``batch_journal`` pins the full
+journal bytes at ``checkpoint_every=2`` and ``batch_records`` its
+scanned records, so a change to the journal format moves those two and
+leaves the gate's digests alone.  The resilient case ids keep the
+``aware=0`` segment they were captured under, when the gate still had a
+fault-aware admission mode (its ``aware=1`` twins went with it).
 
 Serve side: a run with iid faults and chaos stall windows, plus a faulty
-run without chaos.  Each digest covers completions, per-shard schedules
-and every journal record except ``meta``.
+run without chaos.  Each ``serve`` digest covers completions and
+per-shard schedules, and ``serve_records`` every journal record except
+``meta``.
 
 Regenerate ``gate_golden.json`` (only when behaviour is *meant* to
 change) with ``PYTHONPATH=src python -m tests.policies.test_gate_golden``.
@@ -104,16 +105,13 @@ def _stats_repr(stats) -> str:
     )
 
 
-def _batch_digest(executor, flushes, journal: Path) -> str:
+def _batch_digest(executor, flushes) -> str:
     try:
         schedule = executor.run(list(flushes))
         outcome = repr(list(schedule.iter_timed()))
     except ExecutionStalledError as err:
         outcome = f"stalled@{err.step}: {err}"
-    stats = _stats_repr(executor.stats)
-    return _sha("\n".join(
-        (outcome, stats, hashlib.sha256(journal.read_bytes()).hexdigest())
-    ))
+    return _sha("\n".join((outcome, _stats_repr(executor.stats))))
 
 
 def batch_cases():
@@ -129,8 +127,8 @@ def batch_cases():
         yield f"max-steps/{tree}/laminar"
 
 
-def run_batch_case(case: str, tmp: Path) -> "tuple[str, str]":
-    """(the case's digest, the digest of its journal's records)."""
+def run_batch_case(case: str, tmp: Path) -> "tuple[str, str, str]":
+    """The case's gate digest, its journal's bytes and its records."""
     parts = case.split("/")
     inst = TREES[parts[1]]()
     flushes = _flush_list(inst, parts[2])
@@ -150,7 +148,9 @@ def run_batch_case(case: str, tmp: Path) -> "tuple[str, str]":
             retry_budget=budget, max_replans=2 if budget > 1 else 40,
             journal=journal, checkpoint_every=2,
         )
-    return _batch_digest(executor, flushes, journal), records_digest(journal)
+    return (_batch_digest(executor, flushes),
+            hashlib.sha256(journal.read_bytes()).hexdigest(),
+            records_digest(journal))
 
 
 SERVE_CASES = {
@@ -163,7 +163,8 @@ SERVE_CASES = {
 }
 
 
-def run_serve_case(case: str, tmp: Path) -> str:
+def run_serve_case(case: str, tmp: Path) -> "tuple[str, str]":
+    """The case's gate digest and its journal records'."""
     config = ServeConfig(
         arrivals="poisson", rate=6.0, messages=260, shards=2, seed=11,
         P=2, B=8, epoch=4, checkpoint_every=4, fault_rate=0.12,
@@ -176,11 +177,13 @@ def run_serve_case(case: str, tmp: Path) -> str:
     records = [
         r for r in scan_journal(journal).records if r.get("type") != "meta"
     ]
-    return _sha("\n".join((
-        repr(sorted(report.completions.items())),
-        repr([list(s.iter_timed()) for s in report.shard_schedules]),
-        json.dumps(records, sort_keys=True),
-    )))
+    return (
+        _sha("\n".join((
+            repr(sorted(report.completions.items())),
+            repr([list(s.iter_timed()) for s in report.shard_schedules]),
+        ))),
+        _sha(json.dumps(records, sort_keys=True)),
+    )
 
 
 def _golden() -> dict:
@@ -191,13 +194,17 @@ def _golden() -> dict:
 def test_batch_gate_matches_golden(case, tmp_path):
     golden = _golden()
     assert run_batch_case(case, tmp_path) == (
-        golden["batch"][case], golden["batch_records"][case]
+        golden["batch"][case], golden["batch_journal"][case],
+        golden["batch_records"][case],
     )
 
 
 @pytest.mark.parametrize("case", sorted(SERVE_CASES))
 def test_serve_gate_matches_golden(case, tmp_path):
-    assert run_serve_case(case, tmp_path) == _golden()["serve"][case]
+    golden = _golden()
+    assert run_serve_case(case, tmp_path) == (
+        golden["serve"][case], golden["serve_records"][case]
+    )
 
 
 def test_golden_covers_faults_replans_and_stalls():
@@ -220,10 +227,13 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         batch = {c: run_batch_case(c, tmp) for c in batch_cases()}
+        serve = {c: run_serve_case(c, tmp) for c in sorted(SERVE_CASES)}
         doc = {
-            "batch": {c: d for c, (d, _r) in batch.items()},
-            "batch_records": {c: r for c, (_d, r) in batch.items()},
-            "serve": {c: run_serve_case(c, tmp) for c in sorted(SERVE_CASES)},
+            "batch": {c: d[0] for c, d in batch.items()},
+            "batch_journal": {c: d[1] for c, d in batch.items()},
+            "batch_records": {c: d[2] for c, d in batch.items()},
+            "serve": {c: d[0] for c, d in serve.items()},
+            "serve_records": {c: d[1] for c, d in serve.items()},
         }
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(doc['batch'])} batch + {len(doc['serve'])} serve "

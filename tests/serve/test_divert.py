@@ -11,7 +11,6 @@ stay with the neighbor that admitted them.
 
 from __future__ import annotations
 
-from repro.dam.journal import REC_DIVERT, scan_journal
 from repro.faults import (
     CHAOS_KILL,
     CHAOS_STALL,
@@ -86,10 +85,26 @@ class TestDiversion:
         _loop, report = run_checked(plan)
         assert_exact(report)
 
-    def test_late_divert_moves_only_later_arrivals(self, tmp_path):
-        path = tmp_path / "divert.woj"
+    def test_late_divert_moves_only_later_arrivals(self, monkeypatch):
+        records = []  # (step, from, to) of each diversion and merge-back
+        divert, merge_back = ServiceLoop._maybe_divert, \
+            ServiceLoop._merge_back
+
+        def spy_divert(loop, sid):
+            before = dict(loop.router.diverted)
+            divert(loop, sid)
+            if sid in loop.router.diverted and sid not in before:
+                records.append((loop._clock, sid, loop.router.diverted[sid]))
+
+        def spy_merge_back(loop, sid, t):
+            if sid in loop.router.diverted:
+                records.append((t, sid, sid))
+            merge_back(loop, sid, t)
+
+        monkeypatch.setattr(ServiceLoop, "_maybe_divert", spy_divert)
+        monkeypatch.setattr(ServiceLoop, "_merge_back", spy_merge_back)
         loop, report = run_checked(
-            DOUBLE_KILL, shards=2, messages=260, rate=10.0, journal=path
+            DOUBLE_KILL, shards=2, messages=260, rate=10.0
         )
         sup = report.supervisor
         # Both shards diverted at some point; the second diversion was
@@ -99,12 +114,9 @@ class TestDiversion:
         assert sup.merge_backs >= 2
         assert loop.router.diverted == {}
         assert_exact(report)
-        records = [r for r in scan_journal(path).records
-                   if r["type"] == REC_DIVERT]
-        assert all(set(r) == {"type", "t", "from", "to"} for r in records)
-        late = next(r["t"] for r in records if (r["from"], r["to"]) == (1, 0))
-        back = next(r["t"] for r in records
-                    if (r["from"], r["to"]) == (1, 1) and r["t"] > late)
+        late = next(t for t, *move in records if move == [1, 0])
+        back = next(t for t, *move in records
+                    if move == [1, 1] and t > late)
         m = loop.metrics
         # What shard 1 held before the divert stays shard 1's...
         held = {g for g in m.spilled_ids if m.shard_of[g] == 1}

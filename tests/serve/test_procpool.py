@@ -31,13 +31,12 @@ from __future__ import annotations
 import io
 import json
 import pickle
-from collections import Counter
 from dataclasses import asdict
 from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
-from repro.dam.journal import REC_DRIVER, REC_FAULT, REC_FLUSH, scan_journal
+from repro.dam.journal import REC_CHECKPOINT, REC_DRIVER, scan_journal
 from repro.dam.schedule import Flush
 from repro.faults import (
     CHAOS_KILL,
@@ -128,9 +127,9 @@ class TestDriverMatrix:
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_faulty_multi_shard_parity(self, tmp_path, processes):
-        """Fault records interleave with flush records inside one
-        (step, shard) on several shards; the merge replays both streams
-        in the worker's order, byte for byte."""
+        """Failed and partial flushes on several shards: the merged logs
+        and every checkpoint's digests match the in-process run's, byte
+        for byte, though the parent's logs run a chunk ahead."""
         cfg = ServeConfig(arrivals="poisson", rate=8, messages=400,
                           shards=4, P=4, B=16, seed=1, fault_rate=0.1)
         p1 = tmp_path / "plain.woj"
@@ -142,20 +141,14 @@ class TestDriverMatrix:
         assert proc.shard_schedules == plain.shard_schedules
         assert proc.shard_stats == plain.shard_stats
         records = scan_journal(p2).records
-        kinds = Counter(r.get("kind") for r in records
-                        if r["type"] == REC_FAULT)
-        assert kinds == {"failed_flush": 30, "partial_flush": 11}
-        assert {r["shard"] for r in records if r["type"] == REC_FAULT} \
-            == {0, 1, 2, 3}
+        assert sum(s.failed_attempts for s in proc.shard_stats) == 30
+        assert sum(s.partial_deliveries for s in proc.shard_stats) == 11
+        assert all(s.failed_attempts for s in proc.shard_stats)
         assert not any(r["type"] == REC_DRIVER for r in records)
-        # A fault between two flushes of the same (step, shard).
-        assert any(
-            (a["type"], b["type"], c["type"])
-            == (REC_FLUSH, REC_FAULT, REC_FLUSH)
-            and (a["t"], a["shard"]) == (b["t"], b["shard"])
-            == (c["t"], c["shard"])
-            for a, b, c in zip(records, records[1:], records[2:])
-        )
+        checkpoints = [r for r in records if r["type"] == REC_CHECKPOINT]
+        assert len(checkpoints) > 2
+        assert checkpoints[-1]["flushes"] == \
+            [s.flushes for s in proc.shard_stats]
 
     def test_default_meta_stays_clean(self, baseline, tmp_path):
         """Fault-free procpool journals carry no driver/chaos meta —

@@ -3,8 +3,8 @@
 Same contract as ``test_restart_fuzz`` but for the riskiest journal the
 multi-process driver writes: a ``kill-worker`` event SIGKILLs a real
 worker process mid-run, the restart seals durability with an extra
-checkpoint, and (with diversion on) a ``divert`` record moves key-range
-ownership.  Truncating that journal at any byte and recovering must
+checkpoint and reads it back, and (with diversion on) each key-range
+move seals one more.  Truncating that journal at any byte and recovering must
 reproduce the original completions exactly — recovery re-runs the same
 ``ProcPoolLoop`` driver, per the journal's ``driver`` meta — or fail
 with a typed :class:`JournalCorruptionError`; never a silently
@@ -74,7 +74,7 @@ def test_kill_at_every_offset_procpool_run(procpool_journal, tmp_path,
     assert counts["exact"] > 0
 
     path = tmp_path / "chaos.journal"
-    report = chaos_run(path, messages=150, max_segment_bytes=2048)
+    report = chaos_run(path, messages=150, max_segment_bytes=256)
     segments = journal_segments(path)
     assert len(segments) > 1
     counts = serve_sweep(path, report, tmp_path / "cut", monkeypatch,

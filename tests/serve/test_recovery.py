@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.dam.journal import (
+    REC_CHECKPOINT,
     REC_END,
-    REC_FLUSH,
     REC_META,
     journal_segments,
     scan_journal,
@@ -33,9 +33,14 @@ def test_serve_journal_shape(served_journal):
     types = [r["type"] for r in scan.records]
     assert types[0] == REC_META
     assert types[-1] == REC_END
-    flushes = [r for r in scan.records if r["type"] == REC_FLUSH]
-    assert all("shard" in r for r in flushes)
-    assert len(flushes) == sum(s.n_flushes for s in report.shard_schedules)
+    # Meta, checkpoints and the end: no record per flush.
+    assert set(types[1:-1]) == {REC_CHECKPOINT}
+    checkpoints = [r for r in scan.records if r["type"] == REC_CHECKPOINT]
+    assert all(len(r["flushes"]) == len(r["digests"]) == 2
+               for r in checkpoints)
+    assert checkpoints[-1]["t"] == report.n_steps
+    assert checkpoints[-1]["flushes"] == \
+        [s.n_flushes for s in report.shard_schedules]
 
 
 def test_journal_does_not_change_the_run(served_journal):
@@ -81,7 +86,7 @@ def test_kill_at_every_offset_serve(served_journal, tmp_path, monkeypatch):
                       seed=4, fault_rate=0.05, fault_seed=2,
                       checkpoint_every=4)
     path = tmp_path / "serve.journal"
-    report = ServiceLoop(cfg, journal=path, max_segment_bytes=2048).run()
+    report = ServiceLoop(cfg, journal=path, max_segment_bytes=256).run()
     segments = journal_segments(path)
     assert len(segments) > 1
     counts = serve_sweep(path, report, tmp_path / "cut", monkeypatch,
@@ -123,6 +128,33 @@ def test_recover_rejects_foreign_flushes(served_journal, tmp_path):
     with pytest.raises(JournalCorruptionError) as exc:
         recover_serve(forged)
     assert exc.value.reason == "schedule-mismatch"
+
+
+def test_a_reference_flush_moved_by_one_step_fails_typed(served_journal,
+                                                         monkeypatch):
+    """The re-derived run differs from the journaled one by a single
+    flush, one step late: the newest checkpoint's digest catches it."""
+    from repro.dam.schedule import FlushLog
+    from repro.serve import loop
+
+    _cfg, _report, path = served_journal
+    rederive = loop.rederive_serve
+
+    def moved(meta, driver=None):
+        report = rederive(meta, driver)
+        log = report.shard_logs[0]
+        late = FlushLog()
+        for k, (t, src, dest, msgs) in enumerate(log):
+            late.append(t + (k == 0), src, dest, msgs)
+        report.shard_logs[0] = late
+        return report
+
+    assert recover_serve(path).run_completed
+    monkeypatch.setattr(loop, "rederive_serve", moved)
+    with pytest.raises(JournalCorruptionError) as exc:
+        recover_serve(path)
+    assert exc.value.reason == "schedule-mismatch"
+    assert "shard 0" in str(exc.value)
 
 
 def test_recover_journal_with_retired_retry_budget_key(tmp_path):

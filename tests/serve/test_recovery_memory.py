@@ -1,11 +1,11 @@
-"""Recovery holds a served journal's flushes flat.
+"""Recovery holds one checkpoint of a served journal, not the journal.
 
 :class:`RecoveryManager` folds each record as the scan decodes it, and
-:class:`RecoveryFold` keeps a flush as ``t, shard, src, dest, n,
-m1..mn`` in one int array, so recovering a journal costs a few machine
-words per flush, not a dict (and a list, and boxed ints) per record.
-``recover_serve`` re-derives the run holding only the fold: no decoded
-record is alive while the re-derivation runs.
+:class:`RecoveryFold` keeps only the newest checkpoint (its per-shard
+flush counts and digests), so recovering a journal costs the same few
+kilobytes however long the run was.  ``recover_serve`` re-derives the
+run holding only the fold: no other decoded record is alive while the
+re-derivation runs.
 """
 
 from __future__ import annotations
@@ -15,29 +15,28 @@ import tracemalloc
 
 import pytest
 
-from repro.dam.journal import RecoveryManager, scan_journal
+from repro.dam.journal import REC_CHECKPOINT, RecoveryManager, scan_journal
 from repro.serve import ServeConfig, ServiceLoop, loop
 
-#: Bytes a recovery may hold, and peak at, per journaled flush.  The
-#: flat layout holds ~80 (8 per int at ~2.9 messages a flush, plus each
-#: record's end offset); a dict per record held ~790 and peaked ~890.
-HELD_PER_FLUSH = 160
-PEAK_PER_FLUSH = 256
+#: Bytes a fold may hold, and peak at, whatever the journal's length:
+#: the meta, one checkpoint, the scan's framing and one record's decode.
+HELD_BYTES = 16384
+PEAK_BYTES = 65536
 
 
 @pytest.fixture(scope="module")
 def served(tmp_path_factory):
     path = tmp_path_factory.mktemp("memory") / "run.woj"
-    report = ServiceLoop(ServeConfig(messages=2000, shards=2, seed=1),
+    report = ServiceLoop(ServeConfig(messages=2000, shards=2, seed=1,
+                                     checkpoint_every=1),
                          journal=path).run()
-    records = scan_journal(path).records
-    n_flushes = sum(r["type"] == "flush" for r in records)
-    assert n_flushes > 1500
-    return path, report, n_flushes
+    n_records = len(scan_journal(path).records)
+    assert n_records > 250
+    return path, report, n_records
 
 
-def test_fold_holds_flushes_flat(served):
-    path, _report, n_flushes = served
+def test_fold_memory_does_not_grow_with_the_journal(served):
+    path, _report, n_records = served
     gc.collect()
     tracemalloc.start()
     try:
@@ -47,15 +46,17 @@ def test_fold_holds_flushes_flat(served):
     finally:
         tracemalloc.stop()
     assert fold.completed and fold.meta is not None
-    assert held / n_flushes < HELD_PER_FLUSH
-    assert peak / n_flushes < PEAK_PER_FLUSH
+    # The scan keeps one end offset (8 bytes) per record; the fold
+    # keeps one checkpoint.
+    assert held < HELD_BYTES + 8 * n_records
+    assert peak < PEAK_BYTES + 8 * n_records
 
 
-def _live_flush_records() -> int:
+def _live_checkpoint_records() -> int:
     gc.collect()
     return sum(
         1 for obj in gc.get_objects()
-        if type(obj) is dict and obj.get("type") == "flush"
+        if type(obj) is dict and obj.get("type") == REC_CHECKPOINT
     )
 
 
@@ -65,11 +66,11 @@ def test_no_record_is_alive_during_rederivation(served, monkeypatch):
     rederive = loop.rederive_serve
 
     def counted(meta, driver=None):
-        seen.append(_live_flush_records())
+        seen.append(_live_checkpoint_records())
         return rederive(meta, driver)
 
     monkeypatch.setattr(loop, "rederive_serve", counted)
-    before = _live_flush_records()  # whatever other tests left alive
+    before = _live_checkpoint_records()  # whatever other tests left alive
     recovered = loop.recover_serve(path)
-    assert seen == [before]
+    assert seen == [before + 1]  # the fold's newest checkpoint
     assert recovered.report.completions == report.completions

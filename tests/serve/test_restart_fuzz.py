@@ -2,7 +2,8 @@
 
 The supervised chaos run exercises the riskiest journal shape: a
 mid-run shard kill triggers a live restart, which seals durability with
-an extra checkpoint and keeps writing afterwards.  Truncating that
+an extra checkpoint, reads that one record back, and keeps writing
+afterwards.  Truncating that
 journal at any byte and recovering must reproduce the original
 completions exactly — or fail with a typed
 :class:`JournalCorruptionError` — never a silently different run.
@@ -59,6 +60,41 @@ def test_restart_checkpoint_is_in_the_journal(restarted_journal):
     assert len(checkpoints) > report.n_steps // 4
 
 
+def test_restart_reads_back_one_record(tmp_path, monkeypatch):
+    """Each live restart reads its own sealing checkpoint back and
+    nothing else of the journal, whatever the kill's index."""
+    import repro.dam.journal as journal_mod
+
+    scans, reads = [], []
+    scan, read = journal_mod.scan_journal, journal_mod.read_record
+
+    def counting_scan(*args, **kwargs):
+        scans.append(args)
+        return scan(*args, **kwargs)
+
+    def counting_read(*args, **kwargs):
+        record = read(*args, **kwargs)
+        reads.append(record)
+        return record
+
+    monkeypatch.setattr(journal_mod, "scan_journal", counting_scan)
+    monkeypatch.setattr(journal_mod, "read_record", counting_read)
+    kills = ChaosPlan(tuple(
+        ChaosEvent(step, CHAOS_KILL, shard)
+        for step, shard in ((9, 0), (21, 1), (33, 0), (45, 1))
+    ))
+    report = ServiceLoop(
+        ServeConfig(arrivals="poisson", rate=8.0, messages=400, shards=2,
+                    seed=6, P=3, B=8, epoch=4, checkpoint_every=4),
+        chaos=kills, journal=tmp_path / "kills.journal",
+    ).run()
+    assert report.supervisor.restarts == 4
+    assert scans == []
+    assert len(reads) == 4
+    assert [r["type"] for r in reads] == ["checkpoint"] * 4
+    assert [r["t"] for r in reads] == sorted(r["t"] for r in reads)
+
+
 def test_kill_at_every_offset_restart_run(restarted_journal, tmp_path,
                                           monkeypatch):
     """Truncate at every byte: the fixture journal, then a larger run
@@ -69,7 +105,7 @@ def test_kill_at_every_offset_restart_run(restarted_journal, tmp_path,
     assert counts["exact"] > 0
 
     path = tmp_path / "chaos.journal"
-    report = chaos_run(path, messages=150, max_segment_bytes=2048)
+    report = chaos_run(path, messages=150, max_segment_bytes=256)
     segments = journal_segments(path)
     assert len(segments) > 1
     counts = serve_sweep(path, report, tmp_path / "cut", monkeypatch,

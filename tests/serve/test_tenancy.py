@@ -26,6 +26,7 @@ import urllib.request
 
 import pytest
 
+from repro.dam.journal import scan_journal
 from repro.faults import CHAOS_KILL_WORKER, ChaosEvent, ChaosPlan, truncate_at
 from repro.serve import (
     AdmissionController,
@@ -444,7 +445,9 @@ def test_recovery_rebuilds_tenants_from_meta(tmp_path):
     cfg = tenant_config()
     path = tmp_path / "serve.journal"
     report = ServiceLoop(cfg, journal=path).run()
-    killed = truncate_at(path, path.stat().st_size // 2,
+    # Halfway through the records after the (tenant-laden) meta.
+    meta_end = scan_journal(path).ends[0]
+    killed = truncate_at(path, (meta_end + path.stat().st_size) // 2,
                          out=tmp_path / "killed.journal")
     rec = recover_serve(killed)
     assert not rec.run_completed
@@ -594,9 +597,8 @@ def test_kill_during_purge_journal_recovers_exactly(tmp_path):
     report = ProcPoolLoop(_slo_chaos_config(), processes=2, chaos=plan,
                           journal=path).run()
     assert tenant_row(report, "hot")["slo"]["trips"] >= 1
-    from repro.dam.journal import scan_journal
     assert {r["type"] for r in scan_journal(path).records} == {
-        "meta", "flush", "checkpoint", "end",
+        "meta", "checkpoint", "end",
     }
     rec = recover_serve(path)
     assert rec.run_completed
